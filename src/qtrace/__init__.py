@@ -1,6 +1,6 @@
 """qtrace: power functions Tr{rho^m} and Tr{rho ln rho} of ensemble-prepared
 random quantum states, via Hadamard-test Monte Carlo and subspace gate-set
-tomography, verified against an exact dense oracle.
+tomography, verified against an exact span-space oracle.
 """
 
 from .qcore import (

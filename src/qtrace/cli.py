@@ -510,14 +510,23 @@ def _g_power_estimates_ht(
     spec: ensemble.EnsembleSpec, k_max: int, params: dict[str, Any], master: int, workers: int
 ) -> list[ht.TraceEstimate]:
     """Tr{G^k} composed from HT power estimates via the binomial identity
-    Tr{G^k} = sum_j C(k,j) (-2)^j Tr{rho^j}, with fresh streams per (k, j)."""
+    Tr{G^k} = sum_j C(k,j) (-2)^j Tr{rho^j}, with fresh streams per (k, j).
+
+    Enumeration ignores the seed, so under that strategy each Tr{rho^j} is
+    computed once and reused for every k.
+    """
     dim = float(spec.dim)
+    enumerated: dict[int, ht.TraceEstimate] = {}
     estimates = []
     for k in range(k_max + 1):
         value, variance, samples, modes = dim, 0.0, 0, []
         for j in range(1, k + 1):
-            seed = _child_seed(master, 1000 * k + j)
-            est = _ht_estimate(spec, j, params, seed, workers)
+            if params["strategy"] != "enumerate":
+                est = _ht_estimate(spec, j, params, _child_seed(master, 1000 * k + j), workers)
+            elif j in enumerated:
+                est = enumerated[j]
+            else:
+                est = enumerated[j] = _ht_estimate(spec, j, params, master, workers)
             coeff = math.comb(k, j) * (-2.0) ** j
             value += coeff * est.value
             variance += (coeff * est.std_error) ** 2
@@ -729,7 +738,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing", action="store_true",
                        help="fill wall_ms (breaks byte-level determinism)")
 
-    p_oracle = sub.add_parser("oracle", help="exact dense-matrix values")
+    p_oracle = sub.add_parser("oracle", help="exact values from the span-space oracle")
     p_oracle.add_argument("--power", default=None, help="rho powers, e.g. 2 or 2-4")
     p_oracle.add_argument("--g-power", default=None, help="G powers, e.g. 0-3")
     p_oracle.add_argument("--entropy", action="store_true", help="Tr{rho ln rho}")

@@ -1,4 +1,4 @@
-"""The random-state model {p_i, U_i} and its exact dense-matrix oracle.
+"""The random-state model {p_i, U_i} and its exact oracle.
 
 An ensemble prepares the mixed state
 
@@ -9,9 +9,16 @@ in this module is ground truth for the estimators: traces of powers of rho,
 traces of powers of the encoding channel G = I - 2*rho, traces of reflection
 words, and the entropy-like quantity Tr{rho ln rho}.
 
-The oracle is dense (2**n x 2**n matrices) and deliberately capped at
-ORACLE_MAX_QUBITS: it exists for verification, not scale.  The estimators
-themselves run on plain statevectors up to qcore.MAX_QUBITS.
+Every psi_i lies in an alpha-dimensional span, so the oracle never needs a
+2**n vector.  The alpha x alpha Gram K_ij = <psi_i|psi_j> is a product of
+per-qubit overlaps, O(n alpha^2), and the nonzero spectrum of rho is the
+spectrum of sqrt(P) K sqrt(P), O(alpha^3).  Tr{rho^m}, Tr{G^k} and
+Tr{rho ln rho} follow from those alpha eigenvalues.  The oracle stays capped
+at ORACLE_MAX_QUBITS for now.
+
+``build_density_matrix``, ``DensityMatrix`` and ``exact_combination_trace``
+are dense 2**n x 2**n constructions, kept as an independent cross-check for
+tests.
 """
 
 from __future__ import annotations
@@ -23,9 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import ProductGate, StateVector, prepare_state
+from .qcore import ProductGate, StateVector, make_single_qubit_gate, prepare_state
 
-#: Dense-oracle qubit cap (2**12 x 2**12 complex is ~256 MB of scratch already).
+#: Oracle qubit cap.  The dense cross-check needs it (2**12 x 2**12 complex
+#: is 256 MiB); the span-space oracle is held to it until the cap is lifted.
 ORACLE_MAX_QUBITS = 12
 
 #: Probability sums are validated against this before the single renormalization.
@@ -96,6 +104,35 @@ class EnsembleSpec:
         return m
 
     @cached_property
+    def gram(self) -> np.ndarray:
+        """The alpha x alpha Gram K_ij = <psi_i|psi_j>; read-only.
+
+        Built from each gate's per-qubit first columns u_iq|0> as
+        K_ij = prod_q <0|u_iq^dagger u_jq|0>, O(n alpha^2); no 2**n vector
+        is formed.
+        """
+        cols = np.array(
+            [[make_single_qubit_gate(p)[:, 0] for p in g.factors] for g in self.gates]
+        )
+        k = np.prod(np.einsum("iqa,jqa->ijq", cols.conj(), cols), axis=-1)
+        k.setflags(write=False)
+        return k
+
+    @cached_property
+    def span_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of sqrt(P) K sqrt(P), ascending, tiny negatives clipped
+        to 0; read-only.
+
+        These are the nonzero eigenvalues of rho (plus alpha - rank zeros);
+        the remaining 2**n - alpha eigenvalues of rho are exactly 0.
+        """
+        root = np.sqrt(self.probs)
+        lam = np.linalg.eigvalsh(root[:, None] * self.gram * root[None, :])
+        lam = np.clip(lam, 0.0, None)
+        lam.setflags(write=False)
+        return lam
+
+    @cached_property
     def cumulative_probs(self) -> np.ndarray:
         """Cumulative probabilities for inverse-CDF component sampling."""
         c = np.cumsum(self.probs)
@@ -141,7 +178,7 @@ class DensityMatrix:
 def _check_oracle_scale(e: EnsembleSpec) -> None:
     if e.n > ORACLE_MAX_QUBITS:
         raise ValueError(
-            f"dense oracle is limited to n <= {ORACLE_MAX_QUBITS}, got n={e.n}"
+            f"oracle is limited to n <= {ORACLE_MAX_QUBITS}, got n={e.n}"
         )
 
 
@@ -155,27 +192,24 @@ def build_density_matrix(e: EnsembleSpec) -> DensityMatrix:
 
 
 def exact_power_trace(e: EnsembleSpec, m: int) -> float:
-    """Tr{rho^m} by repeated dense multiplication; lies in (0, 1]."""
+    """Tr{rho^m} = sum_j lambda_j^m over the span eigenvalues; lies in (0, 1]."""
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m} (m=0 is Tr I = 2**n)")
     _check_oracle_scale(e)
-    rho = build_density_matrix(e).entries
-    val = complex(np.trace(np.linalg.matrix_power(rho, m)))
-    if abs(val.imag) > 1e-9:
-        raise ArithmeticError(f"Tr{{rho^{m}}} has imaginary part {val.imag!r}")
-    return float(val.real)
+    return float(np.sum(e.span_eigenvalues**m))
 
 
 def exact_g_power_trace(e: EnsembleSpec, k: int) -> float:
-    """Tr{G^k} for G = I - 2*rho, via the eigenvalues of rho.
+    """Tr{G^k} for G = I - 2*rho, via the span eigenvalues of rho.
 
-    Equal to sum_j (1 - 2*lambda_j)^k; k = 0 gives Tr I = 2**n.
+    Equal to sum_j (1 - 2*lambda_j)^k + (2**n - alpha): each of the
+    2**n - alpha directions outside the span contributes 1.  k = 0 gives
+    Tr I = 2**n.
     """
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
     _check_oracle_scale(e)
-    lam = build_density_matrix(e).eigenvalues
-    return float(np.sum((1.0 - 2.0 * lam) ** k))
+    return float(np.sum((1.0 - 2.0 * e.span_eigenvalues) ** k) + (e.dim - e.alpha))
 
 
 def exact_combination_trace(e: EnsembleSpec, q) -> complex:
@@ -207,7 +241,7 @@ def exact_entropy_trace(e: EnsembleSpec) -> float:
     Eigenvalues below ENTROPY_EIGENVALUE_CUTOFF contribute nothing.
     """
     _check_oracle_scale(e)
-    lam = build_density_matrix(e).eigenvalues
+    lam = e.span_eigenvalues
     lam = lam[lam > ENTROPY_EIGENVALUE_CUTOFF]
     return float(np.sum(lam * np.log(lam)))
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -387,6 +387,16 @@ def ptm_trace(
     return float(np.trace(solved))
 
 
+def _probes(dim: int) -> Iterator[np.ndarray]:
+    """The uniform-amplitude vector, then e_0, e_1, ..., made one at a time
+    so that at most one 2**n probe is alive."""
+    yield np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
+    for i in range(dim):
+        basis_state = np.zeros(dim, dtype=np.complex128)
+        basis_state[i] = 1.0
+        yield basis_state
+
+
 def _out_of_span_residual(e: EnsembleSpec, q: Combination) -> np.ndarray:
     """Normalized residual of a deterministic probe after projecting out every
     circuit state of the word (including truncated ones).
@@ -401,8 +411,7 @@ def _out_of_span_residual(e: EnsembleSpec, q: Combination) -> np.ndarray:
         # Orthonormal basis of the (non-orthogonal) circuit-state span.
         u, sv, _ = np.linalg.svd(axes.T, full_matrices=False)
         basis = u[:, sv > 1e-12 * sv[0]]
-    uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-    for probe in (uniform, *np.eye(dim, dtype=np.complex128)):
+    for probe in _probes(dim):
         v = probe
         if basis is not None:
             for _ in range(2):

@@ -19,6 +19,12 @@ expectation over words.
 Words are applied in circuit order: the earliest sampled layer acts first on
 the state.
 
+Circuits are simulated in the span of the alpha component states: a state
+sum_j c_j |psi_j> is held as its alpha coefficients c, the Gram
+K = EnsembleSpec.gram supplies every overlap, and the reflection
+G_a = I - 2|psi_a><psi_a| becomes c_a -= 2 (K c)_a.  A trial with k layers
+costs O(k alpha), independent of n; no 2**n vector is formed.
+
 Three modes:
 
 * ``estimate_power_trace_enumerate`` — exact expectation over all words and
@@ -40,7 +46,6 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +75,11 @@ _EXACT_MODES = (MODE_EXACT_ENUMERATION, MODE_ORACLE)
 
 #: Default cap on evaluated words in enumeration mode.
 DEFAULT_ENUMERATION_CAP = 10**7
+
+#: Complex coefficients held per enumeration block (16 bytes each, 256 KiB),
+#: which bounds its memory at any enumeration cap.  Larger blocks raised peak
+#: RSS and saved no time.
+_ENUM_BLOCK_ENTRIES = 1 << 14
 
 #: Trials per chunk.  Fixed: the chunk layout (hence the RNG stream layout)
 #: must not depend on the worker count.
@@ -142,6 +152,12 @@ def sample_circuit(e: EnsembleSpec, m: int, rng: np.random.Generator) -> HtSampl
     return HtSample(initial, flags, comps)
 
 
+def _check_probabilities(p: np.ndarray) -> None:
+    bad = (p < -_P_TOL) | (p > 1.0 + _P_TOL)
+    if np.any(bad):
+        raise ArithmeticError(f"outcome probability {p[bad][0]!r} outside [0, 1]")
+
+
 def _checked_probability(p: float) -> float:
     if not -_P_TOL <= p <= 1.0 + _P_TOL:
         raise ArithmeticError(f"outcome probability {p!r} outside [0, 1]")
@@ -191,6 +207,30 @@ def _finish_estimate(
     return TraceEstimate(mean, stderr, count, mode)
 
 
+def _outcome_probabilities(
+    e: EnsembleSpec, comps: np.ndarray, flags: np.ndarray
+) -> np.ndarray:
+    """Exact P(0) of each sampled circuit, checked and clipped into [0, 1].
+
+    Row r starts in psi_{comps[r, 0]} and passes the m candidate layers in
+    circuit order; layer t reflects about psi_{comps[r, t + 1]} where
+    flags[r, t] is set.  States are held as span coefficients.
+    """
+    gram = e.gram
+    b, m = flags.shape
+    c = np.zeros((b, e.alpha), dtype=np.complex128)
+    c[np.arange(b), comps[:, 0]] = 1.0
+    for t in range(m):
+        on = np.flatnonzero(flags[:, t])
+        axes = comps[on, t + 1]
+        inner = np.einsum("ij,ij->i", gram[axes], c[on])
+        c[on, axes] -= 2.0 * inner
+
+    p0 = 0.5 * (1.0 + np.einsum("ij,ij->i", gram[comps[:, 0]], c).real)
+    _check_probabilities(p0)
+    return np.clip(p0, 0.0, 1.0)
+
+
 def _mc_chunk(
     e: EnsembleSpec,
     m: int,
@@ -204,27 +244,9 @@ def _mc_chunk(
     """Partial (sum, sum_sq, count, clamp_events) over trials [lo, hi)."""
     rng = rng_stream(master_seed, lo)
     b = hi - lo
-    psi = e.state_matrix
     comps = e.component_indices(rng.random((b, m + 1)))
     flags = rng.random((b, m)) < 0.5
-
-    # Walk the m candidate layers in circuit order, reflecting only the
-    # trials whose coin came up heads.
-    v = psi[comps[:, 0]].copy()
-    for t in range(m):
-        on = flags[:, t]
-        if not np.any(on):
-            continue
-        axes = psi[comps[on, t + 1]]
-        inner = np.einsum("ij,ij->i", axes.conj(), v[on])
-        v[on] -= 2.0 * inner[:, None] * axes
-
-    re = np.einsum("ij,ij->i", psi[comps[:, 0]].conj(), v).real
-    p0 = 0.5 * (1.0 + re)
-    bad = (p0 < -_P_TOL) | (p0 > 1.0 + _P_TOL)
-    if np.any(bad):
-        raise ArithmeticError(f"outcome probability {p0[bad][0]!r} outside [0, 1]")
-    p0 = np.clip(p0, 0.0, 1.0)
+    p0 = _outcome_probabilities(e, comps, flags)
 
     clamps = 0
     if ht_sigma > 0.0:
@@ -293,6 +315,28 @@ def enumeration_word_count(alpha: int, m: int) -> int:
     return sum(alpha ** (k + 1) for k in range(m + 1))
 
 
+def _enumerate_block(e: EnsembleSpec, k: int, lo: int, hi: int) -> float:
+    """sum over the length-k words of rank [lo, hi), in itertools.product
+    order, of (prod p) sum_i p_i Re <psi_i|W|psi_i>.
+
+    Each word carries an (alpha, alpha) coefficient array: row i holds the
+    span coefficients of W|psi_i>, so one pass covers every initial component.
+    """
+    alpha, gram = e.alpha, e.gram
+    ranks = np.arange(lo, hi)[:, None]
+    words = (ranks // alpha ** np.arange(k - 1, -1, -1)) % alpha
+    w = np.arange(hi - lo)
+    c = np.broadcast_to(np.eye(alpha, dtype=np.complex128), (hi - lo, alpha, alpha)).copy()
+    for t in range(k):
+        axes = words[:, t]
+        inner = np.einsum("wj,wij->wi", gram[axes], c)
+        c[w, :, axes] -= 2.0 * inner
+    re = np.einsum("ij,wij->wi", gram, c).real
+    _check_probabilities(0.5 * (1.0 + re))
+    weights = np.prod(e.probs[words], axis=1)
+    return float(weights @ (re @ e.probs))
+
+
 def estimate_power_trace_enumerate(
     e: EnsembleSpec, m: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> TraceEstimate:
@@ -300,7 +344,7 @@ def estimate_power_trace_enumerate(
 
         sum_k (C(m,k)/2^m) (-1)^k  sum_words (prod p) (2 P_word(0) - 1)
 
-    over all alpha^(k+1) component words for each k.  Equals the dense oracle
+    over all alpha^(k+1) component words for each k.  Equals the oracle
     value; std_error is 0.
     """
     if m < 0:
@@ -313,20 +357,13 @@ def estimate_power_trace_enumerate(
             cap=enumeration_cap,
         )
 
-    psi = e.state_matrix
+    block = max(1, _ENUM_BLOCK_ENTRIES // e.alpha**2)
     total = 0.0
     for k in range(m + 1):
-        layer_sum = 0.0
-        for word in product(range(e.alpha), repeat=k):
-            v = psi
-            weight = 1.0
-            for c in word:
-                v = reflect_amplitudes(psi[c], math.pi, v)
-                weight *= e.probs[c]
-            # One pass covers every initial component at once.
-            re = np.einsum("ij,ij->i", psi.conj(), v).real
-            for p in 0.5 * (1.0 + re):
-                _checked_probability(float(p))
-            layer_sum += weight * float(np.dot(e.probs, re))
+        n_words = e.alpha**k
+        layer_sum = sum(
+            _enumerate_block(e, k, lo, min(lo + block, n_words))
+            for lo in range(0, n_words, block)
+        )
         total += math.comb(m, k) / 2.0**m * (-1.0) ** k * layer_sum
     return TraceEstimate(total, 0.0, planned, MODE_EXACT_ENUMERATION)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qtrace import cli, ht
 from qtrace.cli import (
     COLUMNS,
     ConfigError,
@@ -16,6 +17,7 @@ from qtrace.cli import (
     render_csv,
     render_json,
 )
+from qtrace.series import entropy_weights, evaluate_series
 
 
 def run_cli(*args, env_extra=None):
@@ -158,6 +160,31 @@ class TestSubcommands:
         assert r.returncode == 0
         value = float(r.stdout.splitlines()[1].split(",")[2])
         assert value == pytest.approx(-0.5647386733870296, abs=1e-6)
+
+    def test_entropy_ht_enumeration_runs_once_per_power(self, monkeypatch, capsys):
+        enumerate_trace = ht.estimate_power_trace_enumerate
+        calls = []
+
+        def counted(spec, m, *args, **kwargs):
+            calls.append(m)
+            return enumerate_trace(spec, m, *args, **kwargs)
+
+        monkeypatch.setattr(ht, "estimate_power_trace_enumerate", counted)
+        assert cli.main(["entropy", "--estimator", "ht", "--order", "2-8"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert sorted(calls) == list(range(9))  # Tr{rho^j}, j = 1..9
+
+        # The same table from one enumeration per (k, j) term.
+        spec = load_config("table1").spec
+        gk = []
+        for k in range(10):
+            value = float(spec.dim)
+            for j in range(1, k + 1):
+                value += math.comb(k, j) * (-2.0) ** j * enumerate_trace(spec, j - 1).value
+            gk.append(ht.TraceEstimate(value, 0.0, 1, ht.MODE_EXACT_ENUMERATION))
+        for row, order in zip(rows, range(2, 9), strict=True):
+            want = evaluate_series(entropy_weights(order), gk).value
+            assert row.split(",")[2] == format(want, ".17g")
 
     def test_bounds_rows(self):
         r = run_cli("bounds", "--d", "2", "--eps1", "0.0001", "--epsilon", "0.1")

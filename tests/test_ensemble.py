@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtrace import (
     DensityMatrix,
@@ -186,3 +188,55 @@ class TestOracleScale:
         spec = pure_spec(13, RotationParams(0.1, 0.2, 0.3))
         with pytest.raises(ValueError, match="n <= 12"):
             exact_power_trace(spec, 2)
+
+
+@st.composite
+def small_ensembles(draw) -> EnsembleSpec:
+    """Random ensembles with n <= 6 and alpha <= 6; some repeat a component,
+    which makes the Gram rank-deficient."""
+    n = draw(st.integers(1, 6))
+    alpha = draw(st.integers(1, 6))
+    spec = random_ensemble(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, alpha)
+    if alpha > 1 and draw(st.booleans()):
+        gates = spec.gates[:-1] + spec.gates[:1]
+        spec = EnsembleSpec(n, spec.probs, gates)
+    return spec
+
+
+class TestSpanOracleMatchesDense:
+    """The span-space oracle against values built from the dense rho."""
+
+    def test_duplicated_component_has_rank_deficient_gram(self):
+        spec = random_ensemble(np.random.default_rng(3), 4, 3)
+        dup = EnsembleSpec(4, spec.probs, spec.gates[:2] + spec.gates[:1])
+        assert np.linalg.matrix_rank(dup.gram, tol=1e-10) == 2
+        assert dup.span_eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_ensembles())
+    def test_gram_matches_state_matrix(self, spec):
+        dense = spec.state_matrix.conj() @ spec.state_matrix.T
+        assert np.max(np.abs(spec.gram - dense)) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_ensembles())
+    def test_traces_match_dense_rho(self, spec):
+        rho = build_density_matrix(spec)
+        g = np.eye(spec.dim) - 2.0 * rho.entries
+        for m in range(1, 6):
+            dense = np.trace(np.linalg.matrix_power(rho.entries, m)).real
+            assert exact_power_trace(spec, m) == pytest.approx(dense, abs=1e-10)
+        for k in range(6):
+            dense = np.trace(np.linalg.matrix_power(g, k)).real
+            assert exact_g_power_trace(spec, k) == pytest.approx(dense, abs=1e-10)
+        lam = rho.eigenvalues[rho.eigenvalues > 1e-12]
+        assert exact_entropy_trace(spec) == pytest.approx(
+            float(np.sum(lam * np.log(lam))), abs=1e-10
+        )
+
+    def test_oracle_builds_no_statevector(self):
+        spec = random_ensemble(np.random.default_rng(4), 12, 4)
+        exact_power_trace(spec, 3)
+        exact_g_power_trace(spec, 3)
+        exact_entropy_trace(spec)
+        assert "states" not in spec.__dict__ and "state_matrix" not in spec.__dict__

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,37 @@ class TestAugmentation:
         tr_rw, tr_aug = augment_and_trace(e, q, b)
         assert tr_rw == pytest.approx(1.0, abs=1e-9)
         assert tr_aug == pytest.approx(4.0, abs=1e-9)
+
+    def test_augmentation_at_n16_probes_lazily(self):
+        # Component 0 is |+>^n, the uniform-amplitude probe itself, so the
+        # probe search must move on to e_0 without materializing the rest.
+        n = 16
+        e = EnsembleSpec(
+            n,
+            np.array([0.5, 0.5]),
+            (
+                ProductGate.uniform(n, RotationParams(math.pi / 2, 0, 0)),
+                ProductGate.uniform(n, RotationParams(0.7, 0.4, 0.1)),
+            ),
+        )
+        q = word(e, 0, 1)
+        tracemalloc.start()
+        try:
+            b = build_subspace(e, q, 1e-10)
+            phi = augmentation_state(e, q, b).amplitudes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-12)
+        # phi = (r + u/2) / |r + u/2| with r a unit vector orthogonal to the
+        # word's states and u a unit vector inside their span.
+        span, _ = np.linalg.qr(e.state_matrix.T)
+        outside = phi - span @ (span.conj().T @ phi)
+        assert np.linalg.norm(outside) == pytest.approx(1.0 / math.sqrt(1.25), abs=1e-9)
+        assert np.max(np.abs(e.state_matrix.conj() @ outside)) < 1e-12
+        overlaps = e.state_matrix.conj() @ phi
+        assert overlaps[0] == pytest.approx(overlaps[1], abs=1e-12)
 
     def test_degenerate_augmentation_when_states_fill_space(self):
         e = EnsembleSpec(

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
-from qtrace import EnsembleSpec, ProductGate, RotationParams, exact_power_trace
+from qtrace import EnsembleSpec, ProductGate, RotationParams, exact_power_trace, ht, noise_bounds
 from qtrace.errors import ResourceLimitError
 from qtrace.ht import (
     HtSample,
@@ -14,8 +16,10 @@ from qtrace.ht import (
     sample_circuit,
     single_shot,
 )
+from qtrace.qcore import reflect_amplitudes
+from qtrace.rng import rng_stream
 
-from .conftest import random_ensemble
+from .conftest import random_ensemble, reference_spec
 
 
 def pure_spec(n=2) -> EnsembleSpec:
@@ -211,3 +215,167 @@ class TestTraceEstimateInvariants:
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             TraceEstimate(1.0, -0.1, 1, "mc-shots")
+
+
+def dense_probabilities(e, comps, flags):
+    """Statevector reference for ht._outcome_probabilities: the same circuits
+    applied to 2**n-amplitude vectors."""
+    psi = e.state_matrix
+    v = psi[comps[:, 0]].copy()
+    for t in range(flags.shape[1]):
+        on = flags[:, t]
+        if not np.any(on):
+            continue
+        axes = psi[comps[on, t + 1]]
+        inner = np.einsum("ij,ij->i", axes.conj(), v[on])
+        v[on] -= 2.0 * inner[:, None] * axes
+
+    re = np.einsum("ij,ij->i", psi[comps[:, 0]].conj(), v).real
+    p0 = 0.5 * (1.0 + re)
+    bad = (p0 < -1e-9) | (p0 > 1.0 + 1e-9)
+    if np.any(bad):
+        raise ArithmeticError(f"outcome probability {p0[bad][0]!r} outside [0, 1]")
+    return np.clip(p0, 0.0, 1.0)
+
+
+def dense_mc_chunk(e, m, shots_per_trial, measure, ht_sigma, master_seed, lo, hi,
+                   probabilities=dense_probabilities):
+    """Statevector reference for ht._mc_chunk, drawing in the same order:
+    components, flags, noise, binomial."""
+    rng = rng_stream(master_seed, lo)
+    b = hi - lo
+    comps = e.component_indices(rng.random((b, m + 1)))
+    flags = rng.random((b, m)) < 0.5
+    p0 = probabilities(e, comps, flags)
+
+    clamps = 0
+    if ht_sigma > 0.0:
+        p0, clamps = noise_bounds.perturb_probabilities(p0, ht_sigma, rng)
+
+    sign = 1.0 - 2.0 * (flags.sum(axis=1) % 2)
+    if measure == "exact-prob":
+        x = sign * (2.0 * p0 - 1.0)
+        return float(x.sum()), float(np.dot(x, x)), b, clamps
+    n0 = rng.binomial(shots_per_trial, p0)
+    shot_sum = sign * (2.0 * n0 - shots_per_trial)
+    return float(shot_sum.sum()), float(b * shots_per_trial), b * shots_per_trial, clamps
+
+
+def dense_enumerate(e, m):
+    """Statevector reference for estimate_power_trace_enumerate: one word at
+    a time, in itertools.product order."""
+    psi = e.state_matrix
+    total = 0.0
+    for k in range(m + 1):
+        layer_sum = 0.0
+        for word in product(range(e.alpha), repeat=k):
+            v = psi
+            weight = 1.0
+            for c in word:
+                v = reflect_amplitudes(psi[c], math.pi, v)
+                weight *= e.probs[c]
+            re = np.einsum("ij,ij->i", psi.conj(), v).real
+            layer_sum += weight * float(np.dot(e.probs, re))
+        total += math.comb(m, k) / 2.0**m * (-1.0) ** k * layer_sum
+    return total
+
+
+SPAN_SPECS = {
+    "reference": reference_spec(3),
+    "random-n4-a3": random_ensemble(np.random.default_rng(71), 4, 3),
+    "random-n2-a5": random_ensemble(np.random.default_rng(72), 2, 5),
+}
+
+
+CHUNKS = [(0, 0, 8192), (5, 8192, 12000), (17, 40, 41)]
+
+
+def assert_same_sums(got, want):
+    total, total_sq, count, clamps = got
+    w_total, w_total_sq, w_count, w_clamps = want
+    assert (count, clamps) == (w_count, w_clamps)
+    assert total == pytest.approx(w_total, rel=1e-10, abs=1e-10)
+    assert total_sq == pytest.approx(w_total_sq, rel=1e-10, abs=1e-10)
+
+
+class TestSpanKernelMatchesStatevectors:
+    @pytest.mark.parametrize("name", sorted(SPAN_SPECS))
+    @pytest.mark.parametrize("seed, lo, hi", CHUNKS)
+    def test_outcome_probabilities(self, name, seed, lo, hi):
+        e = SPAN_SPECS[name]
+        rng = rng_stream(seed, lo)
+        for m in (0, 1, 4, 7):
+            comps = e.component_indices(rng.random((hi - lo, m + 1)))
+            flags = rng.random((hi - lo, m)) < 0.5
+            got = ht._outcome_probabilities(e, comps, flags)
+            assert np.max(np.abs(got - dense_probabilities(e, comps, flags))) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SPAN_SPECS))
+    @pytest.mark.parametrize("ht_sigma", [0.0, 0.01])
+    @pytest.mark.parametrize("seed, lo, hi", CHUNKS)
+    def test_mc_chunk_exact_prob(self, name, ht_sigma, seed, lo, hi):
+        e = SPAN_SPECS[name]
+        for m in (0, 1, 4):
+            args = (e, m, 1, "exact-prob", ht_sigma, seed, lo, hi)
+            assert_same_sums(ht._mc_chunk(*args), dense_mc_chunk(*args))
+
+    @pytest.mark.parametrize("name", sorted(SPAN_SPECS))
+    @pytest.mark.parametrize("seed, lo, hi", CHUNKS)
+    def test_mc_chunk_shots(self, name, seed, lo, hi):
+        # numpy's binomial draws nothing when p is exactly 0 or 1, and the
+        # two kernels round P(0) at those ends differently (by ~1e-16), so a
+        # fully dense chunk can shift the shot stream.  The P(0) stage is
+        # compared above; here the dense chunk takes the span P(0) and must
+        # reproduce the draws and sums exactly.
+        e = SPAN_SPECS[name]
+        for m in (0, 1, 4):
+            args = (e, m, 3, "shots", 0.0, seed, lo, hi)
+            assert_same_sums(
+                ht._mc_chunk(*args),
+                dense_mc_chunk(*args, probabilities=ht._outcome_probabilities),
+            )
+
+    @pytest.mark.parametrize("name", sorted(SPAN_SPECS))
+    def test_enumeration(self, name):
+        e = SPAN_SPECS[name]
+        for m in range(6):
+            got = estimate_power_trace_enumerate(e, m).value
+            assert got == pytest.approx(dense_enumerate(e, m), abs=1e-10)
+
+    def test_enumeration_blocks_stitch(self, ref3, monkeypatch):
+        # 16 coefficients per block is one 4x4 word per block.
+        whole = estimate_power_trace_enumerate(ref3, 4).value
+        monkeypatch.setattr(ht, "_ENUM_BLOCK_ENTRIES", 16)
+        assert estimate_power_trace_enumerate(ref3, 4).value == pytest.approx(whole, abs=1e-14)
+
+    def test_enumeration_samples_count_words(self, ref3):
+        est = estimate_power_trace_enumerate(ref3, 3)
+        assert est.samples == ht.enumeration_word_count(4, 3) == 4 + 16 + 64 + 256
+
+    def test_out_of_range_probability_raises(self):
+        # A Gram with K_11 = 3 gives P(0) = (1 + 3)/2 = 2 on the empty word
+        # from initial component 1.
+        e = random_ensemble(np.random.default_rng(3), 2, 2)
+        e.__dict__["gram"] = np.diag([1.0, 3.0]).astype(complex)
+        with pytest.raises(ArithmeticError, match=r"probability .*2\.0.* outside"):
+            estimate_power_trace_enumerate(e, 2)
+        with pytest.raises(ArithmeticError, match=r"probability .*2\.0.* outside"):
+            estimate_power_trace_mc(e, 2, trials=100, rng=0, measure="exact-prob")
+
+
+class TestScale:
+    def test_mc_at_n20_builds_no_statevector(self):
+        e = reference_spec(20)
+        tracemalloc.start()
+        try:
+            est = estimate_power_trace_mc(
+                e, 3, trials=100_000, rng=5, measure="exact-prob", ht_sigma=0.01
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "state_matrix" not in e.__dict__ and "states" not in e.__dict__
+        assert peak < 64 * 2**20
+        assert est.samples == 100_000
+        lam = e.span_eigenvalues
+        assert abs(est.value - float(np.sum(lam**4))) < 5 * est.std_error + 0.01
