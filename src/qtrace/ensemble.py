@@ -14,7 +14,9 @@ Every psi_i lies in an alpha-dimensional span, so the oracle never needs a
 per-qubit overlaps, O(n alpha^2), and the nonzero spectrum of rho is the
 spectrum of sqrt(P) K sqrt(P), O(alpha^3).  Tr{rho^m}, Tr{G^k} and
 Tr{rho ln rho} follow from those alpha eigenvalues.  The oracle stays capped
-at ORACLE_MAX_QUBITS for now.
+at ORACLE_MAX_QUBITS for now.  ``span_states`` factors the Gram into alpha
+rows of D <= alpha + 1 coordinates (plus one zero coordinate outside the
+span) on which subspace GST runs, again with no 2**n vector.
 
 ``build_density_matrix``, ``DensityMatrix`` and ``exact_combination_trace``
 are dense 2**n x 2**n constructions, kept as an independent cross-check for
@@ -35,6 +37,11 @@ from .qcore import ProductGate, StateVector, make_single_qubit_gate, prepare_sta
 #: Oracle qubit cap.  The dense cross-check needs it (2**12 x 2**12 complex
 #: is 256 MiB); the span-space oracle is held to it until the cap is lifted.
 ORACLE_MAX_QUBITS = 12
+
+#: Gram eigenvalues below this times alpha * lambda_max are eigh rounding
+#: noise (measured: at most 0.74 of alpha * eps * lambda_max for exactly
+#: duplicated components) and embed as exact zeros in ``span_states``.
+_NULL_EIGENVALUE_RTOL = 16 * np.finfo(np.float64).eps
 
 #: Probability sums are validated against this before the single renormalization.
 PROB_SUM_TOL = 1e-9
@@ -117,6 +124,32 @@ class EnsembleSpec:
         k = np.prod(np.einsum("iqa,jqa->ijq", cols.conj(), cols), axis=-1)
         k.setflags(write=False)
         return k
+
+    @cached_property
+    def span_states(self) -> np.ndarray:
+        """Component states embedded in D <= alpha + 1 dimensions, shape
+        (alpha, D); read-only.
+
+        Row v_i stands for psi_i: V.conj() @ V.T reproduces ``gram``, so
+        every inner product among component states, and every reflection
+        about them, is the same on the rows as on the 2**n kets.  The rows
+        come from the top min(alpha, 2**n) eigenpairs (w, U) of the Gram as
+        conj(U sqrt(w)).  Eigenvalues at rounding level are set to 0, so a
+        duplicated component embeds as the same row and a null direction
+        as an exactly zero column.  If alpha < 2**n one zero column is
+        appended: an exact direction outside the span, orthogonal to every
+        psi_i and fixed by every reflection about them.  With
+        alpha >= 2**n, D = 2**n and the rows span the whole space.
+        """
+        r = min(self.alpha, self.dim)
+        w, u = np.linalg.eigh(self.gram)
+        w, u = w[-r:], u[:, -r:]
+        w = np.where(w > _NULL_EIGENVALUE_RTOL * self.alpha * w[-1], w, 0.0)
+        v = (u * np.sqrt(w)).conj()
+        if self.alpha < self.dim:
+            v = np.hstack([v, np.zeros((self.alpha, 1))])
+        v.setflags(write=False)
+        return v
 
     @cached_property
     def span_eigenvalues(self) -> np.ndarray:

@@ -7,33 +7,43 @@ span of its reflection axes, so
 
     Tr{W} = Tr{w} + 2^n - d
 
-with w the restriction of W to the d-dimensional span.  Tr{w} is recovered
-without ever reconstructing w:
+with w the restriction of W to the d-dimensional span.  Every entry the
+stages below measure is an inner product among the word's states, the
+states' reflections and one unit vector orthogonal to them, so each stage
+runs on the rows of ``EnsembleSpec.span_states``: D <= alpha + 1
+coordinates per state, the same inner products as the 2^n kets.  A word
+costs O(k alpha^3 + alpha^6), reflections on (d+1)^2 D-vectors plus the
+(d+1)^2-sized solve, whatever n is.  Tr{w} is recovered without ever
+reconstructing w:
 
 1. ``build_subspace``   — walk the distinct word states in first-occurrence
    order; a Gram-Schmidt admission statistic (|Delta|^2 / (1+|x|^2))^2 below
    the threshold epsilon drops near-dependent states (biasing the result but
    protecting the Gram conditioning).
-2. ``extend_operator_basis`` — d^2 pure prep states: the d retained kets
-   plus the dressed kets G_{s'}(theta)|psi_s>, s != s', where G_{s'}(theta)
+2. ``extend_operator_basis`` — d^2 pure prep states: the d retained states
+   plus the dressed states G_{s'}(theta)|psi_s>, s != s', where G_{s'}(theta)
    = I - (1 - e^{i*theta})|psi_{s'}><psi_{s'}|.  Any theta not a multiple of
    pi makes the d^2 projectors linearly independent.
 3. ``measure_matrices`` — p_rs = |<chi_r|W|chi_s>|^2 and
-   g_rs = |<chi_r|chi_s>|^2, each a Hadamard-test-free circuit estimate.
+   g_rs = |<chi_r|chi_s>|^2, each a Hadamard-test-free circuit estimate,
+   computed by reflecting the D-vector preps about the word's states.
 4. ``ptm_trace``        — Tr{solve(g, p)}: the unknown prep/measure frames
    enter p and g as the same similarity and cancel, leaving the transfer-
    matrix trace Tr{R_w} = |Tr w|^2.
 5. ``augment_and_trace`` — repeat with one extra state |phi> outside the
    span of the circuit states: the restriction to the augmented subspace is
    block triangular with a unit diagonal entry, so Tr{w'} = Tr{w} + 1 and
-   Tr{R_w'} = |Tr w + 1|^2.
+   Tr{R_w'} = |Tr w + 1|^2.  The out-of-span part of |phi> is a probe
+   projected off the word's states in the D coordinates; with alpha < 2^n
+   the zero column of ``span_states`` guarantees one exists.
 6. ``combination_trace`` — Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2; the
    imaginary parts cancel in the weighted sum over words, so the real part
    is all that is ever needed.
 
 Words are processed independently with one RNG substream per word index and
 merged in index order, so estimates are bit-identical for a fixed seed at
-any worker count.
+any worker count.  In exact mode, Monte Carlo evaluates each distinct word
+once per estimate and serves repeats from a memo.
 """
 
 from __future__ import annotations
@@ -44,7 +54,6 @@ from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from ._parallel import merge_moment_sums, run_chunked
 from .ensemble import EnsembleSpec
@@ -56,7 +65,7 @@ from .ht import (
     MODE_MC_SHOTS,
     TraceEstimate,
 )
-from .qcore import StateVector, reflect_amplitudes
+from .qcore import reflect_amplitudes
 from .rng import as_master_seed, rng_stream
 from .series import binomial_weights, evaluate_series
 
@@ -162,11 +171,12 @@ def sample_combination(
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """Retained pure states spanning the word's nontrivial subspace, plus the
-    states dropped by truncation with their admission statistics."""
+    states dropped by truncation with their admission statistics.  States are
+    rows of ``EnsembleSpec.span_states``."""
 
-    retained: tuple[StateVector, ...]
+    retained: tuple[np.ndarray, ...]
     retained_indices: tuple[int, ...]
-    discarded: tuple[tuple[StateVector, float], ...]
+    discarded: tuple[tuple[np.ndarray, float], ...]
     epsilon: float
 
     @property
@@ -209,27 +219,24 @@ def build_subspace(
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
     retained: list[np.ndarray] = []
-    retained_states: list[StateVector] = []
     retained_indices: list[int] = []
-    discarded: list[tuple[StateVector, float]] = []
+    discarded: list[tuple[np.ndarray, float]] = []
     seen: set[int] = set()
     for idx in q.indices:
         if idx in seen:
             continue
         seen.add(idx)
-        state = e.states[idx]
-        psi = state.amplitudes
+        psi = e.span_states[idx]
         if retained and float(np.max(np.abs(np.array(retained) @ psi.conj()))) > SAME_STATE_OVERLAP:
             continue
         stat = _admission_statistic(retained, psi)
         if stat >= epsilon:
             retained.append(psi)
-            retained_states.append(state)
             retained_indices.append(idx)
         else:
-            discarded.append((state, stat))
+            discarded.append((psi, stat))
     return SubspaceBasis(
-        tuple(retained_states), tuple(retained_indices), tuple(discarded), epsilon
+        tuple(retained), tuple(retained_indices), tuple(discarded), epsilon
     )
 
 
@@ -251,29 +258,27 @@ class OperatorBasis:
     and d^2 - d dressed ones.
     """
 
-    states: tuple[StateVector, ...]
+    states: tuple[np.ndarray, ...]
     preps: tuple[tuple[int, "int | None"], ...]
     theta: float
 
     @cached_property
     def prep_matrix(self) -> np.ndarray:
-        """Prep kets stacked as rows, shape (len(preps), 2**n); read-only."""
+        """Prep kets stacked as rows, shape (len(preps), D); read-only."""
         rows = []
         for s, dress in self.preps:
-            ket = self.states[s].amplitudes
+            ket = self.states[s]
             if dress is not None:
-                ket = reflect_amplitudes(
-                    self.states[dress].amplitudes, self.theta, ket
-                )
+                ket = reflect_amplitudes(self.states[dress], self.theta, ket)
             rows.append(ket)
-        dim = self.states[0].dim if self.states else 0
+        dim = self.states[0].size if self.states else 0
         m = np.array(rows).reshape(len(rows), dim)
         m.setflags(write=False)
         return m
 
 
 def operator_basis_for_states(
-    states: Sequence[StateVector], theta: float, validate_theta: bool = True
+    states: Sequence[np.ndarray], theta: float, validate_theta: bool = True
 ) -> OperatorBasis:
     """d^2 preparation descriptors over an explicit state list.
 
@@ -325,7 +330,7 @@ def apply_word(e: EnsembleSpec, indices: Sequence[int], block: np.ndarray) -> np
     """Apply W = G_{q_1}...G_{q_k} to every state in ``block`` (rows), with
     the rightmost factor acting first."""
     for idx in reversed(indices):
-        block = reflect_amplitudes(e.state_matrix[idx], math.pi, block)
+        block = reflect_amplitudes(e.span_states[idx], math.pi, block)
     return block
 
 
@@ -364,7 +369,7 @@ def ptm_trace(
     conditioning_floor: float = DEFAULT_CONDITIONING_FLOOR,
     allow_pseudoinverse: bool = False,
 ) -> float:
-    """Tr{solve(g, p)} via an SPD factorization of the (symmetrized) Gram.
+    """Tr{solve(g, p)} via the eigendecomposition of the (symmetrized) Gram.
 
     Estimates |Tr w|^2.  If the Gram's minimum eigenvalue is below the
     conditioning floor this raises IllConditionedGramError rather than
@@ -374,7 +379,8 @@ def ptm_trace(
     if mx.size == 0:
         return 0.0
     sym = 0.5 * (mx.g_mat + mx.g_mat.T)
-    min_eig = float(np.linalg.eigvalsh(sym).min())
+    w, v = np.linalg.eigh(sym)
+    min_eig = float(w[0])
     if min_eig < conditioning_floor:
         if not allow_pseudoinverse:
             raise IllConditionedGramError(
@@ -383,13 +389,11 @@ def ptm_trace(
                 min_eigenvalue=min_eig,
             )
         return float(np.trace(np.linalg.pinv(sym, rcond=1e-12) @ mx.p_mat))
-    solved = scipy.linalg.cho_solve(scipy.linalg.cho_factor(sym, lower=True), mx.p_mat)
-    return float(np.trace(solved))
+    return float(np.trace((v / w) @ (v.T @ mx.p_mat)))
 
 
 def _probes(dim: int) -> Iterator[np.ndarray]:
-    """The uniform-amplitude vector, then e_0, e_1, ..., made one at a time
-    so that at most one 2**n probe is alive."""
+    """The uniform-amplitude vector, then e_0, e_1, ..., made one at a time."""
     yield np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
     for i in range(dim):
         basis_state = np.zeros(dim, dtype=np.complex128)
@@ -404,8 +408,8 @@ def _out_of_span_residual(e: EnsembleSpec, q: Combination) -> np.ndarray:
     Tries the uniform-amplitude probe first, then computational basis states
     in index order, with two Gram-Schmidt passes each.
     """
-    dim = e.dim
-    axes = np.array([e.states[i].amplitudes for i in dict.fromkeys(q.indices)])
+    dim = e.span_states.shape[1]
+    axes = e.span_states[list(dict.fromkeys(q.indices))]
     basis = None
     if len(axes):
         # Orthonormal basis of the (non-orthogonal) circuit-state span.
@@ -427,7 +431,7 @@ def _out_of_span_residual(e: EnsembleSpec, q: Combination) -> np.ndarray:
 
 def augmentation_state(
     e: EnsembleSpec, q: Combination, b: SubspaceBasis
-) -> StateVector:
+) -> np.ndarray:
     """A deterministic |phi> outside the span of the word's circuit states
     but with equal nonzero overlap on every retained basis state.
 
@@ -440,13 +444,13 @@ def augmentation_state(
     """
     residual = _out_of_span_residual(e, q)
     if b.d == 0:
-        return StateVector(e.n, residual)
-    r = np.array([s.amplitudes for s in b.retained])
+        return residual
+    r = np.array(b.retained)
     # Dual-frame sum: <psi_l | u> = 1 for every retained l.
     coeffs = np.linalg.solve(r.conj() @ r.T, np.ones(b.d, dtype=np.complex128))
     u = r.T @ coeffs
     v = residual + _AUGMENT_MIX * u / float(np.linalg.norm(u))
-    return StateVector(e.n, v / float(np.linalg.norm(v)))
+    return v / float(np.linalg.norm(v))
 
 
 @dataclass(frozen=True)
@@ -507,13 +511,16 @@ def combination_trace(
     )
     re_tr_w = 0.5 * (tr_aug - tr_rw - 1.0)
     value = float(2**e.n - b.d + re_tr_w)
-    # The clean identities |Tr w|^2 >= 0 and value <= Tr{I} only bind when
-    # nothing was truncated and nothing was noisy.
+    # The clean identities |Tr w|^2 >= 0 and Re[Tr w] <= d (so value <= Tr{I})
+    # only bind when nothing was truncated and nothing was noisy.
     if mode.is_exact and not b.discarded:
         if tr_rw < -1e-8:
             raise ArithmeticError(f"Tr{{R_w}} = {tr_rw!r} violates |Tr w|^2 >= 0")
-        if value > 2**e.n + 1e-6:
-            raise ArithmeticError(f"word trace {value!r} exceeds Tr{{I}} = {2**e.n}")
+        if re_tr_w > b.d + 1e-6:
+            raise ArithmeticError(
+                f"Re[Tr w] = {re_tr_w!r} exceeds d = {b.d}, so the word trace "
+                "exceeds Tr{I}"
+            )
     return CombinationTrace(b.d, tr_rw, tr_aug, re_tr_w, value)
 
 
@@ -556,17 +563,18 @@ def _mc_chunk(
     stream_key: tuple[int, ...],
     conditioning_floor: float,
     allow_pseudoinverse: bool,
+    memo: dict[tuple[int, ...], float] | None,
     lo: int,
     hi: int,
 ) -> tuple[float, float, int]:
+    """Moment sums over draws lo..hi-1; ``memo`` maps words to their values
+    (exact mode only, where a value does not depend on the word's stream)."""
     total = total_sq = 0.0
-    cache: dict[tuple[int, ...], float] = {}
     for t in range(lo, hi):
         rng = rng_stream(master_seed, *stream_key, t)
         indices = tuple(int(i) for i in e.component_indices(rng.random(k)))
-        if mode.is_exact and indices in cache:
-            value = cache[indices]
-        else:
+        value = None if memo is None else memo.get(indices)
+        if value is None:
             ct = combination_trace(
                 e,
                 Combination.from_indices(e, indices),
@@ -578,8 +586,8 @@ def _mc_chunk(
                 allow_pseudoinverse,
             )
             value = ct.value
-            if mode.is_exact:
-                cache[indices] = value
+            if memo is not None:
+                memo[indices] = value
         total += value
         total_sq += value * value
     return total, total_sq, hi - lo
@@ -627,7 +635,10 @@ def estimate_g_power_trace(
 
     if budget < 1:
         raise ValueError(f"mc strategy needs budget >= 1, got {budget}")
-    parts = run_chunked(partial(_mc_chunk, *common), budget, _WORD_CHUNK, workers)
+    # One memo for every chunk of this estimate.  A worker pool pickles a
+    # copy per chunk, which changes which words are recomputed but no value.
+    memo = {} if mode.is_exact else None
+    parts = run_chunked(partial(_mc_chunk, *common, memo), budget, _WORD_CHUNK, workers)
     total, total_sq, count = merge_moment_sums(parts)
     mean = total / count
     if count > 1:

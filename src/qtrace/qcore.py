@@ -10,12 +10,12 @@ a rank-1 update costing O(2**n), so a k-layer circuit costs O(k * 2**n) and no
 2**n x 2**n matrix is ever materialized.  Qubit 0 is the most significant bit
 of the amplitude index (first factor of the tensor product).
 
-Of the estimators, only subspace gate-set tomography still runs on these
-vectors, applying reflections to blocks of 2**n-amplitude preparation kets.
-The oracle, Hadamard-test Monte Carlo and Hadamard-test enumeration work on
-the alpha x alpha Gram of the component states (``EnsembleSpec.gram``) and
-never form a 2**n vector; the tests use the dense kernels here as their
-cross-check.
+No estimator path runs on 2**n-amplitude vectors any more; only the scalar
+``ht.exact_p0`` still does.  The oracle and the Hadamard-test paths work on
+the alpha x alpha Gram of the component states (``EnsembleSpec.gram``), and
+subspace gate-set tomography applies ``reflect_amplitudes`` to the
+D <= alpha + 1 coordinates of ``EnsembleSpec.span_states``.  The tests use
+the dense kernels here as their cross-check.
 
 All types here are immutable values: amplitude arrays are marked read-only at
 construction, so instances can be shared freely across worker processes or

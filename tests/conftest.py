@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qtrace import EnsembleSpec, ProductGate, RotationParams
 
@@ -42,3 +43,16 @@ def random_ensemble(rng: np.random.Generator, n: int, alpha: int) -> EnsembleSpe
     probs /= probs.sum()
     gates = tuple(random_product_gate(rng, n) for _ in range(alpha))
     return EnsembleSpec(n, probs, gates)
+
+
+@st.composite
+def small_ensembles(draw) -> EnsembleSpec:
+    """Random ensembles with n <= 6 and alpha <= 6; some repeat a component,
+    which makes the Gram rank-deficient."""
+    n = draw(st.integers(1, 6))
+    alpha = draw(st.integers(1, 6))
+    spec = random_ensemble(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, alpha)
+    if alpha > 1 and draw(st.booleans()):
+        gates = spec.gates[:-1] + spec.gates[:1]
+        spec = EnsembleSpec(n, spec.probs, gates)
+    return spec

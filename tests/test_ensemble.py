@@ -4,7 +4,6 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qtrace import (
     DensityMatrix,
@@ -20,7 +19,7 @@ from qtrace import (
 )
 from qtrace.ensemble import binomial_power_identity_residual
 
-from .conftest import random_ensemble
+from .conftest import random_ensemble, small_ensembles
 
 
 def pure_spec(n=2, params=RotationParams(0.3, 0.1, 0.9)) -> EnsembleSpec:
@@ -188,19 +187,6 @@ class TestOracleScale:
         spec = pure_spec(13, RotationParams(0.1, 0.2, 0.3))
         with pytest.raises(ValueError, match="n <= 12"):
             exact_power_trace(spec, 2)
-
-
-@st.composite
-def small_ensembles(draw) -> EnsembleSpec:
-    """Random ensembles with n <= 6 and alpha <= 6; some repeat a component,
-    which makes the Gram rank-deficient."""
-    n = draw(st.integers(1, 6))
-    alpha = draw(st.integers(1, 6))
-    spec = random_ensemble(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, alpha)
-    if alpha > 1 and draw(st.booleans()):
-        gates = spec.gates[:-1] + spec.gates[:1]
-        spec = EnsembleSpec(n, spec.probs, gates)
-    return spec
 
 
 class TestSpanOracleMatchesDense:

@@ -1,8 +1,12 @@
 import math
+import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtrace import (
     EnsembleSpec,
@@ -12,8 +16,12 @@ from qtrace import (
     exact_g_power_trace,
     exact_power_trace,
 )
+from qtrace import gst
+from qtrace._parallel import chunk_ranges, merge_moment_sums
 from qtrace.errors import DegenerateAugmentationError, IllConditionedGramError, ResourceLimitError
 from qtrace.gst import (
+    EXACT,
+    SAME_STATE_OVERLAP,
     Combination,
     GstMatrices,
     MeasureMode,
@@ -29,8 +37,10 @@ from qtrace.gst import (
     ptm_trace,
     sample_combination,
 )
+from qtrace.qcore import reflect_amplitudes
+from qtrace.rng import rng_stream
 
-from .conftest import random_ensemble
+from .conftest import random_ensemble, reference_spec, small_ensembles
 
 
 def pure_spec(n=3) -> EnsembleSpec:
@@ -54,6 +64,131 @@ def restricted_trace(e: EnsembleSpec, q: Combination) -> complex:
     """Dense oracle for Tr{w}: full trace minus the trivial complement."""
     b = build_subspace(e, q, 1e-12)
     return exact_combination_trace(e, q) - (2**e.n - b.d)
+
+
+# Dense reference: the GST word pipeline on 2**n-amplitude kets, as it ran
+# before the stages moved to the rows of EnsembleSpec.span_states.
+
+
+def dense_subspace(e, q, epsilon):
+    """Retained 2**n kets and the admission statistics of discarded states."""
+    kets, stats = [], []
+    for idx in dict.fromkeys(q.indices):
+        psi = e.states[idx].amplitudes
+        if kets and float(np.max(np.abs(np.array(kets) @ psi.conj()))) > SAME_STATE_OVERLAP:
+            continue
+        stat = gst._admission_statistic(kets, psi)
+        if stat >= epsilon:
+            kets.append(psi)
+        else:
+            stats.append(stat)
+    return kets, stats
+
+
+def dense_prep_matrix(e, kets, theta):
+    """The d^2 prep kets over ``kets``: undressed, then G_{s'}(theta)|psi_s>."""
+    d = len(kets)
+    preps = [(s, None) for s in range(d)]
+    preps += [(s, sp) for s in range(d) for sp in range(d) if sp != s]
+    rows = [kets[s] if sp is None else reflect_amplitudes(kets[sp], theta, kets[s])
+            for s, sp in preps]
+    return np.array(rows).reshape(len(rows), e.dim)
+
+
+def dense_measure(e, q, preps, mode, rng):
+    """p and g over the prep kets, with the noise of measure_matrices."""
+    t = preps
+    for idx in reversed(q.indices):
+        t = reflect_amplitudes(e.state_matrix[idx], math.pi, t)
+    p = np.abs(preps.conj() @ t.T) ** 2
+    g = np.abs(preps.conj() @ preps.T) ** 2
+    if mode.kind == "shots":
+        p = rng.binomial(mode.shots, np.clip(p, 0.0, 1.0)) / mode.shots
+        g = rng.binomial(mode.shots, np.clip(g, 0.0, 1.0)) / mode.shots
+    elif mode.kind == "gaussian":
+        p = p + mode.sigma * rng.standard_normal(p.shape)
+        g = g + mode.sigma * rng.standard_normal(g.shape)
+    return p, g
+
+
+def dense_probes(dim):
+    """The uniform-amplitude ket, then e_0, e_1, ..., one at a time."""
+    yield np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    for i in range(dim):
+        basis_state = np.zeros(dim, dtype=complex)
+        basis_state[i] = 1.0
+        yield basis_state
+
+
+def dense_augmentation_state(e, q, kets):
+    """The uniform probe, else e_0, e_1, ..., projected off every circuit
+    state of the word, plus half the normalized dual-frame sum of ``kets``."""
+    axes = np.array([e.states[i].amplitudes for i in dict.fromkeys(q.indices)])
+    basis = None
+    if len(axes):
+        u, sv, _ = np.linalg.svd(axes.T, full_matrices=False)
+        basis = u[:, sv > 1e-12 * sv[0]]
+    for v in dense_probes(e.dim):
+        if basis is not None:
+            for _ in range(2):
+                v = v - basis @ (basis.conj().T @ v)
+        nrm = float(np.linalg.norm(v))
+        if nrm > 1e-6:
+            residual = v / nrm
+            break
+    else:
+        raise DegenerateAugmentationError("circuit states span the whole space")
+    if not kets:
+        return residual
+    r = np.array(kets)
+    coeffs = np.linalg.solve(r.conj() @ r.T, np.ones(len(kets), dtype=complex))
+    u = r.T @ coeffs
+    v = residual + 0.5 * u / float(np.linalg.norm(u))
+    return v / float(np.linalg.norm(v))
+
+
+def dense_word(out, e, q, epsilon, theta, mode, seed):
+    """Fill ``out`` stage by stage, in combination_trace's order: d and the
+    discarded statistics, p and g, Tr{R_w}, p' and g', then the value."""
+    rng = np.random.default_rng(seed)
+    kets, out["discarded"] = dense_subspace(e, q, epsilon)
+    out["d"] = len(kets)
+    out["p"], out["g"] = dense_measure(e, q, dense_prep_matrix(e, kets, theta), mode, rng)
+    tr_rw = ptm_trace(GstMatrices(out["p"], out["g"], mode))
+    phi = dense_augmentation_state(e, q, kets)
+    aug = dense_prep_matrix(e, [*kets, phi], theta)
+    out["p_aug"], out["g_aug"] = dense_measure(e, q, aug, mode, rng)
+    tr_aug = ptm_trace(GstMatrices(out["p_aug"], out["g_aug"], mode))
+    out["value"] = 2**e.n - len(kets) + 0.5 * (tr_aug - tr_rw - 1.0)
+
+
+def span_word(out, e, q, epsilon, theta, mode, seed):
+    """The same stages through the package, on span_states rows; the value
+    comes from combination_trace on a generator with the same seed."""
+    rng = np.random.default_rng(seed)
+    b = build_subspace(e, q, epsilon)
+    out["d"], out["discarded"] = b.d, [stat for _, stat in b.discarded]
+    mx = measure_matrices(e, q, extend_operator_basis(b, theta), mode, rng)
+    out["p"], out["g"] = mx.p_mat, mx.g_mat
+    ptm_trace(mx)
+    phi = augmentation_state(e, q, b)
+    mx = measure_matrices(e, q, operator_basis_for_states((*b.retained, phi), theta), mode, rng)
+    out["p_aug"], out["g_aug"] = mx.p_mat, mx.g_mat
+    ptm_trace(mx)
+    ct = combination_trace(e, q, epsilon, theta, mode, np.random.default_rng(seed))
+    assert ct.d == b.d
+    out["value"] = ct.value
+
+
+def word_outcome(stages, *args):
+    """What ``stages`` computed before it finished or raised, and the name of
+    the GST error it raised, if any."""
+    out = {}
+    try:
+        stages(out, *args)
+    except (DegenerateAugmentationError, IllConditionedGramError) as err:
+        out["error"] = type(err).__name__
+    return out
 
 
 class TestSampleCombination:
@@ -190,10 +325,11 @@ class TestMeasureMatrices:
     def test_exact_entries_match_dense_channel(self, ref3):
         q = word(ref3, 1, 3)
         b = build_subspace(ref3, q, 1e-10)
-        ob = extend_operator_basis(b, math.pi / 2)
-        mx = measure_matrices(ref3, q, ob)
+        mx = measure_matrices(ref3, q, extend_operator_basis(b, math.pi / 2))
         op = dense_word_operator(ref3, q.indices)
-        s = ob.prep_matrix
+        kets, _ = dense_subspace(ref3, q, 1e-10)
+        s = dense_prep_matrix(ref3, kets, math.pi / 2)
+        assert len(s) == mx.size
         for r in range(len(s)):
             for c in range(len(s)):
                 rho_r = np.outer(s[r], s[r].conj())
@@ -282,12 +418,18 @@ class TestAugmentation:
         q = word(ref3, 0, 1, 2)
         b = build_subspace(ref3, q, 1e-10)
         phi = augmentation_state(ref3, q, b)
-        span = np.array([s.amplitudes for s in b.retained])
-        u, sv, _ = np.linalg.svd(span.T, full_matrices=False)
-        residual = phi.amplitudes - u @ (u.conj().T @ phi.amplitudes)
-        assert np.linalg.norm(residual) > 0.1
-        for s in b.retained:
-            assert abs(np.vdot(s.amplitudes, phi.amplitudes)) > 1e-3
+        kets, _ = dense_subspace(ref3, q, 1e-10)
+        dense_phi = dense_augmentation_state(ref3, q, kets)
+        for vectors, v in ((b.retained, phi), (kets, dense_phi)):
+            span = np.array(vectors)
+            u, sv, _ = np.linalg.svd(span.T, full_matrices=False)
+            residual = v - u @ (u.conj().T @ v)
+            assert np.linalg.norm(residual) > 0.1
+            for s in vectors:
+                assert abs(np.vdot(s, v)) > 1e-3
+        # The overlaps with the word's states are the same on both paths.
+        assert np.max(np.abs(np.array(b.retained).conj() @ phi
+                             - np.array(kets).conj() @ dense_phi)) < 1e-12
 
     def test_augmented_trace_identity_exact_mode(self, ref3):
         rng = np.random.default_rng(6)
@@ -320,7 +462,8 @@ class TestAugmentation:
 
     def test_augmentation_at_n16_probes_lazily(self):
         # Component 0 is |+>^n, the uniform-amplitude probe itself, so the
-        # probe search must move on to e_0 without materializing the rest.
+        # dense probe search moves on to e_0.  The package's augmentation
+        # state lives on span_states rows and forms no 2**n vector.
         n = 16
         e = EnsembleSpec(
             n,
@@ -334,20 +477,26 @@ class TestAugmentation:
         tracemalloc.start()
         try:
             b = build_subspace(e, q, 1e-10)
-            phi = augmentation_state(e, q, b).amplitudes
+            phi = augmentation_state(e, q, b)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-12)
+        assert "states" not in e.__dict__ and "state_matrix" not in e.__dict__
+        kets, _ = dense_subspace(e, q, 1e-10)
+        dense_phi = dense_augmentation_state(e, q, kets)
         # phi = (r + u/2) / |r + u/2| with r a unit vector orthogonal to the
         # word's states and u a unit vector inside their span.
-        span, _ = np.linalg.qr(e.state_matrix.T)
-        outside = phi - span @ (span.conj().T @ phi)
-        assert np.linalg.norm(outside) == pytest.approx(1.0 / math.sqrt(1.25), abs=1e-9)
-        assert np.max(np.abs(e.state_matrix.conj() @ outside)) < 1e-12
-        overlaps = e.state_matrix.conj() @ phi
-        assert overlaps[0] == pytest.approx(overlaps[1], abs=1e-12)
+        for states, v in ((e.span_states, phi), (e.state_matrix, dense_phi)):
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            span, _ = np.linalg.qr(states.T)
+            outside = v - span @ (span.conj().T @ v)
+            assert np.linalg.norm(outside) == pytest.approx(1.0 / math.sqrt(1.25), abs=1e-9)
+            assert np.max(np.abs(states.conj() @ outside)) < 1e-12
+            overlaps = states.conj() @ v
+            assert overlaps[0] == pytest.approx(overlaps[1], abs=1e-12)
+        assert np.max(np.abs(e.span_states.conj() @ phi
+                             - e.state_matrix.conj() @ dense_phi)) < 1e-12
 
     def test_degenerate_augmentation_when_states_fill_space(self):
         e = EnsembleSpec(
@@ -485,3 +634,130 @@ class TestEstimatePowerTrace:
             mode=MeasureMode.with_gaussian(1e-4), rng=8,
         )
         assert abs(est.value - 0.650) < 0.05
+
+
+@st.composite
+def gst_words(draw):
+    """A small ensemble, a word of length <= 4 over it, a truncation
+    threshold, a measure mode and the seed of the word's generator."""
+    e = draw(small_ensembles())
+    indices = draw(st.lists(st.integers(0, e.alpha - 1), max_size=4))
+    epsilon = draw(st.sampled_from([1e-10, 1e-3, 0.2]))
+    mode = draw(st.sampled_from(
+        [EXACT, MeasureMode.with_gaussian(1e-3), MeasureMode.with_shots(1000)]
+    ))
+    return e, word(e, *indices), epsilon, mode, draw(st.integers(0, 2**32 - 1))
+
+
+def _spec(n, *gates):
+    return EnsembleSpec(n, np.full(len(gates), 1.0 / len(gates)), gates)
+
+
+_G = [ProductGate.uniform(1, RotationParams(t, p, l))
+      for t, p, l in ((0.3, 0.1, 0.9), (2.1, 0.4, 1.3), (1.2, 2.5, 0.2))]
+#: One qubit: one state three times (rank 1 < 2**n <= alpha, so the null
+#: eigenvalues of the Gram must embed as exact zeros), and three states that
+#: fill the space.
+_DUPLICATED = _spec(1, _G[0], _G[0], _G[0])
+_FILLING = _spec(1, _G[0], _G[1], _G[2])
+
+
+class TestSpanStatesMatchDensePath:
+    """GST on span_states rows against the dense reference above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gst_words())
+    @example((_DUPLICATED, word(_DUPLICATED, 0, 1, 2), 1e-10, EXACT, 1))
+    @example((_FILLING, word(_FILLING, 0, 1), 1e-10, EXACT, 2))
+    @example((_FILLING, word(_FILLING, 2, 0, 1, 1), 1e-3, MeasureMode.with_shots(1000), 3))
+    def test_word_pipeline(self, case):
+        e, q, epsilon, mode, seed = case
+        v = e.span_states
+        assert v.shape == (e.alpha, e.alpha + 1 if e.alpha < e.dim else e.dim)
+        assert np.max(np.abs(v.conj() @ v.T - e.gram)) < 1e-12
+
+        span = word_outcome(span_word, e, q, epsilon, math.pi / 2, mode, seed)
+        dense = word_outcome(dense_word, e, q, epsilon, math.pi / 2, mode, seed)
+        assert span.keys() == dense.keys()
+        assert span.get("error") == dense.get("error")
+        assert span["d"] == dense["d"]
+        assert np.allclose(span["discarded"], dense["discarded"], rtol=0, atol=1e-10)
+        for key in ("p", "g", "p_aug", "g_aug"):
+            if key in span:
+                assert np.max(np.abs(span[key] - dense[key]), initial=0.0) < 1e-10
+        if "value" in span:
+            # The solve amplifies entry rounding (~3e-14 here) by about
+            # 1/lambda_min of the Grams, so the bound widens below 0.1.
+            lam = min(float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
+                      for g in (dense["g"], dense["g_aug"]) if g.size)
+            tol = 1e-10 * max(1.0, 0.1 / lam)
+            assert span["value"] == pytest.approx(dense["value"], rel=0, abs=tol)
+
+    @pytest.mark.parametrize("e, indices, mode, error", [
+        (_DUPLICATED, (0, 1, 2), EXACT, None),
+        (_FILLING, (0, 1), EXACT, "DegenerateAugmentationError"),
+        (reference_spec(3), (0, 1, 2), MeasureMode.with_gaussian(0.05), "IllConditionedGramError"),
+    ])
+    def test_outcomes(self, e, indices, mode, error):
+        q = word(e, *indices)
+        for stages in (span_word, dense_word):
+            assert word_outcome(stages, e, q, 1e-10, math.pi / 2, mode, 0).get("error") == error
+
+
+def per_chunk_memo_estimate(e, k, budget, seed):
+    """GST Monte Carlo with a memo that lives inside each chunk, as the
+    estimator ran before its memo was shared across chunks."""
+    parts = []
+    for lo, hi in chunk_ranges(budget, gst._WORD_CHUNK):
+        memo, total, total_sq = {}, 0.0, 0.0
+        for t in range(lo, hi):
+            rng = rng_stream(seed, t)
+            indices = tuple(int(i) for i in e.component_indices(rng.random(k)))
+            if indices not in memo:
+                memo[indices] = combination_trace(e, Combination.from_indices(e, indices)).value
+            total += memo[indices]
+            total_sq += memo[indices] ** 2
+        parts.append((total, total_sq, hi - lo))
+    total, total_sq, count = merge_moment_sums(parts)
+    mean = total / count
+    return mean, math.sqrt(max(total_sq - count * mean * mean, 0.0) / (count - 1) / count)
+
+
+class TestSharedMemo:
+    def test_each_distinct_word_is_evaluated_once(self, ref3, monkeypatch):
+        k, budget, seed = 3, 400, 11
+        drawn = {
+            tuple(int(i) for i in ref3.component_indices(rng_stream(seed, t).random(k)))
+            for t in range(budget)
+        }
+        calls = Counter()
+        inner = gst.combination_trace
+
+        def counted(e, q, *args, **kwargs):
+            calls[q.indices] += 1
+            return inner(e, q, *args, **kwargs)
+
+        monkeypatch.setattr(gst, "combination_trace", counted)
+        est = estimate_g_power_trace(ref3, k, strategy="mc", budget=budget, rng=seed)
+        assert set(calls) == drawn and set(calls.values()) == {1}
+        assert budget // gst._WORD_CHUNK > 1 and len(drawn) < budget
+        monkeypatch.undo()
+        assert (est.value, est.std_error) == per_chunk_memo_estimate(ref3, k, budget, seed)
+
+
+class TestScaleN20:
+    def test_enumeration_at_n20_forms_no_statevector(self):
+        e = reference_spec(20)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            est = estimate_g_power_trace(e, 4)
+            wall = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        print(f"GST Tr G^4 enumeration at n=20: {wall:.3f} s under tracemalloc")
+        assert "states" not in e.__dict__ and "state_matrix" not in e.__dict__
+        assert peak < 64 * 2**20
+        exact = float(np.sum((1.0 - 2.0 * e.span_eigenvalues) ** 4)) + 2**20 - e.alpha
+        assert est.value == pytest.approx(exact, rel=1e-9)
