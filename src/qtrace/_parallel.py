@@ -1,13 +1,12 @@
 """Deterministic chunked map over an index range.
 
-The chunk layout depends only on (n_items, chunk_size), never on the worker
-count, and results are merged in chunk order — so any reduction over the
-returned list is bit-identical at 1 or N workers.
+The chunk layout depends only on (n_items, chunk_size), and results are
+merged in chunk order, so a reduction over the returned list always adds the
+same partial sums in the same order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -27,15 +26,11 @@ def run_chunked(
 ) -> list[T]:
     """Evaluate worker(lo, hi) over fixed chunks, in chunk order.
 
-    ``worker`` must be picklable (top-level function or functools.partial of
-    one) when workers > 1.
+    ``workers`` is ignored: every chunk runs in this process.  The parameter
+    stays because the benchmark tracer (``perfbench/tracer.py``) binds it and
+    passes ``workers=2`` as its pool start-up probe.
     """
-    ranges = chunk_ranges(n_items, chunk_size)
-    if workers <= 1 or len(ranges) <= 1:
-        return [worker(lo, hi) for lo, hi in ranges]
-    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
+    return [worker(lo, hi) for lo, hi in chunk_ranges(n_items, chunk_size)]
 
 
 def merge_moment_sums(

@@ -4,7 +4,7 @@ All scientific parameters live in a JSON config (angles in units of pi, as
 in the bundled ``table1`` example); subcommand flags select what to compute
 and may override config defaults.  Results are emitted as CSV or JSON tables
 with a fixed column set, floats serialized to 17 significant digits, and
-byte-identical output for a fixed (config, seed) at any worker count.
+byte-identical output for a fixed (config, seed).
 
 Exit codes: 0 success, 2 config/schema violation, 3 resource limit,
 4 numerical failure (ill-conditioned Gram, degenerate augmentation),
@@ -208,7 +208,8 @@ def parse_config(raw: Any) -> RunConfig:
         else:
             _expect(isinstance(value, str), f"params.{key}", f"expected a string, got {value!r}")
             params[key] = value
-    _expect(params["seed"] >= 0, "params.seed", "must be non-negative")
+    for key in ("seed", "ht_sigma", "gst_sigma"):
+        _expect(params[key] >= 0, f"params.{key}", "must be non-negative")
     _expect(params["mode"] in ("exact", "shots", "gaussian"), "params.mode", f"got {params['mode']!r}")
     _expect(params["strategy"] in ("enumerate", "mc"), "params.strategy", f"got {params['strategy']!r}")
 
@@ -238,8 +239,10 @@ def parse_config(raw: Any) -> RunConfig:
         )
         values = sweep.get("values")
         _expect(isinstance(values, list) and values, "sweep.values", "must be a non-empty list")
+        minimum = {"shots": 1, "ht_sigma": 0, "gst_sigma": 0}.get(sweep["parameter"])
         for i, v in enumerate(values):
-            _expect_number(v, f"sweep.values[{i}]")
+            v = _expect_number(v, f"sweep.values[{i}]", integer=sweep["parameter"] == "shots")
+            _expect(minimum is None or v >= minimum, f"sweep.values[{i}]", f"must be >= {minimum}")
 
     budget = raw.get("error_budget")
     if budget is not None:
@@ -321,18 +324,9 @@ def _child_seed(master: int, index: int) -> int:
     return int(rng_stream(master, 0x7A11, index).integers(1 << 63))
 
 
-def _workers() -> int:
-    raw = os.environ.get("QTRACE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError("QTRACE_THREADS", f"not an integer: {raw!r}") from exc
-
-
-def _oracle_ok(spec: ensemble.EnsembleSpec) -> bool:
-    return spec.n <= ensemble.ORACLE_MAX_QUBITS
+def _require_oracle(spec: ensemble.EnsembleSpec) -> None:
+    if spec.n > ensemble.ORACLE_MAX_QUBITS:
+        raise ConfigError("n_qubits", f"oracle requires n <= {ensemble.ORACLE_MAX_QUBITS}")
 
 
 def _rel_error(estimate: float, exact: float | None) -> float | None:
@@ -341,23 +335,12 @@ def _rel_error(estimate: float, exact: float | None) -> float | None:
     return abs(estimate - exact) / abs(exact)
 
 
-class _RowTimer:
-    """Measures per-row wall time only when timing is requested, since timing
-    output breaks byte-level determinism."""
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_RowTimer":
-        if self.enabled:
-            self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.wall_ms = (
-            int(round(1000.0 * (time.perf_counter() - self._t0))) if self.enabled else None
-        )
+def _timed(enabled: bool, fn: Callable[..., Any], *args: Any) -> tuple[Any, int | None]:
+    """fn(*args) and its wall time in ms.  The time is reported only when
+    requested, since timing output breaks byte-level determinism."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, int(round(1000.0 * (time.perf_counter() - t0))) if enabled else None
 
 
 def _parse_orders(text: str, flag: str) -> list[int]:
@@ -379,47 +362,19 @@ def _parse_orders(text: str, flag: str) -> list[int]:
     return out
 
 
-def _measure_mode(params: dict[str, Any]) -> gst_mod.MeasureMode:
-    mode = params["mode"]
-    if mode == "exact":
-        return gst_mod.EXACT
-    if mode == "shots":
-        return gst_mod.MeasureMode.with_shots(params["gst_shots"])
-    return gst_mod.MeasureMode.with_gaussian(params["gst_sigma"])
-
-
-# --- subcommand runners -----------------------------------------------------
-
-
-def run_oracle(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    spec, seed = cfg.spec, cfg.params["seed"]
-    if not _oracle_ok(spec):
-        raise ConfigError("n_qubits", f"oracle requires n <= {ensemble.ORACLE_MAX_QUBITS}")
-    rows = []
-    powers = _parse_orders(args.power, "--power") if args.power else []
-    g_powers = _parse_orders(args.g_power, "--g-power") if args.g_power else []
-    if not powers and not g_powers and not args.entropy:
-        raise ConfigError("oracle", "nothing to compute: pass --power, --g-power, or --entropy")
-    for m in powers:
-        with _RowTimer(args.timing) as t:
-            value = ensemble.exact_power_trace(spec, m)
-        rows.append(ResultRow("tr_rho_power", m, value, 0.0, value, 0.0,
-                              ht.MODE_ORACLE, None, None, seed, t.wall_ms))
-    for k in g_powers:
-        with _RowTimer(args.timing) as t:
-            value = ensemble.exact_g_power_trace(spec, k)
-        rows.append(ResultRow("tr_g_power", k, value, 0.0, value, 0.0,
-                              ht.MODE_ORACLE, None, None, seed, t.wall_ms))
-    if args.entropy:
-        with _RowTimer(args.timing) as t:
-            value = ensemble.exact_entropy_trace(spec)
-        rows.append(ResultRow("tr_rho_ln_rho", None, value, 0.0, value, 0.0,
-                              ht.MODE_ORACLE, None, None, seed, t.wall_ms))
-    return rows
+def _exact(spec: ensemble.EnsembleSpec, quantity: str, order: int | None) -> float | None:
+    """The oracle's value, or None above ORACLE_MAX_QUBITS."""
+    if spec.n > ensemble.ORACLE_MAX_QUBITS:
+        return None
+    if quantity == "tr_rho_power":
+        return ensemble.exact_power_trace(spec, order)
+    if quantity == "tr_g_power":
+        return ensemble.exact_g_power_trace(spec, order)
+    return ensemble.exact_entropy_trace(spec)
 
 
 def _ht_estimate(
-    spec: ensemble.EnsembleSpec, power: int, params: dict[str, Any], seed: int, workers: int
+    spec: ensemble.EnsembleSpec, power: int, params: dict[str, Any], seed: int
 ) -> ht.TraceEstimate:
     if power < 1:
         raise ConfigError("--power", f"power must be >= 1, got {power}")
@@ -442,193 +397,166 @@ def _ht_estimate(
         rng=seed,
         measure=measure,
         ht_sigma=params["ht_sigma"],
-        workers=workers,
     )
 
 
-def run_ht(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    spec, params = cfg.spec, cfg.params
-    master, workers = params["seed"], _workers()
-    powers = _parse_orders(args.power, "--power")
-    rows = []
-    for i, power in enumerate(powers):
-        seed = _child_seed(master, i)
-        with _RowTimer(args.timing) as t:
-            est = _ht_estimate(spec, power, params, seed, workers)
-        exact = ensemble.exact_power_trace(spec, power) if _oracle_ok(spec) else None
-        shots = est.samples if est.mode == ht.MODE_MC_SHOTS else None
-        trials = params["trials"] if est.mode != ht.MODE_EXACT_ENUMERATION else None
-        rows.append(ResultRow("tr_rho_power", power, est.value, est.std_error, exact,
-                              _rel_error(est.value, exact), est.mode, shots, trials,
-                              master, t.wall_ms))
-    return rows
-
-
-def _gst_kwargs(params: dict[str, Any], seed: int, workers: int) -> dict[str, Any]:
-    return dict(
+def _gst_estimate(
+    spec: ensemble.EnsembleSpec, quantity: str, order: int, params: dict[str, Any], seed: int
+) -> ht.TraceEstimate:
+    estimate = (gst_mod.estimate_power_trace if quantity == "tr_rho_power"
+                else gst_mod.estimate_g_power_trace)
+    if params["mode"] == "shots":
+        mode = gst_mod.MeasureMode.with_shots(params["gst_shots"])
+    elif params["mode"] == "gaussian":
+        mode = gst_mod.MeasureMode.with_gaussian(params["gst_sigma"])
+    else:
+        mode = gst_mod.EXACT
+    return estimate(
+        spec,
+        order,
         strategy=params["strategy"],
         budget=params["enumeration_cap"] if params["strategy"] == "enumerate" else params["trials"],
         epsilon=params["epsilon_trunc"],
         theta=params["theta_basis"] * math.pi,
-        mode=_measure_mode(params),
+        mode=mode,
         rng=seed,
-        workers=workers,
         allow_pseudoinverse=params["allow_pseudoinverse"],
     )
 
 
-def run_gst(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    spec, params = cfg.spec, cfg.params
-    master, workers = params["seed"], _workers()
+def _estimate_row(
+    spec: ensemble.EnsembleSpec, estimator: str, quantity: str, order: int | None,
+    params: dict[str, Any], seed: int, timing: bool, label: str = "",
+) -> ResultRow:
+    """One oracle, ``ht`` or ``gst`` row.  ``seed`` drives the estimator, the
+    seed column reports the master seed, and ``label`` suffixes the mode."""
+    if estimator == "oracle":
+        value, wall_ms = _timed(timing, _exact, spec, quantity, order)
+        return ResultRow(quantity, order, value, 0.0, value, 0.0, ht.MODE_ORACLE + label,
+                         None, None, params["seed"], wall_ms)
+    if estimator == "ht":
+        est, wall_ms = _timed(timing, _ht_estimate, spec, order, params, seed)
+        shots = est.samples if est.mode == ht.MODE_MC_SHOTS else None
+        trials = params["trials"] if est.mode != ht.MODE_EXACT_ENUMERATION else None
+    else:
+        est, wall_ms = _timed(timing, _gst_estimate, spec, quantity, order, params, seed)
+        shots = params["gst_shots"] if params["mode"] == "shots" else None
+        trials = params["trials"] if params["strategy"] == "mc" else None
+    exact = _exact(spec, quantity, order)
+    return ResultRow(quantity, order, est.value, est.std_error, exact,
+                     _rel_error(est.value, exact), est.mode + label, shots, trials,
+                     params["seed"], wall_ms)
+
+
+# --- subcommand runners -----------------------------------------------------
+
+
+def run_oracle(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
+    _require_oracle(cfg.spec)
     powers = _parse_orders(args.power, "--power") if args.power else []
     g_powers = _parse_orders(args.g_power, "--g-power") if args.g_power else []
+    jobs = [("tr_rho_power", m) for m in powers] + [("tr_g_power", k) for k in g_powers]
+    if args.entropy:
+        jobs.append(("tr_rho_ln_rho", None))
+    if not jobs:
+        raise ConfigError("oracle", "nothing to compute: pass --power, --g-power, or --entropy")
+    return [_estimate_row(cfg.spec, "oracle", quantity, order, cfg.params, 0, args.timing)
+            for quantity, order in jobs]
+
+
+def run_estimator(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
+    """``ht`` and ``gst``: row i of the rho powers runs on _child_seed(master,
+    i), row j of the G powers on _child_seed(master, 10_000 + j)."""
+    master, g_power = cfg.params["seed"], getattr(args, "g_power", None)
+    powers = _parse_orders(args.power, "--power") if args.power else []
+    g_powers = _parse_orders(g_power, "--g-power") if g_power else []
     if not powers and not g_powers:
-        raise ConfigError("gst", "nothing to compute: pass --power or --g-power")
-    rows = []
-    shots = params["gst_shots"] if params["mode"] == "shots" else None
-    trials = params["trials"] if params["strategy"] == "mc" else None
-    for i, power in enumerate(powers):
-        seed = _child_seed(master, i)
-        with _RowTimer(args.timing) as t:
-            est = gst_mod.estimate_power_trace(spec, power, **_gst_kwargs(params, seed, workers))
-        exact = ensemble.exact_power_trace(spec, power) if _oracle_ok(spec) else None
-        rows.append(ResultRow("tr_rho_power", power, est.value, est.std_error, exact,
-                              _rel_error(est.value, exact), est.mode, shots, trials,
-                              master, t.wall_ms))
-    for j, k in enumerate(g_powers):
-        seed = _child_seed(master, 10_000 + j)
-        with _RowTimer(args.timing) as t:
-            est = gst_mod.estimate_g_power_trace(spec, k, **_gst_kwargs(params, seed, workers))
-        exact = ensemble.exact_g_power_trace(spec, k) if _oracle_ok(spec) else None
-        rows.append(ResultRow("tr_g_power", k, est.value, est.std_error, exact,
-                              _rel_error(est.value, exact), est.mode, shots, trials,
-                              master, t.wall_ms))
-    return rows
+        raise ConfigError(args.command, "nothing to compute: pass --power or --g-power")
+    jobs = [("tr_rho_power", m, _child_seed(master, i)) for i, m in enumerate(powers)]
+    jobs += [("tr_g_power", k, _child_seed(master, 10_000 + j)) for j, k in enumerate(g_powers)]
+    return [_estimate_row(cfg.spec, args.command, quantity, order, cfg.params, seed, args.timing)
+            for quantity, order, seed in jobs]
 
 
-def _g_power_estimates_ht(
-    spec: ensemble.EnsembleSpec, k_max: int, params: dict[str, Any], master: int, workers: int
+def _g_power_terms(
+    spec: ensemble.EnsembleSpec, estimator: str, k_max: int, params: dict[str, Any]
 ) -> list[ht.TraceEstimate]:
-    """Tr{G^k} composed from HT power estimates via the binomial identity
-    Tr{G^k} = sum_j C(k,j) (-2)^j Tr{rho^j}, with fresh streams per (k, j).
+    """Tr{G^k} for k = 0..k_max from one estimator.
 
-    Enumeration ignores the seed, so under that strategy each Tr{rho^j} is
+    GST estimates each Tr{G^k} on _child_seed(master, k).  HT composes it
+    from power estimates via the binomial identity
+    Tr{G^k} = sum_j C(k,j) (-2)^j Tr{rho^j}, with fresh streams per (k, j);
+    enumeration ignores the seed, so under that strategy each Tr{rho^j} is
     computed once and reused for every k.
     """
-    dim = float(spec.dim)
-    enumerated: dict[int, ht.TraceEstimate] = {}
+    master = params["seed"]
+    if estimator == "oracle":
+        _require_oracle(spec)
+        return [ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
+                for k in range(k_max + 1)]
+    if estimator == "gst":
+        return [_gst_estimate(spec, "tr_g_power", k, params, _child_seed(master, k))
+                for k in range(k_max + 1)]
+    if params["strategy"] == "enumerate":
+        rho = [_ht_estimate(spec, j, params, master) for j in range(1, k_max + 1)]
+        terms = [rho[:k] for k in range(k_max + 1)]
+    else:
+        terms = [[_ht_estimate(spec, j, params, _child_seed(master, 1000 * k + j))
+                  for j in range(1, k + 1)] for k in range(k_max + 1)]
     estimates = []
-    for k in range(k_max + 1):
-        value, variance, samples, modes = dim, 0.0, 0, []
-        for j in range(1, k + 1):
-            if params["strategy"] != "enumerate":
-                est = _ht_estimate(spec, j, params, _child_seed(master, 1000 * k + j), workers)
-            elif j in enumerated:
-                est = enumerated[j]
-            else:
-                est = enumerated[j] = _ht_estimate(spec, j, params, master, workers)
+    for k, ests in enumerate(terms):
+        value, variance = float(spec.dim), 0.0
+        for j, est in enumerate(ests, start=1):
             coeff = math.comb(k, j) * (-2.0) ** j
             value += coeff * est.value
             variance += (coeff * est.std_error) ** 2
-            samples += est.samples
-            modes.append(est.mode)
-        estimates.append(
-            ht.TraceEstimate(value, math.sqrt(variance), samples,
-                             ht.combined_mode(modes) if modes else ht.MODE_EXACT_ENUMERATION)
-        )
+        estimates.append(ht.TraceEstimate(
+            value, math.sqrt(variance), sum(est.samples for est in ests),
+            ht.combined_mode([est.mode for est in ests]) if ests else ht.MODE_EXACT_ENUMERATION,
+        ))
     return estimates
 
 
 def run_entropy(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    spec, params = cfg.spec, cfg.params
-    master, workers = params["seed"], _workers()
     orders = _parse_orders(args.order, "--order")
     if min(orders) < 1:
         raise ConfigError("--order", "truncation orders must be >= 1")
-    k_max = max(orders) + 1
-    estimator = args.estimator
-
-    if estimator == "oracle":
-        if not _oracle_ok(spec):
-            raise ConfigError("n_qubits", f"oracle requires n <= {ensemble.ORACLE_MAX_QUBITS}")
-        gk = [
-            ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
-            for k in range(k_max + 1)
-        ]
-    elif estimator == "gst":
-        gk = [
-            gst_mod.estimate_g_power_trace(
-                spec, k, **_gst_kwargs(params, _child_seed(master, k), workers)
-            )
-            for k in range(k_max + 1)
-        ]
-    else:
-        gk = _g_power_estimates_ht(spec, k_max, params, master, workers)
-
-    exact = ensemble.exact_entropy_trace(spec) if _oracle_ok(spec) else None
+    gk = _g_power_terms(cfg.spec, args.estimator, max(orders) + 1, cfg.params)
+    exact = _exact(cfg.spec, "tr_rho_ln_rho", None)
     rows = []
     for n_t in orders:
-        with _RowTimer(args.timing) as t:
-            est = series.evaluate_series(series.entropy_weights(n_t), gk)
+        est, wall_ms = _timed(args.timing, series.evaluate_series, series.entropy_weights(n_t), gk)
         rows.append(ResultRow("tr_rho_ln_rho", n_t, est.value, est.std_error, exact,
                               _rel_error(est.value, exact), est.mode, None, None,
-                              master, t.wall_ms))
+                              cfg.params["seed"], wall_ms))
     return rows
 
 
+#: (command, swept parameter) -> (params key each value sets, params every row fixes).
+_SWEEPS: dict[tuple[str, str], tuple[str, dict[str, Any]]] = {
+    ("ht", "shots"): ("trials", {"strategy": "mc", "mode": "shots", "ht_sigma": 0.0}),
+    ("ht", "ht_sigma"): ("ht_sigma", {"strategy": "mc", "mode": "exact"}),
+    ("gst", "shots"): ("gst_shots", {"mode": "shots"}),
+    ("gst", "gst_sigma"): ("gst_sigma", {"mode": "gaussian"}),
+    ("gst", "epsilon_trunc"): ("epsilon_trunc", {}),
+}
+
+
 def run_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
+    """One ``ht``/``gst`` row per swept value; row i runs on
+    _child_seed(master, i), as row i of the direct command does."""
     if cfg.sweep is None:
         raise ConfigError("sweep", "config has no sweep section")
-    command = cfg.sweep["command"]
-    power = int(cfg.sweep["power"])
-    parameter = cfg.sweep["parameter"]
-    compatible = {
-        "ht": {"shots", "ht_sigma"},
-        "gst": {"shots", "epsilon_trunc", "gst_sigma"},
-    }
-    if parameter not in compatible[command]:
+    command, parameter = cfg.sweep["command"], cfg.sweep["parameter"]
+    if (command, parameter) not in _SWEEPS:
         raise ConfigError("sweep.parameter", f"{parameter!r} does not apply to {command!r}")
-
-    spec, master, workers = cfg.spec, cfg.params["seed"], _workers()
-    exact = ensemble.exact_power_trace(spec, power) if _oracle_ok(spec) else None
+    key, fixed = _SWEEPS[command, parameter]
+    power, master = int(cfg.sweep["power"]), cfg.params["seed"]
     rows = []
     for i, value in enumerate(cfg.sweep["values"]):
-        params = dict(cfg.params)
-        if command == "ht":
-            params["strategy"] = "mc"
-            if parameter == "shots":
-                params["trials"] = int(value)
-                params["mode"] = "shots"
-                params["ht_sigma"] = 0.0
-            else:
-                params["ht_sigma"] = float(value)
-                params["mode"] = "exact"
-        else:
-            if parameter == "shots":
-                params["gst_shots"] = int(value)
-                params["mode"] = "shots"
-            elif parameter == "gst_sigma":
-                params["gst_sigma"] = float(value)
-                params["mode"] = "gaussian"
-            else:
-                params["epsilon_trunc"] = float(value)
-        seed = _child_seed(master, i)
-        with _RowTimer(args.timing) as t:
-            if command == "ht":
-                est = _ht_estimate(spec, power, params, seed, workers)
-            else:
-                est = gst_mod.estimate_power_trace(
-                    spec, power, **_gst_kwargs(params, seed, workers)
-                )
-        shots = params["gst_shots"] if command == "gst" and params["mode"] == "shots" else (
-            est.samples if est.mode == ht.MODE_MC_SHOTS and command == "ht" else None
-        )
-        trials = params["trials"] if command == "ht" or params["strategy"] == "mc" else None
-        rows.append(ResultRow(
-            "tr_rho_power", power, est.value, est.std_error, exact,
-            _rel_error(est.value, exact), f"{est.mode}@{parameter}={value}",
-            shots, trials, master, t.wall_ms,
-        ))
+        params = {**cfg.params, **fixed, key: int(value) if parameter == "shots" else float(value)}
+        rows.append(_estimate_row(cfg.spec, command, "tr_rho_power", power, params,
+                                  _child_seed(master, i), args.timing, f"@{parameter}={value}"))
     return rows
 
 
@@ -809,8 +737,8 @@ _OVERRIDES: dict[str, str] = {
 
 _RUNNERS: dict[str, Callable[[RunConfig, argparse.Namespace], list[ResultRow]]] = {
     "oracle": run_oracle,
-    "ht": run_ht,
-    "gst": run_gst,
+    "ht": run_estimator,
+    "gst": run_estimator,
     "entropy": run_entropy,
     "sweep": run_sweep,
     "bounds": run_bounds,
@@ -826,8 +754,9 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "command", None) == "gst" and getattr(args, "shots", None) is not None:
         params["gst_shots"] = args.shots
         params["shots"] = _PARAM_DEFAULTS["shots"]
-    if params["seed"] < 0:
-        raise ConfigError("--seed", "must be non-negative")
+    for key in ("seed", "ht_sigma", "gst_sigma"):
+        if not params[key] >= 0:
+            raise ConfigError("--" + key.replace("_", "-"), "must be non-negative")
     return replace(cfg, params=params)
 
 

@@ -41,9 +41,9 @@ reconstructing w:
    is all that is ever needed.
 
 Words are processed independently with one RNG substream per word index and
-merged in index order, so estimates are bit-identical for a fixed seed at
-any worker count.  In exact mode, Monte Carlo evaluates each distinct word
-once per estimate and serves repeats from a memo.
+merged in index order, so estimates are bit-identical for a fixed seed.  In
+exact mode, Monte Carlo evaluates each distinct word once per estimate and
+serves repeats from a memo.
 """
 
 from __future__ import annotations
@@ -602,7 +602,6 @@ def estimate_g_power_trace(
     theta: float = DEFAULT_THETA,
     mode: MeasureMode = EXACT,
     rng: "int | np.random.Generator" = 0,
-    workers: int = 1,
     conditioning_floor: float = DEFAULT_CONDITIONING_FLOOR,
     allow_pseudoinverse: bool = False,
     stream_key: tuple[int, ...] = (),
@@ -628,17 +627,14 @@ def estimate_g_power_trace(
                 requested=n_words,
                 cap=budget,
             )
-        parts = run_chunked(
-            partial(_enumerate_chunk, *common), n_words, _WORD_CHUNK, workers
-        )
+        parts = run_chunked(partial(_enumerate_chunk, *common), n_words, _WORD_CHUNK)
         return TraceEstimate(float(sum(parts)), 0.0, n_words, MODE_EXACT_ENUMERATION)
 
     if budget < 1:
         raise ValueError(f"mc strategy needs budget >= 1, got {budget}")
-    # One memo for every chunk of this estimate.  A worker pool pickles a
-    # copy per chunk, which changes which words are recomputed but no value.
+    # One memo serves every chunk of this estimate.
     memo = {} if mode.is_exact else None
-    parts = run_chunked(partial(_mc_chunk, *common, memo), budget, _WORD_CHUNK, workers)
+    parts = run_chunked(partial(_mc_chunk, *common, memo), budget, _WORD_CHUNK)
     total, total_sq, count = merge_moment_sums(parts)
     mean = total / count
     if count > 1:
@@ -659,7 +655,6 @@ def estimate_power_trace(
     theta: float = DEFAULT_THETA,
     mode: MeasureMode = EXACT,
     rng: "int | np.random.Generator" = 0,
-    workers: int = 1,
     conditioning_floor: float = DEFAULT_CONDITIONING_FLOOR,
     allow_pseudoinverse: bool = False,
 ) -> TraceEstimate:
@@ -673,7 +668,7 @@ def estimate_power_trace(
     master_seed = as_master_seed(rng)
     estimates = [
         estimate_g_power_trace(
-            e, k, strategy, budget, epsilon, theta, mode, master_seed, workers,
+            e, k, strategy, budget, epsilon, theta, mode, master_seed,
             conditioning_floor, allow_pseudoinverse, stream_key=(k,),
         )
         for k in range(m + 1)

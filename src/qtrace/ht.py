@@ -36,8 +36,7 @@ Three modes:
 
 Monte Carlo trials are processed in fixed-size chunks with one RNG substream
 per (master seed, chunk start); partial (sum, sum-of-squares, count) triples
-merge in chunk order, so results are bit-identical for a fixed seed at any
-worker count.
+merge in chunk order, so results are bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -81,8 +80,8 @@ DEFAULT_ENUMERATION_CAP = 10**7
 #: RSS and saved no time.
 _ENUM_BLOCK_ENTRIES = 1 << 14
 
-#: Trials per chunk.  Fixed: the chunk layout (hence the RNG stream layout)
-#: must not depend on the worker count.
+#: Trials per chunk.  Fixed: the chunk layout is the RNG stream layout, so
+#: changing it changes every Monte Carlo result.
 TRIAL_CHUNK = 8192
 
 _P_TOL = 1e-9
@@ -270,7 +269,6 @@ def estimate_power_trace_mc(
     rng: "int | np.random.Generator" = 0,
     measure: str = "shots",
     ht_sigma: float = 0.0,
-    workers: int = 1,
 ) -> TraceEstimate:
     """Monte Carlo estimate of Tr{rho^{m+1}} from ``trials`` sampled circuits.
 
@@ -301,7 +299,7 @@ def estimate_power_trace_mc(
     worker = partial(
         _mc_chunk, e, m, shots_per_trial, measure, ht_sigma, master_seed
     )
-    parts = run_chunked(worker, trials, TRIAL_CHUNK, workers)
+    parts = run_chunked(worker, trials, TRIAL_CHUNK)
     total, total_sq, count = merge_moment_sums([p[:3] for p in parts])
     clamps = sum(p[3] for p in parts)
     if clamps:

@@ -1,8 +1,8 @@
 """Deterministic RNG stream derivation.
 
 Estimators derive one independent substream per (master seed, index...) so
-that results are reproducible and independent of how work is chunked across
-workers.
+that results are reproducible and no chunk of work shares a stream with
+another.
 """
 
 from __future__ import annotations

@@ -34,6 +34,15 @@ def base_config(**overrides):
     return cfg
 
 
+def sweep(command, parameter, values):
+    return {"command": command, "power": 2, "parameter": parameter, "values": values}
+
+
+def table(text):
+    """CSV result rows as dicts keyed by column."""
+    return [dict(zip(COLUMNS, line.split(","), strict=True)) for line in text.splitlines()[1:]]
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -79,6 +88,12 @@ class TestConfigLoading:
             (lambda c: c["params"].update(timeline=3), "params.timeline"),
             (lambda c: c["params"].update(mode="psychic"), "params.mode"),
             (lambda c: c.update(extra_field=1), "extra_field"),
+            (lambda c: c["params"].update(ht_sigma=-0.5), "params.ht_sigma"),
+            (lambda c: c["params"].update(gst_sigma=-1e-4), "params.gst_sigma"),
+            (lambda c: c.update(sweep=sweep("ht", "shots", [5000, 1000.7])), "sweep.values[1]"),
+            (lambda c: c.update(sweep=sweep("gst", "shots", [0])), "sweep.values[0]"),
+            (lambda c: c.update(sweep=sweep("ht", "ht_sigma", [0.01, -0.5])), "sweep.values[1]"),
+            (lambda c: c.update(sweep=sweep("gst", "gst_sigma", [-1e-4])), "sweep.values[0]"),
         ],
     )
     def test_schema_violations_carry_field_path(self, mutate, field):
@@ -225,6 +240,31 @@ class TestSubcommands:
         assert tight == pytest.approx(0.6498793582396445, abs=1e-9)
         assert abs(loose - tight) > 1e-5  # truncation bias visible
 
+    @pytest.mark.parametrize("parameter, value, params, flags, shots_trials", [
+        ("ht_sigma", 0.01, {"trials": 5000},
+         ["ht", "--strategy", "mc", "--mode", "exact", "--ht-sigma", "0.01"], ("", "5000")),
+        ("shots", 100000, {"strategy": "mc", "trials": 50, "epsilon_trunc": 1e-3},
+         ["gst", "--mode", "shots", "--shots", "100000"], ("100000", "50")),
+        ("gst_sigma", 1e-4, {"strategy": "mc", "trials": 100, "epsilon_trunc": 1e-3},
+         ["gst", "--mode", "gaussian", "--gst-sigma", "0.0001"], ("", "100")),
+    ])
+    def test_sweep_row_matches_direct_command(self, tmp_path, capsys, parameter, value, params,
+                                              flags, shots_trials):
+        # Sweep row 0 and the direct command's first row share _child_seed(master, 0).
+        cfg = base_config(sweep=sweep(flags[0], parameter, [value, 2 * value]))
+        cfg["params"].update(params)
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["sweep", "--config", path]) == 0
+        swept = table(capsys.readouterr().out)
+        assert cli.main([flags[0], "--power", "2", *flags[1:], "--config", path]) == 0
+        (direct,) = table(capsys.readouterr().out)
+        assert len(swept) == 2
+        for col in ("estimate", "std_error", "shots", "trials"):
+            assert swept[0][col] == direct[col], col
+        assert swept[0]["mode"] == f"{direct['mode']}@{parameter}={value}"
+        assert direct["mode"].startswith("mc-")
+        assert (direct["shots"], direct["trials"]) == shots_trials
+
     def test_sweep_parameter_command_mismatch(self, tmp_path):
         cfg = base_config(
             sweep={"command": "ht", "power": 2, "parameter": "gst_sigma", "values": [0.1]}
@@ -278,6 +318,33 @@ class TestExitCodes:
         record = json.loads(r.stderr)
         assert record["error"] == "ill-conditioned-gram"
         assert record["min_eigenvalue"] < 1e-8
+
+    @pytest.mark.parametrize("argv", [
+        ["--power", "2", "--mode", "shots", "--trials", "500", "--seed", "7"],
+        ["--g-power", "2", "--mode", "shots", "--trials", "200", "--shots", "1000"],
+    ])
+    def test_ill_conditioned_gram_in_mc_exit_4_at_any_thread_setting(self, argv):
+        # These GST Monte Carlo runs draw a word whose shot-noisy Gram falls
+        # below the conditioning floor; the typed error must reach the user
+        # whatever QTRACE_THREADS says.
+        for threads in ("1", "2"):
+            r = run_cli("gst", "--strategy", "mc", *argv, env_extra={"QTRACE_THREADS": threads})
+            assert r.returncode == 4, r.stderr
+            assert json.loads(r.stderr)["error"] == "ill-conditioned-gram"
+
+    @pytest.mark.parametrize("key, argv", [
+        ("ht_sigma", ["ht", "--power", "2", "--strategy", "mc", "--mode", "exact"]),
+        ("gst_sigma", ["gst", "--power", "2", "--strategy", "mc", "--mode", "gaussian"]),
+    ])
+    def test_negative_noise_level_exit_2(self, tmp_path, capsys, key, argv):
+        cfg = base_config()
+        cfg["params"][key] = -0.5
+        assert cli.main([*argv, "--config", write_config(tmp_path, cfg)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == f"params.{key}"
+        flag = "--" + key.replace("_", "-")
+        assert cli.main([*argv, flag, "-0.5"]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["field"]) == ("schema-violation", flag)
 
     def test_unwritable_output_exit_5(self):
         r = run_cli("oracle", "--power", "2", "--out", "/no/such/dir/out.csv")

@@ -577,15 +577,28 @@ class TestEstimateGPowerTrace:
         assert abs(est.value - exact) < 4 * est.std_error + 1e-6
         assert est.mode == "mc-exact-prob"
 
-    def test_mc_worker_invariance(self, ref3):
-        one = estimate_g_power_trace(ref3, 2, strategy="mc", budget=300, rng=9, workers=1)
-        four = estimate_g_power_trace(ref3, 2, strategy="mc", budget=300, rng=9, workers=4)
-        assert one == four
+    def test_mc_is_the_chunk_order_reduction(self, ref3):
+        budget = 300  # nine full chunks and a partial tenth
+        ranges = chunk_ranges(budget, gst._WORD_CHUNK)
+        assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
+        chunk_args = (ref3, 2, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 9, (),
+                      gst.DEFAULT_CONDITIONING_FLOOR, False, None)
+        parts = [gst._mc_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
+        total, total_sq, count = merge_moment_sums(parts)
+        mean = total / count
+        stderr = math.sqrt(max(total_sq - count * mean * mean, 0.0) / (count - 1) / count)
+        est = estimate_g_power_trace(ref3, 2, strategy="mc", budget=budget, rng=9)
+        assert (est.value, est.std_error, est.samples) == (mean, stderr, budget)
 
-    def test_enumerate_worker_invariance(self, ref3):
-        one = estimate_g_power_trace(ref3, 3, workers=1)
-        four = estimate_g_power_trace(ref3, 3, workers=4)
-        assert one == four
+    def test_enumerate_is_the_chunk_order_reduction(self):
+        e = random_ensemble(np.random.default_rng(5), 2, 3)
+        ranges = chunk_ranges(3**4, gst._WORD_CHUNK)  # 81 words: 32 + 32 + 17
+        assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
+        chunk_args = (e, 4, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 0, (),
+                      gst.DEFAULT_CONDITIONING_FLOOR, False)
+        parts = [gst._enumerate_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
+        est = estimate_g_power_trace(e, 4)
+        assert (est.value, est.std_error, est.samples) == (sum(parts), 0.0, 3**4)
 
     def test_mc_shots_mode_label(self, ref3):
         est = estimate_g_power_trace(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qtrace import EnsembleSpec, ProductGate, RotationParams, exact_power_trace, ht, noise_bounds
+from qtrace._parallel import chunk_ranges, merge_moment_sums
 from qtrace.errors import ResourceLimitError
 from qtrace.ht import (
     HtSample,
@@ -183,10 +184,16 @@ class TestEstimateMc:
         est = estimate_power_trace_mc(ref3, 1, trials=1000, shots_per_trial=7, rng=3)
         assert est.samples == 7000
 
-    def test_worker_count_does_not_change_result(self, ref3):
-        one = estimate_power_trace_mc(ref3, 2, trials=40_000, rng=11, workers=1)
-        eight = estimate_power_trace_mc(ref3, 2, trials=40_000, rng=11, workers=8)
-        assert one == eight
+    def test_estimate_is_the_chunk_order_reduction(self, ref3):
+        trials = 40_000  # four full chunks and a partial fifth
+        ranges = chunk_ranges(trials, ht.TRIAL_CHUNK)
+        assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < ht.TRIAL_CHUNK
+        parts = [ht._mc_chunk(ref3, 2, 1, "shots", 0.0, 11, lo, hi) for lo, hi in ranges]
+        total, total_sq, count = merge_moment_sums([p[:3] for p in parts])
+        mean = total / count
+        stderr = math.sqrt(max(total_sq - count * mean * mean, 0.0) / (count - 1) / count)
+        est = estimate_power_trace_mc(ref3, 2, trials=trials, rng=11)
+        assert est == TraceEstimate(mean, stderr, trials, ht.MODE_MC_SHOTS)
 
     def test_generator_and_seed_both_accepted(self, ref3):
         est = estimate_power_trace_mc(ref3, 1, trials=100, rng=np.random.default_rng(0))
