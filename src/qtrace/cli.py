@@ -124,6 +124,16 @@ def _expect_number(value: Any, field: str, *, integer: bool = False) -> float:
     return float(value)
 
 
+def _check_params(params: dict[str, Any], field: Callable[[str], str]) -> None:
+    """Every float parameter finite, and seed and noise levels non-negative;
+    ``field(key)`` names where the value came from."""
+    for key, value in params.items():
+        if isinstance(value, float):
+            _expect(math.isfinite(value), field(key), f"must be finite, got {value!r}")
+    for key in ("seed", "ht_sigma", "gst_sigma"):
+        _expect(params[key] >= 0, field(key), "must be non-negative")
+
+
 def bundled_config_text(name: str) -> str:
     return (resources.files("qtrace") / "data" / _BUNDLED[name]).read_text()
 
@@ -208,8 +218,7 @@ def parse_config(raw: Any) -> RunConfig:
         else:
             _expect(isinstance(value, str), f"params.{key}", f"expected a string, got {value!r}")
             params[key] = value
-    for key in ("seed", "ht_sigma", "gst_sigma"):
-        _expect(params[key] >= 0, f"params.{key}", "must be non-negative")
+    _check_params(params, lambda key: f"params.{key}")
     _expect(params["mode"] in ("exact", "shots", "gaussian"), "params.mode", f"got {params['mode']!r}")
     _expect(params["strategy"] in ("enumerate", "mc"), "params.strategy", f"got {params['strategy']!r}")
 
@@ -629,10 +638,7 @@ def run_golden(cfg: RunConfig, out) -> int:
     check("tr_rho_ln_rho exact", round(entropy_exact, 3) == _GOLDEN_ENTROPY,
           f"got {entropy_exact:.6f}, want {_GOLDEN_ENTROPY:.3f}")
 
-    gk = [
-        ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
-        for k in range(10)
-    ]
+    gk = _g_power_terms(spec, "oracle", 9, cfg.params)
     err = {
         n_t: abs(series.evaluate_series(series.entropy_weights(n_t), gk).value - entropy_exact)
         for n_t in (2, 8)
@@ -746,17 +752,16 @@ _RUNNERS: dict[str, Callable[[RunConfig, argparse.Namespace], list[ResultRow]]] 
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    params = dict(cfg.params)
+    params, flags = dict(cfg.params), {}
     for flag, key in _OVERRIDES.items():
         value = getattr(args, flag, None)
         if value is not None and value is not False:
             params[key] = value
+            flags[key] = "--" + flag.replace("_", "-")
     if getattr(args, "command", None) == "gst" and getattr(args, "shots", None) is not None:
         params["gst_shots"] = args.shots
         params["shots"] = _PARAM_DEFAULTS["shots"]
-    for key in ("seed", "ht_sigma", "gst_sigma"):
-        if not params[key] >= 0:
-            raise ConfigError("--" + key.replace("_", "-"), "must be non-negative")
+    _check_params(params, lambda key: flags.get(key, f"params.{key}"))
     return replace(cfg, params=params)
 
 

@@ -18,21 +18,20 @@ at ORACLE_MAX_QUBITS for now.  ``span_states`` factors the Gram into alpha
 rows of D <= alpha + 1 coordinates (plus one zero coordinate outside the
 span) on which subspace GST runs, again with no 2**n vector.
 
-``build_density_matrix``, ``DensityMatrix`` and ``exact_combination_trace``
-are dense 2**n x 2**n constructions, kept as an independent cross-check for
-tests.
+``state_matrix`` (with its rows, ``states``) and ``exact_combination_trace``
+are the only 2**n constructions left: an independent dense cross-check that
+tests compare the span-space paths against.  No estimator calls them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .qcore import ProductGate, StateVector, make_single_qubit_gate, prepare_state
+from .qcore import ProductGate, make_single_qubit_gate
 
 #: Oracle qubit cap.  The dense cross-check needs it (2**12 x 2**12 complex
 #: is 256 MiB); the span-space oracle is held to it until the cap is lifted.
@@ -99,16 +98,25 @@ class EnsembleSpec:
         return 1 << self.n
 
     @cached_property
-    def states(self) -> tuple[StateVector, ...]:
-        """The pure component states |psi_i> = U_i|0...0>."""
-        return tuple(prepare_state(g) for g in self.gates)
-
-    @cached_property
     def state_matrix(self) -> np.ndarray:
-        """Component states stacked as rows, shape (alpha, 2**n); read-only."""
-        m = np.array([s.amplitudes for s in self.states])
+        """The component states |psi_i> = U_i|0...0> stacked as rows, shape
+        (alpha, 2**n); read-only.
+
+        Row i is the kron of the per-qubit first columns u_iq|0>, qubit 0
+        most significant.  A dense cross-check for tests; no estimator reads
+        it.
+        """
+        m = np.ones((self.alpha, 1), dtype=np.complex128)
+        for q in range(self.n):
+            cols = np.array([make_single_qubit_gate(g.factors[q])[:, 0] for g in self.gates])
+            m = (m[:, :, None] * cols[:, None, :]).reshape(self.alpha, -1)
         m.setflags(write=False)
         return m
+
+    @cached_property
+    def states(self) -> tuple[np.ndarray, ...]:
+        """The rows of ``state_matrix``, one read-only 2**n vector each."""
+        return tuple(self.state_matrix)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -178,50 +186,11 @@ class EnsembleSpec:
         return np.minimum(idx, self.alpha - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Dense rho with its defining invariants checked at construction."""
-
-    n: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.entries, dtype=np.complex128)
-        dim = 1 << self.n
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} entries, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"density matrix trace {tr!r} is not 1 within 1e-9")
-        if float(np.linalg.eigvalsh(m).min()) < -1e-9:
-            raise ValueError("density matrix has an eigenvalue below -1e-9")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues, ascending; tiny negatives clipped to 0."""
-        ev = np.clip(np.linalg.eigvalsh(self.entries), 0.0, None)
-        ev.setflags(write=False)
-        return ev
-
-
 def _check_oracle_scale(e: EnsembleSpec) -> None:
     if e.n > ORACLE_MAX_QUBITS:
         raise ValueError(
             f"oracle is limited to n <= {ORACLE_MAX_QUBITS}, got n={e.n}"
         )
-
-
-def build_density_matrix(e: EnsembleSpec) -> DensityMatrix:
-    """rho = sum_i p_i |psi_i><psi_i| as a dense matrix."""
-    _check_oracle_scale(e)
-    rho = np.zeros((e.dim, e.dim), dtype=np.complex128)
-    for p, s in zip(e.probs, e.states):
-        rho += p * np.outer(s.amplitudes, s.amplitudes.conj())
-    return DensityMatrix(e.n, rho)
 
 
 def exact_power_trace(e: EnsembleSpec, m: int) -> float:
@@ -262,7 +231,7 @@ def exact_combination_trace(e: EnsembleSpec, q) -> complex:
         return complex(dim)
     acc = np.eye(dim, dtype=np.complex128)
     for i in indices:
-        psi = e.states[i].amplitudes
+        psi = e.state_matrix[i]
         g_i = np.eye(dim, dtype=np.complex128) - 2.0 * np.outer(psi, psi.conj())
         acc = acc @ g_i
     return complex(np.trace(acc))
@@ -278,20 +247,3 @@ def exact_entropy_trace(e: EnsembleSpec) -> float:
     lam = lam[lam > ENTROPY_EIGENVALUE_CUTOFF]
     return float(np.sum(lam * np.log(lam)))
 
-
-def sample_component(e: EnsembleSpec, rng: np.random.Generator) -> int:
-    """Draw a component index i with probability p_i."""
-    return int(e.component_indices(rng.random()))
-
-
-def binomial_power_identity_residual(e: EnsembleSpec, m: int) -> float:
-    """|(1/2^m) sum_k C(m,k) (-1)^k Tr{G^k} - Tr{rho^m}|, a self-check.
-
-    The binomial expansion of rho = (I - G)/2 makes this identically zero;
-    the residual is exposed so tests can pin the numerical error.
-    """
-    total = sum(
-        math.comb(m, k) * (-1.0) ** k * exact_g_power_trace(e, k) / 2.0**m
-        for k in range(m + 1)
-    )
-    return abs(total - exact_power_trace(e, m))

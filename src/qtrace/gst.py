@@ -20,7 +20,7 @@ reconstructing w:
    order; a Gram-Schmidt admission statistic (|Delta|^2 / (1+|x|^2))^2 below
    the threshold epsilon drops near-dependent states (biasing the result but
    protecting the Gram conditioning).
-2. ``extend_operator_basis`` — d^2 pure prep states: the d retained states
+2. ``operator_basis_for_states`` — d^2 pure prep states: the d retained states
    plus the dressed states G_{s'}(theta)|psi_s>, s != s', where G_{s'}(theta)
    = I - (1 - e^{i*theta})|psi_{s'}><psi_{s'}|.  Any theta not a multiple of
    pi makes the d^2 projectors linearly independent.
@@ -64,6 +64,7 @@ from .ht import (
     MODE_MC_EXACT_PROB,
     MODE_MC_SHOTS,
     TraceEstimate,
+    _finish_estimate,
 )
 from .qcore import reflect_amplitudes
 from .rng import as_master_seed, rng_stream
@@ -153,19 +154,6 @@ class Combination:
         if any(i < 0 or i >= e.alpha for i in idx):
             raise ValueError(f"indices {idx} out of range for alpha={e.alpha}")
         return cls(idx, float(np.prod([e.probs[i] for i in idx])) if idx else 1.0)
-
-
-def sample_combination(
-    e: EnsembleSpec, m: int, rng: np.random.Generator
-) -> Combination:
-    """Draw a word: each of m candidate layers is inserted with probability
-    1/2, and each inserted layer's component index with probability p_i."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    indices = tuple(
-        int(e.component_indices(rng.random())) for _ in range(m) if rng.random() < 0.5
-    )
-    return Combination.from_indices(e, indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,11 +279,6 @@ def operator_basis_for_states(
     preps = [(s, None) for s in range(d)]
     preps += [(s, sp) for s in range(d) for sp in range(d) if sp != s]
     return OperatorBasis(tuple(states), tuple(preps), theta)
-
-
-def extend_operator_basis(b: SubspaceBasis, theta: float) -> OperatorBasis:
-    """d^2 preparation descriptors over the retained states."""
-    return operator_basis_for_states(b.retained, theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,7 +464,7 @@ def augment_and_trace(
     states plus the augmentation state |phi>; in exact mode
     Tr{R_w'} = |Tr w + 1|^2.
     """
-    ob = extend_operator_basis(b, theta)
+    ob = operator_basis_for_states(b.retained, theta)
     tr_rw = ptm_trace(
         measure_matrices(e, q, ob, mode, rng), conditioning_floor, allow_pseudoinverse
     )
@@ -635,15 +618,8 @@ def estimate_g_power_trace(
     # One memo serves every chunk of this estimate.
     memo = {} if mode.is_exact else None
     parts = run_chunked(partial(_mc_chunk, *common, memo), budget, _WORD_CHUNK)
-    total, total_sq, count = merge_moment_sums(parts)
-    mean = total / count
-    if count > 1:
-        var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
-        stderr = math.sqrt(var / count)
-    else:
-        stderr = 0.0
     est_mode = MODE_MC_EXACT_PROB if mode.is_exact else MODE_MC_SHOTS
-    return TraceEstimate(mean, stderr, count, est_mode)
+    return _finish_estimate(*merge_moment_sums(parts), est_mode)
 
 
 def estimate_power_trace(

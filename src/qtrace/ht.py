@@ -19,7 +19,9 @@ expectation over words.
 Words are applied in circuit order: the earliest sampled layer acts first on
 the state.
 
-Circuits are simulated in the span of the alpha component states: a state
+Circuits are simulated in batches, in the span of the alpha component
+states: a batch is drawn as an array of component indices (initial state and
+one per candidate layer) and an array of layer flags, a state
 sum_j c_j |psi_j> is held as its alpha coefficients c, the Gram
 K = EnsembleSpec.gram supplies every overlap, and the reflection
 G_a = I - 2|psi_a><psi_a| becomes c_a -= 2 (K c)_a.  A trial with k layers
@@ -51,9 +53,10 @@ import numpy as np
 
 from . import noise_bounds
 from ._parallel import merge_moment_sums, run_chunked
-from .ensemble import EnsembleSpec, sample_component
+from .ensemble import EnsembleSpec
 from .errors import ResourceLimitError
-from .qcore import reflect_amplitudes
+# Unused here; the benchmark tracer patches ``ht.reflect_amplitudes``.
+from .qcore import reflect_amplitudes  # noqa: F401
 from .rng import as_master_seed, rng_stream
 
 logger = logging.getLogger(__name__)
@@ -117,81 +120,10 @@ def combined_mode(modes: Sequence[str]) -> str:
     return MODE_ORACLE
 
 
-@dataclass(frozen=True)
-class HtSample:
-    """One sampled circuit: initial component y_1, the m coin flips deciding
-    which candidate layers were inserted, and the component index of each
-    inserted layer in circuit order."""
-
-    initial_component: int
-    layer_flags: tuple[bool, ...]
-    layer_components: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sum(self.layer_flags) != len(self.layer_components):
-            raise ValueError(
-                f"{sum(self.layer_flags)} inserted layers but "
-                f"{len(self.layer_components)} layer components"
-            )
-
-    @property
-    def k(self) -> int:
-        """Number of inserted reflection layers."""
-        return len(self.layer_components)
-
-
-def sample_circuit(e: EnsembleSpec, m: int, rng: np.random.Generator) -> HtSample:
-    """Draw one circuit: initial component with probability p_i, then m fair
-    coins, each inserted layer's component again with probability p_i."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    initial = sample_component(e, rng)
-    flags = tuple(bool(rng.random() < 0.5) for _ in range(m))
-    comps = tuple(sample_component(e, rng) for f in flags if f)
-    return HtSample(initial, flags, comps)
-
-
 def _check_probabilities(p: np.ndarray) -> None:
     bad = (p < -_P_TOL) | (p > 1.0 + _P_TOL)
     if np.any(bad):
         raise ArithmeticError(f"outcome probability {p[bad][0]!r} outside [0, 1]")
-
-
-def _checked_probability(p: float) -> float:
-    if not -_P_TOL <= p <= 1.0 + _P_TOL:
-        raise ArithmeticError(f"outcome probability {p!r} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
-
-
-def exact_p0(e: EnsembleSpec, s: HtSample) -> float:
-    """Exact probability of measuring the ancilla in |0> for this circuit:
-    (1 + Re <psi_{y1}| G_{y_{k+1}} ... G_{y_2} |psi_{y1}>) / 2."""
-    psi = e.states[s.initial_component].amplitudes
-    v = psi
-    for c in s.layer_components:
-        v = reflect_amplitudes(e.state_matrix[c], math.pi, v)
-    return _checked_probability(0.5 * (1.0 + float(np.vdot(psi, v).real)))
-
-
-def single_shot(
-    e: EnsembleSpec,
-    s: HtSample,
-    rng: np.random.Generator,
-    ht_sigma: float = 0.0,
-    events: noise_bounds.ClampEvents | None = None,
-) -> int:
-    """One measurement of the sampled circuit, returned as the signed unit
-    value (-1)^k * (+1 if outcome 0 else -1).
-
-    Unbiased for the x_k = (-1)^k Tr{G^k rho} term of the binomial expansion.
-    ``ht_sigma`` > 0 perturbs the outcome probability with Gaussian noise
-    before the draw.
-    """
-    p0 = exact_p0(e, s)
-    if ht_sigma > 0.0:
-        p0 = noise_bounds.perturb_probability(p0, ht_sigma, rng, events)
-    sign = -1 if s.k % 2 else 1
-    return sign if rng.random() < p0 else -sign
 
 
 def _finish_estimate(

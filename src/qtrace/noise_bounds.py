@@ -17,34 +17,6 @@ class DivergentBoundError(ValueError):
     """A perturbation-series bound whose denominator is not positive."""
 
 
-@dataclass
-class ClampEvents:
-    """Mutable counter for probability clamps during noise injection."""
-
-    count: int = 0
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Gaussian-noise levels for the two estimator families.
-
-    Reference defaults: std 0.01 on Hadamard-test outcome probabilities,
-    std 0.0001 on tomography p/g matrix entries (the Gram singular values
-    are small, so its noise must be much smaller).
-    """
-
-    ht_sigma: float = 0.01
-    gst_sigma: float = 0.0001
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for name, v in (("ht_sigma", self.ht_sigma), ("gst_sigma", self.gst_sigma)):
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-
 @dataclass(frozen=True)
 class ErrorBudget:
     """Inputs to the reconstruction error bounds.
@@ -73,33 +45,14 @@ class ErrorBudget:
             raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
 
 
-def perturb_probability(
-    p: float,
-    sigma: float,
-    rng: np.random.Generator,
-    events: ClampEvents | None = None,
-) -> float:
-    """p + N(0, sigma^2), clamped back into [0, 1].
-
-    Clamp occurrences are counted on ``events`` when given, so callers can
-    report how often the noise model saturated.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p!r}")
-    if sigma == 0.0:
-        return p
-    noisy = p + sigma * rng.standard_normal()
-    if noisy < 0.0 or noisy > 1.0:
-        if events is not None:
-            events.count += 1
-        return min(max(noisy, 0.0), 1.0)
-    return float(noisy)
-
-
 def perturb_probabilities(
     p: np.ndarray, sigma: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Vectorized perturb_probability; returns (clamped array, clamp count)."""
+    """p + N(0, sigma^2) per entry, clamped back into [0, 1].
+
+    Returns the clamped array and the number of entries that were clamped,
+    so callers can report how often the noise model saturated.
+    """
     if sigma == 0.0:
         return p, 0
     noisy = p + sigma * rng.standard_normal(p.shape)

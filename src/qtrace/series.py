@@ -25,22 +25,15 @@ from typing import Sequence
 
 from .ht import TraceEstimate, combined_mode
 
-KIND_POWER = "power"
-KIND_ENTROPY = "entropy"
-KIND_CUSTOM = "custom"
-
 
 @dataclass(frozen=True)
 class SeriesWeights:
-    """Coefficients c_0..c_K attached to Tr{G^0}..Tr{G^K}."""
+    """Coefficients c_0..c_K attached to Tr{G^0}..Tr{G^K}: any finite,
+    non-empty tuple."""
 
-    kind: str
-    order: int
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_POWER, KIND_ENTROPY, KIND_CUSTOM):
-            raise ValueError(f"unknown series kind {self.kind!r}")
         if not self.coefficients:
             raise ValueError("coefficients must be non-empty")
         if not all(math.isfinite(c) for c in self.coefficients):
@@ -57,7 +50,7 @@ def binomial_weights(m: int) -> SeriesWeights:
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
     coeffs = tuple((-1.0) ** k * math.comb(m, k) / 2.0**m for k in range(m + 1))
-    return SeriesWeights(KIND_POWER, m, coeffs)
+    return SeriesWeights(coeffs)
 
 
 def entropy_weights(truncation_order: int) -> SeriesWeights:
@@ -69,7 +62,7 @@ def entropy_weights(truncation_order: int) -> SeriesWeights:
     coeffs = [-0.5 * math.log(2.0), 0.5 * math.log(2.0) - 0.5]
     coeffs += [0.5 * (1.0 / (j - 1) - 1.0 / j) for j in range(2, n_t + 1)]
     coeffs.append(0.5 / n_t)
-    return SeriesWeights(KIND_ENTROPY, n_t, tuple(coeffs))
+    return SeriesWeights(tuple(coeffs))
 
 
 def evaluate_series(

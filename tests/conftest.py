@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,15 @@ REFERENCE_ANGLES = [
     (0.55, 0.31, 0.60),
 ]
 REFERENCE_PROBS = [0.1, 0.2, 0.3, 0.4]
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def cli_env(**extra: str) -> dict[str, str]:
+    """Environment for a ``python -m qtrace`` child process: this checkout's
+    ``src`` first on PYTHONPATH, plus ``extra``."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else ""), **extra}
 
 
 def reference_spec(n: int = 3) -> EnsembleSpec:

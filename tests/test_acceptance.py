@@ -6,7 +6,6 @@ report lines alongside the pytest verdicts.
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -36,7 +35,7 @@ from qtrace.ht import MODE_ORACLE, TraceEstimate, estimate_power_trace_enumerate
 from qtrace.noise_bounds import shots_for_accuracy, truncation_error_estimate
 from qtrace.series import entropy_weights, evaluate_series
 
-from .conftest import random_ensemble, reference_spec
+from .conftest import cli_env, random_ensemble, reference_spec
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> bool:
@@ -191,7 +190,7 @@ def test_criterion_07_truncation_behavior():
             ProductGate.uniform(2, RotationParams(0.3 + delta, 0.0, 0.0)),
         ),
     )
-    got_overlap = abs(np.vdot(e.states[0].amplitudes, e.states[1].amplitudes))
+    got_overlap = abs(np.vdot(e.state_matrix[0], e.state_matrix[1]))
     assert got_overlap == pytest.approx(overlap, abs=1e-12)
 
     b_loose = build_subspace(e, Combination.from_indices(e, (0, 1)), 1e-4)
@@ -272,7 +271,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     for name, argv in commands.items():
         for workers in ("1", "8"):
             out = tmp_path / f"{name}-{workers}.json"
-            env = dict(os.environ, QTRACE_THREADS=workers)
+            env = cli_env(QTRACE_THREADS=workers)
             r = subprocess.run(
                 [sys.executable, "-m", "qtrace", *argv, "--seed", "7",
                  "--format", "json", "--out", str(out)],

@@ -1,12 +1,11 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
 import pytest
 
-from qtrace import cli, ht
+from qtrace import cli, ensemble, ht
 from qtrace.cli import (
     COLUMNS,
     ConfigError,
@@ -19,12 +18,13 @@ from qtrace.cli import (
 )
 from qtrace.series import entropy_weights, evaluate_series
 
+from .conftest import cli_env
+
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
     return subprocess.run(
-        [sys.executable, "-m", "qtrace", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "qtrace", *args], capture_output=True, text=True,
+        env=cli_env(**(env_extra or {})),
     )
 
 
@@ -346,6 +346,18 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert (record["error"], record["field"]) == ("schema-violation", flag)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag, argv", [
+        ("--ht-sigma", ["ht", "--power", "2", "--strategy", "mc", "--mode", "exact"]),
+        ("--gst-sigma", ["gst", "--power", "2", "--strategy", "mc", "--mode", "gaussian"]),
+        ("--epsilon", ["gst", "--power", "2"]),
+        ("--theta", ["gst", "--power", "2"]),
+    ])
+    def test_non_finite_flag_exit_2(self, capsys, flag, argv, value):
+        assert cli.main([*argv, "--trials", "10", flag, value]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["field"]) == ("schema-violation", flag)
+
     def test_unwritable_output_exit_5(self):
         r = run_cli("oracle", "--power", "2", "--out", "/no/such/dir/out.csv")
         assert r.returncode == 5
@@ -355,6 +367,36 @@ class TestExitCodes:
         r = run_cli("gst", "--power", "2", "--epsilon", "5.0")
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"] == "invalid-argument"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a CLI path formed a 2**n vector")
+
+
+class TestSpanOnly:
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--power", "2-4", "--g-power", "0-3", "--entropy"],
+        ["ht", "--power", "2-3"],
+        ["ht", "--power", "2", "--strategy", "mc", "--mode", "shots", "--trials", "2000"],
+        ["ht", "--power", "2", "--strategy", "mc", "--mode", "exact", "--ht-sigma", "0.01",
+         "--trials", "2000"],
+        ["gst", "--power", "2", "--g-power", "2"],
+        ["gst", "--g-power", "2", "--strategy", "mc", "--trials", "50"],
+        ["gst", "--g-power", "1", "--strategy", "mc", "--mode", "shots", "--trials", "50"],
+        ["gst", "--g-power", "2", "--strategy", "mc", "--mode", "gaussian", "--trials", "50"],
+        ["entropy", "--order", "2-3", "--estimator", "oracle"],
+        ["entropy", "--order", "2", "--estimator", "ht"],
+        ["entropy", "--order", "2", "--estimator", "gst"],
+        ["sweep", "--config", "{sweep}"],
+        ["bounds"],
+        ["--golden"],
+    ])
+    def test_cli_forms_no_2n_vector(self, tmp_path, monkeypatch, capsys, argv):
+        path = write_config(tmp_path, base_config(sweep=sweep("gst", "epsilon_trunc", [1e-10, 0.5])))
+        for name in ("states", "state_matrix"):
+            monkeypatch.setattr(ensemble.EnsembleSpec, name, property(_refuse))
+        monkeypatch.setattr(ensemble, "exact_combination_trace", _refuse)
+        assert cli.main([a.replace("{sweep}", path) for a in argv]) == 0, capsys.readouterr().err
 
 
 class TestDeterminism:

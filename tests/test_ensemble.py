@@ -6,20 +6,17 @@ import pytest
 from hypothesis import given, settings
 
 from qtrace import (
-    DensityMatrix,
     EnsembleSpec,
     ProductGate,
     RotationParams,
-    build_density_matrix,
     exact_combination_trace,
     exact_entropy_trace,
     exact_g_power_trace,
     exact_power_trace,
-    sample_component,
 )
-from qtrace.ensemble import binomial_power_identity_residual
 
 from .conftest import random_ensemble, small_ensembles
+from .dense_reference import DensityMatrix, binomial_power_identity_residual, build_density_matrix
 
 
 def pure_spec(n=2, params=RotationParams(0.3, 0.1, 0.9)) -> EnsembleSpec:
@@ -164,8 +161,7 @@ class TestExactEntropyTrace:
 class TestSampleComponent:
     def test_single_component(self):
         rng = np.random.default_rng(0)
-        spec = pure_spec()
-        assert all(sample_component(spec, rng) == 0 for _ in range(20))
+        assert np.all(pure_spec().component_indices(rng.random(20)) == 0)
 
     def test_empirical_frequencies(self, ref3):
         rng = np.random.default_rng(42)
@@ -176,10 +172,9 @@ class TestSampleComponent:
             assert abs(counts[i] - p * 1_000_000) < 3 * sigma
 
     def test_deterministic_given_seed(self, ref3):
-        rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-        s1 = [sample_component(ref3, rng1) for _ in range(50)]
-        s2 = [sample_component(ref3, rng2) for _ in range(50)]
-        assert s1 == s2
+        s1 = ref3.component_indices(np.random.default_rng(5).random(50))
+        s2 = ref3.component_indices(np.random.default_rng(5).random(50))
+        assert np.array_equal(s1, s2)
 
 
 class TestOracleScale:

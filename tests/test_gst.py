@@ -31,11 +31,9 @@ from qtrace.gst import (
     combination_trace,
     estimate_g_power_trace,
     estimate_power_trace,
-    extend_operator_basis,
     measure_matrices,
     operator_basis_for_states,
     ptm_trace,
-    sample_combination,
 )
 from qtrace.qcore import reflect_amplitudes
 from qtrace.rng import rng_stream
@@ -55,7 +53,7 @@ def dense_word_operator(e: EnsembleSpec, indices) -> np.ndarray:
     dim = e.dim
     op = np.eye(dim, dtype=complex)
     for i in indices:
-        psi = e.states[i].amplitudes
+        psi = e.state_matrix[i]
         op = op @ (np.eye(dim) - 2.0 * np.outer(psi, psi.conj()))
     return op
 
@@ -74,7 +72,7 @@ def dense_subspace(e, q, epsilon):
     """Retained 2**n kets and the admission statistics of discarded states."""
     kets, stats = [], []
     for idx in dict.fromkeys(q.indices):
-        psi = e.states[idx].amplitudes
+        psi = e.state_matrix[idx]
         if kets and float(np.max(np.abs(np.array(kets) @ psi.conj()))) > SAME_STATE_OVERLAP:
             continue
         stat = gst._admission_statistic(kets, psi)
@@ -123,7 +121,7 @@ def dense_probes(dim):
 def dense_augmentation_state(e, q, kets):
     """The uniform probe, else e_0, e_1, ..., projected off every circuit
     state of the word, plus half the normalized dual-frame sum of ``kets``."""
-    axes = np.array([e.states[i].amplitudes for i in dict.fromkeys(q.indices)])
+    axes = e.state_matrix[list(dict.fromkeys(q.indices))]
     basis = None
     if len(axes):
         u, sv, _ = np.linalg.svd(axes.T, full_matrices=False)
@@ -168,7 +166,7 @@ def span_word(out, e, q, epsilon, theta, mode, seed):
     rng = np.random.default_rng(seed)
     b = build_subspace(e, q, epsilon)
     out["d"], out["discarded"] = b.d, [stat for _, stat in b.discarded]
-    mx = measure_matrices(e, q, extend_operator_basis(b, theta), mode, rng)
+    mx = measure_matrices(e, q, operator_basis_for_states(b.retained, theta), mode, rng)
     out["p"], out["g"] = mx.p_mat, mx.g_mat
     ptm_trace(mx)
     phi = augmentation_state(e, q, b)
@@ -191,26 +189,29 @@ def word_outcome(stages, *args):
     return out
 
 
+def drawn_words(monkeypatch, e, k, budget, seed=0):
+    """The words that an exact-mode GST Monte Carlo estimate evaluates, in
+    draw order, and the estimate."""
+    words = []
+    inner = gst.combination_trace
+
+    def spy(e, q, *args, **kwargs):
+        words.append(q)
+        return inner(e, q, *args, **kwargs)
+
+    monkeypatch.setattr(gst, "combination_trace", spy)
+    est = estimate_g_power_trace(e, k, strategy="mc", budget=budget, rng=seed)
+    monkeypatch.undo()
+    return words, est
+
+
 class TestSampleCombination:
-    def test_m_zero_empty(self, ref3):
-        q = sample_combination(ref3, 0, np.random.default_rng(0))
-        assert q.indices == () and q.weight == 1.0
+    def test_m_zero_empty(self, ref3, monkeypatch):
+        assert drawn_words(monkeypatch, ref3, 0, 50)[0] == [Combination((), 1.0)]
 
-    def test_single_component_all_zero(self):
-        rng = np.random.default_rng(1)
-        q = sample_combination(pure_spec(), 6, rng)
-        assert all(i == 0 for i in q.indices)
-
-    def test_length_distribution_binomial(self, ref3):
-        rng = np.random.default_rng(2)
-        n_draws, m = 100_000, 5
-        counts = np.bincount(
-            [sample_combination(ref3, m, rng).k for _ in range(n_draws)], minlength=m + 1
-        )
-        expected = np.array([math.comb(m, k) / 2**m for k in range(m + 1)]) * n_draws
-        chi2 = float(np.sum((counts - expected) ** 2 / expected))
-        # chi-square with 5 dof; 1% critical value.
-        assert chi2 < 15.09
+    def test_single_component_all_zero(self, monkeypatch):
+        words, _ = drawn_words(monkeypatch, pure_spec(), 6, 50, seed=1)
+        assert [q.indices for q in words] == [(0,) * 6]
 
     def test_weight_is_probability_product(self, ref3):
         q = word(ref3, 0, 3, 3)
@@ -259,7 +260,7 @@ class TestBuildSubspace:
         assert kept.d == 2
         assert dropped.d == 1 and dropped.discarded[0][1] == pytest.approx(stat, abs=1e-12)
         # Independent recomputation from raw linear algebra.
-        s1, s2 = e.states[0].amplitudes, e.states[1].amplitudes
+        s1, s2 = e.state_matrix[0], e.state_matrix[1]
         coeff = np.linalg.lstsq(s1[:, None], s2, rcond=None)[0]
         residual_sq = float(np.linalg.norm(s2 - s1 * coeff[0]) ** 2)
         recomputed = (residual_sq / (1.0 + abs(coeff[0]) ** 2)) ** 2
@@ -281,12 +282,12 @@ class TestBuildSubspace:
 class TestOperatorBasis:
     def test_d1_single_undressed_prep(self, ref3):
         b = build_subspace(ref3, word(ref3, 2), 1e-10)
-        ob = extend_operator_basis(b, math.pi / 2)
+        ob = operator_basis_for_states(b.retained, math.pi / 2)
         assert ob.preps == ((0, None),)
 
     def test_d2_prep_count_and_layout(self, ref3):
         b = build_subspace(ref3, word(ref3, 0, 1), 1e-10)
-        ob = extend_operator_basis(b, math.pi / 2)
+        ob = operator_basis_for_states(b.retained, math.pi / 2)
         assert len(ob.preps) == 4
         assert ob.preps[:2] == ((0, None), (1, None))
 
@@ -294,7 +295,7 @@ class TestOperatorBasis:
         b = build_subspace(ref3, word(ref3, 0, 1), 1e-10)
         for theta in (0.0, math.pi, -math.pi, 2 * math.pi, math.pi + 5e-7):
             with pytest.raises(ValueError, match="pi"):
-                extend_operator_basis(b, theta)
+                operator_basis_for_states(b.retained, theta)
 
     def test_degenerate_theta_makes_gram_singular(self, ref3):
         q = word(ref3, 0, 1)
@@ -303,7 +304,7 @@ class TestOperatorBasis:
         g_pi = measure_matrices(ref3, q, ob_pi).g_mat
         assert np.linalg.eigvalsh(0.5 * (g_pi + g_pi.T)).min() < 1e-10
 
-        ob_half = extend_operator_basis(b, math.pi / 2)
+        ob_half = operator_basis_for_states(b.retained, math.pi / 2)
         g_half = measure_matrices(ref3, q, ob_half).g_mat
         assert np.linalg.eigvalsh(0.5 * (g_half + g_half.T)).min() > 0
 
@@ -312,20 +313,20 @@ class TestMeasureMatrices:
     def test_gram_diagonal_is_one(self, ref3):
         q = word(ref3, 0, 3)
         b = build_subspace(ref3, q, 1e-10)
-        mx = measure_matrices(ref3, q, extend_operator_basis(b, math.pi / 2))
+        mx = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
         assert np.allclose(np.diag(mx.g_mat), 1.0, atol=1e-12)
 
     def test_d1_eigenstate_word(self):
         e = pure_spec()
         q = word(e, 0, 0, 0)
         b = build_subspace(e, q, 1e-10)
-        mx = measure_matrices(e, q, extend_operator_basis(b, math.pi / 2))
+        mx = measure_matrices(e, q, operator_basis_for_states(b.retained, math.pi / 2))
         assert mx.p_mat[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_entries_match_dense_channel(self, ref3):
         q = word(ref3, 1, 3)
         b = build_subspace(ref3, q, 1e-10)
-        mx = measure_matrices(ref3, q, extend_operator_basis(b, math.pi / 2))
+        mx = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
         op = dense_word_operator(ref3, q.indices)
         kets, _ = dense_subspace(ref3, q, 1e-10)
         s = dense_prep_matrix(ref3, kets, math.pi / 2)
@@ -340,14 +341,14 @@ class TestMeasureMatrices:
     def test_shots_mode_needs_rng(self, ref3):
         q = word(ref3, 0)
         b = build_subspace(ref3, q, 1e-10)
-        ob = extend_operator_basis(b, math.pi / 2)
+        ob = operator_basis_for_states(b.retained, math.pi / 2)
         with pytest.raises(ValueError, match="rng"):
             measure_matrices(ref3, q, ob, MeasureMode.with_shots(100))
 
     def test_shots_mode_is_binomial_draw(self, ref3):
         q = word(ref3, 0, 1)
         b = build_subspace(ref3, q, 1e-10)
-        ob = extend_operator_basis(b, math.pi / 2)
+        ob = operator_basis_for_states(b.retained, math.pi / 2)
         exact = measure_matrices(ref3, q, ob)
         noisy = measure_matrices(ref3, q, ob, MeasureMode.with_shots(200),
                                  np.random.default_rng(3))
@@ -357,7 +358,7 @@ class TestMeasureMatrices:
     def test_gaussian_mode_perturbs_without_clamping(self, ref3):
         q = word(ref3, 0, 1)
         b = build_subspace(ref3, q, 1e-10)
-        ob = extend_operator_basis(b, math.pi / 2)
+        ob = operator_basis_for_states(b.retained, math.pi / 2)
         noisy = measure_matrices(ref3, q, ob, MeasureMode.with_gaussian(0.1),
                                  np.random.default_rng(4))
         exact = measure_matrices(ref3, q, ob)
@@ -377,21 +378,21 @@ class TestPtmTrace:
         for k in (1, 2, 3):
             q = word(e, *([0] * k))
             b = build_subspace(e, q, 1e-10)
-            mx = measure_matrices(e, q, extend_operator_basis(b, math.pi / 2))
+            mx = measure_matrices(e, q, operator_basis_for_states(b.retained, math.pi / 2))
             assert ptm_trace(mx) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_restriction(self, ref3):
         for indices in ((0, 1), (2, 3), (1, 2, 3)):
             q = word(ref3, *indices)
             b = build_subspace(ref3, q, 1e-10)
-            mx = measure_matrices(ref3, q, extend_operator_basis(b, math.pi / 2))
+            mx = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
             expected = abs(restricted_trace(ref3, q)) ** 2
             assert ptm_trace(mx) == pytest.approx(expected, abs=1e-8)
 
     def test_gauge_invariance_under_prep_permutation(self, ref3):
         q = word(ref3, 0, 1, 3)
         b = build_subspace(ref3, q, 1e-10)
-        mx = measure_matrices(ref3, q, extend_operator_basis(b, math.pi / 2))
+        mx = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
         base = ptm_trace(mx)
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -743,18 +744,10 @@ class TestSharedMemo:
             tuple(int(i) for i in ref3.component_indices(rng_stream(seed, t).random(k)))
             for t in range(budget)
         }
-        calls = Counter()
-        inner = gst.combination_trace
-
-        def counted(e, q, *args, **kwargs):
-            calls[q.indices] += 1
-            return inner(e, q, *args, **kwargs)
-
-        monkeypatch.setattr(gst, "combination_trace", counted)
-        est = estimate_g_power_trace(ref3, k, strategy="mc", budget=budget, rng=seed)
+        words, est = drawn_words(monkeypatch, ref3, k, budget, seed)
+        calls = Counter(q.indices for q in words)
         assert set(calls) == drawn and set(calls.values()) == {1}
         assert budget // gst._WORD_CHUNK > 1 and len(drawn) < budget
-        monkeypatch.undo()
         assert (est.value, est.std_error) == per_chunk_memo_estimate(ref3, k, budget, seed)
 
 

@@ -8,15 +8,7 @@ import pytest
 from qtrace import EnsembleSpec, ProductGate, RotationParams, exact_power_trace, ht, noise_bounds
 from qtrace._parallel import chunk_ranges, merge_moment_sums
 from qtrace.errors import ResourceLimitError
-from qtrace.ht import (
-    HtSample,
-    TraceEstimate,
-    estimate_power_trace_enumerate,
-    estimate_power_trace_mc,
-    exact_p0,
-    sample_circuit,
-    single_shot,
-)
+from qtrace.ht import TraceEstimate, estimate_power_trace_enumerate, estimate_power_trace_mc
 from qtrace.qcore import reflect_amplitudes
 from qtrace.rng import rng_stream
 
@@ -33,91 +25,101 @@ def two_component_spec() -> EnsembleSpec:
     return EnsembleSpec(2, np.array([0.35, 0.65]), (g1, g2))
 
 
+def exact_p0(e, initial, word):
+    """P(0) of one circuit from psi_initial with every layer of ``word``
+    inserted, earliest first."""
+    comps = np.array([[initial, *word]])
+    flags = np.ones((1, len(word)), dtype=bool)
+    return float(ht._outcome_probabilities(e, comps, flags)[0])
+
+
+def drawn_circuits(monkeypatch, e, m, trials, seed=0):
+    """The component and flag arrays that estimate_power_trace_mc draws."""
+    seen = []
+    outcome_probabilities = ht._outcome_probabilities
+
+    def spy(e, comps, flags):
+        seen.append((comps, flags))
+        return outcome_probabilities(e, comps, flags)
+
+    monkeypatch.setattr(ht, "_outcome_probabilities", spy)
+    estimate_power_trace_mc(e, m, trials=trials, rng=seed, measure="exact-prob")
+    return np.concatenate([c for c, _ in seen]), np.concatenate([f for _, f in seen])
+
+
 class TestSampleCircuit:
-    def test_m_zero_has_no_layers(self, ref3):
-        s = sample_circuit(ref3, 0, np.random.default_rng(1))
-        assert s.layer_flags == () and s.layer_components == () and s.k == 0
+    def test_m_zero_has_no_layers(self, ref3, monkeypatch):
+        comps, flags = drawn_circuits(monkeypatch, ref3, 0, 100)
+        assert comps.shape == (100, 1) and flags.shape == (100, 0)
 
-    def test_single_component_always_index_zero(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            s = sample_circuit(pure_spec(), 3, rng)
-            assert s.initial_component == 0
-            assert all(c == 0 for c in s.layer_components)
+    def test_single_component_always_index_zero(self, monkeypatch):
+        comps, _ = drawn_circuits(monkeypatch, pure_spec(), 3, 20, seed=2)
+        assert comps.shape == (20, 4) and np.all(comps == 0)
 
-    def test_mean_layer_count_binomial(self, ref3):
-        rng = np.random.default_rng(3)
+    def test_mean_layer_count_binomial(self, ref3, monkeypatch):
         n_samples = 100_000
-        total = sum(sample_circuit(ref3, 4, rng).k for _ in range(n_samples))
-        mean = total / n_samples
+        _, flags = drawn_circuits(monkeypatch, ref3, 4, n_samples, seed=3)
+        mean = flags.sum(axis=1).mean()
         sigma = math.sqrt(4 * 0.25 / n_samples)
         assert abs(mean - 2.0) < 3 * sigma
-
-    def test_flag_component_consistency_enforced(self):
-        with pytest.raises(ValueError, match="layer"):
-            HtSample(0, (True, False), ())
 
 
 class TestExactP0:
     def test_no_layers_certain_zero(self, ref3):
-        s = HtSample(2, (), ())
-        assert exact_p0(ref3, s) == pytest.approx(1.0, abs=1e-12)
+        assert exact_p0(ref3, 2, ()) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_component_single_layer(self):
         # The circuit state is a reflection eigenstate: <psi|G|psi> = -1.
-        s = HtSample(0, (True,), (0,))
-        assert exact_p0(pure_spec(), s) == pytest.approx(0.0, abs=1e-12)
+        assert exact_p0(pure_spec(), 0, (0,)) == pytest.approx(0.0, abs=1e-12)
 
     def test_against_dense_reflection_identity(self):
         # One inserted layer G_2 on initial state 1:
         # p0 = (1 + <psi_1|G_2|psi_1>)/2 = 1 - |<psi_2|psi_1>|^2.
         spec = two_component_spec()
-        ovl = np.vdot(spec.states[1].amplitudes, spec.states[0].amplitudes)
-        s = HtSample(0, (True,), (1,))
-        assert exact_p0(spec, s) == pytest.approx(1.0 - abs(ovl) ** 2, abs=1e-12)
+        ovl = np.vdot(spec.state_matrix[1], spec.state_matrix[0])
+        assert exact_p0(spec, 0, (1,)) == pytest.approx(1.0 - abs(ovl) ** 2, abs=1e-12)
 
     def test_multi_layer_against_dense_oracle(self):
         rng = np.random.default_rng(8)
         spec = random_ensemble(rng, 3, 3)
         word = (1, 0, 2, 1)
-        s = HtSample(2, (True,) * 4, word)
-        g = [np.eye(8) - 2 * np.outer(st.amplitudes, st.amplitudes.conj()) for st in spec.states]
+        g = [np.eye(8) - 2 * np.outer(psi, psi.conj()) for psi in spec.state_matrix]
         op = np.eye(8)
         for c in word:  # earliest layer acts first
             op = g[c] @ op
-        psi = spec.states[2].amplitudes
+        psi = spec.state_matrix[2]
         expected = 0.5 * (1 + (psi.conj() @ op @ psi).real)
-        assert exact_p0(spec, s) == pytest.approx(expected, abs=1e-12)
+        assert exact_p0(spec, 2, word) == pytest.approx(expected, abs=1e-12)
 
     def test_probability_in_unit_interval(self):
         rng = np.random.default_rng(12)
         spec = random_ensemble(rng, 2, 4)
-        for _ in range(200):
-            s = sample_circuit(spec, 5, rng)
-            assert 0.0 <= exact_p0(spec, s) <= 1.0
+        comps = spec.component_indices(rng.random((200, 6)))
+        flags = rng.random((200, 5)) < 0.5
+        p0 = ht._outcome_probabilities(spec, comps, flags)
+        assert np.all((0.0 <= p0) & (p0 <= 1.0))
 
 
 class TestSingleShot:
+    """Shots of _mc_chunk: each is the signed unit (-1)^k * (+1 | -1)."""
+
     def test_no_layers_always_plus_one(self, ref3):
-        rng = np.random.default_rng(0)
-        s = HtSample(1, (), ())
-        assert all(single_shot(ref3, s, rng) == 1 for _ in range(20))
+        total, _, count, _ = ht._mc_chunk(ref3, 0, 20, "shots", 0.0, 0, 0, 10)
+        assert total == count == 200
 
     def test_eigenstate_layer_always_plus_one(self):
-        # P(1) = 1 and the (-1)^k sign flips the -1 outcome back to +1.
-        rng = np.random.default_rng(1)
-        s = HtSample(0, (True,), (0,))
-        assert all(single_shot(pure_spec(), s, rng) == 1 for _ in range(20))
+        # With one layer, P(1) = 1 and the (-1)^k sign flips the -1 outcome
+        # back to +1; without it, P(0) = 1.
+        total, _, count, _ = ht._mc_chunk(pure_spec(), 1, 20, "shots", 0.0, 1, 0, 10)
+        assert total == count == 200
 
     def test_bernoulli_mean(self, ref3):
-        rng = np.random.default_rng(9)
-        s = HtSample(3, (True, True), (1, 2))
-        p0 = exact_p0(ref3, s)
-        expected = 2 * p0 - 1  # k even, sign +1
-        n = 100_000
-        total = sum(single_shot(ref3, s, rng) for _ in range(n))
-        sigma = math.sqrt((1 - expected**2) / n)
-        assert abs(total / n - expected) < 3 * sigma
+        # The one circuit drawn at seed 0 has k = 1 layer, at seed 5 k = 2.
+        for seed in (0, 5):
+            expected = ht._mc_chunk(ref3, 2, 1, "exact-prob", 0.0, seed, 0, 1)[0]
+            total, _, n, _ = ht._mc_chunk(ref3, 2, 100_000, "shots", 0.0, seed, 0, 1)
+            sigma = math.sqrt((1 - expected**2) / n)
+            assert abs(total / n - expected) < 3 * sigma
 
 
 class TestEstimateEnumerate:
