@@ -12,13 +12,12 @@ from .ensemble import (
     exact_power_trace,
 )
 from .ht import TraceEstimate
-from .gst import Combination, CombinationTrace, MeasureMode, SubspaceBasis
+from .gst import CombinationTrace, MeasureMode, SubspaceBasis
 from .series import SeriesWeights, binomial_weights, entropy_weights, evaluate_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Combination",
     "CombinationTrace",
     "EnsembleSpec",
     "MeasureMode",

@@ -7,8 +7,9 @@ with a fixed column set, floats serialized to 17 significant digits, and
 byte-identical output for a fixed (config, seed).
 
 Exit codes: 0 success, 2 config/schema violation, 3 resource limit,
-4 numerical failure (ill-conditioned Gram, degenerate augmentation),
-5 unwritable output.  Failures print a one-line JSON error record to stderr.
+4 numerical failure (ill-conditioned Gram, degenerate augmentation, broken
+exact-mode identity), 5 unwritable output.  Failures print a one-line JSON
+error record to stderr.
 
 Because wall-clock timing is inherently irreproducible, the wall_ms column
 is empty unless --timing is passed.
@@ -32,7 +33,12 @@ import numpy as np
 
 from . import ensemble, ht, noise_bounds, series
 from . import gst as gst_mod
-from .errors import DegenerateAugmentationError, IllConditionedGramError, ResourceLimitError
+from .errors import (
+    DegenerateAugmentationError,
+    IdentityViolationError,
+    IllConditionedGramError,
+    ResourceLimitError,
+)
 from .qcore import MAX_QUBITS, ProductGate, RotationParams
 from .rng import rng_stream
 
@@ -333,13 +339,8 @@ def _child_seed(master: int, index: int) -> int:
     return int(rng_stream(master, 0x7A11, index).integers(1 << 63))
 
 
-def _require_oracle(spec: ensemble.EnsembleSpec) -> None:
-    if spec.n > ensemble.ORACLE_MAX_QUBITS:
-        raise ConfigError("n_qubits", f"oracle requires n <= {ensemble.ORACLE_MAX_QUBITS}")
-
-
-def _rel_error(estimate: float, exact: float | None) -> float | None:
-    if exact is None or exact == 0.0:
+def _rel_error(estimate: float, exact: float) -> float | None:
+    if exact == 0.0:
         return None
     return abs(estimate - exact) / abs(exact)
 
@@ -371,10 +372,8 @@ def _parse_orders(text: str, flag: str) -> list[int]:
     return out
 
 
-def _exact(spec: ensemble.EnsembleSpec, quantity: str, order: int | None) -> float | None:
-    """The oracle's value, or None above ORACLE_MAX_QUBITS."""
-    if spec.n > ensemble.ORACLE_MAX_QUBITS:
-        return None
+def _exact(spec: ensemble.EnsembleSpec, quantity: str, order: int | None) -> float:
+    """The oracle's value."""
     if quantity == "tr_rho_power":
         return ensemble.exact_power_trace(spec, order)
     if quantity == "tr_g_power":
@@ -415,9 +414,9 @@ def _gst_estimate(
     estimate = (gst_mod.estimate_power_trace if quantity == "tr_rho_power"
                 else gst_mod.estimate_g_power_trace)
     if params["mode"] == "shots":
-        mode = gst_mod.MeasureMode.with_shots(params["gst_shots"])
+        mode = gst_mod.MeasureMode("shots", shots=params["gst_shots"])
     elif params["mode"] == "gaussian":
-        mode = gst_mod.MeasureMode.with_gaussian(params["gst_sigma"])
+        mode = gst_mod.MeasureMode("gaussian", sigma=params["gst_sigma"])
     else:
         mode = gst_mod.EXACT
     return estimate(
@@ -461,7 +460,6 @@ def _estimate_row(
 
 
 def run_oracle(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    _require_oracle(cfg.spec)
     powers = _parse_orders(args.power, "--power") if args.power else []
     g_powers = _parse_orders(args.g_power, "--g-power") if args.g_power else []
     jobs = [("tr_rho_power", m) for m in powers] + [("tr_g_power", k) for k in g_powers]
@@ -500,7 +498,6 @@ def _g_power_terms(
     """
     master = params["seed"]
     if estimator == "oracle":
-        _require_oracle(spec)
         return [ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
                 for k in range(k_max + 1)]
     if estimator == "gst":
@@ -758,7 +755,9 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         if value is not None and value is not False:
             params[key] = value
             flags[key] = "--" + flag.replace("_", "-")
-    if getattr(args, "command", None) == "gst" and getattr(args, "shots", None) is not None:
+    # --shots counts shots per matrix entry wherever the GST estimator runs.
+    runs_gst = getattr(args, "command", None) == "gst" or getattr(args, "estimator", None) == "gst"
+    if runs_gst and getattr(args, "shots", None) is not None:
         params["gst_shots"] = args.shots
         params["shots"] = _PARAM_DEFAULTS["shots"]
     _check_params(params, lambda key: flags.get(key, f"params.{key}"))
@@ -801,6 +800,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
     except DegenerateAugmentationError as exc:
         sys.stderr.write(_error_record("degenerate-augmentation", exc) + "\n")
+        return 4
+    except IdentityViolationError as exc:
+        # JSON has no token for nan or inf, so those travel as strings.
+        stat = exc.statistic if math.isfinite(exc.statistic) else str(exc.statistic)
+        sys.stderr.write(_error_record("identity-violation", exc, statistic=stat) + "\n")
         return 4
     except ValueError as exc:
         sys.stderr.write(_error_record("invalid-argument", exc) + "\n")

@@ -13,14 +13,15 @@ Every psi_i lies in an alpha-dimensional span, so the oracle never needs a
 2**n vector.  The alpha x alpha Gram K_ij = <psi_i|psi_j> is a product of
 per-qubit overlaps, O(n alpha^2), and the nonzero spectrum of rho is the
 spectrum of sqrt(P) K sqrt(P), O(alpha^3).  Tr{rho^m}, Tr{G^k} and
-Tr{rho ln rho} follow from those alpha eigenvalues.  The oracle stays capped
-at ORACLE_MAX_QUBITS for now.  ``span_states`` factors the Gram into alpha
-rows of D <= alpha + 1 coordinates (plus one zero coordinate outside the
-span) on which subspace GST runs, again with no 2**n vector.
+Tr{rho ln rho} follow from those alpha eigenvalues, at every n the schema
+accepts.  ``span_states`` factors the Gram into alpha rows of D <= alpha + 1
+coordinates (plus one zero coordinate outside the span) on which subspace
+GST runs, again with no 2**n vector.
 
 ``state_matrix`` (with its rows, ``states``) and ``exact_combination_trace``
 are the only 2**n constructions left: an independent dense cross-check that
-tests compare the span-space paths against.  No estimator calls them.
+tests compare the span-space paths against.  No estimator calls them, and
+``exact_combination_trace`` refuses n above DENSE_MAX_QUBITS.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import numpy as np
 
 from .qcore import ProductGate, make_single_qubit_gate
 
-#: Oracle qubit cap.  The dense cross-check needs it (2**12 x 2**12 complex
-#: is 256 MiB); the span-space oracle is held to it until the cap is lifted.
-ORACLE_MAX_QUBITS = 12
+#: Qubit cap of the dense cross-check ``exact_combination_trace``: one
+#: 2**12 x 2**12 complex matrix is 256 MiB.
+DENSE_MAX_QUBITS = 12
 
 #: Gram eigenvalues below this times alpha * lambda_max are eigh rounding
 #: noise (measured: at most 0.74 of alpha * eps * lambda_max for exactly
@@ -71,7 +72,8 @@ class EnsembleSpec:
             raise ValueError(
                 f"{probs.size} probabilities but {len(self.gates)} gates"
             )
-        if np.any(probs <= 0.0) or np.any(probs > 1.0):
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not np.all((probs > 0.0) & (probs <= 1.0)):
             raise ValueError("component probabilities must lie in (0, 1]")
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
@@ -186,18 +188,10 @@ class EnsembleSpec:
         return np.minimum(idx, self.alpha - 1)
 
 
-def _check_oracle_scale(e: EnsembleSpec) -> None:
-    if e.n > ORACLE_MAX_QUBITS:
-        raise ValueError(
-            f"oracle is limited to n <= {ORACLE_MAX_QUBITS}, got n={e.n}"
-        )
-
-
 def exact_power_trace(e: EnsembleSpec, m: int) -> float:
     """Tr{rho^m} = sum_j lambda_j^m over the span eigenvalues; lies in (0, 1]."""
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m} (m=0 is Tr I = 2**n)")
-    _check_oracle_scale(e)
     return float(np.sum(e.span_eigenvalues**m))
 
 
@@ -210,20 +204,19 @@ def exact_g_power_trace(e: EnsembleSpec, k: int) -> float:
     """
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
-    _check_oracle_scale(e)
     return float(np.sum((1.0 - 2.0 * e.span_eigenvalues) ** k) + (e.dim - e.alpha))
 
 
-def exact_combination_trace(e: EnsembleSpec, q) -> complex:
-    """Tr{G_{q_1} G_{q_2} ... G_{q_k}} by dense products.
+def exact_combination_trace(e: EnsembleSpec, indices: Sequence[int]) -> complex:
+    """Tr{G_{q_1} G_{q_2} ... G_{q_k}} by dense products, for the word of
+    component indices q.
 
-    ``q`` is a gst.Combination or any sequence of component indices.  The
-    empty word returns Tr I = 2**n.  The matrix product is taken in word
+    The empty word returns Tr I = 2**n.  The matrix product is taken in word
     order (rightmost factor acts first on a ket), matching how the
     estimators apply the word to states.
     """
-    indices: Sequence[int] = getattr(q, "indices", q)
-    _check_oracle_scale(e)
+    if e.n > DENSE_MAX_QUBITS:
+        raise ValueError(f"dense word traces are limited to n <= {DENSE_MAX_QUBITS}, got n={e.n}")
     dim = e.dim
     if any(i < 0 or i >= e.alpha for i in indices):
         raise ValueError(f"combination indices {tuple(indices)} out of range")
@@ -242,7 +235,6 @@ def exact_entropy_trace(e: EnsembleSpec) -> float:
 
     Eigenvalues below ENTROPY_EIGENVALUE_CUTOFF contribute nothing.
     """
-    _check_oracle_scale(e)
     lam = e.span_eigenvalues
     lam = lam[lam > ENTROPY_EIGENVALUE_CUTOFF]
     return float(np.sum(lam * np.log(lam)))

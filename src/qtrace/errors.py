@@ -23,3 +23,13 @@ class IllConditionedGramError(RuntimeError):
 class DegenerateAugmentationError(RuntimeError):
     """No state orthogonal to the circuit states exists (subspace spans
     the full Hilbert space), so the augmented-trace step cannot run."""
+
+
+class IdentityViolationError(ArithmeticError):
+    """An exact-mode statistic breaks an identity that exact arithmetic
+    guarantees (a probability outside [0, 1], |Tr w|^2 < 0, Re[Tr w] > d),
+    so the result would be wrong rather than noisy."""
+
+    def __init__(self, message: str, *, statistic: float) -> None:
+        super().__init__(message)
+        self.statistic = statistic

@@ -40,10 +40,11 @@ reconstructing w:
    imaginary parts cancel in the weighted sum over words, so the real part
    is all that is ever needed.
 
-Words are processed independently with one RNG substream per word index and
-merged in index order, so estimates are bit-identical for a fixed seed.  In
-exact mode, Monte Carlo evaluates each distinct word once per estimate and
-serves repeats from a memo.
+Words are plain sequences of component indices, processed independently
+with one RNG substream per word index and merged in index order, so
+estimates are bit-identical for a fixed seed.  In exact mode, Monte Carlo
+evaluates each distinct word once per estimate and serves repeats from a
+memo.
 """
 
 from __future__ import annotations
@@ -57,7 +58,12 @@ import numpy as np
 
 from ._parallel import merge_moment_sums, run_chunked
 from .ensemble import EnsembleSpec
-from .errors import DegenerateAugmentationError, IllConditionedGramError, ResourceLimitError
+from .errors import (
+    DegenerateAugmentationError,
+    IdentityViolationError,
+    IllConditionedGramError,
+    ResourceLimitError,
+)
 from .ht import (
     DEFAULT_ENUMERATION_CAP,
     MODE_EXACT_ENUMERATION,
@@ -84,7 +90,7 @@ DEFAULT_EPSILON = 1e-10
 
 #: Gram matrices with a smaller minimum eigenvalue refuse to invert unless
 #: the pseudo-inverse fallback is explicitly requested.
-DEFAULT_CONDITIONING_FLOOR = 1e-8
+CONDITIONING_FLOOR = 1e-8
 
 #: Residual norm below which an augmentation probe is considered dependent.
 _PROBE_NORM_FLOOR = 1e-6
@@ -112,48 +118,12 @@ class MeasureMode:
         if self.kind == "gaussian" and (self.sigma is None or self.sigma < 0):
             raise ValueError(f"gaussian mode needs sigma >= 0, got {self.sigma!r}")
 
-    @classmethod
-    def exact(cls) -> "MeasureMode":
-        return cls("exact")
-
-    @classmethod
-    def with_shots(cls, shots: int) -> "MeasureMode":
-        return cls("shots", shots=shots)
-
-    @classmethod
-    def with_gaussian(cls, sigma: float) -> "MeasureMode":
-        return cls("gaussian", sigma=sigma)
-
     @property
     def is_exact(self) -> bool:
         return self.kind == "exact"
 
 
-EXACT = MeasureMode.exact()
-
-
-@dataclass(frozen=True)
-class Combination:
-    """An ordered word of component indices with its sampling weight
-    P_q = prod_t p_{q_t}."""
-
-    indices: tuple[int, ...]
-    weight: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.weight <= 1.0:
-            raise ValueError(f"weight must be in (0, 1], got {self.weight!r}")
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-    @classmethod
-    def from_indices(cls, e: EnsembleSpec, indices: Sequence[int]) -> "Combination":
-        idx = tuple(int(i) for i in indices)
-        if any(i < 0 or i >= e.alpha for i in idx):
-            raise ValueError(f"indices {idx} out of range for alpha={e.alpha}")
-        return cls(idx, float(np.prod([e.probs[i] for i in idx])) if idx else 1.0)
+EXACT = MeasureMode()
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +133,7 @@ class SubspaceBasis:
     rows of ``EnsembleSpec.span_states``."""
 
     retained: tuple[np.ndarray, ...]
-    retained_indices: tuple[int, ...]
     discarded: tuple[tuple[np.ndarray, float], ...]
-    epsilon: float
 
     @property
     def d(self) -> int:
@@ -195,7 +163,7 @@ def _admission_statistic(
 
 
 def build_subspace(
-    e: EnsembleSpec, q: Combination, epsilon: float
+    e: EnsembleSpec, indices: Sequence[int], epsilon: float
 ) -> SubspaceBasis:
     """Walk the distinct states of the word in first-occurrence order,
     retaining a state iff its admission statistic is >= epsilon.
@@ -207,10 +175,9 @@ def build_subspace(
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
     retained: list[np.ndarray] = []
-    retained_indices: list[int] = []
     discarded: list[tuple[np.ndarray, float]] = []
     seen: set[int] = set()
-    for idx in q.indices:
+    for idx in indices:
         if idx in seen:
             continue
         seen.add(idx)
@@ -220,12 +187,9 @@ def build_subspace(
         stat = _admission_statistic(retained, psi)
         if stat >= epsilon:
             retained.append(psi)
-            retained_indices.append(idx)
         else:
             discarded.append((psi, stat))
-    return SubspaceBasis(
-        tuple(retained), tuple(retained_indices), tuple(discarded), epsilon
-    )
+    return SubspaceBasis(tuple(retained), tuple(discarded))
 
 
 def _check_theta(theta: float) -> None:
@@ -265,16 +229,9 @@ class OperatorBasis:
         return m
 
 
-def operator_basis_for_states(
-    states: Sequence[np.ndarray], theta: float, validate_theta: bool = True
-) -> OperatorBasis:
-    """d^2 preparation descriptors over an explicit state list.
-
-    ``validate_theta=False`` admits the degenerate multiples of pi, solely so
-    diagnostics and tests can demonstrate the Gram-rank collapse they cause.
-    """
-    if validate_theta:
-        _check_theta(theta)
+def operator_basis_for_states(states: Sequence[np.ndarray], theta: float) -> OperatorBasis:
+    """d^2 preparation descriptors over an explicit state list."""
+    _check_theta(theta)
     d = len(states)
     preps = [(s, None) for s in range(d)]
     preps += [(s, sp) for s in range(d) for sp in range(d) if sp != s]
@@ -319,7 +276,7 @@ def apply_word(e: EnsembleSpec, indices: Sequence[int], block: np.ndarray) -> np
 
 def measure_matrices(
     e: EnsembleSpec,
-    q: Combination,
+    indices: Sequence[int],
     ob: OperatorBasis,
     mode: MeasureMode = EXACT,
     rng: np.random.Generator | None = None,
@@ -332,7 +289,7 @@ def measure_matrices(
     row-major order).
     """
     s = ob.prep_matrix
-    t = apply_word(e, q.indices, s)
+    t = apply_word(e, indices, s)
     p = np.abs(s.conj() @ t.T) ** 2
     g = np.abs(s.conj() @ s.T) ** 2
     if not mode.is_exact:
@@ -347,11 +304,7 @@ def measure_matrices(
     return GstMatrices(p, g, mode)
 
 
-def ptm_trace(
-    mx: GstMatrices,
-    conditioning_floor: float = DEFAULT_CONDITIONING_FLOOR,
-    allow_pseudoinverse: bool = False,
-) -> float:
+def ptm_trace(mx: GstMatrices, allow_pseudoinverse: bool = False) -> float:
     """Tr{solve(g, p)} via the eigendecomposition of the (symmetrized) Gram.
 
     Estimates |Tr w|^2.  If the Gram's minimum eigenvalue is below the
@@ -364,11 +317,11 @@ def ptm_trace(
     sym = 0.5 * (mx.g_mat + mx.g_mat.T)
     w, v = np.linalg.eigh(sym)
     min_eig = float(w[0])
-    if min_eig < conditioning_floor:
+    if min_eig < CONDITIONING_FLOOR:
         if not allow_pseudoinverse:
             raise IllConditionedGramError(
                 f"Gram matrix min eigenvalue {min_eig:.3e} is below the "
-                f"conditioning floor {conditioning_floor:.3e}",
+                f"conditioning floor {CONDITIONING_FLOOR:.3e}",
                 min_eigenvalue=min_eig,
             )
         return float(np.trace(np.linalg.pinv(sym, rcond=1e-12) @ mx.p_mat))
@@ -384,7 +337,7 @@ def _probes(dim: int) -> Iterator[np.ndarray]:
         yield basis_state
 
 
-def _out_of_span_residual(e: EnsembleSpec, q: Combination) -> np.ndarray:
+def _out_of_span_residual(e: EnsembleSpec, indices: Sequence[int]) -> np.ndarray:
     """Normalized residual of a deterministic probe after projecting out every
     circuit state of the word (including truncated ones).
 
@@ -392,7 +345,7 @@ def _out_of_span_residual(e: EnsembleSpec, q: Combination) -> np.ndarray:
     in index order, with two Gram-Schmidt passes each.
     """
     dim = e.span_states.shape[1]
-    axes = e.span_states[list(dict.fromkeys(q.indices))]
+    axes = e.span_states[list(dict.fromkeys(indices))]
     basis = None
     if len(axes):
         # Orthonormal basis of the (non-orthogonal) circuit-state span.
@@ -413,7 +366,7 @@ def _out_of_span_residual(e: EnsembleSpec, q: Combination) -> np.ndarray:
 
 
 def augmentation_state(
-    e: EnsembleSpec, q: Combination, b: SubspaceBasis
+    e: EnsembleSpec, indices: Sequence[int], b: SubspaceBasis
 ) -> np.ndarray:
     """A deterministic |phi> outside the span of the word's circuit states
     but with equal nonzero overlap on every retained basis state.
@@ -425,7 +378,7 @@ def augmentation_state(
     to a basis state would make that state's dressings collapse onto the
     undressed preparations and the Gram exactly singular).
     """
-    residual = _out_of_span_residual(e, q)
+    residual = _out_of_span_residual(e, indices)
     if b.d == 0:
         return residual
     r = np.array(b.retained)
@@ -443,19 +396,17 @@ class CombinationTrace:
 
     d: int
     tr_rw: float
-    tr_rw_augmented: float
     re_tr_w: float
     value: float
 
 
 def augment_and_trace(
     e: EnsembleSpec,
-    q: Combination,
+    indices: Sequence[int],
     b: SubspaceBasis,
     theta: float = DEFAULT_THETA,
     mode: MeasureMode = EXACT,
     rng: np.random.Generator | None = None,
-    conditioning_floor: float = DEFAULT_CONDITIONING_FLOOR,
     allow_pseudoinverse: bool = False,
 ) -> tuple[float, float]:
     """(Tr{R_w}, Tr{R_w'}) for the subspace and its one-state augmentation.
@@ -465,46 +416,44 @@ def augment_and_trace(
     Tr{R_w'} = |Tr w + 1|^2.
     """
     ob = operator_basis_for_states(b.retained, theta)
-    tr_rw = ptm_trace(
-        measure_matrices(e, q, ob, mode, rng), conditioning_floor, allow_pseudoinverse
-    )
-    phi = augmentation_state(e, q, b)
+    tr_rw = ptm_trace(measure_matrices(e, indices, ob, mode, rng), allow_pseudoinverse)
+    phi = augmentation_state(e, indices, b)
     ob_aug = operator_basis_for_states((*b.retained, phi), theta)
-    tr_aug = ptm_trace(
-        measure_matrices(e, q, ob_aug, mode, rng), conditioning_floor, allow_pseudoinverse
-    )
+    tr_aug = ptm_trace(measure_matrices(e, indices, ob_aug, mode, rng), allow_pseudoinverse)
     return tr_rw, tr_aug
 
 
 def combination_trace(
     e: EnsembleSpec,
-    q: Combination,
+    indices: Sequence[int],
     epsilon: float = DEFAULT_EPSILON,
     theta: float = DEFAULT_THETA,
     mode: MeasureMode = EXACT,
     rng: np.random.Generator | None = None,
-    conditioning_floor: float = DEFAULT_CONDITIONING_FLOOR,
     allow_pseudoinverse: bool = False,
 ) -> CombinationTrace:
     """Full per-word pipeline: Tr{W} estimated as 2^n - d + Re[Tr w] with
     Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2."""
-    b = build_subspace(e, q, epsilon)
-    tr_rw, tr_aug = augment_and_trace(
-        e, q, b, theta, mode, rng, conditioning_floor, allow_pseudoinverse
-    )
+    if any(i < 0 or i >= e.alpha for i in indices):
+        raise ValueError(f"indices {tuple(indices)} out of range for alpha={e.alpha}")
+    b = build_subspace(e, indices, epsilon)
+    tr_rw, tr_aug = augment_and_trace(e, indices, b, theta, mode, rng, allow_pseudoinverse)
     re_tr_w = 0.5 * (tr_aug - tr_rw - 1.0)
     value = float(2**e.n - b.d + re_tr_w)
     # The clean identities |Tr w|^2 >= 0 and Re[Tr w] <= d (so value <= Tr{I})
     # only bind when nothing was truncated and nothing was noisy.
     if mode.is_exact and not b.discarded:
         if tr_rw < -1e-8:
-            raise ArithmeticError(f"Tr{{R_w}} = {tr_rw!r} violates |Tr w|^2 >= 0")
-        if re_tr_w > b.d + 1e-6:
-            raise ArithmeticError(
-                f"Re[Tr w] = {re_tr_w!r} exceeds d = {b.d}, so the word trace "
-                "exceeds Tr{I}"
+            raise IdentityViolationError(
+                f"Tr{{R_w}} = {tr_rw!r} violates |Tr w|^2 >= 0", statistic=tr_rw
             )
-    return CombinationTrace(b.d, tr_rw, tr_aug, re_tr_w, value)
+        if re_tr_w > b.d + 1e-6:
+            raise IdentityViolationError(
+                f"Re[Tr w] = {re_tr_w!r} exceeds d = {b.d}, so the word trace "
+                "exceeds Tr{I}",
+                statistic=re_tr_w,
+            )
+    return CombinationTrace(b.d, tr_rw, re_tr_w, value)
 
 
 def _word_at(alpha: int, k: int, rank: int) -> tuple[int, ...]:
@@ -520,19 +469,17 @@ def _enumerate_chunk(
     mode: MeasureMode,
     master_seed: int,
     stream_key: tuple[int, ...],
-    conditioning_floor: float,
     allow_pseudoinverse: bool,
     lo: int,
     hi: int,
 ) -> float:
     partial_sum = 0.0
     for rank in range(lo, hi):
-        q = Combination.from_indices(e, _word_at(e.alpha, k, rank))
+        indices = _word_at(e.alpha, k, rank)
+        weight = float(np.prod([e.probs[i] for i in indices])) if indices else 1.0
         rng = None if mode.is_exact else rng_stream(master_seed, *stream_key, rank)
-        ct = combination_trace(
-            e, q, epsilon, theta, mode, rng, conditioning_floor, allow_pseudoinverse
-        )
-        partial_sum += q.weight * ct.value
+        ct = combination_trace(e, indices, epsilon, theta, mode, rng, allow_pseudoinverse)
+        partial_sum += weight * ct.value
     return partial_sum
 
 
@@ -544,7 +491,6 @@ def _mc_chunk(
     mode: MeasureMode,
     master_seed: int,
     stream_key: tuple[int, ...],
-    conditioning_floor: float,
     allow_pseudoinverse: bool,
     memo: dict[tuple[int, ...], float] | None,
     lo: int,
@@ -558,16 +504,7 @@ def _mc_chunk(
         indices = tuple(int(i) for i in e.component_indices(rng.random(k)))
         value = None if memo is None else memo.get(indices)
         if value is None:
-            ct = combination_trace(
-                e,
-                Combination.from_indices(e, indices),
-                epsilon,
-                theta,
-                mode,
-                rng,
-                conditioning_floor,
-                allow_pseudoinverse,
-            )
+            ct = combination_trace(e, indices, epsilon, theta, mode, rng, allow_pseudoinverse)
             value = ct.value
             if memo is not None:
                 memo[indices] = value
@@ -585,7 +522,6 @@ def estimate_g_power_trace(
     theta: float = DEFAULT_THETA,
     mode: MeasureMode = EXACT,
     rng: "int | np.random.Generator" = 0,
-    conditioning_floor: float = DEFAULT_CONDITIONING_FLOOR,
     allow_pseudoinverse: bool = False,
     stream_key: tuple[int, ...] = (),
 ) -> TraceEstimate:
@@ -596,10 +532,7 @@ def estimate_g_power_trace(
     if strategy not in ("enumerate", "mc"):
         raise ValueError(f"strategy must be 'enumerate' or 'mc', got {strategy!r}")
     master_seed = as_master_seed(rng)
-    common = (
-        e, k, epsilon, theta, mode, master_seed, stream_key,
-        conditioning_floor, allow_pseudoinverse,
-    )
+    common = (e, k, epsilon, theta, mode, master_seed, stream_key, allow_pseudoinverse)
 
     if strategy == "enumerate":
         n_words = e.alpha**k
@@ -631,7 +564,6 @@ def estimate_power_trace(
     theta: float = DEFAULT_THETA,
     mode: MeasureMode = EXACT,
     rng: "int | np.random.Generator" = 0,
-    conditioning_floor: float = DEFAULT_CONDITIONING_FLOOR,
     allow_pseudoinverse: bool = False,
 ) -> TraceEstimate:
     """Tr{rho^m} from the binomial combination of Tr{G^k}, k = 0..m.
@@ -645,7 +577,7 @@ def estimate_power_trace(
     estimates = [
         estimate_g_power_trace(
             e, k, strategy, budget, epsilon, theta, mode, master_seed,
-            conditioning_floor, allow_pseudoinverse, stream_key=(k,),
+            allow_pseudoinverse, stream_key=(k,),
         )
         for k in range(m + 1)
     ]

@@ -54,7 +54,7 @@ import numpy as np
 from . import noise_bounds
 from ._parallel import merge_moment_sums, run_chunked
 from .ensemble import EnsembleSpec
-from .errors import ResourceLimitError
+from .errors import IdentityViolationError, ResourceLimitError
 # Unused here; the benchmark tracer patches ``ht.reflect_amplitudes``.
 from .qcore import reflect_amplitudes  # noqa: F401
 from .rng import as_master_seed, rng_stream
@@ -123,7 +123,9 @@ def combined_mode(modes: Sequence[str]) -> str:
 def _check_probabilities(p: np.ndarray) -> None:
     bad = (p < -_P_TOL) | (p > 1.0 + _P_TOL)
     if np.any(bad):
-        raise ArithmeticError(f"outcome probability {p[bad][0]!r} outside [0, 1]")
+        raise IdentityViolationError(
+            f"outcome probability {p[bad][0]!r} outside [0, 1]", statistic=float(p[bad][0])
+        )
 
 
 def _finish_estimate(

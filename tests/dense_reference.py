@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from qtrace.ensemble import EnsembleSpec, _check_oracle_scale, exact_g_power_trace, exact_power_trace
+from qtrace.ensemble import DENSE_MAX_QUBITS, EnsembleSpec, exact_g_power_trace, exact_power_trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +48,8 @@ class DensityMatrix:
 
 def build_density_matrix(e: EnsembleSpec) -> DensityMatrix:
     """rho = sum_i p_i |psi_i><psi_i| as a dense matrix."""
-    _check_oracle_scale(e)
+    if e.n > DENSE_MAX_QUBITS:
+        raise ValueError(f"dense reference is limited to n <= {DENSE_MAX_QUBITS}, got n={e.n}")
     rho = np.zeros((e.dim, e.dim), dtype=np.complex128)
     for p, psi in zip(e.probs, e.state_matrix):
         rho += p * np.outer(psi, psi.conj())

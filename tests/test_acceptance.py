@@ -21,8 +21,8 @@ from qtrace import (
     exact_g_power_trace,
     exact_power_trace,
 )
+from qtrace import gst
 from qtrace.gst import (
-    Combination,
     MeasureMode,
     build_subspace,
     combination_trace,
@@ -138,7 +138,7 @@ def test_criterion_05_gst_restriction_oracle():
         alpha = int(rng.integers(1, 4))
         e = random_ensemble(rng, n, alpha)
         k = int(rng.integers(0, 5))
-        q = Combination.from_indices(e, rng.integers(0, alpha, size=k))
+        q = tuple(int(i) for i in rng.integers(0, alpha, size=k))
         ct = combination_trace(e, q, epsilon=1e-10)
         if build_subspace(e, q, 1e-10).discarded:
             continue
@@ -149,20 +149,22 @@ def test_criterion_05_gst_restriction_oracle():
                   f"200 cases, worst deviation {worst:.3e} (cap 1e-6)")
 
 
-def test_criterion_06_operator_basis_degeneracy():
+def test_criterion_06_operator_basis_degeneracy(monkeypatch):
     """50 random d=2 subspaces: Gram singular at theta=pi, nonsingular at
     theta=pi/2."""
+    # Admit theta = pi, which operator_basis_for_states rejects for this reason.
+    monkeypatch.setattr(gst, "_check_theta", lambda theta: None)
     rng = np.random.default_rng(606)
     singular_ok = nonsingular_ok = 0
     for _ in range(50):
         e = random_ensemble(rng, 3, 2)
-        q = Combination.from_indices(e, (0, 1))
+        q = (0, 1)
         b = build_subspace(e, q, 1e-10)
         if b.d != 2:
             e = random_ensemble(rng, 3, 2)
             continue
         g_pi = measure_matrices(
-            e, q, operator_basis_for_states(b.retained, math.pi, validate_theta=False)
+            e, q, operator_basis_for_states(b.retained, math.pi)
         ).g_mat
         ev_pi = np.linalg.eigvalsh(0.5 * (g_pi + g_pi.T))
         singular_ok += ev_pi.min() < 1e-10
@@ -193,7 +195,7 @@ def test_criterion_07_truncation_behavior():
     got_overlap = abs(np.vdot(e.state_matrix[0], e.state_matrix[1]))
     assert got_overlap == pytest.approx(overlap, abs=1e-12)
 
-    b_loose = build_subspace(e, Combination.from_indices(e, (0, 1)), 1e-4)
+    b_loose = build_subspace(e, (0, 1), 1e-4)
     dropped = b_loose.d == 1 and len(b_loose.discarded) == 1
 
     est = estimate_g_power_trace(e, 2, epsilon=1e-4).value
@@ -210,7 +212,7 @@ def test_criterion_08_hoeffding_sizing(spec3):
     d^2*eps bound in fewer than delta + 3 sigma of 1000 trials."""
     d, eps, delta = 2, 0.02, 0.05
     shots = shots_for_accuracy(d, eps, delta)
-    q = Combination.from_indices(spec3, (0, 1))
+    q = (0, 1)
     b = build_subspace(spec3, q, 1e-10)
     g = measure_matrices(spec3, q, operator_basis_for_states(b.retained, math.pi / 2)).g_mat
     p_true = float(g[0, 1])
@@ -247,7 +249,7 @@ def test_criterion_09_noise_band_regression(spec3):
         abs(
             estimate_power_trace(
                 spec3, 2, strategy="mc", budget=300, epsilon=1e-3,
-                mode=MeasureMode.with_gaussian(1e-4), rng=seed,
+                mode=MeasureMode("gaussian", sigma=1e-4), rng=seed,
             ).value
             - 0.650
         )

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qtrace import cli, ensemble, ht
+from qtrace import cli, ensemble, gst, ht
 from qtrace.cli import (
     COLUMNS,
     ConfigError,
@@ -16,6 +16,7 @@ from qtrace.cli import (
     render_csv,
     render_json,
 )
+from qtrace.errors import IdentityViolationError
 from qtrace.series import entropy_weights, evaluate_series
 
 from .conftest import cli_env
@@ -175,6 +176,31 @@ class TestSubcommands:
         assert r.returncode == 0
         value = float(r.stdout.splitlines()[1].split(",")[2])
         assert value == pytest.approx(-0.5647386733870296, abs=1e-6)
+
+    def test_entropy_gst_shots_flag_sets_shots_per_entry(self, tmp_path, capsys):
+        argv = ["entropy", "--order", "1", "--estimator", "gst", "--strategy", "mc",
+                "--mode", "shots", "--trials", "20", "--seed", "3", "--epsilon", "0.2"]
+        outs = {}
+        for shots in ("200", "5000"):
+            assert cli.main([*argv, "--shots", shots]) == 0
+            outs[shots] = capsys.readouterr().out
+        assert outs["200"] != outs["5000"]
+        cfg = base_config()
+        cfg["params"]["gst_shots"] = 200
+        assert cli.main([*argv, "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().out == outs["200"]
+
+    def test_oracle_and_rows_above_12_qubits(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(n_qubits=20))
+        spec = load_config(path).spec
+        assert cli.main(["oracle", "--power", "2", "--entropy", "--config", path]) == 0
+        rows = table(capsys.readouterr().out)
+        assert float(rows[0]["exact_value"]) == ensemble.exact_power_trace(spec, 2)
+        assert float(rows[1]["exact_value"]) == ensemble.exact_entropy_trace(spec)
+        assert cli.main(["ht", "--power", "2", "--config", path]) == 0
+        row = table(capsys.readouterr().out)[0]
+        assert float(row["exact_value"]) == ensemble.exact_power_trace(spec, 2)
+        assert float(row["rel_error"]) < 1e-12
 
     def test_entropy_ht_enumeration_runs_once_per_power(self, monkeypatch, capsys):
         enumerate_trace = ht.estimate_power_trace_enumerate
@@ -357,6 +383,32 @@ class TestExitCodes:
         assert cli.main([*argv, "--trials", "10", flag, value]) == 2
         record = json.loads(capsys.readouterr().err)
         assert (record["error"], record["field"]) == ("schema-violation", flag)
+
+    @pytest.mark.parametrize("n_qubits, components, argv", [
+        # The --pinv solve of a numerically singular Gram biases Tr{R_w}.
+        (2, [{"prob": 0.5, "angles": [[0.30, 0.0, 0.0]]},
+             {"prob": 0.5, "angles": [[0.30 + 2.0 * math.sqrt(2.0) * 1e-4 / math.pi, 0.0, 0.0]]}],
+         ["--power", "2-4", "--pinv", "--epsilon", "1e-30"]),
+        # The bundled model at n = 20: a word's Tr{R_w} rounds below -1e-8.
+        (20, None, ["--g-power", "6"]),
+    ])
+    def test_identity_violation_exit_4(self, tmp_path, capsys, n_qubits, components, argv):
+        cfg = base_config(n_qubits=n_qubits)
+        if components is not None:
+            cfg["components"] = components
+        assert cli.main(["gst", *argv, "--config", write_config(tmp_path, cfg)]) == 4
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "identity-violation"
+        assert record["statistic"] < -1e-8
+
+    def test_non_finite_identity_statistic_stays_valid_json(self, monkeypatch, capsys):
+        def violate(*args, **kwargs):
+            raise IdentityViolationError("Tr{R_w} = nan", statistic=math.nan)
+
+        monkeypatch.setattr(gst, "combination_trace", violate)
+        assert cli.main(["gst", "--power", "2"]) == 4
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["statistic"]) == ("identity-violation", "nan")
 
     def test_unwritable_output_exit_5(self):
         r = run_cli("oracle", "--power", "2", "--out", "/no/such/dir/out.csv")

@@ -1,3 +1,4 @@
+import cmath
 import math
 from itertools import product
 
@@ -48,6 +49,14 @@ class TestBuildDensityMatrix:
         gate = ProductGate.uniform(1, RotationParams(0, 0, 0))
         with pytest.raises(ValueError, match="sum"):
             EnsembleSpec(1, np.array([0.5, 0.4]), (gate, gate))
+
+    def test_non_finite_probability_rejected(self):
+        gate = ProductGate.uniform(1, RotationParams(0, 0, 0))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                EnsembleSpec(1, np.array([bad]), (gate,))
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            EnsembleSpec(1, np.array([0.5, np.nan]), (gate, gate))
 
     def test_probabilities_renormalized_once(self):
         gate = ProductGate.uniform(1, RotationParams(0, 0, 0))
@@ -178,10 +187,32 @@ class TestSampleComponent:
 
 
 class TestOracleScale:
-    def test_oracle_cap(self):
+    def test_oracle_at_n20_matches_closed_form(self):
+        # Two product states (u_i|0>)^{(x)n}: their overlap is c**n with the
+        # per-qubit c = <0|u_1^dagger u_2|0>, so rho has the two eigenvalues
+        # (1 +- sqrt(1 - 4 p1 p2 (1 - |c|^(2n))))/2 and
+        # Tr{rho^2} = p1^2 + p2^2 + 2 p1 p2 |c|^(2n).
+        n, p1, p2 = 20, 0.3, 0.7
+        a, b = RotationParams(0.4, 1.0, 0.2), RotationParams(0.6, 1.3, 2.1)
+        spec = EnsembleSpec(n, np.array([p1, p2]),
+                            (ProductGate.uniform(n, a), ProductGate.uniform(n, b)))
+        c = (math.cos(a.theta / 2) * math.cos(b.theta / 2)
+             + cmath.exp(1j * (b.phi - a.phi)) * math.sin(a.theta / 2) * math.sin(b.theta / 2))
+        overlap_sq = abs(c) ** (2 * n)
+        assert 0.01 < overlap_sq < 0.99
+        purity = p1**2 + p2**2 + 2 * p1 * p2 * overlap_sq
+        assert exact_power_trace(spec, 2) == pytest.approx(purity, abs=1e-14)
+        assert exact_g_power_trace(spec, 2) == pytest.approx(2**n - 4 + 4 * purity, abs=1e-6)
+        root = math.sqrt(1 - 4 * p1 * p2 * (1 - overlap_sq))
+        lam = ((1 + root) / 2, (1 - root) / 2)
+        assert exact_entropy_trace(spec) == pytest.approx(
+            sum(x * math.log(x) for x in lam), abs=1e-12)
+        assert "states" not in spec.__dict__ and "state_matrix" not in spec.__dict__
+
+    def test_dense_word_trace_capped(self):
         spec = pure_spec(13, RotationParams(0.1, 0.2, 0.3))
         with pytest.raises(ValueError, match="n <= 12"):
-            exact_power_trace(spec, 2)
+            exact_combination_trace(spec, (0,))
 
 
 class TestSpanOracleMatchesDense:

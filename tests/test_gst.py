@@ -18,11 +18,15 @@ from qtrace import (
 )
 from qtrace import gst
 from qtrace._parallel import chunk_ranges, merge_moment_sums
-from qtrace.errors import DegenerateAugmentationError, IllConditionedGramError, ResourceLimitError
+from qtrace.errors import (
+    DegenerateAugmentationError,
+    IdentityViolationError,
+    IllConditionedGramError,
+    ResourceLimitError,
+)
 from qtrace.gst import (
     EXACT,
     SAME_STATE_OVERLAP,
-    Combination,
     GstMatrices,
     MeasureMode,
     augment_and_trace,
@@ -45,8 +49,10 @@ def pure_spec(n=3) -> EnsembleSpec:
     return EnsembleSpec(n, np.array([1.0]), (ProductGate.uniform(n, RotationParams(0.3, 0.1, 0.9)),))
 
 
-def word(e, *indices) -> Combination:
-    return Combination.from_indices(e, indices)
+def word(e, *indices) -> tuple[int, ...]:
+    """The word of the given component indices, checked against ``e``."""
+    assert all(0 <= i < e.alpha for i in indices)
+    return tuple(int(i) for i in indices)
 
 
 def dense_word_operator(e: EnsembleSpec, indices) -> np.ndarray:
@@ -58,7 +64,7 @@ def dense_word_operator(e: EnsembleSpec, indices) -> np.ndarray:
     return op
 
 
-def restricted_trace(e: EnsembleSpec, q: Combination) -> complex:
+def restricted_trace(e: EnsembleSpec, q: tuple[int, ...]) -> complex:
     """Dense oracle for Tr{w}: full trace minus the trivial complement."""
     b = build_subspace(e, q, 1e-12)
     return exact_combination_trace(e, q) - (2**e.n - b.d)
@@ -71,7 +77,7 @@ def restricted_trace(e: EnsembleSpec, q: Combination) -> complex:
 def dense_subspace(e, q, epsilon):
     """Retained 2**n kets and the admission statistics of discarded states."""
     kets, stats = [], []
-    for idx in dict.fromkeys(q.indices):
+    for idx in dict.fromkeys(q):
         psi = e.state_matrix[idx]
         if kets and float(np.max(np.abs(np.array(kets) @ psi.conj()))) > SAME_STATE_OVERLAP:
             continue
@@ -96,7 +102,7 @@ def dense_prep_matrix(e, kets, theta):
 def dense_measure(e, q, preps, mode, rng):
     """p and g over the prep kets, with the noise of measure_matrices."""
     t = preps
-    for idx in reversed(q.indices):
+    for idx in reversed(q):
         t = reflect_amplitudes(e.state_matrix[idx], math.pi, t)
     p = np.abs(preps.conj() @ t.T) ** 2
     g = np.abs(preps.conj() @ preps.T) ** 2
@@ -121,7 +127,7 @@ def dense_probes(dim):
 def dense_augmentation_state(e, q, kets):
     """The uniform probe, else e_0, e_1, ..., projected off every circuit
     state of the word, plus half the normalized dual-frame sum of ``kets``."""
-    axes = e.state_matrix[list(dict.fromkeys(q.indices))]
+    axes = e.state_matrix[list(dict.fromkeys(q))]
     basis = None
     if len(axes):
         u, sv, _ = np.linalg.svd(axes.T, full_matrices=False)
@@ -207,15 +213,29 @@ def drawn_words(monkeypatch, e, k, budget, seed=0):
 
 class TestSampleCombination:
     def test_m_zero_empty(self, ref3, monkeypatch):
-        assert drawn_words(monkeypatch, ref3, 0, 50)[0] == [Combination((), 1.0)]
+        assert drawn_words(monkeypatch, ref3, 0, 50)[0] == [()]
 
     def test_single_component_all_zero(self, monkeypatch):
         words, _ = drawn_words(monkeypatch, pure_spec(), 6, 50, seed=1)
-        assert [q.indices for q in words] == [(0,) * 6]
+        assert words == [(0,) * 6]
 
     def test_weight_is_probability_product(self, ref3):
-        q = word(ref3, 0, 3, 3)
-        assert q.weight == pytest.approx(0.1 * 0.4 * 0.4, abs=1e-15)
+        # Word (0, 3, 3) has rank 0*16 + 3*4 + 3 = 15 among the 4**3 words.
+        assert gst._word_at(4, 3, 15) == (0, 3, 3)
+        part = gst._enumerate_chunk(ref3, 3, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT,
+                                    0, (), False, 15, 16)
+        value = combination_trace(ref3, (0, 3, 3)).value
+        assert part / value == pytest.approx(0.1 * 0.4 * 0.4, abs=1e-15)
+
+    def test_underflowing_word_weight_contributes_nothing(self):
+        # The weight of word (0,) * 11 underflows to 0.0: the word adds
+        # nothing to the sum instead of stopping the estimate.
+        gates = tuple(ProductGate.uniform(2, RotationParams(*(a * math.pi for a in angles)))
+                      for angles in ((0.29, 0.07, 0.11), (0.46, 0.62, 0.82)))
+        e = EnsembleSpec(2, np.array([1e-30, 1.0]), gates)
+        assert 1e-30**11 == 0.0
+        est = estimate_g_power_trace(e, 11)
+        assert est.value == pytest.approx(exact_g_power_trace(e, 11), abs=1e-12)
 
 
 class TestBuildSubspace:
@@ -297,10 +317,12 @@ class TestOperatorBasis:
             with pytest.raises(ValueError, match="pi"):
                 operator_basis_for_states(b.retained, theta)
 
-    def test_degenerate_theta_makes_gram_singular(self, ref3):
+    def test_degenerate_theta_makes_gram_singular(self, ref3, monkeypatch):
         q = word(ref3, 0, 1)
         b = build_subspace(ref3, q, 1e-10)
-        ob_pi = operator_basis_for_states(b.retained, math.pi, validate_theta=False)
+        with monkeypatch.context() as m:
+            m.setattr(gst, "_check_theta", lambda theta: None)
+            ob_pi = operator_basis_for_states(b.retained, math.pi)
         g_pi = measure_matrices(ref3, q, ob_pi).g_mat
         assert np.linalg.eigvalsh(0.5 * (g_pi + g_pi.T)).min() < 1e-10
 
@@ -327,7 +349,7 @@ class TestMeasureMatrices:
         q = word(ref3, 1, 3)
         b = build_subspace(ref3, q, 1e-10)
         mx = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
-        op = dense_word_operator(ref3, q.indices)
+        op = dense_word_operator(ref3, q)
         kets, _ = dense_subspace(ref3, q, 1e-10)
         s = dense_prep_matrix(ref3, kets, math.pi / 2)
         assert len(s) == mx.size
@@ -343,14 +365,14 @@ class TestMeasureMatrices:
         b = build_subspace(ref3, q, 1e-10)
         ob = operator_basis_for_states(b.retained, math.pi / 2)
         with pytest.raises(ValueError, match="rng"):
-            measure_matrices(ref3, q, ob, MeasureMode.with_shots(100))
+            measure_matrices(ref3, q, ob, MeasureMode("shots", shots=100))
 
     def test_shots_mode_is_binomial_draw(self, ref3):
         q = word(ref3, 0, 1)
         b = build_subspace(ref3, q, 1e-10)
         ob = operator_basis_for_states(b.retained, math.pi / 2)
         exact = measure_matrices(ref3, q, ob)
-        noisy = measure_matrices(ref3, q, ob, MeasureMode.with_shots(200),
+        noisy = measure_matrices(ref3, q, ob, MeasureMode("shots", shots=200),
                                  np.random.default_rng(3))
         assert np.all(noisy.p_mat * 200 == np.round(noisy.p_mat * 200))
         assert np.max(np.abs(noisy.p_mat - exact.p_mat)) < 0.2
@@ -359,7 +381,7 @@ class TestMeasureMatrices:
         q = word(ref3, 0, 1)
         b = build_subspace(ref3, q, 1e-10)
         ob = operator_basis_for_states(b.retained, math.pi / 2)
-        noisy = measure_matrices(ref3, q, ob, MeasureMode.with_gaussian(0.1),
+        noisy = measure_matrices(ref3, q, ob, MeasureMode("gaussian", sigma=0.1),
                                  np.random.default_rng(4))
         exact = measure_matrices(ref3, q, ob)
         delta = noisy.g_mat - exact.g_mat
@@ -541,6 +563,21 @@ class TestCombinationTrace:
             assert ct.tr_rw == pytest.approx(w.real**2 + w.imag**2, abs=1e-8)
             assert ct.re_tr_w == pytest.approx(w.real, abs=1e-8)
 
+    def test_out_of_range_indices_rejected(self, ref3):
+        for indices in ((0, 4), (-1,)):
+            with pytest.raises(ValueError, match="out of range"):
+                combination_trace(ref3, indices)
+
+    def test_identity_violation_is_typed_and_carries_statistic(self, ref3, monkeypatch):
+        # Exact mode, nothing truncated: Tr{R_w} = -1 breaks |Tr w|^2 >= 0,
+        # and Tr{R_w'} = 11 with Tr{R_w} = 0 gives Re[Tr w] = 5 > d = 2.
+        for traces, statistic in (((-1.0, 0.0), -1.0), ((0.0, 11.0), 5.0)):
+            monkeypatch.setattr(gst, "augment_and_trace", lambda *args, t=traces: t)
+            with pytest.raises(IdentityViolationError) as err:
+                combination_trace(ref3, (0, 1))
+            assert isinstance(err.value, ArithmeticError)
+            assert err.value.statistic == statistic
+
     def test_matches_oracle_across_random_words(self):
         rng = np.random.default_rng(14)
         for _ in range(25):
@@ -582,8 +619,7 @@ class TestEstimateGPowerTrace:
         budget = 300  # nine full chunks and a partial tenth
         ranges = chunk_ranges(budget, gst._WORD_CHUNK)
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
-        chunk_args = (ref3, 2, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 9, (),
-                      gst.DEFAULT_CONDITIONING_FLOOR, False, None)
+        chunk_args = (ref3, 2, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 9, (), False, None)
         parts = [gst._mc_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
         total, total_sq, count = merge_moment_sums(parts)
         mean = total / count
@@ -595,15 +631,14 @@ class TestEstimateGPowerTrace:
         e = random_ensemble(np.random.default_rng(5), 2, 3)
         ranges = chunk_ranges(3**4, gst._WORD_CHUNK)  # 81 words: 32 + 32 + 17
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
-        chunk_args = (e, 4, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 0, (),
-                      gst.DEFAULT_CONDITIONING_FLOOR, False)
+        chunk_args = (e, 4, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 0, (), False)
         parts = [gst._enumerate_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
         est = estimate_g_power_trace(e, 4)
         assert (est.value, est.std_error, est.samples) == (sum(parts), 0.0, 3**4)
 
     def test_mc_shots_mode_label(self, ref3):
         est = estimate_g_power_trace(
-            ref3, 1, strategy="mc", budget=50, rng=2, mode=MeasureMode.with_shots(2000)
+            ref3, 1, strategy="mc", budget=50, rng=2, mode=MeasureMode("shots", shots=2000)
         )
         assert est.mode == "mc-shots"
 
@@ -617,7 +652,7 @@ class TestEstimateGPowerTrace:
             e = random_ensemble(rng, 2, alpha)
             for k in (2, 3):
                 total = sum(
-                    Combination.from_indices(e, w).weight * exact_combination_trace(e, w).imag
+                    float(np.prod([e.probs[i] for i in w])) * exact_combination_trace(e, w).imag
                     for w in iproduct(range(alpha), repeat=k)
                 )
                 assert abs(total) < 1e-9
@@ -645,7 +680,7 @@ class TestEstimatePowerTrace:
     def test_gaussian_noise_stays_near_truth(self, ref3):
         est = estimate_power_trace(
             ref3, 2, strategy="mc", budget=300, epsilon=1e-3,
-            mode=MeasureMode.with_gaussian(1e-4), rng=8,
+            mode=MeasureMode("gaussian", sigma=1e-4), rng=8,
         )
         assert abs(est.value - 0.650) < 0.05
 
@@ -658,7 +693,7 @@ def gst_words(draw):
     indices = draw(st.lists(st.integers(0, e.alpha - 1), max_size=4))
     epsilon = draw(st.sampled_from([1e-10, 1e-3, 0.2]))
     mode = draw(st.sampled_from(
-        [EXACT, MeasureMode.with_gaussian(1e-3), MeasureMode.with_shots(1000)]
+        [EXACT, MeasureMode("gaussian", sigma=1e-3), MeasureMode("shots", shots=1000)]
     ))
     return e, word(e, *indices), epsilon, mode, draw(st.integers(0, 2**32 - 1))
 
@@ -683,7 +718,7 @@ class TestSpanStatesMatchDensePath:
     @given(gst_words())
     @example((_DUPLICATED, word(_DUPLICATED, 0, 1, 2), 1e-10, EXACT, 1))
     @example((_FILLING, word(_FILLING, 0, 1), 1e-10, EXACT, 2))
-    @example((_FILLING, word(_FILLING, 2, 0, 1, 1), 1e-3, MeasureMode.with_shots(1000), 3))
+    @example((_FILLING, word(_FILLING, 2, 0, 1, 1), 1e-3, MeasureMode("shots", shots=1000), 3))
     def test_word_pipeline(self, case):
         e, q, epsilon, mode, seed = case
         v = e.span_states
@@ -710,7 +745,8 @@ class TestSpanStatesMatchDensePath:
     @pytest.mark.parametrize("e, indices, mode, error", [
         (_DUPLICATED, (0, 1, 2), EXACT, None),
         (_FILLING, (0, 1), EXACT, "DegenerateAugmentationError"),
-        (reference_spec(3), (0, 1, 2), MeasureMode.with_gaussian(0.05), "IllConditionedGramError"),
+        (reference_spec(3), (0, 1, 2), MeasureMode("gaussian", sigma=0.05),
+         "IllConditionedGramError"),
     ])
     def test_outcomes(self, e, indices, mode, error):
         q = word(e, *indices)
@@ -728,7 +764,7 @@ def per_chunk_memo_estimate(e, k, budget, seed):
             rng = rng_stream(seed, t)
             indices = tuple(int(i) for i in e.component_indices(rng.random(k)))
             if indices not in memo:
-                memo[indices] = combination_trace(e, Combination.from_indices(e, indices)).value
+                memo[indices] = combination_trace(e, indices).value
             total += memo[indices]
             total_sq += memo[indices] ** 2
         parts.append((total, total_sq, hi - lo))
@@ -745,7 +781,7 @@ class TestSharedMemo:
             for t in range(budget)
         }
         words, est = drawn_words(monkeypatch, ref3, k, budget, seed)
-        calls = Counter(q.indices for q in words)
+        calls = Counter(words)
         assert set(calls) == drawn and set(calls.values()) == {1}
         assert budget // gst._WORD_CHUNK > 1 and len(drawn) < budget
         assert (est.value, est.std_error) == per_chunk_memo_estimate(ref3, k, budget, seed)
