@@ -10,6 +10,7 @@ from .ensemble import (
     exact_entropy_trace,
     exact_g_power_trace,
     exact_power_trace,
+    exact_rho_g_power_trace,
 )
 from .ht import TraceEstimate
 from .gst import CombinationTrace, MeasureMode, SubspaceBasis
@@ -33,5 +34,6 @@ __all__ = [
     "exact_entropy_trace",
     "exact_g_power_trace",
     "exact_power_trace",
+    "exact_rho_g_power_trace",
     "make_single_qubit_gate",
 ]

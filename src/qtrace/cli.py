@@ -390,6 +390,11 @@ def _ht_estimate(
         if params["mode"] != "exact":
             raise ConfigError("params.mode", "ht enumerate strategy requires exact mode")
         return ht.estimate_power_trace_enumerate(spec, power - 1, params["enumeration_cap"])
+    return ht.estimate_power_trace_mc(spec, power - 1, rng=seed, **_ht_mc_settings(params))
+
+
+def _ht_mc_settings(params: dict[str, Any]) -> dict[str, Any]:
+    """The sampling keywords of the HT Monte Carlo estimators."""
     if params["mode"] == "gaussian":
         raise ConfigError("params.mode", "ht supports exact or shots mode (ht_sigma rides on exact)")
     measure = "exact-prob" if params["mode"] == "exact" else "shots"
@@ -397,15 +402,8 @@ def _ht_estimate(
         raise ConfigError(
             "params.ht_sigma", "pairs with exact mode only; shot and Gaussian noise never combine"
         )
-    return ht.estimate_power_trace_mc(
-        spec,
-        power - 1,
-        trials=params["trials"],
-        shots_per_trial=params["shots"],
-        rng=seed,
-        measure=measure,
-        ht_sigma=params["ht_sigma"],
-    )
+    return {"trials": params["trials"], "shots_per_trial": params["shots"],
+            "measure": measure, "ht_sigma": params["ht_sigma"]}
 
 
 def _gst_estimate(
@@ -488,13 +486,16 @@ def run_estimator(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
 def _g_power_terms(
     spec: ensemble.EnsembleSpec, estimator: str, k_max: int, params: dict[str, Any]
 ) -> list[ht.TraceEstimate]:
-    """Tr{G^k} for k = 0..k_max from one estimator.
+    """Tr{G^k} for k = 0..k_max from the oracle, GST or HT enumeration.
 
-    GST estimates each Tr{G^k} on _child_seed(master, k).  HT composes it
-    from power estimates via the binomial identity
-    Tr{G^k} = sum_j C(k,j) (-2)^j Tr{rho^j}, with fresh streams per (k, j);
-    enumeration ignores the seed, so under that strategy each Tr{rho^j} is
-    computed once and reused for every k.
+    GST estimates each Tr{G^k} on _child_seed(master, k).  HT enumeration
+    composes it from the exact Tr{rho^j}, each computed once, via the
+    binomial identity Tr{G^k} = sum_j C(k,j) (-2)^j Tr{rho^j}.  Those per-k
+    values share their terms, which is harmless only because every term is
+    exact (std_error 0).  Correlated per-k inputs with nonzero standard
+    errors must not be combined in quadrature by ``series.evaluate_series``;
+    HT Monte Carlo goes through ``_rho_g_terms`` and
+    ``series.evaluate_telescoped``.
     """
     master = params["seed"]
     if estimator == "oracle":
@@ -503,35 +504,49 @@ def _g_power_terms(
     if estimator == "gst":
         return [_gst_estimate(spec, "tr_g_power", k, params, _child_seed(master, k))
                 for k in range(k_max + 1)]
-    if params["strategy"] == "enumerate":
-        rho = [_ht_estimate(spec, j, params, master) for j in range(1, k_max + 1)]
-        terms = [rho[:k] for k in range(k_max + 1)]
-    else:
-        terms = [[_ht_estimate(spec, j, params, _child_seed(master, 1000 * k + j))
-                  for j in range(1, k + 1)] for k in range(k_max + 1)]
+    rho = [_ht_estimate(spec, j, params, master) for j in range(1, k_max + 1)]
     estimates = []
-    for k, ests in enumerate(terms):
-        value, variance = float(spec.dim), 0.0
-        for j, est in enumerate(ests, start=1):
-            coeff = math.comb(k, j) * (-2.0) ** j
-            value += coeff * est.value
-            variance += (coeff * est.std_error) ** 2
-        estimates.append(ht.TraceEstimate(
-            value, math.sqrt(variance), sum(est.samples for est in ests),
-            ht.combined_mode([est.mode for est in ests]) if ests else ht.MODE_EXACT_ENUMERATION,
-        ))
+    for k in range(k_max + 1):
+        value = float(spec.dim)
+        for j, est in enumerate(rho[:k], start=1):
+            value += math.comb(k, j) * (-2.0) ** j * est.value
+        estimates.append(ht.TraceEstimate(value, 0.0, sum(est.samples for est in rho[:k]),
+                                          ht.MODE_EXACT_ENUMERATION))
     return estimates
 
 
+def _rho_g_terms(
+    spec: ensemble.EnsembleSpec, j_max: int, params: dict[str, Any]
+) -> list[ht.TraceEstimate]:
+    """Tr{rho G^j} for j = 0..j_max - 1 from HT Monte Carlo, one call per j,
+    the call for j on _child_seed(master, j)."""
+    settings = _ht_mc_settings(params)
+    return [ht.estimate_rho_g_power_mc(spec, j, rng=_child_seed(params["seed"], j), **settings)
+            for j in range(j_max)]
+
+
 def run_entropy(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
+    """Truncated Tr{rho ln rho} series rows.  HT Monte Carlo estimates the
+    series from independent Tr{rho G^j}; every other estimator feeds its
+    Tr{G^k} to ``series.evaluate_series``."""
     orders = _parse_orders(args.order, "--order")
     if min(orders) < 1:
         raise ConfigError("--order", "truncation orders must be >= 1")
-    gk = _g_power_terms(cfg.spec, args.estimator, max(orders) + 1, cfg.params)
+    k_max = max(orders) + 1
+    if args.estimator == "ht" and cfg.params["strategy"] == "mc":
+        rho_g = _rho_g_terms(cfg.spec, k_max, cfg.params)
+
+        def evaluate(w: series.SeriesWeights) -> ht.TraceEstimate:
+            return series.evaluate_telescoped(w, cfg.spec.dim, rho_g)
+    else:
+        gk = _g_power_terms(cfg.spec, args.estimator, k_max, cfg.params)
+
+        def evaluate(w: series.SeriesWeights) -> ht.TraceEstimate:
+            return series.evaluate_series(w, gk)
     exact = _exact(cfg.spec, "tr_rho_ln_rho", None)
     rows = []
     for n_t in orders:
-        est, wall_ms = _timed(args.timing, series.evaluate_series, series.entropy_weights(n_t), gk)
+        est, wall_ms = _timed(args.timing, evaluate, series.entropy_weights(n_t))
         rows.append(ResultRow("tr_rho_ln_rho", n_t, est.value, est.std_error, exact,
                               _rel_error(est.value, exact), est.mode, None, None,
                               cfg.params["seed"], wall_ms))
@@ -765,6 +780,11 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _error_record(kind: str, exc: Exception, **extra: Any) -> str:
+    """One-line JSON error record.  JSON has no token for nan or inf, so
+    non-finite float fields travel as strings."""
+    for key, value in extra.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            extra[key] = str(value)
     record = {"error": kind, "message": str(exc), **extra}
     return json.dumps(record, sort_keys=True)
 
@@ -802,9 +822,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(_error_record("degenerate-augmentation", exc) + "\n")
         return 4
     except IdentityViolationError as exc:
-        # JSON has no token for nan or inf, so those travel as strings.
-        stat = exc.statistic if math.isfinite(exc.statistic) else str(exc.statistic)
-        sys.stderr.write(_error_record("identity-violation", exc, statistic=stat) + "\n")
+        sys.stderr.write(_error_record("identity-violation", exc, statistic=exc.statistic) + "\n")
         return 4
     except ValueError as exc:
         sys.stderr.write(_error_record("invalid-argument", exc) + "\n")

@@ -6,8 +6,8 @@ An ensemble prepares the mixed state
 
 from known product gates U_i drawn with known probabilities p_i.  Everything
 in this module is ground truth for the estimators: traces of powers of rho,
-traces of powers of the encoding channel G = I - 2*rho, traces of reflection
-words, and the entropy-like quantity Tr{rho ln rho}.
+traces of powers of the encoding channel G = I - 2*rho and of rho G^j, traces
+of reflection words, and the entropy-like quantity Tr{rho ln rho}.
 
 Every psi_i lies in an alpha-dimensional span, so the oracle never needs a
 2**n vector.  The alpha x alpha Gram K_ij = <psi_i|psi_j> is a product of
@@ -205,6 +205,17 @@ def exact_g_power_trace(e: EnsembleSpec, k: int) -> float:
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
     return float(np.sum((1.0 - 2.0 * e.span_eigenvalues) ** k) + (e.dim - e.alpha))
+
+
+def exact_rho_g_power_trace(e: EnsembleSpec, j: int) -> float:
+    """Tr{rho G^j} = sum_i lambda_i (1 - 2*lambda_i)^j over the span
+    eigenvalues; the directions outside the span carry no weight in rho.
+    j = 0 gives Tr rho = 1.
+    """
+    if j < 0:
+        raise ValueError(f"power must be >= 0, got {j}")
+    lam = e.span_eigenvalues
+    return float(np.sum(lam * (1.0 - 2.0 * lam) ** j))
 
 
 def exact_combination_trace(e: EnsembleSpec, indices: Sequence[int]) -> complex:

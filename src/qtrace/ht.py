@@ -27,7 +27,7 @@ K = EnsembleSpec.gram supplies every overlap, and the reflection
 G_a = I - 2|psi_a><psi_a| becomes c_a -= 2 (K c)_a.  A trial with k layers
 costs O(k alpha), independent of n; no 2**n vector is formed.
 
-Three modes:
+Four modes:
 
 * ``estimate_power_trace_enumerate`` — exact expectation over all words and
   layer patterns (no randomness, std_error 0).
@@ -35,6 +35,13 @@ Three modes:
   over circuits, each contributing its exact signed probability.
 * ``estimate_power_trace_mc`` with ``measure="shots"`` — full simulation
   with binomial measurement noise per circuit.
+* ``estimate_rho_g_power_mc`` — the same circuit with all j layers inserted
+  and no coin flips or sign, in either measure.  Each layer reflects about a
+  component drawn with its ensemble probability, so E[G_q] = G and each
+  trial is an unbiased sample of a_j = Tr{rho G^j} in [-1, 1].  Since
+  G^{k+1} = G^k - 2 rho G^k, Tr{G^k} = 2**n - 2 sum_{j<k} a_j, so one call
+  per j serves every Tr{G^k}, with coefficients that stay bounded where the
+  binomial expansion of G^k in powers of rho grows like 3^k.
 
 Monte Carlo trials are processed in fixed-size chunks with one RNG substream
 per (master seed, chunk start); partial (sum, sum-of-squares, count) triples
@@ -141,22 +148,24 @@ def _finish_estimate(
 
 
 def _outcome_probabilities(
-    e: EnsembleSpec, comps: np.ndarray, flags: np.ndarray
+    e: EnsembleSpec, comps: np.ndarray, flags: np.ndarray | None = None
 ) -> np.ndarray:
     """Exact P(0) of each sampled circuit, checked and clipped into [0, 1].
 
-    Row r starts in psi_{comps[r, 0]} and passes the m candidate layers in
+    Row r starts in psi_{comps[r, 0]} and passes the candidate layers in
     circuit order; layer t reflects about psi_{comps[r, t + 1]} where
-    flags[r, t] is set.  States are held as span coefficients.
+    flags[r, t] is set, or in every row when ``flags`` is None.  States are
+    held as span coefficients.
     """
     gram = e.gram
-    b, m = flags.shape
+    b = comps.shape[0]
+    rows = np.arange(b)
     c = np.zeros((b, e.alpha), dtype=np.complex128)
-    c[np.arange(b), comps[:, 0]] = 1.0
-    for t in range(m):
-        on = np.flatnonzero(flags[:, t])
+    c[rows, comps[:, 0]] = 1.0
+    for t in range(comps.shape[1] - 1):
+        on = rows if flags is None else np.flatnonzero(flags[:, t])
         axes = comps[on, t + 1]
-        inner = np.einsum("ij,ij->i", gram[axes], c[on])
+        inner = np.einsum("ij,ij->i", gram[axes], c if flags is None else c[on])
         c[on, axes] -= 2.0 * inner
 
     p0 = 0.5 * (1.0 + np.einsum("ij,ij->i", gram[comps[:, 0]], c).real)
@@ -173,19 +182,27 @@ def _mc_chunk(
     master_seed: int,
     lo: int,
     hi: int,
+    coin_flips: bool = True,
 ) -> tuple[float, float, int, int]:
-    """Partial (sum, sum_sq, count, clamp_events) over trials [lo, hi)."""
+    """Partial (sum, sum_sq, count, clamp_events) over trials [lo, hi).
+
+    With ``coin_flips`` each of the m layers is inserted with probability
+    1/2 and the outcome carries the sign (-1)^(inserted layers); without,
+    every layer is inserted, no flag is drawn and no sign applies.
+    """
     rng = rng_stream(master_seed, lo)
     b = hi - lo
     comps = e.component_indices(rng.random((b, m + 1)))
-    flags = rng.random((b, m)) < 0.5
+    flags, sign = None, 1.0
+    if coin_flips:
+        flags = rng.random((b, m)) < 0.5
+        sign = 1.0 - 2.0 * (flags.sum(axis=1) % 2)
     p0 = _outcome_probabilities(e, comps, flags)
 
     clamps = 0
     if ht_sigma > 0.0:
         p0, clamps = noise_bounds.perturb_probabilities(p0, ht_sigma, rng)
 
-    sign = 1.0 - 2.0 * (flags.sum(axis=1) % 2)
     if measure == "exact-prob":
         x = sign * (2.0 * p0 - 1.0)
         return float(x.sum()), float(np.dot(x, x)), b, clamps
@@ -193,6 +210,44 @@ def _mc_chunk(
     n0 = rng.binomial(shots_per_trial, p0)
     shot_sum = sign * (2.0 * n0 - shots_per_trial)
     return float(shot_sum.sum()), float(b * shots_per_trial), b * shots_per_trial, clamps
+
+
+def _estimate_mc(
+    e: EnsembleSpec,
+    layers: int,
+    trials: int,
+    shots_per_trial: int,
+    rng: "int | np.random.Generator",
+    measure: str,
+    ht_sigma: float,
+    coin_flips: bool,
+) -> TraceEstimate:
+    """Check the sampling arguments, run ``_mc_chunk`` over fixed
+    TRIAL_CHUNK chunks and merge their moments in chunk order."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if shots_per_trial < 1:
+        raise ValueError(f"shots_per_trial must be >= 1, got {shots_per_trial}")
+    if measure not in ("shots", "exact-prob"):
+        raise ValueError(f"measure must be 'shots' or 'exact-prob', got {measure!r}")
+    if measure == "shots" and ht_sigma > 0.0:
+        raise ValueError(
+            "ht_sigma pairs with measure='exact-prob'; shot noise and "
+            "Gaussian noise are never combined in one run"
+        )
+
+    master_seed = as_master_seed(rng)
+    worker = partial(
+        _mc_chunk, e, layers, shots_per_trial, measure, ht_sigma, master_seed,
+        coin_flips=coin_flips,
+    )
+    parts = run_chunked(worker, trials, TRIAL_CHUNK)
+    total, total_sq, count = merge_moment_sums([p[:3] for p in parts])
+    clamps = sum(p[3] for p in parts)
+    if clamps:
+        logger.debug("ht noise clamped %d of %d probabilities", clamps, trials)
+    mode = MODE_MC_SHOTS if measure == "shots" else MODE_MC_EXACT_PROB
+    return _finish_estimate(total, total_sq, count, mode)
 
 
 def estimate_power_trace_mc(
@@ -217,29 +272,28 @@ def estimate_power_trace_mc(
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if shots_per_trial < 1:
-        raise ValueError(f"shots_per_trial must be >= 1, got {shots_per_trial}")
-    if measure not in ("shots", "exact-prob"):
-        raise ValueError(f"measure must be 'shots' or 'exact-prob', got {measure!r}")
-    if measure == "shots" and ht_sigma > 0.0:
-        raise ValueError(
-            "ht_sigma pairs with measure='exact-prob'; shot noise and "
-            "Gaussian noise are never combined in one run"
-        )
+    return _estimate_mc(e, m, trials, shots_per_trial, rng, measure, ht_sigma, coin_flips=True)
 
-    master_seed = as_master_seed(rng)
-    worker = partial(
-        _mc_chunk, e, m, shots_per_trial, measure, ht_sigma, master_seed
-    )
-    parts = run_chunked(worker, trials, TRIAL_CHUNK)
-    total, total_sq, count = merge_moment_sums([p[:3] for p in parts])
-    clamps = sum(p[3] for p in parts)
-    if clamps:
-        logger.debug("ht noise clamped %d of %d probabilities", clamps, trials)
-    mode = MODE_MC_SHOTS if measure == "shots" else MODE_MC_EXACT_PROB
-    return _finish_estimate(total, total_sq, count, mode)
+
+def estimate_rho_g_power_mc(
+    e: EnsembleSpec,
+    j: int,
+    trials: int,
+    shots_per_trial: int = 1,
+    rng: "int | np.random.Generator" = 0,
+    measure: str = "shots",
+    ht_sigma: float = 0.0,
+) -> TraceEstimate:
+    """Monte Carlo estimate of a_j = Tr{rho G^j} from ``trials`` circuits
+    with all j layers inserted.
+
+    Each trial contributes 2 P(0) - 1 (or its shot-mode equivalent) with no
+    sign; arguments, chunking, noise and standard error are those of
+    ``estimate_power_trace_mc``.  j = 0 gives Tr{rho} = 1.
+    """
+    if j < 0:
+        raise ValueError(f"j must be >= 0, got {j}")
+    return _estimate_mc(e, j, trials, shots_per_trial, rng, measure, ht_sigma, coin_flips=False)
 
 
 def enumeration_word_count(alpha: int, m: int) -> int:

@@ -14,7 +14,8 @@ Two built-in coefficient families over the channel G = I - 2*rho:
       c_{n_t+1} = 1/(2 n_t)     on Tr{G^{n_t+1}}
 
 ``evaluate_series`` accepts arbitrary weights, so other functionals (e.g.
-exponential traces) need no bespoke code.
+exponential traces) need no bespoke code.  ``evaluate_telescoped`` evaluates
+the same series from estimates of a_j = Tr{rho G^j} instead of Tr{G^k}.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ def evaluate_series(
 
     ``gk[k]`` must be the estimate of Tr{G^k}; quadrature combination assumes
     the per-k estimates are independent (use fresh sample streams per k).
+    Per-k values built from shared, noisy terms are correlated and must not
+    be combined here: their quadrature error would be wrong.  Tr{G^k}
+    telescoped from common Tr{rho G^j} estimates goes through
+    ``evaluate_telescoped``.
     """
     if len(gk) <= w.max_power:
         raise ValueError(
@@ -83,6 +88,36 @@ def evaluate_series(
         (c * gk[k].std_error) ** 2 for k, c in enumerate(w.coefficients)
     )
     used = gk[: w.max_power + 1]
+    return TraceEstimate(
+        value,
+        math.sqrt(variance),
+        sum(est.samples for est in used),
+        combined_mode([est.mode for est in used]),
+    )
+
+
+def evaluate_telescoped(
+    w: SeriesWeights, dim: int, rho_g: Sequence[TraceEstimate]
+) -> TraceEstimate:
+    """sum_k c_k Tr{G^k} from independent estimates ``rho_g[j]`` of
+    a_j = Tr{rho G^j}, for a Hilbert space of dimension ``dim``.
+
+    G^{k+1} = G^k - 2 rho G^k telescopes to Tr{G^k} = dim - 2 sum_{j<k} a_j,
+    so the series is dim * sum_k c_k + sum_j b_j a_j with
+    b_j = -2 sum_{k>j} c_k.  Each a_j enters once, so the standard error is
+    sqrt(sum_j (b_j sigma_j)^2) over the independent a_j.
+    """
+    k_max = w.max_power
+    if len(rho_g) < k_max:
+        raise ValueError(
+            f"series needs Tr{{rho G^j}} up to j={k_max - 1}, "
+            f"got estimates only up to j={len(rho_g) - 1}"
+        )
+    c = w.coefficients
+    used = rho_g[:k_max]
+    b = [-2.0 * sum(c[j + 1:]) for j in range(k_max)]
+    value = dim * math.fsum(c) + sum(bj * est.value for bj, est in zip(b, used))
+    variance = sum((bj * est.std_error) ** 2 for bj, est in zip(b, used))
     return TraceEstimate(
         value,
         math.sqrt(variance),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -16,7 +17,7 @@ from qtrace.cli import (
     render_csv,
     render_json,
 )
-from qtrace.errors import IdentityViolationError
+from qtrace.errors import IdentityViolationError, IllConditionedGramError
 from qtrace.series import entropy_weights, evaluate_series
 
 from .conftest import cli_env
@@ -42,6 +43,14 @@ def sweep(command, parameter, values):
 def table(text):
     """CSV result rows as dicts keyed by column."""
     return [dict(zip(COLUMNS, line.split(","), strict=True)) for line in text.splitlines()[1:]]
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON tokens NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -227,6 +236,42 @@ class TestSubcommands:
             want = evaluate_series(entropy_weights(order), gk).value
             assert row.split(",")[2] == format(want, ".17g")
 
+    def test_entropy_ht_mc_makes_one_call_per_rho_g_power(self, monkeypatch, capsys):
+        direct, calls = ht.estimate_rho_g_power_mc, []
+
+        def counted(spec, j, *args, **kwargs):
+            calls.append(j)
+            return direct(spec, j, *args, **kwargs)
+
+        monkeypatch.setattr(ht, "estimate_rho_g_power_mc", counted)
+        monkeypatch.setattr(ht, "estimate_power_trace_mc", _refuse)
+        argv = ["entropy", "--estimator", "ht", "--strategy", "mc", "--order", "2-12",
+                "--trials", "200"]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert calls == list(range(13))  # Tr{rho G^j}, j = 0..12
+
+    def test_entropy_ht_mc_order_12_stderr(self, capsys):
+        assert cli.main(["entropy", "--estimator", "ht", "--strategy", "mc",
+                         "--order", "12", "--seed", "1"]) == 0
+        (row,) = table(capsys.readouterr().out)
+        assert float(row["std_error"]) <= 0.01
+        assert (row["mode"], row["trials"]) == ("mc-exact-prob", "")
+
+    def test_entropy_ht_mc_covers_series_value(self, capsys):
+        # The Monte Carlo estimate targets the truncated series, not the
+        # exact entropy; |z| <= 2 should hold for about 95% of seeds.
+        spec = load_config("table1").spec
+        gk = [ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
+              for k in range(10)]
+        target = evaluate_series(entropy_weights(8), gk).value
+        z = []
+        for seed in range(60):
+            assert cli.main(["entropy", "--estimator", "ht", "--strategy", "mc", "--order", "8",
+                             "--trials", "2000", "--seed", str(seed)]) == 0
+            (row,) = table(capsys.readouterr().out)
+            z.append((float(row["estimate"]) - target) / float(row["std_error"]))
+        assert sum(abs(v) <= 2.0 for v in z) >= 0.9 * len(z), z
+
     def test_bounds_rows(self):
         r = run_cli("bounds", "--d", "2", "--eps1", "0.0001", "--epsilon", "0.1")
         assert r.returncode == 0
@@ -407,8 +452,18 @@ class TestExitCodes:
 
         monkeypatch.setattr(gst, "combination_trace", violate)
         assert cli.main(["gst", "--power", "2"]) == 4
-        record = json.loads(capsys.readouterr().err)
+        record = strict_json(capsys.readouterr().err)
         assert (record["error"], record["statistic"]) == ("identity-violation", "nan")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_min_eigenvalue_stays_valid_json(self, monkeypatch, capsys, value):
+        def singular(*args, **kwargs):
+            raise IllConditionedGramError("Gram is singular", min_eigenvalue=value)
+
+        monkeypatch.setattr(gst, "combination_trace", singular)
+        assert cli.main(["gst", "--power", "2"]) == 4
+        record = strict_json(capsys.readouterr().err)
+        assert (record["error"], record["min_eigenvalue"]) == ("ill-conditioned-gram", str(value))
 
     def test_unwritable_output_exit_5(self):
         r = run_cli("oracle", "--power", "2", "--out", "/no/such/dir/out.csv")
@@ -438,6 +493,10 @@ class TestSpanOnly:
         ["gst", "--g-power", "2", "--strategy", "mc", "--mode", "gaussian", "--trials", "50"],
         ["entropy", "--order", "2-3", "--estimator", "oracle"],
         ["entropy", "--order", "2", "--estimator", "ht"],
+        ["entropy", "--order", "2", "--estimator", "ht", "--strategy", "mc", "--mode", "exact",
+         "--trials", "2000"],
+        ["entropy", "--order", "2", "--estimator", "ht", "--strategy", "mc", "--mode", "shots",
+         "--trials", "2000"],
         ["entropy", "--order", "2", "--estimator", "gst"],
         ["sweep", "--config", "{sweep}"],
         ["bounds"],
@@ -451,19 +510,24 @@ class TestSpanOnly:
         assert cli.main([a.replace("{sweep}", path) for a in argv]) == 0, capsys.readouterr().err
 
 
+#: SHA-256 of the CSV tables of two HT Monte Carlo commands, recorded before
+#: the chunk worker was shared with the Tr{rho G^j} estimator.  A change that
+#: moves any RNG draw of the chunk layout, the shot path or the sigma path
+#: changes these bytes.
+HT_MC_PINS = {
+    "ht --power 2-4 --strategy mc --mode shots --trials 30000 --seed 7":
+        "a5dd1411aed4937e75ba729bc3482f7de030af648b5c255926bd84e873c9490e",
+    "ht --power 2-4 --strategy mc --mode exact --ht-sigma 0.01 --trials 30000 --seed 7":
+        "316deddea5d254c7db2f49176601f08baaf46aa62bc8df62c87a4f8955746ab2",
+}
+
+
 class TestDeterminism:
-    def test_seeded_run_is_byte_identical_across_workers(self, tmp_path):
-        outs = {}
-        for workers in ("1", "8"):
-            path = tmp_path / f"w{workers}.json"
-            r = run_cli(
-                "ht", "--power", "2", "--strategy", "mc", "--mode", "shots",
-                "--trials", "30000", "--format", "json", "--out", str(path),
-                env_extra={"QTRACE_THREADS": workers},
-            )
-            assert r.returncode == 0, r.stderr
-            outs[workers] = path.read_bytes()
-        assert outs["1"] == outs["8"]
+    def test_ht_monte_carlo_bytes_match_pins(self, capsys):
+        for command, sha in HT_MC_PINS.items():
+            assert cli.main(command.split()) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == sha, (command, out)
 
     def test_same_seed_same_bytes(self, tmp_path):
         paths = []

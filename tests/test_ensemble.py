@@ -14,9 +14,10 @@ from qtrace import (
     exact_entropy_trace,
     exact_g_power_trace,
     exact_power_trace,
+    exact_rho_g_power_trace,
 )
 
-from .conftest import random_ensemble, small_ensembles
+from .conftest import random_ensemble, reference_spec, small_ensembles
 from .dense_reference import DensityMatrix, binomial_power_identity_residual, build_density_matrix
 
 
@@ -114,6 +115,29 @@ class TestExactGPowerTrace:
             spec = random_ensemble(rng, n, alpha)
             for m in range(1, 7):
                 assert binomial_power_identity_residual(spec, m) < 1e-9
+
+
+class TestExactRhoGPowerTrace:
+    def test_j0_is_unit_trace(self, ref3):
+        assert exact_rho_g_power_trace(ref3, 0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_pure_state_alternates(self):
+        # rho = |psi><psi| is a -1 eigenvector of G.
+        for j in range(6):
+            assert exact_rho_g_power_trace(pure_spec(), j) == pytest.approx((-1.0) ** j, abs=1e-12)
+
+    def test_negative_power_rejected(self, ref3):
+        with pytest.raises(ValueError, match=">= 0"):
+            exact_rho_g_power_trace(ref3, -1)
+
+    @pytest.mark.parametrize("n, alpha, seed", [(3, 4, None), (2, 3, 1), (5, 2, 2), (6, 5, 3)])
+    def test_telescopes_to_g_power_traces(self, n, alpha, seed):
+        # G^{k+1} = G^k - 2 rho G^k, so Tr{G^k} = 2^n - 2 sum_{j<k} Tr{rho G^j}.
+        spec = reference_spec(n) if seed is None else random_ensemble(
+            np.random.default_rng(seed), n, alpha)
+        for k in range(14):
+            telescoped = spec.dim - 2.0 * sum(exact_rho_g_power_trace(spec, j) for j in range(k))
+            assert telescoped == pytest.approx(exact_g_power_trace(spec, k), abs=1e-12)
 
 
 class TestExactCombinationTrace:
@@ -246,9 +270,19 @@ class TestSpanOracleMatchesDense:
             float(np.sum(lam * np.log(lam))), abs=1e-10
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_ensembles())
+    def test_rho_g_power_traces_match_dense_rho(self, spec):
+        rho = build_density_matrix(spec).entries
+        g = np.eye(spec.dim) - 2.0 * rho
+        for j in range(7):
+            dense = np.trace(rho @ np.linalg.matrix_power(g, j)).real
+            assert exact_rho_g_power_trace(spec, j) == pytest.approx(dense, abs=1e-10)
+
     def test_oracle_builds_no_statevector(self):
         spec = random_ensemble(np.random.default_rng(4), 12, 4)
         exact_power_trace(spec, 3)
         exact_g_power_trace(spec, 3)
         exact_entropy_trace(spec)
+        exact_rho_g_power_trace(spec, 3)
         assert "states" not in spec.__dict__ and "state_matrix" not in spec.__dict__

@@ -5,10 +5,23 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qtrace import EnsembleSpec, ProductGate, RotationParams, exact_power_trace, ht, noise_bounds
+from qtrace import (
+    EnsembleSpec,
+    ProductGate,
+    RotationParams,
+    exact_power_trace,
+    exact_rho_g_power_trace,
+    ht,
+    noise_bounds,
+)
 from qtrace._parallel import chunk_ranges, merge_moment_sums
 from qtrace.errors import ResourceLimitError
-from qtrace.ht import TraceEstimate, estimate_power_trace_enumerate, estimate_power_trace_mc
+from qtrace.ht import (
+    TraceEstimate,
+    estimate_power_trace_enumerate,
+    estimate_power_trace_mc,
+    estimate_rho_g_power_mc,
+)
 from qtrace.qcore import reflect_amplitudes
 from qtrace.rng import rng_stream
 
@@ -210,6 +223,87 @@ class TestEstimateMc:
     def test_gaussian_noise_refuses_shots_measure(self, ref3):
         with pytest.raises(ValueError, match="never combined"):
             estimate_power_trace_mc(ref3, 1, trials=100, rng=0, measure="shots", ht_sigma=0.01)
+
+
+class TestRhoGPowerMc:
+    """The direct circuit: every layer inserted, no coin flips, no sign."""
+
+    def test_draws_no_flags_and_inserts_every_layer(self, ref3, monkeypatch):
+        seen = []
+        outcome_probabilities = ht._outcome_probabilities
+
+        def spy(e, comps, flags):
+            seen.append((comps, flags))
+            return outcome_probabilities(e, comps, flags)
+
+        monkeypatch.setattr(ht, "_outcome_probabilities", spy)
+        estimate_rho_g_power_mc(ref3, 3, trials=100, rng=0, measure="exact-prob")
+        ((comps, flags),) = seen
+        assert comps.shape == (100, 4) and flags is None
+        # The components come from the same uniforms as the coin-flip circuit's.
+        comps_mc, _ = drawn_circuits(monkeypatch, ref3, 3, 100)
+        assert np.array_equal(comps, comps_mc)
+
+    def test_no_flags_means_every_layer(self, ref3):
+        comps = np.random.default_rng(2).integers(0, ref3.alpha, (500, 6))
+        every = ht._outcome_probabilities(ref3, comps, np.ones((500, 5), dtype=bool))
+        assert np.array_equal(ht._outcome_probabilities(ref3, comps), every)
+
+    def test_circuit_enumeration_equals_oracle(self):
+        # sum over initial component and every word of (prod p)(2 P(0) - 1).
+        rng = np.random.default_rng(12)
+        for n, alpha in ((2, 2), (3, 3), (4, 2)):
+            spec = random_ensemble(rng, n, alpha)
+            for j in range(4):
+                total = 0.0
+                for word in product(range(alpha), repeat=j + 1):
+                    weight = np.prod(spec.probs[list(word)])
+                    total += weight * (2.0 * exact_p0(spec, word[0], word[1:]) - 1.0)
+                assert total == pytest.approx(exact_rho_g_power_trace(spec, j), abs=1e-12)
+
+    @pytest.mark.parametrize("measure", ["exact-prob", "shots"])
+    def test_pure_state_is_exact(self, measure):
+        for j in range(5):
+            est = estimate_rho_g_power_mc(pure_spec(), j, trials=300, rng=j, measure=measure)
+            assert est.value == pytest.approx((-1.0) ** j, abs=1e-12)
+            # sum-of-squares cancellation leaves ~sqrt(eps) of spurious spread
+            assert est.std_error < 1e-7
+
+    def test_j0_is_unit_trace(self, ref3):
+        est = estimate_rho_g_power_mc(ref3, 0, trials=5000, shots_per_trial=3, rng=1)
+        assert (est.value, est.std_error, est.samples) == (1.0, 0.0, 15000)
+        assert est.mode == ht.MODE_MC_SHOTS
+
+    @pytest.mark.parametrize("measure, ht_sigma", [
+        ("exact-prob", 0.0), ("shots", 0.0), ("exact-prob", 0.01)])
+    def test_converges_to_oracle(self, measure, ht_sigma):
+        spec = random_ensemble(np.random.default_rng(45), 3, 3)
+        for j in (1, 2, 5):
+            est = estimate_rho_g_power_mc(spec, j, trials=60_000, rng=j, measure=measure,
+                                          ht_sigma=ht_sigma)
+            bias = ht_sigma * math.sqrt(2.0 / math.pi)
+            assert abs(est.value - exact_rho_g_power_trace(spec, j)) < 4 * est.std_error + bias
+
+    def test_estimate_is_the_chunk_order_reduction(self, ref3):
+        ranges = chunk_ranges(20_000, ht.TRIAL_CHUNK)
+        parts = [ht._mc_chunk(ref3, 2, 1, "exact-prob", 0.0, 5, lo, hi, coin_flips=False)
+                 for lo, hi in ranges]
+        total, total_sq, count = merge_moment_sums([p[:3] for p in parts])
+        mean = total / count
+        stderr = math.sqrt(max(total_sq - count * mean * mean, 0.0) / (count - 1) / count)
+        est = estimate_rho_g_power_mc(ref3, 2, trials=20_000, rng=5, measure="exact-prob")
+        assert est == TraceEstimate(mean, stderr, 20_000, ht.MODE_MC_EXACT_PROB)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"j": -1}, "j must be >= 0"),
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"shots_per_trial": 0}, "shots_per_trial must be >= 1"),
+        ({"measure": "psychic"}, "measure must be"),
+        ({"ht_sigma": 0.01}, "never combined"),
+    ])
+    def test_arguments_checked(self, ref3, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            estimate_rho_g_power_mc(**{"e": ref3, "j": 2, "trials": 100, **kwargs})
 
 
 class TestTraceEstimateInvariants:

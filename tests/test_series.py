@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from qtrace import exact_entropy_trace, exact_g_power_trace, exact_power_trace
+from qtrace import (
+    exact_entropy_trace,
+    exact_g_power_trace,
+    exact_power_trace,
+    exact_rho_g_power_trace,
+)
 from qtrace.ht import MODE_ORACLE, TraceEstimate
-from qtrace.series import binomial_weights, entropy_weights, evaluate_series
+from qtrace.series import (
+    binomial_weights,
+    entropy_weights,
+    evaluate_series,
+    evaluate_telescoped,
+)
 
 from .conftest import random_ensemble
 
@@ -14,6 +24,13 @@ def oracle_g_estimates(spec, k_max):
     return [
         TraceEstimate(exact_g_power_trace(spec, k), 0.0, 1, MODE_ORACLE)
         for k in range(k_max + 1)
+    ]
+
+
+def oracle_rho_g_estimates(spec, j_max):
+    return [
+        TraceEstimate(exact_rho_g_power_trace(spec, j), 0.0, 1, MODE_ORACLE)
+        for j in range(j_max + 1)
     ]
 
 
@@ -117,3 +134,53 @@ class TestEvaluateSeries:
         a = evaluate_series(binomial_weights(2), gk[:3])
         b = evaluate_series(binomial_weights(2), gk)
         assert a.value == b.value
+
+
+class TestWeightSums:
+    """Sum c_k = 0 makes the 2^n term of every Tr{G^k} cancel."""
+
+    @pytest.mark.parametrize("order", range(1, 16))
+    def test_entropy_weights_sum_to_zero(self, order):
+        assert math.fsum(entropy_weights(order).coefficients) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("m", range(1, 16))
+    def test_binomial_weights_sum_to_zero(self, m):
+        assert math.fsum(binomial_weights(m).coefficients) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestEvaluateTelescoped:
+    @pytest.mark.parametrize("weights", [entropy_weights(2), entropy_weights(8),
+                                         entropy_weights(12), binomial_weights(5)])
+    def test_matches_evaluate_series_on_oracle_values(self, ref3, weights):
+        k_max = weights.max_power
+        direct = evaluate_telescoped(weights, ref3.dim, oracle_rho_g_estimates(ref3, k_max - 1))
+        via_gk = evaluate_series(weights, oracle_g_estimates(ref3, k_max))
+        assert direct.value == pytest.approx(via_gk.value, abs=1e-12)
+        assert (direct.std_error, direct.mode) == (0.0, MODE_ORACLE)
+
+    def test_random_ensembles_match_power_traces(self):
+        rng = np.random.default_rng(8)
+        for n, alpha in ((2, 2), (4, 3), (6, 5)):
+            spec = random_ensemble(rng, n, alpha)
+            for m in range(1, 7):
+                est = evaluate_telescoped(binomial_weights(m), spec.dim,
+                                          oracle_rho_g_estimates(spec, m))
+                assert est.value == pytest.approx(exact_power_trace(spec, m), abs=1e-12)
+
+    def test_stderr_combines_each_term_once(self):
+        # Tr{rho^2} = 1/4 (Tr I - 2 Tr G + Tr G^2), so b_0 = -2 (c_1 + c_2) = 1/2
+        # and b_1 = -2 c_2 = -1/2.
+        rho_g = [
+            TraceEstimate(1.0, 0.1, 100, "mc-shots"),
+            TraceEstimate(0.3, 0.2, 100, "mc-exact-prob"),
+            TraceEstimate(5.0, 9.0, 100, "mc-shots"),  # unused: j < max power only
+        ]
+        est = evaluate_telescoped(binomial_weights(2), 8, rho_g)
+        assert est.value == pytest.approx(0.5 * 1.0 - 0.5 * 0.3, abs=1e-15)
+        assert est.std_error == pytest.approx(math.hypot(0.5 * 0.1, 0.5 * 0.2), abs=1e-15)
+        assert est.mode == "mc-shots"
+        assert est.samples == 200
+
+    def test_missing_powers_rejected(self, ref3):
+        with pytest.raises(ValueError, match="up to j=2"):
+            evaluate_telescoped(entropy_weights(2), ref3.dim, oracle_rho_g_estimates(ref3, 1))
