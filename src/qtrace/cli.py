@@ -26,6 +26,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from typing import Any, Callable, Sequence
 
@@ -246,7 +247,8 @@ def parse_config(raw: Any) -> RunConfig:
         for key in sweep:
             _expect(key in {"command", "power", "parameter", "values"}, f"sweep.{key}", "unknown sweep field")
         _expect(sweep.get("command") in ("ht", "gst"), "sweep.command", "must be 'ht' or 'gst'")
-        _expect_number(sweep.get("power"), "sweep.power", integer=True)
+        power = _expect_number(sweep.get("power"), "sweep.power", integer=True)
+        _expect(power >= 1, "sweep.power", f"must be >= 1, got {int(power)}")
         _expect(
             sweep.get("parameter") in ("shots", "epsilon_trunc", "ht_sigma", "gst_sigma"),
             "sweep.parameter",
@@ -265,7 +267,7 @@ def parse_config(raw: Any) -> RunConfig:
         allowed = {"d", "epsilon", "eps1", "eps2", "delta", "n_layers", "shots"}
         for key, value in budget.items():
             _expect(key in allowed, f"error_budget.{key}", "unknown field")
-            _expect_number(value, f"error_budget.{key}")
+            _expect_number(value, f"error_budget.{key}", integer=key in ("d", "n_layers"))
 
     return RunConfig(spec, params, out_format, out_path, sweep, budget)
 
@@ -386,15 +388,18 @@ def _ht_estimate(
 ) -> ht.TraceEstimate:
     if power < 1:
         raise ConfigError("--power", f"power must be >= 1, got {power}")
+    settings = _ht_settings(params)
+    if params["strategy"] == "enumerate":
+        return ht.estimate_power_trace_enumerate(spec, power - 1, **settings)
+    return ht.estimate_power_trace_mc(spec, power - 1, rng=seed, **settings)
+
+
+def _ht_settings(params: dict[str, Any]) -> dict[str, Any]:
+    """The keywords of the HT estimators of the configured strategy."""
     if params["strategy"] == "enumerate":
         if params["mode"] != "exact":
             raise ConfigError("params.mode", "ht enumerate strategy requires exact mode")
-        return ht.estimate_power_trace_enumerate(spec, power - 1, params["enumeration_cap"])
-    return ht.estimate_power_trace_mc(spec, power - 1, rng=seed, **_ht_mc_settings(params))
-
-
-def _ht_mc_settings(params: dict[str, Any]) -> dict[str, Any]:
-    """The sampling keywords of the HT Monte Carlo estimators."""
+        return {"enumeration_cap": params["enumeration_cap"]}
     if params["mode"] == "gaussian":
         raise ConfigError("params.mode", "ht supports exact or shots mode (ht_sigma rides on exact)")
     measure = "exact-prob" if params["mode"] == "exact" else "shots"
@@ -486,63 +491,41 @@ def run_estimator(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
 def _g_power_terms(
     spec: ensemble.EnsembleSpec, estimator: str, k_max: int, params: dict[str, Any]
 ) -> list[ht.TraceEstimate]:
-    """Tr{G^k} for k = 0..k_max from the oracle, GST or HT enumeration.
-
-    GST estimates each Tr{G^k} on _child_seed(master, k).  HT enumeration
-    composes it from the exact Tr{rho^j}, each computed once, via the
-    binomial identity Tr{G^k} = sum_j C(k,j) (-2)^j Tr{rho^j}.  Those per-k
-    values share their terms, which is harmless only because every term is
-    exact (std_error 0).  Correlated per-k inputs with nonzero standard
-    errors must not be combined in quadrature by ``series.evaluate_series``;
-    HT Monte Carlo goes through ``_rho_g_terms`` and
-    ``series.evaluate_telescoped``.
-    """
-    master = params["seed"]
+    """Independent Tr{G^k} for k = 0..k_max from the oracle or from GST, the
+    GST estimate of Tr{G^k} on _child_seed(master, k)."""
     if estimator == "oracle":
         return [ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
                 for k in range(k_max + 1)]
-    if estimator == "gst":
-        return [_gst_estimate(spec, "tr_g_power", k, params, _child_seed(master, k))
-                for k in range(k_max + 1)]
-    rho = [_ht_estimate(spec, j, params, master) for j in range(1, k_max + 1)]
-    estimates = []
-    for k in range(k_max + 1):
-        value = float(spec.dim)
-        for j, est in enumerate(rho[:k], start=1):
-            value += math.comb(k, j) * (-2.0) ** j * est.value
-        estimates.append(ht.TraceEstimate(value, 0.0, sum(est.samples for est in rho[:k]),
-                                          ht.MODE_EXACT_ENUMERATION))
-    return estimates
+    return [_gst_estimate(spec, "tr_g_power", k, params, _child_seed(params["seed"], k))
+            for k in range(k_max + 1)]
 
 
 def _rho_g_terms(
     spec: ensemble.EnsembleSpec, j_max: int, params: dict[str, Any]
 ) -> list[ht.TraceEstimate]:
-    """Tr{rho G^j} for j = 0..j_max - 1 from HT Monte Carlo, one call per j,
-    the call for j on _child_seed(master, j)."""
-    settings = _ht_mc_settings(params)
+    """Tr{rho G^j} for j = 0..j_max - 1 from HT enumeration or Monte Carlo,
+    one call per j, the Monte Carlo call for j on _child_seed(master, j)."""
+    settings = _ht_settings(params)
+    if params["strategy"] == "enumerate":
+        return [ht.estimate_rho_g_power_enumerate(spec, j, **settings) for j in range(j_max)]
     return [ht.estimate_rho_g_power_mc(spec, j, rng=_child_seed(params["seed"], j), **settings)
             for j in range(j_max)]
 
 
 def run_entropy(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    """Truncated Tr{rho ln rho} series rows.  HT Monte Carlo estimates the
-    series from independent Tr{rho G^j}; every other estimator feeds its
-    Tr{G^k} to ``series.evaluate_series``."""
+    """Truncated Tr{rho ln rho} series rows.  HT estimates the series from
+    independent Tr{rho G^j}; the oracle and GST feed their Tr{G^k} to
+    ``series.evaluate_series``."""
     orders = _parse_orders(args.order, "--order")
     if min(orders) < 1:
         raise ConfigError("--order", "truncation orders must be >= 1")
     k_max = max(orders) + 1
-    if args.estimator == "ht" and cfg.params["strategy"] == "mc":
+    if args.estimator == "ht":
         rho_g = _rho_g_terms(cfg.spec, k_max, cfg.params)
-
-        def evaluate(w: series.SeriesWeights) -> ht.TraceEstimate:
-            return series.evaluate_telescoped(w, cfg.spec.dim, rho_g)
+        evaluate = partial(series.evaluate_telescoped, dim=cfg.spec.dim, rho_g=rho_g)
     else:
         gk = _g_power_terms(cfg.spec, args.estimator, k_max, cfg.params)
-
-        def evaluate(w: series.SeriesWeights) -> ht.TraceEstimate:
-            return series.evaluate_series(w, gk)
+        evaluate = partial(series.evaluate_series, gk=gk)
     exact = _exact(cfg.spec, "tr_rho_ln_rho", None)
     rows = []
     for n_t in orders:

@@ -27,7 +27,7 @@ K = EnsembleSpec.gram supplies every overlap, and the reflection
 G_a = I - 2|psi_a><psi_a| becomes c_a -= 2 (K c)_a.  A trial with k layers
 costs O(k alpha), independent of n; no 2**n vector is formed.
 
-Four modes:
+Five modes:
 
 * ``estimate_power_trace_enumerate`` — exact expectation over all words and
   layer patterns (no randomness, std_error 0).
@@ -42,6 +42,8 @@ Four modes:
   G^{k+1} = G^k - 2 rho G^k, Tr{G^k} = 2**n - 2 sum_{j<k} a_j, so one call
   per j serves every Tr{G^k}, with coefficients that stay bounded where the
   binomial expansion of G^k in powers of rho grows like 3^k.
+* ``estimate_rho_g_power_enumerate`` — exact a_j, the expectation of that
+  circuit over all alpha^(j+1) component words (std_error 0).
 
 Monte Carlo trials are processed in fixed-size chunks with one RNG substream
 per (master seed, chunk start); partial (sum, sum-of-squares, count) triples
@@ -323,19 +325,7 @@ def _enumerate_block(e: EnsembleSpec, k: int, lo: int, hi: int) -> float:
     return float(weights @ (re @ e.probs))
 
 
-def estimate_power_trace_enumerate(
-    e: EnsembleSpec, m: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> TraceEstimate:
-    """Exact expectation of the Hadamard-test estimator for Tr{rho^{m+1}}:
-
-        sum_k (C(m,k)/2^m) (-1)^k  sum_words (prod p) (2 P_word(0) - 1)
-
-    over all alpha^(k+1) component words for each k.  Equals the oracle
-    value; std_error is 0.
-    """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    planned = enumeration_word_count(e.alpha, m)
+def _check_enumeration_cap(planned: int, enumeration_cap: int) -> None:
     if planned > enumeration_cap:
         raise ResourceLimitError(
             f"enumeration needs {planned} words, over the cap of {enumeration_cap}",
@@ -343,13 +333,40 @@ def estimate_power_trace_enumerate(
             cap=enumeration_cap,
         )
 
+
+def estimate_rho_g_power_enumerate(
+    e: EnsembleSpec, j: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
+) -> TraceEstimate:
+    """Exact a_j = Tr{rho G^j}: the expectation of the all-layers circuit of
+    ``estimate_rho_g_power_mc`` over all alpha^(j+1) component words, in
+    blocks of at most _ENUM_BLOCK_ENTRIES coefficients.  std_error is 0."""
+    if j < 0:
+        raise ValueError(f"j must be >= 0, got {j}")
+    planned = e.alpha ** (j + 1)
+    _check_enumeration_cap(planned, enumeration_cap)
     block = max(1, _ENUM_BLOCK_ENTRIES // e.alpha**2)
+    n_words = e.alpha**j
+    value = sum(_enumerate_block(e, j, lo, min(lo + block, n_words))
+                for lo in range(0, n_words, block))
+    return TraceEstimate(value, 0.0, planned, MODE_EXACT_ENUMERATION)
+
+
+def estimate_power_trace_enumerate(
+    e: EnsembleSpec, m: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
+) -> TraceEstimate:
+    """Exact expectation of the Hadamard-test estimator for Tr{rho^{m+1}}:
+
+        sum_k (C(m,k)/2^m) (-1)^k a_k,    a_k = Tr{rho G^k},
+
+    over all alpha^(k+1) component words for each k.  Equals the oracle
+    value; std_error is 0.
+    """
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    planned = enumeration_word_count(e.alpha, m)
+    _check_enumeration_cap(planned, enumeration_cap)
     total = 0.0
     for k in range(m + 1):
-        n_words = e.alpha**k
-        layer_sum = sum(
-            _enumerate_block(e, k, lo, min(lo + block, n_words))
-            for lo in range(0, n_words, block)
-        )
-        total += math.comb(m, k) / 2.0**m * (-1.0) ** k * layer_sum
+        a_k = estimate_rho_g_power_enumerate(e, k, enumeration_cap).value
+        total += math.comb(m, k) / 2.0**m * (-1.0) ** k * a_k
     return TraceEstimate(total, 0.0, planned, MODE_EXACT_ENUMERATION)

@@ -18,15 +18,14 @@ from qtrace.cli import (
     render_json,
 )
 from qtrace.errors import IdentityViolationError, IllConditionedGramError
-from qtrace.series import entropy_weights, evaluate_series
+from qtrace.series import entropy_weights, evaluate_series, evaluate_telescoped
 
 from .conftest import cli_env
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "qtrace", *args], capture_output=True, text=True,
-        env=cli_env(**(env_extra or {})),
+        [sys.executable, "-m", "qtrace", *args], capture_output=True, text=True, env=cli_env(),
     )
 
 
@@ -212,29 +211,26 @@ class TestSubcommands:
         assert float(row["rel_error"]) < 1e-12
 
     def test_entropy_ht_enumeration_runs_once_per_power(self, monkeypatch, capsys):
-        enumerate_trace = ht.estimate_power_trace_enumerate
-        calls = []
+        direct, calls = ht.estimate_rho_g_power_enumerate, []
 
-        def counted(spec, m, *args, **kwargs):
-            calls.append(m)
-            return enumerate_trace(spec, m, *args, **kwargs)
+        def counted(spec, j, *args, **kwargs):
+            calls.append(j)
+            return direct(spec, j, *args, **kwargs)
 
-        monkeypatch.setattr(ht, "estimate_power_trace_enumerate", counted)
+        monkeypatch.setattr(ht, "estimate_rho_g_power_enumerate", counted)
+        monkeypatch.setattr(ht, "estimate_power_trace_enumerate", _refuse)
         assert cli.main(["entropy", "--estimator", "ht", "--order", "2-8"]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
-        assert sorted(calls) == list(range(9))  # Tr{rho^j}, j = 1..9
+        rows = table(capsys.readouterr().out)
+        assert calls == list(range(9))  # Tr{rho G^j}, j = 0..8
 
-        # The same table from one enumeration per (k, j) term.
         spec = load_config("table1").spec
-        gk = []
-        for k in range(10):
-            value = float(spec.dim)
-            for j in range(1, k + 1):
-                value += math.comb(k, j) * (-2.0) ** j * enumerate_trace(spec, j - 1).value
-            gk.append(ht.TraceEstimate(value, 0.0, 1, ht.MODE_EXACT_ENUMERATION))
+        rho_g = [direct(spec, j) for j in range(9)]
+        gk = [ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
+              for k in range(10)]
         for row, order in zip(rows, range(2, 9), strict=True):
-            want = evaluate_series(entropy_weights(order), gk).value
-            assert row.split(",")[2] == format(want, ".17g")
+            w = entropy_weights(order)
+            assert row["estimate"] == format(evaluate_telescoped(w, spec.dim, rho_g).value, ".17g")
+            assert float(row["estimate"]) == pytest.approx(evaluate_series(w, gk).value, abs=1e-15)
 
     def test_entropy_ht_mc_makes_one_call_per_rho_g_power(self, monkeypatch, capsys):
         direct, calls = ht.estimate_rho_g_power_mc, []
@@ -394,14 +390,25 @@ class TestExitCodes:
         ["--power", "2", "--mode", "shots", "--trials", "500", "--seed", "7"],
         ["--g-power", "2", "--mode", "shots", "--trials", "200", "--shots", "1000"],
     ])
-    def test_ill_conditioned_gram_in_mc_exit_4_at_any_thread_setting(self, argv):
+    def test_ill_conditioned_gram_in_mc_exit_4(self, argv):
         # These GST Monte Carlo runs draw a word whose shot-noisy Gram falls
-        # below the conditioning floor; the typed error must reach the user
-        # whatever QTRACE_THREADS says.
-        for threads in ("1", "2"):
-            r = run_cli("gst", "--strategy", "mc", *argv, env_extra={"QTRACE_THREADS": threads})
-            assert r.returncode == 4, r.stderr
-            assert json.loads(r.stderr)["error"] == "ill-conditioned-gram"
+        # below the conditioning floor; the typed error must reach the user.
+        r = run_cli("gst", "--strategy", "mc", *argv)
+        assert r.returncode == 4, r.stderr
+        assert json.loads(r.stderr)["error"] == "ill-conditioned-gram"
+
+    @pytest.mark.parametrize("section, field", [
+        ({"error_budget": {"d": 2.7, "n_layers": 4}}, "error_budget.d"),
+        ({"error_budget": {"d": 2, "n_layers": 3.9}}, "error_budget.n_layers"),
+        ({"sweep": {**sweep("ht", "shots", [5000]), "power": 0}}, "sweep.power"),
+        ({"sweep": {**sweep("gst", "epsilon_trunc", [1e-8]), "power": 0}}, "sweep.power"),
+    ])
+    def test_config_out_of_domain_exit_2(self, tmp_path, capsys, section, field):
+        # The schema rejects these before any runner reads them.
+        command = "bounds" if "error_budget" in section else "sweep"
+        assert cli.main([command, "--config", write_config(tmp_path, base_config(**section))]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["field"]) == ("schema-violation", field)
 
     @pytest.mark.parametrize("key, argv", [
         ("ht_sigma", ["ht", "--power", "2", "--strategy", "mc", "--mode", "exact"]),
@@ -510,21 +517,27 @@ class TestSpanOnly:
         assert cli.main([a.replace("{sweep}", path) for a in argv]) == 0, capsys.readouterr().err
 
 
-#: SHA-256 of the CSV tables of two HT Monte Carlo commands, recorded before
-#: the chunk worker was shared with the Tr{rho G^j} estimator.  A change that
-#: moves any RNG draw of the chunk layout, the shot path or the sigma path
-#: changes these bytes.
-HT_MC_PINS = {
+#: SHA-256 of the stdout of fixed commands.  A change that moves any RNG draw
+#: of the HT chunk layout, the shot path or the sigma path, the float order
+#: of HT enumeration, or the GST Monte Carlo stream changes these bytes.  The
+#: last two are acceptance criterion 10's commands.
+BYTE_PINS = {
     "ht --power 2-4 --strategy mc --mode shots --trials 30000 --seed 7":
         "a5dd1411aed4937e75ba729bc3482f7de030af648b5c255926bd84e873c9490e",
     "ht --power 2-4 --strategy mc --mode exact --ht-sigma 0.01 --trials 30000 --seed 7":
         "316deddea5d254c7db2f49176601f08baaf46aa62bc8df62c87a4f8955746ab2",
+    "ht --power 2-6":
+        "401e90304e413569a461d2737c22f01fd46dd7d125323ce714ab59e16e0767d2",
+    "ht --power 2 --strategy mc --mode shots --trials 30000 --seed 7 --format json":
+        "3d15d7519882513c44e1fd2b5cdd5979c0c051147df7b7c7996bdf936862d9c2",
+    "gst --power 2 --strategy mc --trials 120 --epsilon 1e-3 --seed 7 --format json":
+        "af1d722511d35a604e27de44f60bcb26a110801fdc46cd8463274277437b3ba2",
 }
 
 
 class TestDeterminism:
-    def test_ht_monte_carlo_bytes_match_pins(self, capsys):
-        for command, sha in HT_MC_PINS.items():
+    def test_commands_match_byte_pins(self, capsys):
+        for command, sha in BYTE_PINS.items():
             assert cli.main(command.split()) == 0
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == sha, (command, out)

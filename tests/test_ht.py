@@ -20,6 +20,7 @@ from qtrace.ht import (
     TraceEstimate,
     estimate_power_trace_enumerate,
     estimate_power_trace_mc,
+    estimate_rho_g_power_enumerate,
     estimate_rho_g_power_mc,
 )
 from qtrace.qcore import reflect_amplitudes
@@ -163,6 +164,15 @@ class TestEstimateEnumerate:
         with pytest.raises(ResourceLimitError, match="cap of 100"):
             estimate_power_trace_enumerate(ref3, 4, enumeration_cap=100)
 
+    @pytest.mark.parametrize("j", [0, 2, 5])
+    def test_rho_g_budget_cap_counts_one_word_length(self, ref3, j):
+        words = ref3.alpha ** (j + 1)
+        with pytest.raises(ResourceLimitError) as info:
+            estimate_rho_g_power_enumerate(ref3, j, enumeration_cap=words - 1)
+        assert (info.value.requested, info.value.cap) == (words, words - 1)
+        est = estimate_rho_g_power_enumerate(ref3, j, enumeration_cap=words)
+        assert (est.samples, est.std_error, est.mode) == (words, 0.0, ht.MODE_EXACT_ENUMERATION)
+
 
 class TestEstimateMc:
     def test_pure_state_exact_prob_is_one(self):
@@ -260,6 +270,8 @@ class TestRhoGPowerMc:
                     weight = np.prod(spec.probs[list(word)])
                     total += weight * (2.0 * exact_p0(spec, word[0], word[1:]) - 1.0)
                 assert total == pytest.approx(exact_rho_g_power_trace(spec, j), abs=1e-12)
+                got = estimate_rho_g_power_enumerate(spec, j).value
+                assert got == pytest.approx(exact_rho_g_power_trace(spec, j), abs=1e-12)
 
     @pytest.mark.parametrize("measure", ["exact-prob", "shots"])
     def test_pure_state_is_exact(self, measure):
