@@ -496,6 +496,11 @@ def _g_power_terms(
     if estimator == "oracle":
         return [ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
                 for k in range(k_max + 1)]
+    if params["strategy"] == "enumerate":
+        # Every k's cap check before the first estimate: an order over the
+        # cap fails in set-up time with the first over-cap k's error.
+        for k in range(k_max + 1):
+            gst_mod.check_enumeration_budget(spec.alpha, k, params["enumeration_cap"])
     return [_gst_estimate(spec, "tr_g_power", k, params, _child_seed(params["seed"], k))
             for k in range(k_max + 1)]
 
@@ -507,6 +512,9 @@ def _rho_g_terms(
     one call per j, the Monte Carlo call for j on _child_seed(master, j)."""
     settings = _ht_settings(params)
     if params["strategy"] == "enumerate":
+        # As in _g_power_terms: a_j needs alpha^(j+1) words.
+        for j in range(j_max):
+            ht.check_enumeration_cap(spec.alpha ** (j + 1), settings["enumeration_cap"])
         return [ht.estimate_rho_g_power_enumerate(spec, j, **settings) for j in range(j_max)]
     return [ht.estimate_rho_g_power_mc(spec, j, rng=_child_seed(params["seed"], j), **settings)
             for j in range(j_max)]

@@ -13,8 +13,11 @@ states' reflections and one unit vector orthogonal to them, so each stage
 runs on the rows of ``EnsembleSpec.span_states``: D <= alpha + 1
 coordinates per state, the same inner products as the 2^n kets.  A word
 costs O(k alpha^3 + alpha^6), reflections on (d+1)^2 D-vectors plus the
-(d+1)^2-sized solve, whatever n is.  Tr{w} is recovered without ever
-reconstructing w:
+(d+1)^2-sized solve, whatever n is; its stages 1, 2 and 5 (the subspace,
+both operator bases with their prep kets and exact Grams, the augmentation
+state and, in exact mode, the Gram eigendecompositions) depend on the word
+only through its distinct indices in first-occurrence order, its subspace
+key.  Tr{w} is recovered without ever reconstructing w:
 
 1. ``build_subspace``   — walk the distinct word states in first-occurrence
    order; a Gram-Schmidt admission statistic (|Delta|^2 / (1+|x|^2))^2 below
@@ -42,9 +45,14 @@ reconstructing w:
 
 Words are plain sequences of component indices, processed independently
 with one RNG substream per word index and merged in index order, so
-estimates are bit-identical for a fixed seed.  In exact mode, Monte Carlo
-evaluates each distinct word once per estimate and serves repeats from a
-memo.
+estimates are bit-identical for a fixed seed.  Each estimate keeps a
+``StageCache``: the word-independent stages are built once per subspace key
+(alpha!/(alpha-i)! keys of i distinct indices, 64 at alpha = 4 for any
+k >= 4, against alpha^k words), up to KEY_CACHE_BYTES of arrays.  Per word
+there remain the reflections, the p matrix, the noise draws (p, g, p', g' in
+that order, so the streams do not depend on the cache), the solve and the
+identity checks.  In exact mode, Monte Carlo also evaluates each distinct
+word once per estimate and serves repeats from a memo.
 """
 
 from __future__ import annotations
@@ -99,6 +107,11 @@ _PROBE_NORM_FLOOR = 1e-6
 _AUGMENT_MIX = 0.5
 
 _WORD_CHUNK = 32
+
+#: Byte budget of one estimate's ``StageCache``.  An exact-mode key with
+#: d = 7 holds about 120 KB, so some 550 such keys fit; past the budget a key
+#: is evaluated per word.
+KEY_CACHE_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -228,6 +241,22 @@ class OperatorBasis:
         m.setflags(write=False)
         return m
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Exact Gram g_rs = |<chi_r|chi_s>|^2 of the prep kets; read-only."""
+        s = self.prep_matrix
+        g = np.abs(s.conj() @ s.T) ** 2
+        g.setflags(write=False)
+        return g
+
+    @cached_property
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, v) of the symmetrised exact Gram, as ``ptm_trace`` takes them."""
+        w, v = np.linalg.eigh(0.5 * (self.gram + self.gram.T))
+        for a in (w, v):
+            a.setflags(write=False)
+        return w, v
+
 
 def operator_basis_for_states(states: Sequence[np.ndarray], theta: float) -> OperatorBasis:
     """d^2 preparation descriptors over an explicit state list."""
@@ -291,7 +320,7 @@ def measure_matrices(
     s = ob.prep_matrix
     t = apply_word(e, indices, s)
     p = np.abs(s.conj() @ t.T) ** 2
-    g = np.abs(s.conj() @ s.T) ** 2
+    g = ob.gram
     if not mode.is_exact:
         if rng is None:
             raise ValueError(f"measure mode {mode.kind!r} requires an rng")
@@ -304,18 +333,24 @@ def measure_matrices(
     return GstMatrices(p, g, mode)
 
 
-def ptm_trace(mx: GstMatrices, allow_pseudoinverse: bool = False) -> float:
+def ptm_trace(
+    mx: GstMatrices,
+    allow_pseudoinverse: bool = False,
+    gram_eigh: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
     """Tr{solve(g, p)} via the eigendecomposition of the (symmetrized) Gram.
 
     Estimates |Tr w|^2.  If the Gram's minimum eigenvalue is below the
     conditioning floor this raises IllConditionedGramError rather than
     silently regularizing; pass ``allow_pseudoinverse=True`` to opt into a
-    pseudo-inverse instead (which biases traces).
+    pseudo-inverse instead (which biases traces).  ``gram_eigh`` is that
+    eigendecomposition when the caller already holds it (an exact Gram's
+    ``OperatorBasis.gram_eigh``).
     """
     if mx.size == 0:
         return 0.0
     sym = 0.5 * (mx.g_mat + mx.g_mat.T)
-    w, v = np.linalg.eigh(sym)
+    w, v = np.linalg.eigh(sym) if gram_eigh is None else gram_eigh
     min_eig = float(w[0])
     if min_eig < CONDITIONING_FLOOR:
         if not allow_pseudoinverse:
@@ -400,6 +435,65 @@ class CombinationTrace:
     value: float
 
 
+@dataclass(eq=False)
+class KeyStages:
+    """The word-independent stages of one subspace key: the subspace, the
+    operator basis over its retained states and, once the augmentation state
+    exists, the basis over the retained states plus |phi>.  The prep kets,
+    exact Gram and Gram eigendecomposition are cached properties of the
+    bases, so a stored entry carries them too."""
+
+    b: SubspaceBasis
+    ob: OperatorBasis | None = None
+    ob_aug: OperatorBasis | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the prep kets, Grams and eigendecompositions the two
+        bases have computed so far."""
+        arrays = []
+        for ob in (self.ob, self.ob_aug):
+            cached = vars(ob)
+            arrays += [cached.get("prep_matrix"), cached.get("gram"), *cached.get("gram_eigh", ())]
+        return sum(a.nbytes for a in arrays if a is not None)
+
+
+class StageCache:
+    """Per-estimate store of ``KeyStages``, keyed by a word's distinct indices
+    in first-occurrence order, through which alone every stage they hold
+    depends on the word.  One cache serves one (ensemble, epsilon, theta).
+    Keys are kept until their arrays fill KEY_CACHE_BYTES; later keys are
+    evaluated but not stored, which changes no value."""
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple[int, ...], KeyStages] = {}
+        self.nbytes = 0
+
+    def get(self, key: tuple[int, ...]) -> KeyStages | None:
+        return self._entries.get(key)
+
+    def put(self, key: tuple[int, ...], stages: KeyStages) -> None:
+        if key in self._entries:
+            return
+        size = stages.nbytes
+        if self.nbytes + size <= KEY_CACHE_BYTES:
+            self._entries[key] = stages
+            self.nbytes += size
+
+
+def _word_trace(
+    e: EnsembleSpec,
+    indices: Sequence[int],
+    ob: OperatorBasis,
+    mode: MeasureMode,
+    rng: np.random.Generator | None,
+    allow_pseudoinverse: bool,
+) -> float:
+    """Tr{R} of the word over ``ob``; an exact Gram's eigh comes from ``ob``."""
+    mx = measure_matrices(e, indices, ob, mode, rng)
+    return ptm_trace(mx, allow_pseudoinverse, ob.gram_eigh if mode.is_exact else None)
+
+
 def augment_and_trace(
     e: EnsembleSpec,
     indices: Sequence[int],
@@ -408,18 +502,25 @@ def augment_and_trace(
     mode: MeasureMode = EXACT,
     rng: np.random.Generator | None = None,
     allow_pseudoinverse: bool = False,
+    stages: KeyStages | None = None,
 ) -> tuple[float, float]:
     """(Tr{R_w}, Tr{R_w'}) for the subspace and its one-state augmentation.
 
     The augmented run uses (d+1)^2 preparations built over the retained
     states plus the augmentation state |phi>; in exact mode
-    Tr{R_w'} = |Tr w + 1|^2.
+    Tr{R_w'} = |Tr w + 1|^2.  ``stages`` (for the subspace ``b``) supplies
+    the bases it already holds and receives the ones built here, in the
+    order the uncached pipeline builds them.
     """
-    ob = operator_basis_for_states(b.retained, theta)
-    tr_rw = ptm_trace(measure_matrices(e, indices, ob, mode, rng), allow_pseudoinverse)
-    phi = augmentation_state(e, indices, b)
-    ob_aug = operator_basis_for_states((*b.retained, phi), theta)
-    tr_aug = ptm_trace(measure_matrices(e, indices, ob_aug, mode, rng), allow_pseudoinverse)
+    if stages is None:
+        stages = KeyStages(b)
+    if stages.ob is None:
+        stages.ob = operator_basis_for_states(b.retained, theta)
+    tr_rw = _word_trace(e, indices, stages.ob, mode, rng, allow_pseudoinverse)
+    if stages.ob_aug is None:
+        phi = augmentation_state(e, indices, b)
+        stages.ob_aug = operator_basis_for_states((*b.retained, phi), theta)
+    tr_aug = _word_trace(e, indices, stages.ob_aug, mode, rng, allow_pseudoinverse)
     return tr_rw, tr_aug
 
 
@@ -431,13 +532,23 @@ def combination_trace(
     mode: MeasureMode = EXACT,
     rng: np.random.Generator | None = None,
     allow_pseudoinverse: bool = False,
+    cache: StageCache | None = None,
 ) -> CombinationTrace:
     """Full per-word pipeline: Tr{W} estimated as 2^n - d + Re[Tr w] with
-    Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2."""
+    Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2.
+
+    With a ``cache`` (for this ensemble, epsilon and theta), the word's
+    subspace and bases come from its key's entry, and a key evaluated here
+    without error is stored; the result is the same with or without it.
+    """
     if any(i < 0 or i >= e.alpha for i in indices):
         raise ValueError(f"indices {tuple(indices)} out of range for alpha={e.alpha}")
-    b = build_subspace(e, indices, epsilon)
-    tr_rw, tr_aug = augment_and_trace(e, indices, b, theta, mode, rng, allow_pseudoinverse)
+    key = tuple(dict.fromkeys(indices))
+    stages = None if cache is None else cache.get(key)
+    if stages is None:
+        stages = KeyStages(build_subspace(e, indices, epsilon))
+    b = stages.b
+    tr_rw, tr_aug = augment_and_trace(e, indices, b, theta, mode, rng, allow_pseudoinverse, stages)
     re_tr_w = 0.5 * (tr_aug - tr_rw - 1.0)
     value = float(2**e.n - b.d + re_tr_w)
     # The clean identities |Tr w|^2 >= 0 and Re[Tr w] <= d (so value <= Tr{I})
@@ -453,6 +564,8 @@ def combination_trace(
                 "exceeds Tr{I}",
                 statistic=re_tr_w,
             )
+    if cache is not None:
+        cache.put(key, stages)
     return CombinationTrace(b.d, tr_rw, re_tr_w, value)
 
 
@@ -470,6 +583,7 @@ def _enumerate_chunk(
     master_seed: int,
     stream_key: tuple[int, ...],
     allow_pseudoinverse: bool,
+    cache: StageCache | None,
     lo: int,
     hi: int,
 ) -> float:
@@ -478,7 +592,7 @@ def _enumerate_chunk(
         indices = _word_at(e.alpha, k, rank)
         weight = float(np.prod([e.probs[i] for i in indices])) if indices else 1.0
         rng = None if mode.is_exact else rng_stream(master_seed, *stream_key, rank)
-        ct = combination_trace(e, indices, epsilon, theta, mode, rng, allow_pseudoinverse)
+        ct = combination_trace(e, indices, epsilon, theta, mode, rng, allow_pseudoinverse, cache)
         partial_sum += weight * ct.value
     return partial_sum
 
@@ -492,25 +606,42 @@ def _mc_chunk(
     master_seed: int,
     stream_key: tuple[int, ...],
     allow_pseudoinverse: bool,
+    cache: StageCache | None,
     memo: dict[tuple[int, ...], float] | None,
     lo: int,
     hi: int,
 ) -> tuple[float, float, int]:
-    """Moment sums over draws lo..hi-1; ``memo`` maps words to their values
-    (exact mode only, where a value does not depend on the word's stream)."""
+    """Moment sums over draws lo..hi-1.  ``memo`` maps words to their values
+    (exact mode only, where a value does not depend on the word's stream);
+    a word it misses runs ``combination_trace`` with ``cache``, which holds
+    the word-independent stages of each subspace key in every mode."""
     total = total_sq = 0.0
     for t in range(lo, hi):
         rng = rng_stream(master_seed, *stream_key, t)
         indices = tuple(int(i) for i in e.component_indices(rng.random(k)))
         value = None if memo is None else memo.get(indices)
         if value is None:
-            ct = combination_trace(e, indices, epsilon, theta, mode, rng, allow_pseudoinverse)
+            ct = combination_trace(
+                e, indices, epsilon, theta, mode, rng, allow_pseudoinverse, cache
+            )
             value = ct.value
             if memo is not None:
                 memo[indices] = value
         total += value
         total_sq += value * value
     return total, total_sq, hi - lo
+
+
+def check_enumeration_budget(alpha: int, k: int, budget: int) -> None:
+    """Raise ResourceLimitError if enumerating Tr{G^k} needs more than
+    ``budget`` words."""
+    n_words = alpha**k
+    if n_words > budget:
+        raise ResourceLimitError(
+            f"enumerating Tr{{G^{k}}} needs {n_words} words, over the cap of {budget}",
+            requested=n_words,
+            cap=budget,
+        )
 
 
 def estimate_g_power_trace(
@@ -532,23 +663,19 @@ def estimate_g_power_trace(
     if strategy not in ("enumerate", "mc"):
         raise ValueError(f"strategy must be 'enumerate' or 'mc', got {strategy!r}")
     master_seed = as_master_seed(rng)
-    common = (e, k, epsilon, theta, mode, master_seed, stream_key, allow_pseudoinverse)
+    # One stage cache (and, in exact mode, one word memo) serves every chunk
+    # of this estimate.
+    common = (e, k, epsilon, theta, mode, master_seed, stream_key, allow_pseudoinverse,
+              StageCache())
 
     if strategy == "enumerate":
+        check_enumeration_budget(e.alpha, k, budget)
         n_words = e.alpha**k
-        if n_words > budget:
-            raise ResourceLimitError(
-                f"enumerating Tr{{G^{k}}} needs {n_words} words, "
-                f"over the cap of {budget}",
-                requested=n_words,
-                cap=budget,
-            )
         parts = run_chunked(partial(_enumerate_chunk, *common), n_words, _WORD_CHUNK)
         return TraceEstimate(float(sum(parts)), 0.0, n_words, MODE_EXACT_ENUMERATION)
 
     if budget < 1:
         raise ValueError(f"mc strategy needs budget >= 1, got {budget}")
-    # One memo serves every chunk of this estimate.
     memo = {} if mode.is_exact else None
     parts = run_chunked(partial(_mc_chunk, *common, memo), budget, _WORD_CHUNK)
     est_mode = MODE_MC_EXACT_PROB if mode.is_exact else MODE_MC_SHOTS

@@ -325,7 +325,8 @@ def _enumerate_block(e: EnsembleSpec, k: int, lo: int, hi: int) -> float:
     return float(weights @ (re @ e.probs))
 
 
-def _check_enumeration_cap(planned: int, enumeration_cap: int) -> None:
+def check_enumeration_cap(planned: int, enumeration_cap: int) -> None:
+    """Raise ResourceLimitError if ``planned`` words exceed the cap."""
     if planned > enumeration_cap:
         raise ResourceLimitError(
             f"enumeration needs {planned} words, over the cap of {enumeration_cap}",
@@ -343,7 +344,7 @@ def estimate_rho_g_power_enumerate(
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     planned = e.alpha ** (j + 1)
-    _check_enumeration_cap(planned, enumeration_cap)
+    check_enumeration_cap(planned, enumeration_cap)
     block = max(1, _ENUM_BLOCK_ENTRIES // e.alpha**2)
     n_words = e.alpha**j
     value = sum(_enumerate_block(e, j, lo, min(lo + block, n_words))
@@ -364,7 +365,7 @@ def estimate_power_trace_enumerate(
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     planned = enumeration_word_count(e.alpha, m)
-    _check_enumeration_cap(planned, enumeration_cap)
+    check_enumeration_cap(planned, enumeration_cap)
     total = 0.0
     for k in range(m + 1):
         a_k = estimate_rho_g_power_enumerate(e, k, enumeration_cap).value

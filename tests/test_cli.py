@@ -369,6 +369,32 @@ class TestExitCodes:
         assert record["error"] == "resource-limit"
         assert record["cap"] == 10
 
+    @pytest.mark.parametrize("estimator, module, name", [
+        ("ht", ht, "estimate_rho_g_power_enumerate"),
+        ("gst", gst, "estimate_g_power_trace"),
+    ])
+    def test_entropy_over_cap_exits_before_any_estimate(
+        self, tmp_path, capsys, monkeypatch, estimator, module, name
+    ):
+        # --order 2-4 needs Tr{rho G^j} for j <= 4 (HT, alpha^(j+1) words) or
+        # Tr{G^k} for k <= 5 (GST, alpha^k words); with alpha = 4 the first
+        # over the cap of 100 needs 4^4 = 256 words, and that is the record.
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("an estimator ran before the cap check")
+
+        monkeypatch.setattr(module, name, spy)
+        cfg = base_config()
+        cfg["params"]["enumeration_cap"] = 100
+        argv = ["entropy", "--estimator", estimator, "--order", "2-4",
+                "--config", write_config(tmp_path, cfg)]
+        assert cli.main(argv) == 3
+        assert calls == []
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["requested"], record["cap"]) == ("resource-limit", 256, 100)
+
     def test_ill_conditioned_gram_exit_4(self, tmp_path):
         # Two nearly identical components and no truncation: the d=2 Gram is
         # numerically singular and the run must fail loudly.
@@ -532,6 +558,23 @@ BYTE_PINS = {
         "3d15d7519882513c44e1fd2b5cdd5979c0c051147df7b7c7996bdf936862d9c2",
     "gst --power 2 --strategy mc --trials 120 --epsilon 1e-3 --seed 7 --format json":
         "af1d722511d35a604e27de44f60bcb26a110801fdc46cd8463274277437b3ba2",
+    "gst --g-power 1-3 --strategy mc --mode shots --trials 200 --seed 7 --pinv":
+        "77c252d2a3518bd7bdb2a7faac1b13335858270bed2b8851b2e3308de55cd8ba",
+    "gst --g-power 1-3 --strategy mc --mode gaussian --trials 200 --seed 7 --pinv":
+        "b3c85a502809a26a44d023bb96e4516b9f8fa8a48b72b924c10d09f1db80c72c",
+    "gst --power 2-4 --pinv":
+        "20e6bdf2d502830c307b99a6dcd103741bb19a07415f807574155227040c67c1",
+}
+
+#: Exit-4 commands and their stderr record: a noisy Gram below the
+#: conditioning floor, with its min eigenvalue to the last digit.
+ERROR_PINS = {
+    "gst --g-power 1-3 --strategy mc --mode shots --trials 200 --seed 7":
+        '{"error": "ill-conditioned-gram", "message": "Gram matrix min eigenvalue -4.371e-03 '
+        'is below the conditioning floor 1.000e-08", "min_eigenvalue": -0.004371305987496815}\n',
+    "gst --g-power 1-3 --strategy mc --mode gaussian --trials 200 --seed 7":
+        '{"error": "ill-conditioned-gram", "message": "Gram matrix min eigenvalue -1.565e-05 '
+        'is below the conditioning floor 1.000e-08", "min_eigenvalue": -1.5653976404724974e-05}\n',
 }
 
 
@@ -541,6 +584,12 @@ class TestDeterminism:
             assert cli.main(command.split()) == 0
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == sha, (command, out)
+
+    def test_failing_commands_match_error_pins(self, capsys):
+        for command, record in ERROR_PINS.items():
+            assert cli.main(command.split()) == 4
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", record), command
 
     def test_same_seed_same_bytes(self, tmp_path):
         paths = []

@@ -223,7 +223,7 @@ class TestSampleCombination:
         # Word (0, 3, 3) has rank 0*16 + 3*4 + 3 = 15 among the 4**3 words.
         assert gst._word_at(4, 3, 15) == (0, 3, 3)
         part = gst._enumerate_chunk(ref3, 3, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT,
-                                    0, (), False, 15, 16)
+                                    0, (), False, None, 15, 16)
         value = combination_trace(ref3, (0, 3, 3)).value
         assert part / value == pytest.approx(0.1 * 0.4 * 0.4, abs=1e-15)
 
@@ -619,7 +619,7 @@ class TestEstimateGPowerTrace:
         budget = 300  # nine full chunks and a partial tenth
         ranges = chunk_ranges(budget, gst._WORD_CHUNK)
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
-        chunk_args = (ref3, 2, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 9, (), False, None)
+        chunk_args = (ref3, 2, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 9, (), False, None, None)
         parts = [gst._mc_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
         total, total_sq, count = merge_moment_sums(parts)
         mean = total / count
@@ -631,7 +631,7 @@ class TestEstimateGPowerTrace:
         e = random_ensemble(np.random.default_rng(5), 2, 3)
         ranges = chunk_ranges(3**4, gst._WORD_CHUNK)  # 81 words: 32 + 32 + 17
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
-        chunk_args = (e, 4, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 0, (), False)
+        chunk_args = (e, 4, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 0, (), False, None)
         parts = [gst._enumerate_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
         est = estimate_g_power_trace(e, 4)
         assert (est.value, est.std_error, est.samples) == (sum(parts), 0.0, 3**4)
@@ -785,6 +785,103 @@ class TestSharedMemo:
         assert set(calls) == drawn and set(calls.values()) == {1}
         assert budget // gst._WORD_CHUNK > 1 and len(drawn) < budget
         assert (est.value, est.std_error) == per_chunk_memo_estimate(ref3, k, budget, seed)
+
+
+@st.composite
+def gst_word_lists(draw):
+    """A small ensemble, up to six words of length <= 4 over it, and per word
+    a measure mode, the pseudo-inverse flag and the seed of its generator."""
+    e = draw(small_ensembles())
+    calls = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, e.alpha - 1), max_size=4).map(lambda q: word(e, *q)),
+        st.sampled_from([EXACT, MeasureMode("gaussian", sigma=1e-3),
+                         MeasureMode("shots", shots=1000)]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    ), min_size=1, max_size=6))
+    return e, draw(st.sampled_from([1e-10, 1e-3, 0.2])), calls
+
+
+def word_result(e, q, epsilon, mode, pinv, seed, cache=None):
+    """combination_trace's result, or the type and message of its GST error."""
+    try:
+        return combination_trace(e, q, epsilon, gst.DEFAULT_THETA, mode,
+                                 np.random.default_rng(seed), pinv, cache)
+    except (DegenerateAugmentationError, IllConditionedGramError, IdentityViolationError) as err:
+        return type(err), str(err)
+
+
+def stage_calls(monkeypatch):
+    """Counts of build_subspace and augmentation_state calls from now on."""
+    calls = Counter()
+    for name in ("build_subspace", "augmentation_state"):
+        def spy(*args, _inner=getattr(gst, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(gst, name, spy)
+    return calls
+
+
+#: Two components 2.8e-4 apart at n = 2: below epsilon = 1e-30 nothing is
+#: truncated, and the exact d = 2 Gram of word (0, 1) is numerically singular.
+_NEAR_TWINS = EnsembleSpec(2, np.array([0.5, 0.5]), tuple(
+    ProductGate(2, (RotationParams(t * math.pi, 0.0, 0.0),) * 2)
+    for t in (0.30, 0.30 + 2.0 * math.sqrt(2.0) * 1e-4 / math.pi)
+))
+
+
+class TestStageCache:
+    @settings(max_examples=150, deadline=None)
+    @given(gst_word_lists())
+    @example((_FILLING, 1e-10, [(word(_FILLING, 0, 1), EXACT, False, 0),
+                                (word(_FILLING, 1, 0, 0), EXACT, True, 1)]))
+    @example((_NEAR_TWINS, 1e-30, [(word(_NEAR_TWINS, 0, 1), EXACT, True, 0),
+                                   (word(_NEAR_TWINS, 1, 0), EXACT, False, 1),
+                                   (word(_NEAR_TWINS, 0, 1, 1), EXACT, True, 2)]))
+    def test_cached_words_equal_uncached(self, case):
+        # One cache across every word, mode and pinv flag of the example; the
+        # second pass in reverse order serves each stored key from the cache.
+        e, epsilon, calls = case
+        cache = gst.StageCache()
+        for q, mode, pinv, seed in calls + calls[::-1]:
+            assert (word_result(e, q, epsilon, mode, pinv, seed, cache)
+                    == word_result(e, q, epsilon, mode, pinv, seed))
+
+    def test_raising_key_is_not_stored(self):
+        cache = gst.StageCache()
+        for _ in range(2):
+            with pytest.raises(DegenerateAugmentationError):
+                combination_trace(_FILLING, (0, 1), cache=cache)
+        assert cache.nbytes == 0
+
+    def test_ill_conditioned_cached_gram(self):
+        # A --pinv word stores the key; without --pinv its cached Gram raises
+        # per word with the uncached error, and --pinv keeps its value.
+        q = word(_NEAR_TWINS, 0, 1)
+        cache = gst.StageCache()
+        pinv = combination_trace(_NEAR_TWINS, q, 1e-30, allow_pseudoinverse=True, cache=cache)
+        assert cache.nbytes > 0
+        with pytest.raises(IllConditionedGramError) as uncached:
+            combination_trace(_NEAR_TWINS, q, 1e-30)
+        for _ in range(2):
+            with pytest.raises(IllConditionedGramError) as cached:
+                combination_trace(_NEAR_TWINS, q, 1e-30, cache=cache)
+            assert str(cached.value) == str(uncached.value)
+            assert cached.value.min_eigenvalue == uncached.value.min_eigenvalue
+        assert combination_trace(_NEAR_TWINS, q, 1e-30, allow_pseudoinverse=True, cache=cache) == pinv
+
+    @pytest.mark.parametrize("k, keys", [(3, 4 + 12 + 24), (4, 4 + 12 + 24 + 24)])
+    def test_stages_run_once_per_key(self, ref3, monkeypatch, k, keys):
+        calls = stage_calls(monkeypatch)
+        estimate_g_power_trace(ref3, k)
+        assert calls == {"build_subspace": keys, "augmentation_state": keys}
+
+    def test_zero_byte_budget_stores_nothing(self, ref3, monkeypatch):
+        cached = estimate_g_power_trace(ref3, 3)
+        monkeypatch.setattr(gst, "KEY_CACHE_BYTES", 0)
+        calls = stage_calls(monkeypatch)
+        assert estimate_g_power_trace(ref3, 3) == cached
+        assert calls == {"build_subspace": 4**3, "augmentation_state": 4**3}
 
 
 class TestScaleN20:
