@@ -355,8 +355,8 @@ def _timed(enabled: bool, fn: Callable[..., Any], *args: Any) -> tuple[Any, int 
     return result, int(round(1000.0 * (time.perf_counter() - t0))) if enabled else None
 
 
-def _parse_orders(text: str, flag: str) -> list[int]:
-    """'2', '2,4', and '2-4' (inclusive) forms."""
+def _parse_orders(text: str, flag: str, minimum: int) -> list[int]:
+    """'2', '2,4', and '2-4' (inclusive) forms, each order >= ``minimum``."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -371,6 +371,9 @@ def _parse_orders(text: str, flag: str) -> list[int]:
                 out.append(int(part))
         except ValueError:
             raise ConfigError(flag, f"cannot parse order spec {text!r}") from None
+    for order in out:
+        if order < minimum:
+            raise ConfigError(flag, f"{flag[2:]} must be >= {minimum}, got {order}")
     return out
 
 
@@ -386,8 +389,6 @@ def _exact(spec: ensemble.EnsembleSpec, quantity: str, order: int | None) -> flo
 def _ht_estimate(
     spec: ensemble.EnsembleSpec, power: int, params: dict[str, Any], seed: int
 ) -> ht.TraceEstimate:
-    if power < 1:
-        raise ConfigError("--power", f"power must be >= 1, got {power}")
     settings = _ht_settings(params)
     if params["strategy"] == "enumerate":
         return ht.estimate_power_trace_enumerate(spec, power - 1, **settings)
@@ -409,6 +410,24 @@ def _ht_settings(params: dict[str, Any]) -> dict[str, Any]:
         )
     return {"trials": params["trials"], "shots_per_trial": params["shots"],
             "measure": measure, "ht_sigma": params["ht_sigma"]}
+
+
+def _check_enumeration_caps(
+    spec: ensemble.EnsembleSpec, estimator: str, sizes: Sequence[int], params: dict[str, Any]
+) -> None:
+    """Every enumeration cap check of a run, in the order its estimator calls
+    make them, before the first call: a run over the cap fails in set-up time
+    with the first over-cap call's record.  ``sizes`` are the word counts of
+    the HT calls or the powers k of the GST Tr{G^k} calls."""
+    if params["strategy"] != "enumerate":
+        return
+    if estimator == "ht":
+        cap = _ht_settings(params)["enumeration_cap"]
+        for words in sizes:
+            ht.check_enumeration_cap(words, cap)
+    else:
+        for k in sizes:
+            gst_mod.check_enumeration_budget(spec.alpha, k, params["enumeration_cap"])
 
 
 def _gst_estimate(
@@ -463,8 +482,8 @@ def _estimate_row(
 
 
 def run_oracle(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    powers = _parse_orders(args.power, "--power") if args.power else []
-    g_powers = _parse_orders(args.g_power, "--g-power") if args.g_power else []
+    powers = _parse_orders(args.power, "--power", 1) if args.power else []
+    g_powers = _parse_orders(args.g_power, "--g-power", 0) if args.g_power else []
     jobs = [("tr_rho_power", m) for m in powers] + [("tr_g_power", k) for k in g_powers]
     if args.entropy:
         jobs.append(("tr_rho_ln_rho", None))
@@ -478,10 +497,15 @@ def run_estimator(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
     """``ht`` and ``gst``: row i of the rho powers runs on _child_seed(master,
     i), row j of the G powers on _child_seed(master, 10_000 + j)."""
     master, g_power = cfg.params["seed"], getattr(args, "g_power", None)
-    powers = _parse_orders(args.power, "--power") if args.power else []
-    g_powers = _parse_orders(g_power, "--g-power") if g_power else []
+    powers = _parse_orders(args.power, "--power", 1) if args.power else []
+    g_powers = _parse_orders(g_power, "--g-power", 0) if g_power else []
     if not powers and not g_powers:
         raise ConfigError(args.command, "nothing to compute: pass --power or --g-power")
+    if args.command == "ht":
+        sizes = [ht.enumeration_word_count(cfg.spec.alpha, m - 1) for m in powers]
+    else:
+        sizes = [k for m in powers for k in range(m + 1)] + g_powers
+    _check_enumeration_caps(cfg.spec, args.command, sizes, cfg.params)
     jobs = [("tr_rho_power", m, _child_seed(master, i)) for i, m in enumerate(powers)]
     jobs += [("tr_g_power", k, _child_seed(master, 10_000 + j)) for j, k in enumerate(g_powers)]
     return [_estimate_row(cfg.spec, args.command, quantity, order, cfg.params, seed, args.timing)
@@ -496,11 +520,7 @@ def _g_power_terms(
     if estimator == "oracle":
         return [ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
                 for k in range(k_max + 1)]
-    if params["strategy"] == "enumerate":
-        # Every k's cap check before the first estimate: an order over the
-        # cap fails in set-up time with the first over-cap k's error.
-        for k in range(k_max + 1):
-            gst_mod.check_enumeration_budget(spec.alpha, k, params["enumeration_cap"])
+    _check_enumeration_caps(spec, "gst", range(k_max + 1), params)
     return [_gst_estimate(spec, "tr_g_power", k, params, _child_seed(params["seed"], k))
             for k in range(k_max + 1)]
 
@@ -511,10 +531,8 @@ def _rho_g_terms(
     """Tr{rho G^j} for j = 0..j_max - 1 from HT enumeration or Monte Carlo,
     one call per j, the Monte Carlo call for j on _child_seed(master, j)."""
     settings = _ht_settings(params)
+    _check_enumeration_caps(spec, "ht", [spec.alpha ** (j + 1) for j in range(j_max)], params)
     if params["strategy"] == "enumerate":
-        # As in _g_power_terms: a_j needs alpha^(j+1) words.
-        for j in range(j_max):
-            ht.check_enumeration_cap(spec.alpha ** (j + 1), settings["enumeration_cap"])
         return [ht.estimate_rho_g_power_enumerate(spec, j, **settings) for j in range(j_max)]
     return [ht.estimate_rho_g_power_mc(spec, j, rng=_child_seed(params["seed"], j), **settings)
             for j in range(j_max)]
@@ -524,9 +542,7 @@ def run_entropy(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
     """Truncated Tr{rho ln rho} series rows.  HT estimates the series from
     independent Tr{rho G^j}; the oracle and GST feed their Tr{G^k} to
     ``series.evaluate_series``."""
-    orders = _parse_orders(args.order, "--order")
-    if min(orders) < 1:
-        raise ConfigError("--order", "truncation orders must be >= 1")
+    orders = _parse_orders(args.order, "--order", 1)
     k_max = max(orders) + 1
     if args.estimator == "ht":
         rho_g = _rho_g_terms(cfg.spec, k_max, cfg.params)

@@ -33,9 +33,9 @@ key.  Tr{w} is recovered without ever reconstructing w:
 4. ``ptm_trace``        — Tr{solve(g, p)}: the unknown prep/measure frames
    enter p and g as the same similarity and cancel, leaving the transfer-
    matrix trace Tr{R_w} = |Tr w|^2.
-5. ``augment_and_trace`` — repeat with one extra state |phi> outside the
-   span of the circuit states: the restriction to the augmented subspace is
-   block triangular with a unit diagonal entry, so Tr{w'} = Tr{w} + 1 and
+5. ``augmentation_state`` — repeat 2-4 with one extra state |phi> outside
+   the span of the circuit states: the restriction to the augmented subspace
+   is block triangular with a unit diagonal entry, so Tr{w'} = Tr{w} + 1 and
    Tr{R_w'} = |Tr w + 1|^2.  The out-of-span part of |phi> is a probe
    projected off the word's states in the D coordinates; with alpha < 2^n
    the zero column of ``span_states`` guarantees one exists.
@@ -43,22 +43,27 @@ key.  Tr{w} is recovered without ever reconstructing w:
    imaginary parts cancel in the weighted sum over words, so the real part
    is all that is ever needed.
 
+Exact-mode identities are checked where their values are made (the Gram
+in ``OperatorBasis.gram``, p in ``measure_matrices``, the traces in
+``combination_trace``) and raise IdentityViolationError.
+
 Words are plain sequences of component indices, processed independently
 with one RNG substream per word index and merged in index order, so
-estimates are bit-identical for a fixed seed.  Each estimate keeps a
-``StageCache``: the word-independent stages are built once per subspace key
-(alpha!/(alpha-i)! keys of i distinct indices, 64 at alpha = 4 for any
-k >= 4, against alpha^k words), up to KEY_CACHE_BYTES of arrays.  Per word
-there remain the reflections, the p matrix, the noise draws (p, g, p', g' in
-that order, so the streams do not depend on the cache), the solve and the
-identity checks.  In exact mode, Monte Carlo also evaluates each distinct
-word once per estimate and serves repeats from a memo.
+estimates are bit-identical for a fixed seed.  A ``KeyStages`` builds one
+key's stages 1, 2 and 5 on first use, and each estimate's ``StageCache``
+keeps them per key (alpha!/(alpha-i)! keys of i distinct indices, 64 at
+alpha = 4 for any k >= 4, against alpha^k words) up to KEY_CACHE_BYTES of
+arrays.  Per word there remain the reflections, the p matrix, the noise
+draws (p, g, p', g' in that order, so the streams do not depend on the
+cache), the solve and the identity checks.  In exact mode, Monte Carlo also
+evaluates each distinct word once per estimate and serves repeats from a
+memo.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterator, Sequence
 
@@ -214,6 +219,13 @@ def _check_theta(theta: float) -> None:
         )
 
 
+def _check_unit_range(name: str, m: np.ndarray) -> None:
+    """Exact |amplitude|^2 entries cannot be negative; none may exceed 1."""
+    top = float(np.max(m, initial=0.0))
+    if top > 1.0 + 1e-12:
+        raise IdentityViolationError(f"exact-mode {name} entries leave [0, 1]", statistic=top)
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """Pure-state preparations spanning the operator space over the subspace.
@@ -243,9 +255,14 @@ class OperatorBasis:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Exact Gram g_rs = |<chi_r|chi_s>|^2 of the prep kets; read-only."""
+        """Exact Gram g_rs = |<chi_r|chi_s>|^2 of the prep kets, checked
+        symmetric with entries in [0, 1]; read-only."""
         s = self.prep_matrix
         g = np.abs(s.conj() @ s.T) ** 2
+        asymmetry = float(np.max(np.abs(g - g.T), initial=0.0))
+        if asymmetry > 1e-10:
+            raise IdentityViolationError("exact Gram matrix is not symmetric", statistic=asymmetry)
+        _check_unit_range("g", g)
         g.setflags(write=False)
         return g
 
@@ -267,34 +284,6 @@ def operator_basis_for_states(states: Sequence[np.ndarray], theta: float) -> Ope
     return OperatorBasis(tuple(states), tuple(preps), theta)
 
 
-@dataclass(frozen=True, eq=False)
-class GstMatrices:
-    """Measured p (gate) and g (Gram) matrices, with how they were measured."""
-
-    p_mat: np.ndarray = field(repr=False)
-    g_mat: np.ndarray = field(repr=False)
-    mode: MeasureMode = EXACT
-
-    def __post_init__(self) -> None:
-        p, g = np.asarray(self.p_mat, float), np.asarray(self.g_mat, float)
-        if p.shape != g.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"p/g must be equal square matrices, got {p.shape} vs {g.shape}")
-        if self.mode.is_exact and p.size:
-            if np.max(np.abs(g - g.T)) > 1e-10:
-                raise ValueError("exact-mode Gram matrix is not symmetric")
-            for name, m in (("p", p), ("g", g)):
-                if m.min() < -1e-12 or m.max() > 1.0 + 1e-12:
-                    raise ValueError(f"exact-mode {name} entries leave [0, 1]")
-        for m in (p, g):
-            m.setflags(write=False)
-        object.__setattr__(self, "p_mat", p)
-        object.__setattr__(self, "g_mat", g)
-
-    @property
-    def size(self) -> int:
-        return self.p_mat.shape[0]
-
-
 def apply_word(e: EnsembleSpec, indices: Sequence[int], block: np.ndarray) -> np.ndarray:
     """Apply W = G_{q_1}...G_{q_k} to every state in ``block`` (rows), with
     the rightmost factor acting first."""
@@ -309,32 +298,34 @@ def measure_matrices(
     ob: OperatorBasis,
     mode: MeasureMode = EXACT,
     rng: np.random.Generator | None = None,
-) -> GstMatrices:
-    """p_rs = |<chi_r|W|chi_s>|^2 and g_rs = |<chi_r|chi_s>|^2 over the prep
-    kets, via rank-1 reflection application.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p, g): p_rs = |<chi_r|W|chi_s>|^2 and g_rs = |<chi_r|chi_s>|^2 over
+    the prep kets, via rank-1 reflection application.
 
-    shots(N) mode replaces each entry with a Binomial(N, p)/N draw; gaussian
-    mode adds N(0, sigma^2) per entry without clamping (p first, then g, in
-    row-major order).
+    Exact mode checks that p stays in [0, 1].  shots(N) mode replaces each
+    entry with a Binomial(N, p)/N draw; gaussian mode adds N(0, sigma^2) per
+    entry without clamping (p first, then g, in row-major order).
     """
     s = ob.prep_matrix
-    t = apply_word(e, indices, s)
-    p = np.abs(s.conj() @ t.T) ** 2
+    p = np.abs(s.conj() @ apply_word(e, indices, s).T) ** 2
     g = ob.gram
-    if not mode.is_exact:
-        if rng is None:
-            raise ValueError(f"measure mode {mode.kind!r} requires an rng")
-        if mode.kind == "shots":
-            p = rng.binomial(mode.shots, np.clip(p, 0.0, 1.0)) / mode.shots
-            g = rng.binomial(mode.shots, np.clip(g, 0.0, 1.0)) / mode.shots
-        else:
-            p = p + mode.sigma * rng.standard_normal(p.shape)
-            g = g + mode.sigma * rng.standard_normal(g.shape)
-    return GstMatrices(p, g, mode)
+    if mode.is_exact:
+        _check_unit_range("p", p)
+        return p, g
+    if rng is None:
+        raise ValueError(f"measure mode {mode.kind!r} requires an rng")
+    if mode.kind == "shots":
+        p = rng.binomial(mode.shots, np.clip(p, 0.0, 1.0)) / mode.shots
+        g = rng.binomial(mode.shots, np.clip(g, 0.0, 1.0)) / mode.shots
+    else:
+        p = p + mode.sigma * rng.standard_normal(p.shape)
+        g = g + mode.sigma * rng.standard_normal(g.shape)
+    return p, g
 
 
 def ptm_trace(
-    mx: GstMatrices,
+    p: np.ndarray,
+    g: np.ndarray,
     allow_pseudoinverse: bool = False,
     gram_eigh: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
@@ -347,9 +338,9 @@ def ptm_trace(
     eigendecomposition when the caller already holds it (an exact Gram's
     ``OperatorBasis.gram_eigh``).
     """
-    if mx.size == 0:
+    if len(p) == 0:
         return 0.0
-    sym = 0.5 * (mx.g_mat + mx.g_mat.T)
+    sym = 0.5 * (g + g.T)
     w, v = np.linalg.eigh(sym) if gram_eigh is None else gram_eigh
     min_eig = float(w[0])
     if min_eig < CONDITIONING_FLOOR:
@@ -359,8 +350,8 @@ def ptm_trace(
                 f"conditioning floor {CONDITIONING_FLOOR:.3e}",
                 min_eigenvalue=min_eig,
             )
-        return float(np.trace(np.linalg.pinv(sym, rcond=1e-12) @ mx.p_mat))
-    return float(np.trace((v / w) @ (v.T @ mx.p_mat)))
+        return float(np.trace(np.linalg.pinv(sym, rcond=1e-12) @ p))
+    return float(np.trace((v / w) @ (v.T @ p)))
 
 
 def _probes(dim: int) -> Iterator[np.ndarray]:
@@ -435,17 +426,25 @@ class CombinationTrace:
     value: float
 
 
-@dataclass(eq=False)
 class KeyStages:
     """The word-independent stages of one subspace key: the subspace, the
-    operator basis over its retained states and, once the augmentation state
-    exists, the basis over the retained states plus |phi>.  The prep kets,
-    exact Gram and Gram eigendecomposition are cached properties of the
-    bases, so a stored entry carries them too."""
+    operator basis over its retained states and the basis over the retained
+    states plus the augmentation state |phi>.  Each basis is built on first
+    use; its prep kets, exact Gram and Gram eigendecomposition are cached
+    properties, so a stored entry carries them too."""
 
-    b: SubspaceBasis
-    ob: OperatorBasis | None = None
-    ob_aug: OperatorBasis | None = None
+    def __init__(self, e: EnsembleSpec, key: tuple[int, ...], epsilon: float, theta: float):
+        self.e, self.key, self.theta = e, key, theta
+        self.b = build_subspace(e, key, epsilon)
+
+    @cached_property
+    def ob(self) -> OperatorBasis:
+        return operator_basis_for_states(self.b.retained, self.theta)
+
+    @cached_property
+    def ob_aug(self) -> OperatorBasis:
+        phi = augmentation_state(self.e, self.key, self.b)
+        return operator_basis_for_states((*self.b.retained, phi), self.theta)
 
     @property
     def nbytes(self) -> int:
@@ -490,38 +489,8 @@ def _word_trace(
     allow_pseudoinverse: bool,
 ) -> float:
     """Tr{R} of the word over ``ob``; an exact Gram's eigh comes from ``ob``."""
-    mx = measure_matrices(e, indices, ob, mode, rng)
-    return ptm_trace(mx, allow_pseudoinverse, ob.gram_eigh if mode.is_exact else None)
-
-
-def augment_and_trace(
-    e: EnsembleSpec,
-    indices: Sequence[int],
-    b: SubspaceBasis,
-    theta: float = DEFAULT_THETA,
-    mode: MeasureMode = EXACT,
-    rng: np.random.Generator | None = None,
-    allow_pseudoinverse: bool = False,
-    stages: KeyStages | None = None,
-) -> tuple[float, float]:
-    """(Tr{R_w}, Tr{R_w'}) for the subspace and its one-state augmentation.
-
-    The augmented run uses (d+1)^2 preparations built over the retained
-    states plus the augmentation state |phi>; in exact mode
-    Tr{R_w'} = |Tr w + 1|^2.  ``stages`` (for the subspace ``b``) supplies
-    the bases it already holds and receives the ones built here, in the
-    order the uncached pipeline builds them.
-    """
-    if stages is None:
-        stages = KeyStages(b)
-    if stages.ob is None:
-        stages.ob = operator_basis_for_states(b.retained, theta)
-    tr_rw = _word_trace(e, indices, stages.ob, mode, rng, allow_pseudoinverse)
-    if stages.ob_aug is None:
-        phi = augmentation_state(e, indices, b)
-        stages.ob_aug = operator_basis_for_states((*b.retained, phi), theta)
-    tr_aug = _word_trace(e, indices, stages.ob_aug, mode, rng, allow_pseudoinverse)
-    return tr_rw, tr_aug
+    p, g = measure_matrices(e, indices, ob, mode, rng)
+    return ptm_trace(p, g, allow_pseudoinverse, ob.gram_eigh if mode.is_exact else None)
 
 
 def combination_trace(
@@ -546,9 +515,12 @@ def combination_trace(
     key = tuple(dict.fromkeys(indices))
     stages = None if cache is None else cache.get(key)
     if stages is None:
-        stages = KeyStages(build_subspace(e, indices, epsilon))
+        stages = KeyStages(e, key, epsilon, theta)
     b = stages.b
-    tr_rw, tr_aug = augment_and_trace(e, indices, b, theta, mode, rng, allow_pseudoinverse, stages)
+    # Tr{R_w} over the d^2 preps, then Tr{R_w'} over the (d+1)^2 augmented
+    # ones, where in exact mode Tr{R_w'} = |Tr w + 1|^2.
+    tr_rw = _word_trace(e, indices, stages.ob, mode, rng, allow_pseudoinverse)
+    tr_aug = _word_trace(e, indices, stages.ob_aug, mode, rng, allow_pseudoinverse)
     re_tr_w = 0.5 * (tr_aug - tr_rw - 1.0)
     value = float(2**e.n - b.d + re_tr_w)
     # The clean identities |Tr w|^2 >= 0 and Re[Tr w] <= d (so value <= Tr{I})
@@ -696,10 +668,14 @@ def estimate_power_trace(
     """Tr{rho^m} from the binomial combination of Tr{G^k}, k = 0..m.
 
     Each k runs on its own RNG substream, keeping the per-k estimates
-    independent as the series error propagation assumes.
+    independent as the series error propagation assumes.  Enumeration
+    checks every k's word count before the first estimate.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if strategy == "enumerate":
+        for k in range(m + 1):
+            check_enumeration_budget(e.alpha, k, budget)
     master_seed = as_master_seed(rng)
     estimates = [
         estimate_g_power_trace(

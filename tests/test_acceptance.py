@@ -165,15 +165,11 @@ def test_criterion_06_operator_basis_degeneracy(monkeypatch):
         if b.d != 2:
             e = random_ensemble(rng, 3, 2)
             continue
-        g_pi = measure_matrices(
-            e, q, operator_basis_for_states(b.retained, math.pi)
-        ).g_mat
+        _, g_pi = measure_matrices(e, q, operator_basis_for_states(b.retained, math.pi))
         ev_pi = np.linalg.eigvalsh(0.5 * (g_pi + g_pi.T))
         singular_ok += ev_pi.min() < 1e-10
 
-        g_half = measure_matrices(
-            e, q, operator_basis_for_states(b.retained, math.pi / 2)
-        ).g_mat
+        _, g_half = measure_matrices(e, q, operator_basis_for_states(b.retained, math.pi / 2))
         ev_half = np.linalg.eigvalsh(0.5 * (g_half + g_half.T))
         nonsingular_ok += ev_half.min() > 1e-6 * float(np.median(ev_half))
     ok = singular_ok == 50 and nonsingular_ok == 50
@@ -216,7 +212,7 @@ def test_criterion_08_hoeffding_sizing(spec3):
     shots = shots_for_accuracy(d, eps, delta)
     q = (0, 1)
     b = build_subspace(spec3, q, 1e-10)
-    g = measure_matrices(spec3, q, operator_basis_for_states(b.retained, math.pi / 2)).g_mat
+    _, g = measure_matrices(spec3, q, operator_basis_for_states(b.retained, math.pi / 2))
     p_true = float(g[0, 1])
     rng = np.random.default_rng(808)
     estimates = rng.binomial(shots, p_true, size=1000) / shots

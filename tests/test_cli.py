@@ -395,6 +395,58 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert (record["error"], record["requested"], record["cap"]) == ("resource-limit", 256, 100)
 
+    @pytest.mark.parametrize("command, requested, cap, message", [
+        ("gst --power 12", 4**12, 10_000_000, "enumerating Tr{G^12} needs 16777216 words, "
+         "over the cap of 10000000"),
+        ("gst --g-power 1-8 --cap 20000", 4**8, 20_000, "enumerating Tr{G^8} needs 65536 "
+         "words, over the cap of 20000"),
+        ("ht --power 2-13", 22_369_620, 10_000_000, "enumeration needs "
+         "22369620 words, over the cap of 10000000"),
+    ])
+    def test_over_cap_row_exits_before_any_estimate(
+        self, capsys, monkeypatch, command, requested, cap, message
+    ):
+        # Each row's checks run in row order before the first row's estimate,
+        # and the record is the first over-cap call's.
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("an estimator ran before the cap check")
+
+        for module, name in ((gst, "estimate_power_trace"), (gst, "estimate_g_power_trace"),
+                             (ht, "estimate_power_trace_enumerate")):
+            monkeypatch.setattr(module, name, spy)
+        assert cli.main(command.split()) == 3
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "resource-limit", "message": message,
+                                            "requested": requested, "cap": cap}
+
+    def test_config_error_precedes_the_cap_check(self, capsys):
+        # The first row's estimator call would reject shots mode under
+        # enumeration before counting words, and so does the cap pre-check.
+        assert cli.main(["ht", "--power", "2-13", "--strategy", "enumerate", "--mode", "shots"]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert (record["error"], record["field"]) == ("schema-violation", "params.mode")
+
+    @pytest.mark.parametrize("command, field, message", [
+        ("gst --power 0", "--power", "power must be >= 1, got 0"),
+        ("oracle --power 0", "--power", "power must be >= 1, got 0"),
+        ("ht --power 0", "--power", "power must be >= 1, got 0"),
+        ("ht --power 2-4,0", "--power", "power must be >= 1, got 0"),
+        ("gst --g-power -1", "--g-power", "g-power must be >= 0, got -1"),
+        ("oracle --g-power -1", "--g-power", "g-power must be >= 0, got -1"),
+        ("entropy --order 0", "--order", "order must be >= 1, got 0"),
+    ])
+    def test_order_below_minimum_names_its_flag(self, capsys, command, field, message):
+        assert cli.main(command.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "schema-violation", "field": field,
+                                            "message": f"{field}: {message}"}
+
     def test_ill_conditioned_gram_exit_4(self, tmp_path):
         # Two nearly identical components and no truncation: the d=2 Gram is
         # numerically singular and the run must fail loudly.
@@ -479,6 +531,14 @@ class TestExitCodes:
         assert record["error"] == "identity-violation"
         assert record["statistic"] < -1e-8
 
+    def test_exact_probability_above_one_exit_4(self, monkeypatch, capsys):
+        # A non-unitary word makes an exact p entry exceed 1.
+        monkeypatch.setattr(gst, "apply_word", lambda e, indices, block: 1.1 * block)
+        assert cli.main(["gst", "--power", "2"]) == 4
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "identity-violation"
+        assert record["statistic"] > 1.0
+
     def test_non_finite_identity_statistic_stays_valid_json(self, monkeypatch, capsys):
         def violate(*args, **kwargs):
             raise IdentityViolationError("Tr{R_w} = nan", statistic=math.nan)
@@ -545,8 +605,9 @@ class TestSpanOnly:
 
 #: SHA-256 of the stdout of fixed commands.  A change that moves any RNG draw
 #: of the HT chunk layout, the shot path or the sigma path, the float order
-#: of HT enumeration, or the GST Monte Carlo stream changes these bytes.  The
-#: last two are acceptance criterion 10's commands.
+#: of HT or GST enumeration (with and without truncation), or the GST Monte
+#: Carlo stream changes these bytes.  Acceptance criterion 10 reads the two
+#: ``--format json`` commands.
 BYTE_PINS = {
     "ht --power 2-4 --strategy mc --mode shots --trials 30000 --seed 7":
         "a5dd1411aed4937e75ba729bc3482f7de030af648b5c255926bd84e873c9490e",
@@ -564,6 +625,10 @@ BYTE_PINS = {
         "b3c85a502809a26a44d023bb96e4516b9f8fa8a48b72b924c10d09f1db80c72c",
     "gst --power 2-4 --pinv":
         "20e6bdf2d502830c307b99a6dcd103741bb19a07415f807574155227040c67c1",
+    "gst --g-power 6":
+        "e8f704b8fbbba89804e607e9317bd0601c9fa6c10e6ddb99588623959910de0a",
+    "gst --g-power 2-4 --epsilon 1e-3":
+        "e9f46a888ea7f76343147211aeb01195659e449c1a62881d33ff89dbff2d5193",
 }
 
 #: Exit-4 commands and their stderr record: a noisy Gram below the

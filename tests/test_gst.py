@@ -27,9 +27,7 @@ from qtrace.errors import (
 from qtrace.gst import (
     EXACT,
     SAME_STATE_OVERLAP,
-    GstMatrices,
     MeasureMode,
-    augment_and_trace,
     augmentation_state,
     build_subspace,
     combination_trace,
@@ -68,6 +66,13 @@ def restricted_trace(e: EnsembleSpec, q: tuple[int, ...]) -> complex:
     """Dense oracle for Tr{w}: full trace minus the trivial complement."""
     b = build_subspace(e, q, 1e-12)
     return exact_combination_trace(e, q) - (2**e.n - b.d)
+
+
+def augmented_traces(e: EnsembleSpec, q: tuple[int, ...]) -> tuple[float, float]:
+    """Exact (Tr{R_w}, Tr{R_w'}) over the word's two operator bases."""
+    stages = gst.KeyStages(e, tuple(dict.fromkeys(q)), gst.DEFAULT_EPSILON, gst.DEFAULT_THETA)
+    return tuple(gst._word_trace(e, q, ob, EXACT, None, False)
+                 for ob in (stages.ob, stages.ob_aug))
 
 
 # Dense reference: the GST word pipeline on 2**n-amplitude kets, as it ran
@@ -158,11 +163,11 @@ def dense_word(out, e, q, epsilon, theta, mode, seed):
     kets, out["discarded"] = dense_subspace(e, q, epsilon)
     out["d"] = len(kets)
     out["p"], out["g"] = dense_measure(e, q, dense_prep_matrix(e, kets, theta), mode, rng)
-    tr_rw = ptm_trace(GstMatrices(out["p"], out["g"], mode))
+    tr_rw = ptm_trace(out["p"], out["g"])
     phi = dense_augmentation_state(e, q, kets)
     aug = dense_prep_matrix(e, [*kets, phi], theta)
     out["p_aug"], out["g_aug"] = dense_measure(e, q, aug, mode, rng)
-    tr_aug = ptm_trace(GstMatrices(out["p_aug"], out["g_aug"], mode))
+    tr_aug = ptm_trace(out["p_aug"], out["g_aug"])
     out["value"] = 2**e.n - len(kets) + 0.5 * (tr_aug - tr_rw - 1.0)
 
 
@@ -172,13 +177,13 @@ def span_word(out, e, q, epsilon, theta, mode, seed):
     rng = np.random.default_rng(seed)
     b = build_subspace(e, q, epsilon)
     out["d"], out["discarded"] = b.d, [stat for _, stat in b.discarded]
-    mx = measure_matrices(e, q, operator_basis_for_states(b.retained, theta), mode, rng)
-    out["p"], out["g"] = mx.p_mat, mx.g_mat
-    ptm_trace(mx)
+    ob = operator_basis_for_states(b.retained, theta)
+    out["p"], out["g"] = measure_matrices(e, q, ob, mode, rng)
+    ptm_trace(out["p"], out["g"])
     phi = augmentation_state(e, q, b)
-    mx = measure_matrices(e, q, operator_basis_for_states((*b.retained, phi), theta), mode, rng)
-    out["p_aug"], out["g_aug"] = mx.p_mat, mx.g_mat
-    ptm_trace(mx)
+    ob = operator_basis_for_states((*b.retained, phi), theta)
+    out["p_aug"], out["g_aug"] = measure_matrices(e, q, ob, mode, rng)
+    ptm_trace(out["p_aug"], out["g_aug"])
     ct = combination_trace(e, q, epsilon, theta, mode, np.random.default_rng(seed))
     assert ct.d == b.d
     out["value"] = ct.value
@@ -323,11 +328,11 @@ class TestOperatorBasis:
         with monkeypatch.context() as m:
             m.setattr(gst, "_check_theta", lambda theta: None)
             ob_pi = operator_basis_for_states(b.retained, math.pi)
-        g_pi = measure_matrices(ref3, q, ob_pi).g_mat
+        _, g_pi = measure_matrices(ref3, q, ob_pi)
         assert np.linalg.eigvalsh(0.5 * (g_pi + g_pi.T)).min() < 1e-10
 
         ob_half = operator_basis_for_states(b.retained, math.pi / 2)
-        g_half = measure_matrices(ref3, q, ob_half).g_mat
+        _, g_half = measure_matrices(ref3, q, ob_half)
         assert np.linalg.eigvalsh(0.5 * (g_half + g_half.T)).min() > 0
 
 
@@ -335,30 +340,30 @@ class TestMeasureMatrices:
     def test_gram_diagonal_is_one(self, ref3):
         q = word(ref3, 0, 3)
         b = build_subspace(ref3, q, 1e-10)
-        mx = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
-        assert np.allclose(np.diag(mx.g_mat), 1.0, atol=1e-12)
+        _, g = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
+        assert np.allclose(np.diag(g), 1.0, atol=1e-12)
 
     def test_d1_eigenstate_word(self):
         e = pure_spec()
         q = word(e, 0, 0, 0)
         b = build_subspace(e, q, 1e-10)
-        mx = measure_matrices(e, q, operator_basis_for_states(b.retained, math.pi / 2))
-        assert mx.p_mat[0, 0] == pytest.approx(1.0, abs=1e-12)
+        p, _ = measure_matrices(e, q, operator_basis_for_states(b.retained, math.pi / 2))
+        assert p[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_entries_match_dense_channel(self, ref3):
         q = word(ref3, 1, 3)
         b = build_subspace(ref3, q, 1e-10)
-        mx = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
+        p, _ = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
         op = dense_word_operator(ref3, q)
         kets, _ = dense_subspace(ref3, q, 1e-10)
         s = dense_prep_matrix(ref3, kets, math.pi / 2)
-        assert len(s) == mx.size
+        assert len(s) == len(p)
         for r in range(len(s)):
             for c in range(len(s)):
                 rho_r = np.outer(s[r], s[r].conj())
                 rho_c = np.outer(s[c], s[c].conj())
                 expected = np.trace(rho_r @ op @ rho_c @ op.conj().T).real
-                assert mx.p_mat[r, c] == pytest.approx(expected, abs=1e-10)
+                assert p[r, c] == pytest.approx(expected, abs=1e-10)
 
     def test_shots_mode_needs_rng(self, ref3):
         q = word(ref3, 0)
@@ -371,68 +376,83 @@ class TestMeasureMatrices:
         q = word(ref3, 0, 1)
         b = build_subspace(ref3, q, 1e-10)
         ob = operator_basis_for_states(b.retained, math.pi / 2)
-        exact = measure_matrices(ref3, q, ob)
-        noisy = measure_matrices(ref3, q, ob, MeasureMode("shots", shots=200),
-                                 np.random.default_rng(3))
-        assert np.all(noisy.p_mat * 200 == np.round(noisy.p_mat * 200))
-        assert np.max(np.abs(noisy.p_mat - exact.p_mat)) < 0.2
+        exact, _ = measure_matrices(ref3, q, ob)
+        noisy, _ = measure_matrices(ref3, q, ob, MeasureMode("shots", shots=200),
+                                    np.random.default_rng(3))
+        assert np.all(noisy * 200 == np.round(noisy * 200))
+        assert np.max(np.abs(noisy - exact)) < 0.2
 
     def test_gaussian_mode_perturbs_without_clamping(self, ref3):
         q = word(ref3, 0, 1)
         b = build_subspace(ref3, q, 1e-10)
         ob = operator_basis_for_states(b.retained, math.pi / 2)
-        noisy = measure_matrices(ref3, q, ob, MeasureMode("gaussian", sigma=0.1),
-                                 np.random.default_rng(4))
-        exact = measure_matrices(ref3, q, ob)
-        delta = noisy.g_mat - exact.g_mat
+        _, noisy = measure_matrices(ref3, q, ob, MeasureMode("gaussian", sigma=0.1),
+                                    np.random.default_rng(4))
+        _, exact = measure_matrices(ref3, q, ob)
+        delta = noisy - exact
         assert np.max(np.abs(delta)) > 0
         # diagonal g entries (exactly 1) may exceed 1 after noise: no clamping
-        assert noisy.g_mat.max() > 1.0
+        assert noisy.max() > 1.0
+
+    def test_non_unit_prep_state_breaks_the_gram_identity(self, ref3):
+        # The diagonal |<chi|chi>|^2 = 1.1^4 leaves [0, 1] when the Gram is built.
+        ob = operator_basis_for_states([1.1 * ref3.span_states[0]], math.pi / 2)
+        with pytest.raises(IdentityViolationError, match="exact-mode g") as err:
+            ob.gram
+        assert err.value.statistic == pytest.approx(1.1**4, rel=1e-12)
+
+    def test_exact_p_above_one_breaks_the_identity(self, ref3, monkeypatch):
+        q = word(ref3, 0, 1)
+        ob = operator_basis_for_states(build_subspace(ref3, q, 1e-10).retained, math.pi / 2)
+        monkeypatch.setattr(gst, "apply_word", lambda e, indices, block: 1.1 * block)
+        with pytest.raises(IdentityViolationError, match="exact-mode p") as err:
+            measure_matrices(ref3, q, ob)
+        assert err.value.statistic > 1.0
+        # Noisy p is a measurement, not an identity: it is not checked.
+        measure_matrices(ref3, q, ob, MeasureMode("gaussian", sigma=0.0), np.random.default_rng(0))
 
 
 class TestPtmTrace:
     def test_trivial_one_by_one(self):
-        mx = GstMatrices(np.array([[1.0]]), np.array([[1.0]]))
-        assert ptm_trace(mx) == pytest.approx(1.0, abs=1e-12)
+        assert ptm_trace(np.array([[1.0]]), np.array([[1.0]])) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_component_word_norm_one(self):
         e = pure_spec()
         for k in (1, 2, 3):
             q = word(e, *([0] * k))
             b = build_subspace(e, q, 1e-10)
-            mx = measure_matrices(e, q, operator_basis_for_states(b.retained, math.pi / 2))
-            assert ptm_trace(mx) == pytest.approx(1.0, abs=1e-10)
+            p, g = measure_matrices(e, q, operator_basis_for_states(b.retained, math.pi / 2))
+            assert ptm_trace(p, g) == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_restriction(self, ref3):
         for indices in ((0, 1), (2, 3), (1, 2, 3)):
             q = word(ref3, *indices)
             b = build_subspace(ref3, q, 1e-10)
-            mx = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
+            p, g = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
             expected = abs(restricted_trace(ref3, q)) ** 2
-            assert ptm_trace(mx) == pytest.approx(expected, abs=1e-8)
+            assert ptm_trace(p, g) == pytest.approx(expected, abs=1e-8)
 
     def test_gauge_invariance_under_prep_permutation(self, ref3):
         q = word(ref3, 0, 1, 3)
         b = build_subspace(ref3, q, 1e-10)
-        mx = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
-        base = ptm_trace(mx)
+        p, g = measure_matrices(ref3, q, operator_basis_for_states(b.retained, math.pi / 2))
+        base = ptm_trace(p, g)
         rng = np.random.default_rng(5)
         for _ in range(5):
-            perm = rng.permutation(mx.size)
-            permuted = GstMatrices(mx.p_mat[np.ix_(perm, perm)], mx.g_mat[np.ix_(perm, perm)])
-            assert ptm_trace(permuted) == pytest.approx(base, abs=1e-8)
+            perm = np.ix_(*[rng.permutation(len(p))] * 2)
+            assert ptm_trace(p[perm], g[perm]) == pytest.approx(base, abs=1e-8)
 
     def test_ill_conditioned_gram_raises_with_eigenvalue(self):
         p = np.eye(2)
         g = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(IllConditionedGramError) as err:
-            ptm_trace(GstMatrices(p, g))
+            ptm_trace(p, g)
         assert err.value.min_eigenvalue < 1e-10
 
     def test_pseudoinverse_opt_in(self):
         p = np.eye(2)
         g = np.array([[1.0, 1.0], [1.0, 1.0]])
-        value = ptm_trace(GstMatrices(p, g), allow_pseudoinverse=True)
+        value = ptm_trace(p, g, allow_pseudoinverse=True)
         assert math.isfinite(value)
 
 
@@ -459,8 +479,7 @@ class TestAugmentation:
         for _ in range(10):
             e = random_ensemble(rng, 3, 3)
             q = word(e, *rng.integers(0, 3, size=int(rng.integers(1, 4))))
-            b = build_subspace(e, q, 1e-10)
-            tr_rw, tr_aug = augment_and_trace(e, q, b)
+            tr_rw, tr_aug = augmented_traces(e, q)
             w = restricted_trace(e, q)
             assert tr_rw == pytest.approx(abs(w) ** 2, abs=1e-8)
             assert tr_aug == pytest.approx(abs(w + 1.0) ** 2, abs=1e-8)
@@ -469,8 +488,7 @@ class TestAugmentation:
         # w = -1: Tr{R_w} = 1, Tr{R_w'} = |-1 + 1|^2 = 0.
         e = pure_spec()
         q = word(e, 0, 0, 0)
-        b = build_subspace(e, q, 1e-10)
-        tr_rw, tr_aug = augment_and_trace(e, q, b)
+        tr_rw, tr_aug = augmented_traces(e, q)
         assert tr_rw == pytest.approx(1.0, abs=1e-9)
         assert tr_aug == pytest.approx(0.0, abs=1e-9)
 
@@ -478,8 +496,7 @@ class TestAugmentation:
         # w = +1: Tr{R_w'} = |1 + 1|^2 = 4.
         e = pure_spec()
         q = word(e, 0, 0)
-        b = build_subspace(e, q, 1e-10)
-        tr_rw, tr_aug = augment_and_trace(e, q, b)
+        tr_rw, tr_aug = augmented_traces(e, q)
         assert tr_rw == pytest.approx(1.0, abs=1e-9)
         assert tr_aug == pytest.approx(4.0, abs=1e-9)
 
@@ -572,7 +589,7 @@ class TestCombinationTrace:
         # Exact mode, nothing truncated: Tr{R_w} = -1 breaks |Tr w|^2 >= 0,
         # and Tr{R_w'} = 11 with Tr{R_w} = 0 gives Re[Tr w] = 5 > d = 2.
         for traces, statistic in (((-1.0, 0.0), -1.0), ((0.0, 11.0), 5.0)):
-            monkeypatch.setattr(gst, "augment_and_trace", lambda *args, t=traces: t)
+            monkeypatch.setattr(gst, "_word_trace", lambda *args, t=iter(traces): next(t))
             with pytest.raises(IdentityViolationError) as err:
                 combination_trace(ref3, (0, 1))
             assert isinstance(err.value, ArithmeticError)
@@ -676,6 +693,16 @@ class TestEstimatePowerTrace:
         e = random_ensemble(rng, 2, 3)
         est = estimate_power_trace(e, 3)
         assert est.value == pytest.approx(exact_power_trace(e, 3), abs=1e-7)
+
+    def test_enumeration_checks_every_k_before_the_first_estimate(self, ref3, monkeypatch):
+        # k = 3 needs 64 words and k = 4 needs 256, the first over the cap.
+        def spy(*args, **kwargs):
+            raise AssertionError("Tr{G^k} was estimated before the cap check")
+
+        monkeypatch.setattr(gst, "estimate_g_power_trace", spy)
+        with pytest.raises(ResourceLimitError) as err:
+            estimate_power_trace(ref3, 6, budget=100)
+        assert (err.value.requested, err.value.cap) == (256, 100)
 
     def test_gaussian_noise_stays_near_truth(self, ref3):
         est = estimate_power_trace(
