@@ -426,8 +426,33 @@ def _check_enumeration_caps(
         for words in sizes:
             ht.check_enumeration_cap(words, cap)
     else:
+        cap = _gst_settings(params)["budget"]
         for k in sizes:
-            gst_mod.check_enumeration_budget(spec.alpha, k, params["enumeration_cap"])
+            gst_mod.check_enumeration_budget(spec.alpha, k, cap)
+
+
+def _gst_settings(params: dict[str, Any]) -> dict[str, Any]:
+    """The keywords of the GST estimators of the configured strategy."""
+    if params["strategy"] == "enumerate":
+        if params["mode"] != "exact":
+            raise ConfigError("params.mode", "gst enumerate strategy requires exact mode")
+        budget = params["enumeration_cap"]
+    else:
+        budget = params["trials"]
+    if params["mode"] == "shots":
+        mode = gst_mod.MeasureMode("shots", shots=params["gst_shots"])
+    elif params["mode"] == "gaussian":
+        mode = gst_mod.MeasureMode("gaussian", sigma=params["gst_sigma"])
+    else:
+        mode = gst_mod.EXACT
+    return {
+        "strategy": params["strategy"],
+        "budget": budget,
+        "epsilon": params["epsilon_trunc"],
+        "theta": params["theta_basis"] * math.pi,
+        "mode": mode,
+        "allow_pseudoinverse": params["allow_pseudoinverse"],
+    }
 
 
 def _gst_estimate(
@@ -435,23 +460,7 @@ def _gst_estimate(
 ) -> ht.TraceEstimate:
     estimate = (gst_mod.estimate_power_trace if quantity == "tr_rho_power"
                 else gst_mod.estimate_g_power_trace)
-    if params["mode"] == "shots":
-        mode = gst_mod.MeasureMode("shots", shots=params["gst_shots"])
-    elif params["mode"] == "gaussian":
-        mode = gst_mod.MeasureMode("gaussian", sigma=params["gst_sigma"])
-    else:
-        mode = gst_mod.EXACT
-    return estimate(
-        spec,
-        order,
-        strategy=params["strategy"],
-        budget=params["enumeration_cap"] if params["strategy"] == "enumerate" else params["trials"],
-        epsilon=params["epsilon_trunc"],
-        theta=params["theta_basis"] * math.pi,
-        mode=mode,
-        rng=seed,
-        allow_pseudoinverse=params["allow_pseudoinverse"],
-    )
+    return estimate(spec, order, rng=seed, **_gst_settings(params))
 
 
 def _estimate_row(

@@ -48,16 +48,20 @@ in ``OperatorBasis.gram``, p in ``measure_matrices``, the traces in
 ``combination_trace``) and raise IdentityViolationError.
 
 Words are plain sequences of component indices, processed independently
-with one RNG substream per word index and merged in index order, so
-estimates are bit-identical for a fixed seed.  A ``KeyStages`` builds one
-key's stages 1, 2 and 5 on first use, and each estimate's ``StageCache``
-keeps them per key (alpha!/(alpha-i)! keys of i distinct indices, 64 at
-alpha = 4 for any k >= 4, against alpha^k words) up to KEY_CACHE_BYTES of
-arrays.  Per word there remain the reflections, the p matrix, the noise
-draws (p, g, p', g' in that order, so the streams do not depend on the
-cache), the solve and the identity checks.  In exact mode, Monte Carlo also
-evaluates each distinct word once per estimate and serves repeats from a
-memo.
+and merged in index order, so estimates are bit-identical for a fixed seed.
+Monte Carlo draw t takes its word and its noise from its own substream,
+``rng_stream(master, *stream_key, t)``; a ``StreamFamily`` derives those
+streams' states a block of indices at a time and sets one reused generator
+to each in turn.  Enumeration runs in exact mode only and draws nothing.  A
+``KeyStages`` builds one key's stages 1, 2 and 5 on first use, and a
+``StageCache`` keeps them per key (alpha!/(alpha-i)! keys of i distinct
+indices, 64 at alpha = 4 for any k >= 4, against alpha^k words) up to
+KEY_CACHE_BYTES of arrays; ``estimate_power_trace`` shares one cache across
+its powers k.  Per word there remain the reflections, the p matrix, the
+noise draws (p, g, p', g' in that order, so the streams do not depend on
+the cache), the solve and the identity checks.  In exact mode, Monte Carlo
+also evaluates each distinct word once per estimate and serves repeats from
+a memo.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ from .ht import (
     _finish_estimate,
 )
 from .qcore import reflect_amplitudes
-from .rng import as_master_seed, rng_stream
+from .rng import StreamFamily, as_master_seed
 from .series import binomial_weights, evaluate_series
 
 #: Two states whose overlap modulus exceeds this are the same physical state
@@ -551,20 +555,18 @@ def _enumerate_chunk(
     k: int,
     epsilon: float,
     theta: float,
-    mode: MeasureMode,
-    master_seed: int,
-    stream_key: tuple[int, ...],
     allow_pseudoinverse: bool,
     cache: StageCache | None,
     lo: int,
     hi: int,
 ) -> float:
+    """Weighted exact-mode sum over the words of ranks lo..hi-1."""
     partial_sum = 0.0
     for rank in range(lo, hi):
         indices = _word_at(e.alpha, k, rank)
         weight = float(np.prod([e.probs[i] for i in indices])) if indices else 1.0
-        rng = None if mode.is_exact else rng_stream(master_seed, *stream_key, rank)
-        ct = combination_trace(e, indices, epsilon, theta, mode, rng, allow_pseudoinverse, cache)
+        ct = combination_trace(e, indices, epsilon, theta,
+                               allow_pseudoinverse=allow_pseudoinverse, cache=cache)
         partial_sum += weight * ct.value
     return partial_sum
 
@@ -575,22 +577,22 @@ def _mc_chunk(
     epsilon: float,
     theta: float,
     mode: MeasureMode,
-    master_seed: int,
-    stream_key: tuple[int, ...],
+    streams: StreamFamily,
     allow_pseudoinverse: bool,
     cache: StageCache | None,
     memo: dict[tuple[int, ...], float] | None,
     lo: int,
     hi: int,
 ) -> tuple[float, float, int]:
-    """Moment sums over draws lo..hi-1.  ``memo`` maps words to their values
-    (exact mode only, where a value does not depend on the word's stream);
-    a word it misses runs ``combination_trace`` with ``cache``, which holds
-    the word-independent stages of each subspace key in every mode."""
+    """Moment sums over draws lo..hi-1, draw t on ``streams.at(t)``.
+    ``memo`` maps words to their values (exact mode only, where a value does
+    not depend on the word's stream); a word it misses runs
+    ``combination_trace`` with ``cache``, which holds the word-independent
+    stages of each subspace key in every mode."""
     total = total_sq = 0.0
     for t in range(lo, hi):
-        rng = rng_stream(master_seed, *stream_key, t)
-        indices = tuple(int(i) for i in e.component_indices(rng.random(k)))
+        rng = streams.at(t)
+        indices = tuple(e.component_indices(rng.random(k)).tolist())
         value = None if memo is None else memo.get(indices)
         if value is None:
             ct = combination_trace(
@@ -602,6 +604,13 @@ def _mc_chunk(
         total += value
         total_sq += value * value
     return total, total_sq, hi - lo
+
+
+def _check_enumerate_mode(mode: MeasureMode) -> None:
+    """Enumeration weighs every word exactly; noisy entries would make its
+    zero standard error a false claim."""
+    if not mode.is_exact:
+        raise ValueError(f"enumerate strategy requires exact mode, got {mode.kind!r}")
 
 
 def check_enumeration_budget(alpha: int, k: int, budget: int) -> None:
@@ -627,29 +636,37 @@ def estimate_g_power_trace(
     rng: "int | np.random.Generator" = 0,
     allow_pseudoinverse: bool = False,
     stream_key: tuple[int, ...] = (),
+    cache: StageCache | None = None,
 ) -> TraceEstimate:
     """Tr{G^k} = sum_q P_q Tr{W_q}, either over all alpha^k words with exact
-    weights (``enumerate``) or over ``budget`` sampled words (``mc``)."""
+    weights (``enumerate``, exact mode only) or over ``budget`` sampled words
+    (``mc``), draw t on ``rng_stream(master, *stream_key, t)``.  ``cache``
+    is a ``StageCache`` for this (e, epsilon, theta) to share with other
+    estimates; by default the estimate has its own."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if strategy not in ("enumerate", "mc"):
         raise ValueError(f"strategy must be 'enumerate' or 'mc', got {strategy!r}")
     master_seed = as_master_seed(rng)
-    # One stage cache (and, in exact mode, one word memo) serves every chunk
-    # of this estimate.
-    common = (e, k, epsilon, theta, mode, master_seed, stream_key, allow_pseudoinverse,
-              StageCache())
+    if cache is None:
+        cache = StageCache()
 
     if strategy == "enumerate":
+        _check_enumerate_mode(mode)
         check_enumeration_budget(e.alpha, k, budget)
         n_words = e.alpha**k
-        parts = run_chunked(partial(_enumerate_chunk, *common), n_words, _WORD_CHUNK)
+        worker = partial(_enumerate_chunk, e, k, epsilon, theta, allow_pseudoinverse, cache)
+        parts = run_chunked(worker, n_words, _WORD_CHUNK)
         return TraceEstimate(float(sum(parts)), 0.0, n_words, MODE_EXACT_ENUMERATION)
 
     if budget < 1:
         raise ValueError(f"mc strategy needs budget >= 1, got {budget}")
+    streams = StreamFamily(master_seed, *stream_key)
+    # In exact mode one word memo serves every chunk of this estimate.
     memo = {} if mode.is_exact else None
-    parts = run_chunked(partial(_mc_chunk, *common, memo), budget, _WORD_CHUNK)
+    worker = partial(_mc_chunk, e, k, epsilon, theta, mode, streams, allow_pseudoinverse,
+                     cache, memo)
+    parts = run_chunked(worker, budget, _WORD_CHUNK)
     est_mode = MODE_MC_EXACT_PROB if mode.is_exact else MODE_MC_SHOTS
     return _finish_estimate(*merge_moment_sums(parts), est_mode)
 
@@ -668,19 +685,22 @@ def estimate_power_trace(
     """Tr{rho^m} from the binomial combination of Tr{G^k}, k = 0..m.
 
     Each k runs on its own RNG substream, keeping the per-k estimates
-    independent as the series error propagation assumes.  Enumeration
-    checks every k's word count before the first estimate.
+    independent as the series error propagation assumes; one ``StageCache``
+    serves every k, whose subspace keys are among those of k + 1.
+    Enumeration checks every k's word count before the first estimate.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if strategy == "enumerate":
+        _check_enumerate_mode(mode)
         for k in range(m + 1):
             check_enumeration_budget(e.alpha, k, budget)
     master_seed = as_master_seed(rng)
+    cache = StageCache()
     estimates = [
         estimate_g_power_trace(
             e, k, strategy, budget, epsilon, theta, mode, master_seed,
-            allow_pseudoinverse, stream_key=(k,),
+            allow_pseudoinverse, stream_key=(k,), cache=cache,
         )
         for k in range(m + 1)
     ]

@@ -431,6 +431,38 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err)
         assert (record["error"], record["field"]) == ("schema-violation", "params.mode")
 
+    @pytest.mark.parametrize("command", [
+        "gst --g-power 2-3 --mode shots --pinv",
+        "gst --g-power 2-3 --mode gaussian --pinv",
+        "gst --power 2-13 --mode shots",
+        "entropy --estimator gst --order 2 --mode shots",
+        "entropy --estimator gst --order 2-12 --mode gaussian",
+    ])
+    def test_gst_enumeration_requires_exact_mode(self, capsys, monkeypatch, command):
+        # Noisy entries under exact weights would print a zero std_error
+        # labelled exact-enumeration.  Like HT, GST refuses before the cap
+        # pre-check and before any estimate.
+        def spy(*args, **kwargs):
+            raise AssertionError("an estimator ran before the mode check")
+
+        for name in ("estimate_power_trace", "estimate_g_power_trace"):
+            monkeypatch.setattr(gst, name, spy)
+        assert cli.main(command.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "schema-violation", "field": "params.mode",
+            "message": "params.mode: gst enumerate strategy requires exact mode"}
+
+    def test_gst_shots_sweep_on_enumerate_config_exits_2(self, tmp_path, capsys):
+        cfg = base_config(sweep=sweep("gst", "shots", [1000, 2000]))
+        assert cfg["params"].get("strategy", "enumerate") == "enumerate"
+        assert cli.main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert (record["error"], record["field"]) == ("schema-violation", "params.mode")
+
     @pytest.mark.parametrize("command, field, message", [
         ("gst --power 0", "--power", "power must be >= 1, got 0"),
         ("oracle --power 0", "--power", "power must be >= 1, got 0"),
@@ -606,7 +638,8 @@ class TestSpanOnly:
 #: SHA-256 of the stdout of fixed commands.  A change that moves any RNG draw
 #: of the HT chunk layout, the shot path or the sigma path, the float order
 #: of HT or GST enumeration (with and without truncation), or the GST Monte
-#: Carlo stream changes these bytes.  Acceptance criterion 10 reads the two
+#: Carlo stream changes these bytes.  The last three draw more than one
+#: block of ``rng.STREAM_BLOCK`` word streams.  Acceptance criterion 10 reads the two
 #: ``--format json`` commands.
 BYTE_PINS = {
     "ht --power 2-4 --strategy mc --mode shots --trials 30000 --seed 7":
@@ -629,6 +662,12 @@ BYTE_PINS = {
         "e8f704b8fbbba89804e607e9317bd0601c9fa6c10e6ddb99588623959910de0a",
     "gst --g-power 2-4 --epsilon 1e-3":
         "e9f46a888ea7f76343147211aeb01195659e449c1a62881d33ff89dbff2d5193",
+    "gst --g-power 2-3 --strategy mc --trials 1100 --seed 13":
+        "3b52abd0b5363d88b65bb6389cf4b1e0d27c81998a142c1093a249b99dbbea3e",
+    "gst --g-power 2-3 --strategy mc --mode shots --trials 600 --seed 13 --pinv":
+        "8f8768f01bb8934688392fd87abb685a5df9a2e74074e96cfedff37abfd3d581",
+    "gst --g-power 2-3 --strategy mc --mode gaussian --trials 600 --seed 13 --pinv":
+        "d29c7504b260290d89fd14efce2b8e4dd14e281df27e70cafea5b2373111c25d",
 }
 
 #: Exit-4 commands and their stderr record: a noisy Gram below the

@@ -38,7 +38,8 @@ from qtrace.gst import (
     ptm_trace,
 )
 from qtrace.qcore import reflect_amplitudes
-from qtrace.rng import rng_stream
+from qtrace.rng import StreamFamily, rng_stream
+from qtrace.series import binomial_weights, evaluate_series
 
 from .conftest import random_ensemble, reference_spec, small_ensembles
 
@@ -227,8 +228,8 @@ class TestSampleCombination:
     def test_weight_is_probability_product(self, ref3):
         # Word (0, 3, 3) has rank 0*16 + 3*4 + 3 = 15 among the 4**3 words.
         assert gst._word_at(4, 3, 15) == (0, 3, 3)
-        part = gst._enumerate_chunk(ref3, 3, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT,
-                                    0, (), False, None, 15, 16)
+        part = gst._enumerate_chunk(ref3, 3, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA,
+                                    False, None, 15, 16)
         value = combination_trace(ref3, (0, 3, 3)).value
         assert part / value == pytest.approx(0.1 * 0.4 * 0.4, abs=1e-15)
 
@@ -636,7 +637,8 @@ class TestEstimateGPowerTrace:
         budget = 300  # nine full chunks and a partial tenth
         ranges = chunk_ranges(budget, gst._WORD_CHUNK)
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
-        chunk_args = (ref3, 2, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 9, (), False, None, None)
+        chunk_args = (ref3, 2, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, StreamFamily(9),
+                      False, None, None)
         parts = [gst._mc_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
         total, total_sq, count = merge_moment_sums(parts)
         mean = total / count
@@ -648,10 +650,19 @@ class TestEstimateGPowerTrace:
         e = random_ensemble(np.random.default_rng(5), 2, 3)
         ranges = chunk_ranges(3**4, gst._WORD_CHUNK)  # 81 words: 32 + 32 + 17
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
-        chunk_args = (e, 4, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, 0, (), False, None)
+        chunk_args = (e, 4, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, False, None)
         parts = [gst._enumerate_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
         est = estimate_g_power_trace(e, 4)
         assert (est.value, est.std_error, est.samples) == (sum(parts), 0.0, 3**4)
+
+    @pytest.mark.parametrize("estimate", [estimate_g_power_trace, estimate_power_trace])
+    @pytest.mark.parametrize("mode", [MeasureMode("shots", shots=100),
+                                      MeasureMode("gaussian", sigma=1e-3)])
+    def test_enumeration_requires_exact_mode(self, ref3, estimate, mode):
+        # Noisy entries under exact weights would report a zero std_error;
+        # the mode check comes before the cap check.
+        with pytest.raises(ValueError, match="enumerate strategy requires exact mode"):
+            estimate(ref3, 3, budget=1, mode=mode, allow_pseudoinverse=True)
 
     def test_mc_shots_mode_label(self, ref3):
         est = estimate_g_power_trace(
@@ -902,6 +913,30 @@ class TestStageCache:
         calls = stage_calls(monkeypatch)
         estimate_g_power_trace(ref3, k)
         assert calls == {"build_subspace": keys, "augmentation_state": keys}
+
+    @pytest.mark.parametrize("strategy, budget", [("enumerate", 10**6), ("mc", 300)])
+    def test_power_trace_builds_each_key_once_across_k(self, ref3, monkeypatch,
+                                                        strategy, budget):
+        # The keys of Tr{G^k} are among those of Tr{G^(k+1)}: one cache for
+        # every k builds each key once and changes no value.
+        m, seed = 4, 21
+        per_k = evaluate_series(binomial_weights(m), [
+            estimate_g_power_trace(ref3, k, strategy, budget, rng=seed, stream_key=(k,))
+            for k in range(m + 1)
+        ])
+        built = Counter()
+
+        class SpyStages(gst.KeyStages):
+            def __init__(self, e, key, *args):
+                built[key] += 1
+                super().__init__(e, key, *args)
+
+        monkeypatch.setattr(gst, "KeyStages", SpyStages)
+        shared = estimate_power_trace(ref3, m, strategy, budget, rng=seed)
+        assert shared == per_k
+        assert set(built.values()) == {1}
+        if strategy == "enumerate":
+            assert len(built) == 1 + 4 + 12 + 24 + 24
 
     def test_zero_byte_budget_stores_nothing(self, ref3, monkeypatch):
         cached = estimate_g_power_trace(ref3, 3)
