@@ -185,6 +185,16 @@ class TestSubcommands:
         value = float(r.stdout.splitlines()[1].split(",")[2])
         assert value == pytest.approx(-0.5647386733870296, abs=1e-6)
 
+    def test_entropy_gst_enumeration_matches_oracle_series(self, capsys):
+        # One word per class of each Tr{G^k}, k <= 7.
+        rows = {}
+        for estimator in ("gst", "oracle"):
+            assert cli.main(["entropy", "--estimator", estimator, "--order", "2-6"]) == 0
+            rows[estimator] = table(capsys.readouterr().out)
+        assert [r["order"] for r in rows["gst"]] == [r["order"] for r in rows["oracle"]]
+        for got, want in zip(rows["gst"], rows["oracle"], strict=True):
+            assert float(got["estimate"]) == pytest.approx(float(want["estimate"]), abs=1e-8)
+
     def test_entropy_gst_shots_flag_sets_shots_per_entry(self, tmp_path, capsys):
         argv = ["entropy", "--order", "1", "--estimator", "gst", "--strategy", "mc",
                 "--mode", "shots", "--trials", "20", "--seed", "3", "--epsilon", "0.2"]
@@ -551,8 +561,10 @@ class TestExitCodes:
         (2, [{"prob": 0.5, "angles": [[0.30, 0.0, 0.0]]},
              {"prob": 0.5, "angles": [[0.30 + 2.0 * math.sqrt(2.0) * 1e-4 / math.pi, 0.0, 0.0]]}],
          ["--power", "2-4", "--pinv", "--epsilon", "1e-30"]),
-        # The bundled model at n = 20: a word's Tr{R_w} rounds below -1e-8.
-        (20, None, ["--g-power", "6"]),
+        # The bundled model at n = 20: a class representative's Tr{R_w}
+        # rounds below -1e-8 with the basis angle 0.6 pi.  (At the default
+        # 0.5 pi only non-representative words of Tr{G^6} do.)
+        (20, None, ["--g-power", "6", "--theta", "0.6"]),
     ])
     def test_identity_violation_exit_4(self, tmp_path, capsys, n_qubits, components, argv):
         cfg = base_config(n_qubits=n_qubits)
@@ -637,8 +649,9 @@ class TestSpanOnly:
 
 #: SHA-256 of the stdout of fixed commands.  A change that moves any RNG draw
 #: of the HT chunk layout, the shot path or the sigma path, the float order
-#: of HT or GST enumeration (with and without truncation), or the GST Monte
-#: Carlo stream changes these bytes.  The last three draw more than one
+#: of HT or GST enumeration (with and without truncation), the GST word
+#: classes and their representatives, or the GST Monte Carlo stream changes
+#: these bytes.  The last three draw more than one
 #: block of ``rng.STREAM_BLOCK`` word streams.  Acceptance criterion 10 reads the two
 #: ``--format json`` commands.
 BYTE_PINS = {
@@ -651,19 +664,19 @@ BYTE_PINS = {
     "ht --power 2 --strategy mc --mode shots --trials 30000 --seed 7 --format json":
         "3d15d7519882513c44e1fd2b5cdd5979c0c051147df7b7c7996bdf936862d9c2",
     "gst --power 2 --strategy mc --trials 120 --epsilon 1e-3 --seed 7 --format json":
-        "af1d722511d35a604e27de44f60bcb26a110801fdc46cd8463274277437b3ba2",
+        "970ec639f4f35477b1f822459ced0dfbb77e2199d2dd49c878fff673a2de2d1c",
     "gst --g-power 1-3 --strategy mc --mode shots --trials 200 --seed 7 --pinv":
         "77c252d2a3518bd7bdb2a7faac1b13335858270bed2b8851b2e3308de55cd8ba",
     "gst --g-power 1-3 --strategy mc --mode gaussian --trials 200 --seed 7 --pinv":
         "b3c85a502809a26a44d023bb96e4516b9f8fa8a48b72b924c10d09f1db80c72c",
     "gst --power 2-4 --pinv":
-        "20e6bdf2d502830c307b99a6dcd103741bb19a07415f807574155227040c67c1",
+        "2f6ab24e49003e8f0f4392fe6513af230c6e976b708e1f4340768f17f6e6d3d1",
     "gst --g-power 6":
-        "e8f704b8fbbba89804e607e9317bd0601c9fa6c10e6ddb99588623959910de0a",
+        "ad5b2f595b92e9912b0879075b2f41e4c709665c9c68297127ba23ba1d73c081",
     "gst --g-power 2-4 --epsilon 1e-3":
-        "e9f46a888ea7f76343147211aeb01195659e449c1a62881d33ff89dbff2d5193",
+        "6bb13f29d9d97df52e128d0f223b4dfe01ddbfe00a14e526f6e49bb3e259a9dd",
     "gst --g-power 2-3 --strategy mc --trials 1100 --seed 13":
-        "3b52abd0b5363d88b65bb6389cf4b1e0d27c81998a142c1093a249b99dbbea3e",
+        "2395253c10aac8e48f5d4265ea574f4f11aa97f11b18cdf93f7cbbec5224aefb",
     "gst --g-power 2-3 --strategy mc --mode shots --trials 600 --seed 13 --pinv":
         "8f8768f01bb8934688392fd87abb685a5df9a2e74074e96cfedff37abfd3d581",
     "gst --g-power 2-3 --strategy mc --mode gaussian --trials 600 --seed 13 --pinv":

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -5,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from qtrace import (
@@ -16,7 +17,7 @@ from qtrace import (
     exact_g_power_trace,
     exact_power_trace,
 )
-from qtrace import gst
+from qtrace import cli, gst
 from qtrace._parallel import chunk_ranges, merge_moment_sums
 from qtrace.errors import (
     DegenerateAugmentationError,
@@ -201,9 +202,8 @@ def word_outcome(stages, *args):
     return out
 
 
-def drawn_words(monkeypatch, e, k, budget, seed=0):
-    """The words that an exact-mode GST Monte Carlo estimate evaluates, in
-    draw order, and the estimate."""
+def spied_words(monkeypatch):
+    """The words ``combination_trace`` evaluates from now on, in call order."""
     words = []
     inner = gst.combination_trace
 
@@ -212,7 +212,14 @@ def drawn_words(monkeypatch, e, k, budget, seed=0):
         return inner(e, q, *args, **kwargs)
 
     monkeypatch.setattr(gst, "combination_trace", spy)
-    est = estimate_g_power_trace(e, k, strategy="mc", budget=budget, rng=seed)
+    return words
+
+
+def drawn_words(monkeypatch, e, k, budget, seed=0, **kwargs):
+    """The words that a GST Monte Carlo estimate (exact mode unless
+    ``kwargs`` say otherwise) evaluates, in draw order, and the estimate."""
+    words = spied_words(monkeypatch)
+    est = estimate_g_power_trace(e, k, strategy="mc", budget=budget, rng=seed, **kwargs)
     monkeypatch.undo()
     return words, est
 
@@ -226,12 +233,14 @@ class TestSampleCombination:
         assert words == [(0,) * 6]
 
     def test_weight_is_probability_product(self, ref3):
-        # Word (0, 3, 3) has rank 0*16 + 3*4 + 3 = 15 among the 4**3 words.
-        assert gst._word_at(4, 3, 15) == (0, 3, 3)
-        part = gst._enumerate_chunk(ref3, 3, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA,
-                                    False, None, 15, 16)
+        # The class of (0, 3, 3) holds it, (3, 3, 0) and (3, 0, 3), each of
+        # weight 0.1 * 0.4 * 0.4.
+        classes = gst.word_classes(4, 3)
+        rank = classes.index(((0, 3, 3), 3))
+        part = gst._enumerate_chunk(ref3, classes, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA,
+                                    False, None, rank, rank + 1)
         value = combination_trace(ref3, (0, 3, 3)).value
-        assert part / value == pytest.approx(0.1 * 0.4 * 0.4, abs=1e-15)
+        assert part / value == pytest.approx(3 * 0.1 * 0.4 * 0.4, abs=1e-15)
 
     def test_underflowing_word_weight_contributes_nothing(self):
         # The weight of word (0,) * 11 underflows to 0.0: the word adds
@@ -637,8 +646,9 @@ class TestEstimateGPowerTrace:
         budget = 300  # nine full chunks and a partial tenth
         ranges = chunk_ranges(budget, gst._WORD_CHUNK)
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
+        # One exact-mode memo across the chunks, as the estimator keeps it.
         chunk_args = (ref3, 2, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, StreamFamily(9),
-                      False, None, None)
+                      False, None, {})
         parts = [gst._mc_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
         total, total_sq, count = merge_moment_sums(parts)
         mean = total / count
@@ -648,12 +658,13 @@ class TestEstimateGPowerTrace:
 
     def test_enumerate_is_the_chunk_order_reduction(self):
         e = random_ensemble(np.random.default_rng(5), 2, 3)
-        ranges = chunk_ranges(3**4, gst._WORD_CHUNK)  # 81 words: 32 + 32 + 17
+        classes = gst.word_classes(3, 6)
+        ranges = chunk_ranges(len(classes), gst._WORD_CHUNK)  # 92 classes: 32 + 32 + 28
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
-        chunk_args = (e, 4, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, False, None)
+        chunk_args = (e, classes, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, False, None)
         parts = [gst._enumerate_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
-        est = estimate_g_power_trace(e, 4)
-        assert (est.value, est.std_error, est.samples) == (sum(parts), 0.0, 3**4)
+        est = estimate_g_power_trace(e, 6)
+        assert (est.value, est.std_error, est.samples) == (sum(parts), 0.0, 3**6)
 
     @pytest.mark.parametrize("estimate", [estimate_g_power_trace, estimate_power_trace])
     @pytest.mark.parametrize("mode", [MeasureMode("shots", shots=100),
@@ -792,19 +803,39 @@ class TestSpanStatesMatchDensePath:
             assert word_outcome(stages, e, q, 1e-10, math.pi / 2, mode, 0).get("error") == error
 
 
+def orbit(q):
+    """The words that rotations and reversal make of ``q``."""
+    return frozenset(s[i:] + s[:i] for s in (q, q[::-1]) for i in range(max(len(q), 1)))
+
+
+def brute_force_classes(alpha, k):
+    """(least member, size) of every orbit among the alpha**k words."""
+    orbits = {orbit(q) for q in itertools.product(range(alpha), repeat=k)}
+    return sorted((min(o), len(o)) for o in orbits)
+
+
+def word_sum(e, k, epsilon=gst.DEFAULT_EPSILON):
+    """Tr{G^k} as the P_q-weighted sum of every one of the alpha**k words'
+    own values, and those values."""
+    values = {q: combination_trace(e, q, epsilon).value
+              for q in itertools.product(range(e.alpha), repeat=k)}
+    total = math.fsum(float(np.prod([e.probs[i] for i in q])) * v for q, v in values.items())
+    return total, values
+
+
 def per_chunk_memo_estimate(e, k, budget, seed):
-    """GST Monte Carlo with a memo that lives inside each chunk, as the
-    estimator ran before its memo was shared across chunks."""
+    """GST Monte Carlo with a class memo that lives inside each chunk: each
+    drawn word takes the value of its orbit's least member."""
     parts = []
     for lo, hi in chunk_ranges(budget, gst._WORD_CHUNK):
         memo, total, total_sq = {}, 0.0, 0.0
         for t in range(lo, hi):
             rng = rng_stream(seed, t)
-            indices = tuple(int(i) for i in e.component_indices(rng.random(k)))
-            if indices not in memo:
-                memo[indices] = combination_trace(e, indices).value
-            total += memo[indices]
-            total_sq += memo[indices] ** 2
+            rep = min(orbit(tuple(int(i) for i in e.component_indices(rng.random(k)))))
+            if rep not in memo:
+                memo[rep] = combination_trace(e, rep).value
+            total += memo[rep]
+            total_sq += memo[rep] * memo[rep]
         parts.append((total, total_sq, hi - lo))
     total, total_sq, count = merge_moment_sums(parts)
     mean = total / count
@@ -812,17 +843,105 @@ def per_chunk_memo_estimate(e, k, budget, seed):
 
 
 class TestSharedMemo:
-    def test_each_distinct_word_is_evaluated_once(self, ref3, monkeypatch):
+    def test_each_distinct_class_is_evaluated_once(self, ref3, monkeypatch):
         k, budget, seed = 3, 400, 11
         drawn = {
             tuple(int(i) for i in ref3.component_indices(rng_stream(seed, t).random(k)))
             for t in range(budget)
         }
+        classes = {min(orbit(q)) for q in drawn}
         words, est = drawn_words(monkeypatch, ref3, k, budget, seed)
         calls = Counter(words)
-        assert set(calls) == drawn and set(calls.values()) == {1}
-        assert budget // gst._WORD_CHUNK > 1 and len(drawn) < budget
+        assert set(calls) == classes and set(calls.values()) == {1}
+        assert budget // gst._WORD_CHUNK > 1 and len(classes) < len(drawn) < budget
         assert (est.value, est.std_error) == per_chunk_memo_estimate(ref3, k, budget, seed)
+
+    def test_noisy_draws_evaluate_their_own_words(self, ref3, monkeypatch):
+        # Shots mode draws noise per word, so no draw borrows a class value.
+        budget, seed = 100, 4
+        words, _ = drawn_words(monkeypatch, ref3, 3, budget, seed, epsilon=1e-3,
+                               mode=MeasureMode("shots", shots=10**6), allow_pseudoinverse=True)
+        assert words == [
+            tuple(int(i) for i in ref3.component_indices(rng_stream(seed, t).random(3)))
+            for t in range(budget)
+        ]
+
+
+@st.composite
+def class_cases(draw):
+    """A random ensemble with alpha <= 4 components on n <= 3 qubits, alpha
+    below 2^n so an augmentation state exists, and a power k <= 5."""
+    n = draw(st.integers(1, 3))
+    alpha = draw(st.integers(1, min(4, 2**n - 1)))
+    e = random_ensemble(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, alpha)
+    return e, draw(st.integers(0, 5))
+
+
+class TestWordClasses:
+    @pytest.mark.parametrize("k, count", [(4, 55), (5, 136), (6, 430), (7, 1300),
+                                          (8, 4435), (9, 15084)])
+    def test_burnside_counts(self, k, count):
+        classes = gst.word_classes(4, k)
+        assert len(classes) == count
+        assert sum(m for _, m in classes) == 4**k
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(7))
+    def test_partition_of_every_word(self, alpha, k):
+        classes = gst.word_classes(alpha, k)
+        assert classes == brute_force_classes(alpha, k)
+        assert sum(m for _, m in classes) == alpha**k
+        for q in itertools.product(range(alpha), repeat=k):
+            assert gst.class_representative(q) == min(orbit(q))
+
+    def test_edge_cases(self):
+        assert gst.word_classes(4, 0) == [((), 1)]
+        assert gst.class_representative(()) == ()
+        assert gst.word_classes(3, 1) == [((0,), 1), ((1,), 1), ((2,), 1)]
+        assert gst.class_representative((2,)) == (2,)
+
+    def test_g_power_6_evaluates_one_word_per_class(self, monkeypatch, capsys):
+        words = spied_words(monkeypatch)
+        assert cli.main(["gst", "--g-power", "6"]) == 0
+        capsys.readouterr()
+        assert len(words) == len(set(words)) == 430
+
+    @settings(max_examples=60, deadline=None)
+    @given(class_cases())
+    def test_class_sum_equals_word_sum(self, case):
+        e, k = case
+        try:
+            total, values = word_sum(e, k)
+        except IllConditionedGramError:
+            reject()  # some word's Gram is below the conditioning floor
+        # Relative to Tr{I} = 2^n.  Rounding in the solve grows like
+        # 1e-16 / lambda^2, lambda the least exact Gram eigenvalue of the
+        # words' bases (random ensembles reach 1e-7), so the bound widens
+        # once lambda falls below about 3e-4.
+        keys = {tuple(dict.fromkeys(q)) for q in values}
+        stages = [gst.KeyStages(e, key, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA) for key in keys]
+        lam = min(float(ob.gram_eigh[0][0]) for s in stages for ob in (s.ob, s.ob_aug) if ob.preps)
+        tol = (1e-9 + 1e-15 / lam**2) * 2**e.n
+        for q, value in values.items():
+            assert value == pytest.approx(values[gst.class_representative(q)], rel=0, abs=tol)
+        est = estimate_g_power_trace(e, k)
+        assert est.value == pytest.approx(total, rel=0, abs=tol)
+        assert est.value == pytest.approx(exact_g_power_trace(e, k), rel=0, abs=tol)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_truncated_bias(self, ref3, k):
+        # Under truncation a class member and its representative may retain
+        # different states (admission follows first occurrence), so the class
+        # sum is a different estimator from the word sum: here 110 of 256
+        # and 570 of 1,024 words truncate.  Its bias must stay at the word
+        # sum's level; measured 6.50e-3 against 6.79e-3 at k = 4 and 6.42e-3
+        # against 6.68e-3 at k = 5, so 1.1x leaves room for rounding but not
+        # for a class sum that drifts from the word sum's bias.
+        oracle = exact_g_power_trace(ref3, k)
+        word_bias = abs(word_sum(ref3, k, epsilon=1e-3)[0] - oracle)
+        class_bias = abs(estimate_g_power_trace(ref3, k, epsilon=1e-3).value - oracle)
+        assert word_bias > 1e-3
+        assert class_bias <= 1.1 * word_bias
 
 
 @st.composite
@@ -908,7 +1027,8 @@ class TestStageCache:
             assert cached.value.min_eigenvalue == uncached.value.min_eigenvalue
         assert combination_trace(_NEAR_TWINS, q, 1e-30, allow_pseudoinverse=True, cache=cache) == pinv
 
-    @pytest.mark.parametrize("k, keys", [(3, 4 + 12 + 24), (4, 4 + 12 + 24 + 24)])
+    # The class representatives of k = 3 and k = 4 have 14 and 21 keys.
+    @pytest.mark.parametrize("k, keys", [(3, 14), (4, 21)])
     def test_stages_run_once_per_key(self, ref3, monkeypatch, k, keys):
         calls = stage_calls(monkeypatch)
         estimate_g_power_trace(ref3, k)
@@ -936,14 +1056,16 @@ class TestStageCache:
         assert shared == per_k
         assert set(built.values()) == {1}
         if strategy == "enumerate":
-            assert len(built) == 1 + 4 + 12 + 24 + 24
+            # The class representatives of every k <= 4 have 22 keys.
+            assert len(built) == 22
 
     def test_zero_byte_budget_stores_nothing(self, ref3, monkeypatch):
         cached = estimate_g_power_trace(ref3, 3)
         monkeypatch.setattr(gst, "KEY_CACHE_BYTES", 0)
         calls = stage_calls(monkeypatch)
         assert estimate_g_power_trace(ref3, 3) == cached
-        assert calls == {"build_subspace": 4**3, "augmentation_state": 4**3}
+        # One build per class of k = 3.
+        assert calls == {"build_subspace": 20, "augmentation_state": 20}
 
 
 class TestScaleN20:
