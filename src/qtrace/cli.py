@@ -132,13 +132,16 @@ def _expect_number(value: Any, field: str, *, integer: bool = False) -> float:
 
 
 def _check_params(params: dict[str, Any], field: Callable[[str], str]) -> None:
-    """Every float parameter finite, and seed and noise levels non-negative;
-    ``field(key)`` names where the value came from."""
+    """Every float parameter finite, seed and noise levels non-negative, and
+    the cap and sample counts at least 1; ``field(key)`` names where the
+    value came from."""
     for key, value in params.items():
         if isinstance(value, float):
             _expect(math.isfinite(value), field(key), f"must be finite, got {value!r}")
     for key in ("seed", "ht_sigma", "gst_sigma"):
         _expect(params[key] >= 0, field(key), "must be non-negative")
+    for key in ("enumeration_cap", "trials", "shots", "gst_shots"):
+        _expect(params[key] >= 1, field(key), f"must be >= 1, got {params[key]!r}")
 
 
 def bundled_config_text(name: str) -> str:
@@ -791,6 +794,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if runs_gst and getattr(args, "shots", None) is not None:
         params["gst_shots"] = args.shots
         params["shots"] = _PARAM_DEFAULTS["shots"]
+        flags["gst_shots"] = flags.pop("shots")
     _check_params(params, lambda key: flags.get(key, f"params.{key}"))
     return replace(cfg, params=params)
 

@@ -47,19 +47,19 @@ Exact-mode identities are checked where their values are made (the Gram
 in ``OperatorBasis.gram``, p in ``measure_matrices``, the traces in
 ``combination_trace``) and raise IdentityViolationError.
 
-Words are plain sequences of component indices, processed independently
-and merged in index order, so estimates are bit-identical for a fixed seed.
-Monte Carlo draw t takes its word and its noise from its own substream,
-``rng_stream(master, *stream_key, t)``; a ``StreamFamily`` derives those
-streams' states a block of indices at a time and sets one reused generator
-to each in turn.  Enumeration runs in exact mode only and draws nothing.  A
-``KeyStages`` builds one key's stages 1, 2 and 5 on first use, and a
-``StageCache`` keeps them per key (alpha!/(alpha-i)! keys of i distinct
-indices, 64 at alpha = 4 for any k >= 4, against alpha^k words) up to
-KEY_CACHE_BYTES of arrays; ``estimate_power_trace`` shares one cache across
-its powers k.  Per word there remain the reflections, the p matrix, the
-noise draws (p, g, p', g' in that order, so the streams do not depend on
-the cache), the solve and the identity checks.
+Words are plain sequences of component indices, processed in fixed chunks
+of _WORD_CHUNK and merged in chunk order, so estimates are bit-identical for
+a fixed seed.  As in HT, each Monte Carlo chunk of draws lo..hi-1 has one
+substream, ``rng_stream(master, *stream_key, lo)``: it first draws the
+chunk's words as one (hi - lo, k) array of uniforms, then, in the noisy
+modes, each word's noise in draw order.  Enumeration runs in exact mode only
+and draws nothing.  A ``KeyStages`` builds one key's stages 1, 2 and 5 on
+first use, and a ``StageCache`` keeps them per key (alpha!/(alpha-i)! keys
+of i distinct indices, 64 at alpha = 4 for any k >= 4, against alpha^k
+words) up to KEY_CACHE_BYTES of arrays; ``estimate_power_trace`` shares one
+cache across its powers k.  Per word there remain the reflections, the p
+matrix, the noise draws (p, g, p', g' in that order, so the stream does not
+depend on the cache), the solve and the identity checks.
 
 In exact mode a word is evaluated once per bracelet class: Tr{W} is
 invariant under rotation of the word, Re Tr{W} under its reversal (every
@@ -73,7 +73,7 @@ Under truncation a class's members can retain different states, since
 stage 1 admits in first-occurrence order, which a rotation changes; the
 representative's value then stands for the whole class, a slightly
 different estimator from the word sum.  Shots and Gaussian modes evaluate
-every drawn word on its own stream.  Caps and sample counts still count
+every drawn word with its own noise.  Caps and sample counts still count
 words.
 """
 
@@ -103,7 +103,7 @@ from .ht import (
     _finish_estimate,
 )
 from .qcore import reflect_amplitudes
-from .rng import StreamFamily, as_master_seed
+from .rng import as_master_seed, rng_stream
 from .series import binomial_weights, evaluate_series
 
 #: Two states whose overlap modulus exceeds this are the same physical state
@@ -128,6 +128,9 @@ _PROBE_NORM_FLOOR = 1e-6
 #: Weight of the retained-state overlap component in the augmentation state.
 _AUGMENT_MIX = 0.5
 
+#: Monte Carlo draws, or enumerated word classes, per chunk.  Fixed: the
+#: Monte Carlo chunk layout is the RNG stream layout, so changing it changes
+#: every GST Monte Carlo result.
 _WORD_CHUNK = 32
 
 #: Byte budget of one estimate's ``StageCache``.  An exact-mode key with
@@ -625,25 +628,28 @@ def _mc_chunk(
     epsilon: float,
     theta: float,
     mode: MeasureMode,
-    streams: StreamFamily,
+    master_seed: int,
+    stream_key: tuple[int, ...],
     allow_pseudoinverse: bool,
     cache: StageCache | None,
     memo: dict[tuple[int, ...], float] | None,
     lo: int,
     hi: int,
 ) -> tuple[float, float, int]:
-    """Moment sums over draws lo..hi-1, draw t on ``streams.at(t)``.
+    """Moment sums over draws lo..hi-1, all on the chunk's one stream
+    ``rng_stream(master_seed, *stream_key, lo)``: the words first, then
+    each noisy word's entries in draw order.
 
     ``memo`` is the exact-mode store of values, keyed by drawn words and by
     class representatives: a word it misses takes its class's value, and a
     class it misses runs ``combination_trace`` on the representative.  In
-    the noisy modes ``memo`` is None and every draw runs its own word on its
-    own stream.  ``cache`` holds the word-independent stages of each
+    the noisy modes ``memo`` is None and every draw runs its own word with
+    its own noise.  ``cache`` holds the word-independent stages of each
     subspace key in every mode."""
+    rng = rng_stream(master_seed, *stream_key, lo)
+    words = e.component_indices(rng.random((hi - lo, k))).tolist()
     total = total_sq = 0.0
-    for t in range(lo, hi):
-        rng = streams.at(t)
-        indices = tuple(e.component_indices(rng.random(k)).tolist())
+    for indices in map(tuple, words):
         if memo is None:
             value = combination_trace(
                 e, indices, epsilon, theta, mode, rng, allow_pseudoinverse, cache
@@ -698,10 +704,10 @@ def estimate_g_power_trace(
 ) -> TraceEstimate:
     """Tr{G^k} = sum_q P_q Tr{W_q}, either over the bracelet classes of the
     alpha^k words with exact weights (``enumerate``, exact mode only) or over
-    ``budget`` sampled words (``mc``), draw t on
-    ``rng_stream(master, *stream_key, t)``.  ``cache``
-    is a ``StageCache`` for this (e, epsilon, theta) to share with other
-    estimates; by default the estimate has its own."""
+    ``budget`` sampled words (``mc``), the chunk of draws lo..hi-1 on
+    ``rng_stream(master, *stream_key, lo)``.  ``cache`` is a ``StageCache``
+    for this (e, epsilon, theta) to share with other estimates; by default
+    the estimate has its own."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if strategy not in ("enumerate", "mc"):
@@ -720,11 +726,10 @@ def estimate_g_power_trace(
 
     if budget < 1:
         raise ValueError(f"mc strategy needs budget >= 1, got {budget}")
-    streams = StreamFamily(master_seed, *stream_key)
     # In exact mode one memo serves every chunk of this estimate.
     memo = {} if mode.is_exact else None
-    worker = partial(_mc_chunk, e, k, epsilon, theta, mode, streams, allow_pseudoinverse,
-                     cache, memo)
+    worker = partial(_mc_chunk, e, k, epsilon, theta, mode, master_seed, stream_key,
+                     allow_pseudoinverse, cache, memo)
     parts = run_chunked(worker, budget, _WORD_CHUNK)
     est_mode = MODE_MC_EXACT_PROB if mode.is_exact else MODE_MC_SHOTS
     return _finish_estimate(*merge_moment_sums(parts), est_mode)

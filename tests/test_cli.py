@@ -99,6 +99,10 @@ class TestConfigLoading:
             (lambda c: c.update(extra_field=1), "extra_field"),
             (lambda c: c["params"].update(ht_sigma=-0.5), "params.ht_sigma"),
             (lambda c: c["params"].update(gst_sigma=-1e-4), "params.gst_sigma"),
+            (lambda c: c["params"].update(enumeration_cap=-5), "params.enumeration_cap"),
+            (lambda c: c["params"].update(trials=0), "params.trials"),
+            (lambda c: c["params"].update(shots=0), "params.shots"),
+            (lambda c: c["params"].update(gst_shots=0), "params.gst_shots"),
             (lambda c: c.update(sweep=sweep("ht", "shots", [5000, 1000.7])), "sweep.values[1]"),
             (lambda c: c.update(sweep=sweep("gst", "shots", [0])), "sweep.values[0]"),
             (lambda c: c.update(sweep=sweep("ht", "ht_sigma", [0.01, -0.5])), "sweep.values[1]"),
@@ -481,6 +485,15 @@ class TestExitCodes:
         ("gst --g-power -1", "--g-power", "g-power must be >= 0, got -1"),
         ("oracle --g-power -1", "--g-power", "g-power must be >= 0, got -1"),
         ("entropy --order 0", "--order", "order must be >= 1, got 0"),
+        ("ht --power 2 --cap -5", "--cap", "must be >= 1, got -5"),
+        ("ht --power 2 --strategy mc --trials 0", "--trials", "must be >= 1, got 0"),
+        ("ht --power 2 --strategy mc --mode shots --shots 0", "--shots", "must be >= 1, got 0"),
+        ("gst --g-power 2 --cap 0", "--cap", "must be >= 1, got 0"),
+        ("gst --g-power 2 --trials 0", "--trials", "must be >= 1, got 0"),
+        ("gst --g-power 2 --strategy mc --mode shots --shots 0", "--shots",
+         "must be >= 1, got 0"),
+        ("entropy --order 2 --estimator gst --strategy mc --mode shots --shots 0", "--shots",
+         "must be >= 1, got 0"),
     ])
     def test_order_below_minimum_names_its_flag(self, capsys, command, field, message):
         assert cli.main(command.split()) == 2
@@ -650,10 +663,10 @@ class TestSpanOnly:
 #: SHA-256 of the stdout of fixed commands.  A change that moves any RNG draw
 #: of the HT chunk layout, the shot path or the sigma path, the float order
 #: of HT or GST enumeration (with and without truncation), the GST word
-#: classes and their representatives, or the GST Monte Carlo stream changes
-#: these bytes.  The last three draw more than one
-#: block of ``rng.STREAM_BLOCK`` word streams.  Acceptance criterion 10 reads the two
-#: ``--format json`` commands.
+#: classes and their representatives, or the GST Monte Carlo chunk streams
+#: changes these bytes.  Each GST Monte Carlo command draws several
+#: ``gst._WORD_CHUNK`` chunks per power, the last one partial.  Acceptance
+#: criterion 10 reads the two ``--format json`` commands.
 BYTE_PINS = {
     "ht --power 2-4 --strategy mc --mode shots --trials 30000 --seed 7":
         "a5dd1411aed4937e75ba729bc3482f7de030af648b5c255926bd84e873c9490e",
@@ -664,11 +677,11 @@ BYTE_PINS = {
     "ht --power 2 --strategy mc --mode shots --trials 30000 --seed 7 --format json":
         "3d15d7519882513c44e1fd2b5cdd5979c0c051147df7b7c7996bdf936862d9c2",
     "gst --power 2 --strategy mc --trials 120 --epsilon 1e-3 --seed 7 --format json":
-        "970ec639f4f35477b1f822459ced0dfbb77e2199d2dd49c878fff673a2de2d1c",
+        "91f3365260d7ae6b98733a71c0cf9172b9f6a58f8e4a2bd1cc44cd0d80c41a92",
     "gst --g-power 1-3 --strategy mc --mode shots --trials 200 --seed 7 --pinv":
-        "77c252d2a3518bd7bdb2a7faac1b13335858270bed2b8851b2e3308de55cd8ba",
+        "b7ec1cb91429035053fae85cf45bf5d54cb92e33c30d2a27d81abc74383ab26e",
     "gst --g-power 1-3 --strategy mc --mode gaussian --trials 200 --seed 7 --pinv":
-        "b3c85a502809a26a44d023bb96e4516b9f8fa8a48b72b924c10d09f1db80c72c",
+        "04f4545337685a032412a4e04f622ded768dabc9dd3e96dfcd3c505b352db527",
     "gst --power 2-4 --pinv":
         "2f6ab24e49003e8f0f4392fe6513af230c6e976b708e1f4340768f17f6e6d3d1",
     "gst --g-power 6":
@@ -676,22 +689,22 @@ BYTE_PINS = {
     "gst --g-power 2-4 --epsilon 1e-3":
         "6bb13f29d9d97df52e128d0f223b4dfe01ddbfe00a14e526f6e49bb3e259a9dd",
     "gst --g-power 2-3 --strategy mc --trials 1100 --seed 13":
-        "2395253c10aac8e48f5d4265ea574f4f11aa97f11b18cdf93f7cbbec5224aefb",
+        "fc9b07213d150a7036a4406888a9186d2d923d4176d846bfcb3796cdcbe1b2d0",
     "gst --g-power 2-3 --strategy mc --mode shots --trials 600 --seed 13 --pinv":
-        "8f8768f01bb8934688392fd87abb685a5df9a2e74074e96cfedff37abfd3d581",
+        "8f6b2ebbaf92c304f7a834d317b827972c0a4d5b8b768a15a2ea73deb51dca69",
     "gst --g-power 2-3 --strategy mc --mode gaussian --trials 600 --seed 13 --pinv":
-        "d29c7504b260290d89fd14efce2b8e4dd14e281df27e70cafea5b2373111c25d",
+        "c7658b5fc607d3f05470f9924b2fbdd69ae8afdc16d2d3f9d04a12bbcad5d832",
 }
 
 #: Exit-4 commands and their stderr record: a noisy Gram below the
 #: conditioning floor, with its min eigenvalue to the last digit.
 ERROR_PINS = {
     "gst --g-power 1-3 --strategy mc --mode shots --trials 200 --seed 7":
-        '{"error": "ill-conditioned-gram", "message": "Gram matrix min eigenvalue -4.371e-03 '
-        'is below the conditioning floor 1.000e-08", "min_eigenvalue": -0.004371305987496815}\n',
+        '{"error": "ill-conditioned-gram", "message": "Gram matrix min eigenvalue -1.285e-03 '
+        'is below the conditioning floor 1.000e-08", "min_eigenvalue": -0.0012847012714546774}\n',
     "gst --g-power 1-3 --strategy mc --mode gaussian --trials 200 --seed 7":
-        '{"error": "ill-conditioned-gram", "message": "Gram matrix min eigenvalue -1.565e-05 '
-        'is below the conditioning floor 1.000e-08", "min_eigenvalue": -1.5653976404724974e-05}\n',
+        '{"error": "ill-conditioned-gram", "message": "Gram matrix min eigenvalue -1.693e-05 '
+        'is below the conditioning floor 1.000e-08", "min_eigenvalue": -1.6929712532185906e-05}\n',
 }
 
 

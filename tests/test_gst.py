@@ -39,7 +39,7 @@ from qtrace.gst import (
     ptm_trace,
 )
 from qtrace.qcore import reflect_amplitudes
-from qtrace.rng import StreamFamily, rng_stream
+from qtrace.rng import rng_stream
 from qtrace.series import binomial_weights, evaluate_series
 
 from .conftest import random_ensemble, reference_spec, small_ensembles
@@ -646,15 +646,20 @@ class TestEstimateGPowerTrace:
         budget = 300  # nine full chunks and a partial tenth
         ranges = chunk_ranges(budget, gst._WORD_CHUNK)
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
-        # One exact-mode memo across the chunks, as the estimator keeps it.
-        chunk_args = (ref3, 2, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, EXACT, StreamFamily(9),
-                      False, None, {})
-        parts = [gst._mc_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
-        total, total_sq, count = merge_moment_sums(parts)
-        mean = total / count
-        stderr = math.sqrt(max(total_sq - count * mean * mean, 0.0) / (count - 1) / count)
-        est = estimate_g_power_trace(ref3, 2, strategy="mc", budget=budget, rng=9)
-        assert (est.value, est.std_error, est.samples) == (mean, stderr, budget)
+        # Each chunk's stream draws its words, then each word's noise in draw
+        # order; exact mode gives every draw its class's value.
+        for mode in (EXACT, MeasureMode("gaussian", sigma=1e-3)):
+            est = estimate_g_power_trace(ref3, 2, strategy="mc", budget=budget, rng=9,
+                                         mode=mode, allow_pseudoinverse=True)
+            want = chunk_stream_estimate(ref3, 2, budget, 9, mode)
+            assert (est.value, est.std_error, est.samples) == (*want, budget)
+
+    def test_mc_at_word_widths_zero_and_one(self, ref3):
+        # Every word of width 0 is the identity and every word of width 1 one
+        # reflection, so each draw reads Tr{I} = 2^n or Tr{G_q} = 2^n - 2.
+        for k, value in ((0, 8.0), (1, 6.0)):
+            est = estimate_g_power_trace(ref3, k, strategy="mc", budget=70, rng=5)
+            assert (est.value, est.std_error, est.samples) == (value, 0.0, 70)
 
     def test_enumerate_is_the_chunk_order_reduction(self):
         e = random_ensemble(np.random.default_rng(5), 2, 3)
@@ -823,20 +828,29 @@ def word_sum(e, k, epsilon=gst.DEFAULT_EPSILON):
     return total, values
 
 
-def per_chunk_memo_estimate(e, k, budget, seed):
-    """GST Monte Carlo with a class memo that lives inside each chunk: each
-    drawn word takes the value of its orbit's least member."""
-    parts = []
+def chunk_words(e, k, budget, seed):
+    """(stream, words) of each GST Monte Carlo chunk in chunk order: the
+    chunk's one stream after it has drawn the chunk's words."""
     for lo, hi in chunk_ranges(budget, gst._WORD_CHUNK):
-        memo, total, total_sq = {}, 0.0, 0.0
-        for t in range(lo, hi):
-            rng = rng_stream(seed, t)
-            rep = min(orbit(tuple(int(i) for i in e.component_indices(rng.random(k)))))
-            if rep not in memo:
-                memo[rep] = combination_trace(e, rep).value
-            total += memo[rep]
-            total_sq += memo[rep] * memo[rep]
-        parts.append((total, total_sq, hi - lo))
+        rng = rng_stream(seed, lo)
+        words = e.component_indices(rng.random((hi - lo, k)))
+        yield rng, [tuple(int(i) for i in w) for w in words]
+
+
+def chunk_stream_estimate(e, k, budget, seed, mode=EXACT):
+    """GST Monte Carlo rebuilt from its chunk streams with a pseudo-inverse
+    solve: exact mode gives each draw the value of its orbit's least member,
+    a noisy mode evaluates each word on the chunk's stream in draw order."""
+    parts = []
+    for rng, words in chunk_words(e, k, budget, seed):
+        total = total_sq = 0.0
+        for q in words:
+            if mode.is_exact:
+                q = min(orbit(q))
+            value = combination_trace(e, q, mode=mode, rng=rng, allow_pseudoinverse=True).value
+            total += value
+            total_sq += value * value
+        parts.append((total, total_sq, len(words)))
     total, total_sq, count = merge_moment_sums(parts)
     mean = total / count
     return mean, math.sqrt(max(total_sq - count * mean * mean, 0.0) / (count - 1) / count)
@@ -845,26 +859,20 @@ def per_chunk_memo_estimate(e, k, budget, seed):
 class TestSharedMemo:
     def test_each_distinct_class_is_evaluated_once(self, ref3, monkeypatch):
         k, budget, seed = 3, 400, 11
-        drawn = {
-            tuple(int(i) for i in ref3.component_indices(rng_stream(seed, t).random(k)))
-            for t in range(budget)
-        }
+        drawn = {q for _, words in chunk_words(ref3, k, budget, seed) for q in words}
         classes = {min(orbit(q)) for q in drawn}
         words, est = drawn_words(monkeypatch, ref3, k, budget, seed)
         calls = Counter(words)
         assert set(calls) == classes and set(calls.values()) == {1}
         assert budget // gst._WORD_CHUNK > 1 and len(classes) < len(drawn) < budget
-        assert (est.value, est.std_error) == per_chunk_memo_estimate(ref3, k, budget, seed)
+        assert (est.value, est.std_error) == chunk_stream_estimate(ref3, k, budget, seed)
 
     def test_noisy_draws_evaluate_their_own_words(self, ref3, monkeypatch):
         # Shots mode draws noise per word, so no draw borrows a class value.
         budget, seed = 100, 4
         words, _ = drawn_words(monkeypatch, ref3, 3, budget, seed, epsilon=1e-3,
                                mode=MeasureMode("shots", shots=10**6), allow_pseudoinverse=True)
-        assert words == [
-            tuple(int(i) for i in ref3.component_indices(rng_stream(seed, t).random(3)))
-            for t in range(budget)
-        ]
+        assert words == [q for _, chunk in chunk_words(ref3, 3, budget, seed) for q in chunk]
 
 
 @st.composite
