@@ -665,7 +665,9 @@ class TestSpanOnly:
 #: of HT or GST enumeration (with and without truncation), the GST word
 #: classes and their representatives, or the GST Monte Carlo chunk streams
 #: changes these bytes.  Each GST Monte Carlo command draws several
-#: ``gst._WORD_CHUNK`` chunks per power, the last one partial.  Acceptance
+#: ``gst._WORD_CHUNK`` chunks per power, the last one partial.  The
+#: ``entropy``, ``oracle``, ``sweep`` and ``bounds`` commands pin those
+#: runners and how their flags and config keys reach them.  Acceptance
 #: criterion 10 reads the two ``--format json`` commands.
 BYTE_PINS = {
     "ht --power 2-4 --strategy mc --mode shots --trials 30000 --seed 7":
@@ -694,7 +696,25 @@ BYTE_PINS = {
         "8f6b2ebbaf92c304f7a834d317b827972c0a4d5b8b768a15a2ea73deb51dca69",
     "gst --g-power 2-3 --strategy mc --mode gaussian --trials 600 --seed 13 --pinv":
         "c7658b5fc607d3f05470f9924b2fbdd69ae8afdc16d2d3f9d04a12bbcad5d832",
+    "entropy --order 2-8 --estimator ht":
+        "8748b516f3b40deaf9f9f6dda320534253e854fdfe098d5f1c1bac03d045fb56",
+    "entropy --order 2-12 --estimator ht --strategy mc --seed 7":
+        "8e79e14b452aae7b44b0f691033ed9b8dd99b8e0d38acbcabe8d50cb3f177b36",
+    "entropy --order 2-6 --estimator gst":
+        "ac0ef1e14c63a1a3f03e1b5b221acaa50bbbebb5875d092d879404167cbf2d1a",
+    "entropy --order 2-4 --estimator gst --strategy mc --mode gaussian --trials 300 "
+    "--epsilon 1e-3 --seed 5":
+        "e76a3c4cd35240de73776ee30ed790b10d30eca8c17be234bb7054b7c15586fd",
+    "oracle --power 2-4 --g-power 0-3 --entropy":
+        "6e9e69add728e8170d238aeb8016d2000bf6e6c8be46d613d790961d36776eae",
+    "sweep --config {sweep}":
+        "09fe5481d1e82771404d5544d34fcc3a24402a3cb5f7afb020777dc6371317ad",
+    "bounds --d 3 --eps1 1e-3 --epsilon 0.1":
+        "4e85115fbed27233730a5ce84f39ce897477995a350fdf5ee18adc603354ad64",
 }
+
+#: The sweep section of the config that the ``sweep`` pin reads as ``{sweep}``.
+PIN_SWEEP = sweep("ht", "shots", [5000, 20000])
 
 #: Exit-4 commands and their stderr record: a noisy Gram below the
 #: conditioning floor, with its min eigenvalue to the last digit.
@@ -709,9 +729,10 @@ ERROR_PINS = {
 
 
 class TestDeterminism:
-    def test_commands_match_byte_pins(self, capsys):
+    def test_commands_match_byte_pins(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(sweep=PIN_SWEEP))
         for command, sha in BYTE_PINS.items():
-            assert cli.main(command.split()) == 0
+            assert cli.main(command.replace("{sweep}", path).split()) == 0
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == sha, (command, out)
 
