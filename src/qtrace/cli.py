@@ -57,20 +57,53 @@ COLUMNS = (
     "wall_ms",
 )
 
-_PARAM_DEFAULTS: dict[str, Any] = {
-    "seed": 0,
-    "trials": 20000,
-    "shots": 1,
-    "gst_shots": 10000,
-    "epsilon_trunc": 1e-10,
-    "theta_basis": 0.5,
-    "enumeration_cap": ht.DEFAULT_ENUMERATION_CAP,
-    "mode": "exact",
-    "strategy": "enumerate",
-    "ht_sigma": 0.0,
-    "gst_sigma": 0.0001,
-    "allow_pseudoinverse": False,
+
+@dataclass(frozen=True)
+class _Param:
+    """One ``params`` key: its default, which fixes its type, the flag that
+    sets it on the ``commands`` that read it, and its least value or
+    choices."""
+
+    default: Any
+    flag: str | None
+    commands: tuple[str, ...]
+    least: int | None = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+_ESTIMATORS = ("ht", "gst", "entropy")
+
+#: The ``params`` keys.  ``sweep`` takes every key but the seed from its
+#: config, and ``gst_shots`` has no flag of its own: ``--shots`` sets it
+#: wherever the GST estimator runs.
+_PARAMS: dict[str, _Param] = {
+    "seed": _Param(0, "--seed", ("oracle", *_ESTIMATORS, "sweep", "bounds"), least=0,
+                   help="master seed"),
+    "trials": _Param(20000, "--trials", _ESTIMATORS, least=1,
+                     help="sampled circuits (ht) or words (gst) in mc strategy"),
+    "shots": _Param(1, "--shots", _ESTIMATORS, least=1,
+                    help="shots per sampled circuit; per matrix entry where gst runs"),
+    "gst_shots": _Param(10000, None, (), least=1),
+    "epsilon_trunc": _Param(1e-10, "--epsilon", ("gst", "entropy"), help="truncation threshold"),
+    "theta_basis": _Param(0.5, "--theta", ("gst", "entropy"), help="basis angle, units of pi"),
+    "enumeration_cap": _Param(ht.DEFAULT_ENUMERATION_CAP, "--cap", _ESTIMATORS, least=1,
+                              help="enumeration cap"),
+    "mode": _Param("exact", "--mode", _ESTIMATORS, choices=("exact", "shots", "gaussian")),
+    "strategy": _Param("enumerate", "--strategy", _ESTIMATORS, choices=("enumerate", "mc")),
+    "ht_sigma": _Param(0.0, "--ht-sigma", ("ht", "entropy"), least=0,
+                       help="Gaussian noise on each HT outcome probability (exact mode)"),
+    "gst_sigma": _Param(0.0001, "--gst-sigma", ("gst", "entropy"), least=0,
+                        help="Gaussian noise on each GST matrix entry (gaussian mode)"),
+    "allow_pseudoinverse": _Param(False, "--pinv", ("gst", "entropy"),
+                                  help="pseudo-inverse fallback for ill-conditioned Grams "
+                                       "(biases traces)"),
 }
+
+#: The ``error_budget`` keys and their defaults, which fix their types; each
+#: key is also a ``bounds`` flag.
+_BUDGET: dict[str, Any] = {"d": 2, "epsilon": 1e-4, "eps1": 1e-4, "eps2": 1e-4,
+                           "delta": 0.05, "n_layers": 4, "shots": 1e6}
 
 _BUNDLED = {"table1": "table1.json"}
 
@@ -131,17 +164,26 @@ def _expect_number(value: Any, field: str, *, integer: bool = False) -> float:
     return float(value)
 
 
-def _check_params(params: dict[str, Any], field: Callable[[str], str]) -> None:
-    """Every float parameter finite, seed and noise levels non-negative, and
-    the cap and sample counts at least 1; ``field(key)`` names where the
-    value came from."""
-    for key, value in params.items():
-        if isinstance(value, float):
-            _expect(math.isfinite(value), field(key), f"must be finite, got {value!r}")
-    for key in ("seed", "ht_sigma", "gst_sigma"):
-        _expect(params[key] >= 0, field(key), "must be non-negative")
-    for key in ("enumeration_cap", "trials", "shots", "gst_shots"):
-        _expect(params[key] >= 1, field(key), f"must be >= 1, got {params[key]!r}")
+def _param_value(key: str, value: Any, field: str) -> Any:
+    """``value`` checked as ``params.key`` takes it, from a config or a flag:
+    of its default's type, finite, and at least its least value or one of
+    its choices.  ``field`` names where the value came from."""
+    row = _PARAMS[key]
+    if isinstance(row.default, bool):
+        _expect(isinstance(value, bool), field, f"expected a bool, got {value!r}")
+        return value
+    if isinstance(row.default, str):
+        _expect(isinstance(value, str), field, f"expected a string, got {value!r}")
+        _expect(value in row.choices, field, f"got {value!r}")
+        return value
+    integer = isinstance(row.default, int)
+    number = _expect_number(value, field, integer=integer)
+    value = int(number) if integer else number
+    if row.least == 0:
+        _expect(value >= 0, field, "must be non-negative")
+    elif row.least is not None:
+        _expect(value >= row.least, field, f"must be >= {row.least}, got {value!r}")
+    return value
 
 
 def bundled_config_text(name: str) -> str:
@@ -212,25 +254,12 @@ def parse_config(raw: Any) -> RunConfig:
     )
     spec = ensemble.EnsembleSpec(n, np.array(probs), tuple(gates))
 
-    params = dict(_PARAM_DEFAULTS)
+    params = {key: row.default for key, row in _PARAMS.items()}
     raw_params = raw.get("params", {})
     _expect(isinstance(raw_params, dict), "params", "must be an object")
     for key, value in raw_params.items():
-        _expect(key in _PARAM_DEFAULTS, f"params.{key}", "unknown parameter")
-        default = _PARAM_DEFAULTS[key]
-        if isinstance(default, bool):
-            _expect(isinstance(value, bool), f"params.{key}", f"expected a bool, got {value!r}")
-            params[key] = value
-        elif isinstance(default, int):
-            params[key] = int(_expect_number(value, f"params.{key}", integer=True))
-        elif isinstance(default, float):
-            params[key] = _expect_number(value, f"params.{key}")
-        else:
-            _expect(isinstance(value, str), f"params.{key}", f"expected a string, got {value!r}")
-            params[key] = value
-    _check_params(params, lambda key: f"params.{key}")
-    _expect(params["mode"] in ("exact", "shots", "gaussian"), "params.mode", f"got {params['mode']!r}")
-    _expect(params["strategy"] in ("enumerate", "mc"), "params.strategy", f"got {params['strategy']!r}")
+        _expect(key in _PARAMS, f"params.{key}", "unknown parameter")
+        params[key] = _param_value(key, value, f"params.{key}")
 
     out_format, out_path = "csv", None
     output = raw.get("output")
@@ -253,24 +282,24 @@ def parse_config(raw: Any) -> RunConfig:
         power = _expect_number(sweep.get("power"), "sweep.power", integer=True)
         _expect(power >= 1, "sweep.power", f"must be >= 1, got {int(power)}")
         _expect(
-            sweep.get("parameter") in ("shots", "epsilon_trunc", "ht_sigma", "gst_sigma"),
+            sweep.get("parameter") in {parameter for _, parameter in _SWEEPS},
             "sweep.parameter",
             f"got {sweep.get('parameter')!r}",
         )
         values = sweep.get("values")
         _expect(isinstance(values, list) and values, "sweep.values", "must be a non-empty list")
-        minimum = {"shots": 1, "ht_sigma": 0, "gst_sigma": 0}.get(sweep["parameter"])
+        row = _PARAMS[sweep["parameter"]]
         for i, v in enumerate(values):
-            v = _expect_number(v, f"sweep.values[{i}]", integer=sweep["parameter"] == "shots")
-            _expect(minimum is None or v >= minimum, f"sweep.values[{i}]", f"must be >= {minimum}")
+            v = _expect_number(v, f"sweep.values[{i}]", integer=isinstance(row.default, int))
+            _expect(row.least is None or v >= row.least, f"sweep.values[{i}]",
+                    f"must be >= {row.least}")
 
     budget = raw.get("error_budget")
     if budget is not None:
         _expect(isinstance(budget, dict), "error_budget", "must be an object")
-        allowed = {"d", "epsilon", "eps1", "eps2", "delta", "n_layers", "shots"}
         for key, value in budget.items():
-            _expect(key in allowed, f"error_budget.{key}", "unknown field")
-            _expect_number(value, f"error_budget.{key}", integer=key in ("d", "n_layers"))
+            _expect(key in _BUDGET, f"error_budget.{key}", "unknown field")
+            _expect_number(value, f"error_budget.{key}", integer=isinstance(_BUDGET[key], int))
 
     return RunConfig(spec, params, out_format, out_path, sweep, budget)
 
@@ -601,14 +630,12 @@ def run_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
 
 
 def run_bounds(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    budget = dict(cfg.error_budget or {})
-    for flag in ("d", "epsilon", "eps1", "eps2", "delta", "n_layers", "shots"):
-        value = getattr(args, f"b_{flag}", None)
+    merged = {**_BUDGET, **(cfg.error_budget or {})}
+    for key, default in _BUDGET.items():
+        value = getattr(args, key)
         if value is not None:
-            budget[flag] = value
-    defaults = {"d": 2, "epsilon": 1e-4, "eps1": 1e-4, "eps2": 1e-4,
-                "delta": 0.05, "n_layers": 4, "shots": 1e6}
-    merged = {**defaults, **budget}
+            merged[key] = _expect_number(value, "--" + key.replace("_", "-"),
+                                         integer=isinstance(default, int))
     eb = noise_bounds.ErrorBudget(
         d=int(merged["d"]), epsilon=float(merged["epsilon"]), eps1=float(merged["eps1"]),
         eps2=float(merged["eps2"]), delta=float(merged["delta"]), n_layers=int(merged["n_layers"]),
@@ -695,82 +722,46 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="config file path or bundled name (default: table1)")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", default=None, help="config file path or bundled name")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--timing", action="store_true",
-                       help="fill wall_ms (breaks byte-level determinism)")
-
     p_oracle = sub.add_parser("oracle", help="exact values from the span-space oracle")
     p_oracle.add_argument("--power", default=None, help="rho powers, e.g. 2 or 2-4")
     p_oracle.add_argument("--g-power", default=None, help="G powers, e.g. 0-3")
     p_oracle.add_argument("--entropy", action="store_true", help="Tr{rho ln rho}")
-    common(p_oracle)
 
     p_ht = sub.add_parser("ht", help="Hadamard-test estimator")
     p_ht.add_argument("--power", required=True, help="rho powers, e.g. 2 or 2-4")
-    p_ht.add_argument("--strategy", choices=("enumerate", "mc"), default=None)
-    p_ht.add_argument("--mode", choices=("exact", "shots"), default=None)
-    p_ht.add_argument("--trials", type=int, default=None)
-    p_ht.add_argument("--shots", type=int, default=None, help="shots per sampled circuit")
-    p_ht.add_argument("--ht-sigma", type=float, default=None)
-    p_ht.add_argument("--cap", type=int, default=None, help="enumeration cap")
-    common(p_ht)
 
     p_gst = sub.add_parser("gst", help="subspace gate-set-tomography estimator")
     p_gst.add_argument("--power", default=None, help="rho powers, e.g. 2 or 2-4")
     p_gst.add_argument("--g-power", default=None, help="G powers, e.g. 0-3")
-    p_gst.add_argument("--strategy", choices=("enumerate", "mc"), default=None)
-    p_gst.add_argument("--mode", choices=("exact", "shots", "gaussian"), default=None)
-    p_gst.add_argument("--shots", type=int, default=None, help="shots per matrix entry")
-    p_gst.add_argument("--trials", type=int, default=None, help="sampled words in mc strategy")
-    p_gst.add_argument("--gst-sigma", type=float, default=None)
-    p_gst.add_argument("--epsilon", type=float, default=None, help="truncation threshold")
-    p_gst.add_argument("--theta", type=float, default=None, help="basis angle, units of pi")
-    p_gst.add_argument("--cap", type=int, default=None, help="enumeration cap")
-    p_gst.add_argument("--pinv", action="store_true",
-                       help="pseudo-inverse fallback for ill-conditioned Grams (biases traces)")
-    common(p_gst)
 
     p_ent = sub.add_parser("entropy", help="truncated Tr{rho ln rho} series")
     p_ent.add_argument("--order", required=True, help="truncation orders, e.g. 2 or 2-8")
     p_ent.add_argument("--estimator", choices=("oracle", "gst", "ht"), default="oracle")
-    p_ent.add_argument("--strategy", choices=("enumerate", "mc"), default=None)
-    p_ent.add_argument("--mode", choices=("exact", "shots", "gaussian"), default=None)
-    p_ent.add_argument("--trials", type=int, default=None)
-    p_ent.add_argument("--shots", type=int, default=None)
-    p_ent.add_argument("--epsilon", type=float, default=None)
-    p_ent.add_argument("--theta", type=float, default=None)
-    common(p_ent)
 
-    p_sweep = sub.add_parser("sweep", help="iterate one parameter from the config sweep section")
-    common(p_sweep)
+    sub.add_parser("sweep", help="iterate one parameter from the config sweep section")
 
     p_bounds = sub.add_parser("bounds", help="error-bound estimates from the error budget")
-    for flag, typ in (("d", int), ("epsilon", float), ("eps1", float), ("eps2", float),
-                      ("delta", float), ("n-layers", int), ("shots", float)):
-        p_bounds.add_argument(f"--{flag}", dest=f"b_{flag.replace('-', '_')}",
-                              type=typ, default=None)
-    common(p_bounds)
+    for key, default in _BUDGET.items():
+        p_bounds.add_argument("--" + key.replace("_", "-"), type=type(default))
+
+    for command, p in sub.choices.items():
+        for key, row in _PARAMS.items():
+            if command not in row.commands:
+                continue
+            if isinstance(row.default, bool):
+                kind = {"action": "store_true", "default": None}
+            elif row.choices:
+                kind = {"choices": row.choices}
+            else:
+                kind = {"type": type(row.default)}
+            p.add_argument(row.flag, dest=key, help=row.help, **kind)
+        p.add_argument("--config", default=None, help="config file path or bundled name")
+        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--timing", action="store_true",
+                       help="fill wall_ms (breaks byte-level determinism)")
 
     return parser
-
-
-_OVERRIDES: dict[str, str] = {
-    "seed": "seed",
-    "trials": "trials",
-    "shots": "shots",
-    "ht_sigma": "ht_sigma",
-    "gst_sigma": "gst_sigma",
-    "epsilon": "epsilon_trunc",
-    "theta": "theta_basis",
-    "cap": "enumeration_cap",
-    "mode": "mode",
-    "strategy": "strategy",
-    "pinv": "allow_pseudoinverse",
-}
 
 _RUNNERS: dict[str, Callable[[RunConfig, argparse.Namespace], list[ResultRow]]] = {
     "oracle": run_oracle,
@@ -783,19 +774,14 @@ _RUNNERS: dict[str, Callable[[RunConfig, argparse.Namespace], list[ResultRow]]] 
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    params, flags = dict(cfg.params), {}
-    for flag, key in _OVERRIDES.items():
-        value = getattr(args, flag, None)
-        if value is not None and value is not False:
-            params[key] = value
-            flags[key] = "--" + flag.replace("_", "-")
-    # --shots counts shots per matrix entry wherever the GST estimator runs.
-    runs_gst = getattr(args, "command", None) == "gst" or getattr(args, "estimator", None) == "gst"
-    if runs_gst and getattr(args, "shots", None) is not None:
-        params["gst_shots"] = args.shots
-        params["shots"] = _PARAM_DEFAULTS["shots"]
-        flags["gst_shots"] = flags.pop("shots")
-    _check_params(params, lambda key: flags.get(key, f"params.{key}"))
+    """The config's params with each parameter flag given, checked as its
+    config key is; ``--shots`` sets ``gst_shots`` wherever GST runs."""
+    params = dict(cfg.params)
+    runs_gst = "gst" in (args.command, getattr(args, "estimator", None))
+    for key, row in _PARAMS.items():
+        if args.command in row.commands and getattr(args, key) is not None:
+            target = "gst_shots" if key == "shots" and runs_gst else key
+            params[target] = _param_value(target, getattr(args, key), row.flag)
     return replace(cfg, params=params)
 
 

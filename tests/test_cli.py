@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -494,6 +495,10 @@ class TestExitCodes:
          "must be >= 1, got 0"),
         ("entropy --order 2 --estimator gst --strategy mc --mode shots --shots 0", "--shots",
          "must be >= 1, got 0"),
+        ("bounds --shots nan", "--shots", "must be finite, got nan"),
+        ("ht --power 2 --mode gaussian", "params.mode", "ht enumerate strategy requires exact mode"),
+        ("ht --power 2 --strategy mc --mode gaussian", "params.mode",
+         "ht supports exact or shots mode (ht_sigma rides on exact)"),
     ])
     def test_order_below_minimum_names_its_flag(self, capsys, command, field, message):
         assert cli.main(command.split()) == 2
@@ -624,6 +629,94 @@ class TestExitCodes:
         r = run_cli("gst", "--power", "2", "--epsilon", "5.0")
         assert r.returncode == 2
         assert json.loads(r.stderr)["error"] == "invalid-argument"
+
+
+#: Per ``params`` key: a value for its flag, and the params under which that
+#: value changes what the commands that read the key print.
+FLAG_VALUES = {
+    "seed": (5, {"strategy": "mc", "trials": 100}),
+    "trials": (300, {"strategy": "mc", "trials": 100}),
+    "shots": (300, {"strategy": "mc", "mode": "shots", "trials": 100, "epsilon_trunc": 0.2}),
+    "epsilon_trunc": (0.01, {}),
+    "theta_basis": (0.45, {}),
+    "enumeration_cap": (10, {}),
+    "mode": ("shots", {"strategy": "mc", "trials": 100, "epsilon_trunc": 0.2}),
+    "strategy": ("mc", {"trials": 100}),
+    "ht_sigma": (0.01, {"strategy": "mc", "trials": 100}),
+    "gst_sigma": (1e-3, {"strategy": "mc", "mode": "gaussian", "trials": 100,
+                         "epsilon_trunc": 0.2}),
+    # The shot-noisy Gram of a drawn word falls below the conditioning floor.
+    "allow_pseudoinverse": (True, {"strategy": "mc", "mode": "shots", "trials": 200, "seed": 7}),
+}
+
+#: Per ``error_budget`` key: a value for its ``bounds`` flag that changes a row.
+BUDGET_VALUES = {"d": 3, "epsilon": 0.1, "eps1": 1e-3, "eps2": 1e-3, "delta": 0.1,
+                 "n_layers": 5, "shots": 1e4}
+
+SUBCOMMAND_ARGV = {"oracle": ["oracle", "--power", "2"], "ht": ["ht", "--power", "2"],
+                   "gst": ["gst", "--power", "2"], "sweep": ["sweep"], "bounds": ["bounds"]}
+
+
+def flag_cases():
+    """(key, argv) for every params row and every subcommand that carries its
+    flag; entropy runs once per estimator that reads the key."""
+    ht_only, gst_only = {"ht_sigma"}, {"epsilon_trunc", "theta_basis", "gst_sigma",
+                                       "allow_pseudoinverse"}
+    for key, row in cli._PARAMS.items():
+        for command in row.commands:
+            if command != "entropy":
+                yield pytest.param(key, SUBCOMMAND_ARGV[command], id=f"{command} {row.flag}")
+                continue
+            for estimator, skip in (("ht", gst_only), ("gst", ht_only)):
+                if key not in skip:
+                    yield pytest.param(key, ["entropy", "--order", "2", "--estimator", estimator],
+                                       id=f"entropy-{estimator} {row.flag}")
+
+
+class TestFlags:
+    def run(self, argv, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("key, argv", flag_cases())
+    def test_flag_sets_its_config_key(self, tmp_path, capsys, key, argv):
+        value, params = FLAG_VALUES[key]
+        cfg = base_config(sweep=sweep("ht", "shots", [200]))
+        cfg["params"].update(params)
+        base = write_config(tmp_path, cfg, "base.json")
+        flag = [cli._PARAMS[key].flag] + ([] if value is True else [str(value)])
+        by_flag = self.run([*argv, *flag, "--config", base], capsys)
+        # --shots counts shots per matrix entry wherever GST runs.
+        cfg["params"]["gst_shots" if key == "shots" and "gst" in argv else key] = value
+        by_key = self.run([*argv, "--config", write_config(tmp_path, cfg)], capsys)
+        assert by_flag == by_key
+        assert by_flag != self.run([*argv, "--config", base], capsys)
+
+    @pytest.mark.parametrize("key", list(cli._BUDGET))
+    def test_bounds_flag_sets_its_budget_key(self, tmp_path, capsys, key):
+        value = BUDGET_VALUES[key]
+        by_flag = self.run(["bounds", "--" + key.replace("_", "-"), str(value)], capsys)
+        path = write_config(tmp_path, base_config(error_budget={key: value}))
+        assert by_flag == self.run(["bounds", "--config", path], capsys)
+        assert by_flag != self.run(["bounds"], capsys)
+
+    @pytest.mark.parametrize("command, own", [
+        ("oracle", {"--power", "--g-power", "--entropy"}),
+        ("ht", {"--power"}),
+        ("gst", {"--power", "--g-power"}),
+        ("entropy", {"--order", "--estimator"}),
+        ("sweep", set()),
+        ("bounds", {"--d", "--epsilon", "--eps1", "--eps2", "--delta", "--n-layers", "--shots"}),
+    ])
+    def test_parser_takes_exactly_its_rows_flags(self, command, own):
+        (subparsers,) = [action for action in cli._build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        flags = {flag for action in subparsers.choices[command]._actions
+                 for flag in action.option_strings}
+        rows = {row.flag for row in cli._PARAMS.values() if command in row.commands}
+        common = {"-h", "--help", "--config", "--out", "--format", "--timing"}
+        assert flags - common - own == rows
 
 
 def _refuse(*args, **kwargs):
