@@ -7,7 +7,7 @@ same partial sums in the same order.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
@@ -32,14 +32,3 @@ def run_chunked(
     """
     return [worker(lo, hi) for lo, hi in chunk_ranges(n_items, chunk_size)]
 
-
-def merge_moment_sums(
-    parts: Sequence[tuple[float, float, int]],
-) -> tuple[float, float, int]:
-    """Associatively merge (sum, sum_of_squares, count) triples in order."""
-    total, total_sq, count = 0.0, 0.0, 0
-    for s, sq, c in parts:
-        total += s
-        total_sq += sq
-        count += c
-    return total, total_sq, count

@@ -60,14 +60,15 @@ COLUMNS = (
 
 @dataclass(frozen=True)
 class _Param:
-    """One ``params`` key: its default, which fixes its type, the flag that
-    sets it on the ``commands`` that read it, and its least value or
-    choices."""
+    """One ``params`` or ``error_budget`` key: its default, which fixes its
+    type, the flag that sets it on the ``commands`` that read it, and its
+    least value, open interval ``within`` or choices."""
 
     default: Any
     flag: str | None
     commands: tuple[str, ...]
     least: int | None = None
+    within: tuple[float, float] | None = None
     choices: tuple[str, ...] | None = None
     help: str | None = None
 
@@ -85,7 +86,8 @@ _PARAMS: dict[str, _Param] = {
     "shots": _Param(1, "--shots", _ESTIMATORS, least=1,
                     help="shots per sampled circuit; per matrix entry where gst runs"),
     "gst_shots": _Param(10000, None, (), least=1),
-    "epsilon_trunc": _Param(1e-10, "--epsilon", ("gst", "entropy"), help="truncation threshold"),
+    "epsilon_trunc": _Param(1e-10, "--epsilon", ("gst", "entropy"), within=(0, 1),
+                            help="truncation threshold"),
     "theta_basis": _Param(0.5, "--theta", ("gst", "entropy"), help="basis angle, units of pi"),
     "enumeration_cap": _Param(ht.DEFAULT_ENUMERATION_CAP, "--cap", _ESTIMATORS, least=1,
                               help="enumeration cap"),
@@ -100,10 +102,16 @@ _PARAMS: dict[str, _Param] = {
                                        "(biases traces)"),
 }
 
-#: The ``error_budget`` keys and their defaults, which fix their types; each
-#: key is also a ``bounds`` flag.
-_BUDGET: dict[str, Any] = {"d": 2, "epsilon": 1e-4, "eps1": 1e-4, "eps2": 1e-4,
-                           "delta": 0.05, "n_layers": 4, "shots": 1e6}
+#: The ``error_budget`` keys, each also a ``bounds`` flag.
+_BUDGET: dict[str, _Param] = {
+    "d": _Param(2, "--d", ("bounds",), least=1),
+    "epsilon": _Param(1e-4, "--epsilon", ("bounds",), within=(0, math.inf)),
+    "eps1": _Param(1e-4, "--eps1", ("bounds",), within=(0, math.inf)),
+    "eps2": _Param(1e-4, "--eps2", ("bounds",), within=(0, math.inf)),
+    "delta": _Param(0.05, "--delta", ("bounds",), within=(0, 1)),
+    "n_layers": _Param(4, "--n-layers", ("bounds",), least=0),
+    "shots": _Param(1e6, "--shots", ("bounds",), within=(0, math.inf)),
+}
 
 _BUNDLED = {"table1": "table1.json"}
 
@@ -155,20 +163,23 @@ def _expect(cond: bool, field: str, message: str) -> None:
         raise ConfigError(field, message)
 
 
-def _expect_number(value: Any, field: str, *, integer: bool = False) -> float:
+def _expect_number(value: Any, field: str, *, integer: bool = False) -> int | float:
+    """A finite float, or with ``integer`` an exact int (7.0 reads as 7)."""
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     _expect(ok, field, f"expected a number, got {value!r}")
     if integer:
-        _expect(float(value).is_integer(), field, f"expected an integer, got {value!r}")
-    _expect(math.isfinite(float(value)), field, f"must be finite, got {value!r}")
+        _expect(isinstance(value, int) or value.is_integer(), field,
+                f"expected an integer, got {value!r}")
+        return int(value)
+    _expect(math.isfinite(value), field, f"must be finite, got {value!r}")
     return float(value)
 
 
-def _param_value(key: str, value: Any, field: str) -> Any:
-    """``value`` checked as ``params.key`` takes it, from a config or a flag:
-    of its default's type, finite, and at least its least value or one of
-    its choices.  ``field`` names where the value came from."""
-    row = _PARAMS[key]
+def _param_value(table: dict[str, _Param], key: str, value: Any, field: str) -> Any:
+    """``value`` checked as ``table[key]`` takes it, from a config or a flag
+    named by ``field``: of its default's type, finite, in its range or one of
+    its choices, and for ``theta_basis`` clear of multiples of pi."""
+    row = table[key]
     if isinstance(row.default, bool):
         _expect(isinstance(value, bool), field, f"expected a bool, got {value!r}")
         return value
@@ -176,13 +187,19 @@ def _param_value(key: str, value: Any, field: str) -> Any:
         _expect(isinstance(value, str), field, f"expected a string, got {value!r}")
         _expect(value in row.choices, field, f"got {value!r}")
         return value
-    integer = isinstance(row.default, int)
-    number = _expect_number(value, field, integer=integer)
-    value = int(number) if integer else number
+    value = _expect_number(value, field, integer=isinstance(row.default, int))
     if row.least == 0:
         _expect(value >= 0, field, "must be non-negative")
     elif row.least is not None:
         _expect(value >= row.least, field, f"must be >= {row.least}, got {value!r}")
+    if row.within is not None:
+        lo, hi = row.within
+        _expect(lo < value < hi, field, f"must be in ({lo}, {hi}), got {value!r}")
+    if key == "theta_basis":
+        try:
+            gst_mod.check_theta(value * math.pi)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(field, str(exc)) from None
     return value
 
 
@@ -218,7 +235,7 @@ def parse_config(raw: Any) -> RunConfig:
         _expect(key in known, key, "unknown config field")
     _expect(raw.get("schema") == 1, "schema", f"expected 1, got {raw.get('schema')!r}")
 
-    n = int(_expect_number(raw.get("n_qubits"), "n_qubits", integer=True))
+    n = _expect_number(raw.get("n_qubits"), "n_qubits", integer=True)
     _expect(1 <= n <= MAX_QUBITS, "n_qubits", f"must be in [1, {MAX_QUBITS}], got {n}")
 
     comps = raw.get("components")
@@ -259,7 +276,7 @@ def parse_config(raw: Any) -> RunConfig:
     _expect(isinstance(raw_params, dict), "params", "must be an object")
     for key, value in raw_params.items():
         _expect(key in _PARAMS, f"params.{key}", "unknown parameter")
-        params[key] = _param_value(key, value, f"params.{key}")
+        params[key] = _param_value(_PARAMS, key, value, f"params.{key}")
 
     out_format, out_path = "csv", None
     output = raw.get("output")
@@ -280,7 +297,7 @@ def parse_config(raw: Any) -> RunConfig:
             _expect(key in {"command", "power", "parameter", "values"}, f"sweep.{key}", "unknown sweep field")
         _expect(sweep.get("command") in ("ht", "gst"), "sweep.command", "must be 'ht' or 'gst'")
         power = _expect_number(sweep.get("power"), "sweep.power", integer=True)
-        _expect(power >= 1, "sweep.power", f"must be >= 1, got {int(power)}")
+        _expect(power >= 1, "sweep.power", f"must be >= 1, got {power}")
         _expect(
             sweep.get("parameter") in {parameter for _, parameter in _SWEEPS},
             "sweep.parameter",
@@ -288,18 +305,16 @@ def parse_config(raw: Any) -> RunConfig:
         )
         values = sweep.get("values")
         _expect(isinstance(values, list) and values, "sweep.values", "must be a non-empty list")
-        row = _PARAMS[sweep["parameter"]]
         for i, v in enumerate(values):
-            v = _expect_number(v, f"sweep.values[{i}]", integer=isinstance(row.default, int))
-            _expect(row.least is None or v >= row.least, f"sweep.values[{i}]",
-                    f"must be >= {row.least}")
+            _param_value(_PARAMS, sweep["parameter"], v, f"sweep.values[{i}]")
 
     budget = raw.get("error_budget")
     if budget is not None:
         _expect(isinstance(budget, dict), "error_budget", "must be an object")
-        for key, value in budget.items():
+        for key in budget:
             _expect(key in _BUDGET, f"error_budget.{key}", "unknown field")
-            _expect_number(value, f"error_budget.{key}", integer=isinstance(_BUDGET[key], int))
+        budget = {key: _param_value(_BUDGET, key, value, f"error_budget.{key}")
+                  for key, value in budget.items()}
 
     return RunConfig(spec, params, out_format, out_path, sweep, budget)
 
@@ -630,17 +645,12 @@ def run_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
 
 
 def run_bounds(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    merged = {**_BUDGET, **(cfg.error_budget or {})}
-    for key, default in _BUDGET.items():
-        value = getattr(args, key)
-        if value is not None:
-            merged[key] = _expect_number(value, "--" + key.replace("_", "-"),
-                                         integer=isinstance(default, int))
-    eb = noise_bounds.ErrorBudget(
-        d=int(merged["d"]), epsilon=float(merged["epsilon"]), eps1=float(merged["eps1"]),
-        eps2=float(merged["eps2"]), delta=float(merged["delta"]), n_layers=int(merged["n_layers"]),
-    )
-    shots = float(merged["shots"])
+    budget = {key: row.default for key, row in _BUDGET.items()} | (cfg.error_budget or {})
+    for key, row in _BUDGET.items():
+        if getattr(args, key) is not None:
+            budget[key] = _param_value(_BUDGET, key, getattr(args, key), row.flag)
+    shots = budget.pop("shots")
+    eb = noise_bounds.ErrorBudget(**budget)
     seed = cfg.params["seed"]
     entries: list[tuple[str, float]] = [
         ("hoeffding_shots", float(noise_bounds.shots_for_accuracy(eb.d, eb.eps1, eb.delta))),
@@ -740,12 +750,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("sweep", help="iterate one parameter from the config sweep section")
 
-    p_bounds = sub.add_parser("bounds", help="error-bound estimates from the error budget")
-    for key, default in _BUDGET.items():
-        p_bounds.add_argument("--" + key.replace("_", "-"), type=type(default))
+    sub.add_parser("bounds", help="error-bound estimates from the error budget")
 
     for command, p in sub.choices.items():
-        for key, row in _PARAMS.items():
+        for key, row in (*_PARAMS.items(), *_BUDGET.items()):
             if command not in row.commands:
                 continue
             if isinstance(row.default, bool):
@@ -781,7 +789,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     for key, row in _PARAMS.items():
         if args.command in row.commands and getattr(args, key) is not None:
             target = "gst_shots" if key == "shots" and runs_gst else key
-            params[target] = _param_value(target, getattr(args, key), row.flag)
+            params[target] = _param_value(_PARAMS, target, getattr(args, key), row.flag)
     return replace(cfg, params=params)
 
 

@@ -47,19 +47,20 @@ Exact-mode identities are checked where their values are made (the Gram
 in ``OperatorBasis.gram``, p in ``measure_matrices``, the traces in
 ``combination_trace``) and raise IdentityViolationError.
 
-Words are plain sequences of component indices, processed in fixed chunks
-of _WORD_CHUNK and merged in chunk order, so estimates are bit-identical for
-a fixed seed.  As in HT, each Monte Carlo chunk of draws lo..hi-1 has one
-substream, ``rng_stream(master, *stream_key, lo)``: it first draws the
-chunk's words as one (hi - lo, k) array of uniforms, then, in the noisy
-modes, each word's noise in draw order.  Enumeration runs in exact mode only
-and draws nothing.  A ``KeyStages`` builds one key's stages 1, 2 and 5 on
-first use, and a ``StageCache`` keeps them per key (alpha!/(alpha-i)! keys
-of i distinct indices, 64 at alpha = 4 for any k >= 4, against alpha^k
-words) up to KEY_CACHE_BYTES of arrays; ``estimate_power_trace`` shares one
-cache across its powers k.  Per word there remain the reflections, the p
-matrix, the noise draws (p, g, p', g' in that order, so the stream does not
-depend on the cache), the solve and the identity checks.
+Words are plain sequences of component indices, processed in fixed chunks of
+_WORD_CHUNK and merged in chunk order (Monte Carlo chunks as (count, sum,
+M2) by ``ht.mc_estimate``), so estimates are bit-identical for a fixed seed.
+As in HT, each Monte Carlo chunk of draws lo..hi-1 has one substream,
+``rng_stream(master, *stream_key, lo)``: it first draws the chunk's words as
+one (hi - lo, k) array of uniforms, then, in the noisy modes, each word's
+noise in draw order.  Enumeration runs in exact mode only and draws nothing.
+A ``KeyStages`` builds one key's stages 1, 2 and 5 on first use, and a
+``StageCache`` keeps them per key (alpha!/(alpha-i)! keys of i distinct
+indices, 64 at alpha = 4 for any k >= 4, against alpha^k words) up to
+KEY_CACHE_BYTES of arrays; ``estimate_power_trace`` shares one cache across
+its powers k.  Per word there remain the reflections, the p matrix, the
+noise draws (p, g, p', g' in that order, so the stream does not depend on
+the cache), the solve and the identity checks.
 
 In exact mode a word is evaluated once per bracelet class: Tr{W} is
 invariant under rotation of the word, Re Tr{W} under its reversal (every
@@ -86,7 +87,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._parallel import merge_moment_sums, run_chunked
+from ._parallel import run_chunked
 from .ensemble import EnsembleSpec
 from .errors import (
     DegenerateAugmentationError,
@@ -100,7 +101,7 @@ from .ht import (
     MODE_MC_EXACT_PROB,
     MODE_MC_SHOTS,
     TraceEstimate,
-    _finish_estimate,
+    mc_estimate,
 )
 from .qcore import reflect_amplitudes
 from .rng import as_master_seed, rng_stream
@@ -230,7 +231,7 @@ def build_subspace(
     return SubspaceBasis(tuple(retained), tuple(discarded))
 
 
-def _check_theta(theta: float) -> None:
+def check_theta(theta: float) -> None:
     j = round(theta / math.pi)
     if abs(theta - j * math.pi) < 1e-6:
         raise ValueError(
@@ -297,7 +298,7 @@ class OperatorBasis:
 
 def operator_basis_for_states(states: Sequence[np.ndarray], theta: float) -> OperatorBasis:
     """d^2 preparation descriptors over an explicit state list."""
-    _check_theta(theta)
+    check_theta(theta)
     d = len(states)
     preps = [(s, None) for s in range(d)]
     preps += [(s, sp) for s in range(d) for sp in range(d) if sp != s]
@@ -635,8 +636,8 @@ def _mc_chunk(
     memo: dict[tuple[int, ...], float] | None,
     lo: int,
     hi: int,
-) -> tuple[float, float, int]:
-    """Moment sums over draws lo..hi-1, all on the chunk's one stream
+) -> tuple[int, float, float]:
+    """(count, sum, M2) over draws lo..hi-1, all on the chunk's one stream
     ``rng_stream(master_seed, *stream_key, lo)``: the words first, then
     each noisy word's entries in draw order.
 
@@ -648,7 +649,7 @@ def _mc_chunk(
     subspace key in every mode."""
     rng = rng_stream(master_seed, *stream_key, lo)
     words = e.component_indices(rng.random((hi - lo, k))).tolist()
-    total = total_sq = 0.0
+    total, values = 0.0, []
     for indices in map(tuple, words):
         if memo is None:
             value = combination_trace(
@@ -665,8 +666,9 @@ def _mc_chunk(
                     ).value
                 memo[indices] = value
         total += value
-        total_sq += value * value
-    return total, total_sq, hi - lo
+        values.append(value)
+    mean = total / len(values)
+    return len(values), total, math.fsum((v - mean) ** 2 for v in values)
 
 
 def _check_enumerate_mode(mode: MeasureMode) -> None:
@@ -730,9 +732,8 @@ def estimate_g_power_trace(
     memo = {} if mode.is_exact else None
     worker = partial(_mc_chunk, e, k, epsilon, theta, mode, master_seed, stream_key,
                      allow_pseudoinverse, cache, memo)
-    parts = run_chunked(worker, budget, _WORD_CHUNK)
     est_mode = MODE_MC_EXACT_PROB if mode.is_exact else MODE_MC_SHOTS
-    return _finish_estimate(*merge_moment_sums(parts), est_mode)
+    return mc_estimate(run_chunked(worker, budget, _WORD_CHUNK), est_mode)
 
 
 def estimate_power_trace(

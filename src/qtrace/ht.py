@@ -45,9 +45,9 @@ Five modes:
 * ``estimate_rho_g_power_enumerate`` — exact a_j, the expectation of that
   circuit over all alpha^(j+1) component words (std_error 0).
 
-Monte Carlo trials are processed in fixed-size chunks with one RNG substream
-per (master seed, chunk start); partial (sum, sum-of-squares, count) triples
-merge in chunk order, so results are bit-identical for a fixed seed.
+Monte Carlo trials run in fixed-size chunks, one RNG substream per (master
+seed, chunk start); ``mc_estimate`` merges each chunk's (count, sum, M2) in
+chunk order, so results are bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from . import noise_bounds
-from ._parallel import merge_moment_sums, run_chunked
+from ._parallel import run_chunked
 from .ensemble import EnsembleSpec
 from .errors import IdentityViolationError, ResourceLimitError
 # Unused here; the benchmark tracer patches ``ht.reflect_amplitudes``.
@@ -137,16 +137,18 @@ def _check_probabilities(p: np.ndarray) -> None:
         )
 
 
-def _finish_estimate(
-    total: float, total_sq: float, count: int, mode: str
-) -> TraceEstimate:
-    mean = total / count
-    if count > 1:
-        var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
-        stderr = math.sqrt(var / count)
-    else:
-        stderr = 0.0
-    return TraceEstimate(mean, stderr, count, mode)
+def mc_estimate(parts: Sequence[tuple[int, float, float]], mode: str) -> TraceEstimate:
+    """Mean and std_error sqrt(M2 / (n - 1) / n) from per-chunk (count, sum,
+    M2), M2 the squared deviations about the chunk mean, merged in chunk order
+    (Chan, Golub & LeVeque, Am. Stat. 37, 242, 1983): sums add, and M2 gains
+    delta^2 n_a n_b / (n_a + n_b), delta the difference of the two means."""
+    count, total, m2 = 0, 0.0, 0.0
+    for n, s, chunk_m2 in parts:
+        delta = s / n - total / count if count else 0.0
+        m2 += chunk_m2 + delta * delta * count * n / (count + n)
+        count, total = count + n, total + s
+    stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+    return TraceEstimate(total / count, stderr, count, mode)
 
 
 def _outcome_probabilities(
@@ -185,8 +187,8 @@ def _mc_chunk(
     lo: int,
     hi: int,
     coin_flips: bool = True,
-) -> tuple[float, float, int, int]:
-    """Partial (sum, sum_sq, count, clamp_events) over trials [lo, hi).
+) -> tuple[int, float, float, int]:
+    """(count, sum, M2, clamp_events) over trials [lo, hi).
 
     With ``coin_flips`` each of the m layers is inserted with probability
     1/2 and the outcome carries the sign (-1)^(inserted layers); without,
@@ -207,11 +209,12 @@ def _mc_chunk(
 
     if measure == "exact-prob":
         x = sign * (2.0 * p0 - 1.0)
-        return float(x.sum()), float(np.dot(x, x)), b, clamps
-    # shots: each of the s outcomes is +-1, so the sum of squares is exact.
+        total = float(x.sum())
+        return b, total, float(np.square(x - total / b).sum()), clamps
+    # shots: every outcome is +-1, so M2 = count - total^2 / count, 0 if all agree.
     n0 = rng.binomial(shots_per_trial, p0)
-    shot_sum = sign * (2.0 * n0 - shots_per_trial)
-    return float(shot_sum.sum()), float(b * shots_per_trial), b * shots_per_trial, clamps
+    count, total = b * shots_per_trial, float((sign * (2.0 * n0 - shots_per_trial)).sum())
+    return count, total, (count - total) * (count + total) / count, clamps
 
 
 def _estimate_mc(
@@ -225,7 +228,7 @@ def _estimate_mc(
     coin_flips: bool,
 ) -> TraceEstimate:
     """Check the sampling arguments, run ``_mc_chunk`` over fixed
-    TRIAL_CHUNK chunks and merge their moments in chunk order."""
+    TRIAL_CHUNK chunks and merge them with ``mc_estimate``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if shots_per_trial < 1:
@@ -244,12 +247,11 @@ def _estimate_mc(
         coin_flips=coin_flips,
     )
     parts = run_chunked(worker, trials, TRIAL_CHUNK)
-    total, total_sq, count = merge_moment_sums([p[:3] for p in parts])
     clamps = sum(p[3] for p in parts)
     if clamps:
         logger.debug("ht noise clamped %d of %d probabilities", clamps, trials)
     mode = MODE_MC_SHOTS if measure == "shots" else MODE_MC_EXACT_PROB
-    return _finish_estimate(total, total_sq, count, mode)
+    return mc_estimate([p[:3] for p in parts], mode)
 
 
 def estimate_power_trace_mc(

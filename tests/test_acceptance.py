@@ -155,7 +155,7 @@ def test_criterion_06_operator_basis_degeneracy(monkeypatch):
     """50 random d=2 subspaces: Gram singular at theta=pi, nonsingular at
     theta=pi/2."""
     # Admit theta = pi, which operator_basis_for_states rejects for this reason.
-    monkeypatch.setattr(gst, "_check_theta", lambda theta: None)
+    monkeypatch.setattr(gst, "check_theta", lambda theta: None)
     rng = np.random.default_rng(606)
     singular_ok = nonsingular_ok = 0
     for _ in range(50):

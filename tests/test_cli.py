@@ -108,6 +108,17 @@ class TestConfigLoading:
             (lambda c: c.update(sweep=sweep("gst", "shots", [0])), "sweep.values[0]"),
             (lambda c: c.update(sweep=sweep("ht", "ht_sigma", [0.01, -0.5])), "sweep.values[1]"),
             (lambda c: c.update(sweep=sweep("gst", "gst_sigma", [-1e-4])), "sweep.values[0]"),
+            (lambda c: c["params"].update(epsilon_trunc=5.0), "params.epsilon_trunc"),
+            (lambda c: c["params"].update(epsilon_trunc=0), "params.epsilon_trunc"),
+            (lambda c: c["params"].update(theta_basis=1.0), "params.theta_basis"),
+            (lambda c: c["params"].update(theta_basis=-2e-7), "params.theta_basis"),
+            (lambda c: c.update(sweep=sweep("gst", "epsilon_trunc", [1e-3, 1.5])),
+             "sweep.values[1]"),
+            (lambda c: c.update(error_budget={"d": 0}), "error_budget.d"),
+            (lambda c: c.update(error_budget={"delta": 2}), "error_budget.delta"),
+            (lambda c: c.update(error_budget={"delta": 0.1, "eps2": 0}), "error_budget.eps2"),
+            (lambda c: c.update(error_budget={"n_layers": -1}), "error_budget.n_layers"),
+            (lambda c: c.update(error_budget={"shots": 0}), "error_budget.shots"),
         ],
     )
     def test_schema_violations_carry_field_path(self, mutate, field):
@@ -496,6 +507,21 @@ class TestExitCodes:
         ("entropy --order 2 --estimator gst --strategy mc --mode shots --shots 0", "--shots",
          "must be >= 1, got 0"),
         ("bounds --shots nan", "--shots", "must be finite, got nan"),
+        ("entropy --order 2 --estimator gst --epsilon 0", "--epsilon",
+         "must be in (0, 1), got 0.0"),
+        ("gst --power 2 --theta 0", "--theta", "basis rotation theta=0.0 is within 1e-6 of "
+         "0*pi, which makes the dressed preparations linearly dependent"),
+        ("entropy --order 2 --estimator gst --theta -1", "--theta", "basis rotation "
+         "theta=-3.141592653589793 is within 1e-6 of -1*pi, which makes the dressed "
+         "preparations linearly dependent"),
+        ("bounds --d 0", "--d", "must be >= 1, got 0"),
+        ("bounds --delta 2", "--delta", "must be in (0, 1), got 2.0"),
+        ("bounds --delta 0", "--delta", "must be in (0, 1), got 0.0"),
+        ("bounds --epsilon 0", "--epsilon", "must be in (0, inf), got 0.0"),
+        ("bounds --eps1 -0.001", "--eps1", "must be in (0, inf), got -0.001"),
+        ("bounds --eps2 0", "--eps2", "must be in (0, inf), got 0.0"),
+        ("bounds --n-layers -1", "--n-layers", "must be non-negative"),
+        ("bounds --shots 0", "--shots", "must be in (0, inf), got 0.0"),
         ("ht --power 2 --mode gaussian", "params.mode", "ht enumerate strategy requires exact mode"),
         ("ht --power 2 --strategy mc --mode gaussian", "params.mode",
          "ht supports exact or shots mode (ht_sigma rides on exact)"),
@@ -628,7 +654,8 @@ class TestExitCodes:
     def test_invalid_epsilon_from_flag_exit_2(self):
         r = run_cli("gst", "--power", "2", "--epsilon", "5.0")
         assert r.returncode == 2
-        assert json.loads(r.stderr)["error"] == "invalid-argument"
+        record = json.loads(r.stderr)
+        assert (record["error"], record["field"]) == ("schema-violation", "--epsilon")
 
 
 #: Per ``params`` key: a value for its flag, and the params under which that
@@ -756,7 +783,8 @@ class TestSpanOnly:
 #: SHA-256 of the stdout of fixed commands.  A change that moves any RNG draw
 #: of the HT chunk layout, the shot path or the sigma path, the float order
 #: of HT or GST enumeration (with and without truncation), the GST word
-#: classes and their representatives, or the GST Monte Carlo chunk streams
+#: classes and their representatives, the GST Monte Carlo chunk streams, or
+#: the float order of the per-chunk M2 and its merge (``ht.mc_estimate``)
 #: changes these bytes.  Each GST Monte Carlo command draws several
 #: ``gst._WORD_CHUNK`` chunks per power, the last one partial.  The
 #: ``entropy``, ``oracle``, ``sweep`` and ``bounds`` commands pin those
@@ -766,17 +794,17 @@ BYTE_PINS = {
     "ht --power 2-4 --strategy mc --mode shots --trials 30000 --seed 7":
         "a5dd1411aed4937e75ba729bc3482f7de030af648b5c255926bd84e873c9490e",
     "ht --power 2-4 --strategy mc --mode exact --ht-sigma 0.01 --trials 30000 --seed 7":
-        "316deddea5d254c7db2f49176601f08baaf46aa62bc8df62c87a4f8955746ab2",
+        "25a4677326ec78c61fcfafe0ede986dd48f4e52cb83763219fbe1c567a17ffdc",
     "ht --power 2-6":
         "401e90304e413569a461d2737c22f01fd46dd7d125323ce714ab59e16e0767d2",
     "ht --power 2 --strategy mc --mode shots --trials 30000 --seed 7 --format json":
         "3d15d7519882513c44e1fd2b5cdd5979c0c051147df7b7c7996bdf936862d9c2",
     "gst --power 2 --strategy mc --trials 120 --epsilon 1e-3 --seed 7 --format json":
-        "91f3365260d7ae6b98733a71c0cf9172b9f6a58f8e4a2bd1cc44cd0d80c41a92",
+        "80a5821e23574ba8c934038cdb3c3ac7131397789478c472dc29764efa63cb43",
     "gst --g-power 1-3 --strategy mc --mode shots --trials 200 --seed 7 --pinv":
-        "b7ec1cb91429035053fae85cf45bf5d54cb92e33c30d2a27d81abc74383ab26e",
+        "faf4b2f5991a51a8f32eb05351b10c5d9504f16b14b73858dc58e6742c73f35c",
     "gst --g-power 1-3 --strategy mc --mode gaussian --trials 200 --seed 7 --pinv":
-        "04f4545337685a032412a4e04f622ded768dabc9dd3e96dfcd3c505b352db527",
+        "d14d2a6bbe1663424876e1bb5b3ab3545ff41047fb08f18717e20c9b8b3ab421",
     "gst --power 2-4 --pinv":
         "2f6ab24e49003e8f0f4392fe6513af230c6e976b708e1f4340768f17f6e6d3d1",
     "gst --g-power 6":
@@ -784,24 +812,24 @@ BYTE_PINS = {
     "gst --g-power 2-4 --epsilon 1e-3":
         "6bb13f29d9d97df52e128d0f223b4dfe01ddbfe00a14e526f6e49bb3e259a9dd",
     "gst --g-power 2-3 --strategy mc --trials 1100 --seed 13":
-        "fc9b07213d150a7036a4406888a9186d2d923d4176d846bfcb3796cdcbe1b2d0",
+        "74f06ee507986dd5d1334cc7f0e11defa8db730f481236535cb2528abfd32e5c",
     "gst --g-power 2-3 --strategy mc --mode shots --trials 600 --seed 13 --pinv":
-        "8f6b2ebbaf92c304f7a834d317b827972c0a4d5b8b768a15a2ea73deb51dca69",
+        "340271a448a7f500d8a05848294570ce172a88d5892a942515ca51f9b75e3abb",
     "gst --g-power 2-3 --strategy mc --mode gaussian --trials 600 --seed 13 --pinv":
-        "c7658b5fc607d3f05470f9924b2fbdd69ae8afdc16d2d3f9d04a12bbcad5d832",
+        "41bbfc2046d6d3d5d17cef98b237f9fa9986eb036dd44651c14bd78487fa9e03",
     "entropy --order 2-8 --estimator ht":
         "8748b516f3b40deaf9f9f6dda320534253e854fdfe098d5f1c1bac03d045fb56",
     "entropy --order 2-12 --estimator ht --strategy mc --seed 7":
-        "8e79e14b452aae7b44b0f691033ed9b8dd99b8e0d38acbcabe8d50cb3f177b36",
+        "ae81746df9ce4e218ee76815aadd795e46772619944fbe724bc0552792837661",
     "entropy --order 2-6 --estimator gst":
         "ac0ef1e14c63a1a3f03e1b5b221acaa50bbbebb5875d092d879404167cbf2d1a",
     "entropy --order 2-4 --estimator gst --strategy mc --mode gaussian --trials 300 "
     "--epsilon 1e-3 --seed 5":
-        "e76a3c4cd35240de73776ee30ed790b10d30eca8c17be234bb7054b7c15586fd",
+        "0542094fe98b07efc2c599f9f9cb73edebf38e2d12e09fe59961e1225379a821",
     "oracle --power 2-4 --g-power 0-3 --entropy":
         "6e9e69add728e8170d238aeb8016d2000bf6e6c8be46d613d790961d36776eae",
     "sweep --config {sweep}":
-        "09fe5481d1e82771404d5544d34fcc3a24402a3cb5f7afb020777dc6371317ad",
+        "72a8ef16929db99395daea2994128980b9520bdf1868d731625eb55b68cdf68d",
     "bounds --d 3 --eps1 1e-3 --epsilon 0.1":
         "4e85115fbed27233730a5ce84f39ce897477995a350fdf5ee18adc603354ad64",
 }
@@ -844,6 +872,21 @@ class TestDeterminism:
             assert r.returncode == 0, r.stderr
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_seeds_above_2_53_stay_exact(self, capsys):
+        # 2^53 + 1 has no float of its own; a seed sent through float would
+        # run and print as 2^53.
+        cells = []
+        for seed in ("9007199254740993", "9007199254740992"):
+            assert cli.main(["ht", "--power", "2", "--strategy", "mc", "--trials", "200",
+                             "--seed", seed]) == 0
+            cells.append(table(capsys.readouterr().out)[0]["seed"])
+        assert cells == ["9007199254740993", "9007199254740992"]
+
+    def test_integral_float_seed_in_config(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(params={"seed": 7.0}))
+        assert cli.main(["oracle", "--power", "2", "--config", path]) == 0
+        assert table(capsys.readouterr().out)[0]["seed"] == "7"
 
     def test_different_seeds_differ(self, tmp_path):
         outs = []

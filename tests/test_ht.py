@@ -14,7 +14,7 @@ from qtrace import (
     ht,
     noise_bounds,
 )
-from qtrace._parallel import chunk_ranges, merge_moment_sums
+from qtrace._parallel import chunk_ranges
 from qtrace.errors import ResourceLimitError
 from qtrace.ht import (
     TraceEstimate,
@@ -59,6 +59,43 @@ def drawn_circuits(monkeypatch, e, m, trials, seed=0):
     monkeypatch.setattr(ht, "_outcome_probabilities", spy)
     estimate_power_trace_mc(e, m, trials=trials, rng=seed, measure="exact-prob")
     return np.concatenate([c for c, _ in seen]), np.concatenate([f for _, f in seen])
+
+
+def chunk_samples(e, m, shots_per_trial, measure, ht_sigma, master_seed, lo, hi,
+                  coin_flips=True, probabilities=ht._outcome_probabilities):
+    """Every outcome of the HT Monte Carlo trials [lo, hi), redrawn from the
+    chunk's stream in the kernel's order (components, flags, noise,
+    binomial), and the clamp count.  A shots-mode trial with n0 zeros out of
+    s contributes n0 outcomes +sign and s - n0 outcomes -sign."""
+    rng = rng_stream(master_seed, lo)
+    b = hi - lo
+    comps = e.component_indices(rng.random((b, m + 1)))
+    if coin_flips:
+        flags = rng.random((b, m)) < 0.5
+        sign = 1.0 - 2.0 * (flags.sum(axis=1) % 2)
+    else:
+        flags, sign = np.ones((b, m), dtype=bool), np.ones(b)
+    p0 = probabilities(e, comps, flags)
+
+    clamps = 0
+    if ht_sigma > 0.0:
+        p0, clamps = noise_bounds.perturb_probabilities(p0, ht_sigma, rng)
+    if measure == "exact-prob":
+        return sign * (2.0 * p0 - 1.0), clamps
+    n0 = rng.binomial(shots_per_trial, p0)
+    outcomes = np.stack([sign, -sign], axis=1).ravel()
+    return np.repeat(outcomes, np.stack([n0, shots_per_trial - n0], axis=1).ravel()), clamps
+
+
+def two_pass_estimate(chunks):
+    """(mean, std_error) of outcome arrays drawn chunk by chunk: the mean
+    from the chunk sums added in chunk order, the std_error from numpy's
+    two-pass variance over all outcomes at once."""
+    total = 0.0
+    for x in chunks:
+        total += float(x.sum())
+    x = np.concatenate(chunks)
+    return total / x.size, math.sqrt(np.var(x, ddof=1) / x.size)
 
 
 class TestSampleCircuit:
@@ -118,20 +155,20 @@ class TestSingleShot:
     """Shots of _mc_chunk: each is the signed unit (-1)^k * (+1 | -1)."""
 
     def test_no_layers_always_plus_one(self, ref3):
-        total, _, count, _ = ht._mc_chunk(ref3, 0, 20, "shots", 0.0, 0, 0, 10)
+        count, total, _, _ = ht._mc_chunk(ref3, 0, 20, "shots", 0.0, 0, 0, 10)
         assert total == count == 200
 
     def test_eigenstate_layer_always_plus_one(self):
         # With one layer, P(1) = 1 and the (-1)^k sign flips the -1 outcome
         # back to +1; without it, P(0) = 1.
-        total, _, count, _ = ht._mc_chunk(pure_spec(), 1, 20, "shots", 0.0, 1, 0, 10)
+        count, total, _, _ = ht._mc_chunk(pure_spec(), 1, 20, "shots", 0.0, 1, 0, 10)
         assert total == count == 200
 
     def test_bernoulli_mean(self, ref3):
         # The one circuit drawn at seed 0 has k = 1 layer, at seed 5 k = 2.
         for seed in (0, 5):
-            expected = ht._mc_chunk(ref3, 2, 1, "exact-prob", 0.0, seed, 0, 1)[0]
-            total, _, n, _ = ht._mc_chunk(ref3, 2, 100_000, "shots", 0.0, seed, 0, 1)
+            expected = ht._mc_chunk(ref3, 2, 1, "exact-prob", 0.0, seed, 0, 1)[1]
+            n, total, _, _ = ht._mc_chunk(ref3, 2, 100_000, "shots", 0.0, seed, 0, 1)
             sigma = math.sqrt((1 - expected**2) / n)
             assert abs(total / n - expected) < 3 * sigma
 
@@ -213,12 +250,11 @@ class TestEstimateMc:
         trials = 40_000  # four full chunks and a partial fifth
         ranges = chunk_ranges(trials, ht.TRIAL_CHUNK)
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < ht.TRIAL_CHUNK
-        parts = [ht._mc_chunk(ref3, 2, 1, "shots", 0.0, 11, lo, hi) for lo, hi in ranges]
-        total, total_sq, count = merge_moment_sums([p[:3] for p in parts])
-        mean = total / count
-        stderr = math.sqrt(max(total_sq - count * mean * mean, 0.0) / (count - 1) / count)
+        mean, stderr = two_pass_estimate(
+            [chunk_samples(ref3, 2, 1, "shots", 0.0, 11, lo, hi)[0] for lo, hi in ranges])
         est = estimate_power_trace_mc(ref3, 2, trials=trials, rng=11)
-        assert est == TraceEstimate(mean, stderr, trials, ht.MODE_MC_SHOTS)
+        assert (est.value, est.samples, est.mode) == (mean, trials, ht.MODE_MC_SHOTS)
+        assert est.std_error == pytest.approx(stderr, rel=1e-12)
 
     def test_generator_and_seed_both_accepted(self, ref3):
         est = estimate_power_trace_mc(ref3, 1, trials=100, rng=np.random.default_rng(0))
@@ -275,11 +311,11 @@ class TestRhoGPowerMc:
 
     @pytest.mark.parametrize("measure", ["exact-prob", "shots"])
     def test_pure_state_is_exact(self, measure):
+        # Every shot agrees exactly; exact-prob outcomes scatter by rounding.
         for j in range(5):
             est = estimate_rho_g_power_mc(pure_spec(), j, trials=300, rng=j, measure=measure)
             assert est.value == pytest.approx((-1.0) ** j, abs=1e-12)
-            # sum-of-squares cancellation leaves ~sqrt(eps) of spurious spread
-            assert est.std_error < 1e-7
+            assert est.std_error <= (0.0 if measure == "shots" else 1e-15)
 
     def test_j0_is_unit_trace(self, ref3):
         est = estimate_rho_g_power_mc(ref3, 0, trials=5000, shots_per_trial=3, rng=1)
@@ -298,13 +334,12 @@ class TestRhoGPowerMc:
 
     def test_estimate_is_the_chunk_order_reduction(self, ref3):
         ranges = chunk_ranges(20_000, ht.TRIAL_CHUNK)
-        parts = [ht._mc_chunk(ref3, 2, 1, "exact-prob", 0.0, 5, lo, hi, coin_flips=False)
-                 for lo, hi in ranges]
-        total, total_sq, count = merge_moment_sums([p[:3] for p in parts])
-        mean = total / count
-        stderr = math.sqrt(max(total_sq - count * mean * mean, 0.0) / (count - 1) / count)
+        mean, stderr = two_pass_estimate(
+            [chunk_samples(ref3, 2, 1, "exact-prob", 0.0, 5, lo, hi, coin_flips=False)[0]
+             for lo, hi in ranges])
         est = estimate_rho_g_power_mc(ref3, 2, trials=20_000, rng=5, measure="exact-prob")
-        assert est == TraceEstimate(mean, stderr, 20_000, ht.MODE_MC_EXACT_PROB)
+        assert (est.value, est.samples, est.mode) == (mean, 20_000, ht.MODE_MC_EXACT_PROB)
+        assert est.std_error == pytest.approx(stderr, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"j": -1}, "j must be >= 0"),
@@ -353,27 +388,11 @@ def dense_probabilities(e, comps, flags):
     return np.clip(p0, 0.0, 1.0)
 
 
-def dense_mc_chunk(e, m, shots_per_trial, measure, ht_sigma, master_seed, lo, hi,
-                   probabilities=dense_probabilities):
-    """Statevector reference for ht._mc_chunk, drawing in the same order:
-    components, flags, noise, binomial."""
-    rng = rng_stream(master_seed, lo)
-    b = hi - lo
-    comps = e.component_indices(rng.random((b, m + 1)))
-    flags = rng.random((b, m)) < 0.5
-    p0 = probabilities(e, comps, flags)
-
-    clamps = 0
-    if ht_sigma > 0.0:
-        p0, clamps = noise_bounds.perturb_probabilities(p0, ht_sigma, rng)
-
-    sign = 1.0 - 2.0 * (flags.sum(axis=1) % 2)
-    if measure == "exact-prob":
-        x = sign * (2.0 * p0 - 1.0)
-        return float(x.sum()), float(np.dot(x, x)), b, clamps
-    n0 = rng.binomial(shots_per_trial, p0)
-    shot_sum = sign * (2.0 * n0 - shots_per_trial)
-    return float(shot_sum.sum()), float(b * shots_per_trial), b * shots_per_trial, clamps
+def dense_mc_chunk(*args, probabilities=dense_probabilities):
+    """Statevector reference for ht._mc_chunk: (count, sum, M2, clamps) of the
+    chunk's redrawn outcomes, M2 from numpy's two-pass variance."""
+    x, clamps = chunk_samples(*args, probabilities=probabilities)
+    return x.size, float(x.sum()), float(np.var(x) * x.size), clamps
 
 
 def dense_enumerate(e, m):
@@ -406,11 +425,11 @@ CHUNKS = [(0, 0, 8192), (5, 8192, 12000), (17, 40, 41)]
 
 
 def assert_same_sums(got, want):
-    total, total_sq, count, clamps = got
-    w_total, w_total_sq, w_count, w_clamps = want
+    count, total, m2, clamps = got
+    w_count, w_total, w_m2, w_clamps = want
     assert (count, clamps) == (w_count, w_clamps)
     assert total == pytest.approx(w_total, rel=1e-10, abs=1e-10)
-    assert total_sq == pytest.approx(w_total_sq, rel=1e-10, abs=1e-10)
+    assert m2 == pytest.approx(w_m2, rel=1e-10, abs=1e-10)
 
 
 class TestSpanKernelMatchesStatevectors:
