@@ -106,7 +106,7 @@ _PARAMS: dict[str, _Param] = {
 _BUDGET: dict[str, _Param] = {
     "d": _Param(2, "--d", ("bounds",), least=1),
     "epsilon": _Param(1e-4, "--epsilon", ("bounds",), within=(0, math.inf)),
-    "eps1": _Param(1e-4, "--eps1", ("bounds",), within=(0, math.inf)),
+    "eps1": _Param(1e-4, "--eps1", ("bounds",), within=(0, 1)),
     "eps2": _Param(1e-4, "--eps2", ("bounds",), within=(0, math.inf)),
     "delta": _Param(0.05, "--delta", ("bounds",), within=(0, 1)),
     "n_layers": _Param(4, "--n-layers", ("bounds",), least=0),
@@ -171,8 +171,12 @@ def _expect_number(value: Any, field: str, *, integer: bool = False) -> int | fl
         _expect(isinstance(value, int) or value.is_integer(), field,
                 f"expected an integer, got {value!r}")
         return int(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(field, "must be finite, got an integer beyond the float range") from None
     _expect(math.isfinite(value), field, f"must be finite, got {value!r}")
-    return float(value)
+    return value
 
 
 def _param_value(table: dict[str, _Param], key: str, value: Any, field: str) -> Any:

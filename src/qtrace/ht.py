@@ -43,7 +43,9 @@ Five modes:
   per j serves every Tr{G^k}, with coefficients that stay bounded where the
   binomial expansion of G^k in powers of rho grows like 3^k.
 * ``estimate_rho_g_power_enumerate`` — exact a_j, the expectation of that
-  circuit over all alpha^(j+1) component words (std_error 0).
+  circuit over all alpha^(j+1) component words (std_error 0).  Words of one
+  block that share a prefix share its reflections: each distinct prefix is
+  reflected once, about alpha/(alpha-1) reflections per word, not j.
 
 Monte Carlo trials run in fixed-size chunks, one RNG substream per (master
 seed, chunk start); ``mc_estimate`` merges each chunk's (count, sum, M2) in
@@ -88,8 +90,9 @@ _EXACT_MODES = (MODE_EXACT_ENUMERATION, MODE_ORACLE)
 DEFAULT_ENUMERATION_CAP = 10**7
 
 #: Complex coefficients held per enumeration block (16 bytes each, 256 KiB),
-#: which bounds its memory at any enumeration cap.  Larger blocks raised peak
-#: RSS and saved no time.
+#: which bounds its memory at any enumeration cap: the last prefix level, one
+#: row per word, is the largest array.  Larger blocks raised peak RSS and
+#: saved no time.
 _ENUM_BLOCK_ENTRIES = 1 << 14
 
 #: Trials per chunk.  Fixed: the chunk layout is the RNG stream layout, so
@@ -311,19 +314,22 @@ def _enumerate_block(e: EnsembleSpec, k: int, lo: int, hi: int) -> float:
 
     Each word carries an (alpha, alpha) coefficient array: row i holds the
     span coefficients of W|psi_i>, so one pass covers every initial component.
+    Consecutive ranks share their leading letters, so step t reflects each
+    distinct length-(t+1) prefix once, ranks lo // s .. (hi - 1) // s with
+    s = alpha^(k-1-t): about alpha/(alpha-1) row reflections per word, not k.
     """
     alpha, gram = e.alpha, e.gram
-    ranks = np.arange(lo, hi)[:, None]
-    words = (ranks // alpha ** np.arange(k - 1, -1, -1)) % alpha
-    w = np.arange(hi - lo)
-    c = np.broadcast_to(np.eye(alpha, dtype=np.complex128), (hi - lo, alpha, alpha)).copy()
+    c, weights = np.eye(alpha, dtype=np.complex128)[None], np.ones(1)
     for t in range(k):
-        axes = words[:, t]
+        s = alpha ** (k - 1 - t)
+        prefixes = np.arange(lo // s, (hi - 1) // s + 1)
+        axes = prefixes % alpha
+        parents = prefixes // alpha - lo // (s * alpha)
+        c, weights = c[parents], weights[parents] * e.probs[axes]
         inner = np.einsum("wj,wij->wi", gram[axes], c)
-        c[w, :, axes] -= 2.0 * inner
+        c[np.arange(len(axes)), :, axes] -= 2.0 * inner
     re = np.einsum("ij,wij->wi", gram, c).real
     _check_probabilities(0.5 * (1.0 + re))
-    weights = np.prod(e.probs[words], axis=1)
     return float(weights @ (re @ e.probs))
 
 

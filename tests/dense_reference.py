@@ -3,6 +3,8 @@
 The package computes every trace from the alpha x alpha Gram of the
 component states; these helpers build rho itself from
 ``EnsembleSpec.state_matrix`` so tests can compare the two independently.
+``per_word_enumerate_block`` keeps the per-word HT enumeration kernel that
+the prefix-sharing one in ``ht`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -67,3 +69,20 @@ def binomial_power_identity_residual(e: EnsembleSpec, m: int) -> float:
         for k in range(m + 1)
     )
     return abs(total - exact_power_trace(e, m))
+
+
+def per_word_enumerate_block(e: EnsembleSpec, k: int, lo: int, hi: int) -> float:
+    """``ht._enumerate_block`` with all k reflections applied to every word of
+    rank [lo, hi) in itertools.product order, no prefix shared."""
+    alpha, gram = e.alpha, e.gram
+    ranks = np.arange(lo, hi)[:, None]
+    words = (ranks // alpha ** np.arange(k - 1, -1, -1)) % alpha
+    w = np.arange(hi - lo)
+    c = np.broadcast_to(np.eye(alpha, dtype=np.complex128), (hi - lo, alpha, alpha)).copy()
+    for t in range(k):
+        axes = words[:, t]
+        inner = np.einsum("wj,wij->wi", gram[axes], c)
+        c[w, :, axes] -= 2.0 * inner
+    re = np.einsum("ij,wij->wi", gram, c).real
+    weights = np.prod(e.probs[words], axis=1)
+    return float(weights @ (re @ e.probs))

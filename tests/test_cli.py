@@ -99,6 +99,8 @@ class TestConfigLoading:
             (lambda c: c["params"].update(mode="psychic"), "params.mode"),
             (lambda c: c.update(extra_field=1), "extra_field"),
             (lambda c: c["params"].update(ht_sigma=-0.5), "params.ht_sigma"),
+            pytest.param(lambda c: c["params"].update(ht_sigma=10**400), "params.ht_sigma",
+                         id="huge-int-params.ht_sigma"),
             (lambda c: c["params"].update(gst_sigma=-1e-4), "params.gst_sigma"),
             (lambda c: c["params"].update(enumeration_cap=-5), "params.enumeration_cap"),
             (lambda c: c["params"].update(trials=0), "params.trials"),
@@ -107,6 +109,8 @@ class TestConfigLoading:
             (lambda c: c.update(sweep=sweep("ht", "shots", [5000, 1000.7])), "sweep.values[1]"),
             (lambda c: c.update(sweep=sweep("gst", "shots", [0])), "sweep.values[0]"),
             (lambda c: c.update(sweep=sweep("ht", "ht_sigma", [0.01, -0.5])), "sweep.values[1]"),
+            pytest.param(lambda c: c.update(sweep=sweep("ht", "ht_sigma", [-(10**400)])),
+                         "sweep.values[0]", id="huge-int-sweep.values[0]"),
             (lambda c: c.update(sweep=sweep("gst", "gst_sigma", [-1e-4])), "sweep.values[0]"),
             (lambda c: c["params"].update(epsilon_trunc=5.0), "params.epsilon_trunc"),
             (lambda c: c["params"].update(epsilon_trunc=0), "params.epsilon_trunc"),
@@ -117,6 +121,7 @@ class TestConfigLoading:
             (lambda c: c.update(error_budget={"d": 0}), "error_budget.d"),
             (lambda c: c.update(error_budget={"delta": 2}), "error_budget.delta"),
             (lambda c: c.update(error_budget={"delta": 0.1, "eps2": 0}), "error_budget.eps2"),
+            (lambda c: c.update(error_budget={"eps1": 1.0}), "error_budget.eps1"),
             (lambda c: c.update(error_budget={"n_layers": -1}), "error_budget.n_layers"),
             (lambda c: c.update(error_budget={"shots": 0}), "error_budget.shots"),
         ],
@@ -518,7 +523,8 @@ class TestExitCodes:
         ("bounds --delta 2", "--delta", "must be in (0, 1), got 2.0"),
         ("bounds --delta 0", "--delta", "must be in (0, 1), got 0.0"),
         ("bounds --epsilon 0", "--epsilon", "must be in (0, inf), got 0.0"),
-        ("bounds --eps1 -0.001", "--eps1", "must be in (0, inf), got -0.001"),
+        ("bounds --eps1 -0.001", "--eps1", "must be in (0, 1), got -0.001"),
+        ("bounds --eps1 2", "--eps1", "must be in (0, 1), got 2.0"),
         ("bounds --eps2 0", "--eps2", "must be in (0, inf), got 0.0"),
         ("bounds --n-layers -1", "--n-layers", "must be non-negative"),
         ("bounds --shots 0", "--shots", "must be in (0, inf), got 0.0"),

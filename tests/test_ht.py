@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtrace import (
     EnsembleSpec,
@@ -27,6 +29,7 @@ from qtrace.qcore import reflect_amplitudes
 from qtrace.rng import rng_stream
 
 from .conftest import random_ensemble, reference_spec
+from .dense_reference import per_word_enumerate_block
 
 
 def pure_spec(n=2) -> EnsembleSpec:
@@ -495,6 +498,62 @@ class TestSpanKernelMatchesStatevectors:
             estimate_power_trace_enumerate(e, 2)
         with pytest.raises(ArithmeticError, match=r"probability .*2\.0.* outside"):
             estimate_power_trace_mc(e, 2, trials=100, rng=0, measure="exact-prob")
+
+
+#: Random ensembles for alpha = 1..7; 3, 5, 6 and 7 give blocks that do not
+#: align with powers of alpha.
+BLOCK_SPECS = {alpha: random_ensemble(np.random.default_rng(80 + alpha), 2, alpha)
+               for alpha in range(1, 8)}
+
+
+def max_word_length(alpha):
+    """The largest k with alpha^k <= 5000 (12 for alpha = 1)."""
+    return 12 if alpha == 1 else int(math.log(5000, alpha) + 1e-9)
+
+
+@st.composite
+def block_cases(draw):
+    """(alpha, k, lo, hi): a nonempty rank range of the length-k words."""
+    alpha = draw(st.integers(1, 7))
+    k = draw(st.integers(0, max_word_length(alpha)))
+    lo = draw(st.integers(0, alpha**k - 1))
+    hi = draw(st.integers(lo + 1, alpha**k))
+    return alpha, k, lo, hi
+
+
+class TestPrefixSharingEnumeration:
+    """The prefix-sharing block kernel must match the per-word one bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_cases())
+    def test_block_matches_per_word_kernel(self, case):
+        alpha, k, lo, hi = case
+        e = BLOCK_SPECS[alpha]
+        assert ht._enumerate_block(e, k, lo, hi) == per_word_enumerate_block(e, k, lo, hi)
+
+    @pytest.mark.parametrize("alpha", range(1, 8))
+    def test_whole_ranges_single_words_and_prefix_straddles(self, alpha):
+        e = BLOCK_SPECS[alpha]
+        for k in range(max_word_length(alpha) + 1):
+            n = alpha**k
+            cuts = {0, 1, n // 2, n - 1, n} | {min(n, alpha ** t + d) for t in range(k) for d in (-1, 1)}
+            ranges = [(lo, hi) for lo in cuts for hi in cuts if lo < hi]
+            ranges += [(r, r + 1) for r in range(0, n, max(1, n // 7))]
+            for lo, hi in ranges:
+                assert ht._enumerate_block(e, k, lo, hi) == per_word_enumerate_block(e, k, lo, hi)
+
+    @pytest.mark.parametrize("entries", [16, 48, 80])
+    @pytest.mark.parametrize("alpha", [2, 3, 4, 5])
+    def test_estimate_stitches_the_same_blocks(self, alpha, entries, monkeypatch):
+        monkeypatch.setattr(ht, "_ENUM_BLOCK_ENTRIES", entries)
+        e = BLOCK_SPECS[alpha]
+        block = max(1, entries // alpha**2)
+        for j in range(max_word_length(alpha)):
+            n = alpha**j
+            want = sum(per_word_enumerate_block(e, j, lo, min(lo + block, n))
+                       for lo in range(0, n, block))
+            est = estimate_rho_g_power_enumerate(e, j)
+            assert (est.value, est.samples) == (want, alpha ** (j + 1))
 
 
 class TestScale:
