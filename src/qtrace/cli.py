@@ -653,17 +653,15 @@ def run_bounds(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
     for key, row in _BUDGET.items():
         if getattr(args, key) is not None:
             budget[key] = _param_value(_BUDGET, key, getattr(args, key), row.flag)
-    shots = budget.pop("shots")
-    eb = noise_bounds.ErrorBudget(**budget)
+    d, epsilon, eps1, shots = budget["d"], budget["epsilon"], budget["eps1"], budget["shots"]
     seed = cfg.params["seed"]
     entries: list[tuple[str, float]] = [
-        ("hoeffding_shots", float(noise_bounds.shots_for_accuracy(eb.d, eb.eps1, eb.delta))),
-        ("gram_inverse_error_estimate",
-         noise_bounds.gram_inverse_error_bound(eb.d, eb.eps1, eb.epsilon)),
+        ("hoeffding_shots", float(noise_bounds.shots_for_accuracy(d, eps1, budget["delta"]))),
+        ("gram_inverse_error_estimate", noise_bounds.gram_inverse_error_bound(d, eps1, epsilon)),
         ("sampling_error_estimate",
-         noise_bounds.sampling_error_bound(eb.d, eb.eps1, eb.eps2, eb.epsilon)),
+         noise_bounds.sampling_error_bound(d, eps1, budget["eps2"], epsilon)),
         ("truncation_error_estimate",
-         noise_bounds.truncation_error_estimate(eb.n_layers, eb.d, eb.epsilon, shots)),
+         noise_bounds.truncation_error_estimate(budget["n_layers"], d, epsilon, shots)),
     ]
     return [
         ResultRow(name, None, value, 0.0, None, None, "estimate",

@@ -14,10 +14,10 @@ runs on the rows of ``EnsembleSpec.span_states``: D <= alpha + 1
 coordinates per state, the same inner products as the 2^n kets.  A word
 costs O(k alpha^3 + alpha^6), reflections on (d+1)^2 D-vectors plus the
 (d+1)^2-sized solve, whatever n is; its stages 1, 2 and 5 (the subspace,
-both operator bases with their prep kets and exact Grams, the augmentation
-state and, in exact mode, the Gram eigendecompositions) depend on the word
-only through its distinct indices in first-occurrence order, its subspace
-key.  Tr{w} is recovered without ever reconstructing w:
+the augmentation state and both operator bases with their prep kets, exact
+Grams and Gram eigendecompositions) depend on the word only through its
+distinct indices in first-occurrence order, its subspace key.  Tr{w} is
+recovered without ever reconstructing w:
 
 1. ``build_subspace``   — walk the distinct word states in first-occurrence
    order; a Gram-Schmidt admission statistic (|Delta|^2 / (1+|x|^2))^2 below
@@ -44,7 +44,7 @@ key.  Tr{w} is recovered without ever reconstructing w:
    is all that is ever needed.
 
 Exact-mode identities are checked where their values are made (the Gram
-in ``OperatorBasis.gram``, p in ``measure_matrices``, the traces in
+in ``operator_basis_for_states``, p in ``measure_matrices``, the traces in
 ``combination_trace``) and raise IdentityViolationError.
 
 Words are plain sequences of component indices, processed in fixed chunks of
@@ -54,13 +54,16 @@ As in HT, each Monte Carlo chunk of draws lo..hi-1 has one substream,
 ``rng_stream(master, *stream_key, lo)``: it first draws the chunk's words as
 one (hi - lo, k) array of uniforms, then, in the noisy modes, each word's
 noise in draw order.  Enumeration runs in exact mode only and draws nothing.
-A ``KeyStages`` builds one key's stages 1, 2 and 5 on first use, and a
-``StageCache`` keeps them per key (alpha!/(alpha-i)! keys of i distinct
-indices, 64 at alpha = 4 for any k >= 4, against alpha^k words) up to
-KEY_CACHE_BYTES of arrays; ``estimate_power_trace`` shares one cache across
-its powers k.  Per word there remain the reflections, the p matrix, the
-noise draws (p, g, p', g' in that order, so the stream does not depend on
-the cache), the solve and the identity checks.
+A ``KeyStages`` builds one key's stages 1, 2 and 5 together when the key is
+first met, the Gram eigendecompositions in every mode, and a ``StageCache``
+keeps them per key (alpha!/(alpha-i)! keys of i distinct indices, 64 at
+alpha = 4 for any k >= 4, against alpha^k words) up to KEY_CACHE_BYTES of
+arrays; ``estimate_power_trace`` shares one cache across its powers k.  Per
+word there remain the reflections, the p matrix, the noise draws (p, g, p',
+g' in that order, so the stream does not depend on the cache), the solve and
+the identity checks.  So a word's first error can come from building
+``ob_aug`` (no augmentation state, or its Gram) before any of its own
+measurements.
 
 In exact mode a word is evaluated once per bracelet class: Tr{W} is
 invariant under rotation of the word, Re Tr{W} under its reversal (every
@@ -82,7 +85,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -134,9 +137,9 @@ _AUGMENT_MIX = 0.5
 #: every GST Monte Carlo result.
 _WORD_CHUNK = 32
 
-#: Byte budget of one estimate's ``StageCache``.  An exact-mode key with
-#: d = 7 holds about 120 KB, so some 550 such keys fit; past the budget a key
-#: is evaluated per word.
+#: Byte budget of one estimate's ``StageCache``.  A key with d = 7 holds
+#: about 120 KB, so some 550 such keys fit; past the budget a key is built
+#: per word.
 KEY_CACHE_BYTES = 64 * 2**20
 
 
@@ -253,56 +256,38 @@ class OperatorBasis:
 
     Each descriptor (s, s') is the ket G_{s'}(theta)|psi_s>; s' = None means
     the undressed |psi_s>.  With d basis states there are d diagonal preps
-    and d^2 - d dressed ones.
+    and d^2 - d dressed ones.  ``prep_matrix`` holds their kets as rows,
+    shape (len(preps), D); ``gram`` is the exact Gram g_rs = |<chi_r|chi_s>|^2,
+    checked symmetric with entries in [0, 1]; ``gram_eigh`` is (w, v) of the
+    symmetrised Gram, as ``ptm_trace`` takes them.  Every array is read-only.
     """
 
-    states: tuple[np.ndarray, ...]
     preps: tuple[tuple[int, "int | None"], ...]
-    theta: float
-
-    @cached_property
-    def prep_matrix(self) -> np.ndarray:
-        """Prep kets stacked as rows, shape (len(preps), D); read-only."""
-        rows = []
-        for s, dress in self.preps:
-            ket = self.states[s]
-            if dress is not None:
-                ket = reflect_amplitudes(self.states[dress], self.theta, ket)
-            rows.append(ket)
-        dim = self.states[0].size if self.states else 0
-        m = np.array(rows).reshape(len(rows), dim)
-        m.setflags(write=False)
-        return m
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Exact Gram g_rs = |<chi_r|chi_s>|^2 of the prep kets, checked
-        symmetric with entries in [0, 1]; read-only."""
-        s = self.prep_matrix
-        g = np.abs(s.conj() @ s.T) ** 2
-        asymmetry = float(np.max(np.abs(g - g.T), initial=0.0))
-        if asymmetry > 1e-10:
-            raise IdentityViolationError("exact Gram matrix is not symmetric", statistic=asymmetry)
-        _check_unit_range("g", g)
-        g.setflags(write=False)
-        return g
-
-    @cached_property
-    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, v) of the symmetrised exact Gram, as ``ptm_trace`` takes them."""
-        w, v = np.linalg.eigh(0.5 * (self.gram + self.gram.T))
-        for a in (w, v):
-            a.setflags(write=False)
-        return w, v
+    prep_matrix: np.ndarray
+    gram: np.ndarray
+    gram_eigh: tuple[np.ndarray, np.ndarray]
 
 
 def operator_basis_for_states(states: Sequence[np.ndarray], theta: float) -> OperatorBasis:
-    """d^2 preparation descriptors over an explicit state list."""
+    """The d^2 preparations over an explicit state list, with their kets,
+    exact Gram and Gram eigendecomposition."""
     check_theta(theta)
     d = len(states)
     preps = [(s, None) for s in range(d)]
     preps += [(s, sp) for s in range(d) for sp in range(d) if sp != s]
-    return OperatorBasis(tuple(states), tuple(preps), theta)
+    rows = [states[s] if dress is None else reflect_amplitudes(states[dress], theta, states[s])
+            for s, dress in preps]
+    dim = states[0].size if d else 0
+    m = np.array(rows).reshape(len(rows), dim)
+    g = np.abs(m.conj() @ m.T) ** 2
+    asymmetry = float(np.max(np.abs(g - g.T), initial=0.0))
+    if asymmetry > 1e-10:
+        raise IdentityViolationError("exact Gram matrix is not symmetric", statistic=asymmetry)
+    _check_unit_range("g", g)
+    w, v = np.linalg.eigh(0.5 * (g + g.T))
+    for a in (m, g, w, v):
+        a.setflags(write=False)
+    return OperatorBasis(tuple(preps), m, g, (w, v))
 
 
 def apply_word(e: EnsembleSpec, indices: Sequence[int], block: np.ndarray) -> np.ndarray:
@@ -448,34 +433,18 @@ class CombinationTrace:
 
 
 class KeyStages:
-    """The word-independent stages of one subspace key: the subspace, the
-    operator basis over its retained states and the basis over the retained
-    states plus the augmentation state |phi>.  Each basis is built on first
-    use; its prep kets, exact Gram and Gram eigendecomposition are cached
-    properties, so a stored entry carries them too."""
+    """The word-independent stages of one subspace key, built together: the
+    subspace ``b``, the operator basis ``ob`` over its retained states, the
+    augmentation state |phi> and the basis ``ob_aug`` over the retained
+    states plus |phi>.  ``nbytes`` counts the two bases' arrays."""
 
     def __init__(self, e: EnsembleSpec, key: tuple[int, ...], epsilon: float, theta: float):
-        self.e, self.key, self.theta = e, key, theta
         self.b = build_subspace(e, key, epsilon)
-
-    @cached_property
-    def ob(self) -> OperatorBasis:
-        return operator_basis_for_states(self.b.retained, self.theta)
-
-    @cached_property
-    def ob_aug(self) -> OperatorBasis:
-        phi = augmentation_state(self.e, self.key, self.b)
-        return operator_basis_for_states((*self.b.retained, phi), self.theta)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the prep kets, Grams and eigendecompositions the two
-        bases have computed so far."""
-        arrays = []
-        for ob in (self.ob, self.ob_aug):
-            cached = vars(ob)
-            arrays += [cached.get("prep_matrix"), cached.get("gram"), *cached.get("gram_eigh", ())]
-        return sum(a.nbytes for a in arrays if a is not None)
+        self.ob = operator_basis_for_states(self.b.retained, theta)
+        phi = augmentation_state(e, key, self.b)
+        self.ob_aug = operator_basis_for_states((*self.b.retained, phi), theta)
+        self.nbytes = sum(a.nbytes for ob in (self.ob, self.ob_aug)
+                          for a in (ob.prep_matrix, ob.gram, *ob.gram_eigh))
 
 
 class StageCache:
@@ -483,22 +452,22 @@ class StageCache:
     in first-occurrence order, through which alone every stage they hold
     depends on the word.  One cache serves one (ensemble, epsilon, theta).
     Keys are kept until their arrays fill KEY_CACHE_BYTES; later keys are
-    evaluated but not stored, which changes no value."""
+    built per word but not stored, which changes no value."""
 
     def __init__(self) -> None:
         self._entries: dict[tuple[int, ...], KeyStages] = {}
         self.nbytes = 0
 
-    def get(self, key: tuple[int, ...]) -> KeyStages | None:
-        return self._entries.get(key)
-
-    def put(self, key: tuple[int, ...], stages: KeyStages) -> None:
-        if key in self._entries:
-            return
-        size = stages.nbytes
-        if self.nbytes + size <= KEY_CACHE_BYTES:
-            self._entries[key] = stages
-            self.nbytes += size
+    def stages(self, e: EnsembleSpec, key: tuple[int, ...], epsilon: float,
+               theta: float) -> KeyStages:
+        """The key's stored stages, or new ones, stored if they fit."""
+        stages = self._entries.get(key)
+        if stages is None:
+            stages = KeyStages(e, key, epsilon, theta)
+            if self.nbytes + stages.nbytes <= KEY_CACHE_BYTES:
+                self._entries[key] = stages
+                self.nbytes += stages.nbytes
+        return stages
 
 
 def _word_trace(
@@ -528,15 +497,14 @@ def combination_trace(
     Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2.
 
     With a ``cache`` (for this ensemble, epsilon and theta), the word's
-    subspace and bases come from its key's entry, and a key evaluated here
-    without error is stored; the result is the same with or without it.
+    subspace and bases come from its key's entry; the result is the same
+    with or without it.
     """
     if any(i < 0 or i >= e.alpha for i in indices):
         raise ValueError(f"indices {tuple(indices)} out of range for alpha={e.alpha}")
     key = tuple(dict.fromkeys(indices))
-    stages = None if cache is None else cache.get(key)
-    if stages is None:
-        stages = KeyStages(e, key, epsilon, theta)
+    stages = (KeyStages(e, key, epsilon, theta) if cache is None
+              else cache.stages(e, key, epsilon, theta))
     b = stages.b
     # Tr{R_w} over the d^2 preps, then Tr{R_w'} over the (d+1)^2 augmented
     # ones, where in exact mode Tr{R_w'} = |Tr w + 1|^2.
@@ -557,8 +525,6 @@ def combination_trace(
                 "exceeds Tr{I}",
                 statistic=re_tr_w,
             )
-    if cache is not None:
-        cache.put(key, stages)
     return CombinationTrace(b.d, tr_rw, re_tr_w, value)
 
 

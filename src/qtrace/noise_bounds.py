@@ -8,41 +8,12 @@ reports, they never gate a computation automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class DivergentBoundError(ValueError):
     """A perturbation-series bound whose denominator is not positive."""
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Inputs to the reconstruction error bounds.
-
-    d: subspace dimension; epsilon: truncation threshold; eps1/eps2:
-    per-entry error levels of the Gram and gate matrices; delta: failure
-    probability; n_layers: reflection layers in the circuit word.
-    """
-
-    d: int
-    epsilon: float
-    eps1: float
-    eps2: float
-    delta: float
-    n_layers: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.n_layers < 0:
-            raise ValueError(f"n_layers must be >= 0, got {self.n_layers}")
-        for name, v in (("epsilon", self.epsilon), ("eps1", self.eps1), ("eps2", self.eps2)):
-            if not math.isfinite(v) or v <= 0:
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta!r}")
 
 
 def perturb_probabilities(

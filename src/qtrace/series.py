@@ -21,7 +21,7 @@ the same series from estimates of a_j = Tr{rho G^j} instead of Tr{G^k}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .ht import TraceEstimate, combined_mode
@@ -114,13 +114,8 @@ def evaluate_telescoped(
             f"got estimates only up to j={len(rho_g) - 1}"
         )
     c = w.coefficients
-    used = rho_g[:k_max]
+    if k_max == 0:
+        return TraceEstimate(dim * math.fsum(c), 0.0, 0, combined_mode([]))
     b = [-2.0 * sum(c[j + 1:]) for j in range(k_max)]
-    value = dim * math.fsum(c) + sum(bj * est.value for bj, est in zip(b, used))
-    variance = sum((bj * est.std_error) ** 2 for bj, est in zip(b, used))
-    return TraceEstimate(
-        value,
-        math.sqrt(variance),
-        sum(est.samples for est in used),
-        combined_mode([est.mode for est in used]),
-    )
+    est = evaluate_series(SeriesWeights(tuple(b)), rho_g)
+    return replace(est, value=dim * math.fsum(c) + est.value)

@@ -788,10 +788,10 @@ class TestSpanOnly:
 
 #: SHA-256 of the stdout of fixed commands.  A change that moves any RNG draw
 #: of the HT chunk layout, the shot path or the sigma path, the float order
-#: of HT or GST enumeration (with and without truncation), the GST word
-#: classes and their representatives, the GST Monte Carlo chunk streams, or
-#: the float order of the per-chunk M2 and its merge (``ht.mc_estimate``)
-#: changes these bytes.  Each GST Monte Carlo command draws several
+#: of HT or GST enumeration (with and without truncation, and at a
+#: non-default basis angle), the GST word classes and their representatives,
+#: the GST Monte Carlo chunk streams, or the float order of the per-chunk M2
+#: and its merge (``ht.mc_estimate``) changes these bytes.  Each GST Monte Carlo command draws several
 #: ``gst._WORD_CHUNK`` chunks per power, the last one partial.  The
 #: ``entropy``, ``oracle``, ``sweep`` and ``bounds`` commands pin those
 #: runners and how their flags and config keys reach them.  Acceptance
@@ -823,6 +823,10 @@ BYTE_PINS = {
         "340271a448a7f500d8a05848294570ce172a88d5892a942515ca51f9b75e3abb",
     "gst --g-power 2-3 --strategy mc --mode gaussian --trials 600 --seed 13 --pinv":
         "41bbfc2046d6d3d5d17cef98b237f9fa9986eb036dd44651c14bd78487fa9e03",
+    "gst --g-power 2-4 --theta 0.3":
+        "a0dd669194196cb6db8bd421923663daa1a5d4fcd10d4b546380cd7c5c3412b8",
+    "gst --g-power 3 --strategy mc --trials 500 --epsilon 1e-2 --seed 4":
+        "b3d276e2d61aec72b5c5a2e29e7796de0b1bb5c956fa81afa96316f3cdf67198",
     "entropy --order 2-8 --estimator ht":
         "8748b516f3b40deaf9f9f6dda320534253e854fdfe098d5f1c1bac03d045fb56",
     "entropy --order 2-12 --estimator ht --strategy mc --seed 7":
@@ -844,7 +848,10 @@ BYTE_PINS = {
 PIN_SWEEP = sweep("ht", "shots", [5000, 20000])
 
 #: Exit-4 commands and their stderr record: a noisy Gram below the
-#: conditioning floor, with its min eigenvalue to the last digit.
+#: conditioning floor, with its min eigenvalue to the last digit, and a
+#: subspace key whose augmentation state cannot be built, on the config
+#: ``{one_qubit}``: ``table1`` on one qubit, where two distinct states span
+#: the whole space.
 ERROR_PINS = {
     "gst --g-power 1-3 --strategy mc --mode shots --trials 200 --seed 7":
         '{"error": "ill-conditioned-gram", "message": "Gram matrix min eigenvalue -1.285e-03 '
@@ -852,6 +859,12 @@ ERROR_PINS = {
     "gst --g-power 1-3 --strategy mc --mode gaussian --trials 200 --seed 7":
         '{"error": "ill-conditioned-gram", "message": "Gram matrix min eigenvalue -1.693e-05 '
         'is below the conditioning floor 1.000e-08", "min_eigenvalue": -1.6929712532185906e-05}\n',
+    "gst --g-power 1-3 --config {one_qubit}":
+        '{"error": "degenerate-augmentation", "message": "the 2 circuit states span the whole '
+        '2-dimensional space; no independent augmentation state exists"}\n',
+    "gst --g-power 1-3 --strategy mc --mode shots --trials 200 --seed 7 --config {one_qubit}":
+        '{"error": "degenerate-augmentation", "message": "the 2 circuit states span the whole '
+        '2-dimensional space; no independent augmentation state exists"}\n',
 }
 
 
@@ -863,9 +876,10 @@ class TestDeterminism:
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == sha, (command, out)
 
-    def test_failing_commands_match_error_pins(self, capsys):
+    def test_failing_commands_match_error_pins(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(n_qubits=1))
         for command, record in ERROR_PINS.items():
-            assert cli.main(command.split()) == 4
+            assert cli.main(command.replace("{one_qubit}", path).split()) == 4
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", record), command
 

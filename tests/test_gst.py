@@ -405,10 +405,10 @@ class TestMeasureMatrices:
         assert noisy.max() > 1.0
 
     def test_non_unit_prep_state_breaks_the_gram_identity(self, ref3):
-        # The diagonal |<chi|chi>|^2 = 1.1^4 leaves [0, 1] when the Gram is built.
-        ob = operator_basis_for_states([1.1 * ref3.span_states[0]], math.pi / 2)
+        # The diagonal |<chi|chi>|^2 = 1.1^4 leaves [0, 1] when the basis
+        # builds its Gram.
         with pytest.raises(IdentityViolationError, match="exact-mode g") as err:
-            ob.gram
+            operator_basis_for_states([1.1 * ref3.span_states[0]], math.pi / 2)
         assert err.value.statistic == pytest.approx(1.1**4, rel=1e-12)
 
     def test_exact_p_above_one_breaks_the_identity(self, ref3, monkeypatch):
@@ -996,9 +996,10 @@ def word_result(e, q, epsilon, mode, pinv, seed, cache=None):
 
 
 def stage_calls(monkeypatch):
-    """Counts of build_subspace and augmentation_state calls from now on."""
+    """Counts of build_subspace, operator_basis_for_states and
+    augmentation_state calls from now on."""
     calls = Counter()
-    for name in ("build_subspace", "augmentation_state"):
+    for name in ("build_subspace", "operator_basis_for_states", "augmentation_state"):
         def spy(*args, _inner=getattr(gst, name), _name=name, **kwargs):
             calls[_name] += 1
             return _inner(*args, **kwargs)
@@ -1054,12 +1055,19 @@ class TestStageCache:
             assert cached.value.min_eigenvalue == uncached.value.min_eigenvalue
         assert combination_trace(_NEAR_TWINS, q, 1e-30, allow_pseudoinverse=True, cache=cache) == pinv
 
-    # The class representatives of k = 3 and k = 4 have 14 and 21 keys.
-    @pytest.mark.parametrize("k, keys", [(3, 14), (4, 21)])
-    def test_stages_run_once_per_key(self, ref3, monkeypatch, k, keys):
+    # The class representatives of k = 3 and k = 4 have 14 and 21 keys; the
+    # 300 noisy draws of k = 3 evaluate every word and meet 37 of its 40 keys.
+    @pytest.mark.parametrize("k, keys, options", [
+        (3, 14, {}),
+        (4, 21, {}),
+        (3, 37, {"strategy": "mc", "budget": 300, "mode": MeasureMode("shots", shots=1000),
+                 "rng": 5, "allow_pseudoinverse": True}),
+    ], ids=["3-14", "4-21", "3-37-shots"])
+    def test_stages_run_once_per_key(self, ref3, monkeypatch, k, keys, options):
         calls = stage_calls(monkeypatch)
-        estimate_g_power_trace(ref3, k)
-        assert calls == {"build_subspace": keys, "augmentation_state": keys}
+        estimate_g_power_trace(ref3, k, **options)
+        assert calls == {"build_subspace": keys, "operator_basis_for_states": 2 * keys,
+                         "augmentation_state": keys}
 
     @pytest.mark.parametrize("strategy, budget", [("enumerate", 10**6), ("mc", 300)])
     def test_power_trace_builds_each_key_once_across_k(self, ref3, monkeypatch,
@@ -1092,7 +1100,8 @@ class TestStageCache:
         calls = stage_calls(monkeypatch)
         assert estimate_g_power_trace(ref3, 3) == cached
         # One build per class of k = 3.
-        assert calls == {"build_subspace": 20, "augmentation_state": 20}
+        assert calls == {"build_subspace": 20, "operator_basis_for_states": 40,
+                         "augmentation_state": 20}
 
 
 class TestScaleN20:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qtrace.noise_bounds import (
     DivergentBoundError,
-    ErrorBudget,
     gram_inverse_error_bound,
     perturb_probabilities,
     sampling_error_bound,
@@ -153,10 +152,6 @@ class TestMonotonicity:
 
 
 class TestConfigTypes:
-    def test_error_budget_validation(self):
-        with pytest.raises(ValueError, match="delta"):
-            ErrorBudget(d=2, epsilon=0.1, eps1=1e-4, eps2=1e-4, delta=1.5, n_layers=3)
-
     def test_hoeffding_coverage_small(self):
         # Mini version of the empirical coverage property: with the returned
         # shot count, |p_hat - p| rarely exceeds d^2 * eps_tilde.

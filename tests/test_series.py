@@ -181,6 +181,11 @@ class TestEvaluateTelescoped:
         assert est.mode == "mc-shots"
         assert est.samples == 200
 
+    def test_one_coefficient_series_is_the_dimension(self):
+        # Tr{rho^0} = Tr{I} needs no a_j: the value is dim, from no samples.
+        est = evaluate_telescoped(binomial_weights(0), 8, [])
+        assert est == TraceEstimate(8.0, 0.0, 0, MODE_ORACLE)
+
     def test_missing_powers_rejected(self, ref3):
         with pytest.raises(ValueError, match="up to j=2"):
             evaluate_telescoped(entropy_weights(2), ref3.dim, oracle_rho_g_estimates(ref3, 1))
