@@ -12,9 +12,9 @@ from .ensemble import (
     exact_power_trace,
     exact_rho_g_power_trace,
 )
-from .ht import TraceEstimate
-from .gst import CombinationTrace, MeasureMode, SubspaceBasis
-from .series import SeriesWeights, binomial_weights, entropy_weights, evaluate_series
+from .noise_bounds import MeasureMode
+from .gst import CombinationTrace, SubspaceBasis
+from .series import SeriesWeights, TraceEstimate, binomial_weights, entropy_weights, evaluate_series
 
 __version__ = "0.1.0"
 

@@ -89,7 +89,7 @@ _PARAMS: dict[str, _Param] = {
     "epsilon_trunc": _Param(1e-10, "--epsilon", ("gst", "entropy"), within=(0, 1),
                             help="truncation threshold"),
     "theta_basis": _Param(0.5, "--theta", ("gst", "entropy"), help="basis angle, units of pi"),
-    "enumeration_cap": _Param(ht.DEFAULT_ENUMERATION_CAP, "--cap", _ESTIMATORS, least=1,
+    "enumeration_cap": _Param(series.DEFAULT_ENUMERATION_CAP, "--cap", _ESTIMATORS, least=1,
                               help="enumeration cap"),
     "mode": _Param("exact", "--mode", _ESTIMATORS, choices=("exact", "shots", "gaussian")),
     "strategy": _Param("enumerate", "--strategy", _ESTIMATORS, choices=("enumerate", "mc")),
@@ -439,7 +439,7 @@ def _exact(spec: ensemble.EnsembleSpec, quantity: str, order: int | None) -> flo
 
 def _ht_estimate(
     spec: ensemble.EnsembleSpec, power: int, params: dict[str, Any], seed: int
-) -> ht.TraceEstimate:
+) -> series.TraceEstimate:
     settings = _ht_settings(params)
     if params["strategy"] == "enumerate":
         return ht.estimate_power_trace_enumerate(spec, power - 1, **settings)
@@ -454,13 +454,17 @@ def _ht_settings(params: dict[str, Any]) -> dict[str, Any]:
         return {"enumeration_cap": params["enumeration_cap"]}
     if params["mode"] == "gaussian":
         raise ConfigError("params.mode", "ht supports exact or shots mode (ht_sigma rides on exact)")
-    measure = "exact-prob" if params["mode"] == "exact" else "shots"
-    if measure == "shots" and params["ht_sigma"] > 0.0:
-        raise ConfigError(
-            "params.ht_sigma", "pairs with exact mode only; shot and Gaussian noise never combine"
-        )
-    return {"trials": params["trials"], "shots_per_trial": params["shots"],
-            "measure": measure, "ht_sigma": params["ht_sigma"]}
+    if params["mode"] == "shots":
+        if params["ht_sigma"] > 0.0:
+            raise ConfigError(
+                "params.ht_sigma", "pairs with exact mode only; shot and Gaussian noise never combine"
+            )
+        mode = noise_bounds.MeasureMode("shots", shots=params["shots"])
+    elif params["ht_sigma"] > 0.0:
+        mode = noise_bounds.MeasureMode("gaussian", sigma=params["ht_sigma"])
+    else:
+        mode = noise_bounds.EXACT
+    return {"trials": params["trials"], "mode": mode}
 
 
 def _check_enumeration_caps(
@@ -491,11 +495,11 @@ def _gst_settings(params: dict[str, Any]) -> dict[str, Any]:
     else:
         budget = params["trials"]
     if params["mode"] == "shots":
-        mode = gst_mod.MeasureMode("shots", shots=params["gst_shots"])
+        mode = noise_bounds.MeasureMode("shots", shots=params["gst_shots"])
     elif params["mode"] == "gaussian":
-        mode = gst_mod.MeasureMode("gaussian", sigma=params["gst_sigma"])
+        mode = noise_bounds.MeasureMode("gaussian", sigma=params["gst_sigma"])
     else:
-        mode = gst_mod.EXACT
+        mode = noise_bounds.EXACT
     return {
         "strategy": params["strategy"],
         "budget": budget,
@@ -508,7 +512,7 @@ def _gst_settings(params: dict[str, Any]) -> dict[str, Any]:
 
 def _gst_estimate(
     spec: ensemble.EnsembleSpec, quantity: str, order: int, params: dict[str, Any], seed: int
-) -> ht.TraceEstimate:
+) -> series.TraceEstimate:
     estimate = (gst_mod.estimate_power_trace if quantity == "tr_rho_power"
                 else gst_mod.estimate_g_power_trace)
     return estimate(spec, order, rng=seed, **_gst_settings(params))
@@ -522,12 +526,12 @@ def _estimate_row(
     seed column reports the master seed, and ``label`` suffixes the mode."""
     if estimator == "oracle":
         value, wall_ms = _timed(timing, _exact, spec, quantity, order)
-        return ResultRow(quantity, order, value, 0.0, value, 0.0, ht.MODE_ORACLE + label,
+        return ResultRow(quantity, order, value, 0.0, value, 0.0, series.MODE_ORACLE + label,
                          None, None, params["seed"], wall_ms)
     if estimator == "ht":
         est, wall_ms = _timed(timing, _ht_estimate, spec, order, params, seed)
-        shots = est.samples if est.mode == ht.MODE_MC_SHOTS else None
-        trials = params["trials"] if est.mode != ht.MODE_EXACT_ENUMERATION else None
+        shots = est.samples if est.mode == series.MODE_MC_SHOTS else None
+        trials = params["trials"] if est.mode != series.MODE_EXACT_ENUMERATION else None
     else:
         est, wall_ms = _timed(timing, _gst_estimate, spec, quantity, order, params, seed)
         shots = params["gst_shots"] if params["mode"] == "shots" else None
@@ -573,23 +577,24 @@ def run_estimator(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
 
 
 def _g_power_terms(
-    spec: ensemble.EnsembleSpec, estimator: str, k_max: int, params: dict[str, Any]
-) -> list[ht.TraceEstimate]:
-    """Independent Tr{G^k} for k = 0..k_max from the oracle or from GST, the
-    GST estimate of Tr{G^k} on _child_seed(master, k)."""
-    if estimator == "oracle":
-        return [ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
-                for k in range(k_max + 1)]
+    spec: ensemble.EnsembleSpec, k_max: int, params: dict[str, Any]
+) -> list[series.TraceEstimate]:
+    """Independent GST estimates of Tr{G^k} for k = 0..k_max, the one of
+    Tr{G^k} on _child_seed(master, k)."""
     _check_enumeration_caps(spec, "gst", range(k_max + 1), params)
     return [_gst_estimate(spec, "tr_g_power", k, params, _child_seed(params["seed"], k))
             for k in range(k_max + 1)]
 
 
 def _rho_g_terms(
-    spec: ensemble.EnsembleSpec, j_max: int, params: dict[str, Any]
-) -> list[ht.TraceEstimate]:
-    """Tr{rho G^j} for j = 0..j_max - 1 from HT enumeration or Monte Carlo,
-    one call per j, the Monte Carlo call for j on _child_seed(master, j)."""
+    spec: ensemble.EnsembleSpec, estimator: str, j_max: int, params: dict[str, Any]
+) -> list[series.TraceEstimate]:
+    """Tr{rho G^j} for j = 0..j_max - 1 from the oracle, or from HT
+    enumeration or Monte Carlo, one call per j, the Monte Carlo call for j on
+    _child_seed(master, j)."""
+    if estimator == "oracle":
+        return [series.TraceEstimate(ensemble.exact_rho_g_power_trace(spec, j), 0.0, 1,
+                                     series.MODE_ORACLE) for j in range(j_max)]
     settings = _ht_settings(params)
     _check_enumeration_caps(spec, "ht", [spec.alpha ** (j + 1) for j in range(j_max)], params)
     if params["strategy"] == "enumerate":
@@ -599,17 +604,17 @@ def _rho_g_terms(
 
 
 def run_entropy(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    """Truncated Tr{rho ln rho} series rows.  HT estimates the series from
-    independent Tr{rho G^j}; the oracle and GST feed their Tr{G^k} to
-    ``series.evaluate_series``."""
+    """Truncated Tr{rho ln rho} series rows.  The oracle and HT evaluate the
+    series from independent Tr{rho G^j}, where no 2^n term cancels; GST feeds
+    its Tr{G^k} to ``series.evaluate_series``."""
     orders = _parse_orders(args.order, "--order", 1)
     k_max = max(orders) + 1
-    if args.estimator == "ht":
-        rho_g = _rho_g_terms(cfg.spec, k_max, cfg.params)
-        evaluate = partial(series.evaluate_telescoped, dim=cfg.spec.dim, rho_g=rho_g)
-    else:
-        gk = _g_power_terms(cfg.spec, args.estimator, k_max, cfg.params)
+    if args.estimator == "gst":
+        gk = _g_power_terms(cfg.spec, k_max, cfg.params)
         evaluate = partial(series.evaluate_series, gk=gk)
+    else:
+        rho_g = _rho_g_terms(cfg.spec, args.estimator, k_max, cfg.params)
+        evaluate = partial(series.evaluate_telescoped, dim=cfg.spec.dim, rho_g=rho_g)
     exact = _exact(cfg.spec, "tr_rho_ln_rho", None)
     rows = []
     for n_t in orders:
@@ -708,9 +713,10 @@ def run_golden(cfg: RunConfig, out) -> int:
     check("tr_rho_ln_rho exact", round(entropy_exact, 3) == _GOLDEN_ENTROPY,
           f"got {entropy_exact:.6f}, want {_GOLDEN_ENTROPY:.3f}")
 
-    gk = _g_power_terms(spec, "oracle", 9, cfg.params)
+    rho_g = _rho_g_terms(spec, "oracle", 9, cfg.params)
     err = {
-        n_t: abs(series.evaluate_series(series.entropy_weights(n_t), gk).value - entropy_exact)
+        n_t: abs(series.evaluate_telescoped(series.entropy_weights(n_t), spec.dim, rho_g).value
+                 - entropy_exact)
         for n_t in (2, 8)
     }
     check("entropy series error trend", err[8] < err[2],

@@ -49,7 +49,7 @@ in ``operator_basis_for_states``, p in ``measure_matrices``, the traces in
 
 Words are plain sequences of component indices, processed in fixed chunks of
 _WORD_CHUNK and merged in chunk order (Monte Carlo chunks as (count, sum,
-M2) by ``ht.mc_estimate``), so estimates are bit-identical for a fixed seed.
+M2) by ``series.mc_estimate``), so estimates are bit-identical for a fixed seed.
 As in HT, each Monte Carlo chunk of draws lo..hi-1 has one substream,
 ``rng_stream(master, *stream_key, lo)``: it first draws the chunk's words as
 one (hi - lo, k) array of uniforms, then, in the noisy modes, each word's
@@ -98,17 +98,19 @@ from .errors import (
     IllConditionedGramError,
     ResourceLimitError,
 )
-from .ht import (
+from .noise_bounds import EXACT, MeasureMode
+from .qcore import reflect_amplitudes
+from .rng import as_master_seed, rng_stream
+from .series import (
     DEFAULT_ENUMERATION_CAP,
     MODE_EXACT_ENUMERATION,
     MODE_MC_EXACT_PROB,
     MODE_MC_SHOTS,
     TraceEstimate,
+    binomial_weights,
+    evaluate_series,
     mc_estimate,
 )
-from .qcore import reflect_amplitudes
-from .rng import as_master_seed, rng_stream
-from .series import binomial_weights, evaluate_series
 
 #: Two states whose overlap modulus exceeds this are the same physical state
 #: (global phase ignored) and get merged rather than truncated.
@@ -141,31 +143,6 @@ _WORD_CHUNK = 32
 #: about 120 KB, so some 550 such keys fit; past the budget a key is built
 #: per word.
 KEY_CACHE_BYTES = 64 * 2**20
-
-
-@dataclass(frozen=True)
-class MeasureMode:
-    """How matrix entries are measured: exact values, binomial shot noise
-    with N shots per entry, or additive Gaussian noise of std sigma."""
-
-    kind: str = "exact"
-    shots: int | None = None
-    sigma: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "shots", "gaussian"):
-            raise ValueError(f"unknown measure mode {self.kind!r}")
-        if self.kind == "shots" and (self.shots is None or self.shots < 1):
-            raise ValueError(f"shots mode needs shots >= 1, got {self.shots!r}")
-        if self.kind == "gaussian" and (self.sigma is None or self.sigma < 0):
-            raise ValueError(f"gaussian mode needs sigma >= 0, got {self.sigma!r}")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "exact"
-
-
-EXACT = MeasureMode()
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,16 +27,19 @@ K = EnsembleSpec.gram supplies every overlap, and the reflection
 G_a = I - 2|psi_a><psi_a| becomes c_a -= 2 (K c)_a.  A trial with k layers
 costs O(k alpha), independent of n; no 2**n vector is formed.
 
-Five modes:
+Four estimators; the Monte Carlo ones take a ``noise_bounds.MeasureMode``,
+the noise model GST also takes:
 
 * ``estimate_power_trace_enumerate`` — exact expectation over all words and
-  layer patterns (no randomness, std_error 0).
-* ``estimate_power_trace_mc`` with ``measure="exact-prob"`` — Monte Carlo
-  over circuits, each contributing its exact signed probability.
-* ``estimate_power_trace_mc`` with ``measure="shots"`` — full simulation
-  with binomial measurement noise per circuit.
+  layer patterns: the binomial series sum_k (C(m,k)/2^m) (-1)^k a_k of
+  ``series.evaluate_series`` over the exact a_k below (no randomness,
+  std_error 0).
+* ``estimate_power_trace_mc`` — Monte Carlo over circuits.  Exact mode takes
+  each circuit's exact signed probability, gaussian mode perturbs that
+  probability by N(0, sigma^2), and shots mode (the default, one shot)
+  draws ``mode.shots`` binomial measurements per circuit.
 * ``estimate_rho_g_power_mc`` — the same circuit with all j layers inserted
-  and no coin flips or sign, in either measure.  Each layer reflects about a
+  and no coin flips or sign, in any measure mode.  Each layer reflects about a
   component drawn with its ensemble probability, so E[G_q] = G and each
   trial is an unbiased sample of a_j = Tr{rho G^j} in [-1, 1].  Since
   G^{k+1} = G^k - 2 rho G^k, Tr{G^k} = 2**n - 2 sum_{j<k} a_j, so one call
@@ -55,10 +58,7 @@ chunk order, so results are bit-identical for a fixed seed.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -66,28 +66,22 @@ from . import noise_bounds
 from ._parallel import run_chunked
 from .ensemble import EnsembleSpec
 from .errors import IdentityViolationError, ResourceLimitError
+from .noise_bounds import MeasureMode
 # Unused here; the benchmark tracer patches ``ht.reflect_amplitudes``.
 from .qcore import reflect_amplitudes  # noqa: F401
 from .rng import as_master_seed, rng_stream
-
-logger = logging.getLogger(__name__)
-
-MODE_EXACT_ENUMERATION = "exact-enumeration"
-MODE_MC_EXACT_PROB = "mc-exact-prob"
-MODE_MC_SHOTS = "mc-shots"
-#: Oracle values wrapped as estimates (CLI tables, series inputs).
-MODE_ORACLE = "oracle"
-
-_KNOWN_MODES = (
+from .series import (
+    DEFAULT_ENUMERATION_CAP,
     MODE_EXACT_ENUMERATION,
     MODE_MC_EXACT_PROB,
     MODE_MC_SHOTS,
-    MODE_ORACLE,
+    TraceEstimate,
+    binomial_weights,
+    evaluate_series,
+    mc_estimate,
 )
-_EXACT_MODES = (MODE_EXACT_ENUMERATION, MODE_ORACLE)
 
-#: Default cap on evaluated words in enumeration mode.
-DEFAULT_ENUMERATION_CAP = 10**7
+logger = logging.getLogger(__name__)
 
 #: Complex coefficients held per enumeration block (16 bytes each, 256 KiB),
 #: which bounds its memory at any enumeration cap: the last prefix level, one
@@ -99,37 +93,10 @@ _ENUM_BLOCK_ENTRIES = 1 << 14
 #: changing it changes every Monte Carlo result.
 TRIAL_CHUNK = 8192
 
+#: Default measurement: one binomial shot per sampled circuit.
+_ONE_SHOT = MeasureMode("shots", shots=1)
+
 _P_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TraceEstimate:
-    """A Tr{...} estimate: value, standard error, sample count, and the
-    sampling mode that produced it."""
-
-    value: float
-    std_error: float
-    samples: int
-    mode: str
-
-    def __post_init__(self) -> None:
-        if self.mode not in _KNOWN_MODES:
-            raise ValueError(f"unknown estimate mode {self.mode!r}")
-        if not self.std_error >= 0.0:
-            raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
-        if self.mode in _EXACT_MODES and self.std_error != 0.0:
-            raise ValueError(f"{self.mode} estimates must carry std_error 0")
-        if self.samples < 0:
-            raise ValueError(f"samples must be >= 0, got {self.samples}")
-
-
-def combined_mode(modes: Sequence[str]) -> str:
-    """Mode of a quantity combined from several estimates: the least exact
-    contributor wins."""
-    for mode in (MODE_MC_SHOTS, MODE_MC_EXACT_PROB, MODE_EXACT_ENUMERATION):
-        if mode in modes:
-            return mode
-    return MODE_ORACLE
 
 
 def _check_probabilities(p: np.ndarray) -> None:
@@ -138,20 +105,6 @@ def _check_probabilities(p: np.ndarray) -> None:
         raise IdentityViolationError(
             f"outcome probability {p[bad][0]!r} outside [0, 1]", statistic=float(p[bad][0])
         )
-
-
-def mc_estimate(parts: Sequence[tuple[int, float, float]], mode: str) -> TraceEstimate:
-    """Mean and std_error sqrt(M2 / (n - 1) / n) from per-chunk (count, sum,
-    M2), M2 the squared deviations about the chunk mean, merged in chunk order
-    (Chan, Golub & LeVeque, Am. Stat. 37, 242, 1983): sums add, and M2 gains
-    delta^2 n_a n_b / (n_a + n_b), delta the difference of the two means."""
-    count, total, m2 = 0, 0.0, 0.0
-    for n, s, chunk_m2 in parts:
-        delta = s / n - total / count if count else 0.0
-        m2 += chunk_m2 + delta * delta * count * n / (count + n)
-        count, total = count + n, total + s
-    stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
-    return TraceEstimate(total / count, stderr, count, mode)
 
 
 def _outcome_probabilities(
@@ -183,9 +136,7 @@ def _outcome_probabilities(
 def _mc_chunk(
     e: EnsembleSpec,
     m: int,
-    shots_per_trial: int,
-    measure: str,
-    ht_sigma: float,
+    mode: MeasureMode,
     master_seed: int,
     lo: int,
     hi: int,
@@ -207,16 +158,16 @@ def _mc_chunk(
     p0 = _outcome_probabilities(e, comps, flags)
 
     clamps = 0
-    if ht_sigma > 0.0:
-        p0, clamps = noise_bounds.perturb_probabilities(p0, ht_sigma, rng)
+    if mode.kind == "gaussian":
+        p0, clamps = noise_bounds.perturb_probabilities(p0, mode.sigma, rng)
 
-    if measure == "exact-prob":
+    if mode.kind != "shots":
         x = sign * (2.0 * p0 - 1.0)
         total = float(x.sum())
         return b, total, float(np.square(x - total / b).sum()), clamps
     # shots: every outcome is +-1, so M2 = count - total^2 / count, 0 if all agree.
-    n0 = rng.binomial(shots_per_trial, p0)
-    count, total = b * shots_per_trial, float((sign * (2.0 * n0 - shots_per_trial)).sum())
+    n0 = rng.binomial(mode.shots, p0)
+    count, total = b * mode.shots, float((sign * (2.0 * n0 - mode.shots)).sum())
     return count, total, (count - total) * (count + total) / count, clamps
 
 
@@ -224,72 +175,49 @@ def _estimate_mc(
     e: EnsembleSpec,
     layers: int,
     trials: int,
-    shots_per_trial: int,
+    mode: MeasureMode,
     rng: "int | np.random.Generator",
-    measure: str,
-    ht_sigma: float,
     coin_flips: bool,
 ) -> TraceEstimate:
-    """Check the sampling arguments, run ``_mc_chunk`` over fixed
-    TRIAL_CHUNK chunks and merge them with ``mc_estimate``."""
+    """Run ``_mc_chunk`` over fixed TRIAL_CHUNK chunks and merge them with
+    ``mc_estimate``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if shots_per_trial < 1:
-        raise ValueError(f"shots_per_trial must be >= 1, got {shots_per_trial}")
-    if measure not in ("shots", "exact-prob"):
-        raise ValueError(f"measure must be 'shots' or 'exact-prob', got {measure!r}")
-    if measure == "shots" and ht_sigma > 0.0:
-        raise ValueError(
-            "ht_sigma pairs with measure='exact-prob'; shot noise and "
-            "Gaussian noise are never combined in one run"
-        )
-
-    master_seed = as_master_seed(rng)
-    worker = partial(
-        _mc_chunk, e, layers, shots_per_trial, measure, ht_sigma, master_seed,
-        coin_flips=coin_flips,
-    )
+    worker = partial(_mc_chunk, e, layers, mode, as_master_seed(rng), coin_flips=coin_flips)
     parts = run_chunked(worker, trials, TRIAL_CHUNK)
     clamps = sum(p[3] for p in parts)
     if clamps:
         logger.debug("ht noise clamped %d of %d probabilities", clamps, trials)
-    mode = MODE_MC_SHOTS if measure == "shots" else MODE_MC_EXACT_PROB
-    return mc_estimate([p[:3] for p in parts], mode)
+    est_mode = MODE_MC_SHOTS if mode.kind == "shots" else MODE_MC_EXACT_PROB
+    return mc_estimate([p[:3] for p in parts], est_mode)
 
 
 def estimate_power_trace_mc(
     e: EnsembleSpec,
     m: int,
     trials: int,
-    shots_per_trial: int = 1,
+    mode: MeasureMode = _ONE_SHOT,
     rng: "int | np.random.Generator" = 0,
-    measure: str = "shots",
-    ht_sigma: float = 0.0,
 ) -> TraceEstimate:
     """Monte Carlo estimate of Tr{rho^{m+1}} from ``trials`` sampled circuits.
 
-    ``measure="shots"`` draws ``shots_per_trial`` binomial measurements per
-    circuit; ``measure="exact-prob"`` uses each circuit's exact signed
-    probability (one sample per trial, no shot noise).  The standard error is
-    the sample standard deviation over all outcomes divided by sqrt(count).
-
-    Gaussian injection (``ht_sigma`` > 0) perturbs each circuit's outcome
-    probability and pairs with the exact-prob measure only: binomial shot
-    noise and Gaussian noise are distinct models, never combined in one run.
+    Shots mode draws ``mode.shots`` binomial measurements per circuit; exact
+    mode uses each circuit's exact signed probability (one sample per trial,
+    no shot noise), and gaussian mode perturbs that probability by
+    N(0, sigma^2), clamped into [0, 1].  The standard error is the sample
+    standard deviation over all outcomes divided by sqrt(count).
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    return _estimate_mc(e, m, trials, shots_per_trial, rng, measure, ht_sigma, coin_flips=True)
+    return _estimate_mc(e, m, trials, mode, rng, coin_flips=True)
 
 
 def estimate_rho_g_power_mc(
     e: EnsembleSpec,
     j: int,
     trials: int,
-    shots_per_trial: int = 1,
+    mode: MeasureMode = _ONE_SHOT,
     rng: "int | np.random.Generator" = 0,
-    measure: str = "shots",
-    ht_sigma: float = 0.0,
 ) -> TraceEstimate:
     """Monte Carlo estimate of a_j = Tr{rho G^j} from ``trials`` circuits
     with all j layers inserted.
@@ -300,7 +228,7 @@ def estimate_rho_g_power_mc(
     """
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    return _estimate_mc(e, j, trials, shots_per_trial, rng, measure, ht_sigma, coin_flips=False)
+    return _estimate_mc(e, j, trials, mode, rng, coin_flips=False)
 
 
 def enumeration_word_count(alpha: int, m: int) -> int:
@@ -372,10 +300,6 @@ def estimate_power_trace_enumerate(
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    planned = enumeration_word_count(e.alpha, m)
-    check_enumeration_cap(planned, enumeration_cap)
-    total = 0.0
-    for k in range(m + 1):
-        a_k = estimate_rho_g_power_enumerate(e, k, enumeration_cap).value
-        total += math.comb(m, k) / 2.0**m * (-1.0) ** k * a_k
-    return TraceEstimate(total, 0.0, planned, MODE_EXACT_ENUMERATION)
+    check_enumeration_cap(enumeration_word_count(e.alpha, m), enumeration_cap)
+    a = [estimate_rho_g_power_enumerate(e, k, enumeration_cap) for k in range(m + 1)]
+    return evaluate_series(binomial_weights(m), a)

@@ -1,4 +1,8 @@
-"""Gaussian noise injection and error-bound calculators.
+"""Measurement noise models, Gaussian noise injection and error-bound
+calculators.
+
+``MeasureMode`` is the one description of measurement noise that HT and GST
+both take: exact values, binomial shot noise, or additive Gaussian noise.
 
 The bound functions implement the asymptotic forms with constant factor 1 and
 are labeled estimates in all outputs: they size experiments and annotate
@@ -8,8 +12,34 @@ reports, they never gate a computation automatically.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class MeasureMode:
+    """How a measured quantity is read out: its exact value, binomial shot
+    noise with N shots, or additive Gaussian noise of std sigma."""
+
+    kind: str = "exact"
+    shots: int | None = None
+    sigma: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("exact", "shots", "gaussian"):
+            raise ValueError(f"unknown measure mode {self.kind!r}")
+        if self.kind == "shots" and (self.shots is None or self.shots < 1):
+            raise ValueError(f"shots mode needs shots >= 1, got {self.shots!r}")
+        if self.kind == "gaussian" and (self.sigma is None or self.sigma < 0):
+            raise ValueError(f"gaussian mode needs sigma >= 0, got {self.sigma!r}")
+
+    @property
+    def is_exact(self) -> bool:
+        return self.kind == "exact"
+
+
+EXACT = MeasureMode()
 
 
 class DivergentBoundError(ValueError):

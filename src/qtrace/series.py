@@ -16,6 +16,11 @@ Two built-in coefficient families over the channel G = I - 2*rho:
 ``evaluate_series`` accepts arbitrary weights, so other functionals (e.g.
 exponential traces) need no bespoke code.  ``evaluate_telescoped`` evaluates
 the same series from estimates of a_j = Tr{rho G^j} instead of Tr{G^k}.
+
+This module is also the estimate layer that the oracle, HT and GST share:
+the ``TraceEstimate`` record and its modes, ``combined_mode``, the Monte
+Carlo reduction ``mc_estimate`` and ``DEFAULT_ENUMERATION_CAP``.  It
+imports no estimator module.
 """
 
 from __future__ import annotations
@@ -24,7 +29,61 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .ht import TraceEstimate, combined_mode
+MODE_EXACT_ENUMERATION = "exact-enumeration"
+MODE_MC_EXACT_PROB = "mc-exact-prob"
+MODE_MC_SHOTS = "mc-shots"
+#: Oracle values wrapped as estimates (CLI tables, series inputs).
+MODE_ORACLE = "oracle"
+
+_KNOWN_MODES = (MODE_EXACT_ENUMERATION, MODE_MC_EXACT_PROB, MODE_MC_SHOTS, MODE_ORACLE)
+_EXACT_MODES = (MODE_EXACT_ENUMERATION, MODE_ORACLE)
+
+#: Default cap on evaluated words in enumeration mode.
+DEFAULT_ENUMERATION_CAP = 10**7
+
+
+@dataclass(frozen=True)
+class TraceEstimate:
+    """A Tr{...} estimate: value, standard error, sample count, and the
+    sampling mode that produced it."""
+
+    value: float
+    std_error: float
+    samples: int
+    mode: str
+
+    def __post_init__(self) -> None:
+        if self.mode not in _KNOWN_MODES:
+            raise ValueError(f"unknown estimate mode {self.mode!r}")
+        if not self.std_error >= 0.0:
+            raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
+        if self.mode in _EXACT_MODES and self.std_error != 0.0:
+            raise ValueError(f"{self.mode} estimates must carry std_error 0")
+        if self.samples < 0:
+            raise ValueError(f"samples must be >= 0, got {self.samples}")
+
+
+def combined_mode(modes: Sequence[str]) -> str:
+    """Mode of a quantity combined from several estimates: the least exact
+    contributor wins."""
+    for mode in (MODE_MC_SHOTS, MODE_MC_EXACT_PROB, MODE_EXACT_ENUMERATION):
+        if mode in modes:
+            return mode
+    return MODE_ORACLE
+
+
+def mc_estimate(parts: Sequence[tuple[int, float, float]], mode: str) -> TraceEstimate:
+    """Mean and std_error sqrt(M2 / (n - 1) / n) from per-chunk (count, sum,
+    M2), M2 the squared deviations about the chunk mean, merged in chunk order
+    (Chan, Golub & LeVeque, Am. Stat. 37, 242, 1983): sums add, and M2 gains
+    delta^2 n_a n_b / (n_a + n_b), delta the difference of the two means."""
+    count, total, m2 = 0, 0.0, 0.0
+    for n, s, chunk_m2 in parts:
+        delta = s / n - total / count if count else 0.0
+        m2 += chunk_m2 + delta * delta * count * n / (count + n)
+        count, total = count + n, total + s
+    stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
+    return TraceEstimate(total / count, stderr, count, mode)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from qtrace import (
 )
 from qtrace import gst
 from qtrace.gst import (
-    MeasureMode,
     build_subspace,
     combination_trace,
     estimate_g_power_trace,
@@ -32,9 +31,9 @@ from qtrace.gst import (
     measure_matrices,
     operator_basis_for_states,
 )
-from qtrace.ht import MODE_ORACLE, TraceEstimate, estimate_power_trace_enumerate, estimate_power_trace_mc
-from qtrace.noise_bounds import shots_for_accuracy, truncation_error_estimate
-from qtrace.series import entropy_weights, evaluate_series
+from qtrace.ht import estimate_power_trace_enumerate, estimate_power_trace_mc
+from qtrace.noise_bounds import EXACT, MeasureMode, shots_for_accuracy, truncation_error_estimate
+from qtrace.series import MODE_ORACLE, TraceEstimate, entropy_weights, evaluate_series
 
 from .conftest import cli_env, random_ensemble, reference_spec
 from .test_cli import BYTE_PINS
@@ -112,15 +111,16 @@ def test_criterion_04_ht_statistical_soundness(spec3):
     """50 seeded HT runs at 1e5 shots: >= 46 cover the truth at 3 stderr,
     and quadrupling shots halves the stderr within 20%."""
     truth = exact_power_trace(spec3, 2)
+    one_shot = MeasureMode("shots", shots=1)
     covered = 0
     stderrs = []
     for rep in range(50):
-        est = estimate_power_trace_mc(spec3, 1, trials=100_000, rng=rep, measure="shots")
+        est = estimate_power_trace_mc(spec3, 1, trials=100_000, mode=one_shot, rng=rep)
         stderrs.append(est.std_error)
         if abs(est.value - truth) <= 3 * est.std_error:
             covered += 1
     big_stderrs = [
-        estimate_power_trace_mc(spec3, 1, trials=400_000, rng=1000 + rep, measure="shots").std_error
+        estimate_power_trace_mc(spec3, 1, trials=400_000, mode=one_shot, rng=1000 + rep).std_error
         for rep in range(5)
     ]
     ratio = float(np.mean(big_stderrs)) / float(np.mean(stderrs))
@@ -227,12 +227,12 @@ def test_criterion_08_hoeffding_sizing(spec3):
 def test_criterion_09_noise_band_regression(spec3):
     """Gaussian noise at the reference levels keeps both estimators inside
     5x the clean-mode stderr band around 0.650 across 20 seeds."""
-    ht_clean = estimate_power_trace_mc(spec3, 1, trials=10_000, rng=31337, measure="exact-prob")
+    ht_clean = estimate_power_trace_mc(spec3, 1, trials=10_000, rng=31337, mode=EXACT)
     ht_band = 5 * ht_clean.std_error
     ht_worst = max(
         abs(
             estimate_power_trace_mc(
-                spec3, 1, trials=10_000, rng=seed, measure="exact-prob", ht_sigma=0.01
+                spec3, 1, trials=10_000, rng=seed, mode=MeasureMode("gaussian", sigma=0.01)
             ).value
             - 0.650
         )

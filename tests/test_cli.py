@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,13 @@ from qtrace.cli import (
     render_json,
 )
 from qtrace.errors import IdentityViolationError, IllConditionedGramError
-from qtrace.series import entropy_weights, evaluate_series, evaluate_telescoped
+from qtrace.series import (
+    MODE_ORACLE,
+    TraceEstimate,
+    entropy_weights,
+    evaluate_series,
+    evaluate_telescoped,
+)
 
 from .conftest import cli_env
 
@@ -241,6 +248,20 @@ class TestSubcommands:
         assert float(row["exact_value"]) == ensemble.exact_power_trace(spec, 2)
         assert float(row["rel_error"]) < 1e-12
 
+    def test_entropy_oracle_row_keeps_its_digits_at_20_qubits(self, tmp_path, capsys):
+        # Against the series evaluated in rationals over the float eigenvalues.
+        # The oracle feeds Tr{rho G^j}, which carry no 2^n; the sum over
+        # Tr{G^k} = 2^n + ... cancelled 2^n in floats and was off by 3.9e-11.
+        path = write_config(tmp_path, base_config(n_qubits=20))
+        spec = load_config(path).spec
+        assert cli.main(["entropy", "--estimator", "oracle", "--order", "8", "--config", path]) == 0
+        (row,) = table(capsys.readouterr().out)
+        lam = [Fraction(x) for x in spec.span_eigenvalues]
+        tr_g = [sum((1 - 2 * x) ** k for x in lam) + spec.dim - spec.alpha for k in range(10)]
+        want = sum(Fraction(c) * t for c, t in zip(entropy_weights(8).coefficients, tr_g,
+                                                   strict=True))
+        assert abs(Fraction(float(row["estimate"])) - want) < 1e-15
+
     def test_entropy_ht_enumeration_runs_once_per_power(self, monkeypatch, capsys):
         direct, calls = ht.estimate_rho_g_power_enumerate, []
 
@@ -256,7 +277,7 @@ class TestSubcommands:
 
         spec = load_config("table1").spec
         rho_g = [direct(spec, j) for j in range(9)]
-        gk = [ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
+        gk = [TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, MODE_ORACLE)
               for k in range(10)]
         for row, order in zip(rows, range(2, 9), strict=True):
             w = entropy_weights(order)
@@ -288,7 +309,7 @@ class TestSubcommands:
         # The Monte Carlo estimate targets the truncated series, not the
         # exact entropy; |z| <= 2 should hold for about 95% of seeds.
         spec = load_config("table1").spec
-        gk = [ht.TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, ht.MODE_ORACLE)
+        gk = [TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, MODE_ORACLE)
               for k in range(10)]
         target = evaluate_series(entropy_weights(8), gk).value
         z = []
@@ -531,6 +552,8 @@ class TestExitCodes:
         ("ht --power 2 --mode gaussian", "params.mode", "ht enumerate strategy requires exact mode"),
         ("ht --power 2 --strategy mc --mode gaussian", "params.mode",
          "ht supports exact or shots mode (ht_sigma rides on exact)"),
+        ("ht --power 2 --strategy mc --mode shots --ht-sigma 0.01", "params.ht_sigma",
+         "pairs with exact mode only; shot and Gaussian noise never combine"),
     ])
     def test_order_below_minimum_names_its_flag(self, capsys, command, field, message):
         assert cli.main(command.split()) == 2
@@ -791,7 +814,7 @@ class TestSpanOnly:
 #: of HT or GST enumeration (with and without truncation, and at a
 #: non-default basis angle), the GST word classes and their representatives,
 #: the GST Monte Carlo chunk streams, or the float order of the per-chunk M2
-#: and its merge (``ht.mc_estimate``) changes these bytes.  Each GST Monte Carlo command draws several
+#: and its merge (``series.mc_estimate``) changes these bytes.  Each GST Monte Carlo command draws several
 #: ``gst._WORD_CHUNK`` chunks per power, the last one partial.  The
 #: ``entropy``, ``oracle``, ``sweep`` and ``bounds`` commands pin those
 #: runners and how their flags and config keys reach them.  Acceptance

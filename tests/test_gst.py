@@ -26,9 +26,7 @@ from qtrace.errors import (
     ResourceLimitError,
 )
 from qtrace.gst import (
-    EXACT,
     SAME_STATE_OVERLAP,
-    MeasureMode,
     augmentation_state,
     build_subspace,
     combination_trace,
@@ -38,6 +36,7 @@ from qtrace.gst import (
     operator_basis_for_states,
     ptm_trace,
 )
+from qtrace.noise_bounds import EXACT, MeasureMode
 from qtrace.qcore import reflect_amplitudes
 from qtrace.rng import rng_stream
 from qtrace.series import binomial_weights, evaluate_series

@@ -19,17 +19,26 @@ from qtrace import (
 from qtrace._parallel import chunk_ranges
 from qtrace.errors import ResourceLimitError
 from qtrace.ht import (
-    TraceEstimate,
     estimate_power_trace_enumerate,
     estimate_power_trace_mc,
     estimate_rho_g_power_enumerate,
     estimate_rho_g_power_mc,
 )
+from qtrace.noise_bounds import EXACT, MeasureMode
 from qtrace.qcore import reflect_amplitudes
 from qtrace.rng import rng_stream
+from qtrace.series import (
+    MODE_EXACT_ENUMERATION,
+    MODE_MC_EXACT_PROB,
+    MODE_MC_SHOTS,
+    TraceEstimate,
+)
 
 from .conftest import random_ensemble, reference_spec
 from .dense_reference import per_word_enumerate_block
+
+ONE_SHOT = MeasureMode("shots", shots=1)
+GAUSSIAN = MeasureMode("gaussian", sigma=0.01)
 
 
 def pure_spec(n=2) -> EnsembleSpec:
@@ -60,11 +69,11 @@ def drawn_circuits(monkeypatch, e, m, trials, seed=0):
         return outcome_probabilities(e, comps, flags)
 
     monkeypatch.setattr(ht, "_outcome_probabilities", spy)
-    estimate_power_trace_mc(e, m, trials=trials, rng=seed, measure="exact-prob")
+    estimate_power_trace_mc(e, m, trials=trials, rng=seed, mode=EXACT)
     return np.concatenate([c for c, _ in seen]), np.concatenate([f for _, f in seen])
 
 
-def chunk_samples(e, m, shots_per_trial, measure, ht_sigma, master_seed, lo, hi,
+def chunk_samples(e, m, mode, master_seed, lo, hi,
                   coin_flips=True, probabilities=ht._outcome_probabilities):
     """Every outcome of the HT Monte Carlo trials [lo, hi), redrawn from the
     chunk's stream in the kernel's order (components, flags, noise,
@@ -81,13 +90,13 @@ def chunk_samples(e, m, shots_per_trial, measure, ht_sigma, master_seed, lo, hi,
     p0 = probabilities(e, comps, flags)
 
     clamps = 0
-    if ht_sigma > 0.0:
-        p0, clamps = noise_bounds.perturb_probabilities(p0, ht_sigma, rng)
-    if measure == "exact-prob":
+    if mode.kind == "gaussian":
+        p0, clamps = noise_bounds.perturb_probabilities(p0, mode.sigma, rng)
+    if mode.kind != "shots":
         return sign * (2.0 * p0 - 1.0), clamps
-    n0 = rng.binomial(shots_per_trial, p0)
+    n0 = rng.binomial(mode.shots, p0)
     outcomes = np.stack([sign, -sign], axis=1).ravel()
-    return np.repeat(outcomes, np.stack([n0, shots_per_trial - n0], axis=1).ravel()), clamps
+    return np.repeat(outcomes, np.stack([n0, mode.shots - n0], axis=1).ravel()), clamps
 
 
 def two_pass_estimate(chunks):
@@ -158,20 +167,20 @@ class TestSingleShot:
     """Shots of _mc_chunk: each is the signed unit (-1)^k * (+1 | -1)."""
 
     def test_no_layers_always_plus_one(self, ref3):
-        count, total, _, _ = ht._mc_chunk(ref3, 0, 20, "shots", 0.0, 0, 0, 10)
+        count, total, _, _ = ht._mc_chunk(ref3, 0, MeasureMode("shots", shots=20), 0, 0, 10)
         assert total == count == 200
 
     def test_eigenstate_layer_always_plus_one(self):
         # With one layer, P(1) = 1 and the (-1)^k sign flips the -1 outcome
         # back to +1; without it, P(0) = 1.
-        count, total, _, _ = ht._mc_chunk(pure_spec(), 1, 20, "shots", 0.0, 1, 0, 10)
+        count, total, _, _ = ht._mc_chunk(pure_spec(), 1, MeasureMode("shots", shots=20), 1, 0, 10)
         assert total == count == 200
 
     def test_bernoulli_mean(self, ref3):
         # The one circuit drawn at seed 0 has k = 1 layer, at seed 5 k = 2.
         for seed in (0, 5):
-            expected = ht._mc_chunk(ref3, 2, 1, "exact-prob", 0.0, seed, 0, 1)[1]
-            n, total, _, _ = ht._mc_chunk(ref3, 2, 100_000, "shots", 0.0, seed, 0, 1)
+            expected = ht._mc_chunk(ref3, 2, EXACT, seed, 0, 1)[1]
+            n, total, _, _ = ht._mc_chunk(ref3, 2, MeasureMode("shots", shots=100_000), seed, 0, 1)
             sigma = math.sqrt((1 - expected**2) / n)
             assert abs(total / n - expected) < 3 * sigma
 
@@ -211,42 +220,42 @@ class TestEstimateEnumerate:
             estimate_rho_g_power_enumerate(ref3, j, enumeration_cap=words - 1)
         assert (info.value.requested, info.value.cap) == (words, words - 1)
         est = estimate_rho_g_power_enumerate(ref3, j, enumeration_cap=words)
-        assert (est.samples, est.std_error, est.mode) == (words, 0.0, ht.MODE_EXACT_ENUMERATION)
+        assert (est.samples, est.std_error, est.mode) == (words, 0.0, MODE_EXACT_ENUMERATION)
 
 
 class TestEstimateMc:
     def test_pure_state_exact_prob_is_one(self):
         spec = pure_spec()
         for m in (0, 1, 3, 6):
-            est = estimate_power_trace_mc(spec, m, trials=200, rng=4, measure="exact-prob")
+            est = estimate_power_trace_mc(spec, m, trials=200, rng=4, mode=EXACT)
             assert est.value == pytest.approx(1.0, abs=1e-12)
             assert est.std_error < 1e-9
 
     def test_reference_purity_shots(self, ref3):
-        est = estimate_power_trace_mc(ref3, 1, trials=1_000_000, rng=101, measure="shots")
+        est = estimate_power_trace_mc(ref3, 1, trials=1_000_000, rng=101, mode=ONE_SHOT)
         assert abs(est.value - 0.650) < 3 * est.std_error + 5e-4
 
     def test_reference_fourth_power_shots(self, ref3):
-        est = estimate_power_trace_mc(ref3, 3, trials=1_000_000, rng=102, measure="shots")
+        est = estimate_power_trace_mc(ref3, 3, trials=1_000_000, rng=102, mode=ONE_SHOT)
         assert abs(est.value - 0.375) < 3 * est.std_error + 5e-4
 
     def test_exact_prob_converges_to_oracle(self):
         rng = np.random.default_rng(44)
         spec = random_ensemble(rng, 2, 3)
-        est = estimate_power_trace_mc(spec, 2, trials=200_000, rng=7, measure="exact-prob")
+        est = estimate_power_trace_mc(spec, 2, trials=200_000, rng=7, mode=EXACT)
         assert abs(est.value - exact_power_trace(spec, 3)) < 4 * est.std_error + 1e-6
 
     def test_stderr_scales_inverse_sqrt(self, ref3):
         # Four-fold shots should halve the standard error within 20%.
         ratios = []
         for seed in range(3):
-            small = estimate_power_trace_mc(ref3, 1, trials=50_000, rng=seed, measure="shots")
-            big = estimate_power_trace_mc(ref3, 1, trials=200_000, rng=100 + seed, measure="shots")
+            small = estimate_power_trace_mc(ref3, 1, trials=50_000, rng=seed, mode=ONE_SHOT)
+            big = estimate_power_trace_mc(ref3, 1, trials=200_000, rng=100 + seed, mode=ONE_SHOT)
             ratios.append(big.std_error / small.std_error)
         assert 0.4 < sum(ratios) / len(ratios) < 0.6
 
     def test_shots_per_trial_counts_all_outcomes(self, ref3):
-        est = estimate_power_trace_mc(ref3, 1, trials=1000, shots_per_trial=7, rng=3)
+        est = estimate_power_trace_mc(ref3, 1, trials=1000, mode=MeasureMode("shots", shots=7), rng=3)
         assert est.samples == 7000
 
     def test_estimate_is_the_chunk_order_reduction(self, ref3):
@@ -254,9 +263,9 @@ class TestEstimateMc:
         ranges = chunk_ranges(trials, ht.TRIAL_CHUNK)
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < ht.TRIAL_CHUNK
         mean, stderr = two_pass_estimate(
-            [chunk_samples(ref3, 2, 1, "shots", 0.0, 11, lo, hi)[0] for lo, hi in ranges])
+            [chunk_samples(ref3, 2, ONE_SHOT, 11, lo, hi)[0] for lo, hi in ranges])
         est = estimate_power_trace_mc(ref3, 2, trials=trials, rng=11)
-        assert (est.value, est.samples, est.mode) == (mean, trials, ht.MODE_MC_SHOTS)
+        assert (est.value, est.samples, est.mode) == (mean, trials, MODE_MC_SHOTS)
         assert est.std_error == pytest.approx(stderr, rel=1e-12)
 
     def test_generator_and_seed_both_accepted(self, ref3):
@@ -265,13 +274,9 @@ class TestEstimateMc:
 
     def test_gaussian_noise_keeps_estimate_sane(self, ref3):
         est = estimate_power_trace_mc(
-            ref3, 1, trials=100_000, rng=13, measure="exact-prob", ht_sigma=0.01
+            ref3, 1, trials=100_000, rng=13, mode=GAUSSIAN
         )
         assert abs(est.value - 0.650) < 6 * est.std_error + 0.01
-
-    def test_gaussian_noise_refuses_shots_measure(self, ref3):
-        with pytest.raises(ValueError, match="never combined"):
-            estimate_power_trace_mc(ref3, 1, trials=100, rng=0, measure="shots", ht_sigma=0.01)
 
 
 class TestRhoGPowerMc:
@@ -286,7 +291,7 @@ class TestRhoGPowerMc:
             return outcome_probabilities(e, comps, flags)
 
         monkeypatch.setattr(ht, "_outcome_probabilities", spy)
-        estimate_rho_g_power_mc(ref3, 3, trials=100, rng=0, measure="exact-prob")
+        estimate_rho_g_power_mc(ref3, 3, trials=100, rng=0, mode=EXACT)
         ((comps, flags),) = seen
         assert comps.shape == (100, 4) and flags is None
         # The components come from the same uniforms as the coin-flip circuit's.
@@ -312,44 +317,42 @@ class TestRhoGPowerMc:
                 got = estimate_rho_g_power_enumerate(spec, j).value
                 assert got == pytest.approx(exact_rho_g_power_trace(spec, j), abs=1e-12)
 
-    @pytest.mark.parametrize("measure", ["exact-prob", "shots"])
-    def test_pure_state_is_exact(self, measure):
+    @pytest.mark.parametrize("mode", [pytest.param(EXACT, id="exact-prob"),
+                                      pytest.param(ONE_SHOT, id="shots")])
+    def test_pure_state_is_exact(self, mode):
         # Every shot agrees exactly; exact-prob outcomes scatter by rounding.
         for j in range(5):
-            est = estimate_rho_g_power_mc(pure_spec(), j, trials=300, rng=j, measure=measure)
+            est = estimate_rho_g_power_mc(pure_spec(), j, trials=300, rng=j, mode=mode)
             assert est.value == pytest.approx((-1.0) ** j, abs=1e-12)
-            assert est.std_error <= (0.0 if measure == "shots" else 1e-15)
+            assert est.std_error <= (0.0 if mode.kind == "shots" else 1e-15)
 
     def test_j0_is_unit_trace(self, ref3):
-        est = estimate_rho_g_power_mc(ref3, 0, trials=5000, shots_per_trial=3, rng=1)
+        est = estimate_rho_g_power_mc(ref3, 0, trials=5000, mode=MeasureMode("shots", shots=3), rng=1)
         assert (est.value, est.std_error, est.samples) == (1.0, 0.0, 15000)
-        assert est.mode == ht.MODE_MC_SHOTS
+        assert est.mode == MODE_MC_SHOTS
 
-    @pytest.mark.parametrize("measure, ht_sigma", [
-        ("exact-prob", 0.0), ("shots", 0.0), ("exact-prob", 0.01)])
-    def test_converges_to_oracle(self, measure, ht_sigma):
+    @pytest.mark.parametrize("mode", [
+        pytest.param(EXACT, id="exact-prob-0.0"), pytest.param(ONE_SHOT, id="shots-0.0"),
+        pytest.param(GAUSSIAN, id="exact-prob-0.01")])
+    def test_converges_to_oracle(self, mode):
         spec = random_ensemble(np.random.default_rng(45), 3, 3)
         for j in (1, 2, 5):
-            est = estimate_rho_g_power_mc(spec, j, trials=60_000, rng=j, measure=measure,
-                                          ht_sigma=ht_sigma)
-            bias = ht_sigma * math.sqrt(2.0 / math.pi)
+            est = estimate_rho_g_power_mc(spec, j, trials=60_000, rng=j, mode=mode)
+            bias = (mode.sigma or 0.0) * math.sqrt(2.0 / math.pi)
             assert abs(est.value - exact_rho_g_power_trace(spec, j)) < 4 * est.std_error + bias
 
     def test_estimate_is_the_chunk_order_reduction(self, ref3):
         ranges = chunk_ranges(20_000, ht.TRIAL_CHUNK)
         mean, stderr = two_pass_estimate(
-            [chunk_samples(ref3, 2, 1, "exact-prob", 0.0, 5, lo, hi, coin_flips=False)[0]
+            [chunk_samples(ref3, 2, EXACT, 5, lo, hi, coin_flips=False)[0]
              for lo, hi in ranges])
-        est = estimate_rho_g_power_mc(ref3, 2, trials=20_000, rng=5, measure="exact-prob")
-        assert (est.value, est.samples, est.mode) == (mean, 20_000, ht.MODE_MC_EXACT_PROB)
+        est = estimate_rho_g_power_mc(ref3, 2, trials=20_000, rng=5, mode=EXACT)
+        assert (est.value, est.samples, est.mode) == (mean, 20_000, MODE_MC_EXACT_PROB)
         assert est.std_error == pytest.approx(stderr, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"j": -1}, "j must be >= 0"),
         ({"trials": 0}, "trials must be >= 1"),
-        ({"shots_per_trial": 0}, "shots_per_trial must be >= 1"),
-        ({"measure": "psychic"}, "measure must be"),
-        ({"ht_sigma": 0.01}, "never combined"),
     ])
     def test_arguments_checked(self, ref3, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -448,12 +451,13 @@ class TestSpanKernelMatchesStatevectors:
             assert np.max(np.abs(got - dense_probabilities(e, comps, flags))) < 1e-12
 
     @pytest.mark.parametrize("name", sorted(SPAN_SPECS))
-    @pytest.mark.parametrize("ht_sigma", [0.0, 0.01])
+    @pytest.mark.parametrize("mode", [pytest.param(EXACT, id="0.0"),
+                                      pytest.param(GAUSSIAN, id="0.01")])
     @pytest.mark.parametrize("seed, lo, hi", CHUNKS)
-    def test_mc_chunk_exact_prob(self, name, ht_sigma, seed, lo, hi):
+    def test_mc_chunk_exact_prob(self, name, mode, seed, lo, hi):
         e = SPAN_SPECS[name]
         for m in (0, 1, 4):
-            args = (e, m, 1, "exact-prob", ht_sigma, seed, lo, hi)
+            args = (e, m, mode, seed, lo, hi)
             assert_same_sums(ht._mc_chunk(*args), dense_mc_chunk(*args))
 
     @pytest.mark.parametrize("name", sorted(SPAN_SPECS))
@@ -466,7 +470,7 @@ class TestSpanKernelMatchesStatevectors:
         # reproduce the draws and sums exactly.
         e = SPAN_SPECS[name]
         for m in (0, 1, 4):
-            args = (e, m, 3, "shots", 0.0, seed, lo, hi)
+            args = (e, m, MeasureMode("shots", shots=3), seed, lo, hi)
             assert_same_sums(
                 ht._mc_chunk(*args),
                 dense_mc_chunk(*args, probabilities=ht._outcome_probabilities),
@@ -497,7 +501,7 @@ class TestSpanKernelMatchesStatevectors:
         with pytest.raises(ArithmeticError, match=r"probability .*2\.0.* outside"):
             estimate_power_trace_enumerate(e, 2)
         with pytest.raises(ArithmeticError, match=r"probability .*2\.0.* outside"):
-            estimate_power_trace_mc(e, 2, trials=100, rng=0, measure="exact-prob")
+            estimate_power_trace_mc(e, 2, trials=100, rng=0, mode=EXACT)
 
 
 #: Random ensembles for alpha = 1..7; 3, 5, 6 and 7 give blocks that do not
@@ -562,7 +566,7 @@ class TestScale:
         tracemalloc.start()
         try:
             est = estimate_power_trace_mc(
-                e, 3, trials=100_000, rng=5, measure="exact-prob", ht_sigma=0.01
+                e, 3, trials=100_000, rng=5, mode=GAUSSIAN
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -1,7 +1,10 @@
-"""Package modules reach each other through public names only."""
+"""Package modules reach each other through public names only, and the
+estimators HT and GST are siblings over shared layers."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 from .conftest import SRC
 
@@ -27,3 +30,43 @@ def test_no_module_imports_a_private_name_of_another():
     assert len(paths) > 5
     found = {path.name: private_imports(path) for path in paths}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The qtrace modules that the module at ``path`` imports, or imports
+    names from, at any depth of its code."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("qtrace.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "qtrace" and not module.startswith("qtrace."):
+                    continue
+                module = module.removeprefix("qtrace").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_imported_modules_reads_every_import_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import numpy\nimport qtrace.cli\nfrom . import ht, series\n"
+                    "from .ensemble import EnsembleSpec\nfrom qtrace import rng\n"
+                    "from qtrace.gst import EXACT\nfrom numpy import linalg\n"
+                    "def f():\n    from .errors import ResourceLimitError\n")
+    assert imported_modules(path) == {"cli", "ht", "series", "ensemble", "rng", "gst", "errors"}
+
+
+def test_ht_and_gst_import_nothing_from_each_other():
+    assert "gst" not in imported_modules(PACKAGE / "ht.py")
+    assert "ht" not in imported_modules(PACKAGE / "gst.py")
+
+
+@pytest.mark.parametrize("name", ["series", "noise_bounds"])
+def test_shared_layers_import_no_estimator_module(name):
+    assert imported_modules(PACKAGE / f"{name}.py") & {"ht", "gst", "cli"} == set()

@@ -7,12 +7,29 @@ from hypothesis import strategies as st
 
 from qtrace.noise_bounds import (
     DivergentBoundError,
+    MeasureMode,
     gram_inverse_error_bound,
     perturb_probabilities,
     sampling_error_bound,
     shots_for_accuracy,
     truncation_error_estimate,
 )
+
+
+class TestMeasureMode:
+    @pytest.mark.parametrize("shots", [None, 0, -3])
+    def test_shots_below_one_rejected(self, shots):
+        with pytest.raises(ValueError, match="shots >= 1"):
+            MeasureMode("shots", shots=shots)
+
+    @pytest.mark.parametrize("sigma", [None, -0.01])
+    def test_negative_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma >= 0"):
+            MeasureMode("gaussian", sigma=sigma)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown measure mode"):
+            MeasureMode("psychic")
 
 
 class TestPerturbProbability:

@@ -7,7 +7,8 @@ import pytest
 
 import qtrace
 from qtrace import gst, rng
-from qtrace.gst import EXACT, MeasureMode, estimate_g_power_trace
+from qtrace.gst import estimate_g_power_trace
+from qtrace.noise_bounds import EXACT, MeasureMode
 from qtrace.rng import rng_stream
 
 

@@ -9,8 +9,9 @@ from qtrace import (
     exact_power_trace,
     exact_rho_g_power_trace,
 )
-from qtrace.ht import MODE_ORACLE, TraceEstimate
 from qtrace.series import (
+    MODE_ORACLE,
+    TraceEstimate,
     binomial_weights,
     entropy_weights,
     evaluate_series,
