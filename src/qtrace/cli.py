@@ -6,6 +6,10 @@ and may override config defaults.  Results are emitted as CSV or JSON tables
 with a fixed column set, floats serialized to 17 significant digits, and
 byte-identical output for a fixed (config, seed).
 
+Each oracle value and estimator call, for a row or an entropy series term, is
+a (quantity, order, stream) job run by ``_estimate``, after a pre-check of every
+enumeration cap its run's jobs meet: an over-cap run fails before any estimate.
+
 Exit codes: 0 success, 2 config/schema violation, 3 resource limit,
 4 numerical failure (ill-conditioned Gram, degenerate augmentation, broken
 exact-mode identity), 5 unwritable output.  Failures print a one-line JSON
@@ -32,8 +36,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import ensemble, ht, noise_bounds, series
-from . import gst as gst_mod
+from . import ensemble, gst, ht, noise_bounds, series
 from .errors import (
     DegenerateAugmentationError,
     IdentityViolationError,
@@ -201,7 +204,7 @@ def _param_value(table: dict[str, _Param], key: str, value: Any, field: str) -> 
         _expect(lo < value < hi, field, f"must be in ({lo}, {hi}), got {value!r}")
     if key == "theta_basis":
         try:
-            gst_mod.check_theta(value * math.pi)
+            gst.check_theta(value * math.pi)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(field, str(exc)) from None
     return value
@@ -384,7 +387,7 @@ def emit_table(rows: Sequence[ResultRow], fmt: str, path: str | None) -> None:
             fh.write(text)
 
 
-# --- shared run machinery ---------------------------------------------------
+# --- the job path -----------------------------------------------------------
 
 
 def _child_seed(master: int, index: int) -> int:
@@ -434,187 +437,163 @@ def _exact(spec: ensemble.EnsembleSpec, quantity: str, order: int | None) -> flo
         return ensemble.exact_power_trace(spec, order)
     if quantity == "tr_g_power":
         return ensemble.exact_g_power_trace(spec, order)
+    if quantity == "tr_rho_g_power":
+        return ensemble.exact_rho_g_power_trace(spec, order)
     return ensemble.exact_entropy_trace(spec)
 
 
-def _ht_estimate(
-    spec: ensemble.EnsembleSpec, power: int, params: dict[str, Any], seed: int
-) -> series.TraceEstimate:
-    settings = _ht_settings(params)
-    if params["strategy"] == "enumerate":
-        return ht.estimate_power_trace_enumerate(spec, power - 1, **settings)
-    return ht.estimate_power_trace_mc(spec, power - 1, rng=seed, **settings)
-
-
-def _ht_settings(params: dict[str, Any]) -> dict[str, Any]:
-    """The keywords of the HT estimators of the configured strategy."""
-    if params["strategy"] == "enumerate":
-        if params["mode"] != "exact":
-            raise ConfigError("params.mode", "ht enumerate strategy requires exact mode")
-        return {"enumeration_cap": params["enumeration_cap"]}
-    if params["mode"] == "gaussian":
-        raise ConfigError("params.mode", "ht supports exact or shots mode (ht_sigma rides on exact)")
-    if params["mode"] == "shots":
-        if params["ht_sigma"] > 0.0:
+def _measure_mode(estimator: str, params: dict[str, Any]) -> noise_bounds.MeasureMode:
+    """The measurement model of an ``ht`` or ``gst`` run, after its
+    config-level rejections: enumeration takes exact mode only, and HT's
+    Gaussian noise rides on exact mode at ``ht_sigma``."""
+    kind = params["mode"]
+    if params["strategy"] == "enumerate" and kind != "exact":
+        raise ConfigError("params.mode", f"{estimator} enumerate strategy requires exact mode")
+    if estimator == "ht":
+        if kind == "gaussian":
+            raise ConfigError("params.mode",
+                              "ht supports exact or shots mode (ht_sigma rides on exact)")
+        if kind == "shots" and params["ht_sigma"] > 0.0:
             raise ConfigError(
                 "params.ht_sigma", "pairs with exact mode only; shot and Gaussian noise never combine"
             )
-        mode = noise_bounds.MeasureMode("shots", shots=params["shots"])
-    elif params["ht_sigma"] > 0.0:
-        mode = noise_bounds.MeasureMode("gaussian", sigma=params["ht_sigma"])
-    else:
-        mode = noise_bounds.EXACT
-    return {"trials": params["trials"], "mode": mode}
+        kind = "gaussian" if params["ht_sigma"] > 0.0 else kind
+    if kind == "shots":
+        shots = params["shots" if estimator == "ht" else "gst_shots"]
+        return noise_bounds.MeasureMode("shots", shots=shots)
+    if kind == "gaussian":
+        return noise_bounds.MeasureMode("gaussian", sigma=params[f"{estimator}_sigma"])
+    return noise_bounds.EXACT
 
 
 def _check_enumeration_caps(
-    spec: ensemble.EnsembleSpec, estimator: str, sizes: Sequence[int], params: dict[str, Any]
+    spec: ensemble.EnsembleSpec, estimator: str, jobs: Sequence[tuple], params: dict[str, Any]
 ) -> None:
-    """Every enumeration cap check of a run, in the order its estimator calls
-    make them, before the first call: a run over the cap fails in set-up time
-    with the first over-cap call's record.  ``sizes`` are the word counts of
-    the HT calls or the powers k of the GST Tr{G^k} calls."""
-    if params["strategy"] != "enumerate":
+    """Every enumeration cap check that the jobs' estimator calls make, in
+    their order, before the first call: a run over the cap fails in set-up
+    time with the first over-cap call's record.  The config-level rejections
+    of ``_measure_mode`` come first, as in each call."""
+    if estimator == "oracle" or params["strategy"] != "enumerate":
         return
-    if estimator == "ht":
-        cap = _ht_settings(params)["enumeration_cap"]
-        for words in sizes:
-            ht.check_enumeration_cap(words, cap)
-    else:
-        cap = _gst_settings(params)["budget"]
-        for k in sizes:
-            gst_mod.check_enumeration_budget(spec.alpha, k, cap)
+    _measure_mode(estimator, params)
+    alpha, cap = spec.alpha, params["enumeration_cap"]
+    for quantity, order, _ in jobs:
+        if estimator == "gst":
+            for k in range(order + 1) if quantity == "tr_rho_power" else (order,):
+                gst.check_enumeration_budget(alpha, k, cap)
+        else:
+            words = (ht.enumeration_word_count(alpha, order - 1) if quantity == "tr_rho_power"
+                     else alpha ** (order + 1))
+            series.check_enumeration_cap(words, cap, "enumeration")
 
 
-def _gst_settings(params: dict[str, Any]) -> dict[str, Any]:
-    """The keywords of the GST estimators of the configured strategy."""
-    if params["strategy"] == "enumerate":
-        if params["mode"] != "exact":
-            raise ConfigError("params.mode", "gst enumerate strategy requires exact mode")
-        budget = params["enumeration_cap"]
-    else:
-        budget = params["trials"]
-    if params["mode"] == "shots":
-        mode = noise_bounds.MeasureMode("shots", shots=params["gst_shots"])
-    elif params["mode"] == "gaussian":
-        mode = noise_bounds.MeasureMode("gaussian", sigma=params["gst_sigma"])
-    else:
-        mode = noise_bounds.EXACT
-    return {
-        "strategy": params["strategy"],
-        "budget": budget,
-        "epsilon": params["epsilon_trunc"],
-        "theta": params["theta_basis"] * math.pi,
-        "mode": mode,
-        "allow_pseudoinverse": params["allow_pseudoinverse"],
-    }
-
-
-def _gst_estimate(
-    spec: ensemble.EnsembleSpec, quantity: str, order: int, params: dict[str, Any], seed: int
-) -> series.TraceEstimate:
-    estimate = (gst_mod.estimate_power_trace if quantity == "tr_rho_power"
-                else gst_mod.estimate_g_power_trace)
-    return estimate(spec, order, rng=seed, **_gst_settings(params))
-
-
-def _estimate_row(
+def _estimate(
     spec: ensemble.EnsembleSpec, estimator: str, quantity: str, order: int | None,
-    params: dict[str, Any], seed: int, timing: bool, label: str = "",
-) -> ResultRow:
-    """One oracle, ``ht`` or ``gst`` row.  ``seed`` drives the estimator, the
-    seed column reports the master seed, and ``label`` suffixes the mode."""
+    params: dict[str, Any], seed: int, cache: gst.StageCache,
+) -> series.TraceEstimate:
+    """One job: the oracle's value, or one call, on ``seed``, of the HT or
+    GST estimator of ``quantity`` and the configured strategy.  ``cache`` is
+    the ``StageCache`` that the run's GST Tr{G^k} calls share.  Estimators
+    are looked up on their modules at each call."""
     if estimator == "oracle":
-        value, wall_ms = _timed(timing, _exact, spec, quantity, order)
-        return ResultRow(quantity, order, value, 0.0, value, 0.0, series.MODE_ORACLE + label,
-                         None, None, params["seed"], wall_ms)
-    if estimator == "ht":
-        est, wall_ms = _timed(timing, _ht_estimate, spec, order, params, seed)
-        shots = est.samples if est.mode == series.MODE_MC_SHOTS else None
-        trials = params["trials"] if est.mode != series.MODE_EXACT_ENUMERATION else None
-    else:
-        est, wall_ms = _timed(timing, _gst_estimate, spec, quantity, order, params, seed)
-        shots = params["gst_shots"] if params["mode"] == "shots" else None
-        trials = params["trials"] if params["strategy"] == "mc" else None
-    exact = _exact(spec, quantity, order)
-    return ResultRow(quantity, order, est.value, est.std_error, exact,
-                     _rel_error(est.value, exact), est.mode + label, shots, trials,
-                     params["seed"], wall_ms)
+        return series.TraceEstimate(_exact(spec, quantity, order), 0.0, 1, series.MODE_ORACLE)
+    mode, enumerate_ = _measure_mode(estimator, params), params["strategy"] == "enumerate"
+    cap, trials = params["enumeration_cap"], params["trials"]
+    if estimator == "gst":
+        settings = (params["strategy"], cap if enumerate_ else trials, params["epsilon_trunc"],
+                    params["theta_basis"] * math.pi, mode, seed, params["allow_pseudoinverse"])
+        if quantity == "tr_rho_power":
+            return gst.estimate_power_trace(spec, order, *settings)
+        return gst.estimate_g_power_trace(spec, order, *settings, cache=cache)
+    if quantity == "tr_rho_power":
+        if enumerate_:
+            return ht.estimate_power_trace_enumerate(spec, order - 1, cap)
+        return ht.estimate_power_trace_mc(spec, order - 1, trials, mode, seed)
+    if enumerate_:
+        return ht.estimate_rho_g_power_enumerate(spec, order, cap)
+    return ht.estimate_rho_g_power_mc(spec, order, trials, mode, seed)
+
+
+def _estimates(
+    spec: ensemble.EnsembleSpec, estimator: str, jobs: Sequence[tuple], params: dict[str, Any],
+    timing: bool = False,
+) -> list[tuple[series.TraceEstimate, int | None]]:
+    """Each ``(quantity, order, stream)`` job's estimate and wall time, after
+    the run's cap pre-check.  A Monte Carlo job runs on _child_seed(master,
+    stream); the oracle and enumeration draw nothing and derive no seed, which
+    would load numpy's random module.  The run's GST Tr{G^k} calls share one
+    ``StageCache``, valid because the run's params fix epsilon and theta."""
+    _check_enumeration_caps(spec, estimator, jobs, params)
+    master, cache = params["seed"], gst.StageCache()
+    draws = estimator != "oracle" and params["strategy"] == "mc"
+    return [_timed(timing, _estimate, spec, estimator, quantity, order, params,
+                   _child_seed(master, stream) if draws else master, cache)
+            for quantity, order, stream in jobs]
+
+
+def _rows(
+    spec: ensemble.EnsembleSpec, estimator: str, jobs: Sequence[tuple], params: dict[str, Any],
+    timing: bool, label: str = "",
+) -> list[ResultRow]:
+    """One oracle, ``ht`` or ``gst`` row per job.  The seed column reports
+    the master seed, and ``label`` suffixes the mode."""
+    rows = []
+    estimates = _estimates(spec, estimator, jobs, params, timing)
+    for (quantity, order, _), (est, wall_ms) in zip(jobs, estimates):
+        shots = trials = None
+        if estimator == "oracle":
+            exact, rel_error = est.value, 0.0
+        else:
+            exact = _exact(spec, quantity, order)
+            rel_error = _rel_error(est.value, exact)
+            if params["mode"] == "shots":
+                shots = est.samples if estimator == "ht" else params["gst_shots"]
+            if params["strategy"] == "mc":
+                trials = params["trials"]
+        rows.append(ResultRow(quantity, order, est.value, est.std_error, exact, rel_error,
+                              est.mode + label, shots, trials, params["seed"], wall_ms))
+    return rows
 
 
 # --- subcommand runners -----------------------------------------------------
 
 
-def run_oracle(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    powers = _parse_orders(args.power, "--power", 1) if args.power else []
-    g_powers = _parse_orders(args.g_power, "--g-power", 0) if args.g_power else []
-    jobs = [("tr_rho_power", m) for m in powers] + [("tr_g_power", k) for k in g_powers]
-    if args.entropy:
-        jobs.append(("tr_rho_ln_rho", None))
+def run_jobs(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
+    """``oracle``, ``ht`` and ``gst``: row i of the rho powers runs on
+    stream i, row j of the G powers on stream 10_000 + j."""
+    g_power = getattr(args, "g_power", None)
+    powers = _parse_orders(args.power, "--power", 1) if args.power is not None else []
+    g_powers = _parse_orders(g_power, "--g-power", 0) if g_power is not None else []
+    jobs = [("tr_rho_power", m, i) for i, m in enumerate(powers)]
+    jobs += [("tr_g_power", k, 10_000 + j) for j, k in enumerate(g_powers)]
+    if getattr(args, "entropy", False):
+        jobs.append(("tr_rho_ln_rho", None, 0))
     if not jobs:
-        raise ConfigError("oracle", "nothing to compute: pass --power, --g-power, or --entropy")
-    return [_estimate_row(cfg.spec, "oracle", quantity, order, cfg.params, 0, args.timing)
-            for quantity, order in jobs]
+        flags = ("--power, --g-power, or --entropy" if args.command == "oracle"
+                 else "--power or --g-power")
+        raise ConfigError(args.command, f"nothing to compute: pass {flags}")
+    return _rows(cfg.spec, args.command, jobs, cfg.params, args.timing)
 
 
-def run_estimator(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    """``ht`` and ``gst``: row i of the rho powers runs on _child_seed(master,
-    i), row j of the G powers on _child_seed(master, 10_000 + j)."""
-    master, g_power = cfg.params["seed"], getattr(args, "g_power", None)
-    powers = _parse_orders(args.power, "--power", 1) if args.power else []
-    g_powers = _parse_orders(g_power, "--g-power", 0) if g_power else []
-    if not powers and not g_powers:
-        raise ConfigError(args.command, "nothing to compute: pass --power or --g-power")
-    if args.command == "ht":
-        sizes = [ht.enumeration_word_count(cfg.spec.alpha, m - 1) for m in powers]
-    else:
-        sizes = [k for m in powers for k in range(m + 1)] + g_powers
-    _check_enumeration_caps(cfg.spec, args.command, sizes, cfg.params)
-    jobs = [("tr_rho_power", m, _child_seed(master, i)) for i, m in enumerate(powers)]
-    jobs += [("tr_g_power", k, _child_seed(master, 10_000 + j)) for j, k in enumerate(g_powers)]
-    return [_estimate_row(cfg.spec, args.command, quantity, order, cfg.params, seed, args.timing)
-            for quantity, order, seed in jobs]
-
-
-def _g_power_terms(
-    spec: ensemble.EnsembleSpec, k_max: int, params: dict[str, Any]
-) -> list[series.TraceEstimate]:
-    """Independent GST estimates of Tr{G^k} for k = 0..k_max, the one of
-    Tr{G^k} on _child_seed(master, k)."""
-    _check_enumeration_caps(spec, "gst", range(k_max + 1), params)
-    return [_gst_estimate(spec, "tr_g_power", k, params, _child_seed(params["seed"], k))
-            for k in range(k_max + 1)]
-
-
-def _rho_g_terms(
-    spec: ensemble.EnsembleSpec, estimator: str, j_max: int, params: dict[str, Any]
-) -> list[series.TraceEstimate]:
-    """Tr{rho G^j} for j = 0..j_max - 1 from the oracle, or from HT
-    enumeration or Monte Carlo, one call per j, the Monte Carlo call for j on
-    _child_seed(master, j)."""
-    if estimator == "oracle":
-        return [series.TraceEstimate(ensemble.exact_rho_g_power_trace(spec, j), 0.0, 1,
-                                     series.MODE_ORACLE) for j in range(j_max)]
-    settings = _ht_settings(params)
-    _check_enumeration_caps(spec, "ht", [spec.alpha ** (j + 1) for j in range(j_max)], params)
-    if params["strategy"] == "enumerate":
-        return [ht.estimate_rho_g_power_enumerate(spec, j, **settings) for j in range(j_max)]
-    return [ht.estimate_rho_g_power_mc(spec, j, rng=_child_seed(params["seed"], j), **settings)
-            for j in range(j_max)]
+def _entropy_series(
+    spec: ensemble.EnsembleSpec, estimator: str, k_max: int, params: dict[str, Any]
+) -> Callable[[series.SeriesWeights], series.TraceEstimate]:
+    """The evaluation of series weights up to Tr{G^k_max} over independent
+    terms, term i on stream i: the oracle's or HT's Tr{rho G^i}, i < k_max,
+    telescoped, where no 2^n term cancels, or GST's Tr{G^i}, i <= k_max, fed
+    to ``series.evaluate_series``."""
+    quantity, count = ("tr_g_power", k_max + 1) if estimator == "gst" else ("tr_rho_g_power", k_max)
+    jobs = [(quantity, i, i) for i in range(count)]
+    terms = [est for est, _ in _estimates(spec, estimator, jobs, params)]
+    if estimator == "gst":
+        return partial(series.evaluate_series, gk=terms)
+    return partial(series.evaluate_telescoped, dim=spec.dim, rho_g=terms)
 
 
 def run_entropy(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    """Truncated Tr{rho ln rho} series rows.  The oracle and HT evaluate the
-    series from independent Tr{rho G^j}, where no 2^n term cancels; GST feeds
-    its Tr{G^k} to ``series.evaluate_series``."""
+    """Truncated Tr{rho ln rho} series rows."""
     orders = _parse_orders(args.order, "--order", 1)
-    k_max = max(orders) + 1
-    if args.estimator == "gst":
-        gk = _g_power_terms(cfg.spec, k_max, cfg.params)
-        evaluate = partial(series.evaluate_series, gk=gk)
-    else:
-        rho_g = _rho_g_terms(cfg.spec, args.estimator, k_max, cfg.params)
-        evaluate = partial(series.evaluate_telescoped, dim=cfg.spec.dim, rho_g=rho_g)
+    evaluate = _entropy_series(cfg.spec, args.estimator, max(orders) + 1, cfg.params)
     exact = _exact(cfg.spec, "tr_rho_ln_rho", None)
     rows = []
     for n_t in orders:
@@ -636,20 +615,20 @@ _SWEEPS: dict[tuple[str, str], tuple[str, dict[str, Any]]] = {
 
 
 def run_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    """One ``ht``/``gst`` row per swept value; row i runs on
-    _child_seed(master, i), as row i of the direct command does."""
+    """One ``ht``/``gst`` row per swept value; row i runs on stream i, as
+    row i of the direct command does."""
     if cfg.sweep is None:
         raise ConfigError("sweep", "config has no sweep section")
     command, parameter = cfg.sweep["command"], cfg.sweep["parameter"]
     if (command, parameter) not in _SWEEPS:
         raise ConfigError("sweep.parameter", f"{parameter!r} does not apply to {command!r}")
     key, fixed = _SWEEPS[command, parameter]
-    power, master = int(cfg.sweep["power"]), cfg.params["seed"]
+    power = int(cfg.sweep["power"])
     rows = []
     for i, value in enumerate(cfg.sweep["values"]):
         params = {**cfg.params, **fixed, key: int(value) if parameter == "shots" else float(value)}
-        rows.append(_estimate_row(cfg.spec, command, "tr_rho_power", power, params,
-                                  _child_seed(master, i), args.timing, f"@{parameter}={value}"))
+        rows += _rows(cfg.spec, command, [("tr_rho_power", power, i)], params, args.timing,
+                      f"@{parameter}={value}")
     return rows
 
 
@@ -696,12 +675,12 @@ def run_golden(cfg: RunConfig, out) -> int:
     for m, want in sorted(_GOLDEN_POWERS.items()):
         oracle = ensemble.exact_power_trace(spec, m)
         htv = ht.estimate_power_trace_enumerate(spec, m - 1).value
-        gstv = gst_mod.estimate_power_trace(spec, m).value
+        gstv = gst.estimate_power_trace(spec, m).value
         for label, got in (("oracle", oracle), ("ht", htv), ("gst", gstv)):
             check(f"tr_rho_power[{m}] {label}", round(got, 3) == want,
                   f"got {got:.6f}, want {want:.3f}")
 
-    g2 = gst_mod.estimate_g_power_trace(spec, 2).value
+    g2 = gst.estimate_g_power_trace(spec, 2).value
     check("tr_g_power[2] gst", abs(g2 - 6.600) <= 1e-3, f"got {g2:.6f}, want 6.600 +- 1e-3")
 
     for m, want in sorted(_GOLDEN_G_POWERS.items()):
@@ -713,12 +692,8 @@ def run_golden(cfg: RunConfig, out) -> int:
     check("tr_rho_ln_rho exact", round(entropy_exact, 3) == _GOLDEN_ENTROPY,
           f"got {entropy_exact:.6f}, want {_GOLDEN_ENTROPY:.3f}")
 
-    rho_g = _rho_g_terms(spec, "oracle", 9, cfg.params)
-    err = {
-        n_t: abs(series.evaluate_telescoped(series.entropy_weights(n_t), spec.dim, rho_g).value
-                 - entropy_exact)
-        for n_t in (2, 8)
-    }
+    evaluate = _entropy_series(spec, "oracle", 9, cfg.params)
+    err = {n_t: abs(evaluate(series.entropy_weights(n_t)).value - entropy_exact) for n_t in (2, 8)}
     check("entropy series error trend", err[8] < err[2],
           f"order-8 err {err[8]:.4f} < order-2 err {err[2]:.4f}")
 
@@ -780,9 +755,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 _RUNNERS: dict[str, Callable[[RunConfig, argparse.Namespace], list[ResultRow]]] = {
-    "oracle": run_oracle,
-    "ht": run_estimator,
-    "gst": run_estimator,
+    "oracle": run_jobs,
+    "ht": run_jobs,
+    "gst": run_jobs,
     "entropy": run_entropy,
     "sweep": run_sweep,
     "bounds": run_bounds,
@@ -799,6 +774,18 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
             target = "gst_shots" if key == "shots" and runs_gst else key
             params[target] = _param_value(_PARAMS, target, getattr(args, key), row.flag)
     return replace(cfg, params=params)
+
+
+#: The failures a run reports, first match first: the exception type, its
+#: record kind, the exception attributes the record carries, and the exit code.
+_FAILURES: tuple[tuple[type[Exception], str, tuple[str, ...], int], ...] = (
+    (ConfigError, "schema-violation", ("field",), 2),
+    (ResourceLimitError, "resource-limit", ("requested", "cap"), 3),
+    (IllConditionedGramError, "ill-conditioned-gram", ("min_eigenvalue",), 4),
+    (DegenerateAugmentationError, "degenerate-augmentation", (), 4),
+    (IdentityViolationError, "identity-violation", ("statistic",), 4),
+    (ValueError, "invalid-argument", (), 2),
+)
 
 
 def _error_record(kind: str, exc: Exception, **extra: Any) -> str:
@@ -827,28 +814,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         rows = _RUNNERS[args.command](cfg, args)
         fmt = args.format or cfg.output_format
         path = args.out or cfg.output_path
-    except ConfigError as exc:
-        sys.stderr.write(_error_record("schema-violation", exc, field=exc.field) + "\n")
-        return 2
-    except ResourceLimitError as exc:
-        sys.stderr.write(
-            _error_record("resource-limit", exc, requested=exc.requested, cap=exc.cap) + "\n"
-        )
-        return 3
-    except IllConditionedGramError as exc:
-        sys.stderr.write(
-            _error_record("ill-conditioned-gram", exc, min_eigenvalue=exc.min_eigenvalue) + "\n"
-        )
-        return 4
-    except DegenerateAugmentationError as exc:
-        sys.stderr.write(_error_record("degenerate-augmentation", exc) + "\n")
-        return 4
-    except IdentityViolationError as exc:
-        sys.stderr.write(_error_record("identity-violation", exc, statistic=exc.statistic) + "\n")
-        return 4
-    except ValueError as exc:
-        sys.stderr.write(_error_record("invalid-argument", exc) + "\n")
-        return 2
+    except tuple(failure for failure, *_ in _FAILURES) as exc:
+        _, kind, fields, code = next(row for row in _FAILURES if isinstance(exc, row[0]))
+        sys.stderr.write(_error_record(kind, exc, **{f: getattr(exc, f) for f in fields}) + "\n")
+        return code
 
     try:
         emit_table(rows, fmt, path)

@@ -96,7 +96,6 @@ from .errors import (
     DegenerateAugmentationError,
     IdentityViolationError,
     IllConditionedGramError,
-    ResourceLimitError,
 )
 from .noise_bounds import EXACT, MeasureMode
 from .qcore import reflect_amplitudes
@@ -108,6 +107,7 @@ from .series import (
     MODE_MC_SHOTS,
     TraceEstimate,
     binomial_weights,
+    check_enumeration_cap,
     evaluate_series,
     mc_estimate,
 )
@@ -625,13 +625,7 @@ def check_enumeration_budget(alpha: int, k: int, budget: int) -> None:
     """Raise ResourceLimitError if enumerating Tr{G^k} needs more than
     ``budget`` words.  The cap counts all alpha^k words, not the classes
     that enumeration evaluates."""
-    n_words = alpha**k
-    if n_words > budget:
-        raise ResourceLimitError(
-            f"enumerating Tr{{G^{k}}} needs {n_words} words, over the cap of {budget}",
-            requested=n_words,
-            cap=budget,
-        )
+    check_enumeration_cap(alpha**k, budget, f"enumerating Tr{{G^{k}}}")
 
 
 def estimate_g_power_trace(

@@ -65,7 +65,7 @@ import numpy as np
 from . import noise_bounds
 from ._parallel import run_chunked
 from .ensemble import EnsembleSpec
-from .errors import IdentityViolationError, ResourceLimitError
+from .errors import IdentityViolationError
 from .noise_bounds import MeasureMode
 # Unused here; the benchmark tracer patches ``ht.reflect_amplitudes``.
 from .qcore import reflect_amplitudes  # noqa: F401
@@ -77,6 +77,7 @@ from .series import (
     MODE_MC_SHOTS,
     TraceEstimate,
     binomial_weights,
+    check_enumeration_cap,
     evaluate_series,
     mc_estimate,
 )
@@ -261,16 +262,6 @@ def _enumerate_block(e: EnsembleSpec, k: int, lo: int, hi: int) -> float:
     return float(weights @ (re @ e.probs))
 
 
-def check_enumeration_cap(planned: int, enumeration_cap: int) -> None:
-    """Raise ResourceLimitError if ``planned`` words exceed the cap."""
-    if planned > enumeration_cap:
-        raise ResourceLimitError(
-            f"enumeration needs {planned} words, over the cap of {enumeration_cap}",
-            requested=planned,
-            cap=enumeration_cap,
-        )
-
-
 def estimate_rho_g_power_enumerate(
     e: EnsembleSpec, j: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> TraceEstimate:
@@ -280,7 +271,7 @@ def estimate_rho_g_power_enumerate(
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     planned = e.alpha ** (j + 1)
-    check_enumeration_cap(planned, enumeration_cap)
+    check_enumeration_cap(planned, enumeration_cap, "enumeration")
     block = max(1, _ENUM_BLOCK_ENTRIES // e.alpha**2)
     n_words = e.alpha**j
     value = sum(_enumerate_block(e, j, lo, min(lo + block, n_words))
@@ -300,6 +291,6 @@ def estimate_power_trace_enumerate(
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    check_enumeration_cap(enumeration_word_count(e.alpha, m), enumeration_cap)
+    check_enumeration_cap(enumeration_word_count(e.alpha, m), enumeration_cap, "enumeration")
     a = [estimate_rho_g_power_enumerate(e, k, enumeration_cap) for k in range(m + 1)]
     return evaluate_series(binomial_weights(m), a)

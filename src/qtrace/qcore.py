@@ -14,6 +14,9 @@ Hadamard-test paths work on the alpha x alpha Gram of the component states
 (``EnsembleSpec.gram``), and subspace gate-set tomography applies
 ``reflect_amplitudes`` to the D <= alpha + 1 coordinates of
 ``EnsembleSpec.span_states``.
+
+``MAX_QUBITS`` is a constant, not a setting: the config schema and
+``ProductGate`` check n against the same value.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: The config schema's qubit cap.  No estimator cost depends on n; the cap
-#: stays until a measured bound replaces it.  Module-level so a caller who
-#: really wants more can raise it once.
+#: The qubit cap of the config schema and of ``ProductGate``, a constant.
+#: No estimator cost depends on n; the cap stays until a measured bound
+#: replaces it.
 MAX_QUBITS = 20
 
 
@@ -40,10 +43,7 @@ def _check_qubit_count(n: int) -> None:
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if n > MAX_QUBITS:
-        raise ValueError(
-            f"qubit count {n} exceeds MAX_QUBITS={MAX_QUBITS}; "
-            "raise qtrace.qcore.MAX_QUBITS explicitly if you mean it"
-        )
+        raise ValueError(f"qubit count {n} exceeds MAX_QUBITS={MAX_QUBITS}")
 
 
 @dataclass(frozen=True)

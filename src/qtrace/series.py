@@ -19,8 +19,9 @@ the same series from estimates of a_j = Tr{rho G^j} instead of Tr{G^k}.
 
 This module is also the estimate layer that the oracle, HT and GST share:
 the ``TraceEstimate`` record and its modes, ``combined_mode``, the Monte
-Carlo reduction ``mc_estimate`` and ``DEFAULT_ENUMERATION_CAP``.  It
-imports no estimator module.
+Carlo reduction ``mc_estimate``, and ``DEFAULT_ENUMERATION_CAP`` with
+``check_enumeration_cap``, the one cap rule and record that HT, GST and the
+CLI's pre-check apply.  It imports no estimator module.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
+
+from .errors import ResourceLimitError
 
 MODE_EXACT_ENUMERATION = "exact-enumeration"
 MODE_MC_EXACT_PROB = "mc-exact-prob"
@@ -40,6 +43,13 @@ _EXACT_MODES = (MODE_EXACT_ENUMERATION, MODE_ORACLE)
 
 #: Default cap on evaluated words in enumeration mode.
 DEFAULT_ENUMERATION_CAP = 10**7
+
+
+def check_enumeration_cap(words: int, cap: int, what: str) -> None:
+    """Raise ResourceLimitError if ``what`` needs more than ``cap`` words."""
+    if words > cap:
+        raise ResourceLimitError(f"{what} needs {words} words, over the cap of {cap}",
+                                 requested=words, cap=cap)
 
 
 @dataclass(frozen=True)

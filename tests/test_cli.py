@@ -399,6 +399,23 @@ class TestSubcommands:
         assert "ALL PASS" in r.stdout
         assert all(line.startswith(("PASS", "ALL")) for line in r.stdout.splitlines())
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--power", "2-4", "--g-power", "0-3", "--entropy"],
+        ["ht", "--power", "2-3"],
+        ["gst", "--power", "2", "--g-power", "2"],
+        ["entropy", "--order", "2-3", "--estimator", "oracle"],
+        ["entropy", "--order", "2-3", "--estimator", "ht"],
+        ["entropy", "--order", "2", "--estimator", "gst"],
+    ])
+    def test_runs_that_draw_nothing_derive_no_seed(self, monkeypatch, capsys, argv):
+        # A child seed loads numpy's random module, about 5.5 MiB of peak
+        # RSS, which the oracle and enumeration never need.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run that draws nothing derived a seed")
+
+        monkeypatch.setattr(cli, "rng_stream", refuse)
+        assert cli.main(argv) == 0, capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_schema_violation_exit_2(self, tmp_path):
@@ -554,9 +571,15 @@ class TestExitCodes:
          "ht supports exact or shots mode (ht_sigma rides on exact)"),
         ("ht --power 2 --strategy mc --mode shots --ht-sigma 0.01", "params.ht_sigma",
          "pairs with exact mode only; shot and Gaussian noise never combine"),
+        # An empty order spec is a parse error of its flag, as a blank one is.
+        *(pytest.param([command, flag, spec], flag, f"cannot parse order spec {spec!r}",
+                       id=f"{command} {flag} {spec!r}")
+          for command, flag, spec in (("ht", "--power", ""), ("gst", "--power", ""),
+                                      ("gst", "--g-power", ""), ("oracle", "--power", ""),
+                                      ("oracle", "--g-power", ""), ("oracle", "--power", " "))),
     ])
     def test_order_below_minimum_names_its_flag(self, capsys, command, field, message):
-        assert cli.main(command.split()) == 2
+        assert cli.main(command.split() if isinstance(command, str) else command) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "schema-violation", "field": field,
@@ -817,7 +840,9 @@ class TestSpanOnly:
 #: and its merge (``series.mc_estimate``) changes these bytes.  Each GST Monte Carlo command draws several
 #: ``gst._WORD_CHUNK`` chunks per power, the last one partial.  The
 #: ``entropy``, ``oracle``, ``sweep`` and ``bounds`` commands pin those
-#: runners and how their flags and config keys reach them.  Acceptance
+#: runners and how their flags and config keys reach them, with each
+#: ``entropy`` estimator and the ``gst`` command's ``shots`` column and its
+#: two child-seed series (rho powers and G powers) in one run.  Acceptance
 #: criterion 10 reads the two ``--format json`` commands.
 BYTE_PINS = {
     "ht --power 2-4 --strategy mc --mode shots --trials 30000 --seed 7":
@@ -859,6 +884,14 @@ BYTE_PINS = {
     "entropy --order 2-4 --estimator gst --strategy mc --mode gaussian --trials 300 "
     "--epsilon 1e-3 --seed 5":
         "0542094fe98b07efc2c599f9f9cb73edebf38e2d12e09fe59961e1225379a821",
+    "entropy --order 2-4 --estimator ht --strategy mc --mode shots --trials 2000 --seed 3":
+        "9b8bfff58a7597dd618d40bfba454e3b0c6c72f92d2b257c6bce609cd48d4f3a",
+    "entropy --order 2-8 --estimator oracle":
+        "0812052e29c6680115bcfc4d95dc291e30ddf9185b296f035d398a6aaa868877",
+    "gst --power 2 --g-power 2-3 --strategy mc --trials 200 --seed 5":
+        "5cb640c5d629e4d63e870f5022e3b16151d69bb398eb4a3f5d158a6e6ab28ecb",
+    "gst --power 2 --strategy mc --mode shots --trials 100 --seed 3 --pinv":
+        "824e7a5a5a794f6756eff4f33b08f902d2d237ac4ecc35b6eaa50e4be98f1f2b",
     "oracle --power 2-4 --g-power 0-3 --entropy":
         "6e9e69add728e8170d238aeb8016d2000bf6e6c8be46d613d790961d36776eae",
     "sweep --config {sweep}":

@@ -1,5 +1,6 @@
-"""Package modules reach each other through public names only, and the
-estimators HT and GST are siblings over shared layers."""
+"""Package modules reach each other through public names only, the
+estimators HT and GST are siblings over shared layers, and the CLI reaches
+them through their modules."""
 
 import ast
 from pathlib import Path
@@ -53,13 +54,40 @@ def imported_modules(path: Path) -> set[str]:
     return found
 
 
+def names_imported_from(path: Path, modules: set[str]) -> list[str]:
+    """Each name that the module at ``path`` imports from one of the qtrace
+    ``modules``, as ``module.name``; ``from . import ht`` imports a module,
+    not a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if not module.startswith("qtrace."):
+                continue
+            module = module.removeprefix("qtrace.")
+        if module.split(".")[0] in modules:
+            found += [f"{module}.{alias.name}" for alias in node.names]
+    return found
+
+
 def test_imported_modules_reads_every_import_form(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text("import numpy\nimport qtrace.cli\nfrom . import ht, series\n"
                     "from .ensemble import EnsembleSpec\nfrom qtrace import rng\n"
                     "from qtrace.gst import EXACT\nfrom numpy import linalg\n"
+                    "from .ht import TRIAL_CHUNK\n"
                     "def f():\n    from .errors import ResourceLimitError\n")
     assert imported_modules(path) == {"cli", "ht", "series", "ensemble", "rng", "gst", "errors"}
+    assert names_imported_from(path, {"ht", "gst"}) == ["gst.EXACT", "ht.TRIAL_CHUNK"]
+
+
+def test_cli_imports_the_estimators_as_modules_only():
+    # The benchmark tracer and the CLI's spy tests patch estimator functions
+    # on their modules; a name bound in cli by ``from .ht import ...`` would
+    # silently bypass both.
+    assert names_imported_from(PACKAGE / "cli.py", {"ht", "gst"}) == []
 
 
 def test_ht_and_gst_import_nothing_from_each_other():
