@@ -493,7 +493,7 @@ def _estimate(
 ) -> series.TraceEstimate:
     """One job: the oracle's value, or one call, on ``seed``, of the HT or
     GST estimator of ``quantity`` and the configured strategy.  ``cache`` is
-    the ``StageCache`` that the run's GST Tr{G^k} calls share.  Estimators
+    the ``StageCache`` that all the run's GST calls share.  Estimators
     are looked up on their modules at each call."""
     if estimator == "oracle":
         return series.TraceEstimate(_exact(spec, quantity, order), 0.0, 1, series.MODE_ORACLE)
@@ -503,7 +503,7 @@ def _estimate(
         settings = (params["strategy"], cap if enumerate_ else trials, params["epsilon_trunc"],
                     params["theta_basis"] * math.pi, mode, seed, params["allow_pseudoinverse"])
         if quantity == "tr_rho_power":
-            return gst.estimate_power_trace(spec, order, *settings)
+            return gst.estimate_power_trace(spec, order, *settings, cache=cache)
         return gst.estimate_g_power_trace(spec, order, *settings, cache=cache)
     if quantity == "tr_rho_power":
         if enumerate_:
@@ -521,7 +521,7 @@ def _estimates(
     """Each ``(quantity, order, stream)`` job's estimate and wall time, after
     the run's cap pre-check.  A Monte Carlo job runs on _child_seed(master,
     stream); the oracle and enumeration draw nothing and derive no seed, which
-    would load numpy's random module.  The run's GST Tr{G^k} calls share one
+    would load numpy's random module.  All the run's GST calls share one
     ``StageCache``, valid because the run's params fix epsilon and theta."""
     _check_enumeration_caps(spec, estimator, jobs, params)
     master, cache = params["seed"], gst.StageCache()

@@ -683,12 +683,15 @@ def estimate_power_trace(
     mode: MeasureMode = EXACT,
     rng: "int | np.random.Generator" = 0,
     allow_pseudoinverse: bool = False,
+    cache: StageCache | None = None,
 ) -> TraceEstimate:
     """Tr{rho^m} from the binomial combination of Tr{G^k}, k = 0..m.
 
     Each k runs on its own RNG substream, keeping the per-k estimates
     independent as the series error propagation assumes; one ``StageCache``
-    serves every k, whose subspace keys are among those of k + 1.
+    serves every k, whose subspace keys are among those of k + 1.  As in
+    ``estimate_g_power_trace``, ``cache`` may be shared with other estimates
+    of this (e, epsilon, theta); by default the estimate has its own.
     Enumeration checks every k's word count before the first estimate.
     """
     if m < 1:
@@ -698,7 +701,8 @@ def estimate_power_trace(
         for k in range(m + 1):
             check_enumeration_budget(e.alpha, k, budget)
     master_seed = as_master_seed(rng)
-    cache = StageCache()
+    if cache is None:
+        cache = StageCache()
     estimates = [
         estimate_g_power_trace(
             e, k, strategy, budget, epsilon, theta, mode, master_seed,

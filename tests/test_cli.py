@@ -416,6 +416,25 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "rng_stream", refuse)
         assert cli.main(argv) == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, keys", [
+        (["gst", "--power", "2-5"], 24),
+        (["gst", "--power", "2-4", "--g-power", "3", "--strategy", "mc", "--trials", "200",
+          "--seed", "3"], 22),
+    ], ids=["enumerate", "mc"])
+    def test_gst_run_builds_each_key_once(self, monkeypatch, capsys, argv, keys):
+        # Every Tr{rho^m} row and Tr{G^k} call of one run shares the run's
+        # StageCache: a row per power once built each key once per row.
+        built = []
+
+        class SpyStages(gst.KeyStages):
+            def __init__(self, e, key, *args):
+                built.append(key)
+                super().__init__(e, key, *args)
+
+        monkeypatch.setattr(gst, "KeyStages", SpyStages)
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert len(built) == len(set(built)) == keys
+
 
 class TestExitCodes:
     def test_schema_violation_exit_2(self, tmp_path):
@@ -842,8 +861,11 @@ class TestSpanOnly:
 #: ``entropy``, ``oracle``, ``sweep`` and ``bounds`` commands pin those
 #: runners and how their flags and config keys reach them, with each
 #: ``entropy`` estimator and the ``gst`` command's ``shots`` column and its
-#: two child-seed series (rho powers and G powers) in one run.  Acceptance
-#: criterion 10 reads the two ``--format json`` commands.
+#: two child-seed series (rho powers and G powers) in one run.  The last two
+#: ``ht``/``entropy`` pins add HT entropy under sigma noise and multi-shot
+#: binomials, where a one-ulp P(0) change at 0 or 1 shifts the rest of the
+#: shot stream.  Acceptance criterion 10 reads the two ``--format json``
+#: commands.
 BYTE_PINS = {
     "ht --power 2-4 --strategy mc --mode shots --trials 30000 --seed 7":
         "a5dd1411aed4937e75ba729bc3482f7de030af648b5c255926bd84e873c9490e",
@@ -892,6 +914,11 @@ BYTE_PINS = {
         "5cb640c5d629e4d63e870f5022e3b16151d69bb398eb4a3f5d158a6e6ab28ecb",
     "gst --power 2 --strategy mc --mode shots --trials 100 --seed 3 --pinv":
         "824e7a5a5a794f6756eff4f33b08f902d2d237ac4ecc35b6eaa50e4be98f1f2b",
+    "entropy --order 2-6 --estimator ht --strategy mc --mode exact --ht-sigma 0.02 "
+    "--trials 20000 --seed 11":
+        "34ff153e086fcfee7496946c9f64f5c691685d91aed93a69d28187ce5be940dc",
+    "ht --power 2-5 --strategy mc --mode shots --shots 5 --trials 20000 --seed 11":
+        "c236054f7bfe78c08d79972aa293aabf966062d8a5e216a882e69f82ec00705b",
     "oracle --power 2-4 --g-power 0-3 --entropy":
         "6e9e69add728e8170d238aeb8016d2000bf6e6c8be46d613d790961d36776eae",
     "sweep --config {sweep}":

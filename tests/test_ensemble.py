@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -16,6 +17,7 @@ from qtrace import (
     exact_power_trace,
     exact_rho_g_power_trace,
 )
+from qtrace.qcore import make_single_qubit_gate
 
 from .conftest import random_ensemble, reference_spec, small_ensembles
 from .dense_reference import DensityMatrix, binomial_power_identity_residual, build_density_matrix
@@ -208,6 +210,46 @@ class TestSampleComponent:
         s1 = ref3.component_indices(np.random.default_rng(5).random(50))
         s2 = ref3.component_indices(np.random.default_rng(5).random(50))
         assert np.array_equal(s1, s2)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 5, 127, 128, 129, 130])
+    def test_equals_clamped_searchsorted(self, alpha):
+        # alpha = 128 is the last that counts boundaries; 129 and 130 call
+        # searchsorted.  Uniforms sit on every boundary and one ulp either
+        # side.  From alpha = 3, some of the seeds give a last cumulative
+        # probability one or more ulps below 1, so [cumulative_probs[-1], 1)
+        # must map to alpha - 1 too.
+        below_one = 0
+        for seed in range(24):
+            e = random_ensemble(np.random.default_rng(seed), 1, alpha)
+            cp = e.cumulative_probs
+            below_one += cp[-1] < 1.0
+            u = np.concatenate([cp, np.nextafter(cp, 0.0), np.nextafter(cp, 2.0),
+                                [0.0, np.nextafter(1.0, 0.0)],
+                                np.random.default_rng(seed).random(2000)])
+            u = u[(u >= 0.0) & (u < 1.0)].reshape(-1, 1)
+            want = np.minimum(np.searchsorted(cp, u, side="right"), alpha - 1)
+            got = e.component_indices(u)
+            assert got.dtype == want.dtype == np.intp
+            assert got.shape == u.shape
+            assert np.array_equal(got, want)
+        assert alpha < 3 or below_one > 0
+
+    def test_gram_built_in_row_blocks(self):
+        # Row blocks hold the Gram build to about 2 * 16 * 16 * alpha * n
+        # bytes of temporaries plus the alpha x alpha result, with the same
+        # bytes as the one-shot (alpha, alpha, n) einsum (44 MiB here).
+        spec = random_ensemble(np.random.default_rng(14), 20, 300)
+        tracemalloc.start()
+        try:
+            gram = spec.gram
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        cols = np.array([[make_single_qubit_gate(p)[:, 0] for p in g.factors]
+                         for g in spec.gates])
+        one_shot = np.prod(np.einsum("iqa,jqa->ijq", cols.conj(), cols), axis=-1)
+        assert gram.tobytes() == one_shot.tobytes()
 
 
 class TestOracleScale:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from itertools import product
@@ -11,13 +12,14 @@ from qtrace import (
     EnsembleSpec,
     ProductGate,
     RotationParams,
+    cli,
     exact_power_trace,
     exact_rho_g_power_trace,
     ht,
     noise_bounds,
 )
 from qtrace._parallel import chunk_ranges
-from qtrace.errors import ResourceLimitError
+from qtrace.errors import IdentityViolationError, ResourceLimitError
 from qtrace.ht import (
     estimate_power_trace_enumerate,
     estimate_power_trace_mc,
@@ -34,7 +36,7 @@ from qtrace.series import (
     TraceEstimate,
 )
 
-from .conftest import random_ensemble, reference_spec
+from .conftest import random_ensemble, reference_spec, small_ensembles
 from .dense_reference import per_word_enumerate_block
 
 ONE_SHOT = MeasureMode("shots", shots=1)
@@ -560,6 +562,118 @@ class TestPrefixSharingEnumeration:
             assert (est.value, est.samples) == (want, alpha ** (j + 1))
 
 
+def per_row_outcome_probabilities(e, comps, flags=None):
+    """``ht._outcome_probabilities`` with one coefficient row per trial and no
+    prefix shared: every layer reflects every row it reaches, all rows at
+    once.  The prefix-sharing kernel must match it bit for bit."""
+    gram = e.gram
+    b = comps.shape[0]
+    rows = np.arange(b)
+    c = np.zeros((b, e.alpha), dtype=np.complex128)
+    c[rows, comps[:, 0]] = 1.0
+    for t in range(comps.shape[1] - 1):
+        on = rows if flags is None else np.flatnonzero(flags[:, t])
+        axes = comps[on, t + 1]
+        inner = np.einsum("ij,ij->i", gram[axes], c if flags is None else c[on])
+        c[on, axes] -= 2.0 * inner
+
+    p0 = 0.5 * (1.0 + np.einsum("ij,ij->i", gram[comps[:, 0]], c).real)
+    ht._check_probabilities(p0)
+    return np.clip(p0, 0.0, 1.0)
+
+
+#: Kernel settings that move where prefix sharing stops and how rows are
+#: blocked: the defaults, never sharing, sharing every level, and 16-entry
+#: row blocks.
+KERNEL_SETTINGS = [
+    {},
+    {"_SHARED_PREFIX_SHARE": 0.0},
+    {"_KEY_TABLE_PER_ROW": 10**6, "_SHARED_PREFIX_SHARE": 1.0},
+    {"_ROW_BLOCK_ENTRIES": 16},
+]
+
+
+@st.composite
+def mc_kernel_cases(draw):
+    """(spec, comps, flags, settings): a drawn chunk of b trials with m
+    candidate layers, flags None in all-layers mode."""
+    e = draw(small_ensembles())
+    b = draw(st.sampled_from([1, 2, 3616, 8192]))
+    m = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = e.component_indices(rng.random((b, m + 1)))
+    flags = rng.random((b, m)) < 0.5 if draw(st.booleans()) else None
+    return e, comps, flags, draw(st.sampled_from(KERNEL_SETTINGS))
+
+
+class TestPrefixSharingMonteCarlo:
+    """The prefix-sharing Monte Carlo kernel must match the per-row one bit
+    for bit, wherever sharing stops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mc_kernel_cases())
+    def test_kernel_matches_per_row_kernel(self, case):
+        e, comps, flags, kernel_settings = case
+        want = per_row_outcome_probabilities(e, comps, flags)
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in kernel_settings.items():
+                mp.setattr(ht, name, value)
+            got = ht._outcome_probabilities(e, comps, flags)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [16, 64])
+    @pytest.mark.parametrize("coin_flips", [True, False], ids=["coin", "all"])
+    def test_wide_ensembles(self, alpha, coin_flips):
+        # Few shared levels, then row blocks of 2048 and 512 trials.
+        e = random_ensemble(np.random.default_rng(alpha), 20, alpha)
+        for m in (2, 12):
+            rng = np.random.default_rng(m)
+            comps = e.component_indices(rng.random((8192, m + 1)))
+            flags = rng.random((8192, m)) < 0.5 if coin_flips else None
+            got = ht._outcome_probabilities(e, comps, flags)
+            assert got.tobytes() == per_row_outcome_probabilities(e, comps, flags).tobytes()
+
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("coin_flips", [True, False], ids=["coin", "all"])
+    def test_first_bad_probability_in_row_order(self, m, coin_flips):
+        # A diagonal Gram with K_ii > 1 puts P(0) outside [0, 1] on every
+        # row that starts in such a component; the shared rows are held in
+        # prefix order, yet the record names the first bad row's value.
+        e = random_ensemble(np.random.default_rng(3), 2, 4)
+        e.__dict__["gram"] = np.diag([1.0, 3.0, 1.0, 5.0]).astype(complex)
+        rng = np.random.default_rng(m)
+        comps = e.component_indices(rng.random((8192, m + 1)))
+        flags = rng.random((8192, m)) < 0.5 if coin_flips else None
+        with pytest.raises(IdentityViolationError) as want:
+            per_row_outcome_probabilities(e, comps, flags)
+        with pytest.raises(IdentityViolationError) as got:
+            ht._outcome_probabilities(e, comps, flags)
+        assert str(got.value) == str(want.value)
+        assert got.value.statistic == want.value.statistic
+
+    def test_cli_exit_4_record_names_the_first_bad_row(self, monkeypatch, capsys):
+        bad_gram = np.diag([1.0, 3.0, 1.0, 5.0]).astype(complex)
+        monkeypatch.setattr(EnsembleSpec, "gram", property(lambda self: bad_gram))
+        seen = []
+        kernel = ht._outcome_probabilities
+
+        def spy(e, comps, flags=None):
+            with pytest.raises(IdentityViolationError) as want:
+                per_row_outcome_probabilities(e, comps, flags)
+            seen.append(want.value)
+            return kernel(e, comps, flags)
+
+        monkeypatch.setattr(ht, "_outcome_probabilities", spy)
+        argv = ["ht", "--power", "4", "--strategy", "mc", "--mode", "exact", "--trials", "5000"]
+        assert cli.main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(seen) == 1
+        assert json.loads(captured.err) == {
+            "error": "identity-violation", "message": str(seen[0]),
+            "statistic": seen[0].statistic,
+        }
+
+
 class TestScale:
     def test_mc_at_n20_builds_no_statevector(self):
         e = reference_spec(20)
@@ -576,3 +690,19 @@ class TestScale:
         assert est.samples == 100_000
         lam = e.span_eigenvalues
         assert abs(est.value - float(np.sum(lam**4))) < 5 * est.std_error + 0.01
+
+    def test_mc_chunk_memory_is_bounded_in_alpha(self):
+        # A coefficient row and a gathered Gram row per trial, for the whole
+        # chunk at once, peak at about 101 MiB here.  Past the shared
+        # prefixes the kernel holds one row block at a time.
+        e = random_ensemble(np.random.default_rng(0), 20, 400)
+        e.gram
+        for estimate in (estimate_power_trace_mc, estimate_rho_g_power_mc):
+            tracemalloc.start()
+            try:
+                est = estimate(e, 2, 10_000, EXACT, 5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
+            assert est.samples == 10_000
