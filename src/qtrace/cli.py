@@ -6,8 +6,8 @@ and may override config defaults.  Results are emitted as CSV or JSON tables
 with a fixed column set, floats serialized to 17 significant digits, and
 byte-identical output for a fixed (config, seed).
 
-Each oracle value and estimator call, for a row or an entropy series term, is
-a (quantity, order, stream) job run by ``_estimate``, after a pre-check of every
+Every oracle value and estimator call, ``--golden`` checks included, is a
+(quantity, order, stream) job run by ``_estimate`` after a pre-check of every
 enumeration cap its run's jobs meet: an over-cap run fails before any estimate.
 
 Exit codes: 0 success, 2 config/schema violation, 3 resource limit,
@@ -89,9 +89,10 @@ _PARAMS: dict[str, _Param] = {
     "shots": _Param(1, "--shots", _ESTIMATORS, least=1,
                     help="shots per sampled circuit; per matrix entry where gst runs"),
     "gst_shots": _Param(10000, None, (), least=1),
-    "epsilon_trunc": _Param(1e-10, "--epsilon", ("gst", "entropy"), within=(0, 1),
+    "epsilon_trunc": _Param(gst.DEFAULT_EPSILON, "--epsilon", ("gst", "entropy"), within=(0, 1),
                             help="truncation threshold"),
-    "theta_basis": _Param(0.5, "--theta", ("gst", "entropy"), help="basis angle, units of pi"),
+    "theta_basis": _Param(gst.DEFAULT_THETA / math.pi, "--theta", ("gst", "entropy"),
+                          help="basis angle, units of pi"),
     "enumeration_cap": _Param(series.DEFAULT_ENUMERATION_CAP, "--cap", _ESTIMATORS, least=1,
                               help="enumeration cap"),
     "mode": _Param("exact", "--mode", _ESTIMATORS, choices=("exact", "shots", "gaussian")),
@@ -118,11 +119,19 @@ _BUDGET: dict[str, _Param] = {
 
 _BUNDLED = {"table1": "table1.json"}
 
-#: Reference Tr{G^m} measurements for the bundled model; shot-noisy at the
-#: source, so the oracle reproduces them only to a few parts in 1e3.
-_GOLDEN_G_POWERS = {2: 6.600, 3: 5.914, 4: 6.066, 5: 5.814, 6: 5.830, 7: 5.726, 8: 5.710}
-_GOLDEN_POWERS = {2: 0.650, 3: 0.486, 4: 0.375}
-_GOLDEN_ENTROPY = -0.600
+#: The ``--golden`` rows for the bundled model: (label, estimator, quantity,
+#: order, reference, tolerance, how the reference reads).  With no tolerance
+#: the value must round to the reference at 3 places.  The published Tr{G^m}
+#: are shot-noisy, so the oracle meets them only to a few parts in 1e3.
+_GOLDEN: tuple[tuple[str, str, str, int | None, float, float | None, str], ...] = (
+    *((f"tr_rho_power[{m}] {est}", est, "tr_rho_power", m, want, None, "want {:.3f}")
+      for m, want in ((2, 0.650), (3, 0.486), (4, 0.375)) for est in ("oracle", "ht", "gst")),
+    ("tr_g_power[2] gst", "gst", "tr_g_power", 2, 6.600, 1e-3, "want {:.3f} +- 1e-3"),
+    *((f"tr_g_power[{m}] oracle vs published", "oracle", "tr_g_power", m, want, 5e-3,
+       "published {:.3f} (shot-noisy)")
+      for m, want in enumerate((6.600, 5.914, 6.066, 5.814, 5.830, 5.726, 5.710), start=2)),
+    ("tr_rho_ln_rho exact", "oracle", "tr_rho_ln_rho", None, -0.600, None, "want {:.3f}"),
+)
 
 
 class ConfigError(ValueError):
@@ -218,8 +227,11 @@ def load_config(path: str) -> RunConfig:
     """Load and validate a config file; bare names like ``table1`` (or
     ``table1.config``) resolve to bundled configs."""
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("config", f"cannot read config file: {exc}") from exc
     else:
         stem = os.path.basename(path)
         for suffix in (".config", ".json"):
@@ -471,11 +483,9 @@ def _check_enumeration_caps(
 ) -> None:
     """Every enumeration cap check that the jobs' estimator calls make, in
     their order, before the first call: a run over the cap fails in set-up
-    time with the first over-cap call's record.  The config-level rejections
-    of ``_measure_mode`` come first, as in each call."""
+    time with the first over-cap call's record."""
     if estimator == "oracle" or params["strategy"] != "enumerate":
         return
-    _measure_mode(estimator, params)
     alpha, cap = spec.alpha, params["enumeration_cap"]
     for quantity, order, _ in jobs:
         if estimator == "gst":
@@ -489,15 +499,16 @@ def _check_enumeration_caps(
 
 def _estimate(
     spec: ensemble.EnsembleSpec, estimator: str, quantity: str, order: int | None,
-    params: dict[str, Any], seed: int, cache: gst.StageCache,
+    params: dict[str, Any], mode: noise_bounds.MeasureMode | None, seed: int,
+    cache: gst.StageCache,
 ) -> series.TraceEstimate:
-    """One job: the oracle's value, or one call, on ``seed``, of the HT or
-    GST estimator of ``quantity`` and the configured strategy.  ``cache`` is
-    the ``StageCache`` that all the run's GST calls share.  Estimators
-    are looked up on their modules at each call."""
+    """One job: the oracle's value, or one call, on ``seed`` and in the run's
+    ``mode``, of the HT or GST estimator of ``quantity`` and the configured
+    strategy.  ``cache`` is the ``StageCache`` that all the run's GST calls
+    share.  Estimators are looked up on their modules at each call."""
     if estimator == "oracle":
         return series.TraceEstimate(_exact(spec, quantity, order), 0.0, 1, series.MODE_ORACLE)
-    mode, enumerate_ = _measure_mode(estimator, params), params["strategy"] == "enumerate"
+    enumerate_ = params["strategy"] == "enumerate"
     cap, trials = params["enumeration_cap"], params["trials"]
     if estimator == "gst":
         settings = (params["strategy"], cap if enumerate_ else trials, params["epsilon_trunc"],
@@ -518,15 +529,18 @@ def _estimates(
     spec: ensemble.EnsembleSpec, estimator: str, jobs: Sequence[tuple], params: dict[str, Any],
     timing: bool = False,
 ) -> list[tuple[series.TraceEstimate, int | None]]:
-    """Each ``(quantity, order, stream)`` job's estimate and wall time, after
-    the run's cap pre-check.  A Monte Carlo job runs on _child_seed(master,
-    stream); the oracle and enumeration draw nothing and derive no seed, which
-    would load numpy's random module.  All the run's GST calls share one
-    ``StageCache``, valid because the run's params fix epsilon and theta."""
+    """Each ``(quantity, order, stream)`` job's estimate and wall time.  The
+    run's measurement model is resolved once, so its config-level rejections
+    come first, then the cap pre-check.  A Monte Carlo job runs on
+    _child_seed(master, stream); the oracle and enumeration draw nothing and
+    derive no seed, which would load numpy's random module.  All the run's
+    GST calls share one ``StageCache``, valid because the run's params fix
+    epsilon and theta."""
+    mode = None if estimator == "oracle" else _measure_mode(estimator, params)
     _check_enumeration_caps(spec, estimator, jobs, params)
     master, cache = params["seed"], gst.StageCache()
     draws = estimator != "oracle" and params["strategy"] == "mc"
-    return [_timed(timing, _estimate, spec, estimator, quantity, order, params,
+    return [_timed(timing, _estimate, spec, estimator, quantity, order, params, mode,
                    _child_seed(master, stream) if draws else master, cache)
             for quantity, order, stream in jobs]
 
@@ -633,10 +647,7 @@ def run_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
 
 
 def run_bounds(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
-    budget = {key: row.default for key, row in _BUDGET.items()} | (cfg.error_budget or {})
-    for key, row in _BUDGET.items():
-        if getattr(args, key) is not None:
-            budget[key] = _param_value(_BUDGET, key, getattr(args, key), row.flag)
+    budget = cfg.error_budget
     d, epsilon, eps1, shots = budget["d"], budget["epsilon"], budget["eps1"], budget["shots"]
     seed = cfg.params["seed"]
     entries: list[tuple[str, float]] = [
@@ -659,44 +670,21 @@ def run_bounds(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
 
 
 def run_golden(cfg: RunConfig, out) -> int:
-    """Reference-model regression rows; prints one PASS/FAIL line each.
-
-    Exact pipelines are held to 3 decimal places; the reference Tr{G^m}
-    values are themselves shot-noisy measurements and are checked at 5e-3.
-    """
-    spec = cfg.spec
-    failures = 0
-
-    def check(label: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        failures += 0 if ok else 1
-        out.write(f"{'PASS' if ok else 'FAIL'}  {label}: {detail}\n")
-
-    for m, want in sorted(_GOLDEN_POWERS.items()):
-        oracle = ensemble.exact_power_trace(spec, m)
-        htv = ht.estimate_power_trace_enumerate(spec, m - 1).value
-        gstv = gst.estimate_power_trace(spec, m).value
-        for label, got in (("oracle", oracle), ("ht", htv), ("gst", gstv)):
-            check(f"tr_rho_power[{m}] {label}", round(got, 3) == want,
-                  f"got {got:.6f}, want {want:.3f}")
-
-    g2 = gst.estimate_g_power_trace(spec, 2).value
-    check("tr_g_power[2] gst", abs(g2 - 6.600) <= 1e-3, f"got {g2:.6f}, want 6.600 +- 1e-3")
-
-    for m, want in sorted(_GOLDEN_G_POWERS.items()):
-        got = ensemble.exact_g_power_trace(spec, m)
-        check(f"tr_g_power[{m}] oracle vs published", abs(got - want) <= 5e-3,
-              f"got {got:.6f}, published {want:.3f} (shot-noisy)")
-
-    entropy_exact = ensemble.exact_entropy_trace(spec)
-    check("tr_rho_ln_rho exact", round(entropy_exact, 3) == _GOLDEN_ENTROPY,
-          f"got {entropy_exact:.6f}, want {_GOLDEN_ENTROPY:.3f}")
-
-    evaluate = _entropy_series(spec, "oracle", 9, cfg.params)
-    err = {n_t: abs(evaluate(series.entropy_weights(n_t)).value - entropy_exact) for n_t in (2, 8)}
-    check("entropy series error trend", err[8] < err[2],
-          f"order-8 err {err[8]:.4f} < order-2 err {err[2]:.4f}")
-
+    """The ``_GOLDEN`` rows, each a job at the ``_PARAMS`` defaults, then the
+    entropy series' error trend: one PASS/FAIL line each, written once all
+    have run."""
+    spec, params = cfg.spec, {key: row.default for key, row in _PARAMS.items()}
+    checks = []
+    for label, estimator, quantity, order, want, tolerance, reads in _GOLDEN:
+        got = _estimates(spec, estimator, [(quantity, order, 0)], params)[0][0].value
+        ok = round(got, 3) == want if tolerance is None else abs(got - want) <= tolerance
+        checks.append((ok, f"{label}: got {got:.6f}, {reads.format(want)}"))
+    evaluate, exact = _entropy_series(spec, "oracle", 9, params), _exact(spec, "tr_rho_ln_rho", None)
+    err = {n_t: abs(evaluate(series.entropy_weights(n_t)).value - exact) for n_t in (2, 8)}
+    checks.append((err[8] < err[2], "entropy series error trend: "
+                   f"order-8 err {err[8]:.4f} < order-2 err {err[2]:.4f}"))
+    failures = sum(not ok for ok, _ in checks)
+    out.writelines(f"{'PASS' if ok else 'FAIL'}  {check}\n" for ok, check in checks)
     out.write(f"{'ALL PASS' if failures == 0 else f'{failures} FAILURES'}\n")
     return 0 if failures == 0 else 1
 
@@ -765,15 +753,18 @@ _RUNNERS: dict[str, Callable[[RunConfig, argparse.Namespace], list[ResultRow]]] 
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """The config's params with each parameter flag given, checked as its
-    config key is; ``--shots`` sets ``gst_shots`` wherever GST runs."""
+    """The config's params and error budget, the budget over its defaults,
+    with each flag given, checked as its config key is; ``--shots`` sets
+    ``gst_shots`` wherever GST runs."""
     params = dict(cfg.params)
+    budget = {key: row.default for key, row in _BUDGET.items()} | (cfg.error_budget or {})
     runs_gst = "gst" in (args.command, getattr(args, "estimator", None))
-    for key, row in _PARAMS.items():
-        if args.command in row.commands and getattr(args, key) is not None:
-            target = "gst_shots" if key == "shots" and runs_gst else key
-            params[target] = _param_value(_PARAMS, target, getattr(args, key), row.flag)
-    return replace(cfg, params=params)
+    for table, values in ((_PARAMS, params), (_BUDGET, budget)):
+        for key, row in table.items():
+            if args.command in row.commands and getattr(args, key) is not None:
+                target = "gst_shots" if key == "shots" and runs_gst else key
+                values[target] = _param_value(table, target, getattr(args, key), row.flag)
+    return replace(cfg, params=params, error_budget=budget)
 
 
 #: The failures a run reports, first match first: the exception type, its
@@ -804,8 +795,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         if args.golden:
-            cfg = load_config(args.config)
-            return run_golden(cfg, sys.stdout)
+            return run_golden(load_config(args.config), sys.stdout)
         if args.command is None:
             parser.print_help()
             return 2

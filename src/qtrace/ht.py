@@ -28,11 +28,11 @@ G_a = I - 2|psi_a><psi_a| becomes c_a -= 2 (K c)_a, O(alpha) and
 independent of n; no 2**n vector is formed.  The trials of a chunk that
 share a prefix (initial component and the letters of the layers so far,
 "no layer" included) share one coefficient row, reflected once per level.
-Sharing stops at the first level where the prefixes would no longer repeat
-enough to pay (_KEY_TABLE_PER_ROW, _SHARED_PREFIX_SHARE); from there each
-trial has its own row, a row block at a time.  On the bundled alpha = 4
-model the first five levels of a full chunk are shared; at alpha = 400 none
-is.  P(0) is the same to the bit as with one row per trial throughout.
+Sharing stops at the first level whose key table would exceed
+_KEY_TABLE_PER_ROW entries per trial; from there each trial has its own
+row, a row block at a time.  On the bundled alpha = 4 model the first five
+levels of a full chunk are shared; at alpha = 400 none is.  P(0) is the same
+to the bit as with one row per trial throughout.
 
 Four estimators; the Monte Carlo ones take a ``noise_bounds.MeasureMode``,
 the noise model GST also takes:
@@ -104,17 +104,14 @@ _ENUM_BLOCK_ENTRIES = 1 << 14
 #: unblocked rows up to 1.8x slower.
 _ROW_BLOCK_ENTRIES = 1 << 15
 
-#: Prefix sharing in the Monte Carlo kernel: a level is keyed only while its
+#: Prefix sharing in the Monte Carlo kernel: a level is shared only while its
 #: key table, (distinct prefixes) x (letters), has at most this many entries
-#: per trial ...
+#: per trial.  With this bound an 8,192-trial chunk ran faster than one row
+#: per trial on every cell of alpha in {4, 16, 64, 400}, m in {2, 12}, with
+#: and without coin flips; a bound of 4 moved no cell beyond run-to-run spread.
+#: Without coin flips at alpha 80 to 90, where level 0 is shared though over
+#: half its prefixes are distinct, the chunk ran 2-14% slower than unshared.
 _KEY_TABLE_PER_ROW = 1
-
-#: ... and shared only while its distinct prefixes are at most this share of
-#: the trials.  With these two values an 8,192-trial chunk ran faster than
-#: one row per trial on every cell of alpha in {4, 16, 64, 400}, m in
-#: {2, 12}, with and without coin flips; a table bound of 4 or a share of
-#: 0.3 or 0.75 moved no cell beyond run-to-run spread.
-_SHARED_PREFIX_SHARE = 0.5
 
 #: Trials per chunk.  Fixed: the chunk layout is the RNG stream layout, so
 #: changing it changes every Monte Carlo result.
@@ -181,9 +178,8 @@ def _outcome_probabilities(
     coefficients.  So the layers are walked level by level with one
     coefficient row per distinct prefix, each reflected once.  A level's
     prefix ids come from dense (parent id, letter) keys.  Sharing stops once
-    the key table would exceed _KEY_TABLE_PER_ROW entries per trial or the
-    distinct prefixes exceed _SHARED_PREFIX_SHARE of the trials; the rest
-    runs one row per trial, in row blocks.  Every row meets the same
+    the key table would exceed _KEY_TABLE_PER_ROW entries per trial; the
+    rest runs one row per trial, in row blocks.  Every row meets the same
     einsum and subtraction on the same operands as one row per trial
     throughout would, so each P(0) is the same to the bit.
     """
@@ -198,8 +194,6 @@ def _outcome_probabilities(
         seen = np.zeros(len(init) * letters, dtype=bool)
         seen[key] = True
         keys = np.flatnonzero(seen)
-        if len(keys) > _SHARED_PREFIX_SHARE * b:
-            break
         new_id = np.empty(len(seen), dtype=np.intp)
         new_id[keys] = np.arange(len(keys))
         ids = new_id[key]

@@ -95,6 +95,29 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="no such config"):
             load_config("/definitely/not/here.json")
 
+    @pytest.mark.parametrize("case", ["directory", "unreadable", "not-utf-8"])
+    def test_unreadable_config_is_a_schema_violation(self, tmp_path, monkeypatch, capsys, case):
+        path = tmp_path / "cfg.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "unreadable":
+            path.write_text(bundled_config_text("table1"))
+
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(cli, "open", refuse, raising=False)
+        else:
+            path.write_bytes(b'{"schema": 1, "n_qubits": "\xff"}')
+        for argv in (["oracle", "--power", "2", "--config", str(path)],
+                     ["--golden", "--config", str(path)]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            record = json.loads(captured.err)
+            assert captured.out == ""
+            assert (record["error"], record["field"]) == ("schema-violation", "config")
+            assert record["message"].startswith("config: cannot read config file: ")
+
     @pytest.mark.parametrize(
         "mutate, field",
         [
@@ -393,11 +416,12 @@ class TestSubcommands:
         assert r.returncode == 2
         assert json.loads(r.stderr)["field"] == "sweep.parameter"
 
-    def test_golden_flag(self):
-        r = run_cli("--golden")
-        assert r.returncode == 0
-        assert "ALL PASS" in r.stdout
-        assert all(line.startswith(("PASS", "ALL")) for line in r.stdout.splitlines())
+    def test_golden_flag(self, capsys):
+        # The report's bytes pin each check's value to 6 places, the trend's to 4.
+        assert cli.main(["--golden"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("ALL PASS\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256, out
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--power", "2-4", "--g-power", "0-3", "--entropy"],
@@ -926,6 +950,9 @@ BYTE_PINS = {
     "bounds --d 3 --eps1 1e-3 --epsilon 0.1":
         "4e85115fbed27233730a5ce84f39ce897477995a350fdf5ee18adc603354ad64",
 }
+
+#: SHA-256 of the stdout of ``--golden``.
+GOLDEN_SHA256 = "d3c1aad5383056e829c86725c99fda7d0350da2cbb7ceb9ff9dfa746d31c71b4"
 
 #: The sweep section of the config that the ``sweep`` pin reads as ``{sweep}``.
 PIN_SWEEP = sweep("ht", "shots", [5000, 20000])

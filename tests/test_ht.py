@@ -587,8 +587,8 @@ def per_row_outcome_probabilities(e, comps, flags=None):
 #: row blocks.
 KERNEL_SETTINGS = [
     {},
-    {"_SHARED_PREFIX_SHARE": 0.0},
-    {"_KEY_TABLE_PER_ROW": 10**6, "_SHARED_PREFIX_SHARE": 1.0},
+    {"_KEY_TABLE_PER_ROW": 0},
+    {"_KEY_TABLE_PER_ROW": 10**6},
     {"_ROW_BLOCK_ENTRIES": 16},
 ]
 

@@ -90,6 +90,38 @@ def test_cli_imports_the_estimators_as_modules_only():
     assert names_imported_from(PACKAGE / "cli.py", {"ht", "gst"}) == []
 
 
+def estimator_calls_outside(path: Path, function: str) -> list[str]:
+    """Each call ``ht.estimate_*(...)`` or ``gst.estimate_*(...)`` in the
+    module at ``path`` that lies outside its top-level ``function``, as
+    ``module.name``."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(top, ast.FunctionDef) and top.name == function:
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("ht", "gst")
+                    and node.func.attr.startswith("estimate_")):
+                found.append(f"{node.func.value.id}.{node.func.attr}")
+    return found
+
+
+def test_estimator_calls_outside_reads_nested_calls(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("def _estimate():\n    return ht.estimate_power_trace_mc()\n"
+                    "def run():\n    x = [gst.estimate_power_trace(s).value for s in y]\n"
+                    "    ht.enumeration_word_count(4, 2)\n"
+                    "    return series.estimate_x()\n")
+    assert estimator_calls_outside(path, "_estimate") == ["gst.estimate_power_trace"]
+
+
+def test_cli_calls_the_estimators_only_in_its_job_dispatch():
+    # Every CLI path, ``--golden`` too, reaches HT and GST through one job
+    # dispatch, so no runner can call them with settings of its own.
+    assert estimator_calls_outside(PACKAGE / "cli.py", "_estimate") == []
+
+
 def test_ht_and_gst_import_nothing_from_each_other():
     assert "gst" not in imported_modules(PACKAGE / "ht.py")
     assert "ht" not in imported_modules(PACKAGE / "gst.py")
