@@ -43,7 +43,7 @@ from .errors import (
     IllConditionedGramError,
     ResourceLimitError,
 )
-from .qcore import MAX_QUBITS, ProductGate, RotationParams
+from .qcore import MAX_QUBITS
 from .rng import rng_stream
 
 COLUMNS = (
@@ -259,7 +259,7 @@ def parse_config(raw: Any) -> RunConfig:
 
     comps = raw.get("components")
     _expect(isinstance(comps, list) and comps, "components", "must be a non-empty list")
-    probs, gates = [], []
+    probs, kets = [], []
     for i, comp in enumerate(comps):
         field = f"components[{i}]"
         _expect(isinstance(comp, dict), field, "must be an object")
@@ -276,19 +276,22 @@ def parse_config(raw: Any) -> RunConfig:
         for j, triple in enumerate(angles):
             afield = f"{field}.angles[{j}]"
             _expect(isinstance(triple, list) and len(triple) == 3, afield, "must be [theta, phi, lambda]")
-            vals = [_expect_number(v, f"{afield}[{axis}]") for axis, v in enumerate(triple)]
-            factors.append(RotationParams(*(v * math.pi for v in vals)))
-        if len(factors) == 1:
-            factors = factors * n
+            radians = []
+            for axis, v in enumerate(triple):
+                r = _expect_number(v, f"{afield}[{axis}]") * math.pi
+                _expect(math.isfinite(r), f"{afield}[{axis}]", f"{v!r} * pi overflows the float range")
+                radians.append(r)
+            theta, phi, _ = radians
+            factors.append(ensemble.rotation_ket(theta, phi))
         probs.append(p)
-        gates.append(ProductGate(n, tuple(factors)))
+        kets.append(factors * n if len(factors) == 1 else factors)
     total = sum(probs)
     _expect(
         abs(total - 1.0) <= ensemble.PROB_SUM_TOL,
         "components",
         f"probabilities sum to {total!r}, not 1",
     )
-    spec = ensemble.EnsembleSpec(n, np.array(probs), tuple(gates))
+    spec = ensemble.EnsembleSpec(n, np.array(probs), np.array(kets))
 
     params = {key: row.default for key, row in _PARAMS.items()}
     raw_params = raw.get("params", {})
@@ -792,6 +795,8 @@ def _error_record(kind: str, exc: Exception, **extra: Any) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.golden and args.command is not None:
+        parser.error("--golden runs on its own; it takes no subcommand")
 
     try:
         if args.golden:

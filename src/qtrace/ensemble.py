@@ -4,10 +4,12 @@ An ensemble prepares the mixed state
 
     rho = sum_i p_i U_i |0><0|^n U_i^dagger = sum_i p_i |psi_i><psi_i|
 
-from known product gates U_i drawn with known probabilities p_i.  Everything
-in this module is ground truth for the estimators: traces of powers of rho,
-traces of powers of the encoding channel G = I - 2*rho and of rho G^j, traces
-of reflection words, and the entropy-like quantity Tr{rho ln rho}.
+from product preparations U_i = u_i1 (x) ... (x) u_in drawn with known
+probabilities p_i, each entering only through its per-qubit kets u_iq|0>,
+one (alpha, n, 2) array.  Everything in this module is ground truth for the
+estimators: traces of powers of rho, traces of powers of the encoding channel
+G = I - 2*rho and of rho G^j, traces of reflection words, and the
+entropy-like quantity Tr{rho ln rho}.
 
 Every psi_i lies in an alpha-dimensional span, so the oracle never needs a
 2**n vector.  The alpha x alpha Gram K_ij = <psi_i|psi_j> is a product of
@@ -26,13 +28,15 @@ tests compare the span-space paths against.  No estimator calls them, and
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .qcore import ProductGate, make_single_qubit_gate
+from .qcore import MAX_QUBITS
 
 #: Qubit cap of the dense cross-check ``exact_combination_trace``: one
 #: 2**12 x 2**12 complex matrix is 256 MiB.
@@ -45,6 +49,11 @@ _NULL_EIGENVALUE_RTOL = 16 * np.finfo(np.float64).eps
 
 #: Probability sums are validated against this before the single renormalization.
 PROB_SUM_TOL = 1e-9
+
+#: Each per-qubit ket must have |<k|k> - 1| at most this.  Rotation kets
+#: meet it to a few ulp; a state off by n times this scales every Gram entry
+#: and every trace by as much.
+KET_NORM_TOL = 1e-12
 
 #: Eigenvalues below this are treated as exact zeros in the entropy sum
 #: (lambda * ln lambda -> 0), which handles rank-deficient rho.
@@ -63,27 +72,32 @@ _COUNTED_DRAW_MAX_ALPHA = 128
 _GRAM_BLOCK_ROWS = 16
 
 
+def rotation_ket(theta: float, phi: float) -> tuple[complex, complex]:
+    """u|0> = (cos(theta/2), e^{i*phi} sin(theta/2)), the first column of the
+    rotation gate U(theta, phi, lam); lam phases only its second column, so it
+    drops out of every state."""
+    return math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0)
+
+
 @dataclass(frozen=True, eq=False)
 class EnsembleSpec:
-    """The random-state model: n qubits, component probabilities and gates.
+    """The random-state model: n qubits, component probabilities, and the
+    per-qubit kets u_iq|0> of each component as an (alpha, n, 2) array.
 
     Probabilities are validated (sum within PROB_SUM_TOL of 1) and then
     renormalized exactly once here; downstream code assumes exact
-    normalization.
+    normalization.  The kets must be finite unit vectors (KET_NORM_TOL),
+    with 1 <= n <= MAX_QUBITS.  Both arrays are stored as read-only copies.
     """
 
     n: int
     probs: np.ndarray = field(repr=False)
-    gates: tuple[ProductGate, ...]
+    kets: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probs must be a non-empty 1-D array")
-        if len(self.gates) != probs.size:
-            raise ValueError(
-                f"{probs.size} probabilities but {len(self.gates)} gates"
-            )
         # Written so that NaN fails too: every comparison with NaN is false.
         if not np.all((probs > 0.0) & (probs <= 1.0)):
             raise ValueError("component probabilities must lie in (0, 1]")
@@ -93,19 +107,26 @@ class EnsembleSpec:
                 f"component probabilities sum to {total!r}, "
                 f"off by more than {PROB_SUM_TOL}"
             )
-        for g in self.gates:
-            if g.n != self.n:
-                raise ValueError(
-                    f"gate qubit count {g.n} does not match ensemble n={self.n}"
-                )
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}] (MAX_QUBITS), got {self.n}")
+        kets = np.array(self.kets, dtype=np.complex128)
+        if kets.shape != (probs.size, self.n, 2):
+            raise ValueError(f"kets must have shape (alpha, n, 2) = "
+                             f"{(probs.size, self.n, 2)}, got {kets.shape}")
+        # Written so that a NaN or infinite entry fails too.  Squared parts,
+        # not np.abs: its complex loop adds 0.1 MiB to a CLI run's peak RSS.
+        if not np.all(np.abs((kets.real**2 + kets.imag**2).sum(axis=-1) - 1.0) <= KET_NORM_TOL):
+            raise ValueError(f"kets must be finite unit vectors, norm within {KET_NORM_TOL} of 1")
         probs = probs / total
-        probs.setflags(write=False)
+        for a in (probs, kets):
+            a.setflags(write=False)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "kets", kets)
 
     @property
     def alpha(self) -> int:
         """Number of ensemble components."""
-        return len(self.gates)
+        return len(self.probs)
 
     @property
     def dim(self) -> int:
@@ -116,14 +137,12 @@ class EnsembleSpec:
         """The component states |psi_i> = U_i|0...0> stacked as rows, shape
         (alpha, 2**n); read-only.
 
-        Row i is the kron of the per-qubit first columns u_iq|0>, qubit 0
-        most significant.  A dense cross-check for tests; no estimator reads
-        it.
+        Row i is the kron of the per-qubit kets u_iq|0>, qubit 0 most
+        significant.  A dense cross-check for tests; no estimator reads it.
         """
         m = np.ones((self.alpha, 1), dtype=np.complex128)
         for q in range(self.n):
-            cols = np.array([make_single_qubit_gate(g.factors[q])[:, 0] for g in self.gates])
-            m = (m[:, :, None] * cols[:, None, :]).reshape(self.alpha, -1)
+            m = (m[:, :, None] * self.kets[:, q, None, :]).reshape(self.alpha, -1)
         m.setflags(write=False)
         return m
 
@@ -136,18 +155,15 @@ class EnsembleSpec:
     def gram(self) -> np.ndarray:
         """The alpha x alpha Gram K_ij = <psi_i|psi_j>; read-only.
 
-        Built from each gate's per-qubit first columns u_iq|0> as
-        K_ij = prod_q <0|u_iq^dagger u_jq|0>, O(n alpha^2), _GRAM_BLOCK_ROWS
-        rows at a time; no 2**n vector is formed.
+        Built from the per-qubit kets as K_ij = prod_q <0|u_iq^dagger u_jq|0>,
+        O(n alpha^2), _GRAM_BLOCK_ROWS rows at a time; no 2**n vector is
+        formed.
         """
-        cols = np.array(
-            [[make_single_qubit_gate(p)[:, 0] for p in g.factors] for g in self.gates]
-        )
         k = np.empty((self.alpha, self.alpha), dtype=np.complex128)
         for lo in range(0, self.alpha, _GRAM_BLOCK_ROWS):
-            block = cols[lo:lo + _GRAM_BLOCK_ROWS]
+            block = self.kets[lo:lo + _GRAM_BLOCK_ROWS]
             k[lo:lo + len(block)] = np.prod(
-                np.einsum("iqa,jqa->ijq", block.conj(), cols), axis=-1
+                np.einsum("iqa,jqa->ijq", block.conj(), self.kets), axis=-1
             )
         k.setflags(write=False)
         return k

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qtrace import EnsembleSpec, ProductGate, RotationParams
+from qtrace import EnsembleSpec, rotation_ket
 
 #: The four-gate, n=3 reference model used throughout (probabilities
 #: .1/.2/.3/.4; each component the same single-qubit gate on every qubit).
@@ -28,12 +28,22 @@ def cli_env(**extra: str) -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else ""), **extra}
 
 
+def ket(theta: float, phi: float, lam: float) -> tuple[complex, complex]:
+    """u|0> of the rotation (theta, phi, lam), radians, as the CLI builds it."""
+    return rotation_ket(theta, phi)
+
+
+def angle_spec(n: int, probs, *components, ket=ket) -> EnsembleSpec:
+    """The ensemble whose component i rotates qubit q by the angle triple
+    ``components[i][q]`` (radians); a component given as one triple rotates
+    every qubit alike.  ``ket`` maps a triple to u|0>."""
+    kets = [[ket(*t) for t in (c if np.ndim(c) == 2 else [c] * n)] for c in components]
+    return EnsembleSpec(n, probs, np.array(kets))
+
+
 def reference_spec(n: int = 3) -> EnsembleSpec:
-    gates = tuple(
-        ProductGate.uniform(n, RotationParams(t * math.pi, p * math.pi, l * math.pi))
-        for t, p, l in REFERENCE_ANGLES
-    )
-    return EnsembleSpec(n, np.array(REFERENCE_PROBS), gates)
+    return angle_spec(n, REFERENCE_PROBS,
+                      *((t * math.pi, p * math.pi, l * math.pi) for t, p, l in REFERENCE_ANGLES))
 
 
 @pytest.fixture(scope="session")
@@ -41,19 +51,14 @@ def ref3() -> EnsembleSpec:
     return reference_spec(3)
 
 
-def random_rotation(rng: np.random.Generator) -> RotationParams:
-    return RotationParams(*(rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(3)))
-
-
-def random_product_gate(rng: np.random.Generator, n: int) -> ProductGate:
-    return ProductGate(n, tuple(random_rotation(rng) for _ in range(n)))
-
-
-def random_ensemble(rng: np.random.Generator, n: int, alpha: int) -> EnsembleSpec:
+def random_ensemble(rng: np.random.Generator, n: int, alpha: int, ket=ket) -> EnsembleSpec:
+    """Probabilities in [0.2, 1) renormalized, and one uniform angle triple
+    in [-2 pi, 2 pi) per qubit, drawn component by component."""
     probs = rng.uniform(0.2, 1.0, size=alpha)
     probs /= probs.sum()
-    gates = tuple(random_product_gate(rng, n) for _ in range(alpha))
-    return EnsembleSpec(n, probs, gates)
+    angles = [[[rng.uniform(-2 * math.pi, 2 * math.pi) for _ in range(3)] for _ in range(n)]
+              for _ in range(alpha)]
+    return angle_spec(n, probs, *angles, ket=ket)
 
 
 @st.composite
@@ -64,6 +69,5 @@ def small_ensembles(draw) -> EnsembleSpec:
     alpha = draw(st.integers(1, 6))
     spec = random_ensemble(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, alpha)
     if alpha > 1 and draw(st.booleans()):
-        gates = spec.gates[:-1] + spec.gates[:1]
-        spec = EnsembleSpec(n, spec.probs, gates)
+        spec = EnsembleSpec(n, spec.probs, np.concatenate([spec.kets[:-1], spec.kets[:1]]))
     return spec

@@ -3,12 +3,15 @@
 The package computes every trace from the alpha x alpha Gram of the
 component states; these helpers build rho itself from
 ``EnsembleSpec.state_matrix`` so tests can compare the two independently.
+``rotation_unitary`` is the full 2x2 gate of an angle triple, for dense
+cross-checks of the per-qubit kets.
 ``per_word_enumerate_block`` keeps the per-word HT enumeration kernel that
 the prefix-sharing one in ``ht`` must match bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -16,6 +19,24 @@ from functools import cached_property
 import numpy as np
 
 from qtrace.ensemble import DENSE_MAX_QUBITS, EnsembleSpec, exact_g_power_trace, exact_power_trace
+
+
+def rotation_unitary(theta: float, phi: float, lam: float) -> np.ndarray:
+    """The 2x2 unitary of rotation angles (theta, phi, lam):
+
+        [[ cos(t/2),            -e^{i*lam}  sin(t/2)        ],
+         [ e^{i*phi} sin(t/2),   e^{i*(lam+phi)} cos(t/2)   ]]
+    """
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array(
+        [[c, -cmath.exp(1j * lam) * s], [cmath.exp(1j * phi) * s, cmath.exp(1j * (lam + phi)) * c]],
+        dtype=np.complex128,
+    )
+
+
+def gate_column(theta: float, phi: float, lam: float) -> np.ndarray:
+    """u|0>, read off the full unitary: the route the ket array replaced."""
+    return rotation_unitary(theta, phi, lam)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,9 +14,6 @@ import numpy as np
 import pytest
 
 from qtrace import (
-    EnsembleSpec,
-    ProductGate,
-    RotationParams,
     exact_combination_trace,
     exact_entropy_trace,
     exact_g_power_trace,
@@ -35,7 +32,7 @@ from qtrace.ht import estimate_power_trace_enumerate, estimate_power_trace_mc
 from qtrace.noise_bounds import EXACT, MeasureMode, shots_for_accuracy, truncation_error_estimate
 from qtrace.series import MODE_ORACLE, TraceEstimate, entropy_weights, evaluate_series
 
-from .conftest import cli_env, random_ensemble, reference_spec
+from .conftest import angle_spec, cli_env, random_ensemble, reference_spec
 from .test_cli import BYTE_PINS
 
 
@@ -182,14 +179,7 @@ def test_criterion_07_truncation_behavior():
     (d drops by one) and the Tr{G^2} bias stays below the estimate."""
     overlap = 1.0 - 1e-8
     delta = 2.0 * math.acos(math.sqrt(overlap))  # per-qubit angle on 2 qubits
-    e = EnsembleSpec(
-        2,
-        np.array([0.5, 0.5]),
-        (
-            ProductGate.uniform(2, RotationParams(0.3, 0.0, 0.0)),
-            ProductGate.uniform(2, RotationParams(0.3 + delta, 0.0, 0.0)),
-        ),
-    )
+    e = angle_spec(2, [0.5, 0.5], (0.3, 0.0, 0.0), (0.3 + delta, 0.0, 0.0))
     got_overlap = abs(np.vdot(e.state_matrix[0], e.state_matrix[1]))
     assert got_overlap == pytest.approx(overlap, abs=1e-12)
 

@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -74,14 +75,15 @@ class TestConfigLoading:
         assert list(cfg.spec.probs) == pytest.approx([0.1, 0.2, 0.3, 0.4])
 
     def test_angles_are_units_of_pi(self):
+        # Component 0 is (0.29, 0.07, 0.11): its ket (cos(theta/2), e^{i phi} sin(theta/2)).
         cfg = load_config("table1")
-        assert cfg.spec.gates[0].factors[0].theta == pytest.approx(0.29 * math.pi)
+        assert cfg.spec.kets[0, 0] == pytest.approx(
+            [math.cos(0.145 * math.pi), cmath.exp(0.07j * math.pi) * math.sin(0.145 * math.pi)])
 
     def test_single_triple_broadcasts(self):
         cfg = parse_config(base_config())
-        g = cfg.spec.gates[0]
-        assert len(g.factors) == 3
-        assert len(set(g.factors)) == 1
+        assert cfg.spec.kets.shape == (4, 3, 2)
+        assert len({row.tobytes() for row in cfg.spec.kets[0]}) == 1
 
     def test_per_qubit_angles(self, tmp_path):
         raw = base_config()
@@ -89,7 +91,7 @@ class TestConfigLoading:
             {"prob": 1.0, "angles": [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]}
         ]
         cfg = parse_config(raw)
-        assert len(set(cfg.spec.gates[0].factors)) == 3
+        assert len({row.tobytes() for row in cfg.spec.kets[0]}) == 3
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="no such config"):
@@ -128,6 +130,11 @@ class TestConfigLoading:
             (lambda c: c["params"].update(timeline=3), "params.timeline"),
             (lambda c: c["params"].update(mode="psychic"), "params.mode"),
             (lambda c: c.update(extra_field=1), "extra_field"),
+            pytest.param(lambda c: c["components"][0].update(angles=[[1e308, 0, 0.2]]),
+                         "components[0].angles[0][0]", id="overflowing-theta"),
+            pytest.param(lambda c: c["components"][3].update(angles=[[0.2, 0, 0.1]] * 2
+                                                              + [[0.2, 0, -1e308]]),
+                         "components[3].angles[2][2]", id="overflowing-lambda"),
             (lambda c: c["params"].update(ht_sigma=-0.5), "params.ht_sigma"),
             pytest.param(lambda c: c["params"].update(ht_sigma=10**400), "params.ht_sigma",
                          id="huge-int-params.ht_sigma"),
@@ -422,6 +429,15 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert out.endswith("ALL PASS\n")
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256, out
+
+    def test_golden_takes_no_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--golden", "oracle", "--power", "2"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "qtrace: error: --golden runs on its own; it takes no subcommand")
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--power", "2-4", "--g-power", "0-3", "--entropy"],

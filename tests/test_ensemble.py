@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import tracemalloc
 from itertools import product
@@ -6,36 +7,43 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtrace import (
     EnsembleSpec,
-    ProductGate,
-    RotationParams,
+    cli,
     exact_combination_trace,
     exact_entropy_trace,
     exact_g_power_trace,
     exact_power_trace,
     exact_rho_g_power_trace,
 )
-from qtrace.qcore import make_single_qubit_gate
+from qtrace.ensemble import KET_NORM_TOL
+from qtrace.qcore import MAX_QUBITS
 
-from .conftest import random_ensemble, reference_spec, small_ensembles
-from .dense_reference import DensityMatrix, binomial_power_identity_residual, build_density_matrix
+from .conftest import angle_spec, random_ensemble, reference_spec, small_ensembles
+from .dense_reference import (
+    DensityMatrix,
+    binomial_power_identity_residual,
+    build_density_matrix,
+    gate_column,
+)
+
+#: |0>, as a (1, 2) per-qubit ket row.
+ZERO_KET = np.array([[1.0, 0.0]])
 
 
-def pure_spec(n=2, params=RotationParams(0.3, 0.1, 0.9)) -> EnsembleSpec:
-    return EnsembleSpec(n, np.array([1.0]), (ProductGate.uniform(n, params),))
+def pure_spec(n=2, triple=(0.3, 0.1, 0.9)) -> EnsembleSpec:
+    return angle_spec(n, [1.0], triple)
 
 
 def two_state_mixture() -> EnsembleSpec:
-    identity = ProductGate.uniform(1, RotationParams(0, 0, 0))
-    x_like = ProductGate.uniform(1, RotationParams(math.pi, 0, math.pi))
-    return EnsembleSpec(1, np.array([0.5, 0.5]), (identity, x_like))
+    return angle_spec(1, [0.5, 0.5], (0, 0, 0), (math.pi, 0, math.pi))
 
 
 class TestBuildDensityMatrix:
     def test_single_identity_component(self):
-        rho = build_density_matrix(pure_spec(1, RotationParams(0, 0, 0)))
+        rho = build_density_matrix(pure_spec(1, (0, 0, 0)))
         assert np.allclose(rho.entries, np.diag([1.0, 0.0]))
 
     def test_even_mixture_is_maximally_mixed(self):
@@ -49,21 +57,18 @@ class TestBuildDensityMatrix:
         assert np.linalg.matrix_rank(rho.entries, tol=1e-10) <= 4
 
     def test_probability_sum_validation(self):
-        gate = ProductGate.uniform(1, RotationParams(0, 0, 0))
         with pytest.raises(ValueError, match="sum"):
-            EnsembleSpec(1, np.array([0.5, 0.4]), (gate, gate))
+            EnsembleSpec(1, np.array([0.5, 0.4]), [ZERO_KET, ZERO_KET])
 
     def test_non_finite_probability_rejected(self):
-        gate = ProductGate.uniform(1, RotationParams(0, 0, 0))
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=r"\(0, 1\]"):
-                EnsembleSpec(1, np.array([bad]), (gate,))
+                EnsembleSpec(1, np.array([bad]), [ZERO_KET])
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            EnsembleSpec(1, np.array([0.5, np.nan]), (gate, gate))
+            EnsembleSpec(1, np.array([0.5, np.nan]), [ZERO_KET, ZERO_KET])
 
     def test_probabilities_renormalized_once(self):
-        gate = ProductGate.uniform(1, RotationParams(0, 0, 0))
-        spec = EnsembleSpec(1, np.array([0.5, 0.5 + 5e-10]), (gate, gate))
+        spec = EnsembleSpec(1, np.array([0.5, 0.5 + 5e-10]), [ZERO_KET, ZERO_KET])
         assert spec.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_density_matrix_invariants_enforced(self):
@@ -71,6 +76,63 @@ class TestBuildDensityMatrix:
             DensityMatrix(1, np.array([[0.5, 1.0], [0.0, 0.5]]))
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(1, np.diag([0.7, 0.7]))
+
+
+class TestKetArray:
+    """``EnsembleSpec`` takes each component's per-qubit kets as one
+    (alpha, n, 2) array and checks it."""
+
+    def test_qubit_cap(self):
+        for n in (0, MAX_QUBITS + 1):
+            with pytest.raises(ValueError, match="MAX_QUBITS"):
+                EnsembleSpec(n, np.array([1.0]), np.tile([1.0, 0.0], (1, n, 1)))
+
+    def test_factor_count_must_match(self):
+        # n = 2 with one or three per-qubit kets, kets of three amplitudes,
+        # or two components for one probability.
+        for kets in (np.tile([1.0, 0.0], (1, 1, 1)), np.tile([1.0, 0.0], (1, 3, 1)),
+                     np.ones((1, 2, 3)) / math.sqrt(3), np.tile([1.0, 0.0], (2, 2, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                EnsembleSpec(2, np.array([1.0]), kets)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_ket_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite unit"):
+            EnsembleSpec(1, np.array([1.0]), [[[1.0, bad]]])
+
+    def test_ket_norm_within_tolerance(self):
+        EnsembleSpec(1, np.array([1.0]), [[[math.sqrt(1 + 0.4 * KET_NORM_TOL), 0.0]]])
+        for norm_sq in (1 + 10 * KET_NORM_TOL, 0.5):
+            with pytest.raises(ValueError, match="finite unit"):
+                EnsembleSpec(1, np.array([1.0]), [[[math.sqrt(norm_sq), 0.0]]])
+
+    def test_kets_stored_as_read_only_copy(self):
+        kets = np.tile([1.0 + 0j, 0.0], (1, 2, 1))
+        spec = EnsembleSpec(2, np.array([1.0]), kets)
+        kets[0, 0] = [0.0, 1.0]
+        assert spec.kets[0, 0, 0] == 1.0
+        with pytest.raises(ValueError):
+            spec.kets[0, 0, 0] = 0.0
+
+    def test_table1_bytes_match_the_gate_route(self):
+        # Kets read off the full 2x2 unitaries of the config's angles, as
+        # the Gram and the dense states were built before the ket array.
+        raw = json.loads(cli.bundled_config_text("table1"))
+        spec = cli.load_config("table1").spec
+        gates = angle_spec(raw["n_qubits"], [c["prob"] for c in raw["components"]],
+                           *([v * math.pi for v in c["angles"][0]] for c in raw["components"]),
+                           ket=gate_column)
+        for name in ("probs", "kets", "gram", "state_matrix"):
+            assert getattr(spec, name).tobytes() == getattr(gates, name).tobytes(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_small_ensembles_bytes_match_the_gate_route(self, n, alpha, seed):
+        # The draws and generator of ``small_ensembles``.
+        spec = random_ensemble(np.random.default_rng(seed), n, alpha)
+        gates = random_ensemble(np.random.default_rng(seed), n, alpha, ket=gate_column)
+        for name in ("kets", "gram", "state_matrix"):
+            assert getattr(spec, name).tobytes() == getattr(gates, name).tobytes(), name
 
 
 class TestExactPowerTrace:
@@ -246,9 +308,8 @@ class TestSampleComponent:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-        cols = np.array([[make_single_qubit_gate(p)[:, 0] for p in g.factors]
-                         for g in spec.gates])
-        one_shot = np.prod(np.einsum("iqa,jqa->ijq", cols.conj(), cols), axis=-1)
+        kets = spec.kets
+        one_shot = np.prod(np.einsum("iqa,jqa->ijq", kets.conj(), kets), axis=-1)
         assert gram.tobytes() == one_shot.tobytes()
 
 
@@ -259,11 +320,10 @@ class TestOracleScale:
         # (1 +- sqrt(1 - 4 p1 p2 (1 - |c|^(2n))))/2 and
         # Tr{rho^2} = p1^2 + p2^2 + 2 p1 p2 |c|^(2n).
         n, p1, p2 = 20, 0.3, 0.7
-        a, b = RotationParams(0.4, 1.0, 0.2), RotationParams(0.6, 1.3, 2.1)
-        spec = EnsembleSpec(n, np.array([p1, p2]),
-                            (ProductGate.uniform(n, a), ProductGate.uniform(n, b)))
-        c = (math.cos(a.theta / 2) * math.cos(b.theta / 2)
-             + cmath.exp(1j * (b.phi - a.phi)) * math.sin(a.theta / 2) * math.sin(b.theta / 2))
+        (ta, pa, _), (tb, pb, _) = a, b = (0.4, 1.0, 0.2), (0.6, 1.3, 2.1)
+        spec = angle_spec(n, [p1, p2], a, b)
+        c = (math.cos(ta / 2) * math.cos(tb / 2)
+             + cmath.exp(1j * (pb - pa)) * math.sin(ta / 2) * math.sin(tb / 2))
         overlap_sq = abs(c) ** (2 * n)
         assert 0.01 < overlap_sq < 0.99
         purity = p1**2 + p2**2 + 2 * p1 * p2 * overlap_sq
@@ -276,7 +336,7 @@ class TestOracleScale:
         assert "states" not in spec.__dict__ and "state_matrix" not in spec.__dict__
 
     def test_dense_word_trace_capped(self):
-        spec = pure_spec(13, RotationParams(0.1, 0.2, 0.3))
+        spec = pure_spec(13, (0.1, 0.2, 0.3))
         with pytest.raises(ValueError, match="n <= 12"):
             exact_combination_trace(spec, (0,))
 
@@ -286,7 +346,7 @@ class TestSpanOracleMatchesDense:
 
     def test_duplicated_component_has_rank_deficient_gram(self):
         spec = random_ensemble(np.random.default_rng(3), 4, 3)
-        dup = EnsembleSpec(4, spec.probs, spec.gates[:2] + spec.gates[:1])
+        dup = EnsembleSpec(4, spec.probs, np.concatenate([spec.kets[:2], spec.kets[:1]]))
         assert np.linalg.matrix_rank(dup.gram, tol=1e-10) == 2
         assert dup.span_eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
 

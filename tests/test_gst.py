@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from qtrace import (
     EnsembleSpec,
-    ProductGate,
-    RotationParams,
     exact_combination_trace,
     exact_g_power_trace,
     exact_power_trace,
@@ -41,11 +39,11 @@ from qtrace.qcore import reflect_amplitudes
 from qtrace.rng import rng_stream
 from qtrace.series import binomial_weights, evaluate_series
 
-from .conftest import random_ensemble, reference_spec, small_ensembles
+from .conftest import angle_spec, random_ensemble, reference_spec, small_ensembles
 
 
 def pure_spec(n=3) -> EnsembleSpec:
-    return EnsembleSpec(n, np.array([1.0]), (ProductGate.uniform(n, RotationParams(0.3, 0.1, 0.9)),))
+    return angle_spec(n, [1.0], (0.3, 0.1, 0.9))
 
 
 def word(e, *indices) -> tuple[int, ...]:
@@ -244,9 +242,8 @@ class TestSampleCombination:
     def test_underflowing_word_weight_contributes_nothing(self):
         # The weight of word (0,) * 11 underflows to 0.0: the word adds
         # nothing to the sum instead of stopping the estimate.
-        gates = tuple(ProductGate.uniform(2, RotationParams(*(a * math.pi for a in angles)))
-                      for angles in ((0.29, 0.07, 0.11), (0.46, 0.62, 0.82)))
-        e = EnsembleSpec(2, np.array([1e-30, 1.0]), gates)
+        e = angle_spec(2, [1e-30, 1.0], *([a * math.pi for a in angles]
+                                           for angles in ((0.29, 0.07, 0.11), (0.46, 0.62, 0.82))))
         assert 1e-30**11 == 0.0
         est = estimate_g_power_trace(e, 11)
         assert est.value == pytest.approx(exact_g_power_trace(e, 11), abs=1e-12)
@@ -254,14 +251,7 @@ class TestSampleCombination:
 
 class TestBuildSubspace:
     def test_orthogonal_states_both_retained(self):
-        e = EnsembleSpec(
-            1,
-            np.array([0.5, 0.5]),
-            (
-                ProductGate.uniform(1, RotationParams(0, 0, 0)),
-                ProductGate.uniform(1, RotationParams(math.pi, 0, math.pi)),
-            ),
-        )
+        e = angle_spec(1, [0.5, 0.5], (0, 0, 0), (math.pi, 0, math.pi))
         b = build_subspace(e, word(e, 0, 1), 0.9)
         assert b.d == 2 and not b.discarded
 
@@ -270,8 +260,7 @@ class TestBuildSubspace:
         assert b.d == 1 and not b.discarded
 
     def test_physical_duplicate_merged_not_truncated(self):
-        gate = ProductGate.uniform(2, RotationParams(0.4, 0.8, 1.0))
-        e = EnsembleSpec(2, np.array([0.5, 0.5]), (gate, gate))
+        e = angle_spec(2, [0.5, 0.5], (0.4, 0.8, 1.0), (0.4, 0.8, 1.0))
         b = build_subspace(e, word(e, 0, 1), 1e-10)
         assert b.d == 1 and not b.discarded
 
@@ -280,14 +269,7 @@ class TestBuildSubspace:
         # (0.64 / 1.36)^2; cross-checked against the 2-state Hilbert-Schmidt
         # Gram spectrum {1, a, a, a^2}.
         theta = 2 * math.acos(0.6)
-        e = EnsembleSpec(
-            1,
-            np.array([0.5, 0.5]),
-            (
-                ProductGate.uniform(1, RotationParams(0, 0, 0)),
-                ProductGate.uniform(1, RotationParams(theta, 0, 0)),
-            ),
-        )
+        e = angle_spec(1, [0.5, 0.5], (0, 0, 0), (theta, 0, 0))
         stat = (0.64 / 1.36) ** 2
         kept = build_subspace(e, word(e, 0, 1), stat * 0.999)
         dropped = build_subspace(e, word(e, 0, 1), stat * 1.001)
@@ -514,14 +496,7 @@ class TestAugmentation:
         # dense probe search moves on to e_0.  The package's augmentation
         # state lives on span_states rows and forms no 2**n vector.
         n = 16
-        e = EnsembleSpec(
-            n,
-            np.array([0.5, 0.5]),
-            (
-                ProductGate.uniform(n, RotationParams(math.pi / 2, 0, 0)),
-                ProductGate.uniform(n, RotationParams(0.7, 0.4, 0.1)),
-            ),
-        )
+        e = angle_spec(n, [0.5, 0.5], (math.pi / 2, 0, 0), (0.7, 0.4, 0.1))
         q = word(e, 0, 1)
         tracemalloc.start()
         try:
@@ -548,14 +523,7 @@ class TestAugmentation:
                              - e.state_matrix.conj() @ dense_phi)) < 1e-12
 
     def test_degenerate_augmentation_when_states_fill_space(self):
-        e = EnsembleSpec(
-            1,
-            np.array([0.5, 0.5]),
-            (
-                ProductGate.uniform(1, RotationParams(0, 0, 0)),
-                ProductGate.uniform(1, RotationParams(math.pi / 2, 0, 0)),
-            ),
-        )
+        e = angle_spec(1, [0.5, 0.5], (0, 0, 0), (math.pi / 2, 0, 0))
         q = word(e, 0, 1)
         b = build_subspace(e, q, 1e-10)
         with pytest.raises(DegenerateAugmentationError, match="span"):
@@ -763,12 +731,11 @@ def gst_words(draw):
     return e, word(e, *indices), epsilon, mode, draw(st.integers(0, 2**32 - 1))
 
 
-def _spec(n, *gates):
-    return EnsembleSpec(n, np.full(len(gates), 1.0 / len(gates)), gates)
+def _spec(n, *components):
+    return angle_spec(n, np.full(len(components), 1.0 / len(components)), *components)
 
 
-_G = [ProductGate.uniform(1, RotationParams(t, p, l))
-      for t, p, l in ((0.3, 0.1, 0.9), (2.1, 0.4, 1.3), (1.2, 2.5, 0.2))]
+_G = [(0.3, 0.1, 0.9), (2.1, 0.4, 1.3), (1.2, 2.5, 0.2)]
 #: One qubit: one state three times (rank 1 < 2**n <= alpha, so the null
 #: eigenvalues of the Gram must embed as exact zeros), and three states that
 #: fill the space.
@@ -1008,9 +975,8 @@ def stage_calls(monkeypatch):
 
 #: Two components 2.8e-4 apart at n = 2: below epsilon = 1e-30 nothing is
 #: truncated, and the exact d = 2 Gram of word (0, 1) is numerically singular.
-_NEAR_TWINS = EnsembleSpec(2, np.array([0.5, 0.5]), tuple(
-    ProductGate(2, (RotationParams(t * math.pi, 0.0, 0.0),) * 2)
-    for t in (0.30, 0.30 + 2.0 * math.sqrt(2.0) * 1e-4 / math.pi)
+_NEAR_TWINS = angle_spec(2, [0.5, 0.5], *(
+    (t * math.pi, 0.0, 0.0) for t in (0.30, 0.30 + 2.0 * math.sqrt(2.0) * 1e-4 / math.pi)
 ))
 
 

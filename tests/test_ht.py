@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from qtrace import (
     EnsembleSpec,
-    ProductGate,
-    RotationParams,
     cli,
     exact_power_trace,
     exact_rho_g_power_trace,
@@ -36,7 +34,7 @@ from qtrace.series import (
     TraceEstimate,
 )
 
-from .conftest import random_ensemble, reference_spec, small_ensembles
+from .conftest import angle_spec, random_ensemble, reference_spec, small_ensembles
 from .dense_reference import per_word_enumerate_block
 
 ONE_SHOT = MeasureMode("shots", shots=1)
@@ -44,13 +42,11 @@ GAUSSIAN = MeasureMode("gaussian", sigma=0.01)
 
 
 def pure_spec(n=2) -> EnsembleSpec:
-    return EnsembleSpec(n, np.array([1.0]), (ProductGate.uniform(n, RotationParams(0.3, 0.1, 0.9)),))
+    return angle_spec(n, [1.0], (0.3, 0.1, 0.9))
 
 
 def two_component_spec() -> EnsembleSpec:
-    g1 = ProductGate.uniform(2, RotationParams(0.4, 1.2, 0.3))
-    g2 = ProductGate.uniform(2, RotationParams(1.1, 0.2, 2.0))
-    return EnsembleSpec(2, np.array([0.35, 0.65]), (g1, g2))
+    return angle_spec(2, [0.35, 0.65], (0.4, 1.2, 0.3), (1.1, 0.2, 2.0))
 
 
 def exact_p0(e, initial, word):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtrace import EnsembleSpec, qcore
-from qtrace.qcore import ProductGate, RotationParams, make_single_qubit_gate, reflect_amplitudes
+from qtrace import EnsembleSpec, rotation_ket
+from qtrace.qcore import reflect_amplitudes
 
-from .conftest import random_ensemble, random_product_gate
+from .conftest import angle_spec, random_ensemble
+from .dense_reference import gate_column, rotation_unitary
 
 #: Equality / norm-preservation tolerance for states.
 EQ_TOL = 1e-10
@@ -25,21 +26,10 @@ def basis_state(n: int, index: int) -> np.ndarray:
     return amps
 
 
-def spec_of(*gates: ProductGate) -> EnsembleSpec:
-    """An equal-weight ensemble of the given gates."""
-    return EnsembleSpec(gates[0].n, np.full(len(gates), 1.0 / len(gates)), gates)
-
-
-def prepared(gate: ProductGate) -> np.ndarray:
-    """gate|0...0>, as the ensemble's state_matrix row."""
-    return spec_of(gate).state_matrix[0]
-
-
-def dense_gate_matrix(g: ProductGate) -> np.ndarray:
-    m = np.ones((1, 1), dtype=complex)
-    for p in g.factors:
-        m = np.kron(m, make_single_qubit_gate(p))
-    return m
+def prepared(n: int, triple) -> np.ndarray:
+    """u^{(x)n}|0...0> for the rotation angles ``triple``, as the ensemble's
+    state_matrix row."""
+    return angle_spec(n, [1.0], triple).state_matrix[0]
 
 
 def dense_reflection_matrix(axis: np.ndarray, phase: float) -> np.ndarray:
@@ -50,28 +40,29 @@ def dense_reflection_matrix(axis: np.ndarray, phase: float) -> np.ndarray:
 
 
 class TestSingleQubitGate:
+    """``rotation_ket``: the first column u|0> of the single-qubit rotation."""
+
     def test_identity_params(self):
-        assert np.allclose(make_single_qubit_gate(RotationParams(0, 0, 0)), np.eye(2))
+        assert rotation_ket(0, 0) == (1, 0)
 
     def test_pauli_x_layout(self):
-        # (pi, 0, pi): off-diagonals (0, -e^{i*pi}) = (0, 1) and e^{i*0} = 1.
-        u = make_single_qubit_gate(RotationParams(math.pi, 0.0, math.pi))
-        assert np.allclose(u, np.array([[0, 1], [1, 0]]), atol=1e-15)
+        assert np.allclose(rotation_ket(math.pi, 0.0), [0, 1], atol=1e-15)
 
     def test_reference_gate_magnitude(self):
-        u = make_single_qubit_gate(
-            RotationParams(0.29 * math.pi, 0.07 * math.pi, 0.11 * math.pi)
-        )
-        assert abs(u[0, 0]) == pytest.approx(math.cos(0.145 * math.pi), abs=1e-12)
+        k = rotation_ket(0.29 * math.pi, 0.07 * math.pi)
+        assert abs(k[0]) == pytest.approx(math.cos(0.145 * math.pi), abs=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            RotationParams(math.nan, 0.0, 0.0)
+            angle_spec(1, [1.0], (math.nan, 0.0, 0.0))
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(angles, angles, angles)
     def test_unitarity(self, theta, phi, lam):
-        u = make_single_qubit_gate(RotationParams(theta, phi, lam))
+        # The ket is the unitary's first column to the byte.
+        ket = np.array(rotation_ket(theta, phi), dtype=np.complex128)
+        assert ket.tobytes() == gate_column(theta, phi, lam).tobytes()
+        u = rotation_unitary(theta, phi, lam)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < UNITARY_TOL
 
 
@@ -79,27 +70,31 @@ class TestPrepareState:
     """``EnsembleSpec.state_matrix`` rows are the prepared states U_i|0...0>."""
 
     def test_identity_gate(self):
-        s = prepared(ProductGate.uniform(2, RotationParams(0, 0, 0)))
-        assert np.allclose(s, [1, 0, 0, 0])
+        assert np.allclose(prepared(2, (0, 0, 0)), [1, 0, 0, 0])
 
     def test_single_qubit_rotation(self):
-        s = prepared(ProductGate.uniform(1, RotationParams(math.pi / 2, 0, 0)))
+        s = prepared(1, (math.pi / 2, 0, 0))
         assert np.allclose(s, [math.cos(math.pi / 4), math.sin(math.pi / 4)])
 
     def test_reference_row_on_three_qubits(self):
-        p = RotationParams(0.29 * math.pi, 0.07 * math.pi, 0.11 * math.pi)
-        s = prepared(ProductGate.uniform(3, p))
+        s = prepared(3, (0.29 * math.pi, 0.07 * math.pi, 0.11 * math.pi))
         assert s[0] == pytest.approx(math.cos(0.145 * math.pi) ** 3, abs=1e-12)
 
     def test_matches_dense_gate_column(self):
-        e = random_ensemble(np.random.default_rng(11), 3, 5)
-        for g, row in zip(e.gates, e.state_matrix):
-            assert np.allclose(row, dense_gate_matrix(g)[:, 0], atol=1e-12)
+        # The dense side is the kron of full 2x2 unitaries, not the ket array.
+        rng = np.random.default_rng(11)
+        components = rng.uniform(-2 * math.pi, 2 * math.pi, size=(5, 3, 3))
+        e = angle_spec(3, np.full(5, 0.2), *components)
+        for comp, row in zip(components, e.state_matrix):
+            dense = np.ones((1, 1), dtype=complex)
+            for triple in comp:
+                dense = np.kron(dense, rotation_unitary(*triple))
+            assert np.allclose(row, dense[:, 0], atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(angles, angles, angles)
     def test_norm_one(self, theta, phi, lam):
-        s = prepared(ProductGate.uniform(3, RotationParams(theta, phi, lam)))
+        s = prepared(3, (theta, phi, lam))
         assert abs(np.linalg.norm(s) - 1.0) < EQ_TOL
 
 
@@ -111,7 +106,7 @@ class TestReflection:
         assert np.allclose(reflect_amplitudes(basis_state(2, 0), math.pi, s), s)
 
     def test_axis_negated(self):
-        axis = prepared(ProductGate.uniform(2, RotationParams(1.0, 0.4, 2.2)))
+        axis = prepared(2, (1.0, 0.4, 2.2))
         out = reflect_amplitudes(axis, math.pi, axis)
         assert np.allclose(out, -axis, atol=1e-12)
 
@@ -125,7 +120,7 @@ class TestReflection:
         # The whole state block is reflected at once, as the GST stages do.
         rng = np.random.default_rng(n)
         for _ in range(4):
-            axis = prepared(random_product_gate(rng, n))
+            axis = random_ensemble(rng, n, 1).state_matrix[0]
             block = random_ensemble(rng, n, 3).state_matrix
             phase = rng.uniform(0.1, 2 * math.pi)
             fast = reflect_amplitudes(axis, phase, block)
@@ -147,21 +142,15 @@ class TestOverlap:
     """Overlaps <psi_i|psi_j> live in ``EnsembleSpec.gram``."""
 
     def test_self_overlap(self):
-        e = spec_of(ProductGate.uniform(2, RotationParams(0.7, 1.1, 0.2)))
+        e = angle_spec(2, [1.0], (0.7, 1.1, 0.2))
         assert e.gram[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_basis_states(self):
-        e = spec_of(
-            ProductGate.uniform(1, RotationParams(0, 0, 0)),
-            ProductGate.uniform(1, RotationParams(math.pi, 0, math.pi)),
-        )
+        e = angle_spec(1, [0.5, 0.5], (0, 0, 0), (math.pi, 0, math.pi))
         assert e.gram[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_rotated_against_zero(self):
-        e = spec_of(
-            ProductGate.uniform(1, RotationParams(0, 0, 0)),
-            ProductGate.uniform(1, RotationParams(math.pi / 2, 0, 0)),
-        )
+        e = angle_spec(1, [0.5, 0.5], (0, 0, 0), (math.pi / 2, 0, 0))
         assert e.gram[0, 1] == pytest.approx(math.cos(math.pi / 4), abs=1e-12)
 
     def test_conjugate_symmetry(self):
@@ -169,23 +158,12 @@ class TestOverlap:
         assert np.max(np.abs(k - k.conj().T)) < 1e-14
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            spec_of(
-                ProductGate.uniform(1, RotationParams(0, 0, 0)),
-                ProductGate.uniform(2, RotationParams(0, 0, 0)),
-            )
+        with pytest.raises(ValueError):
+            EnsembleSpec(1, np.array([0.5, 0.5]), [[[1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]])
 
 
 class TestValueSemantics:
     def test_amplitudes_read_only(self):
-        s = prepared(ProductGate.uniform(2, RotationParams(0, 0, 0)))
+        s = prepared(2, (0, 0, 0))
         with pytest.raises(ValueError):
             s[0] = 0.0
-
-    def test_qubit_cap(self):
-        with pytest.raises(ValueError, match="MAX_QUBITS"):
-            ProductGate.uniform(qcore.MAX_QUBITS + 1, RotationParams(0, 0, 0))
-
-    def test_factor_count_must_match(self):
-        with pytest.raises(ValueError, match="factors"):
-            ProductGate(2, (RotationParams(0, 0, 0),))
