@@ -102,8 +102,8 @@ _PARAMS: dict[str, _Param] = {
     "gst_sigma": _Param(0.0001, "--gst-sigma", ("gst", "entropy"), least=0,
                         help="Gaussian noise on each GST matrix entry (gaussian mode)"),
     "allow_pseudoinverse": _Param(False, "--pinv", ("gst", "entropy"),
-                                  help="pseudo-inverse fallback for ill-conditioned Grams "
-                                       "(biases traces)"),
+                                  help="run past the Gram conditioning floor: exact mode "
+                                       "as usual, noisy modes by pseudo-inverse (biased)"),
 }
 
 #: The ``error_budget`` keys, each also a ``bounds`` flag.
@@ -500,15 +500,22 @@ def _check_enumeration_caps(
             series.check_enumeration_cap(words, cap, "enumeration")
 
 
+def _shown(spec: ensemble.EnsembleSpec, estimator: str, quantity: str, value: float) -> float:
+    """A job's value as a row shows it: GST's Tr{G^k} estimates are deficits
+    Tr{G^k} - 2^n, and a shown one adds 2^n back."""
+    return spec.dim + value if (estimator, quantity) == ("gst", "tr_g_power") else value
+
+
 def _estimate(
     spec: ensemble.EnsembleSpec, estimator: str, quantity: str, order: int | None,
     params: dict[str, Any], mode: noise_bounds.MeasureMode | None, seed: int,
     cache: gst.StageCache,
 ) -> series.TraceEstimate:
     """One job: the oracle's value, or one call, on ``seed`` and in the run's
-    ``mode``, of the HT or GST estimator of ``quantity`` and the configured
-    strategy.  ``cache`` is the ``StageCache`` that all the run's GST calls
-    share.  Estimators are looked up on their modules at each call."""
+    ``mode``, of the HT or GST estimator of ``quantity`` (for GST's
+    ``tr_g_power``, its deficit) and the configured strategy.  ``cache`` is
+    the ``StageCache`` that all the run's GST calls share.  Estimators are
+    looked up on their modules at each call."""
     if estimator == "oracle":
         return series.TraceEstimate(_exact(spec, quantity, order), 0.0, 1, series.MODE_ORACLE)
     enumerate_ = params["strategy"] == "enumerate"
@@ -558,16 +565,17 @@ def _rows(
     estimates = _estimates(spec, estimator, jobs, params, timing)
     for (quantity, order, _), (est, wall_ms) in zip(jobs, estimates):
         shots = trials = None
+        value = _shown(spec, estimator, quantity, est.value)
         if estimator == "oracle":
-            exact, rel_error = est.value, 0.0
+            exact, rel_error = value, 0.0
         else:
             exact = _exact(spec, quantity, order)
-            rel_error = _rel_error(est.value, exact)
+            rel_error = _rel_error(value, exact)
             if params["mode"] == "shots":
                 shots = est.samples if estimator == "ht" else params["gst_shots"]
             if params["strategy"] == "mc":
                 trials = params["trials"]
-        rows.append(ResultRow(quantity, order, est.value, est.std_error, exact, rel_error,
+        rows.append(ResultRow(quantity, order, value, est.std_error, exact, rel_error,
                               est.mode + label, shots, trials, params["seed"], wall_ms))
     return rows
 
@@ -597,8 +605,9 @@ def _entropy_series(
 ) -> Callable[[series.SeriesWeights], series.TraceEstimate]:
     """The evaluation of series weights up to Tr{G^k_max} over independent
     terms, term i on stream i: the oracle's or HT's Tr{rho G^i}, i < k_max,
-    telescoped, where no 2^n term cancels, or GST's Tr{G^i}, i <= k_max, fed
-    to ``series.evaluate_series``."""
+    telescoped, or GST's deficits Tr{G^i} - 2^n, i <= k_max, fed to
+    ``series.evaluate_series``.  The entropy weights sum to 0, so no 2^n
+    term enters either sum."""
     quantity, count = ("tr_g_power", k_max + 1) if estimator == "gst" else ("tr_rho_g_power", k_max)
     jobs = [(quantity, i, i) for i in range(count)]
     terms = [est for est, _ in _estimates(spec, estimator, jobs, params)]
@@ -679,7 +688,8 @@ def run_golden(cfg: RunConfig, out) -> int:
     spec, params = cfg.spec, {key: row.default for key, row in _PARAMS.items()}
     checks = []
     for label, estimator, quantity, order, want, tolerance, reads in _GOLDEN:
-        got = _estimates(spec, estimator, [(quantity, order, 0)], params)[0][0].value
+        got = _shown(spec, estimator, quantity,
+                     _estimates(spec, estimator, [(quantity, order, 0)], params)[0][0].value)
         ok = round(got, 3) == want if tolerance is None else abs(got - want) <= tolerance
         checks.append((ok, f"{label}: got {got:.6f}, {reads.format(want)}"))
     evaluate, exact = _entropy_series(spec, "oracle", 9, params), _exact(spec, "tr_rho_ln_rho", None)

@@ -27,8 +27,9 @@ class DegenerateAugmentationError(RuntimeError):
 
 class IdentityViolationError(ArithmeticError):
     """An exact-mode statistic breaks an identity that exact arithmetic
-    guarantees (a probability outside [0, 1], |Tr w|^2 < 0, Re[Tr w] > d),
-    so the result would be wrong rather than noisy."""
+    guarantees (an HT outcome probability outside [0, 1], a GST exact Gram
+    that is not symmetric or has an entry above 1, an exact p entry above
+    1), so the result would be wrong rather than noisy."""
 
     def __init__(self, message: str, *, statistic: float) -> None:
         super().__init__(message)

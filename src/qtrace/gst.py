@@ -5,19 +5,14 @@ with weight P_q = prod p_{q_t}.  A word's operator W = G_{q_1}...G_{q_k}
 (rightmost factor acting first on kets) fixes everything orthogonal to the
 span of its reflection axes, so
 
-    Tr{W} = Tr{w} + 2^n - d
+    Tr{W} - 2^n = Re Tr{w} - d
 
-with w the restriction of W to the d-dimensional span.  Every entry the
-stages below measure is an inner product among the word's states, the
-states' reflections and one unit vector orthogonal to them, so each stage
+with w the restriction of W to the d-dimensional span (its imaginary part
+cancels in the weighted sum over words).  Every GST value is this deficit,
+O(k) whatever n is: the binomial and entropy weights sum to 0, so 2^n drops
+out of their series, and only a shown Tr{G^k} adds it back.  Every stage
 runs on the rows of ``EnsembleSpec.span_states``: D <= alpha + 1
-coordinates per state, the same inner products as the 2^n kets.  A word
-costs O(k alpha^3 + alpha^6), reflections on (d+1)^2 D-vectors plus the
-(d+1)^2-sized solve, whatever n is; its stages 1, 2 and 5 (the subspace,
-the augmentation state and both operator bases with their prep kets, exact
-Grams and Gram eigendecompositions) depend on the word only through its
-distinct indices in first-occurrence order, its subspace key.  Tr{w} is
-recovered without ever reconstructing w:
+coordinates per state, the same inner products as the 2^n kets.
 
 1. ``build_subspace``   — walk the distinct word states in first-occurrence
    order; a Gram-Schmidt admission statistic (|Delta|^2 / (1+|x|^2))^2 below
@@ -39,13 +34,17 @@ recovered without ever reconstructing w:
    Tr{R_w'} = |Tr w + 1|^2.  The out-of-span part of |phi> is a probe
    projected off the word's states in the D coordinates; with alpha < 2^n
    the zero column of ``span_states`` guarantees one exists.
-6. ``combination_trace`` — Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2; the
-   imaginary parts cancel in the weighted sum over words, so the real part
-   is all that is ever needed.
+6. ``combination_trace`` — Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2.
 
-Exact-mode identities are checked where their values are made (the Gram
-in ``operator_basis_for_states``, p in ``measure_matrices``, the traces in
-``combination_trace``) and raise IdentityViolationError.
+Stages 3, 4 and 6 run in the noisy (shots and Gaussian) modes only.  In
+exact mode, where the measurement is an identity, ``combination_trace``
+reads Tr w = Tr(K_V^-1 M), M_rs = <psi_r|W|psi_s> and K_V the retained
+states' Gram, as sum_i <u_i|W|u_i> over an orthonormal frame u of their
+span; a solve of K_V would err like 1e-16 / lambda_min(K_V), 1.5e-9 on two
+near-twin states.  Stages 1, 2 and 5 still run, so a key fails as its
+tomography would: no augmentation state, or an operator-basis Gram below
+the conditioning floor or not exact (IdentityViolationError, raised where
+it is built).
 
 Words are plain sequences of component indices, processed in fixed chunks of
 _WORD_CHUNK and merged in chunk order (Monte Carlo chunks as (count, sum,
@@ -58,12 +57,9 @@ A ``KeyStages`` builds one key's stages 1, 2 and 5 together when the key is
 first met, the Gram eigendecompositions in every mode, and a ``StageCache``
 keeps them per key (alpha!/(alpha-i)! keys of i distinct indices, 64 at
 alpha = 4 for any k >= 4, against alpha^k words) up to KEY_CACHE_BYTES of
-arrays; ``estimate_power_trace`` shares one cache across its powers k.  Per
-word there remain the reflections, the p matrix, the noise draws (p, g, p',
-g' in that order, so the stream does not depend on the cache), the solve and
-the identity checks.  So a word's first error can come from building
-``ob_aug`` (no augmentation state, or its Gram) before any of its own
-measurements.
+arrays; ``estimate_power_trace`` shares one cache across its powers k.  A
+noisy word's own work is its reflections, noise draws (p, g, p', g' in that
+order, so the stream does not depend on the cache) and solves.
 
 In exact mode a word is evaluated once per bracelet class: Tr{W} is
 invariant under rotation of the word, Re Tr{W} under its reversal (every
@@ -103,13 +99,12 @@ from .rng import as_master_seed, rng_stream
 from .series import (
     DEFAULT_ENUMERATION_CAP,
     MODE_EXACT_ENUMERATION,
-    MODE_MC_EXACT_PROB,
-    MODE_MC_SHOTS,
     TraceEstimate,
     binomial_weights,
     check_enumeration_cap,
     evaluate_series,
     mc_estimate,
+    mc_mode,
 )
 
 #: Two states whose overlap modulus exceeds this are the same physical state
@@ -236,7 +231,8 @@ class OperatorBasis:
     and d^2 - d dressed ones.  ``prep_matrix`` holds their kets as rows,
     shape (len(preps), D); ``gram`` is the exact Gram g_rs = |<chi_r|chi_s>|^2,
     checked symmetric with entries in [0, 1]; ``gram_eigh`` is (w, v) of the
-    symmetrised Gram, as ``ptm_trace`` takes them.  Every array is read-only.
+    symmetrised Gram, whose w[0] exact mode holds to the conditioning floor.
+    Every array is read-only.
     """
 
     preps: tuple[tuple[int, "int | None"], ...]
@@ -306,33 +302,31 @@ def measure_matrices(
     return p, g
 
 
-def ptm_trace(
-    p: np.ndarray,
-    g: np.ndarray,
-    allow_pseudoinverse: bool = False,
-    gram_eigh: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
+def _below_floor(eigenvalues: np.ndarray, allow_pseudoinverse: bool) -> bool:
+    """Whether a Gram with these ascending eigenvalues is below the
+    conditioning floor.  If it is, this raises IllConditionedGramError
+    rather than silently regularizing, unless ``allow_pseudoinverse``."""
+    min_eig = float(eigenvalues[0]) if len(eigenvalues) else math.inf
+    if min_eig < CONDITIONING_FLOOR and not allow_pseudoinverse:
+        raise IllConditionedGramError(
+            f"Gram matrix min eigenvalue {min_eig:.3e} is below the "
+            f"conditioning floor {CONDITIONING_FLOOR:.3e}",
+            min_eigenvalue=min_eig,
+        )
+    return min_eig < CONDITIONING_FLOOR
+
+
+def ptm_trace(p: np.ndarray, g: np.ndarray, allow_pseudoinverse: bool = False) -> float:
     """Tr{solve(g, p)} via the eigendecomposition of the (symmetrized) Gram.
 
-    Estimates |Tr w|^2.  If the Gram's minimum eigenvalue is below the
-    conditioning floor this raises IllConditionedGramError rather than
-    silently regularizing; pass ``allow_pseudoinverse=True`` to opt into a
-    pseudo-inverse instead (which biases traces).  ``gram_eigh`` is that
-    eigendecomposition when the caller already holds it (an exact Gram's
-    ``OperatorBasis.gram_eigh``).
+    Estimates |Tr w|^2.  A Gram below the conditioning floor raises, or with
+    ``allow_pseudoinverse=True`` takes a pseudo-inverse (which biases traces).
     """
     if len(p) == 0:
         return 0.0
     sym = 0.5 * (g + g.T)
-    w, v = np.linalg.eigh(sym) if gram_eigh is None else gram_eigh
-    min_eig = float(w[0])
-    if min_eig < CONDITIONING_FLOOR:
-        if not allow_pseudoinverse:
-            raise IllConditionedGramError(
-                f"Gram matrix min eigenvalue {min_eig:.3e} is below the "
-                f"conditioning floor {CONDITIONING_FLOOR:.3e}",
-                min_eigenvalue=min_eig,
-            )
+    w, v = np.linalg.eigh(sym)
+    if _below_floor(w, allow_pseudoinverse):
         return float(np.trace(np.linalg.pinv(sym, rcond=1e-12) @ p))
     return float(np.trace((v / w) @ (v.T @ p)))
 
@@ -400,8 +394,8 @@ def augmentation_state(
 
 @dataclass(frozen=True)
 class CombinationTrace:
-    """Per-word result: the two transfer-matrix traces, the recovered real
-    part, and the full-space trace value 2^n - d + Re[Tr w]."""
+    """Per-word result: |Tr w|^2 (in the noisy modes the transfer-matrix
+    trace Tr{R_w}), Re[Tr w], and the deficit Tr{W} - 2^n = Re[Tr w] - d."""
 
     d: int
     tr_rw: float
@@ -411,17 +405,20 @@ class CombinationTrace:
 
 class KeyStages:
     """The word-independent stages of one subspace key, built together: the
-    subspace ``b``, the operator basis ``ob`` over its retained states, the
+    subspace ``b``, an orthonormal ``frame`` (rows) of its retained states'
+    span, the operator basis ``ob`` over its retained states, the
     augmentation state |phi> and the basis ``ob_aug`` over the retained
-    states plus |phi>.  ``nbytes`` counts the two bases' arrays."""
+    states plus |phi>.  ``nbytes`` counts the frame's and bases' arrays."""
 
     def __init__(self, e: EnsembleSpec, key: tuple[int, ...], epsilon: float, theta: float):
         self.b = build_subspace(e, key, epsilon)
+        retained = np.array(self.b.retained, dtype=np.complex128)
+        self.frame = np.linalg.qr(retained.reshape(self.b.d, e.span_states.shape[1]).T)[0].T
         self.ob = operator_basis_for_states(self.b.retained, theta)
         phi = augmentation_state(e, key, self.b)
         self.ob_aug = operator_basis_for_states((*self.b.retained, phi), theta)
-        self.nbytes = sum(a.nbytes for ob in (self.ob, self.ob_aug)
-                          for a in (ob.prep_matrix, ob.gram, *ob.gram_eigh))
+        self.nbytes = self.frame.nbytes + sum(a.nbytes for ob in (self.ob, self.ob_aug)
+                                              for a in (ob.prep_matrix, ob.gram, *ob.gram_eigh))
 
 
 class StageCache:
@@ -447,19 +444,6 @@ class StageCache:
         return stages
 
 
-def _word_trace(
-    e: EnsembleSpec,
-    indices: Sequence[int],
-    ob: OperatorBasis,
-    mode: MeasureMode,
-    rng: np.random.Generator | None,
-    allow_pseudoinverse: bool,
-) -> float:
-    """Tr{R} of the word over ``ob``; an exact Gram's eigh comes from ``ob``."""
-    p, g = measure_matrices(e, indices, ob, mode, rng)
-    return ptm_trace(p, g, allow_pseudoinverse, ob.gram_eigh if mode.is_exact else None)
-
-
 def combination_trace(
     e: EnsembleSpec,
     indices: Sequence[int],
@@ -470,8 +454,10 @@ def combination_trace(
     allow_pseudoinverse: bool = False,
     cache: StageCache | None = None,
 ) -> CombinationTrace:
-    """Full per-word pipeline: Tr{W} estimated as 2^n - d + Re[Tr w] with
-    Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2.
+    """Full per-word pipeline: the deficit Tr{W} - 2^n = Re[Tr w] - d, with
+    Tr w = sum_i <u_i|W|u_i> over the rows of ``KeyStages.frame`` in exact
+    mode, after the conditioning check of both operator bases, and
+    otherwise measured as Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2.
 
     With a ``cache`` (for this ensemble, epsilon and theta), the word's
     subspace and bases come from its key's entry; the result is the same
@@ -483,26 +469,18 @@ def combination_trace(
     stages = (KeyStages(e, key, epsilon, theta) if cache is None
               else cache.stages(e, key, epsilon, theta))
     b = stages.b
-    # Tr{R_w} over the d^2 preps, then Tr{R_w'} over the (d+1)^2 augmented
-    # ones, where in exact mode Tr{R_w'} = |Tr w + 1|^2.
-    tr_rw = _word_trace(e, indices, stages.ob, mode, rng, allow_pseudoinverse)
-    tr_aug = _word_trace(e, indices, stages.ob_aug, mode, rng, allow_pseudoinverse)
-    re_tr_w = 0.5 * (tr_aug - tr_rw - 1.0)
-    value = float(2**e.n - b.d + re_tr_w)
-    # The clean identities |Tr w|^2 >= 0 and Re[Tr w] <= d (so value <= Tr{I})
-    # only bind when nothing was truncated and nothing was noisy.
-    if mode.is_exact and not b.discarded:
-        if tr_rw < -1e-8:
-            raise IdentityViolationError(
-                f"Tr{{R_w}} = {tr_rw!r} violates |Tr w|^2 >= 0", statistic=tr_rw
-            )
-        if re_tr_w > b.d + 1e-6:
-            raise IdentityViolationError(
-                f"Re[Tr w] = {re_tr_w!r} exceeds d = {b.d}, so the word trace "
-                "exceeds Tr{I}",
-                statistic=re_tr_w,
-            )
-    return CombinationTrace(b.d, tr_rw, re_tr_w, value)
+    if mode.is_exact:
+        for ob in (stages.ob, stages.ob_aug):
+            _below_floor(ob.gram_eigh[0], allow_pseudoinverse)
+        tr_w = complex(np.sum(stages.frame.conj() * apply_word(e, indices, stages.frame)))
+        tr_rw, re_tr_w = abs(tr_w) ** 2, tr_w.real
+    else:
+        # Tr{R_w} over the d^2 preps, then Tr{R_w'} = |Tr w + 1|^2 over the
+        # (d+1)^2 augmented ones.
+        tr_rw, tr_aug = (ptm_trace(*measure_matrices(e, indices, ob, mode, rng),
+                                   allow_pseudoinverse) for ob in (stages.ob, stages.ob_aug))
+        re_tr_w = 0.5 * (tr_aug - tr_rw - 1.0)
+    return CombinationTrace(b.d, tr_rw, re_tr_w, re_tr_w - b.d)
 
 
 def word_classes(alpha: int, k: int) -> list[tuple[tuple[int, ...], int]]:
@@ -641,9 +619,10 @@ def estimate_g_power_trace(
     stream_key: tuple[int, ...] = (),
     cache: StageCache | None = None,
 ) -> TraceEstimate:
-    """Tr{G^k} = sum_q P_q Tr{W_q}, either over the bracelet classes of the
-    alpha^k words with exact weights (``enumerate``, exact mode only) or over
-    ``budget`` sampled words (``mc``), the chunk of draws lo..hi-1 on
+    """The deficit Tr{G^k} - 2^n = sum_q P_q (Tr{W_q} - 2^n), either over
+    the bracelet classes of the alpha^k words with exact weights
+    (``enumerate``, exact mode only) or over ``budget`` sampled words
+    (``mc``), the chunk of draws lo..hi-1 on
     ``rng_stream(master, *stream_key, lo)``.  ``cache`` is a ``StageCache``
     for this (e, epsilon, theta) to share with other estimates; by default
     the estimate has its own."""
@@ -669,8 +648,7 @@ def estimate_g_power_trace(
     memo = {} if mode.is_exact else None
     worker = partial(_mc_chunk, e, k, epsilon, theta, mode, master_seed, stream_key,
                      allow_pseudoinverse, cache, memo)
-    est_mode = MODE_MC_EXACT_PROB if mode.is_exact else MODE_MC_SHOTS
-    return mc_estimate(run_chunked(worker, budget, _WORD_CHUNK), est_mode)
+    return mc_estimate(run_chunked(worker, budget, _WORD_CHUNK), mc_mode(mode.kind))
 
 
 def estimate_power_trace(
@@ -685,7 +663,8 @@ def estimate_power_trace(
     allow_pseudoinverse: bool = False,
     cache: StageCache | None = None,
 ) -> TraceEstimate:
-    """Tr{rho^m} from the binomial combination of Tr{G^k}, k = 0..m.
+    """Tr{rho^m} from the binomial combination of the Tr{G^k} - 2^n
+    deficits, k = 0..m, whose weights sum to 0 for m >= 1.
 
     Each k runs on its own RNG substream, keeping the per-k estimates
     independent as the series error propagation assumes; one ``StageCache``

@@ -80,13 +80,12 @@ from .rng import as_master_seed, rng_stream
 from .series import (
     DEFAULT_ENUMERATION_CAP,
     MODE_EXACT_ENUMERATION,
-    MODE_MC_EXACT_PROB,
-    MODE_MC_SHOTS,
     TraceEstimate,
     binomial_weights,
     check_enumeration_cap,
     evaluate_series,
     mc_estimate,
+    mc_mode,
 )
 
 logger = logging.getLogger(__name__)
@@ -283,8 +282,7 @@ def _estimate_mc(
     clamps = sum(p[3] for p in parts)
     if clamps:
         logger.debug("ht noise clamped %d of %d probabilities", clamps, trials)
-    est_mode = MODE_MC_SHOTS if mode.kind == "shots" else MODE_MC_EXACT_PROB
-    return mc_estimate([p[:3] for p in parts], est_mode)
+    return mc_estimate([p[:3] for p in parts], mc_mode(mode.kind))
 
 
 def estimate_power_trace_mc(

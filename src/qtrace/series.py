@@ -19,9 +19,10 @@ the same series from estimates of a_j = Tr{rho G^j} instead of Tr{G^k}.
 
 This module is also the estimate layer that the oracle, HT and GST share:
 the ``TraceEstimate`` record and its modes, ``combined_mode``, the Monte
-Carlo reduction ``mc_estimate``, and ``DEFAULT_ENUMERATION_CAP`` with
-``check_enumeration_cap``, the one cap rule and record that HT, GST and the
-CLI's pre-check apply.  It imports no estimator module.
+Carlo label ``mc_mode`` and reduction ``mc_estimate``, and
+``DEFAULT_ENUMERATION_CAP`` with ``check_enumeration_cap``, the one cap rule
+and record that HT, GST and the CLI's pre-check apply.  It imports no
+estimator module.
 """
 
 from __future__ import annotations
@@ -80,6 +81,13 @@ def combined_mode(modes: Sequence[str]) -> str:
         if mode in modes:
             return mode
     return MODE_ORACLE
+
+
+def mc_mode(kind: str) -> str:
+    """The mode of a Monte Carlo estimate under a ``MeasureMode`` of this
+    kind: shot noise is ``mc-shots``; exact and Gaussian-perturbed
+    probabilities are ``mc-exact-prob``."""
+    return MODE_MC_SHOTS if kind == "shots" else MODE_MC_EXACT_PROB
 
 
 def mc_estimate(parts: Sequence[tuple[int, float, float]], mode: str) -> TraceEstimate:

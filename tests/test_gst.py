@@ -3,6 +3,7 @@ import math
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from qtrace.gst import (
 from qtrace.noise_bounds import EXACT, MeasureMode
 from qtrace.qcore import reflect_amplitudes
 from qtrace.rng import rng_stream
-from qtrace.series import binomial_weights, evaluate_series
+from qtrace.series import binomial_weights, evaluate_series, mc_estimate
 
 from .conftest import angle_spec, random_ensemble, reference_spec, small_ensembles
 
@@ -70,8 +71,7 @@ def restricted_trace(e: EnsembleSpec, q: tuple[int, ...]) -> complex:
 def augmented_traces(e: EnsembleSpec, q: tuple[int, ...]) -> tuple[float, float]:
     """Exact (Tr{R_w}, Tr{R_w'}) over the word's two operator bases."""
     stages = gst.KeyStages(e, tuple(dict.fromkeys(q)), gst.DEFAULT_EPSILON, gst.DEFAULT_THETA)
-    return tuple(gst._word_trace(e, q, ob, EXACT, None, False)
-                 for ob in (stages.ob, stages.ob_aug))
+    return tuple(ptm_trace(*measure_matrices(e, q, ob)) for ob in (stages.ob, stages.ob_aug))
 
 
 # Dense reference: the GST word pipeline on 2**n-amplitude kets, as it ran
@@ -155,9 +155,19 @@ def dense_augmentation_state(e, q, kets):
     return v / float(np.linalg.norm(v))
 
 
+def dense_frame_trace(e, q, kets):
+    """sum_i <u_i|W|u_i> over an orthonormal frame u of ``kets``' span."""
+    frame = np.linalg.qr(np.array(kets).reshape(len(kets), e.dim).T)[0].T
+    t = frame
+    for idx in reversed(q):
+        t = reflect_amplitudes(e.state_matrix[idx], math.pi, t)
+    return complex(np.sum(frame.conj() * t))
+
+
 def dense_word(out, e, q, epsilon, theta, mode, seed):
     """Fill ``out`` stage by stage, in combination_trace's order: d and the
-    discarded statistics, p and g, Tr{R_w}, p' and g', then the value."""
+    discarded statistics, p and g, Tr{R_w}, p' and g', then the deficit,
+    from the frame of the retained kets in exact mode."""
     rng = np.random.default_rng(seed)
     kets, out["discarded"] = dense_subspace(e, q, epsilon)
     out["d"] = len(kets)
@@ -167,7 +177,9 @@ def dense_word(out, e, q, epsilon, theta, mode, seed):
     aug = dense_prep_matrix(e, [*kets, phi], theta)
     out["p_aug"], out["g_aug"] = dense_measure(e, q, aug, mode, rng)
     tr_aug = ptm_trace(out["p_aug"], out["g_aug"])
-    out["value"] = 2**e.n - len(kets) + 0.5 * (tr_aug - tr_rw - 1.0)
+    re_tr_w = (dense_frame_trace(e, q, kets).real if mode.is_exact
+               else 0.5 * (tr_aug - tr_rw - 1.0))
+    out["value"] = re_tr_w - len(kets)
 
 
 def span_word(out, e, q, epsilon, theta, mode, seed):
@@ -246,7 +258,7 @@ class TestSampleCombination:
                                            for angles in ((0.29, 0.07, 0.11), (0.46, 0.62, 0.82))))
         assert 1e-30**11 == 0.0
         est = estimate_g_power_trace(e, 11)
-        assert est.value == pytest.approx(exact_g_power_trace(e, 11), abs=1e-12)
+        assert e.dim + est.value == pytest.approx(exact_g_power_trace(e, 11), abs=1e-12)
 
 
 class TestBuildSubspace:
@@ -390,6 +402,7 @@ class TestMeasureMatrices:
         # builds its Gram.
         with pytest.raises(IdentityViolationError, match="exact-mode g") as err:
             operator_basis_for_states([1.1 * ref3.span_states[0]], math.pi / 2)
+        assert isinstance(err.value, ArithmeticError)
         assert err.value.statistic == pytest.approx(1.1**4, rel=1e-12)
 
     def test_exact_p_above_one_breaks_the_identity(self, ref3, monkeypatch):
@@ -532,21 +545,23 @@ class TestAugmentation:
 
 class TestCombinationTrace:
     def test_empty_word_is_dimension(self, ref3):
+        # Tr{I} = 2^n: the deficit Tr{W} - 2^n is 0.
         ct = combination_trace(ref3, word(ref3))
-        assert ct.d == 0
-        assert ct.value == pytest.approx(8.0, abs=1e-9)
+        assert (ct.d, ct.tr_rw, ct.re_tr_w, ct.value) == (0, 0.0, 0.0, 0.0)
 
     def test_single_component_k2(self):
+        # G_0^2 = I: Tr{W} = 2^n, deficit 0.
         e = pure_spec()
         ct = combination_trace(e, word(e, 0, 0))
-        assert (ct.d, round(ct.re_tr_w, 9)) == (1, 1.0)
-        assert ct.value == pytest.approx(8.0, abs=1e-9)
+        assert (ct.d, round(ct.re_tr_w, 14)) == (1, 1.0)
+        assert ct.value == pytest.approx(0.0, abs=1e-14)
 
     def test_single_component_k3(self):
+        # G_0^3 = G_0: Tr{W} = 2^n - 2.
         e = pure_spec()
         ct = combination_trace(e, word(e, 0, 0, 0))
-        assert ct.re_tr_w == pytest.approx(-1.0, abs=1e-9)
-        assert ct.value == pytest.approx(6.0, abs=1e-9)
+        assert ct.re_tr_w == pytest.approx(-1.0, abs=1e-14)
+        assert ct.value == pytest.approx(-2.0, abs=1e-14)
 
     def test_real_and_squared_parts_consistent(self, ref3):
         # tr_rw = Re^2 + Im^2 where both parts come from the dense oracle.
@@ -562,16 +577,6 @@ class TestCombinationTrace:
             with pytest.raises(ValueError, match="out of range"):
                 combination_trace(ref3, indices)
 
-    def test_identity_violation_is_typed_and_carries_statistic(self, ref3, monkeypatch):
-        # Exact mode, nothing truncated: Tr{R_w} = -1 breaks |Tr w|^2 >= 0,
-        # and Tr{R_w'} = 11 with Tr{R_w} = 0 gives Re[Tr w] = 5 > d = 2.
-        for traces, statistic in (((-1.0, 0.0), -1.0), ((0.0, 11.0), 5.0)):
-            monkeypatch.setattr(gst, "_word_trace", lambda *args, t=iter(traces): next(t))
-            with pytest.raises(IdentityViolationError) as err:
-                combination_trace(ref3, (0, 1))
-            assert isinstance(err.value, ArithmeticError)
-            assert err.value.statistic == statistic
-
     def test_matches_oracle_across_random_words(self):
         rng = np.random.default_rng(14)
         for _ in range(25):
@@ -580,24 +585,79 @@ class TestCombinationTrace:
             q = word(e, *rng.integers(0, e.alpha, size=k))
             ct = combination_trace(e, q)
             assert ct.value == pytest.approx(
-                exact_combination_trace(e, q).real, abs=1e-7
+                exact_combination_trace(e, q).real - e.dim, abs=1e-7
             )
+
+
+@st.composite
+def exact_words(draw):
+    """A small ensemble, a word of length <= 4 over it and a truncation
+    threshold."""
+    e = draw(small_ensembles())
+    indices = draw(st.lists(st.integers(0, e.alpha - 1), max_size=4))
+    return e, word(e, *indices), draw(st.sampled_from([1e-10, 1e-3]))
+
+
+def _refuse_tomography(*args, **kwargs):
+    raise AssertionError("exact mode ran the simulated tomography")
+
+
+class TestExactFrameTrace:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_words())
+    def test_equals_noiseless_tomography(self, case):
+        # The tomography's rounding grows like 1e-16 / lambda^2, lambda the
+        # least Gram eigenvalue of the two operator bases: over 5,600 cases
+        # of this grid its distance to the frame trace reached 2.4x that, and
+        # 1.2e-8 absolute.  Re Tr w exceeded d by at most 1.1e-14.
+        e, q, epsilon = case
+        try:
+            stages = gst.KeyStages(e, tuple(dict.fromkeys(q)), epsilon, gst.DEFAULT_THETA)
+            ct = combination_trace(e, q, epsilon)
+        except (DegenerateAugmentationError, IllConditionedGramError):
+            reject()
+        bases = (stages.ob, stages.ob_aug)
+        tr_rw, tr_aug = (ptm_trace(*measure_matrices(e, q, ob)) for ob in bases)
+        lam = min(float(ob.gram_eigh[0][0]) for ob in bases if ob.preps)
+        tol = 1e-13 + 1e-15 / lam**2
+        assert ct.tr_rw == pytest.approx(tr_rw, rel=0, abs=tol)
+        assert ct.re_tr_w == pytest.approx(0.5 * (tr_aug - tr_rw - 1.0), rel=0, abs=tol)
+        assert ct.value == ct.re_tr_w - ct.d
+        if not stages.b.discarded:
+            assert ct.re_tr_w <= ct.d + 1e-13
+
+    def test_exact_estimates_run_no_tomography(self, ref3, monkeypatch):
+        expected = [estimate_g_power_trace(ref3, 4),
+                    estimate_g_power_trace(ref3, 4, strategy="mc", budget=300, rng=2)]
+        monkeypatch.setattr(gst, "measure_matrices", _refuse_tomography)
+        monkeypatch.setattr(gst, "ptm_trace", _refuse_tomography)
+        assert [estimate_g_power_trace(ref3, 4),
+                estimate_g_power_trace(ref3, 4, strategy="mc", budget=300, rng=2)] == expected
 
 
 class TestEstimateGPowerTrace:
     def test_k0(self, ref3):
+        # Estimates are deficits Tr{G^k} - 2^n; Tr{G^0} = 2^n.
         est = estimate_g_power_trace(ref3, 0)
-        assert est.value == pytest.approx(8.0, abs=1e-9)
-        assert est.mode == "exact-enumeration"
+        assert (est.value, est.mode) == (0.0, "exact-enumeration")
 
     def test_reference_k2(self, ref3):
         est = estimate_g_power_trace(ref3, 2)
-        assert round(est.value, 3) == 6.600
+        assert round(8 + est.value, 3) == 6.600
 
     def test_reference_k3(self, ref3):
         est = estimate_g_power_trace(ref3, 3)
-        assert abs(est.value - 5.912) <= 0.005
-        assert est.value == pytest.approx(exact_g_power_trace(ref3, 3), abs=1e-8)
+        assert abs(8 + est.value - 5.912) <= 0.005
+        assert est.value == pytest.approx(exact_g_power_trace(ref3, 3) - 8, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 10, 20])
+    def test_table1_deficits_match_the_oracle(self, n):
+        # Untruncated, Tr{G^k} - 2^n = sum_i (1 - 2 lambda_i)^k - alpha over
+        # the span eigenvalues; the frame traces met it to 2.2e-15.
+        e = reference_spec(n)
+        for k in range(8):
+            oracle = float(np.sum((1.0 - 2.0 * e.span_eigenvalues) ** k)) - e.alpha
+            assert estimate_g_power_trace(e, k).value == pytest.approx(oracle, rel=0, abs=1e-13)
 
     def test_enumeration_budget(self, ref3):
         with pytest.raises(ResourceLimitError):
@@ -605,7 +665,7 @@ class TestEstimateGPowerTrace:
 
     def test_mc_converges(self, ref3):
         est = estimate_g_power_trace(ref3, 2, strategy="mc", budget=600, rng=3)
-        exact = exact_g_power_trace(ref3, 2)
+        exact = exact_g_power_trace(ref3, 2) - 8
         assert abs(est.value - exact) < 4 * est.std_error + 1e-6
         assert est.mode == "mc-exact-prob"
 
@@ -623,22 +683,36 @@ class TestEstimateGPowerTrace:
 
     def test_mc_at_word_widths_zero_and_one(self, ref3):
         # Every word of width 0 is the identity and every word of width 1 one
-        # reflection, so each draw reads Tr{I} = 2^n or Tr{G_q} = 2^n - 2.  The
-        # width-1 draws scatter by an ulp about 6, which the std_error shows.
-        for k, value in ((0, 8.0), (1, 6.0)):
+        # reflection, so each draw's deficit is Tr{I} - 2^n = 0 or
+        # Tr{G_q} - 2^n = -2.  The width-1 draws scatter by an ulp about -2,
+        # which the std_error shows.  At that scale the rounding of the chunk
+        # means is the size of the spread itself, so the std_error is checked
+        # against the same chunk-order merge of the reference's per-chunk
+        # (count, sum, M2), and against the exact rational std_error to
+        # ulp(2) / sqrt(70) (measured 4.1e-17 off at k = 1).
+        for k, value in ((0, 0.0), (1, -2.0)):
             est = estimate_g_power_trace(ref3, k, strategy="mc", budget=70, rng=5)
-            assert (est.value, est.samples) == (value, 70)
-            assert_matches_reference(est, chunk_stream_estimate(ref3, k, 70, 5))
+            chunks = chunk_values(ref3, k, 70, 5)
+            parts = [(len(c), sum(c), math.fsum((v - sum(c) / len(c)) ** 2 for v in c))
+                     for c in chunks]
+            merged = mc_estimate(parts, est.mode)
+            assert (est.value, est.samples) == (merged.value, 70)
+            assert est.value == pytest.approx(value, rel=0, abs=1e-15)
+            assert est.std_error == pytest.approx(merged.std_error, rel=1e-12)
+            x = [Fraction(v) for c in chunks for v in c]
+            mean = sum(x) / len(x)
+            exact = math.sqrt(sum((v - mean) ** 2 for v in x) / (len(x) - 1) / len(x))
+            assert abs(est.std_error - exact) <= math.ulp(2.0) / math.sqrt(70)
         assert est.std_error > 0.0
 
     def test_mc_std_error_keeps_its_digits_near_2_to_the_n(self):
-        # Tr{G^2} draws sit near 2^20, where the one-pass variance
-        # (sum x^2 - n mean^2) / (n - 1) kept about four digits (1.1e-4 off).
+        # Tr{G^2} draws are deficits Tr{W} - 2^20, so 2^20 enters neither the
+        # mean nor the variance.
         e = reference_spec(20)
         est = estimate_g_power_trace(e, 2, strategy="mc", budget=2000, rng=7)
         mean, stderr = chunk_stream_estimate(e, 2, 2000, 7)
-        assert est.value == mean == 1048573.5345141996
-        assert est.std_error == pytest.approx(stderr, rel=1e-9)
+        assert est.value == mean == -2.4654858000923308
+        assert est.std_error == pytest.approx(stderr, rel=1e-12)
 
     def test_enumerate_is_the_chunk_order_reduction(self):
         e = random_ensemble(np.random.default_rng(5), 2, 3)
@@ -743,6 +817,11 @@ _DUPLICATED = _spec(1, _G[0], _G[0], _G[0])
 _FILLING = _spec(1, _G[0], _G[1], _G[2])
 
 
+#: Exact mode: the span and dense frame traces agree to this, whatever the
+#: Grams' conditioning.
+EXACT_FRAME_TOL = 1e-12
+
+
 class TestSpanStatesMatchDensePath:
     """GST on span_states rows against the dense reference above."""
 
@@ -767,11 +846,11 @@ class TestSpanStatesMatchDensePath:
             if key in span:
                 assert np.max(np.abs(span[key] - dense[key]), initial=0.0) < 1e-10
         if "value" in span:
-            # The solve amplifies entry rounding (~3e-14 here) by about
-            # 1/lambda_min of the Grams, so the bound widens below 0.1.
+            # The noisy modes' solve amplifies entry rounding (~3e-14 here) by
+            # about 1/lambda_min of the Grams, so the bound widens below 0.1.
             lam = min(float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
                       for g in (dense["g"], dense["g_aug"]) if g.size)
-            tol = 1e-10 * max(1.0, 0.1 / lam)
+            tol = EXACT_FRAME_TOL if mode.is_exact else 1e-10 * max(1.0, 0.1 / lam)
             assert span["value"] == pytest.approx(dense["value"], rel=0, abs=tol)
 
     @pytest.mark.parametrize("e, indices, mode, error", [
@@ -815,23 +894,23 @@ def chunk_words(e, k, budget, seed):
         yield rng, [tuple(int(i) for i in w) for w in words]
 
 
-def chunk_stream_estimate(e, k, budget, seed, mode=EXACT):
-    """(mean, std_error) of GST Monte Carlo rebuilt from its chunk streams
-    with a pseudo-inverse solve: exact mode gives each draw the value of its
+def chunk_values(e, k, budget, seed, mode=EXACT):
+    """Each GST Monte Carlo chunk's draw values, rebuilt from its stream with
+    a pseudo-inverse solve: exact mode gives each draw the value of its
     orbit's least member, a noisy mode evaluates each word on the chunk's
-    stream in draw order.  The mean adds each chunk's left-to-right sum in
-    chunk order; the std_error is numpy's two-pass variance over all draws."""
-    total, values = 0.0, []
-    for rng, words in chunk_words(e, k, budget, seed):
-        chunk_total = 0.0
-        for q in words:
-            value = combination_trace(e, min(orbit(q)) if mode.is_exact else q, mode=mode,
-                                      rng=rng, allow_pseudoinverse=True).value
-            chunk_total += value
-            values.append(value)
-        total += chunk_total
-    x = np.array(values)
-    return total / x.size, math.sqrt(np.var(x, ddof=1) / x.size)
+    stream in draw order."""
+    return [[combination_trace(e, min(orbit(q)) if mode.is_exact else q, mode=mode,
+                               rng=rng, allow_pseudoinverse=True).value for q in words]
+            for rng, words in chunk_words(e, k, budget, seed)]
+
+
+def chunk_stream_estimate(e, k, budget, seed, mode=EXACT):
+    """(mean, std_error) of GST Monte Carlo rebuilt by ``chunk_values``.  The
+    mean adds each chunk's left-to-right sum in chunk order; the std_error is
+    numpy's two-pass variance over all draws."""
+    chunks = chunk_values(e, k, budget, seed, mode)
+    x = np.concatenate(chunks)
+    return sum(sum(c) for c in chunks) / x.size, math.sqrt(np.var(x, ddof=1) / x.size)
 
 
 def assert_matches_reference(est, reference):
@@ -907,19 +986,16 @@ class TestWordClasses:
             total, values = word_sum(e, k)
         except IllConditionedGramError:
             reject()  # some word's Gram is below the conditioning floor
-        # Relative to Tr{I} = 2^n.  Rounding in the solve grows like
-        # 1e-16 / lambda^2, lambda the least exact Gram eigenvalue of the
-        # words' bases (random ensembles reach 1e-7), so the bound widens
-        # once lambda falls below about 3e-4.
-        keys = {tuple(dict.fromkeys(q)) for q in values}
-        stages = [gst.KeyStages(e, key, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA) for key in keys]
-        lam = min(float(ob.gram_eigh[0][0]) for s in stages for ob in (s.ob, s.ob_aug) if ob.preps)
-        tol = (1e-9 + 1e-15 / lam**2) * 2**e.n
+        # Values are deficits Tr{W} - 2^n from each word's exact frame trace,
+        # whose rounding does not grow as the Grams near singularity.  Over
+        # 5,500 cases of this grid the three differences below reached
+        # 3.6e-15, 1.3e-15 and 5.8e-15.
+        tol = 5e-14
         for q, value in values.items():
             assert value == pytest.approx(values[gst.class_representative(q)], rel=0, abs=tol)
         est = estimate_g_power_trace(e, k)
         assert est.value == pytest.approx(total, rel=0, abs=tol)
-        assert est.value == pytest.approx(exact_g_power_trace(e, k), rel=0, abs=tol)
+        assert est.value == pytest.approx(exact_g_power_trace(e, k) - e.dim, rel=0, abs=tol)
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_truncated_bias(self, ref3, k):
@@ -1083,5 +1159,5 @@ class TestScaleN20:
         print(f"GST Tr G^4 enumeration at n=20: {wall:.3f} s under tracemalloc")
         assert "states" not in e.__dict__ and "state_matrix" not in e.__dict__
         assert peak < 64 * 2**20
-        exact = float(np.sum((1.0 - 2.0 * e.span_eigenvalues) ** 4)) + 2**20 - e.alpha
-        assert est.value == pytest.approx(exact, rel=1e-9)
+        exact = float(np.sum((1.0 - 2.0 * e.span_eigenvalues) ** 4)) - e.alpha
+        assert est.value == pytest.approx(exact, rel=0, abs=1e-13)
