@@ -11,9 +11,9 @@ Every oracle value and estimator call, ``--golden`` checks included, is a
 enumeration cap its run's jobs meet: an over-cap run fails before any estimate.
 
 Exit codes: 0 success, 2 config/schema violation, 3 resource limit,
-4 numerical failure (ill-conditioned Gram, degenerate augmentation, broken
-exact-mode identity), 5 unwritable output.  Failures print a one-line JSON
-error record to stderr.
+4 numerical failure (a noisy-mode GST Gram below the conditioning floor,
+degenerate augmentation, broken exact-mode identity), 5 unwritable output.
+Failures print a one-line JSON error record to stderr.
 
 Because wall-clock timing is inherently irreproducible, the wall_ms column
 is empty unless --timing is passed.
@@ -102,8 +102,8 @@ _PARAMS: dict[str, _Param] = {
     "gst_sigma": _Param(0.0001, "--gst-sigma", ("gst", "entropy"), least=0,
                         help="Gaussian noise on each GST matrix entry (gaussian mode)"),
     "allow_pseudoinverse": _Param(False, "--pinv", ("gst", "entropy"),
-                                  help="run past the Gram conditioning floor: exact mode "
-                                       "as usual, noisy modes by pseudo-inverse (biased)"),
+                                  help="run noisy-mode GST past the Gram conditioning floor "
+                                       "by pseudo-inverse (biased); exact mode ignores it"),
 }
 
 #: The ``error_budget`` keys, each also a ``bounds`` flag.
@@ -194,7 +194,7 @@ def _expect_number(value: Any, field: str, *, integer: bool = False) -> int | fl
 def _param_value(table: dict[str, _Param], key: str, value: Any, field: str) -> Any:
     """``value`` checked as ``table[key]`` takes it, from a config or a flag
     named by ``field``: of its default's type, finite, in its range or one of
-    its choices, and for ``theta_basis`` clear of multiples of pi."""
+    its choices, and for ``theta_basis`` a finite angle clear of multiples of pi."""
     row = table[key]
     if isinstance(row.default, bool):
         _expect(isinstance(value, bool), field, f"expected a bool, got {value!r}")
@@ -212,9 +212,10 @@ def _param_value(table: dict[str, _Param], key: str, value: Any, field: str) -> 
         lo, hi = row.within
         _expect(lo < value < hi, field, f"must be in ({lo}, {hi}), got {value!r}")
     if key == "theta_basis":
+        _expect(math.isfinite(value * math.pi), field, f"{value!r} * pi overflows the float range")
         try:
             gst.check_theta(value * math.pi)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError(field, str(exc)) from None
     return value
 

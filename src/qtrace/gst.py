@@ -36,15 +36,16 @@ coordinates per state, the same inner products as the 2^n kets.
    the zero column of ``span_states`` guarantees one exists.
 6. ``combination_trace`` — Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2.
 
-Stages 3, 4 and 6 run in the noisy (shots and Gaussian) modes only.  In
-exact mode, where the measurement is an identity, ``combination_trace``
-reads Tr w = Tr(K_V^-1 M), M_rs = <psi_r|W|psi_s> and K_V the retained
-states' Gram, as sum_i <u_i|W|u_i> over an orthonormal frame u of their
-span; a solve of K_V would err like 1e-16 / lambda_min(K_V), 1.5e-9 on two
-near-twin states.  Stages 1, 2 and 5 still run, so a key fails as its
-tomography would: no augmentation state, or an operator-basis Gram below
-the conditioning floor or not exact (IdentityViolationError, raised where
-it is built).
+Stages 2 to 6 run in the noisy (shots and Gaussian) modes only, and so do
+the conditioning floor and its pseudo-inverse opt-in.  In exact mode, where
+the measurement is an identity, ``combination_trace`` reads
+Tr w = Tr(K_V^-1 M), M_rs = <psi_r|W|psi_s> and K_V the retained states'
+Gram, as sum_i <u_i|W|u_i> over an orthonormal frame u of their span; a
+solve of K_V would err like 1e-16 / lambda_min(K_V), 1.5e-9 on two
+near-twin states, and the frame trace stays near 1e-15 where the
+operator-basis Gram falls below the floor.  Of the tomography, exact mode
+keeps only the search for an out-of-span state, so a key whose circuit
+states fill the space fails as its augmentation would.
 
 Words are plain sequences of component indices, processed in fixed chunks of
 _WORD_CHUNK and merged in chunk order (Monte Carlo chunks as (count, sum,
@@ -53,11 +54,12 @@ As in HT, each Monte Carlo chunk of draws lo..hi-1 has one substream,
 ``rng_stream(master, *stream_key, lo)``: it first draws the chunk's words as
 one (hi - lo, k) array of uniforms, then, in the noisy modes, each word's
 noise in draw order.  Enumeration runs in exact mode only and draws nothing.
-A ``KeyStages`` builds one key's stages 1, 2 and 5 together when the key is
-first met, the Gram eigendecompositions in every mode, and a ``StageCache``
-keeps them per key (alpha!/(alpha-i)! keys of i distinct indices, 64 at
-alpha = 4 for any k >= 4, against alpha^k words) up to KEY_CACHE_BYTES of
-arrays; ``estimate_power_trace`` shares one cache across its powers k.  A
+A ``KeyStages`` builds one key's word-independent stages together when the
+key is first met: stage 1 and the frame in exact mode, stages 1, 2 and 5 in
+the noisy modes.  A ``StageCache`` keeps them per key and kind of mode
+(alpha!/(alpha-i)! keys of i distinct indices, 64 at alpha = 4 for any
+k >= 4, against alpha^k words) up to KEY_CACHE_BYTES of arrays;
+``estimate_power_trace`` shares one cache across its powers k.  A
 noisy word's own work is its reflections, noise draws (p, g, p', g' in that
 order, so the stream does not depend on the cache) and solves.
 
@@ -134,9 +136,9 @@ _AUGMENT_MIX = 0.5
 #: every GST Monte Carlo result.
 _WORD_CHUNK = 32
 
-#: Byte budget of one estimate's ``StageCache``.  A key with d = 7 holds
-#: about 120 KB, so some 550 such keys fit; past the budget a key is built
-#: per word.
+#: Byte budget of one estimate's ``StageCache``.  With d = 7 and D = 8, a
+#: noisy-mode key holds about 66 KB, so some 1,000 such keys fit, and an
+#: exact-mode key's frame 896 bytes; past the budget a key is built per word.
 KEY_CACHE_BYTES = 64 * 2**20
 
 
@@ -230,20 +232,17 @@ class OperatorBasis:
     the undressed |psi_s>.  With d basis states there are d diagonal preps
     and d^2 - d dressed ones.  ``prep_matrix`` holds their kets as rows,
     shape (len(preps), D); ``gram`` is the exact Gram g_rs = |<chi_r|chi_s>|^2,
-    checked symmetric with entries in [0, 1]; ``gram_eigh`` is (w, v) of the
-    symmetrised Gram, whose w[0] exact mode holds to the conditioning floor.
-    Every array is read-only.
+    checked symmetric with entries in [0, 1].  Both arrays are read-only.
     """
 
     preps: tuple[tuple[int, "int | None"], ...]
     prep_matrix: np.ndarray
     gram: np.ndarray
-    gram_eigh: tuple[np.ndarray, np.ndarray]
 
 
 def operator_basis_for_states(states: Sequence[np.ndarray], theta: float) -> OperatorBasis:
-    """The d^2 preparations over an explicit state list, with their kets,
-    exact Gram and Gram eigendecomposition."""
+    """The d^2 preparations over an explicit state list, with their kets
+    and exact Gram."""
     check_theta(theta)
     d = len(states)
     preps = [(s, None) for s in range(d)]
@@ -257,10 +256,9 @@ def operator_basis_for_states(states: Sequence[np.ndarray], theta: float) -> Ope
     if asymmetry > 1e-10:
         raise IdentityViolationError("exact Gram matrix is not symmetric", statistic=asymmetry)
     _check_unit_range("g", g)
-    w, v = np.linalg.eigh(0.5 * (g + g.T))
-    for a in (m, g, w, v):
+    for a in (m, g):
         a.setflags(write=False)
-    return OperatorBasis(tuple(preps), m, g, (w, v))
+    return OperatorBasis(tuple(preps), m, g)
 
 
 def apply_word(e: EnsembleSpec, indices: Sequence[int], block: np.ndarray) -> np.ndarray:
@@ -302,31 +300,24 @@ def measure_matrices(
     return p, g
 
 
-def _below_floor(eigenvalues: np.ndarray, allow_pseudoinverse: bool) -> bool:
-    """Whether a Gram with these ascending eigenvalues is below the
-    conditioning floor.  If it is, this raises IllConditionedGramError
-    rather than silently regularizing, unless ``allow_pseudoinverse``."""
-    min_eig = float(eigenvalues[0]) if len(eigenvalues) else math.inf
-    if min_eig < CONDITIONING_FLOOR and not allow_pseudoinverse:
-        raise IllConditionedGramError(
-            f"Gram matrix min eigenvalue {min_eig:.3e} is below the "
-            f"conditioning floor {CONDITIONING_FLOOR:.3e}",
-            min_eigenvalue=min_eig,
-        )
-    return min_eig < CONDITIONING_FLOOR
-
-
 def ptm_trace(p: np.ndarray, g: np.ndarray, allow_pseudoinverse: bool = False) -> float:
     """Tr{solve(g, p)} via the eigendecomposition of the (symmetrized) Gram.
 
-    Estimates |Tr w|^2.  A Gram below the conditioning floor raises, or with
+    Estimates |Tr w|^2.  A Gram below the conditioning floor raises
+    IllConditionedGramError rather than silently regularizing, or with
     ``allow_pseudoinverse=True`` takes a pseudo-inverse (which biases traces).
     """
     if len(p) == 0:
         return 0.0
     sym = 0.5 * (g + g.T)
     w, v = np.linalg.eigh(sym)
-    if _below_floor(w, allow_pseudoinverse):
+    if w[0] < CONDITIONING_FLOOR:
+        if not allow_pseudoinverse:
+            raise IllConditionedGramError(
+                f"Gram matrix min eigenvalue {w[0]:.3e} is below the "
+                f"conditioning floor {CONDITIONING_FLOOR:.3e}",
+                min_eigenvalue=float(w[0]),
+            )
         return float(np.trace(np.linalg.pinv(sym, rcond=1e-12) @ p))
     return float(np.trace((v / w) @ (v.T @ p)))
 
@@ -404,42 +395,50 @@ class CombinationTrace:
 
 
 class KeyStages:
-    """The word-independent stages of one subspace key, built together: the
-    subspace ``b``, an orthonormal ``frame`` (rows) of its retained states'
-    span, the operator basis ``ob`` over its retained states, the
+    """The word-independent stages of one subspace key in one kind of mode,
+    built together.  Both kinds hold the subspace ``b``.  An ``exact`` key
+    adds an orthonormal ``frame`` (rows) of its retained states' span, once
+    an out-of-span state is found to exist, as the tomography needs.  A
+    noisy key adds the operator basis ``ob`` over its retained states, the
     augmentation state |phi> and the basis ``ob_aug`` over the retained
-    states plus |phi>.  ``nbytes`` counts the frame's and bases' arrays."""
+    states plus |phi>.  ``nbytes`` counts the frame's or the bases' arrays."""
 
-    def __init__(self, e: EnsembleSpec, key: tuple[int, ...], epsilon: float, theta: float):
+    def __init__(self, e: EnsembleSpec, key: tuple[int, ...], epsilon: float, theta: float,
+                 exact: bool):
         self.b = build_subspace(e, key, epsilon)
-        retained = np.array(self.b.retained, dtype=np.complex128)
-        self.frame = np.linalg.qr(retained.reshape(self.b.d, e.span_states.shape[1]).T)[0].T
-        self.ob = operator_basis_for_states(self.b.retained, theta)
-        phi = augmentation_state(e, key, self.b)
-        self.ob_aug = operator_basis_for_states((*self.b.retained, phi), theta)
-        self.nbytes = self.frame.nbytes + sum(a.nbytes for ob in (self.ob, self.ob_aug)
-                                              for a in (ob.prep_matrix, ob.gram, *ob.gram_eigh))
+        if exact:
+            _out_of_span_residual(e, key)
+            retained = np.array(self.b.retained, dtype=np.complex128)
+            self.frame = np.linalg.qr(retained.reshape(self.b.d, e.span_states.shape[1]).T)[0].T
+            self.nbytes = self.frame.nbytes
+        else:
+            self.ob = operator_basis_for_states(self.b.retained, theta)
+            phi = augmentation_state(e, key, self.b)
+            self.ob_aug = operator_basis_for_states((*self.b.retained, phi), theta)
+            self.nbytes = sum(ob.prep_matrix.nbytes + ob.gram.nbytes
+                              for ob in (self.ob, self.ob_aug))
 
 
 class StageCache:
     """Per-estimate store of ``KeyStages``, keyed by a word's distinct indices
     in first-occurrence order, through which alone every stage they hold
-    depends on the word.  One cache serves one (ensemble, epsilon, theta).
-    Keys are kept until their arrays fill KEY_CACHE_BYTES; later keys are
-    built per word but not stored, which changes no value."""
+    depends on the word, and by whether the mode is exact, which decides the
+    stages built.  One cache serves one (ensemble, epsilon, theta), in every
+    mode.  Keys are kept until their arrays fill KEY_CACHE_BYTES; later keys
+    are built per word but not stored, which changes no value."""
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[int, ...], KeyStages] = {}
+        self._entries: dict[tuple[tuple[int, ...], bool], KeyStages] = {}
         self.nbytes = 0
 
     def stages(self, e: EnsembleSpec, key: tuple[int, ...], epsilon: float,
-               theta: float) -> KeyStages:
+               theta: float, exact: bool) -> KeyStages:
         """The key's stored stages, or new ones, stored if they fit."""
-        stages = self._entries.get(key)
+        stages = self._entries.get((key, exact))
         if stages is None:
-            stages = KeyStages(e, key, epsilon, theta)
+            stages = KeyStages(e, key, epsilon, theta, exact)
             if self.nbytes + stages.nbytes <= KEY_CACHE_BYTES:
-                self._entries[key] = stages
+                self._entries[key, exact] = stages
                 self.nbytes += stages.nbytes
         return stages
 
@@ -456,22 +455,21 @@ def combination_trace(
 ) -> CombinationTrace:
     """Full per-word pipeline: the deficit Tr{W} - 2^n = Re[Tr w] - d, with
     Tr w = sum_i <u_i|W|u_i> over the rows of ``KeyStages.frame`` in exact
-    mode, after the conditioning check of both operator bases, and
-    otherwise measured as Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2.
+    mode, and otherwise measured as Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2.
+    Only the noisy modes read ``theta`` and ``allow_pseudoinverse``, which
+    lets their Gram solves pass the conditioning floor by pseudo-inverse.
 
     With a ``cache`` (for this ensemble, epsilon and theta), the word's
-    subspace and bases come from its key's entry; the result is the same
-    with or without it.
+    subspace and frame or bases come from its key's entry; the result is
+    the same with or without it.
     """
     if any(i < 0 or i >= e.alpha for i in indices):
         raise ValueError(f"indices {tuple(indices)} out of range for alpha={e.alpha}")
     key = tuple(dict.fromkeys(indices))
-    stages = (KeyStages(e, key, epsilon, theta) if cache is None
-              else cache.stages(e, key, epsilon, theta))
+    stages = (KeyStages(e, key, epsilon, theta, mode.is_exact) if cache is None
+              else cache.stages(e, key, epsilon, theta, mode.is_exact))
     b = stages.b
     if mode.is_exact:
-        for ob in (stages.ob, stages.ob_aug):
-            _below_floor(ob.gram_eigh[0], allow_pseudoinverse)
         tr_w = complex(np.sum(stages.frame.conj() * apply_word(e, indices, stages.frame)))
         tr_rw, re_tr_w = abs(tr_w) ** 2, tr_w.real
     else:
@@ -528,7 +526,6 @@ def _enumerate_chunk(
     classes: Sequence[tuple[tuple[int, ...], int]],
     epsilon: float,
     theta: float,
-    allow_pseudoinverse: bool,
     cache: StageCache | None,
     lo: int,
     hi: int,
@@ -538,8 +535,7 @@ def _enumerate_chunk(
     partial_sum = 0.0
     for indices, multiplicity in classes[lo:hi]:
         weight = float(np.prod([e.probs[i] for i in indices])) if indices else 1.0
-        ct = combination_trace(e, indices, epsilon, theta,
-                               allow_pseudoinverse=allow_pseudoinverse, cache=cache)
+        ct = combination_trace(e, indices, epsilon, theta, cache=cache)
         partial_sum += multiplicity * weight * ct.value
     return partial_sum
 
@@ -638,7 +634,7 @@ def estimate_g_power_trace(
         _check_enumerate_mode(mode)
         check_enumeration_budget(e.alpha, k, budget)
         classes = word_classes(e.alpha, k)
-        worker = partial(_enumerate_chunk, e, classes, epsilon, theta, allow_pseudoinverse, cache)
+        worker = partial(_enumerate_chunk, e, classes, epsilon, theta, cache)
         parts = run_chunked(worker, len(classes), _WORD_CHUNK)
         return TraceEstimate(float(sum(parts)), 0.0, e.alpha**k, MODE_EXACT_ENUMERATION)
 

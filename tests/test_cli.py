@@ -480,6 +480,12 @@ class TestSubcommands:
         assert len(built) == len(set(built)) == keys
 
 
+#: Two components 2.8e-4 apart at n = 2, whose untruncated d = 2 operator
+#: basis has a numerically singular Gram.
+_NEAR_TWINS = [{"prob": 0.5, "angles": [[0.30, 0.0, 0.0]]},
+               {"prob": 0.5, "angles": [[0.30 + 2.0 * math.sqrt(2.0) * 1e-4 / math.pi, 0.0, 0.0]]}]
+
+
 class TestExitCodes:
     def test_schema_violation_exit_2(self, tmp_path):
         cfg = base_config()
@@ -617,6 +623,7 @@ class TestExitCodes:
          "must be in (0, 1), got 0.0"),
         ("gst --power 2 --theta 0", "--theta", "basis rotation theta=0.0 is within 1e-6 of "
          "0*pi, which makes the dressed preparations linearly dependent"),
+        ("gst --power 2 --theta 1e308", "--theta", "1e+308 * pi overflows the float range"),
         ("entropy --order 2 --estimator gst --theta -1", "--theta", "basis rotation "
          "theta=-3.141592653589793 is within 1e-6 of -1*pi, which makes the dressed "
          "preparations linearly dependent"),
@@ -647,23 +654,6 @@ class TestExitCodes:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "schema-violation", "field": field,
                                             "message": f"{field}: {message}"}
-
-    def test_ill_conditioned_gram_exit_4(self, tmp_path):
-        # Two nearly identical components and no truncation: the d=2 Gram is
-        # numerically singular and the run must fail loudly.
-        delta = 2.0 * math.sqrt(2.0) * 1e-4
-        cfg = base_config()
-        cfg["components"] = [
-            {"prob": 0.5, "angles": [[0.30, 0.0, 0.0]]},
-            {"prob": 0.5, "angles": [[0.30 + delta / math.pi, 0.0, 0.0]]},
-        ]
-        cfg["n_qubits"] = 2
-        path = write_config(tmp_path, cfg)
-        r = run_cli("gst", "--power", "2", "--epsilon", "1e-30", "--config", path)
-        assert r.returncode == 4
-        record = json.loads(r.stderr)
-        assert record["error"] == "ill-conditioned-gram"
-        assert record["min_eigenvalue"] < 1e-8
 
     @pytest.mark.parametrize("argv", [
         ["--power", "2", "--mode", "shots", "--trials", "500", "--seed", "7"],
@@ -718,12 +708,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("n_qubits, components, argv", [
         # Near twins, untruncated: the tomography's --pinv solve of their
         # numerically singular Gram makes Tr{R_w} = |Tr w|^2 negative.
-        (2, [{"prob": 0.5, "angles": [[0.30, 0.0, 0.0]]},
-             {"prob": 0.5, "angles": [[0.30 + 2.0 * math.sqrt(2.0) * 1e-4 / math.pi, 0.0, 0.0]]}],
-         ["--power", "2-4", "--pinv", "--epsilon", "1e-30"]),
+        (2, _NEAR_TWINS, ["--power", "2-4", "--pinv", "--epsilon", "1e-30"]),
         # The bundled model at n = 20 with the basis angle 0.6 pi: the
         # tomography rounds a class representative's Tr{R_w} to -1.6e-8.
         (20, None, ["--g-power", "6", "--theta", "0.6"]),
+        # The near twins without --pinv: their operator-basis Gram is below
+        # the conditioning floor, which exact mode does not consult.
+        (2, _NEAR_TWINS, ["--power", "2", "--epsilon", "1e-30"]),
     ])
     def test_tomography_rounding_cases_match_the_oracle(self, tmp_path, capsys, n_qubits,
                                                          components, argv):
@@ -1011,6 +1002,12 @@ class TestDeterminism:
             assert cli.main(command.replace("{one_qubit}", path).split()) == 4
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", record), command
+
+    def test_exact_mode_ignores_pinv(self, capsys):
+        # --pinv acts on the noisy modes' Gram solves; exact mode solves none.
+        assert cli.main(["gst", "--power", "2-4"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == BYTE_PINS["gst --power 2-4 --pinv"]
 
     def test_same_seed_same_bytes(self, tmp_path):
         paths = []

@@ -70,7 +70,8 @@ def restricted_trace(e: EnsembleSpec, q: tuple[int, ...]) -> complex:
 
 def augmented_traces(e: EnsembleSpec, q: tuple[int, ...]) -> tuple[float, float]:
     """Exact (Tr{R_w}, Tr{R_w'}) over the word's two operator bases."""
-    stages = gst.KeyStages(e, tuple(dict.fromkeys(q)), gst.DEFAULT_EPSILON, gst.DEFAULT_THETA)
+    stages = gst.KeyStages(e, tuple(dict.fromkeys(q)), gst.DEFAULT_EPSILON, gst.DEFAULT_THETA,
+                           exact=False)
     return tuple(ptm_trace(*measure_matrices(e, q, ob)) for ob in (stages.ob, stages.ob_aug))
 
 
@@ -247,7 +248,7 @@ class TestSampleCombination:
         classes = gst.word_classes(4, 3)
         rank = classes.index(((0, 3, 3), 3))
         part = gst._enumerate_chunk(ref3, classes, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA,
-                                    False, None, rank, rank + 1)
+                                    None, rank, rank + 1)
         value = combination_trace(ref3, (0, 3, 3)).value
         assert part / value == pytest.approx(3 * 0.1 * 0.4 * 0.4, abs=1e-15)
 
@@ -612,13 +613,14 @@ class TestExactFrameTrace:
         # 1.2e-8 absolute.  Re Tr w exceeded d by at most 1.1e-14.
         e, q, epsilon = case
         try:
-            stages = gst.KeyStages(e, tuple(dict.fromkeys(q)), epsilon, gst.DEFAULT_THETA)
-            ct = combination_trace(e, q, epsilon)
+            stages = gst.KeyStages(e, tuple(dict.fromkeys(q)), epsilon, gst.DEFAULT_THETA,
+                                   exact=False)
+            bases = (stages.ob, stages.ob_aug)
+            tr_rw, tr_aug = (ptm_trace(*measure_matrices(e, q, ob)) for ob in bases)
         except (DegenerateAugmentationError, IllConditionedGramError):
             reject()
-        bases = (stages.ob, stages.ob_aug)
-        tr_rw, tr_aug = (ptm_trace(*measure_matrices(e, q, ob)) for ob in bases)
-        lam = min(float(ob.gram_eigh[0][0]) for ob in bases if ob.preps)
+        ct = combination_trace(e, q, epsilon)
+        lam = min(float(np.linalg.eigvalsh(ob.gram)[0]) for ob in bases if ob.preps)
         tol = 1e-13 + 1e-15 / lam**2
         assert ct.tr_rw == pytest.approx(tr_rw, rel=0, abs=tol)
         assert ct.re_tr_w == pytest.approx(0.5 * (tr_aug - tr_rw - 1.0), rel=0, abs=tol)
@@ -629,8 +631,8 @@ class TestExactFrameTrace:
     def test_exact_estimates_run_no_tomography(self, ref3, monkeypatch):
         expected = [estimate_g_power_trace(ref3, 4),
                     estimate_g_power_trace(ref3, 4, strategy="mc", budget=300, rng=2)]
-        monkeypatch.setattr(gst, "measure_matrices", _refuse_tomography)
-        monkeypatch.setattr(gst, "ptm_trace", _refuse_tomography)
+        for name in ("operator_basis_for_states", "measure_matrices", "ptm_trace"):
+            monkeypatch.setattr(gst, name, _refuse_tomography)
         assert [estimate_g_power_trace(ref3, 4),
                 estimate_g_power_trace(ref3, 4, strategy="mc", budget=300, rng=2)] == expected
 
@@ -658,6 +660,18 @@ class TestEstimateGPowerTrace:
         for k in range(8):
             oracle = float(np.sum((1.0 - 2.0 * e.span_eigenvalues) ** k)) - e.alpha
             assert estimate_g_power_trace(e, k).value == pytest.approx(oracle, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    def test_random_ensembles_below_the_operator_basis_floor(self, n):
+        # Exact mode solves no operator-basis Gram, so it no longer stops at
+        # the 1e-8 conditioning floor: with that exit, 2, 9 and 9 of these
+        # ensembles (20 of the 30) raised IllConditionedGramError at n = 12,
+        # 16 and 20.  The oracle is the span eigenvalue sum; subtracting 2^n
+        # from exact_g_power_trace would alone cost about 1e-10 at n = 20.
+        for seed in range(10):
+            e = random_ensemble(np.random.default_rng(seed), n, 4)
+            oracle = float(np.sum((1.0 - 2.0 * e.span_eigenvalues) ** 2)) - e.alpha
+            assert estimate_g_power_trace(e, 2).value == pytest.approx(oracle, rel=0, abs=1e-13)
 
     def test_enumeration_budget(self, ref3):
         with pytest.raises(ResourceLimitError):
@@ -719,7 +733,7 @@ class TestEstimateGPowerTrace:
         classes = gst.word_classes(3, 6)
         ranges = chunk_ranges(len(classes), gst._WORD_CHUNK)  # 92 classes: 32 + 32 + 28
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
-        chunk_args = (e, classes, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, False, None)
+        chunk_args = (e, classes, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, None)
         parts = [gst._enumerate_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
         est = estimate_g_power_trace(e, 6)
         assert (est.value, est.std_error, est.samples) == (sum(parts), 0.0, 3**6)
@@ -982,10 +996,7 @@ class TestWordClasses:
     @given(class_cases())
     def test_class_sum_equals_word_sum(self, case):
         e, k = case
-        try:
-            total, values = word_sum(e, k)
-        except IllConditionedGramError:
-            reject()  # some word's Gram is below the conditioning floor
+        total, values = word_sum(e, k)
         # Values are deficits Tr{W} - 2^n from each word's exact frame trace,
         # whose rounding does not grow as the Grams near singularity.  Over
         # 5,500 cases of this grid the three differences below reached
@@ -1081,20 +1092,28 @@ class TestStageCache:
         assert cache.nbytes == 0
 
     def test_ill_conditioned_cached_gram(self):
-        # A --pinv word stores the key; without --pinv its cached Gram raises
-        # per word with the uncached error, and --pinv keeps its value.
+        # Noise of 1e-12 leaves the near twins' measured Gram as singular as
+        # the exact one.  A --pinv word stores the key; without --pinv its
+        # cached bases raise per word with the uncached error, and --pinv
+        # keeps its value.
         q = word(_NEAR_TWINS, 0, 1)
+        mode = MeasureMode("gaussian", sigma=1e-12)
+
+        def run(pinv, cache=None):
+            return combination_trace(_NEAR_TWINS, q, 1e-30, gst.DEFAULT_THETA, mode,
+                                     np.random.default_rng(3), pinv, cache)
+
         cache = gst.StageCache()
-        pinv = combination_trace(_NEAR_TWINS, q, 1e-30, allow_pseudoinverse=True, cache=cache)
+        pinv = run(True, cache)
         assert cache.nbytes > 0
         with pytest.raises(IllConditionedGramError) as uncached:
-            combination_trace(_NEAR_TWINS, q, 1e-30)
+            run(False)
         for _ in range(2):
             with pytest.raises(IllConditionedGramError) as cached:
-                combination_trace(_NEAR_TWINS, q, 1e-30, cache=cache)
+                run(False, cache)
             assert str(cached.value) == str(uncached.value)
             assert cached.value.min_eigenvalue == uncached.value.min_eigenvalue
-        assert combination_trace(_NEAR_TWINS, q, 1e-30, allow_pseudoinverse=True, cache=cache) == pinv
+        assert run(True, cache) == pinv
 
     # The class representatives of k = 3 and k = 4 have 14 and 21 keys; the
     # 300 noisy draws of k = 3 evaluate every word and meet 37 of its 40 keys.
@@ -1105,10 +1124,12 @@ class TestStageCache:
                  "rng": 5, "allow_pseudoinverse": True}),
     ], ids=["3-14", "4-21", "3-37-shots"])
     def test_stages_run_once_per_key(self, ref3, monkeypatch, k, keys, options):
+        # Exact mode builds no operator basis; a noisy key builds its two.
         calls = stage_calls(monkeypatch)
         estimate_g_power_trace(ref3, k, **options)
-        assert calls == {"build_subspace": keys, "operator_basis_for_states": 2 * keys,
-                         "augmentation_state": keys}
+        noisy = "mode" in options
+        assert calls == Counter(build_subspace=keys, operator_basis_for_states=2 * keys * noisy,
+                                augmentation_state=keys * noisy)
 
     @pytest.mark.parametrize("strategy, budget", [("enumerate", 10**6), ("mc", 300)])
     def test_power_trace_builds_each_key_once_across_k(self, ref3, monkeypatch,
@@ -1136,13 +1157,19 @@ class TestStageCache:
             assert len(built) == 22
 
     def test_zero_byte_budget_stores_nothing(self, ref3, monkeypatch):
-        cached = estimate_g_power_trace(ref3, 3)
+        noisy = {"strategy": "mc", "budget": 50, "mode": MeasureMode("shots", shots=1000),
+                 "rng": 5, "allow_pseudoinverse": True}
+        cached = [estimate_g_power_trace(ref3, 3), estimate_g_power_trace(ref3, 3, **noisy)]
         monkeypatch.setattr(gst, "KEY_CACHE_BYTES", 0)
         calls = stage_calls(monkeypatch)
-        assert estimate_g_power_trace(ref3, 3) == cached
-        # One build per class of k = 3.
-        assert calls == {"build_subspace": 20, "operator_basis_for_states": 40,
-                         "augmentation_state": 20}
+        assert estimate_g_power_trace(ref3, 3) == cached[0]
+        # One build per class of k = 3, with no operator basis.
+        assert calls == {"build_subspace": 20}
+        calls.clear()
+        assert estimate_g_power_trace(ref3, 3, **noisy) == cached[1]
+        # One build per noisy draw, with its two operator bases.
+        assert calls == {"build_subspace": 50, "operator_basis_for_states": 100,
+                         "augmentation_state": 50}
 
 
 class TestScaleN20:
