@@ -573,7 +573,7 @@ def _rows(
             exact = _exact(spec, quantity, order)
             rel_error = _rel_error(value, exact)
             if params["mode"] == "shots":
-                shots = est.samples if estimator == "ht" else params["gst_shots"]
+                shots = est.samples * params["shots"] if estimator == "ht" else params["gst_shots"]
             if params["strategy"] == "mc":
                 trials = params["trials"]
         rows.append(ResultRow(quantity, order, value, est.std_error, exact, rel_error,

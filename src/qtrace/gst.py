@@ -28,12 +28,15 @@ coordinates per state, the same inner products as the 2^n kets.
 4. ``ptm_trace``        — Tr{solve(g, p)}: the unknown prep/measure frames
    enter p and g as the same similarity and cancel, leaving the transfer-
    matrix trace Tr{R_w} = |Tr w|^2.
-5. ``augmentation_state`` — repeat 2-4 with one extra state |phi> outside
-   the span of the circuit states: the restriction to the augmented subspace
-   is block triangular with a unit diagonal entry, so Tr{w'} = Tr{w} + 1 and
-   Tr{R_w'} = |Tr w + 1|^2.  The out-of-span part of |phi> is a probe
-   projected off the word's states in the D coordinates; with alpha < 2^n
-   the zero column of ``span_states`` guarantees one exists.
+5. ``augmentation_state`` — one extra state |phi> outside the span of the
+   circuit states: the restriction to the augmented subspace is block
+   triangular with a unit diagonal entry, so Tr{w'} = Tr{w} + 1 and
+   Tr{R_w'} = |Tr w + 1|^2 over the (d+1)^2 preps of the retained states
+   plus |phi>.  Their sub-block is the d^2 preps of stage 2, so stage 3
+   runs once on all of them and stage 4 on the sub-block, then the whole.
+   The out-of-span part of |phi> is a left singular vector past the word
+   states' rank; with alpha < 2^n the zero column of ``span_states``
+   guarantees one exists.
 6. ``combination_trace`` — Re[Tr w] = (Tr{R_w'} - Tr{R_w} - 1)/2.
 
 Stages 2 to 6 run in the noisy (shots and Gaussian) modes only, and so do
@@ -55,13 +58,14 @@ As in HT, each Monte Carlo chunk of draws lo..hi-1 has one substream,
 one (hi - lo, k) array of uniforms, then, in the noisy modes, each word's
 noise in draw order.  Enumeration runs in exact mode only and draws nothing.
 A ``KeyStages`` builds one key's word-independent stages together when the
-key is first met: stage 1 and the frame in exact mode, stages 1, 2 and 5 in
-the noisy modes.  A ``StageCache`` keeps them per key and kind of mode
-(alpha!/(alpha-i)! keys of i distinct indices, 64 at alpha = 4 for any
-k >= 4, against alpha^k words) up to KEY_CACHE_BYTES of arrays;
-``estimate_power_trace`` shares one cache across its powers k.  A
-noisy word's own work is its reflections, noise draws (p, g, p', g' in that
-order, so the stream does not depend on the cache) and solves.
+key is first met: stage 1 and the frame in exact mode; stage 1, |phi> and
+the augmented preps of stages 2 and 5 in the noisy modes.  A
+``StageCache`` keeps them per key and kind of mode (alpha!/(alpha-i)! keys
+of i distinct indices, 64 at alpha = 4 for any k >= 4, against alpha^k
+words) up to KEY_CACHE_BYTES of arrays; ``estimate_power_trace`` shares
+one cache across its powers k.  A noisy word's own work is one application
+of W to the augmented preps, the noise of its two read-outs (p, g, p', g'
+in that order, so the stream does not depend on the cache) and two solves.
 
 In exact mode a word is evaluated once per bracelet class: Tr{W} is
 invariant under rotation of the word, Re Tr{W} under its reversal (every
@@ -84,7 +88,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,9 +129,6 @@ DEFAULT_EPSILON = 1e-10
 #: the pseudo-inverse fallback is explicitly requested.
 CONDITIONING_FLOOR = 1e-8
 
-#: Residual norm below which an augmentation probe is considered dependent.
-_PROBE_NORM_FLOOR = 1e-6
-
 #: Weight of the retained-state overlap component in the augmentation state.
 _AUGMENT_MIX = 0.5
 
@@ -137,7 +138,7 @@ _AUGMENT_MIX = 0.5
 _WORD_CHUNK = 32
 
 #: Byte budget of one estimate's ``StageCache``.  With d = 7 and D = 8, a
-#: noisy-mode key holds about 66 KB, so some 1,000 such keys fit, and an
+#: noisy-mode key holds 41,352 bytes, so some 1,600 such keys fit, and an
 #: exact-mode key's frame 896 bytes; past the budget a key is built per word.
 KEY_CACHE_BYTES = 64 * 2**20
 
@@ -279,16 +280,23 @@ def measure_matrices(
     """(p, g): p_rs = |<chi_r|W|chi_s>|^2 and g_rs = |<chi_r|chi_s>|^2 over
     the prep kets, via rank-1 reflection application.
 
-    Exact mode checks that p stays in [0, 1].  shots(N) mode replaces each
-    entry with a Binomial(N, p)/N draw; gaussian mode adds N(0, sigma^2) per
-    entry without clamping (p first, then g, in row-major order).
+    Exact mode checks that p stays in [0, 1]; the noisy modes read p and g
+    out as ``_read_out`` does.
     """
     s = ob.prep_matrix
     p = np.abs(s.conj() @ apply_word(e, indices, s).T) ** 2
-    g = ob.gram
     if mode.is_exact:
         _check_unit_range("p", p)
-        return p, g
+        return p, ob.gram
+    return _read_out(p, ob.gram, mode, rng)
+
+
+def _read_out(
+    p: np.ndarray, g: np.ndarray, mode: MeasureMode, rng: np.random.Generator | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy estimates of the exact p and g: shots(N) mode replaces each
+    entry with a Binomial(N, x)/N draw; gaussian mode adds N(0, sigma^2) per
+    entry without clamping (p first, then g, in row-major order)."""
     if rng is None:
         raise ValueError(f"measure mode {mode.kind!r} requires an rng")
     if mode.kind == "shots":
@@ -322,41 +330,20 @@ def ptm_trace(p: np.ndarray, g: np.ndarray, allow_pseudoinverse: bool = False) -
     return float(np.trace((v / w) @ (v.T @ p)))
 
 
-def _probes(dim: int) -> Iterator[np.ndarray]:
-    """The uniform-amplitude vector, then e_0, e_1, ..., made one at a time."""
-    yield np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-    for i in range(dim):
-        basis_state = np.zeros(dim, dtype=np.complex128)
-        basis_state[i] = 1.0
-        yield basis_state
-
-
 def _out_of_span_residual(e: EnsembleSpec, indices: Sequence[int]) -> np.ndarray:
-    """Normalized residual of a deterministic probe after projecting out every
-    circuit state of the word (including truncated ones).
-
-    Tries the uniform-amplitude probe first, then computational basis states
-    in index order, with two Gram-Schmidt passes each.
-    """
+    """A unit vector orthogonal to every circuit state of the word (including
+    truncated ones): the first left singular vector of the states past their
+    rank, in the D coordinates."""
     dim = e.span_states.shape[1]
     axes = e.span_states[list(dict.fromkeys(indices))]
-    basis = None
-    if len(axes):
-        # Orthonormal basis of the (non-orthogonal) circuit-state span.
-        u, sv, _ = np.linalg.svd(axes.T, full_matrices=False)
-        basis = u[:, sv > 1e-12 * sv[0]]
-    for probe in _probes(dim):
-        v = probe
-        if basis is not None:
-            for _ in range(2):
-                v = v - basis @ (basis.conj().T @ v)
-        nrm = float(np.linalg.norm(v))
-        if nrm > _PROBE_NORM_FLOOR:
-            return v / nrm
-    raise DegenerateAugmentationError(
-        f"the {len(axes)} circuit states span the whole {dim}-dimensional "
-        "space; no independent augmentation state exists"
-    )
+    u, sv, _ = np.linalg.svd(axes.T)
+    rank = int(np.count_nonzero(sv > 1e-12 * sv.max(initial=0.0)))
+    if rank == dim:
+        raise DegenerateAugmentationError(
+            f"the {len(axes)} circuit states span the whole {dim}-dimensional "
+            "space; no independent augmentation state exists"
+        )
+    return u[:, rank]
 
 
 def augmentation_state(
@@ -399,24 +386,27 @@ class KeyStages:
     built together.  Both kinds hold the subspace ``b``.  An ``exact`` key
     adds an orthonormal ``frame`` (rows) of its retained states' span, once
     an out-of-span state is found to exist, as the tomography needs.  A
-    noisy key adds the operator basis ``ob`` over its retained states, the
-    augmentation state |phi> and the basis ``ob_aug`` over the retained
-    states plus |phi>.  ``nbytes`` counts the frame's or the bases' arrays."""
+    noisy key adds the augmentation state |phi>, the operator basis
+    ``ob_aug`` over the retained states plus |phi>, and ``sub``, the indices
+    of its d^2 preps over the retained states alone.  ``nbytes`` counts the
+    arrays held."""
 
     def __init__(self, e: EnsembleSpec, key: tuple[int, ...], epsilon: float, theta: float,
                  exact: bool):
         self.b = build_subspace(e, key, epsilon)
+        d = self.b.d
         if exact:
             _out_of_span_residual(e, key)
             retained = np.array(self.b.retained, dtype=np.complex128)
-            self.frame = np.linalg.qr(retained.reshape(self.b.d, e.span_states.shape[1]).T)[0].T
+            self.frame = np.linalg.qr(retained.reshape(d, e.span_states.shape[1]).T)[0].T
             self.nbytes = self.frame.nbytes
         else:
-            self.ob = operator_basis_for_states(self.b.retained, theta)
             phi = augmentation_state(e, key, self.b)
             self.ob_aug = operator_basis_for_states((*self.b.retained, phi), theta)
-            self.nbytes = sum(ob.prep_matrix.nbytes + ob.gram.nbytes
-                              for ob in (self.ob, self.ob_aug))
+            self.sub = np.array([r for r, (s, dress) in enumerate(self.ob_aug.preps)
+                                 if s < d and (dress is None or dress < d)], dtype=np.intp)
+            self.nbytes = sum(a.nbytes for a in (self.ob_aug.prep_matrix, self.ob_aug.gram,
+                                                 self.sub))
 
 
 class StageCache:
@@ -459,8 +449,11 @@ def combination_trace(
     Only the noisy modes read ``theta`` and ``allow_pseudoinverse``, which
     lets their Gram solves pass the conditioning floor by pseudo-inverse.
 
+    A noisy word applies W once, to ``ob_aug``'s preps; the exact (p, g)
+    are read out with noise on their ``sub`` block, then whole.
+
     With a ``cache`` (for this ensemble, epsilon and theta), the word's
-    subspace and frame or bases come from its key's entry; the result is
+    subspace and frame or basis come from its key's entry; the result is
     the same with or without it.
     """
     if any(i < 0 or i >= e.alpha for i in indices):
@@ -475,8 +468,10 @@ def combination_trace(
     else:
         # Tr{R_w} over the d^2 preps, then Tr{R_w'} = |Tr w + 1|^2 over the
         # (d+1)^2 augmented ones.
-        tr_rw, tr_aug = (ptm_trace(*measure_matrices(e, indices, ob, mode, rng),
-                                   allow_pseudoinverse) for ob in (stages.ob, stages.ob_aug))
+        p, g = measure_matrices(e, indices, stages.ob_aug)
+        block = np.ix_(stages.sub, stages.sub)
+        tr_rw, tr_aug = (ptm_trace(*_read_out(pm, gm, mode, rng), allow_pseudoinverse)
+                         for pm, gm in ((p[block], g[block]), (p, g)))
         re_tr_w = 0.5 * (tr_aug - tr_rw - 1.0)
     return CombinationTrace(b.d, tr_rw, re_tr_w, re_tr_w - b.d)
 

@@ -44,7 +44,8 @@ the noise model GST also takes:
 * ``estimate_power_trace_mc`` — Monte Carlo over circuits.  Exact mode takes
   each circuit's exact signed probability, gaussian mode perturbs that
   probability by N(0, sigma^2), and shots mode (the default, one shot)
-  draws ``mode.shots`` binomial measurements per circuit.
+  draws ``mode.shots`` binomial measurements per circuit, whose signed
+  mean is the circuit's one sample.
 * ``estimate_rho_g_power_mc`` — the same circuit with all j layers inserted
   and no coin flips or sign, in any measure mode.  Each layer reflects about a
   component drawn with its ensemble probability, so E[G_q] = G and each
@@ -255,14 +256,12 @@ def _mc_chunk(
     if mode.kind == "gaussian":
         p0, clamps = noise_bounds.perturb_probabilities(p0, mode.sigma, rng)
 
-    if mode.kind != "shots":
+    if mode.kind == "shots":
+        x = sign * (2.0 * rng.binomial(mode.shots, p0) - mode.shots) / mode.shots
+    else:
         x = sign * (2.0 * p0 - 1.0)
-        total = float(x.sum())
-        return b, total, float(np.square(x - total / b).sum()), clamps
-    # shots: every outcome is +-1, so M2 = count - total^2 / count, 0 if all agree.
-    n0 = rng.binomial(mode.shots, p0)
-    count, total = b * mode.shots, float((sign * (2.0 * n0 - mode.shots)).sum())
-    return count, total, (count - total) * (count + total) / count, clamps
+    total = float(x.sum())
+    return b, total, float(np.square(x - total / b).sum()), clamps
 
 
 def _estimate_mc(
@@ -297,8 +296,9 @@ def estimate_power_trace_mc(
     Shots mode draws ``mode.shots`` binomial measurements per circuit; exact
     mode uses each circuit's exact signed probability (one sample per trial,
     no shot noise), and gaussian mode perturbs that probability by
-    N(0, sigma^2), clamped into [0, 1].  The standard error is the sample
-    standard deviation over all outcomes divided by sqrt(count).
+    N(0, sigma^2), clamped into [0, 1].  Each trial is one sample, in shots
+    mode the signed mean of its shots, which share the circuit's P(0); the
+    standard error is the samples' standard deviation over sqrt(trials).
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")

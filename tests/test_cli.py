@@ -914,7 +914,7 @@ BYTE_PINS = {
     "gst --g-power 1-3 --strategy mc --mode shots --trials 200 --seed 7 --pinv":
         "607217f01102f01d2b8d52cdbcc35a9db55536e0d9f732f4c891e13bd4cf2493",
     "gst --g-power 1-3 --strategy mc --mode gaussian --trials 200 --seed 7 --pinv":
-        "13357ea6fc4c168712308da6afff4f46af5d70666346deff83e6bd147b1b9b9f",
+        "6ebbd196f6cd37b0d8e68f45416f2a4141be8a6f6e99aa1f5a4b3a4eba0b6b6c",
     "gst --power 2-4 --pinv":
         "c36f5454a458b6c65151b05b148b57537a3c481ce436d93808440624c1f65d23",
     "gst --g-power 6":
@@ -926,7 +926,7 @@ BYTE_PINS = {
     "gst --g-power 2-3 --strategy mc --mode shots --trials 600 --seed 13 --pinv":
         "999c1a77f66fb0ddd38cd3b4fa3cfaa85adce24a6fef87a05ce69c8e5b97e540",
     "gst --g-power 2-3 --strategy mc --mode gaussian --trials 600 --seed 13 --pinv":
-        "d3e49e4c3afccea69c99d8a384e942a8983535de7cd43f5464a76127aea1512f",
+        "31fa68a4c609e6c35735bbcde656497089507eb2f29cd7426033a193a3fa3712",
     "gst --g-power 2-4 --theta 0.3":
         "d7e4587ab1dafd14fc8799fdf55d1474c1619986f0a59963f6215e6d7f7b7dc2",
     "gst --g-power 3 --strategy mc --trials 500 --epsilon 1e-2 --seed 4":
@@ -939,7 +939,7 @@ BYTE_PINS = {
         "c471248f257572b349422f4afabcf30f2a7bda509872c3086fa9ca42983b1336",
     "entropy --order 2-4 --estimator gst --strategy mc --mode gaussian --trials 300 "
     "--epsilon 1e-3 --seed 5":
-        "ab67c1145122fb0cfaba6fb6f7b8fcc063977ee2498eb2e9fd7eec7865e6d001",
+        "c748e12bfde210b5e91477cefac62f42856657a5b60771a8b3032f07fd12bc66",
     "entropy --order 2-4 --estimator ht --strategy mc --mode shots --trials 2000 --seed 3":
         "9b8bfff58a7597dd618d40bfba454e3b0c6c72f92d2b257c6bce609cd48d4f3a",
     "entropy --order 2-8 --estimator oracle":
@@ -952,7 +952,7 @@ BYTE_PINS = {
     "--trials 20000 --seed 11":
         "34ff153e086fcfee7496946c9f64f5c691685d91aed93a69d28187ce5be940dc",
     "ht --power 2-5 --strategy mc --mode shots --shots 5 --trials 20000 --seed 11":
-        "c236054f7bfe78c08d79972aa293aabf966062d8a5e216a882e69f82ec00705b",
+        "f0e3754d2ceda1faae2faf959277da858cbaf4fca15385204c5e95d0860896d0",
     "oracle --power 2-4 --g-power 0-3 --entropy":
         "6e9e69add728e8170d238aeb8016d2000bf6e6c8be46d613d790961d36776eae",
     "sweep --config {sweep}":
@@ -978,7 +978,7 @@ ERROR_PINS = {
         'is below the conditioning floor 1.000e-08", "min_eigenvalue": -0.0012847012714546774}\n',
     "gst --g-power 1-3 --strategy mc --mode gaussian --trials 200 --seed 7":
         '{"error": "ill-conditioned-gram", "message": "Gram matrix min eigenvalue -1.693e-05 '
-        'is below the conditioning floor 1.000e-08", "min_eigenvalue": -1.6929712532185906e-05}\n',
+        'is below the conditioning floor 1.000e-08", "min_eigenvalue": -1.6929712532255244e-05}\n',
     "gst --g-power 1-3 --config {one_qubit}":
         '{"error": "degenerate-augmentation", "message": "the 2 circuit states span the whole '
         '2-dimensional space; no independent augmentation state exists"}\n',

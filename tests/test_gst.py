@@ -1,9 +1,14 @@
 import itertools
+import json
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +45,7 @@ from qtrace.qcore import reflect_amplitudes
 from qtrace.rng import rng_stream
 from qtrace.series import binomial_weights, evaluate_series, mc_estimate
 
-from .conftest import angle_spec, random_ensemble, reference_spec, small_ensembles
+from .conftest import angle_spec, cli_env, random_ensemble, reference_spec, small_ensembles
 
 
 def pure_spec(n=3) -> EnsembleSpec:
@@ -68,11 +73,19 @@ def restricted_trace(e: EnsembleSpec, q: tuple[int, ...]) -> complex:
     return exact_combination_trace(e, q) - (2**e.n - b.d)
 
 
+def noisy_key_matrices(e, q, epsilon=gst.DEFAULT_EPSILON):
+    """The noisy key's stages for word q and the exact (p, g) over its
+    d^2 preps, the ``sub`` block, then over all (d+1)^2."""
+    stages = gst.KeyStages(e, tuple(dict.fromkeys(q)), epsilon, gst.DEFAULT_THETA, exact=False)
+    p, g = measure_matrices(e, q, stages.ob_aug)
+    block = np.ix_(stages.sub, stages.sub)
+    return stages, ((p[block], g[block]), (p, g))
+
+
 def augmented_traces(e: EnsembleSpec, q: tuple[int, ...]) -> tuple[float, float]:
-    """Exact (Tr{R_w}, Tr{R_w'}) over the word's two operator bases."""
-    stages = gst.KeyStages(e, tuple(dict.fromkeys(q)), gst.DEFAULT_EPSILON, gst.DEFAULT_THETA,
-                           exact=False)
-    return tuple(ptm_trace(*measure_matrices(e, q, ob)) for ob in (stages.ob, stages.ob_aug))
+    """Exact (Tr{R_w}, Tr{R_w'}) over the ``sub`` block of the word's
+    operator basis and over all of it."""
+    return tuple(ptm_trace(p, g) for p, g in noisy_key_matrices(e, q)[1])
 
 
 # Dense reference: the GST word pipeline on 2**n-amplitude kets, as it ran
@@ -507,8 +520,9 @@ class TestAugmentation:
 
     def test_augmentation_at_n16_probes_lazily(self):
         # Component 0 is |+>^n, the uniform-amplitude probe itself, so the
-        # dense probe search moves on to e_0.  The package's augmentation
-        # state lives on span_states rows and forms no 2**n vector.
+        # dense reference's probe search moves on to e_0.  The package's
+        # augmentation state, a singular vector on span_states rows, probes
+        # nothing and forms no 2**n vector.
         n = 16
         e = angle_spec(n, [0.5, 0.5], (math.pi / 2, 0, 0), (0.7, 0.4, 0.1))
         q = word(e, 0, 1)
@@ -608,19 +622,17 @@ class TestExactFrameTrace:
     @given(exact_words())
     def test_equals_noiseless_tomography(self, case):
         # The tomography's rounding grows like 1e-16 / lambda^2, lambda the
-        # least Gram eigenvalue of the two operator bases: over 5,600 cases
+        # least eigenvalue of the two Gram blocks: over 5,600 cases
         # of this grid its distance to the frame trace reached 2.4x that, and
         # 1.2e-8 absolute.  Re Tr w exceeded d by at most 1.1e-14.
         e, q, epsilon = case
         try:
-            stages = gst.KeyStages(e, tuple(dict.fromkeys(q)), epsilon, gst.DEFAULT_THETA,
-                                   exact=False)
-            bases = (stages.ob, stages.ob_aug)
-            tr_rw, tr_aug = (ptm_trace(*measure_matrices(e, q, ob)) for ob in bases)
+            stages, blocks = noisy_key_matrices(e, q, epsilon)
+            tr_rw, tr_aug = (ptm_trace(p, g) for p, g in blocks)
         except (DegenerateAugmentationError, IllConditionedGramError):
             reject()
         ct = combination_trace(e, q, epsilon)
-        lam = min(float(np.linalg.eigvalsh(ob.gram)[0]) for ob in bases if ob.preps)
+        lam = min(float(np.linalg.eigvalsh(g)[0]) for _, g in blocks if g.size)
         tol = 1e-13 + 1e-15 / lam**2
         assert ct.tr_rw == pytest.approx(tr_rw, rel=0, abs=tol)
         assert ct.re_tr_w == pytest.approx(0.5 * (tr_aug - tr_rw - 1.0), rel=0, abs=tol)
@@ -1124,11 +1136,11 @@ class TestStageCache:
                  "rng": 5, "allow_pseudoinverse": True}),
     ], ids=["3-14", "4-21", "3-37-shots"])
     def test_stages_run_once_per_key(self, ref3, monkeypatch, k, keys, options):
-        # Exact mode builds no operator basis; a noisy key builds its two.
+        # Exact mode builds no operator basis; a noisy key builds its one.
         calls = stage_calls(monkeypatch)
         estimate_g_power_trace(ref3, k, **options)
         noisy = "mode" in options
-        assert calls == Counter(build_subspace=keys, operator_basis_for_states=2 * keys * noisy,
+        assert calls == Counter(build_subspace=keys, operator_basis_for_states=keys * noisy,
                                 augmentation_state=keys * noisy)
 
     @pytest.mark.parametrize("strategy, budget", [("enumerate", 10**6), ("mc", 300)])
@@ -1167,9 +1179,60 @@ class TestStageCache:
         assert calls == {"build_subspace": 20}
         calls.clear()
         assert estimate_g_power_trace(ref3, 3, **noisy) == cached[1]
-        # One build per noisy draw, with its two operator bases.
-        assert calls == {"build_subspace": 50, "operator_basis_for_states": 100,
+        # One build per noisy draw, with its one operator basis.
+        assert calls == {"build_subspace": 50, "operator_basis_for_states": 50,
                          "augmentation_state": 50}
+
+
+class TestOneBasisPerNoisyKey:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_words())
+    @example((_FILLING, word(_FILLING, 0, 1), 1e-10))
+    @example((_FILLING, word(_FILLING, 2, 2), 1e-10))
+    @example((_DUPLICATED, word(_DUPLICATED, 0, 1, 2), 1e-10))
+    @example((random_ensemble(np.random.default_rng(3), 2, 5), (4, 0, 2, 0), 1e-3))
+    def test_sub_block_is_the_unaugmented_basis(self, case):
+        # alpha >= 2**n (the examples) and alpha < 2**n (most draws).
+        e, q, epsilon = case
+        key = tuple(dict.fromkeys(q))
+        states = e.span_states[list(key)]
+        dim = e.span_states.shape[1]
+        sv = np.linalg.svd(states, compute_uv=False)
+        rank = int(np.count_nonzero(sv > 1e-12 * sv.max(initial=0.0)))
+        if rank == dim:
+            with pytest.raises(DegenerateAugmentationError):
+                gst._out_of_span_residual(e, q)
+            with pytest.raises(DegenerateAugmentationError):
+                gst.KeyStages(e, key, epsilon, gst.DEFAULT_THETA, exact=False)
+            return
+        residual = gst._out_of_span_residual(e, q)
+        assert abs(np.linalg.norm(residual) - 1.0) < 1e-12
+        assert np.max(np.abs(states.conj() @ residual), initial=0.0) < 1e-12
+
+        stages = gst.KeyStages(e, key, epsilon, gst.DEFAULT_THETA, exact=False)
+        ob = operator_basis_for_states(stages.b.retained, gst.DEFAULT_THETA)
+        aug = stages.ob_aug
+        assert ob.preps == tuple(aug.preps[r] for r in stages.sub)
+        assert ob.prep_matrix.tobytes() == aug.prep_matrix[stages.sub].tobytes()
+
+        with mock.patch.object(gst, "apply_word", wraps=gst.apply_word) as spy:
+            combination_trace(e, q, epsilon, gst.DEFAULT_THETA, MeasureMode("shots", shots=1000),
+                              np.random.default_rng(0), allow_pseudoinverse=True)
+        assert spy.call_count == 1
+
+    def test_traced_noisy_run_times_every_tomography_stage(self, tmp_path):
+        # Exact mode builds no operator basis, so only a noisy run reaches
+        # these layers of the benchmark tracer.
+        tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        argv = [sys.executable, str(tracer), "--workers", "1", "--", "gst", "--g-power", "3",
+                "--strategy", "mc", "--mode", "shots", "--trials", "300", "--seed", "5", "--pinv"]
+        out = subprocess.run(argv, capture_output=True, text=True, env=cli_env(), cwd=tmp_path,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        record = json.loads(out.stdout.strip().splitlines()[-1])
+        assert record["exit_code"] == 0
+        for layer in ("gst.basis_s", "gst.measure_s", "gst.solve_s", "gst.augment_s"):
+            assert record["metrics"][layer] > 0, layer
 
 
 class TestScaleN20:

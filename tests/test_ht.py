@@ -76,7 +76,7 @@ def chunk_samples(e, m, mode, master_seed, lo, hi,
     """Every outcome of the HT Monte Carlo trials [lo, hi), redrawn from the
     chunk's stream in the kernel's order (components, flags, noise,
     binomial), and the clamp count.  A shots-mode trial with n0 zeros out of
-    s contributes n0 outcomes +sign and s - n0 outcomes -sign."""
+    s is one sample, the signed mean of its shots, sign * (2 n0 - s) / s."""
     rng = rng_stream(master_seed, lo)
     b = hi - lo
     comps = e.component_indices(rng.random((b, m + 1)))
@@ -93,8 +93,7 @@ def chunk_samples(e, m, mode, master_seed, lo, hi,
     if mode.kind != "shots":
         return sign * (2.0 * p0 - 1.0), clamps
     n0 = rng.binomial(mode.shots, p0)
-    outcomes = np.stack([sign, -sign], axis=1).ravel()
-    return np.repeat(outcomes, np.stack([n0, mode.shots - n0], axis=1).ravel()), clamps
+    return sign * (2.0 * n0 - mode.shots) / mode.shots, clamps
 
 
 def two_pass_estimate(chunks):
@@ -162,25 +161,27 @@ class TestExactP0:
 
 
 class TestSingleShot:
-    """Shots of _mc_chunk: each is the signed unit (-1)^k * (+1 | -1)."""
+    """Shots of _mc_chunk: each is the signed unit (-1)^k * (+1 | -1), and a
+    circuit's sample is the mean of its shots."""
 
     def test_no_layers_always_plus_one(self, ref3):
         count, total, _, _ = ht._mc_chunk(ref3, 0, MeasureMode("shots", shots=20), 0, 0, 10)
-        assert total == count == 200
+        assert total == count == 10
 
     def test_eigenstate_layer_always_plus_one(self):
         # With one layer, P(1) = 1 and the (-1)^k sign flips the -1 outcome
         # back to +1; without it, P(0) = 1.
         count, total, _, _ = ht._mc_chunk(pure_spec(), 1, MeasureMode("shots", shots=20), 1, 0, 10)
-        assert total == count == 200
+        assert total == count == 10
 
     def test_bernoulli_mean(self, ref3):
         # The one circuit drawn at seed 0 has k = 1 layer, at seed 5 k = 2.
+        shots = 100_000
         for seed in (0, 5):
             expected = ht._mc_chunk(ref3, 2, EXACT, seed, 0, 1)[1]
-            n, total, _, _ = ht._mc_chunk(ref3, 2, MeasureMode("shots", shots=100_000), seed, 0, 1)
-            sigma = math.sqrt((1 - expected**2) / n)
-            assert abs(total / n - expected) < 3 * sigma
+            n, total, _, _ = ht._mc_chunk(ref3, 2, MeasureMode("shots", shots=shots), seed, 0, 1)
+            sigma = math.sqrt((1 - expected**2) / shots)
+            assert n == 1 and abs(total - expected) < 3 * sigma
 
 
 class TestEstimateEnumerate:
@@ -252,9 +253,22 @@ class TestEstimateMc:
             ratios.append(big.std_error / small.std_error)
         assert 0.4 < sum(ratios) / len(ratios) < 0.6
 
-    def test_shots_per_trial_counts_all_outcomes(self, ref3):
+    def test_shots_count_one_sample_per_trial(self, ref3):
         est = estimate_power_trace_mc(ref3, 1, trials=1000, mode=MeasureMode("shots", shots=7), rng=3)
-        assert est.samples == 7000
+        assert est.samples == 1000
+
+    @pytest.mark.parametrize("shots", [10, 100])
+    def test_shot_std_error_is_the_spread_over_seeds(self, ref3, shots):
+        # The shots of one circuit share its P(0), so the circuit, not the
+        # shot, is the independent sample.  Over 200 seeds the mean reported
+        # std_error is 0.970 and 0.962 of the estimates' spread at 10 and
+        # 100 shots; counting every shot as a sample gave 0.40 and 0.13.
+        # The spread itself is known to about 5% from 200 estimates.
+        ests = [estimate_power_trace_mc(ref3, 1, 2000, MeasureMode("shots", shots=shots), rng=s)
+                for s in range(200)]
+        spread = float(np.std([est.value for est in ests], ddof=1))
+        reported = float(np.mean([est.std_error for est in ests]))
+        assert 0.8 < reported / spread < 1.25
 
     def test_estimate_is_the_chunk_order_reduction(self, ref3):
         trials = 40_000  # four full chunks and a partial fifth
@@ -326,7 +340,7 @@ class TestRhoGPowerMc:
 
     def test_j0_is_unit_trace(self, ref3):
         est = estimate_rho_g_power_mc(ref3, 0, trials=5000, mode=MeasureMode("shots", shots=3), rng=1)
-        assert (est.value, est.std_error, est.samples) == (1.0, 0.0, 15000)
+        assert (est.value, est.std_error, est.samples) == (1.0, 0.0, 5000)
         assert est.mode == MODE_MC_SHOTS
 
     @pytest.mark.parametrize("mode", [
