@@ -412,9 +412,12 @@ def _child_seed(master: int, index: int) -> int:
 
 
 def _rel_error(estimate: float, exact: float) -> float | None:
+    """|estimate - exact| / |exact|, or None where that is no finite number:
+    an exact value of 0, or a subnormal one whose ratio overflows."""
     if exact == 0.0:
         return None
-    return abs(estimate - exact) / abs(exact)
+    rel = abs(estimate - exact) / abs(exact)
+    return rel if math.isfinite(rel) else None
 
 
 def _timed(enabled: bool, fn: Callable[..., Any], *args: Any) -> tuple[Any, int | None]:

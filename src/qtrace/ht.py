@@ -65,7 +65,6 @@ chunk order, so results are bit-identical for a fixed seed.
 
 from __future__ import annotations
 
-import logging
 from functools import partial
 
 import numpy as np
@@ -89,12 +88,12 @@ from .series import (
     mc_mode,
 )
 
-logger = logging.getLogger(__name__)
-
-#: Complex coefficients held per enumeration block (16 bytes each, 256 KiB),
-#: which bounds its memory at any enumeration cap: the last prefix level, one
-#: row per word, is the largest array.  Larger blocks raised peak RSS and
-#: saved no time.
+#: Complex coefficients held per enumeration block (16 bytes each, 256 KiB,
+#: in each of the two buffers of ``_EnumWorkspace``), which bounds its memory
+#: at any enumeration cap.  Fixed: a block is summed on its own, so the block
+#: size sets the float order of a_j, and changing it changes the bytes of
+#: every enumerated result.  (An old finding that larger blocks saved no time
+#: was measured while each level mapped a fresh coefficient array.)
 _ENUM_BLOCK_ENTRIES = 1 << 14
 
 #: Complex coefficients per row block of the Monte Carlo kernel (16 bytes
@@ -280,7 +279,11 @@ def _estimate_mc(
     parts = run_chunked(worker, trials, TRIAL_CHUNK)
     clamps = sum(p[3] for p in parts)
     if clamps:
-        logger.debug("ht noise clamped %d of %d probabilities", clamps, trials)
+        # Imported only where a clamp is logged: importing ``logging`` costs
+        # every run start-up time and memory.
+        import logging
+
+        logging.getLogger(__name__).debug("ht noise clamped %d of %d probabilities", clamps, trials)
     return mc_estimate([p[:3] for p in parts], mc_mode(mode.kind))
 
 
@@ -329,27 +332,63 @@ def enumeration_word_count(alpha: int, m: int) -> int:
     return sum(alpha ** (k + 1) for k in range(m + 1))
 
 
-def _enumerate_block(e: EnsembleSpec, k: int, lo: int, hi: int) -> float:
+class _EnumWorkspace:
+    """Scratch of the enumeration blocks of one call over ensemble ``e``,
+    each of at most ``words`` words.
+
+    ``bufs`` holds two (words, alpha, alpha) coefficient buffers, which the
+    levels of a block fill in turn, so no level allocates its coefficients.
+    ``level`` serves a level's index tables.
+    """
+
+    def __init__(self, e: EnsembleSpec, words: int) -> None:
+        alpha = e.alpha
+        self.e = e
+        self.eye = np.eye(alpha, dtype=np.complex128)[None]
+        self.bufs = tuple(np.empty((words, alpha, alpha), dtype=np.complex128) for _ in range(2))
+        self._levels: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+
+    def level(self, first: int, count: int) -> tuple[np.ndarray, ...]:
+        """(parents, entries, gram[axes], probs[axes]) of the ``count``
+        consecutive prefixes from rank ``first``.  Prefix w has parent row
+        parents[w] in the previous level and last letter axes[w], and
+        entries[w, i] is the flat index of coefficient axes[w] in row i of
+        its (alpha, alpha) array.  These depend only on (first mod alpha,
+        count), the cache key."""
+        e, alpha = self.e, self.e.alpha
+        key = (first % alpha, count)
+        table = self._levels.get(key)
+        if table is None:
+            parents, axes = np.divmod(np.arange(key[0], key[0] + count), alpha)
+            entries = (np.arange(count) * alpha**2 + axes)[:, None] + alpha * np.arange(alpha)
+            table = self._levels[key] = (parents, entries, e.gram[axes], e.probs[axes])
+        return table
+
+
+def _enumerate_block(work: _EnumWorkspace, k: int, lo: int, hi: int) -> float:
     """sum over the length-k words of rank [lo, hi), in itertools.product
-    order, of (prod p) sum_i p_i Re <psi_i|W|psi_i>.
+    order, of (prod p) sum_i p_i Re <psi_i|W|psi_i>, on the ensemble and in
+    the buffers of ``work``, which must hold hi - lo words.
 
     Each word carries an (alpha, alpha) coefficient array: row i holds the
     span coefficients of W|psi_i>, so one pass covers every initial component.
     Consecutive ranks share their leading letters, so step t reflects each
     distinct length-(t+1) prefix once, ranks lo // s .. (hi - 1) // s with
     s = alpha^(k-1-t): about alpha/(alpha-1) row reflections per word, not k.
+    No step has more prefixes than the block has words.
     """
-    alpha, gram = e.alpha, e.gram
-    c, weights = np.eye(alpha, dtype=np.complex128)[None], np.ones(1)
+    e = work.e
+    c, weights = work.eye, np.ones(1)
     for t in range(k):
-        s = alpha ** (k - 1 - t)
-        prefixes = np.arange(lo // s, (hi - 1) // s + 1)
-        axes = prefixes % alpha
-        parents = prefixes // alpha - lo // (s * alpha)
-        c, weights = c[parents], weights[parents] * e.probs[axes]
-        inner = np.einsum("wj,wij->wi", gram[axes], c)
-        c[np.arange(len(axes)), :, axes] -= 2.0 * inner
-    re = np.einsum("ij,wij->wi", gram, c).real
+        s = e.alpha ** (k - 1 - t)
+        parents, entries, gram_axes, probs_axes = work.level(lo // s, (hi - 1) // s - lo // s + 1)
+        # mode="clip" gathers straight into the buffer; the default "raise"
+        # gathers into a temporary first.  Every parent index is in range.
+        c = np.take(c, parents, axis=0, out=work.bufs[t % 2][:len(parents)], mode="clip")
+        weights = weights[parents] * probs_axes
+        inner = np.einsum("wj,wij->wi", gram_axes, c)
+        c.reshape(-1)[entries] -= 2.0 * inner
+    re = np.einsum("ij,wij->wi", e.gram, c).real
     _check_probabilities(0.5 * (1.0 + re))
     return float(weights @ (re @ e.probs))
 
@@ -359,14 +398,16 @@ def estimate_rho_g_power_enumerate(
 ) -> TraceEstimate:
     """Exact a_j = Tr{rho G^j}: the expectation of the all-layers circuit of
     ``estimate_rho_g_power_mc`` over all alpha^(j+1) component words, in
-    blocks of at most _ENUM_BLOCK_ENTRIES coefficients.  std_error is 0."""
+    blocks of at most _ENUM_BLOCK_ENTRIES coefficients that share one
+    ``_EnumWorkspace``.  std_error is 0."""
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     planned = e.alpha ** (j + 1)
     check_enumeration_cap(planned, enumeration_cap, "enumeration")
-    block = max(1, _ENUM_BLOCK_ENTRIES // e.alpha**2)
     n_words = e.alpha**j
-    value = sum(_enumerate_block(e, j, lo, min(lo + block, n_words))
+    block = min(max(1, _ENUM_BLOCK_ENTRIES // e.alpha**2), n_words)
+    work = _EnumWorkspace(e, block)
+    value = sum(_enumerate_block(work, j, lo, min(lo + block, n_words))
                 for lo in range(0, n_words, block))
     return TraceEstimate(value, 0.0, planned, MODE_EXACT_ENUMERATION)
 

@@ -195,6 +195,17 @@ class TestRendering:
         assert parsed["rows"][0]["std_error"] == rows[0].std_error
         assert parsed["rows"][0]["rel_error"] is None
 
+    def test_subnormal_exact_value_leaves_rel_error_empty(self):
+        # Tr{rho^3000} of table1 is subnormal, so |estimate - exact| / exact
+        # overflows to inf, which JSON cannot carry.
+        args = ("ht", "--power", "3000", "--strategy", "mc", "--trials", "10", "--seed", "1")
+        as_json, as_csv = run_cli(*args, "--format", "json"), run_cli(*args)
+        assert (as_json.returncode, as_csv.returncode) == (0, 0)
+        row = strict_json(as_json.stdout)["rows"][0]
+        assert 0.0 < row["exact_value"] < sys.float_info.min
+        assert row["rel_error"] is None
+        assert table(as_csv.stdout)[0]["rel_error"] == ""
+
     def test_oracle_rows_zero_stderr(self):
         r = run_cli("oracle", "--power", "2", "--config", "table1")
         line = r.stdout.splitlines()[1].split(",")

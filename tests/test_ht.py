@@ -1,6 +1,9 @@
 import json
+import logging
 import math
+import re
 import tracemalloc
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -284,6 +287,13 @@ class TestEstimateMc:
         est = estimate_power_trace_mc(ref3, 1, trials=100, rng=np.random.default_rng(0))
         assert isinstance(est, TraceEstimate)
 
+    def test_clamp_count_is_logged(self, ref3, caplog):
+        # ``logging`` is imported only on this path, so it needs its own test.
+        with caplog.at_level(logging.DEBUG, logger="qtrace.ht"):
+            estimate_power_trace_mc(ref3, 1, 2000, MeasureMode("gaussian", sigma=0.5), rng=3)
+        [message] = [r.getMessage() for r in caplog.records if r.name == "qtrace.ht"]
+        assert re.fullmatch(r"ht noise clamped [1-9]\d* of 2000 probabilities", message)
+
     def test_gaussian_noise_keeps_estimate_sane(self, ref3):
         est = estimate_power_trace_mc(
             ref3, 1, trials=100_000, rng=13, mode=GAUSSIAN
@@ -537,6 +547,14 @@ def block_cases(draw):
     return alpha, k, lo, hi
 
 
+@cache
+def shared_workspace(alpha, k):
+    """One enumeration workspace per (alpha, k), sized for every length-k
+    word and reused by every rank range of the tests below, so each range
+    meets level tables that earlier ranges cached."""
+    return ht._EnumWorkspace(BLOCK_SPECS[alpha], alpha**k)
+
+
 class TestPrefixSharingEnumeration:
     """The prefix-sharing block kernel must match the per-word one bit for bit."""
 
@@ -544,8 +562,8 @@ class TestPrefixSharingEnumeration:
     @given(block_cases())
     def test_block_matches_per_word_kernel(self, case):
         alpha, k, lo, hi = case
-        e = BLOCK_SPECS[alpha]
-        assert ht._enumerate_block(e, k, lo, hi) == per_word_enumerate_block(e, k, lo, hi)
+        got = ht._enumerate_block(shared_workspace(alpha, k), k, lo, hi)
+        assert got == per_word_enumerate_block(BLOCK_SPECS[alpha], k, lo, hi)
 
     @pytest.mark.parametrize("alpha", range(1, 8))
     def test_whole_ranges_single_words_and_prefix_straddles(self, alpha):
@@ -555,8 +573,9 @@ class TestPrefixSharingEnumeration:
             cuts = {0, 1, n // 2, n - 1, n} | {min(n, alpha ** t + d) for t in range(k) for d in (-1, 1)}
             ranges = [(lo, hi) for lo in cuts for hi in cuts if lo < hi]
             ranges += [(r, r + 1) for r in range(0, n, max(1, n // 7))]
+            work = shared_workspace(alpha, k)
             for lo, hi in ranges:
-                assert ht._enumerate_block(e, k, lo, hi) == per_word_enumerate_block(e, k, lo, hi)
+                assert ht._enumerate_block(work, k, lo, hi) == per_word_enumerate_block(e, k, lo, hi)
 
     @pytest.mark.parametrize("entries", [16, 48, 80])
     @pytest.mark.parametrize("alpha", [2, 3, 4, 5])

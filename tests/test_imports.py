@@ -1,13 +1,17 @@
 """Package modules reach each other through public names only, the
-estimators HT and GST are siblings over shared layers, and the CLI reaches
-them through their modules."""
+estimators HT and GST are siblings over shared layers, the CLI reaches
+them through their modules, and a run imports what only some paths use
+only on those paths."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from .conftest import SRC
+from .conftest import SRC, cli_env
 
 PACKAGE = Path(SRC) / "qtrace"
 
@@ -130,3 +134,40 @@ def test_ht_and_gst_import_nothing_from_each_other():
 @pytest.mark.parametrize("name", ["series", "noise_bounds"])
 def test_shared_layers_import_no_estimator_module(name):
     assert imported_modules(PACKAGE / f"{name}.py") & {"ht", "gst", "cli"} == set()
+
+
+#: Modules that a run imports only on the paths that use them: numpy's random
+#: module (5.5 MiB) where something is drawn, ``logging`` where a clamp count
+#: is logged.
+LAZY_MODULES = ["numpy.random", "logging"]
+
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from qtrace import cli
+exits = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        exits.append(cli.main(argv))
+print(json.dumps({"exits": exits, "loaded": [m for m in json.loads(sys.argv[2]) if m in sys.modules]}))
+"""
+
+
+def lazy_modules_after(*commands: list[str]) -> dict[str, list]:
+    """Exit codes of the CLI ``commands``, run in turn in one fresh
+    interpreter, and the LAZY_MODULES loaded after them."""
+    run = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands),
+                          json.dumps(LAZY_MODULES)],
+                         capture_output=True, text=True, env=cli_env(), check=True)
+    return json.loads(run.stdout)
+
+
+def test_runs_that_draw_nothing_import_neither_numpy_random_nor_logging():
+    got = lazy_modules_after(["entropy", "--estimator", "ht", "--order", "2-8"],
+                             ["oracle", "--power", "2"])
+    assert got == {"exits": [0, 0], "loaded": []}
+
+
+def test_exact_mode_monte_carlo_imports_no_logging():
+    got = lazy_modules_after(["ht", "--power", "2", "--strategy", "mc", "--mode", "exact",
+                              "--trials", "1000"])
+    assert got == {"exits": [0], "loaded": ["numpy.random"]}
