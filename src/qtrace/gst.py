@@ -67,20 +67,14 @@ one cache across its powers k.  A noisy word's own work is one application
 of W to the augmented preps, the noise of its two read-outs (p, g, p', g'
 in that order, so the stream does not depend on the cache) and two solves.
 
-In exact mode a word is evaluated once per bracelet class: Tr{W} is
-invariant under rotation of the word, Re Tr{W} under its reversal (every
-reflection is Hermitian, so W^dagger is the reversed word) and P_q under
-any permutation.  ``word_classes`` lists each class's least member, its
-representative, with the class size; at alpha = 4 that is 55 classes for
-256 words at k = 4 and 15,084 for 262,144 at k = 9.  Enumeration adds
-multiplicity x P_q x value per class, and Monte Carlo keeps one memo per
-estimate that maps drawn words and representatives to their class's value.
-Under truncation a class's members can retain different states, since
-stage 1 admits in first-occurrence order, which a rotation changes; the
-representative's value then stands for the whole class, a slightly
-different estimator from the word sum.  Shots and Gaussian modes evaluate
-every drawn word with its own noise.  Caps and sample counts still count
-words.
+Exact enumeration visits no word: a word's deficit is linear in W, and its
+key (its distinct indices in first-occurrence order) fixes its frame and d,
+so ``_enumerate_chunk`` sums over the words of each key in a depth-first walk
+of the sum_i alpha!/(alpha-i)! keys of 1 <= i <= k letters, each word getting
+its own key's value.  Exact Monte Carlo memoizes each drawn word's
+``class_representative``, the least of its rotations and its reversal's,
+whose Re Tr{W} and P_q are the word's, so under truncation it gives each
+word its class representative's value.  Caps and sample counts count words.
 """
 
 from __future__ import annotations
@@ -88,7 +82,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -132,9 +126,9 @@ CONDITIONING_FLOOR = 1e-8
 #: Weight of the retained-state overlap component in the augmentation state.
 _AUGMENT_MIX = 0.5
 
-#: Monte Carlo draws, or enumerated word classes, per chunk.  Fixed: the
-#: Monte Carlo chunk layout is the RNG stream layout, so changing it changes
-#: every GST Monte Carlo result.
+#: Monte Carlo draws, or first letters of enumerated words, per chunk.
+#: Fixed: the Monte Carlo chunk layout is the RNG stream layout, so changing
+#: it changes every GST Monte Carlo result.
 _WORD_CHUNK = 32
 
 #: Byte budget of one estimate's ``StageCache``.  With d = 7 and D = 8, a
@@ -157,10 +151,9 @@ class SubspaceBasis:
         return len(self.retained)
 
 
-def _admission_statistic(
-    retained: list[np.ndarray], psi: np.ndarray
-) -> float:
-    """(|Delta|^2 / (1 + |x|^2))^2 for adding psi to the retained set.
+def _admission_statistic(retained: Sequence[np.ndarray], psi: np.ndarray) -> np.ndarray:
+    """(|Delta|^2 / (1 + |x|^2))^2 for adding psi to the retained set, or for
+    adding each row of a block psi on its own.
 
     x solves the Gram system expressing the projection of psi onto the
     retained (non-orthogonal) states; |Delta|^2 is the squared residual norm.
@@ -168,15 +161,26 @@ def _admission_statistic(
     Gram matrix of the candidate basis.
     """
     if not retained:
-        return 1.0
+        return np.ones(psi.shape[:-1])
     r = np.array(retained)
-    c = r.conj() @ psi
-    gram = r.conj() @ r.T
-    x = np.linalg.solve(gram, c)
-    proj_sq = min(max(float((c.conj() @ x).real), 0.0), 1.0)
-    delta_sq = 1.0 - proj_sq
-    x_sq = float(np.vdot(x, x).real)
-    return (delta_sq / (1.0 + x_sq)) ** 2
+    c = r.conj() @ psi.T
+    x = np.linalg.solve(r.conj() @ r.T, c)
+    proj_sq = np.clip(np.sum(c.conj() * x, axis=0).real, 0.0, 1.0)
+    return ((1.0 - proj_sq) / (1.0 + np.sum(np.abs(x) ** 2, axis=0))) ** 2
+
+
+def _admit(e: EnsembleSpec, b: SubspaceBasis, indices: Sequence[int],
+           epsilon: float) -> list[SubspaceBasis]:
+    """``b`` after meeting each state of ``indices`` on its own: unchanged for
+    a physical duplicate of a retained state, else with the state retained
+    if its admission statistic is >= epsilon and discarded if not."""
+    psi = e.span_states[list(indices)]
+    same = np.zeros(len(psi), dtype=bool)
+    if b.retained:
+        same = np.max(np.abs(np.array(b.retained) @ psi.conj().T), axis=0) > SAME_STATE_OVERLAP
+    return [b if dup else SubspaceBasis((*b.retained, v), b.discarded) if stat >= epsilon
+            else SubspaceBasis(b.retained, (*b.discarded, (v, float(stat))))
+            for v, dup, stat in zip(psi, same, _admission_statistic(b.retained, psi))]
 
 
 def build_subspace(
@@ -191,22 +195,10 @@ def build_subspace(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon!r}")
-    retained: list[np.ndarray] = []
-    discarded: list[tuple[np.ndarray, float]] = []
-    seen: set[int] = set()
-    for idx in indices:
-        if idx in seen:
-            continue
-        seen.add(idx)
-        psi = e.span_states[idx]
-        if retained and float(np.max(np.abs(np.array(retained) @ psi.conj()))) > SAME_STATE_OVERLAP:
-            continue
-        stat = _admission_statistic(retained, psi)
-        if stat >= epsilon:
-            retained.append(psi)
-        else:
-            discarded.append((psi, stat))
-    return SubspaceBasis(tuple(retained), tuple(discarded))
+    b = SubspaceBasis((), ())
+    for idx in dict.fromkeys(indices):
+        (b,) = _admit(e, b, [idx], epsilon)
+    return b
 
 
 def check_theta(theta: float) -> None:
@@ -381,6 +373,15 @@ class CombinationTrace:
     value: float
 
 
+def _exact_frame(e: EnsembleSpec, key: Sequence[int], states: Sequence[np.ndarray]) -> np.ndarray:
+    """An orthonormal frame (rows) of the span of ``states``, once the states
+    of ``key`` leave room outside their span (fewer than D always do)."""
+    if len(key) >= e.span_states.shape[1]:
+        _out_of_span_residual(e, key)
+    m = np.array(states, dtype=np.complex128).reshape(len(states), e.span_states.shape[1])
+    return np.linalg.qr(m.T)[0].T
+
+
 class KeyStages:
     """The word-independent stages of one subspace key in one kind of mode,
     built together.  Both kinds hold the subspace ``b``.  An ``exact`` key
@@ -396,9 +397,7 @@ class KeyStages:
         self.b = build_subspace(e, key, epsilon)
         d = self.b.d
         if exact:
-            _out_of_span_residual(e, key)
-            retained = np.array(self.b.retained, dtype=np.complex128)
-            self.frame = np.linalg.qr(retained.reshape(d, e.span_states.shape[1]).T)[0].T
+            self.frame = _exact_frame(e, key, self.b.retained)
             self.nbytes = self.frame.nbytes
         else:
             phi = augmentation_state(e, key, self.b)
@@ -413,24 +412,36 @@ class StageCache:
     """Per-estimate store of ``KeyStages``, keyed by a word's distinct indices
     in first-occurrence order, through which alone every stage they hold
     depends on the word, and by whether the mode is exact, which decides the
-    stages built.  One cache serves one (ensemble, epsilon, theta), in every
-    mode.  Keys are kept until their arrays fill KEY_CACHE_BYTES; later keys
-    are built per word but not stored, which changes no value."""
+    stages built; and of the enumeration walk's frames.  One cache serves one
+    (ensemble, epsilon, theta), in every mode.  Entries are kept until their
+    arrays fill KEY_CACHE_BYTES; later ones are built per use, not stored."""
 
     def __init__(self) -> None:
         self._entries: dict[tuple[tuple[int, ...], bool], KeyStages] = {}
+        self._frames: dict[tuple[frozenset[int], frozenset[int]], np.ndarray] = {}
         self.nbytes = 0
 
     def stages(self, e: EnsembleSpec, key: tuple[int, ...], epsilon: float,
                theta: float, exact: bool) -> KeyStages:
         """The key's stored stages, or new ones, stored if they fit."""
-        stages = self._entries.get((key, exact))
-        if stages is None:
-            stages = KeyStages(e, key, epsilon, theta, exact)
-            if self.nbytes + stages.nbytes <= KEY_CACHE_BYTES:
-                self._entries[key, exact] = stages
-                self.nbytes += stages.nbytes
-        return stages
+        return self._stored(self._entries, (key, exact),
+                            lambda: KeyStages(e, key, epsilon, theta, exact))
+
+    def _frame(self, e: EnsembleSpec, key: tuple[int, ...], kept: tuple[int, ...]) -> np.ndarray:
+        """The frame of the states ``kept`` of ``key``, built in index order:
+        its projector depends on the set kept, its check on the key's set."""
+        return self._stored(self._frames, (frozenset(key), frozenset(kept)),
+                            lambda: _exact_frame(e, key, e.span_states[sorted(kept)]))
+
+    def _stored(self, store: dict, key: object, build: Callable[[], Any]) -> Any:
+        """``store[key]``, or ``build()``, stored if its ``nbytes`` fit."""
+        value = store.get(key)
+        if value is None:
+            value = build()
+            if self.nbytes + value.nbytes <= KEY_CACHE_BYTES:
+                store[key] = value
+                self.nbytes += value.nbytes
+        return value
 
 
 def combination_trace(
@@ -476,39 +487,6 @@ def combination_trace(
     return CombinationTrace(b.d, tr_rw, re_tr_w, re_tr_w - b.d)
 
 
-def word_classes(alpha: int, k: int) -> list[tuple[tuple[int, ...], int]]:
-    """(representative, multiplicity) of each bracelet class of the alpha^k
-    words of length k, representatives in lexicographic order.
-
-    A class holds a word's rotations and the rotations of its reversal;
-    its representative is the least of them and its multiplicity the number
-    of distinct words in it.  The Fredricksen-Kessler-Maiorana algorithm
-    generates the necklaces (least rotations) with their periods p, and a
-    necklace is kept iff it is at most its reversal's necklace: its class
-    holds p words if the two are equal and 2p otherwise.
-    """
-    if k == 0:
-        return [((), 1)]
-    classes = []
-    a, p = [0] * k, 1
-    while True:
-        if k % p == 0:
-            w = tuple(a)
-            mirrored = w[::-1] * 2
-            least = min(mirrored[i:i + k] for i in range(k))
-            if w <= least:
-                classes.append((w, p if w == least else 2 * p))
-        i = k - 1
-        while i >= 0 and a[i] == alpha - 1:
-            i -= 1
-        if i < 0:
-            return classes
-        a[i] += 1
-        for j in range(i + 1, k):
-            a[j] = a[j - i - 1]
-        p = i + 1
-
-
 def class_representative(indices: tuple[int, ...]) -> tuple[int, ...]:
     """The least of the word's rotations and its reversal's rotations."""
     k = len(indices)
@@ -517,22 +495,48 @@ def class_representative(indices: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _enumerate_chunk(
-    e: EnsembleSpec,
-    classes: Sequence[tuple[tuple[int, ...], int]],
-    epsilon: float,
-    theta: float,
-    cache: StageCache | None,
-    lo: int,
-    hi: int,
+    e: EnsembleSpec, k: int, epsilon: float, cache: StageCache, lo: int, hi: int
 ) -> float:
-    """Exact-mode sum over the word classes of ranks lo..hi-1 of ``classes``:
-    each adds multiplicity x P_q x value of its representative."""
-    partial_sum = 0.0
-    for indices, multiplicity in classes[lo:hi]:
-        weight = float(np.prod([e.probs[i] for i in indices])) if indices else 1.0
-        ct = combination_trace(e, indices, epsilon, theta, cache=cache)
-        partial_sum += multiplicity * weight * ct.value
-    return partial_sum
+    """Exact-mode sum of P_q (Tr{W_q} - 2^n) over the length-k words q whose
+    first letter is lo..hi-1, by a depth-first walk over their keys.
+
+    Each word of a key with states V (columns) is W = I + V C V^dagger; the
+    key carries C(t) = sum P_q C_q and P(t) = sum P_q over its length-t
+    words.  Appending x, its j-th letter, turns C into C - 2 (e_j + C K e_j)
+    e_j^T, K = V^dagger V; a new x makes the child key + (x), whose C(t + 1)
+    gains p_x C(t) bordered by the column -2 p_x (C(t) K_(key,x), P(t)).  A
+    key adds Re Tr(C(k) V^dagger F F^dagger V), F its frame, and a child's
+    subspace is its parent's after one ``_admit``.
+    """
+    gram, probs, states = e.gram, e.probs, e.span_states
+
+    def walk(key, b, kept, c, p) -> float:
+        i, idx = len(key), list(key)
+        if i < k:
+            pk = probs[idx]
+            sigma, diag = pk.sum(), np.diag(pk)
+            step = sigma * np.eye(i) - 2.0 * gram[idx][:, idx] * pk
+            for t in range(i, k):
+                c[t + 1] += c[t] @ step - 2.0 * p[t] * diag
+                p[t + 1] += sigma * p[t]
+        overlaps = cache._frame(e, key, kept).conj() @ states[idx].T
+        total = np.vdot(overlaps, overlaps @ c[k]).real
+        if i == k:
+            return total
+        letters = [x for x in (range(e.alpha) if key else range(lo, hi)) if x not in key]
+        px = probs[letters]
+        cc = np.zeros((len(letters), k + 1, i + 1, i + 1), dtype=np.complex128)
+        cc[:, i + 1:, :i, :i] = c[i:k]
+        cc[:, i + 1:, :i, i] = -2.0 * (c[i:k] @ gram[idx][:, letters]).transpose(2, 0, 1)
+        cc[:, i + 1:, i, i] = -2.0 * p[i:k]
+        cc *= px[:, None, None, None]
+        cp = np.outer(px, np.concatenate((np.zeros(i + 1), p[i:k])))
+        for j, (x, child) in enumerate(zip(letters, _admit(e, b, letters, epsilon))):
+            total += walk((*key, x), child, (*kept, x) if child.d > b.d else kept, cc[j], cp[j])
+        return total
+
+    c, p = np.zeros((k + 1, 0, 0), dtype=np.complex128), np.concatenate(([1.0], np.zeros(k)))
+    return walk((), build_subspace(e, (), epsilon), (), c, p)
 
 
 def _mc_chunk(
@@ -592,8 +596,8 @@ def _check_enumerate_mode(mode: MeasureMode) -> None:
 
 def check_enumeration_budget(alpha: int, k: int, budget: int) -> None:
     """Raise ResourceLimitError if enumerating Tr{G^k} needs more than
-    ``budget`` words.  The cap counts all alpha^k words, not the classes
-    that enumeration evaluates."""
+    ``budget`` words.  The cap counts all alpha^k words, though enumeration
+    walks keys, not words."""
     check_enumeration_cap(alpha**k, budget, f"enumerating Tr{{G^{k}}}")
 
 
@@ -611,9 +615,9 @@ def estimate_g_power_trace(
     cache: StageCache | None = None,
 ) -> TraceEstimate:
     """The deficit Tr{G^k} - 2^n = sum_q P_q (Tr{W_q} - 2^n), either over
-    the bracelet classes of the alpha^k words with exact weights
-    (``enumerate``, exact mode only) or over ``budget`` sampled words
-    (``mc``), the chunk of draws lo..hi-1 on
+    all alpha^k words with exact weights by the key walk of
+    ``_enumerate_chunk`` (``enumerate``, exact mode only), or over
+    ``budget`` sampled words (``mc``), the chunk of draws lo..hi-1 on
     ``rng_stream(master, *stream_key, lo)``.  ``cache`` is a ``StageCache``
     for this (e, epsilon, theta) to share with other estimates; by default
     the estimate has its own."""
@@ -628,9 +632,8 @@ def estimate_g_power_trace(
     if strategy == "enumerate":
         _check_enumerate_mode(mode)
         check_enumeration_budget(e.alpha, k, budget)
-        classes = word_classes(e.alpha, k)
-        worker = partial(_enumerate_chunk, e, classes, epsilon, theta, cache)
-        parts = run_chunked(worker, len(classes), _WORD_CHUNK)
+        worker = partial(_enumerate_chunk, e, k, epsilon, cache)
+        parts = run_chunked(worker, e.alpha if k else 0, _WORD_CHUNK)
         return TraceEstimate(float(sum(parts)), 0.0, e.alpha**k, MODE_EXACT_ENUMERATION)
 
     if budget < 1:

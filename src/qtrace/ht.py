@@ -54,9 +54,9 @@ the noise model GST also takes:
   per j serves every Tr{G^k}, with coefficients that stay bounded where the
   binomial expansion of G^k in powers of rho grows like 3^k.
 * ``estimate_rho_g_power_enumerate`` — exact a_j, the expectation of that
-  circuit over all alpha^(j+1) component words (std_error 0).  Words of one
-  block that share a prefix share its reflections: each distinct prefix is
-  reflected once, about alpha/(alpha-1) reflections per word, not j.
+  circuit over all alpha^(j+1) component words (std_error 0).  No word is
+  visited: the expectation is linear in each layer's reflection, so it is
+  Re Tr(PK (I - 2 PK)^j) on span coefficients, j alpha x alpha products.
 
 Monte Carlo trials run in fixed-size chunks, one RNG substream per (master
 seed, chunk start); ``mc_estimate`` merges each chunk's (count, sum, M2) in
@@ -87,14 +87,6 @@ from .series import (
     mc_estimate,
     mc_mode,
 )
-
-#: Complex coefficients held per enumeration block (16 bytes each, 256 KiB,
-#: in each of the two buffers of ``_EnumWorkspace``), which bounds its memory
-#: at any enumeration cap.  Fixed: a block is summed on its own, so the block
-#: size sets the float order of a_j, and changing it changes the bytes of
-#: every enumerated result.  (An old finding that larger blocks saved no time
-#: was measured while each level mapped a fresh coefficient array.)
-_ENUM_BLOCK_ENTRIES = 1 << 14
 
 #: Complex coefficients per row block of the Monte Carlo kernel (16 bytes
 #: each, 512 KiB), which keeps a block's gathered operands in a 2 MiB L2.
@@ -328,87 +320,30 @@ def estimate_rho_g_power_mc(
 
 
 def enumeration_word_count(alpha: int, m: int) -> int:
-    """Words evaluated by full enumeration: sum_k alpha^(k+1) for k = 0..m."""
+    """Words that full enumeration weighs: sum_k alpha^(k+1) for k = 0..m."""
     return sum(alpha ** (k + 1) for k in range(m + 1))
-
-
-class _EnumWorkspace:
-    """Scratch of the enumeration blocks of one call over ensemble ``e``,
-    each of at most ``words`` words.
-
-    ``bufs`` holds two (words, alpha, alpha) coefficient buffers, which the
-    levels of a block fill in turn, so no level allocates its coefficients.
-    ``level`` serves a level's index tables.
-    """
-
-    def __init__(self, e: EnsembleSpec, words: int) -> None:
-        alpha = e.alpha
-        self.e = e
-        self.eye = np.eye(alpha, dtype=np.complex128)[None]
-        self.bufs = tuple(np.empty((words, alpha, alpha), dtype=np.complex128) for _ in range(2))
-        self._levels: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-
-    def level(self, first: int, count: int) -> tuple[np.ndarray, ...]:
-        """(parents, entries, gram[axes], probs[axes]) of the ``count``
-        consecutive prefixes from rank ``first``.  Prefix w has parent row
-        parents[w] in the previous level and last letter axes[w], and
-        entries[w, i] is the flat index of coefficient axes[w] in row i of
-        its (alpha, alpha) array.  These depend only on (first mod alpha,
-        count), the cache key."""
-        e, alpha = self.e, self.e.alpha
-        key = (first % alpha, count)
-        table = self._levels.get(key)
-        if table is None:
-            parents, axes = np.divmod(np.arange(key[0], key[0] + count), alpha)
-            entries = (np.arange(count) * alpha**2 + axes)[:, None] + alpha * np.arange(alpha)
-            table = self._levels[key] = (parents, entries, e.gram[axes], e.probs[axes])
-        return table
-
-
-def _enumerate_block(work: _EnumWorkspace, k: int, lo: int, hi: int) -> float:
-    """sum over the length-k words of rank [lo, hi), in itertools.product
-    order, of (prod p) sum_i p_i Re <psi_i|W|psi_i>, on the ensemble and in
-    the buffers of ``work``, which must hold hi - lo words.
-
-    Each word carries an (alpha, alpha) coefficient array: row i holds the
-    span coefficients of W|psi_i>, so one pass covers every initial component.
-    Consecutive ranks share their leading letters, so step t reflects each
-    distinct length-(t+1) prefix once, ranks lo // s .. (hi - 1) // s with
-    s = alpha^(k-1-t): about alpha/(alpha-1) row reflections per word, not k.
-    No step has more prefixes than the block has words.
-    """
-    e = work.e
-    c, weights = work.eye, np.ones(1)
-    for t in range(k):
-        s = e.alpha ** (k - 1 - t)
-        parents, entries, gram_axes, probs_axes = work.level(lo // s, (hi - 1) // s - lo // s + 1)
-        # mode="clip" gathers straight into the buffer; the default "raise"
-        # gathers into a temporary first.  Every parent index is in range.
-        c = np.take(c, parents, axis=0, out=work.bufs[t % 2][:len(parents)], mode="clip")
-        weights = weights[parents] * probs_axes
-        inner = np.einsum("wj,wij->wi", gram_axes, c)
-        c.reshape(-1)[entries] -= 2.0 * inner
-    re = np.einsum("ij,wij->wi", e.gram, c).real
-    _check_probabilities(0.5 * (1.0 + re))
-    return float(weights @ (re @ e.probs))
 
 
 def estimate_rho_g_power_enumerate(
     e: EnsembleSpec, j: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> TraceEstimate:
-    """Exact a_j = Tr{rho G^j}: the expectation of the all-layers circuit of
-    ``estimate_rho_g_power_mc`` over all alpha^(j+1) component words, in
-    blocks of at most _ENUM_BLOCK_ENTRIES coefficients that share one
-    ``_EnumWorkspace``.  std_error is 0."""
+    """Exact a_j = Tr{rho G^j}, the expectation of the all-layers circuit of
+    ``estimate_rho_g_power_mc`` over all alpha^(j+1) component words.  Each
+    outcome is linear in every layer's reflection, whose average is I - 2 PK
+    on span coefficients (P = diag(probs), K the Gram), so
+    a_j = Re Tr(PK (I - 2 PK)^j).  The mean outcome probability (1 + a_j)/2
+    is checked like a circuit's P(0).  ``samples`` counts the words;
+    std_error is 0."""
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     planned = e.alpha ** (j + 1)
     check_enumeration_cap(planned, enumeration_cap, "enumeration")
-    n_words = e.alpha**j
-    block = min(max(1, _ENUM_BLOCK_ENTRIES // e.alpha**2), n_words)
-    work = _EnumWorkspace(e, block)
-    value = sum(_enumerate_block(work, j, lo, min(lo + block, n_words))
-                for lo in range(0, n_words, block))
+    pk = e.probs[:, None] * e.gram
+    step = np.eye(e.alpha) - 2.0 * pk
+    for _ in range(j):
+        pk = pk @ step
+    value = float(np.trace(pk).real)
+    _check_probabilities(np.array([0.5 * (1.0 + value)]))
     return TraceEstimate(value, 0.0, planned, MODE_EXACT_ENUMERATION)
 
 

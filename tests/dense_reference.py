@@ -5,20 +5,30 @@ component states; these helpers build rho itself from
 ``EnsembleSpec.state_matrix`` so tests can compare the two independently.
 ``rotation_unitary`` is the full 2x2 gate of an angle triple, for dense
 cross-checks of the per-qubit kets.
-``per_word_enumerate_block`` keeps the per-word HT enumeration kernel that
-the prefix-sharing one in ``ht`` must match bit for bit.
+``per_word_enumerate_block`` and ``per_word_g_power_deficit`` are the
+per-word references that the closed-form enumerations of ``ht`` and ``gst``
+must match, and ``ht_trial_sigma`` is the exact per-trial standard deviation
+of HT Monte Carlo in exact-prob mode.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from qtrace.ensemble import DENSE_MAX_QUBITS, EnsembleSpec, exact_g_power_trace, exact_power_trace
+from qtrace.ensemble import (
+    DENSE_MAX_QUBITS,
+    EnsembleSpec,
+    exact_g_power_trace,
+    exact_power_trace,
+    exact_rho_g_power_trace,
+)
+from qtrace.gst import DEFAULT_EPSILON, combination_trace
 
 
 def rotation_unitary(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -93,8 +103,9 @@ def binomial_power_identity_residual(e: EnsembleSpec, m: int) -> float:
 
 
 def per_word_enumerate_block(e: EnsembleSpec, k: int, lo: int, hi: int) -> float:
-    """``ht._enumerate_block`` with all k reflections applied to every word of
-    rank [lo, hi) in itertools.product order, no prefix shared."""
+    """sum over the length-k words of rank [lo, hi), in itertools.product
+    order, of (prod p) sum_i p_i Re <psi_i|W|psi_i>, with all k reflections
+    applied to every word's (alpha, alpha) span coefficients."""
     alpha, gram = e.alpha, e.gram
     ranks = np.arange(lo, hi)[:, None]
     words = (ranks // alpha ** np.arange(k - 1, -1, -1)) % alpha
@@ -107,3 +118,34 @@ def per_word_enumerate_block(e: EnsembleSpec, k: int, lo: int, hi: int) -> float
     re = np.einsum("ij,wij->wi", gram, c).real
     weights = np.prod(e.probs[words], axis=1)
     return float(weights @ (re @ e.probs))
+
+
+def per_word_g_power_deficit(e: EnsembleSpec, k: int, epsilon: float = DEFAULT_EPSILON) -> float:
+    """Tr{G^k} - 2^n as sum_q P_q (Tr{W_q} - 2^n) over all alpha^k words,
+    each word's exact value from its own ``combination_trace``."""
+    return math.fsum(float(np.prod(e.probs[list(q)])) * combination_trace(e, q, epsilon).value
+                     for q in itertools.product(range(e.alpha), repeat=k))
+
+
+def ht_trial_sigma(e: EnsembleSpec, j: int) -> float:
+    """The exact standard deviation of one exact-prob trial of
+    ``ht.estimate_rho_g_power_mc``: y = Re z with z = <psi_i|W|psi_i>.
+
+    E[y^2] = Re E[z^2] / 2 + E|z|^2 / 2.  On span coefficients a reflection
+    is R_x = I - 2 e_x K_x (K_x the x-th Gram row), z = (K T)_ii for the
+    product T of the word's R_x, and z^2 and |z|^2 are linear in T (x) T and
+    T (x) conj(T).  Letters are independent, so E[T (x) T] is
+    (sum_x p_x R_x (x) R_x)^j, on alpha^2 coefficients, and likewise with
+    conj(R_x).
+    """
+    alpha, gram, probs = e.alpha, e.gram, e.probs
+    eye = np.eye(alpha)
+    r = [eye - 2.0 * np.outer(eye[x], gram[x]) for x in range(alpha)]
+    diag = np.arange(alpha) * (alpha + 1)  # the (i, i) entries of alpha^2 indices
+    second = []
+    for conj in (False, True):
+        step = sum(p * np.kron(rx, rx.conj() if conj else rx) for p, rx in zip(probs, r))
+        moment = np.kron(gram, gram.conj() if conj else gram) @ np.linalg.matrix_power(step, j)
+        second.append(complex(probs @ moment[diag, diag]))
+    mean_sq = 0.5 * second[0].real + 0.5 * second[1].real
+    return math.sqrt(max(mean_sq - exact_rho_g_power_trace(e, j) ** 2, 0.0))

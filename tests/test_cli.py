@@ -472,21 +472,23 @@ class TestSubcommands:
         assert cli.main(argv) == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, keys", [
-        (["gst", "--power", "2-5"], 24),
+        (["gst", "--power", "2-5", "--epsilon", "1e-3"], 20),
         (["gst", "--power", "2-4", "--g-power", "3", "--strategy", "mc", "--trials", "200",
           "--seed", "3"], 22),
     ], ids=["enumerate", "mc"])
     def test_gst_run_builds_each_key_once(self, monkeypatch, capsys, argv, keys):
         # Every Tr{rho^m} row and Tr{G^k} call of one run shares the run's
         # StageCache: a row per power once built each key once per row.
+        # Monte Carlo builds a frame per key, the key walk one per pair of
+        # letter set and retained set.
         built = []
+        inner = gst._exact_frame
 
-        class SpyStages(gst.KeyStages):
-            def __init__(self, e, key, *args):
-                built.append(key)
-                super().__init__(e, key, *args)
+        def spy(e, key, states):
+            built.append(tuple(key))
+            return inner(e, key, states)
 
-        monkeypatch.setattr(gst, "KeyStages", SpyStages)
+        monkeypatch.setattr(gst, "_exact_frame", spy)
         assert cli.main(argv) == 0, capsys.readouterr().err
         assert len(built) == len(set(built)) == keys
 
@@ -746,7 +748,7 @@ class TestExitCodes:
             raise IdentityViolationError("Tr{R_w} = nan", statistic=math.nan)
 
         monkeypatch.setattr(gst, "combination_trace", violate)
-        assert cli.main(["gst", "--power", "2"]) == 4
+        assert cli.main(["gst", "--power", "2", "--strategy", "mc", "--trials", "10"]) == 4
         record = strict_json(capsys.readouterr().err)
         assert (record["error"], record["statistic"]) == ("identity-violation", "nan")
 
@@ -756,7 +758,7 @@ class TestExitCodes:
             raise IllConditionedGramError("Gram is singular", min_eigenvalue=value)
 
         monkeypatch.setattr(gst, "combination_trace", singular)
-        assert cli.main(["gst", "--power", "2"]) == 4
+        assert cli.main(["gst", "--power", "2", "--strategy", "mc", "--trials", "10"]) == 4
         record = strict_json(capsys.readouterr().err)
         assert (record["error"], record["min_eigenvalue"]) == ("ill-conditioned-gram", str(value))
 
@@ -899,8 +901,8 @@ class TestSpanOnly:
 #: SHA-256 of the stdout of fixed commands.  A change that moves any RNG draw
 #: of the HT chunk layout, the shot path or the sigma path, the float order
 #: of HT or GST enumeration (with and without truncation, and at a
-#: non-default basis angle), the GST word classes and their representatives,
-#: the GST Monte Carlo chunk streams, or the float order of the per-chunk M2
+#: non-default basis angle), the class representatives of exact GST Monte
+#: Carlo, the GST Monte Carlo chunk streams, or the float order of the per-chunk M2
 #: and its merge (``series.mc_estimate``) changes these bytes.  Each GST Monte Carlo command draws several
 #: ``gst._WORD_CHUNK`` chunks per power, the last one partial.  The
 #: ``entropy``, ``oracle``, ``sweep`` and ``bounds`` commands pin those
@@ -927,11 +929,11 @@ BYTE_PINS = {
     "gst --g-power 1-3 --strategy mc --mode gaussian --trials 200 --seed 7 --pinv":
         "6ebbd196f6cd37b0d8e68f45416f2a4141be8a6f6e99aa1f5a4b3a4eba0b6b6c",
     "gst --power 2-4 --pinv":
-        "c36f5454a458b6c65151b05b148b57537a3c481ce436d93808440624c1f65d23",
+        "08629ad9433011c77db5596244622e379947a2e130f30352356c9b36c0b716e2",
     "gst --g-power 6":
-        "52849e7ac8d3fb34896a1396c36bb5a829bc9befa9d5e562840d5fe3e671e926",
+        "4e49965068766a1fa64e548a72bcc23f063cdd9a5988c8726e9fe2febe3bf92e",
     "gst --g-power 2-4 --epsilon 1e-3":
-        "17b7bd2737f1d9720e225a55209a8da0fa63da677819c8c89284eddbf71c57b3",
+        "ae2ebd095cdbbd81aadabc2b7274da560ba0606e5b7d8d84fba8607285d7efde",
     "gst --g-power 2-3 --strategy mc --trials 1100 --seed 13":
         "5d53d720808d39c8aab237d81576af89dd5e6828db369a623836d17d29a2eb50",
     "gst --g-power 2-3 --strategy mc --mode shots --trials 600 --seed 13 --pinv":
@@ -939,15 +941,15 @@ BYTE_PINS = {
     "gst --g-power 2-3 --strategy mc --mode gaussian --trials 600 --seed 13 --pinv":
         "31fa68a4c609e6c35735bbcde656497089507eb2f29cd7426033a193a3fa3712",
     "gst --g-power 2-4 --theta 0.3":
-        "d7e4587ab1dafd14fc8799fdf55d1474c1619986f0a59963f6215e6d7f7b7dc2",
+        "2bdf16cc5293d4e450368d1a890575efc41b81e812bb7af9f147f3495fb0e039",
     "gst --g-power 3 --strategy mc --trials 500 --epsilon 1e-2 --seed 4":
         "028e96884316bfd1d8692cb5a3c54569bccfd17c1a8c0950d7186e217ddc7843",
     "entropy --order 2-8 --estimator ht":
-        "8748b516f3b40deaf9f9f6dda320534253e854fdfe098d5f1c1bac03d045fb56",
+        "f8fa55b5e4b3e4898e0120943aa1439c4ed9cc533d56c17806c8292d89fb4bb9",
     "entropy --order 2-12 --estimator ht --strategy mc --seed 7":
         "ae81746df9ce4e218ee76815aadd795e46772619944fbe724bc0552792837661",
     "entropy --order 2-6 --estimator gst":
-        "c471248f257572b349422f4afabcf30f2a7bda509872c3086fa9ca42983b1336",
+        "2f4d56b16ee280bca2f1e1b324d5f60c10588b83595c2dc42230b781a6834ed5",
     "entropy --order 2-4 --estimator gst --strategy mc --mode gaussian --trials 300 "
     "--epsilon 1e-3 --seed 5":
         "c748e12bfde210b5e91477cefac62f42856657a5b60771a8b3032f07fd12bc66",

@@ -46,6 +46,7 @@ from qtrace.rng import rng_stream
 from qtrace.series import binomial_weights, evaluate_series, mc_estimate
 
 from .conftest import angle_spec, cli_env, random_ensemble, reference_spec, small_ensembles
+from .dense_reference import per_word_g_power_deficit
 
 
 def pure_spec(n=3) -> EnsembleSpec:
@@ -256,14 +257,12 @@ class TestSampleCombination:
         assert words == [(0,) * 6]
 
     def test_weight_is_probability_product(self, ref3):
-        # The class of (0, 3, 3) holds it, (3, 3, 0) and (3, 0, 3), each of
-        # weight 0.1 * 0.4 * 0.4.
-        classes = gst.word_classes(4, 3)
-        rank = classes.index(((0, 3, 3), 3))
-        part = gst._enumerate_chunk(ref3, classes, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA,
-                                    None, rank, rank + 1)
-        value = combination_trace(ref3, (0, 3, 3)).value
-        assert part / value == pytest.approx(3 * 0.1 * 0.4 * 0.4, abs=1e-15)
+        # The words of first letter 3 at k = 2 are (3, 0) .. (3, 3), of
+        # weights 0.4 * 0.1 .. 0.4 * 0.4.
+        part = gst._enumerate_chunk(ref3, 2, gst.DEFAULT_EPSILON, gst.StageCache(), 3, 4)
+        want = sum(0.4 * p * combination_trace(ref3, (3, x)).value
+                   for x, p in enumerate([0.1, 0.2, 0.3, 0.4]))
+        assert part == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_underflowing_word_weight_contributes_nothing(self):
         # The weight of word (0,) * 11 underflows to 0.0: the word adds
@@ -741,14 +740,15 @@ class TestEstimateGPowerTrace:
         assert est.std_error == pytest.approx(stderr, rel=1e-12)
 
     def test_enumerate_is_the_chunk_order_reduction(self):
-        e = random_ensemble(np.random.default_rng(5), 2, 3)
-        classes = gst.word_classes(3, 6)
-        ranges = chunk_ranges(len(classes), gst._WORD_CHUNK)  # 92 classes: 32 + 32 + 28
-        assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
-        chunk_args = (e, classes, gst.DEFAULT_EPSILON, gst.DEFAULT_THETA, None)
-        parts = [gst._enumerate_chunk(*chunk_args, lo, hi) for lo, hi in ranges]
-        est = estimate_g_power_trace(e, 6)
-        assert (est.value, est.std_error, est.samples) == (sum(parts), 0.0, 3**6)
+        # 40 first letters: chunks 0..31 and 32..39.
+        e = random_ensemble(np.random.default_rng(5), 6, 40)
+        ranges = chunk_ranges(e.alpha, gst._WORD_CHUNK)
+        assert len(ranges) == 2 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
+        cache = gst.StageCache()
+        parts = [gst._enumerate_chunk(e, 2, gst.DEFAULT_EPSILON, cache, lo, hi)
+                 for lo, hi in ranges]
+        est = estimate_g_power_trace(e, 2)
+        assert (est.value, est.std_error, est.samples) == (sum(parts), 0.0, 40**2)
 
     @pytest.mark.parametrize("estimate", [estimate_g_power_trace, estimate_power_trace])
     @pytest.mark.parametrize("mode", [MeasureMode("shots", shots=100),
@@ -976,33 +976,35 @@ def class_cases(draw):
 
 
 class TestWordClasses:
+    """``class_representative``, through which exact Monte Carlo memoizes
+    one value per bracelet class."""
+
     @pytest.mark.parametrize("k, count", [(4, 55), (5, 136), (6, 430), (7, 1300),
                                           (8, 4435), (9, 15084)])
     def test_burnside_counts(self, k, count):
-        classes = gst.word_classes(4, k)
-        assert len(classes) == count
-        assert sum(m for _, m in classes) == 4**k
+        # The classes of the 4^k words, counted by Burnside's lemma.
+        reps = {gst.class_representative(q) for q in itertools.product(range(4), repeat=k)}
+        assert len(reps) == count
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     @pytest.mark.parametrize("k", range(7))
     def test_partition_of_every_word(self, alpha, k):
-        classes = gst.word_classes(alpha, k)
-        assert classes == brute_force_classes(alpha, k)
-        assert sum(m for _, m in classes) == alpha**k
-        for q in itertools.product(range(alpha), repeat=k):
-            assert gst.class_representative(q) == min(orbit(q))
+        words = list(itertools.product(range(alpha), repeat=k))
+        assert all(gst.class_representative(q) == min(orbit(q)) for q in words)
+        sizes = Counter(gst.class_representative(q) for q in words)
+        assert sorted(sizes.items()) == brute_force_classes(alpha, k)
 
     def test_edge_cases(self):
-        assert gst.word_classes(4, 0) == [((), 1)]
         assert gst.class_representative(()) == ()
-        assert gst.word_classes(3, 1) == [((0,), 1), ((1,), 1), ((2,), 1)]
         assert gst.class_representative((2,)) == (2,)
+        assert gst.class_representative((2, 0, 1)) == (0, 1, 2)
+        assert gst.class_representative((1, 0, 2)) == (0, 1, 2)
 
-    def test_g_power_6_evaluates_one_word_per_class(self, monkeypatch, capsys):
+    def test_g_power_6_evaluates_no_word(self, monkeypatch, capsys):
         words = spied_words(monkeypatch)
         assert cli.main(["gst", "--g-power", "6"]) == 0
         capsys.readouterr()
-        assert len(words) == len(set(words)) == 430
+        assert words == []
 
     @settings(max_examples=60, deadline=None)
     @given(class_cases())
@@ -1023,17 +1025,55 @@ class TestWordClasses:
     @pytest.mark.parametrize("k", [4, 5])
     def test_truncated_bias(self, ref3, k):
         # Under truncation a class member and its representative may retain
-        # different states (admission follows first occurrence), so the class
-        # sum is a different estimator from the word sum: here 110 of 256
-        # and 570 of 1,024 words truncate.  Its bias must stay at the word
-        # sum's level; measured 6.50e-3 against 6.79e-3 at k = 4 and 6.42e-3
-        # against 6.68e-3 at k = 5, so 1.1x leaves room for rounding but not
-        # for a class sum that drifts from the word sum's bias.
+        # different states (admission follows first occurrence); enumeration
+        # gives every word its own value, so its bias is the word sum's:
+        # 6.79e-3 at k = 4 and 6.68e-3 at k = 5, where 110 of 256 and 570 of
+        # 1,024 words truncate.
         oracle = exact_g_power_trace(ref3, k)
         word_bias = abs(word_sum(ref3, k, epsilon=1e-3)[0] - oracle)
-        class_bias = abs(estimate_g_power_trace(ref3, k, epsilon=1e-3).value - oracle)
+        enumerated_bias = abs(estimate_g_power_trace(ref3, k, epsilon=1e-3).value - oracle)
         assert word_bias > 1e-3
-        assert class_bias <= 1.1 * word_bias
+        assert enumerated_bias == pytest.approx(word_bias, rel=0, abs=1e-13)
+
+
+@st.composite
+def walk_cases(draw):
+    """A small ensemble and a power k with at most 1,024 words."""
+    e = draw(small_ensembles())
+    max_k = 12 if e.alpha == 1 else int(math.log(1024, e.alpha) + 1e-9)
+    return e, draw(st.integers(0, min(max_k, 6)))
+
+
+class TestKeyWalk:
+    """Exact enumeration walks keys; it must equal the sum of every word's
+    own value, with and without truncation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(walk_cases(), st.sampled_from([gst.DEFAULT_EPSILON, 1e-3, 0.05]))
+    @example((_FILLING, 3), gst.DEFAULT_EPSILON)
+    @example((_DUPLICATED, 4), 0.05)
+    def test_walk_equals_the_per_word_sum(self, case, epsilon):
+        e, k = case
+        try:
+            want = per_word_g_power_deficit(e, k, epsilon)
+        except DegenerateAugmentationError:
+            with pytest.raises(DegenerateAugmentationError):
+                estimate_g_power_trace(e, k, epsilon=epsilon)
+            return
+        est = estimate_g_power_trace(e, k, epsilon=epsilon)
+        assert est.value == pytest.approx(want, rel=0, abs=1e-12)
+        assert (est.std_error, est.samples) == (0.0, e.alpha**k)
+
+    def test_walk_builds_each_frame_once(self, ref3, monkeypatch):
+        # One frame per pair of letter set and retained set: at epsilon =
+        # 1e-3 the 65 keys of k = 4 have 16 letter sets and need 20 frames,
+        # and a second estimate on the same cache builds none.
+        calls = stage_calls(monkeypatch)
+        cache = gst.StageCache()
+        estimate_g_power_trace(ref3, 4, epsilon=1e-3, cache=cache)
+        assert calls["_exact_frame"] == len(cache._frames) == 20
+        estimate_g_power_trace(ref3, 4, epsilon=1e-3, cache=cache)
+        assert calls["_exact_frame"] == 20
 
 
 @st.composite
@@ -1061,10 +1101,11 @@ def word_result(e, q, epsilon, mode, pinv, seed, cache=None):
 
 
 def stage_calls(monkeypatch):
-    """Counts of build_subspace, operator_basis_for_states and
-    augmentation_state calls from now on."""
+    """Counts of build_subspace, operator_basis_for_states,
+    augmentation_state and _exact_frame calls from now on."""
     calls = Counter()
-    for name in ("build_subspace", "operator_basis_for_states", "augmentation_state"):
+    for name in ("build_subspace", "operator_basis_for_states", "augmentation_state",
+                 "_exact_frame"):
         def spy(*args, _inner=getattr(gst, name), _name=name, **kwargs):
             calls[_name] += 1
             return _inner(*args, **kwargs)
@@ -1127,56 +1168,62 @@ class TestStageCache:
             assert cached.value.min_eigenvalue == uncached.value.min_eigenvalue
         assert run(True, cache) == pinv
 
-    # The class representatives of k = 3 and k = 4 have 14 and 21 keys; the
-    # 300 noisy draws of k = 3 evaluate every word and meet 37 of its 40 keys.
+    # Exact draws evaluate class representatives: those of k = 3 and k = 4
+    # have 14 and 21 keys, and these budgets draw every class.  The 300
+    # noisy draws of k = 3 evaluate every word and meet 37 of its 40 keys.
     @pytest.mark.parametrize("k, keys, options", [
-        (3, 14, {}),
-        (4, 21, {}),
+        (3, 14, {"strategy": "mc", "budget": 20000, "rng": 5}),
+        (4, 21, {"strategy": "mc", "budget": 100000, "rng": 5}),
         (3, 37, {"strategy": "mc", "budget": 300, "mode": MeasureMode("shots", shots=1000),
                  "rng": 5, "allow_pseudoinverse": True}),
     ], ids=["3-14", "4-21", "3-37-shots"])
     def test_stages_run_once_per_key(self, ref3, monkeypatch, k, keys, options):
-        # Exact mode builds no operator basis; a noisy key builds its one.
+        # An exact key builds its frame and no operator basis; a noisy key
+        # builds its one operator basis.
         calls = stage_calls(monkeypatch)
         estimate_g_power_trace(ref3, k, **options)
         noisy = "mode" in options
         assert calls == Counter(build_subspace=keys, operator_basis_for_states=keys * noisy,
-                                augmentation_state=keys * noisy)
+                                augmentation_state=keys * noisy, _exact_frame=keys * (not noisy))
 
     @pytest.mark.parametrize("strategy, budget", [("enumerate", 10**6), ("mc", 300)])
     def test_power_trace_builds_each_key_once_across_k(self, ref3, monkeypatch,
                                                         strategy, budget):
         # The keys of Tr{G^k} are among those of Tr{G^(k+1)}: one cache for
         # every k builds each key once and changes no value.
-        m, seed = 4, 21
+        m, seed, epsilon = 4, 21, 1e-3
         per_k = evaluate_series(binomial_weights(m), [
-            estimate_g_power_trace(ref3, k, strategy, budget, rng=seed, stream_key=(k,))
+            estimate_g_power_trace(ref3, k, strategy, budget, epsilon, rng=seed, stream_key=(k,))
             for k in range(m + 1)
         ])
+        # An exact Monte Carlo key builds its frame once; the key walk builds
+        # one per pair of letter set and retained set, for the first key of
+        # the pair that it meets.
         built = Counter()
+        inner = gst._exact_frame
 
-        class SpyStages(gst.KeyStages):
-            def __init__(self, e, key, *args):
-                built[key] += 1
-                super().__init__(e, key, *args)
+        def spy(e, key, states):
+            built[tuple(key)] += 1
+            return inner(e, key, states)
 
-        monkeypatch.setattr(gst, "KeyStages", SpyStages)
-        shared = estimate_power_trace(ref3, m, strategy, budget, rng=seed)
+        monkeypatch.setattr(gst, "_exact_frame", spy)
+        shared = estimate_power_trace(ref3, m, strategy, budget, epsilon, rng=seed)
         assert shared == per_k
         assert set(built.values()) == {1}
         if strategy == "enumerate":
-            # The class representatives of every k <= 4 have 22 keys.
-            assert len(built) == 22
+            assert len(built) == 20
 
     def test_zero_byte_budget_stores_nothing(self, ref3, monkeypatch):
         noisy = {"strategy": "mc", "budget": 50, "mode": MeasureMode("shots", shots=1000),
                  "rng": 5, "allow_pseudoinverse": True}
-        cached = [estimate_g_power_trace(ref3, 3), estimate_g_power_trace(ref3, 3, **noisy)]
+        cached = [estimate_g_power_trace(ref3, 3, epsilon=1e-3),
+                  estimate_g_power_trace(ref3, 3, **noisy)]
         monkeypatch.setattr(gst, "KEY_CACHE_BYTES", 0)
         calls = stage_calls(monkeypatch)
-        assert estimate_g_power_trace(ref3, 3) == cached[0]
-        # One build per class of k = 3, with no operator basis.
-        assert calls == {"build_subspace": 20}
+        assert estimate_g_power_trace(ref3, 3, epsilon=1e-3) == cached[0]
+        # The walk's root subspace, then a frame for each of the 1 + 4 + 12
+        # + 24 keys of at most 3 letters, with no operator basis.
+        assert calls == {"build_subspace": 1, "_exact_frame": 41}
         calls.clear()
         assert estimate_g_power_trace(ref3, 3, **noisy) == cached[1]
         # One build per noisy draw, with its one operator basis.

@@ -3,7 +3,6 @@ import logging
 import math
 import re
 import tracemalloc
-from functools import cache
 from itertools import product
 
 import numpy as np
@@ -38,7 +37,7 @@ from qtrace.series import (
 )
 
 from .conftest import angle_spec, random_ensemble, reference_spec, small_ensembles
-from .dense_reference import per_word_enumerate_block
+from .dense_reference import ht_trial_sigma, per_word_enumerate_block
 
 ONE_SHOT = MeasureMode("shots", shots=1)
 GAUSSIAN = MeasureMode("gaussian", sigma=0.01)
@@ -505,90 +504,82 @@ class TestSpanKernelMatchesStatevectors:
             got = estimate_power_trace_enumerate(e, m).value
             assert got == pytest.approx(dense_enumerate(e, m), abs=1e-10)
 
-    def test_enumeration_blocks_stitch(self, ref3, monkeypatch):
-        # 16 coefficients per block is one 4x4 word per block.
-        whole = estimate_power_trace_enumerate(ref3, 4).value
-        monkeypatch.setattr(ht, "_ENUM_BLOCK_ENTRIES", 16)
-        assert estimate_power_trace_enumerate(ref3, 4).value == pytest.approx(whole, abs=1e-14)
-
     def test_enumeration_samples_count_words(self, ref3):
         est = estimate_power_trace_enumerate(ref3, 3)
         assert est.samples == ht.enumeration_word_count(4, 3) == 4 + 16 + 64 + 256
 
     def test_out_of_range_probability_raises(self):
         # A Gram with K_11 = 3 gives P(0) = (1 + 3)/2 = 2 on the empty word
-        # from initial component 1.
+        # from initial component 1, and enumeration's mean probability
+        # (1 + a_0)/2 = (1 + p_0 + 3 p_1)/2 = 1 + p_1 = 1.5919.
         e = random_ensemble(np.random.default_rng(3), 2, 2)
         e.__dict__["gram"] = np.diag([1.0, 3.0]).astype(complex)
-        with pytest.raises(ArithmeticError, match=r"probability .*2\.0.* outside"):
+        with pytest.raises(ArithmeticError, match=r"probability .*1\.5918958973180684.* outside"):
             estimate_power_trace_enumerate(e, 2)
         with pytest.raises(ArithmeticError, match=r"probability .*2\.0.* outside"):
             estimate_power_trace_mc(e, 2, trials=100, rng=0, mode=EXACT)
 
 
-#: Random ensembles for alpha = 1..7; 3, 5, 6 and 7 give blocks that do not
-#: align with powers of alpha.
-BLOCK_SPECS = {alpha: random_ensemble(np.random.default_rng(80 + alpha), 2, alpha)
-               for alpha in range(1, 8)}
+class TestClosedFormEnumeration:
+    """a_j = Re Tr(PK (I - 2 PK)^j) against the eigenvalue oracle and the
+    per-word sum over all alpha^(j+1) words."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_ensembles(), st.integers(0, 12))
+    def test_matches_the_oracle(self, e, j):
+        # The cap counts words; the closed form costs j products at any cap.
+        est = estimate_rho_g_power_enumerate(e, j, enumeration_cap=e.alpha ** (j + 1))
+        assert est.value == pytest.approx(exact_rho_g_power_trace(e, j), rel=0, abs=1e-13)
+        assert (est.std_error, est.samples) == (0.0, e.alpha ** (j + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_ensembles(), st.integers(0, 4))
+    def test_matches_the_per_word_sum(self, e, j):
+        want = per_word_enumerate_block(e, j, 0, e.alpha**j)
+        assert estimate_rho_g_power_enumerate(e, j).value == pytest.approx(want, rel=0, abs=1e-13)
 
 
-def max_word_length(alpha):
-    """The largest k with alpha^k <= 5000 (12 for alpha = 1)."""
-    return 12 if alpha == 1 else int(math.log(5000, alpha) + 1e-9)
+class TestTrialSigma:
+    """Exact-prob HT Monte Carlo's per-trial spread against ``ht_trial_sigma``."""
 
+    def test_table1_values(self, ref3):
+        # Measured from 200,000 trials at seed 3: 0.61210, 0.57876, 0.59954
+        # and 0.54192.
+        sigma = [ht_trial_sigma(ref3, j) for j in (1, 2, 4, 8)]
+        assert sigma == pytest.approx([0.61126, 0.57762, 0.60008, 0.54143], abs=5e-6)
 
-@st.composite
-def block_cases(draw):
-    """(alpha, k, lo, hi): a nonempty rank range of the length-k words."""
-    alpha = draw(st.integers(1, 7))
-    k = draw(st.integers(0, max_word_length(alpha)))
-    lo = draw(st.integers(0, alpha**k - 1))
-    hi = draw(st.integers(lo + 1, alpha**k))
-    return alpha, k, lo, hi
+    def test_hand_values(self):
+        # One component: every trial is <psi|G^j|psi> = (-1)^j.  Two
+        # orthogonal ones at p = 1/2: G_x fixes the state it does not
+        # reflect, so y = (-1)^B, B ~ Binomial(j, 1/2) the letters equal to
+        # the initial one: y = +-1 with probability 1/2 each for j >= 1.
+        assert ht_trial_sigma(pure_spec(), 3) == 0.0
+        e = angle_spec(1, [0.5, 0.5], (0, 0, 0), (math.pi, 0, math.pi))
+        assert ht_trial_sigma(e, 0) == 0.0
+        for j in (1, 2):
+            assert ht_trial_sigma(e, j) == pytest.approx(1.0, abs=1e-15)
 
+    @staticmethod
+    def assert_in_chi2_band(e, j, trials=20000, seed=3):
+        # T s^2 / sigma^2 ~ chi^2_(T-1) for normal trials (Wilson-Hilferty
+        # quantiles at 5 sd); bounded trials of spread near 0.6 have lighter
+        # tails than normal ones.
+        est = estimate_rho_g_power_mc(e, j, trials, mode=EXACT, rng=seed)
+        sigma = ht_trial_sigma(e, j)
+        dof = trials - 1
+        band = [(1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3 for z in (-5.0, 5.0)]
+        ratio = trials * est.std_error**2 / sigma**2
+        assert band[0] < ratio < band[1], (j, ratio, band)
 
-@cache
-def shared_workspace(alpha, k):
-    """One enumeration workspace per (alpha, k), sized for every length-k
-    word and reused by every rank range of the tests below, so each range
-    meets level tables that earlier ranges cached."""
-    return ht._EnumWorkspace(BLOCK_SPECS[alpha], alpha**k)
+    @pytest.mark.parametrize("j", [1, 2, 4, 8])
+    def test_table1_std_error_in_chi2_band(self, ref3, j):
+        self.assert_in_chi2_band(ref3, j)
 
-
-class TestPrefixSharingEnumeration:
-    """The prefix-sharing block kernel must match the per-word one bit for bit."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(block_cases())
-    def test_block_matches_per_word_kernel(self, case):
-        alpha, k, lo, hi = case
-        got = ht._enumerate_block(shared_workspace(alpha, k), k, lo, hi)
-        assert got == per_word_enumerate_block(BLOCK_SPECS[alpha], k, lo, hi)
-
-    @pytest.mark.parametrize("alpha", range(1, 8))
-    def test_whole_ranges_single_words_and_prefix_straddles(self, alpha):
-        e = BLOCK_SPECS[alpha]
-        for k in range(max_word_length(alpha) + 1):
-            n = alpha**k
-            cuts = {0, 1, n // 2, n - 1, n} | {min(n, alpha ** t + d) for t in range(k) for d in (-1, 1)}
-            ranges = [(lo, hi) for lo in cuts for hi in cuts if lo < hi]
-            ranges += [(r, r + 1) for r in range(0, n, max(1, n // 7))]
-            work = shared_workspace(alpha, k)
-            for lo, hi in ranges:
-                assert ht._enumerate_block(work, k, lo, hi) == per_word_enumerate_block(e, k, lo, hi)
-
-    @pytest.mark.parametrize("entries", [16, 48, 80])
-    @pytest.mark.parametrize("alpha", [2, 3, 4, 5])
-    def test_estimate_stitches_the_same_blocks(self, alpha, entries, monkeypatch):
-        monkeypatch.setattr(ht, "_ENUM_BLOCK_ENTRIES", entries)
-        e = BLOCK_SPECS[alpha]
-        block = max(1, entries // alpha**2)
-        for j in range(max_word_length(alpha)):
-            n = alpha**j
-            want = sum(per_word_enumerate_block(e, j, lo, min(lo + block, n))
-                       for lo in range(0, n, block))
-            est = estimate_rho_g_power_enumerate(e, j)
-            assert (est.value, est.samples) == (want, alpha ** (j + 1))
+    @pytest.mark.parametrize("seed, n, alpha", [(1, 2, 2), (2, 3, 3), (3, 4, 5), (4, 6, 6)])
+    def test_random_std_error_in_chi2_band(self, seed, n, alpha):
+        e = random_ensemble(np.random.default_rng(seed), n, alpha)
+        for j in (1, 3, 6):
+            self.assert_in_chi2_band(e, j)
 
 
 def per_row_outcome_probabilities(e, comps, flags=None):
