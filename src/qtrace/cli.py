@@ -8,7 +8,8 @@ byte-identical output for a fixed (config, seed).
 
 Every oracle value and estimator call, ``--golden`` checks included, is a
 (quantity, order, stream) job run by ``_estimate`` after a pre-check of every
-enumeration cap its run's jobs meet: an over-cap run fails before any estimate.
+GST enumeration cap its run's jobs meet: an over-cap run fails before any
+estimate.
 
 Exit codes: 0 success, 2 config/schema violation, 3 resource limit,
 4 numerical failure (a noisy-mode GST Gram below the conditioning floor,
@@ -93,8 +94,8 @@ _PARAMS: dict[str, _Param] = {
                             help="truncation threshold"),
     "theta_basis": _Param(gst.DEFAULT_THETA / math.pi, "--theta", ("gst", "entropy"),
                           help="basis angle, units of pi"),
-    "enumeration_cap": _Param(series.DEFAULT_ENUMERATION_CAP, "--cap", _ESTIMATORS, least=1,
-                              help="enumeration cap"),
+    "enumeration_cap": _Param(gst.DEFAULT_ENUMERATION_CAP, "--cap", ("gst", "entropy"), least=1,
+                              help="GST enumeration cap, in words"),
     "mode": _Param("exact", "--mode", _ESTIMATORS, choices=("exact", "shots", "gaussian")),
     "strategy": _Param("enumerate", "--strategy", _ESTIMATORS, choices=("enumerate", "mc")),
     "ht_sigma": _Param(0.0, "--ht-sigma", ("ht", "entropy"), least=0,
@@ -488,20 +489,14 @@ def _measure_mode(estimator: str, params: dict[str, Any]) -> noise_bounds.Measur
 def _check_enumeration_caps(
     spec: ensemble.EnsembleSpec, estimator: str, jobs: Sequence[tuple], params: dict[str, Any]
 ) -> None:
-    """Every enumeration cap check that the jobs' estimator calls make, in
-    their order, before the first call: a run over the cap fails in set-up
-    time with the first over-cap call's record."""
-    if estimator == "oracle" or params["strategy"] != "enumerate":
+    """Every enumeration cap check that the jobs' GST calls make, in their
+    order, before the first call: a run over the cap fails in set-up time
+    with the first over-cap call's record.  HT enumeration has no cap."""
+    if estimator != "gst" or params["strategy"] != "enumerate":
         return
-    alpha, cap = spec.alpha, params["enumeration_cap"]
     for quantity, order, _ in jobs:
-        if estimator == "gst":
-            for k in range(order + 1) if quantity == "tr_rho_power" else (order,):
-                gst.check_enumeration_budget(alpha, k, cap)
-        else:
-            words = (ht.enumeration_word_count(alpha, order - 1) if quantity == "tr_rho_power"
-                     else alpha ** (order + 1))
-            series.check_enumeration_cap(words, cap, "enumeration")
+        for k in range(order + 1) if quantity == "tr_rho_power" else (order,):
+            gst.check_enumeration_budget(spec.alpha, k, params["enumeration_cap"])
 
 
 def _shown(spec: ensemble.EnsembleSpec, estimator: str, quantity: str, value: float) -> float:
@@ -522,20 +517,20 @@ def _estimate(
     looked up on their modules at each call."""
     if estimator == "oracle":
         return series.TraceEstimate(_exact(spec, quantity, order), 0.0, 1, series.MODE_ORACLE)
-    enumerate_ = params["strategy"] == "enumerate"
-    cap, trials = params["enumeration_cap"], params["trials"]
+    enumerate_, trials = params["strategy"] == "enumerate", params["trials"]
     if estimator == "gst":
-        settings = (params["strategy"], cap if enumerate_ else trials, params["epsilon_trunc"],
+        budget = params["enumeration_cap"] if enumerate_ else trials
+        settings = (params["strategy"], budget, params["epsilon_trunc"],
                     params["theta_basis"] * math.pi, mode, seed, params["allow_pseudoinverse"])
         if quantity == "tr_rho_power":
             return gst.estimate_power_trace(spec, order, *settings, cache=cache)
         return gst.estimate_g_power_trace(spec, order, *settings, cache=cache)
     if quantity == "tr_rho_power":
         if enumerate_:
-            return ht.estimate_power_trace_enumerate(spec, order - 1, cap)
+            return ht.estimate_power_trace_enumerate(spec, order - 1)
         return ht.estimate_power_trace_mc(spec, order - 1, trials, mode, seed)
     if enumerate_:
-        return ht.estimate_rho_g_power_enumerate(spec, order, cap)
+        return ht.estimate_rho_g_power_enumerate(spec, order)
     return ht.estimate_rho_g_power_mc(spec, order, trials, mode, seed)
 
 

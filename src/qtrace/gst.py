@@ -71,10 +71,11 @@ Exact enumeration visits no word: a word's deficit is linear in W, and its
 key (its distinct indices in first-occurrence order) fixes its frame and d,
 so ``_enumerate_chunk`` sums over the words of each key in a depth-first walk
 of the sum_i alpha!/(alpha-i)! keys of 1 <= i <= k letters, each word getting
-its own key's value.  Exact Monte Carlo memoizes each drawn word's
-``class_representative``, the least of its rotations and its reversal's,
-whose Re Tr{W} and P_q are the word's, so under truncation it gives each
-word its class representative's value.  Caps and sample counts count words.
+its own key's value.  Monte Carlo gives a drawn word that value too: exact
+mode runs ``combination_trace`` once per distinct word of an estimate and
+memoizes the value by the word, and the noisy modes run it per draw, with
+the draw's noise.  So under truncation enumeration and Monte Carlo estimate
+the same sum.  Caps and sample counts count words.
 """
 
 from __future__ import annotations
@@ -92,16 +93,15 @@ from .errors import (
     DegenerateAugmentationError,
     IdentityViolationError,
     IllConditionedGramError,
+    ResourceLimitError,
 )
 from .noise_bounds import EXACT, MeasureMode
 from .qcore import reflect_amplitudes
 from .rng import as_master_seed, rng_stream
 from .series import (
-    DEFAULT_ENUMERATION_CAP,
     MODE_EXACT_ENUMERATION,
     TraceEstimate,
     binomial_weights,
-    check_enumeration_cap,
     evaluate_series,
     mc_estimate,
     mc_mode,
@@ -114,6 +114,9 @@ SAME_STATE_OVERLAP = 1.0 - 1e-12
 #: Default basis-rotation angle: maximally far from the degenerate multiples
 #: of pi.
 DEFAULT_THETA = math.pi / 2
+
+#: Default cap on the words that enumeration weighs.
+DEFAULT_ENUMERATION_CAP = 10**7
 
 #: Default truncation threshold: effectively "no truncation" for generic
 #: ensembles while still catching numerically dependent states.
@@ -487,13 +490,6 @@ def combination_trace(
     return CombinationTrace(b.d, tr_rw, re_tr_w, re_tr_w - b.d)
 
 
-def class_representative(indices: tuple[int, ...]) -> tuple[int, ...]:
-    """The least of the word's rotations and its reversal's rotations."""
-    k = len(indices)
-    return min((s[i:i + k] for s in (indices * 2, indices[::-1] * 2) for i in range(k)),
-               default=indices)
-
-
 def _enumerate_chunk(
     e: EnsembleSpec, k: int, epsilon: float, cache: StageCache, lo: int, hi: int
 ) -> float:
@@ -557,29 +553,20 @@ def _mc_chunk(
     ``rng_stream(master_seed, *stream_key, lo)``: the words first, then
     each noisy word's entries in draw order.
 
-    ``memo`` is the exact-mode store of values, keyed by drawn words and by
-    class representatives: a word it misses takes its class's value, and a
-    class it misses runs ``combination_trace`` on the representative.  In
-    the noisy modes ``memo`` is None and every draw runs its own word with
-    its own noise.  ``cache`` holds the word-independent stages of each
-    subspace key in every mode."""
+    ``memo`` is the exact-mode store of values, keyed by drawn words: a word
+    it misses runs ``combination_trace`` once.  In the noisy modes ``memo``
+    is None and every draw runs its own word with its own noise.  ``cache``
+    holds the word-independent stages of each subspace key in every mode."""
     rng = rng_stream(master_seed, *stream_key, lo)
     words = e.component_indices(rng.random((hi - lo, k))).tolist()
     total, values = 0.0, []
     for indices in map(tuple, words):
-        if memo is None:
+        value = None if memo is None else memo.get(indices)
+        if value is None:
             value = combination_trace(
                 e, indices, epsilon, theta, mode, rng, allow_pseudoinverse, cache
             ).value
-        else:
-            value = memo.get(indices)
-            if value is None:
-                rep = class_representative(indices)
-                value = memo.get(rep)
-                if value is None:
-                    value = memo[rep] = combination_trace(
-                        e, rep, epsilon, theta, mode, rng, allow_pseudoinverse, cache
-                    ).value
+            if memo is not None:
                 memo[indices] = value
         total += value
         values.append(value)
@@ -598,7 +585,10 @@ def check_enumeration_budget(alpha: int, k: int, budget: int) -> None:
     """Raise ResourceLimitError if enumerating Tr{G^k} needs more than
     ``budget`` words.  The cap counts all alpha^k words, though enumeration
     walks keys, not words."""
-    check_enumeration_cap(alpha**k, budget, f"enumerating Tr{{G^{k}}}")
+    if alpha**k > budget:
+        raise ResourceLimitError(
+            f"enumerating Tr{{G^{k}}} needs {alpha**k} words, over the cap of {budget}",
+            requested=alpha**k, cap=budget)
 
 
 def estimate_g_power_trace(

@@ -78,11 +78,9 @@ from .noise_bounds import MeasureMode
 from .qcore import reflect_amplitudes  # noqa: F401
 from .rng import as_master_seed, rng_stream
 from .series import (
-    DEFAULT_ENUMERATION_CAP,
     MODE_EXACT_ENUMERATION,
     TraceEstimate,
     binomial_weights,
-    check_enumeration_cap,
     evaluate_series,
     mc_estimate,
     mc_mode,
@@ -319,37 +317,26 @@ def estimate_rho_g_power_mc(
     return _estimate_mc(e, j, trials, mode, rng, coin_flips=False)
 
 
-def enumeration_word_count(alpha: int, m: int) -> int:
-    """Words that full enumeration weighs: sum_k alpha^(k+1) for k = 0..m."""
-    return sum(alpha ** (k + 1) for k in range(m + 1))
-
-
-def estimate_rho_g_power_enumerate(
-    e: EnsembleSpec, j: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> TraceEstimate:
+def estimate_rho_g_power_enumerate(e: EnsembleSpec, j: int) -> TraceEstimate:
     """Exact a_j = Tr{rho G^j}, the expectation of the all-layers circuit of
     ``estimate_rho_g_power_mc`` over all alpha^(j+1) component words.  Each
     outcome is linear in every layer's reflection, whose average is I - 2 PK
     on span coefficients (P = diag(probs), K the Gram), so
     a_j = Re Tr(PK (I - 2 PK)^j).  The mean outcome probability (1 + a_j)/2
-    is checked like a circuit's P(0).  ``samples`` counts the words;
-    std_error is 0."""
+    is checked like a circuit's P(0).  ``samples`` counts the words, though
+    none is visited, so their number is not capped; std_error is 0."""
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    planned = e.alpha ** (j + 1)
-    check_enumeration_cap(planned, enumeration_cap, "enumeration")
     pk = e.probs[:, None] * e.gram
     step = np.eye(e.alpha) - 2.0 * pk
     for _ in range(j):
         pk = pk @ step
     value = float(np.trace(pk).real)
     _check_probabilities(np.array([0.5 * (1.0 + value)]))
-    return TraceEstimate(value, 0.0, planned, MODE_EXACT_ENUMERATION)
+    return TraceEstimate(value, 0.0, e.alpha ** (j + 1), MODE_EXACT_ENUMERATION)
 
 
-def estimate_power_trace_enumerate(
-    e: EnsembleSpec, m: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> TraceEstimate:
+def estimate_power_trace_enumerate(e: EnsembleSpec, m: int) -> TraceEstimate:
     """Exact expectation of the Hadamard-test estimator for Tr{rho^{m+1}}:
 
         sum_k (C(m,k)/2^m) (-1)^k a_k,    a_k = Tr{rho G^k},
@@ -359,6 +346,5 @@ def estimate_power_trace_enumerate(
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    check_enumeration_cap(enumeration_word_count(e.alpha, m), enumeration_cap, "enumeration")
-    a = [estimate_rho_g_power_enumerate(e, k, enumeration_cap) for k in range(m + 1)]
+    a = [estimate_rho_g_power_enumerate(e, k) for k in range(m + 1)]
     return evaluate_series(binomial_weights(m), a)

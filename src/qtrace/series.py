@@ -18,10 +18,8 @@ exponential traces) need no bespoke code.  ``evaluate_telescoped`` evaluates
 the same series from estimates of a_j = Tr{rho G^j} instead of Tr{G^k}.
 
 This module is also the estimate layer that the oracle, HT and GST share:
-the ``TraceEstimate`` record and its modes, ``combined_mode``, the Monte
-Carlo label ``mc_mode`` and reduction ``mc_estimate``, and
-``DEFAULT_ENUMERATION_CAP`` with ``check_enumeration_cap``, the one cap rule
-and record that HT, GST and the CLI's pre-check apply.  It imports no
+the ``TraceEstimate`` record and its modes, ``combined_mode``, and the Monte
+Carlo label ``mc_mode`` and reduction ``mc_estimate``.  It imports no
 estimator module.
 """
 
@@ -31,8 +29,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .errors import ResourceLimitError
-
 MODE_EXACT_ENUMERATION = "exact-enumeration"
 MODE_MC_EXACT_PROB = "mc-exact-prob"
 MODE_MC_SHOTS = "mc-shots"
@@ -41,17 +37,6 @@ MODE_ORACLE = "oracle"
 
 _KNOWN_MODES = (MODE_EXACT_ENUMERATION, MODE_MC_EXACT_PROB, MODE_MC_SHOTS, MODE_ORACLE)
 _EXACT_MODES = (MODE_EXACT_ENUMERATION, MODE_ORACLE)
-
-#: Default cap on evaluated words in enumeration mode.
-DEFAULT_ENUMERATION_CAP = 10**7
-
-
-def check_enumeration_cap(words: int, cap: int, what: str) -> None:
-    """Raise ResourceLimitError if ``what`` needs more than ``cap`` words."""
-    if words > cap:
-        raise ResourceLimitError(f"{what} needs {words} words, over the cap of {cap}",
-                                 requested=words, cap=cap)
-
 
 @dataclass(frozen=True)
 class TraceEstimate:

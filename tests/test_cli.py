@@ -474,13 +474,15 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv, keys", [
         (["gst", "--power", "2-5", "--epsilon", "1e-3"], 20),
         (["gst", "--power", "2-4", "--g-power", "3", "--strategy", "mc", "--trials", "200",
-          "--seed", "3"], 22),
+          "--seed", "3"], 49),
     ], ids=["enumerate", "mc"])
     def test_gst_run_builds_each_key_once(self, monkeypatch, capsys, argv, keys):
         # Every Tr{rho^m} row and Tr{G^k} call of one run shares the run's
         # StageCache: a row per power once built each key once per row.
         # Monte Carlo builds a frame per key, the key walk one per pair of
-        # letter set and retained set.
+        # letter set and retained set.  Monte Carlo meets the keys of the
+        # drawn words themselves, 49 here; the 22 keys of their bracelet
+        # classes' least members were all it met when those stood in.
         built = []
         inner = gst._exact_frame
 
@@ -514,22 +516,44 @@ class TestExitCodes:
         cfg = base_config()
         cfg["params"]["enumeration_cap"] = 10
         path = write_config(tmp_path, cfg)
-        r = run_cli("ht", "--power", "4", "--strategy", "enumerate", "--config", path)
+        r = run_cli("gst", "--g-power", "2", "--strategy", "enumerate", "--config", path)
         assert r.returncode == 3
         record = json.loads(r.stderr)
         assert record["error"] == "resource-limit"
-        assert record["cap"] == 10
+        assert (record["requested"], record["cap"]) == (16, 10)
+
+    @pytest.mark.parametrize("argv, oracle_argv", [
+        ("ht --power 12", "oracle --power 12"),
+        ("ht --power 2-4 --config {cap10}", "oracle --power 2-4"),
+        ("entropy --estimator ht --order 2-13", "entropy --estimator oracle --order 2-13"),
+        ("entropy --estimator ht --order 2-4 --config {cap10}",
+         "entropy --estimator oracle --order 2-4"),
+    ])
+    def test_ht_enumeration_has_no_cap(self, tmp_path, capsys, argv, oracle_argv):
+        # HT enumeration is j alpha x alpha products at any power j, and no
+        # word count stops it: these runs once exited 3, at 22,369,620 words
+        # over the default cap or at the config's cap of 10.
+        cfg = base_config()
+        cfg["params"]["enumeration_cap"] = 10
+        path = write_config(tmp_path, cfg)
+        rows = []
+        for command in (argv, oracle_argv):
+            assert cli.main(command.replace("{cap10}", path).split()) == 0
+            rows.append(table(capsys.readouterr().out))
+        for row, want in zip(*rows, strict=True):
+            assert row["mode"] == "exact-enumeration"
+            assert float(row["estimate"]) == pytest.approx(float(want["estimate"]),
+                                                           rel=1e-13, abs=1e-15)
 
     @pytest.mark.parametrize("estimator, module, name", [
-        ("ht", ht, "estimate_rho_g_power_enumerate"),
         ("gst", gst, "estimate_g_power_trace"),
     ])
     def test_entropy_over_cap_exits_before_any_estimate(
         self, tmp_path, capsys, monkeypatch, estimator, module, name
     ):
-        # --order 2-4 needs Tr{rho G^j} for j <= 4 (HT, alpha^(j+1) words) or
-        # Tr{G^k} for k <= 5 (GST, alpha^k words); with alpha = 4 the first
-        # over the cap of 100 needs 4^4 = 256 words, and that is the record.
+        # --order 2-4 needs Tr{G^k} for k <= 5 (alpha^k words); with
+        # alpha = 4 the first over the cap of 100 needs 4^4 = 256 words, and
+        # that is the record.
         calls = []
 
         def spy(*args, **kwargs):
@@ -551,8 +575,6 @@ class TestExitCodes:
          "over the cap of 10000000"),
         ("gst --g-power 1-8 --cap 20000", 4**8, 20_000, "enumerating Tr{G^8} needs 65536 "
          "words, over the cap of 20000"),
-        ("ht --power 2-13", 22_369_620, 10_000_000, "enumeration needs "
-         "22369620 words, over the cap of 10000000"),
     ])
     def test_over_cap_row_exits_before_any_estimate(
         self, capsys, monkeypatch, command, requested, cap, message
@@ -565,9 +587,8 @@ class TestExitCodes:
             calls.append(args)
             raise AssertionError("an estimator ran before the cap check")
 
-        for module, name in ((gst, "estimate_power_trace"), (gst, "estimate_g_power_trace"),
-                             (ht, "estimate_power_trace_enumerate")):
-            monkeypatch.setattr(module, name, spy)
+        for name in ("estimate_power_trace", "estimate_g_power_trace"):
+            monkeypatch.setattr(gst, name, spy)
         assert cli.main(command.split()) == 3
         assert calls == []
         captured = capsys.readouterr()
@@ -578,7 +599,7 @@ class TestExitCodes:
     def test_config_error_precedes_the_cap_check(self, capsys):
         # The first row's estimator call would reject shots mode under
         # enumeration before counting words, and so does the cap pre-check.
-        assert cli.main(["ht", "--power", "2-13", "--strategy", "enumerate", "--mode", "shots"]) == 2
+        assert cli.main(["gst", "--power", "12", "--strategy", "enumerate", "--mode", "shots"]) == 2
         record = json.loads(capsys.readouterr().err)
         assert (record["error"], record["field"]) == ("schema-violation", "params.mode")
 
@@ -622,7 +643,7 @@ class TestExitCodes:
         ("gst --g-power -1", "--g-power", "g-power must be >= 0, got -1"),
         ("oracle --g-power -1", "--g-power", "g-power must be >= 0, got -1"),
         ("entropy --order 0", "--order", "order must be >= 1, got 0"),
-        ("ht --power 2 --cap -5", "--cap", "must be >= 1, got -5"),
+        ("entropy --order 2 --cap -5", "--cap", "must be >= 1, got -5"),
         ("ht --power 2 --strategy mc --trials 0", "--trials", "must be >= 1, got 0"),
         ("ht --power 2 --strategy mc --mode shots --shots 0", "--shots", "must be >= 1, got 0"),
         ("gst --g-power 2 --cap 0", "--cap", "must be >= 1, got 0"),
@@ -723,7 +744,7 @@ class TestExitCodes:
         # numerically singular Gram makes Tr{R_w} = |Tr w|^2 negative.
         (2, _NEAR_TWINS, ["--power", "2-4", "--pinv", "--epsilon", "1e-30"]),
         # The bundled model at n = 20 with the basis angle 0.6 pi: the
-        # tomography rounds a class representative's Tr{R_w} to -1.6e-8.
+        # tomography rounds a word's Tr{R_w} to -1.6e-8.
         (20, None, ["--g-power", "6", "--theta", "0.6"]),
         # The near twins without --pinv: their operator-basis Gram is below
         # the conditioning floor, which exact mode does not consult.
@@ -805,8 +826,9 @@ SUBCOMMAND_ARGV = {"oracle": ["oracle", "--power", "2"], "ht": ["ht", "--power",
 def flag_cases():
     """(key, argv) for every params row and every subcommand that carries its
     flag; entropy runs once per estimator that reads the key."""
-    ht_only, gst_only = {"ht_sigma"}, {"epsilon_trunc", "theta_basis", "gst_sigma",
-                                       "allow_pseudoinverse"}
+    ht_only = {"ht_sigma"}
+    gst_only = {"enumeration_cap", "epsilon_trunc", "theta_basis", "gst_sigma",
+                "allow_pseudoinverse"}
     for key, row in cli._PARAMS.items():
         for command in row.commands:
             if command != "entropy":
@@ -898,17 +920,18 @@ class TestSpanOnly:
         assert cli.main([a.replace("{sweep}", path) for a in argv]) == 0, capsys.readouterr().err
 
 
-#: SHA-256 of the stdout of fixed commands.  A change that moves any RNG draw
-#: of the HT chunk layout, the shot path or the sigma path, the float order
-#: of HT or GST enumeration (with and without truncation, and at a
-#: non-default basis angle), the class representatives of exact GST Monte
-#: Carlo, the GST Monte Carlo chunk streams, or the float order of the per-chunk M2
-#: and its merge (``series.mc_estimate``) changes these bytes.  Each GST Monte Carlo command draws several
-#: ``gst._WORD_CHUNK`` chunks per power, the last one partial.  The
-#: ``entropy``, ``oracle``, ``sweep`` and ``bounds`` commands pin those
-#: runners and how their flags and config keys reach them, with each
-#: ``entropy`` estimator and the ``gst`` command's ``shots`` column and its
-#: two child-seed series (rho powers and G powers) in one run.  The last two
+#: SHA-256 of the stdout of fixed commands, one test per command.  A change
+#: that moves any RNG draw of the HT chunk layout, the shot path or the sigma
+#: path, the float order of HT or GST enumeration (with and without
+#: truncation, and at a non-default basis angle), the word whose value an
+#: exact GST Monte Carlo draw takes (its own, once per distinct word), the
+#: GST Monte Carlo chunk streams, or the float order of the per-chunk M2 and
+#: its merge (``series.mc_estimate``) changes these bytes.  Each GST Monte
+#: Carlo command draws several ``gst._WORD_CHUNK`` chunks per power, the
+#: last one partial.  The ``entropy``, ``oracle``, ``sweep`` and ``bounds``
+#: commands pin those runners and how their flags and config keys reach them,
+#: with each ``entropy`` estimator and the ``gst`` command's ``shots`` column
+#: and its two child-seed series (rho powers and G powers) in one run.  The last two
 #: ``ht``/``entropy`` pins add HT entropy under sigma noise and multi-shot
 #: binomials, where a one-ulp P(0) change at 0 or 1 shifts the rest of the
 #: shot stream.  Acceptance criterion 10 reads the two ``--format json``
@@ -935,7 +958,7 @@ BYTE_PINS = {
     "gst --g-power 2-4 --epsilon 1e-3":
         "ae2ebd095cdbbd81aadabc2b7274da560ba0606e5b7d8d84fba8607285d7efde",
     "gst --g-power 2-3 --strategy mc --trials 1100 --seed 13":
-        "5d53d720808d39c8aab237d81576af89dd5e6828db369a623836d17d29a2eb50",
+        "e6257685b08c9fb0cb2882ace68af262fbd29adf51f950d6991f6bf5026fb85c",
     "gst --g-power 2-3 --strategy mc --mode shots --trials 600 --seed 13 --pinv":
         "999c1a77f66fb0ddd38cd3b4fa3cfaa85adce24a6fef87a05ce69c8e5b97e540",
     "gst --g-power 2-3 --strategy mc --mode gaussian --trials 600 --seed 13 --pinv":
@@ -943,7 +966,7 @@ BYTE_PINS = {
     "gst --g-power 2-4 --theta 0.3":
         "2bdf16cc5293d4e450368d1a890575efc41b81e812bb7af9f147f3495fb0e039",
     "gst --g-power 3 --strategy mc --trials 500 --epsilon 1e-2 --seed 4":
-        "028e96884316bfd1d8692cb5a3c54569bccfd17c1a8c0950d7186e217ddc7843",
+        "85919aa7196ce9588d753df6b2fe12b0390a33f3e1d797b7946a1b9a4bd352c0",
     "entropy --order 2-8 --estimator ht":
         "f8fa55b5e4b3e4898e0120943aa1439c4ed9cc533d56c17806c8292d89fb4bb9",
     "entropy --order 2-12 --estimator ht --strategy mc --seed 7":
@@ -958,7 +981,7 @@ BYTE_PINS = {
     "entropy --order 2-8 --estimator oracle":
         "0812052e29c6680115bcfc4d95dc291e30ddf9185b296f035d398a6aaa868877",
     "gst --power 2 --g-power 2-3 --strategy mc --trials 200 --seed 5":
-        "2fc209c55ad4d74805e38fc96df86ac8c4fe5556c97cbd6bd73e329b1a06efde",
+        "a14325bdc73fae391c4f231732ac8140f2683037e05d05023eba493a909ce214",
     "gst --power 2 --strategy mc --mode shots --trials 100 --seed 3 --pinv":
         "824e7a5a5a794f6756eff4f33b08f902d2d237ac4ecc35b6eaa50e4be98f1f2b",
     "entropy --order 2-6 --estimator ht --strategy mc --mode exact --ht-sigma 0.02 "
@@ -1002,19 +1025,19 @@ ERROR_PINS = {
 
 
 class TestDeterminism:
-    def test_commands_match_byte_pins(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", BYTE_PINS)
+    def test_commands_match_byte_pins(self, tmp_path, capsys, command):
         path = write_config(tmp_path, base_config(sweep=PIN_SWEEP))
-        for command, sha in BYTE_PINS.items():
-            assert cli.main(command.replace("{sweep}", path).split()) == 0
-            out = capsys.readouterr().out
-            assert hashlib.sha256(out.encode()).hexdigest() == sha, (command, out)
+        assert cli.main(command.replace("{sweep}", path).split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == BYTE_PINS[command], (command, out)
 
-    def test_failing_commands_match_error_pins(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ERROR_PINS)
+    def test_failing_commands_match_error_pins(self, tmp_path, capsys, command):
         path = write_config(tmp_path, base_config(n_qubits=1))
-        for command, record in ERROR_PINS.items():
-            assert cli.main(command.replace("{one_qubit}", path).split()) == 4
-            captured = capsys.readouterr()
-            assert (captured.out, captured.err) == ("", record), command
+        assert cli.main(command.replace("{one_qubit}", path).split()) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", ERROR_PINS[command]), command
 
     def test_exact_mode_ignores_pinv(self, capsys):
         # --pinv acts on the noisy modes' Gram solves; exact mode solves none.

@@ -694,12 +694,23 @@ class TestEstimateGPowerTrace:
         assert abs(est.value - exact) < 4 * est.std_error + 1e-6
         assert est.mode == "mc-exact-prob"
 
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.05])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_truncated_mc_converges_to_enumeration(self, ref3, k, epsilon):
+        # A draw takes its own word's value, which enumeration weighs too, so
+        # under truncation both estimate one sum.  Given the value of its
+        # bracelet class's least member instead, the k = 3 and k = 5 draws at
+        # epsilon = 0.05 missed the enumerated value by 26 and 39 std_errors.
+        want = estimate_g_power_trace(ref3, k, epsilon=epsilon).value
+        est = estimate_g_power_trace(ref3, k, "mc", 20_000, epsilon=epsilon, rng=k)
+        assert abs(est.value - want) <= 5 * est.std_error
+
     def test_mc_is_the_chunk_order_reduction(self, ref3):
         budget = 300  # nine full chunks and a partial tenth
         ranges = chunk_ranges(budget, gst._WORD_CHUNK)
         assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
         # Each chunk's stream draws its words, then each word's noise in draw
-        # order; exact mode gives every draw its class's value.
+        # order; every draw takes its own word's value.
         for mode in (EXACT, MeasureMode("gaussian", sigma=1e-3)):
             est = estimate_g_power_trace(ref3, 2, strategy="mc", budget=budget, rng=9,
                                          mode=mode, allow_pseudoinverse=True)
@@ -896,12 +907,6 @@ def orbit(q):
     return frozenset(s[i:] + s[:i] for s in (q, q[::-1]) for i in range(max(len(q), 1)))
 
 
-def brute_force_classes(alpha, k):
-    """(least member, size) of every orbit among the alpha**k words."""
-    orbits = {orbit(q) for q in itertools.product(range(alpha), repeat=k)}
-    return sorted((min(o), len(o)) for o in orbits)
-
-
 def word_sum(e, k, epsilon=gst.DEFAULT_EPSILON):
     """Tr{G^k} as the P_q-weighted sum of every one of the alpha**k words'
     own values, and those values."""
@@ -922,11 +927,10 @@ def chunk_words(e, k, budget, seed):
 
 def chunk_values(e, k, budget, seed, mode=EXACT):
     """Each GST Monte Carlo chunk's draw values, rebuilt from its stream with
-    a pseudo-inverse solve: exact mode gives each draw the value of its
-    orbit's least member, a noisy mode evaluates each word on the chunk's
+    a pseudo-inverse solve: each draw's own word, evaluated on the chunk's
     stream in draw order."""
-    return [[combination_trace(e, min(orbit(q)) if mode.is_exact else q, mode=mode,
-                               rng=rng, allow_pseudoinverse=True).value for q in words]
+    return [[combination_trace(e, q, mode=mode, rng=rng, allow_pseudoinverse=True).value
+             for q in words]
             for rng, words in chunk_words(e, k, budget, seed)]
 
 
@@ -947,18 +951,17 @@ def assert_matches_reference(est, reference):
 
 
 class TestSharedMemo:
-    def test_each_distinct_class_is_evaluated_once(self, ref3, monkeypatch):
+    def test_each_distinct_word_is_evaluated_once(self, ref3, monkeypatch):
+        # One memo serves every chunk: a word is evaluated at its first draw.
         k, budget, seed = 3, 400, 11
-        drawn = {q for _, words in chunk_words(ref3, k, budget, seed) for q in words}
-        classes = {min(orbit(q)) for q in drawn}
+        drawn = [q for _, words in chunk_words(ref3, k, budget, seed) for q in words]
         words, est = drawn_words(monkeypatch, ref3, k, budget, seed)
-        calls = Counter(words)
-        assert set(calls) == classes and set(calls.values()) == {1}
-        assert budget // gst._WORD_CHUNK > 1 and len(classes) < len(drawn) < budget
+        assert words == list(dict.fromkeys(drawn))
+        assert budget // gst._WORD_CHUNK > 1 and len(words) < budget
         assert_matches_reference(est, chunk_stream_estimate(ref3, k, budget, seed))
 
     def test_noisy_draws_evaluate_their_own_words(self, ref3, monkeypatch):
-        # Shots mode draws noise per word, so no draw borrows a class value.
+        # Shots mode draws noise per word, so no draw reuses a value.
         budget, seed = 100, 4
         words, _ = drawn_words(monkeypatch, ref3, 3, budget, seed, epsilon=1e-3,
                                mode=MeasureMode("shots", shots=10**6), allow_pseudoinverse=True)
@@ -976,29 +979,28 @@ def class_cases(draw):
 
 
 class TestWordClasses:
-    """``class_representative``, through which exact Monte Carlo memoizes
-    one value per bracelet class."""
+    """Bracelet classes: a word's rotations and the rotations of its reversal
+    share Re Tr{W} and P_q.  The test-local ``orbit`` forms a class, and the
+    invariance check below groups words by it."""
 
     @pytest.mark.parametrize("k, count", [(4, 55), (5, 136), (6, 430), (7, 1300),
                                           (8, 4435), (9, 15084)])
     def test_burnside_counts(self, k, count):
         # The classes of the 4^k words, counted by Burnside's lemma.
-        reps = {gst.class_representative(q) for q in itertools.product(range(4), repeat=k)}
-        assert len(reps) == count
+        assert len({orbit(q) for q in itertools.product(range(4), repeat=k)}) == count
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     @pytest.mark.parametrize("k", range(7))
     def test_partition_of_every_word(self, alpha, k):
         words = list(itertools.product(range(alpha), repeat=k))
-        assert all(gst.class_representative(q) == min(orbit(q)) for q in words)
-        sizes = Counter(gst.class_representative(q) for q in words)
-        assert sorted(sizes.items()) == brute_force_classes(alpha, k)
+        orbits = {orbit(q) for q in words}
+        assert all(q in orbit(q) and all(orbit(p) == orbit(q) for p in orbit(q)) for q in words)
+        assert sum(len(o) for o in orbits) == len(words)
 
     def test_edge_cases(self):
-        assert gst.class_representative(()) == ()
-        assert gst.class_representative((2,)) == (2,)
-        assert gst.class_representative((2, 0, 1)) == (0, 1, 2)
-        assert gst.class_representative((1, 0, 2)) == (0, 1, 2)
+        assert orbit(()) == {()}
+        assert orbit((2,)) == {(2,)}
+        assert min(orbit((2, 0, 1))) == min(orbit((1, 0, 2))) == (0, 1, 2)
 
     def test_g_power_6_evaluates_no_word(self, monkeypatch, capsys):
         words = spied_words(monkeypatch)
@@ -1017,7 +1019,7 @@ class TestWordClasses:
         # 3.6e-15, 1.3e-15 and 5.8e-15.
         tol = 5e-14
         for q, value in values.items():
-            assert value == pytest.approx(values[gst.class_representative(q)], rel=0, abs=tol)
+            assert value == pytest.approx(values[min(orbit(q))], rel=0, abs=tol)
         est = estimate_g_power_trace(e, k)
         assert est.value == pytest.approx(total, rel=0, abs=tol)
         assert est.value == pytest.approx(exact_g_power_trace(e, k) - e.dim, rel=0, abs=tol)
@@ -1168,15 +1170,16 @@ class TestStageCache:
             assert cached.value.min_eigenvalue == uncached.value.min_eigenvalue
         assert run(True, cache) == pinv
 
-    # Exact draws evaluate class representatives: those of k = 3 and k = 4
-    # have 14 and 21 keys, and these budgets draw every class.  The 300
-    # noisy draws of k = 3 evaluate every word and meet 37 of its 40 keys.
+    # Every draw evaluates its own word, so exact draws meet the words' own
+    # keys: 40 at k = 3 and 64 at k = 4, all of which these budgets draw.
+    # The class representatives they replaced had only 14 and 21 keys.  The
+    # 300 noisy draws of k = 3 meet 37 of its 40 keys.
     @pytest.mark.parametrize("k, keys, options", [
-        (3, 14, {"strategy": "mc", "budget": 20000, "rng": 5}),
-        (4, 21, {"strategy": "mc", "budget": 100000, "rng": 5}),
+        (3, 40, {"strategy": "mc", "budget": 20000, "rng": 5}),
+        (4, 64, {"strategy": "mc", "budget": 100000, "rng": 5}),
         (3, 37, {"strategy": "mc", "budget": 300, "mode": MeasureMode("shots", shots=1000),
                  "rng": 5, "allow_pseudoinverse": True}),
-    ], ids=["3-14", "4-21", "3-37-shots"])
+    ], ids=["3-40", "4-64", "3-37-shots"])
     def test_stages_run_once_per_key(self, ref3, monkeypatch, k, keys, options):
         # An exact key builds its frame and no operator basis; a noisy key
         # builds its one operator basis.

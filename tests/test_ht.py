@@ -19,7 +19,7 @@ from qtrace import (
     noise_bounds,
 )
 from qtrace._parallel import chunk_ranges
-from qtrace.errors import IdentityViolationError, ResourceLimitError
+from qtrace.errors import IdentityViolationError
 from qtrace.ht import (
     estimate_power_trace_enumerate,
     estimate_power_trace_mc,
@@ -30,7 +30,6 @@ from qtrace.noise_bounds import EXACT, MeasureMode
 from qtrace.qcore import reflect_amplitudes
 from qtrace.rng import rng_stream
 from qtrace.series import (
-    MODE_EXACT_ENUMERATION,
     MODE_MC_EXACT_PROB,
     MODE_MC_SHOTS,
     TraceEstimate,
@@ -209,19 +208,6 @@ class TestEstimateEnumerate:
             spec = random_ensemble(rng, n, alpha)
             est = estimate_power_trace_enumerate(spec, m)
             assert est.value == pytest.approx(exact_power_trace(spec, m + 1), abs=1e-9)
-
-    def test_budget_cap(self, ref3):
-        with pytest.raises(ResourceLimitError, match="cap of 100"):
-            estimate_power_trace_enumerate(ref3, 4, enumeration_cap=100)
-
-    @pytest.mark.parametrize("j", [0, 2, 5])
-    def test_rho_g_budget_cap_counts_one_word_length(self, ref3, j):
-        words = ref3.alpha ** (j + 1)
-        with pytest.raises(ResourceLimitError) as info:
-            estimate_rho_g_power_enumerate(ref3, j, enumeration_cap=words - 1)
-        assert (info.value.requested, info.value.cap) == (words, words - 1)
-        est = estimate_rho_g_power_enumerate(ref3, j, enumeration_cap=words)
-        assert (est.samples, est.std_error, est.mode) == (words, 0.0, MODE_EXACT_ENUMERATION)
 
 
 class TestEstimateMc:
@@ -506,7 +492,7 @@ class TestSpanKernelMatchesStatevectors:
 
     def test_enumeration_samples_count_words(self, ref3):
         est = estimate_power_trace_enumerate(ref3, 3)
-        assert est.samples == ht.enumeration_word_count(4, 3) == 4 + 16 + 64 + 256
+        assert est.samples == 4 + 16 + 64 + 256
 
     def test_out_of_range_probability_raises(self):
         # A Gram with K_11 = 3 gives P(0) = (1 + 3)/2 = 2 on the empty word
@@ -527,8 +513,7 @@ class TestClosedFormEnumeration:
     @settings(max_examples=200, deadline=None)
     @given(small_ensembles(), st.integers(0, 12))
     def test_matches_the_oracle(self, e, j):
-        # The cap counts words; the closed form costs j products at any cap.
-        est = estimate_rho_g_power_enumerate(e, j, enumeration_cap=e.alpha ** (j + 1))
+        est = estimate_rho_g_power_enumerate(e, j)
         assert est.value == pytest.approx(exact_rho_g_power_trace(e, j), rel=0, abs=1e-13)
         assert (est.std_error, est.samples) == (0.0, e.alpha ** (j + 1))
 

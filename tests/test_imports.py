@@ -115,7 +115,7 @@ def test_estimator_calls_outside_reads_nested_calls(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text("def _estimate():\n    return ht.estimate_power_trace_mc()\n"
                     "def run():\n    x = [gst.estimate_power_trace(s).value for s in y]\n"
-                    "    ht.enumeration_word_count(4, 2)\n"
+                    "    gst.check_enumeration_budget(4, 2, 9)\n"
                     "    return series.estimate_x()\n")
     assert estimator_calls_outside(path, "_estimate") == ["gst.estimate_power_trace"]
 
