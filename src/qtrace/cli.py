@@ -7,9 +7,9 @@ with a fixed column set, floats serialized to 17 significant digits, and
 byte-identical output for a fixed (config, seed).
 
 Every oracle value and estimator call, ``--golden`` checks included, is a
-(quantity, order, stream) job run by ``_estimate`` after a pre-check of every
-GST enumeration cap its run's jobs meet: an over-cap run fails before any
-estimate.
+(quantity, order, stream) job run by ``_estimate`` after one pre-check of
+the GST enumeration caps over all its run's jobs: an over-cap run fails
+before any estimate.
 
 Exit codes: 0 success, 2 config/schema violation, 3 resource limit,
 4 numerical failure (a noisy-mode GST Gram below the conditioning floor,
@@ -85,7 +85,7 @@ _ESTIMATORS = ("ht", "gst", "entropy")
 _PARAMS: dict[str, _Param] = {
     "seed": _Param(0, "--seed", ("oracle", *_ESTIMATORS, "sweep", "bounds"), least=0,
                    help="master seed"),
-    "trials": _Param(20000, "--trials", _ESTIMATORS, least=1,
+    "trials": _Param(gst.DEFAULT_TRIALS, "--trials", _ESTIMATORS, least=1,
                      help="sampled circuits (ht) or words (gst) in mc strategy"),
     "shots": _Param(1, "--shots", _ESTIMATORS, least=1,
                     help="shots per sampled circuit; per matrix entry where gst runs"),
@@ -94,8 +94,6 @@ _PARAMS: dict[str, _Param] = {
                             help="truncation threshold"),
     "theta_basis": _Param(gst.DEFAULT_THETA / math.pi, "--theta", ("gst", "entropy"),
                           help="basis angle, units of pi"),
-    "enumeration_cap": _Param(gst.DEFAULT_ENUMERATION_CAP, "--cap", ("gst", "entropy"), least=1,
-                              help="GST enumeration cap, in words"),
     "mode": _Param("exact", "--mode", _ESTIMATORS, choices=("exact", "shots", "gaussian")),
     "strategy": _Param("enumerate", "--strategy", _ESTIMATORS, choices=("enumerate", "mc")),
     "ht_sigma": _Param(0.0, "--ht-sigma", ("ht", "entropy"), least=0,
@@ -489,14 +487,14 @@ def _measure_mode(estimator: str, params: dict[str, Any]) -> noise_bounds.Measur
 def _check_enumeration_caps(
     spec: ensemble.EnsembleSpec, estimator: str, jobs: Sequence[tuple], params: dict[str, Any]
 ) -> None:
-    """Every enumeration cap check that the jobs' GST calls make, in their
-    order, before the first call: a run over the cap fails in set-up time
-    with the first over-cap call's record.  HT enumeration has no cap."""
+    """The GST enumeration caps over the key walks of all the jobs' calls,
+    before the first call: a run over the cap fails in set-up time.  HT
+    enumeration has no cap."""
     if estimator != "gst" or params["strategy"] != "enumerate":
         return
-    for quantity, order, _ in jobs:
-        for k in range(order + 1) if quantity == "tr_rho_power" else (order,):
-            gst.check_enumeration_budget(spec.alpha, k, params["enumeration_cap"])
+    gst.check_enumeration_budget(spec.alpha, [
+        range(order + 1) if quantity == "tr_rho_power" else range(order, order + 1)
+        for quantity, order, _ in jobs])
 
 
 def _shown(spec: ensemble.EnsembleSpec, estimator: str, quantity: str, value: float) -> float:
@@ -519,8 +517,7 @@ def _estimate(
         return series.TraceEstimate(_exact(spec, quantity, order), 0.0, 1, series.MODE_ORACLE)
     enumerate_, trials = params["strategy"] == "enumerate", params["trials"]
     if estimator == "gst":
-        budget = params["enumeration_cap"] if enumerate_ else trials
-        settings = (params["strategy"], budget, params["epsilon_trunc"],
+        settings = (params["strategy"], trials, params["epsilon_trunc"],
                     params["theta_basis"] * math.pi, mode, seed, params["allow_pseudoinverse"])
         if quantity == "tr_rho_power":
             return gst.estimate_power_trace(spec, order, *settings, cache=cache)
@@ -641,20 +638,23 @@ _SWEEPS: dict[tuple[str, str], tuple[str, dict[str, Any]]] = {
 
 def run_sweep(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:
     """One ``ht``/``gst`` row per swept value; row i runs on stream i, as
-    row i of the direct command does."""
+    row i of the direct command does.  Every row's config-level rejections
+    and the cap over all the rows' walks come before the first row runs."""
     if cfg.sweep is None:
         raise ConfigError("sweep", "config has no sweep section")
     command, parameter = cfg.sweep["command"], cfg.sweep["parameter"]
     if (command, parameter) not in _SWEEPS:
         raise ConfigError("sweep.parameter", f"{parameter!r} does not apply to {command!r}")
     key, fixed = _SWEEPS[command, parameter]
-    power = int(cfg.sweep["power"])
-    rows = []
-    for i, value in enumerate(cfg.sweep["values"]):
-        params = {**cfg.params, **fixed, key: int(value) if parameter == "shots" else float(value)}
-        rows += _rows(cfg.spec, command, [("tr_rho_power", power, i)], params, args.timing,
-                      f"@{parameter}={value}")
-    return rows
+    values = cfg.sweep["values"]
+    runs = [{**cfg.params, **fixed, key: int(value) if parameter == "shots" else float(value)}
+            for value in values]
+    jobs = [("tr_rho_power", int(cfg.sweep["power"]), i) for i in range(len(values))]
+    for params in runs:
+        _measure_mode(command, params)
+    _check_enumeration_caps(cfg.spec, command, jobs, runs[0])
+    return [row for job, params, value in zip(jobs, runs, values)
+            for row in _rows(cfg.spec, command, [job], params, args.timing, f"@{parameter}={value}")]
 
 
 def run_bounds(cfg: RunConfig, args: argparse.Namespace) -> list[ResultRow]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed its configured evaluation cap."""
+    """A GST enumeration would walk or hold more than its fixed caps allow."""
 
     def __init__(self, message: str, *, requested: int, cap: int) -> None:
         super().__init__(message)

@@ -75,7 +75,8 @@ its own key's value.  Monte Carlo gives a drawn word that value too: exact
 mode runs ``combination_trace`` once per distinct word of an estimate and
 memoizes the value by the word, and the noisy modes run it per draw, with
 the draw's noise.  So under truncation enumeration and Monte Carlo estimate
-the same sum.  Caps and sample counts count words.
+the same sum.  Sample counts count words, the enumeration caps key-steps
+and the coefficients a walk holds.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -115,8 +116,15 @@ SAME_STATE_OVERLAP = 1.0 - 1e-12
 #: of pi.
 DEFAULT_THETA = math.pi / 2
 
-#: Default cap on the words that enumeration weighs.
-DEFAULT_ENUMERATION_CAP = 10**7
+#: Key-steps of enumeration walks that one check admits: about a minute at
+#: some 6 us a step for large k, nearer three where alpha >> k.
+ENUMERATION_CAP = 10**7
+
+#: Complex coefficients (64 MiB) that one enumeration walk may hold at once.
+ENUMERATION_VALUES_CAP = 2**22
+
+#: Default number of Monte Carlo draws.
+DEFAULT_TRIALS = 20000
 
 #: Default truncation threshold: effectively "no truncation" for generic
 #: ensembles while still catching numerically dependent states.
@@ -581,21 +589,34 @@ def _check_enumerate_mode(mode: MeasureMode) -> None:
         raise ValueError(f"enumerate strategy requires exact mode, got {mode.kind!r}")
 
 
-def check_enumeration_budget(alpha: int, k: int, budget: int) -> None:
-    """Raise ResourceLimitError if enumerating Tr{G^k} needs more than
-    ``budget`` words.  The cap counts all alpha^k words, though enumeration
-    walks keys, not words."""
-    if alpha**k > budget:
-        raise ResourceLimitError(
-            f"enumerating Tr{{G^{k}}} needs {alpha**k} words, over the cap of {budget}",
-            requested=alpha**k, cap=budget)
+def check_enumeration_budget(alpha: int, powers: Iterable[range]) -> None:
+    """Raise ResourceLimitError if the key walks of Tr{G^k}, k over the
+    ranges ``powers``, take over ENUMERATION_CAP key-steps in all: k steps
+    for each key, alpha!/(alpha-i)! keys of i = 1..min(k, alpha) letters.
+    The keys of i letters cost a range's sum of k >= i, in closed form.  Or
+    if the walk of the largest k holds over ENUMERATION_VALUES_CAP complex
+    coefficients at once, ``_enumerate_chunk``'s (alpha - i)(k + 1)(i + 1)^2
+    at each depth i < min(k, alpha) of its path."""
+    steps, k = 0, 0
+    for r in powers:
+        k = max(k, r.stop - 1)
+        for i in range(1, min(r.stop - 1, alpha) + 1):
+            lo = max(r.start, i)
+            steps += math.perm(alpha, i) * (lo + r.stop - 1) * (r.stop - lo) // 2
+    values = (k + 1) * sum((alpha - i) * (i + 1) ** 2 for i in range(min(k, alpha)))
+    for requested, cap, what in ((steps, ENUMERATION_CAP, "key-steps"),
+                                 (values, ENUMERATION_VALUES_CAP, "coefficients at once")):
+        if requested > cap:
+            raise ResourceLimitError(
+                f"GST enumeration needs {requested} {what}, over the cap of {cap}",
+                requested=requested, cap=cap)
 
 
 def estimate_g_power_trace(
     e: EnsembleSpec,
     k: int,
     strategy: str = "enumerate",
-    budget: int = DEFAULT_ENUMERATION_CAP,
+    budget: int = DEFAULT_TRIALS,
     epsilon: float = DEFAULT_EPSILON,
     theta: float = DEFAULT_THETA,
     mode: MeasureMode = EXACT,
@@ -621,7 +642,7 @@ def estimate_g_power_trace(
 
     if strategy == "enumerate":
         _check_enumerate_mode(mode)
-        check_enumeration_budget(e.alpha, k, budget)
+        check_enumeration_budget(e.alpha, [range(k, k + 1)])
         worker = partial(_enumerate_chunk, e, k, epsilon, cache)
         parts = run_chunked(worker, e.alpha if k else 0, _WORD_CHUNK)
         return TraceEstimate(float(sum(parts)), 0.0, e.alpha**k, MODE_EXACT_ENUMERATION)
@@ -639,7 +660,7 @@ def estimate_power_trace(
     e: EnsembleSpec,
     m: int,
     strategy: str = "enumerate",
-    budget: int = DEFAULT_ENUMERATION_CAP,
+    budget: int = DEFAULT_TRIALS,
     epsilon: float = DEFAULT_EPSILON,
     theta: float = DEFAULT_THETA,
     mode: MeasureMode = EXACT,
@@ -655,14 +676,13 @@ def estimate_power_trace(
     serves every k, whose subspace keys are among those of k + 1.  As in
     ``estimate_g_power_trace``, ``cache`` may be shared with other estimates
     of this (e, epsilon, theta); by default the estimate has its own.
-    Enumeration checks every k's word count before the first estimate.
+    Enumeration checks the cap over k = 0..m before the first estimate.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if strategy == "enumerate":
         _check_enumerate_mode(mode)
-        for k in range(m + 1):
-            check_enumeration_budget(e.alpha, k, budget)
+        check_enumeration_budget(e.alpha, [range(m + 1)])
     master_seed = as_master_seed(rng)
     if cache is None:
         cache = StageCache()

@@ -317,6 +317,22 @@ def estimate_rho_g_power_mc(
     return _estimate_mc(e, j, trials, mode, rng, coin_flips=False)
 
 
+def _rho_g_chain(e: EnsembleSpec, ks: range) -> list[TraceEstimate]:
+    """Exact a_k = Re Tr(PK (I - 2 PK)^k) for k in ``ks``, one product
+    apart, each mean outcome probability (1 + a_k)/2 checked."""
+    pk = e.probs[:, None] * e.gram
+    step = np.eye(e.alpha) - 2.0 * pk
+    estimates = []
+    for k in range(ks.stop):
+        if k:
+            pk = pk @ step
+        if k in ks:
+            value = float(np.trace(pk).real)
+            _check_probabilities(np.array([0.5 * (1.0 + value)]))
+            estimates.append(TraceEstimate(value, 0.0, e.alpha ** (k + 1), MODE_EXACT_ENUMERATION))
+    return estimates
+
+
 def estimate_rho_g_power_enumerate(e: EnsembleSpec, j: int) -> TraceEstimate:
     """Exact a_j = Tr{rho G^j}, the expectation of the all-layers circuit of
     ``estimate_rho_g_power_mc`` over all alpha^(j+1) component words.  Each
@@ -324,16 +340,10 @@ def estimate_rho_g_power_enumerate(e: EnsembleSpec, j: int) -> TraceEstimate:
     on span coefficients (P = diag(probs), K the Gram), so
     a_j = Re Tr(PK (I - 2 PK)^j).  The mean outcome probability (1 + a_j)/2
     is checked like a circuit's P(0).  ``samples`` counts the words, though
-    none is visited, so their number is not capped; std_error is 0."""
+    none is visited; std_error is 0."""
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    pk = e.probs[:, None] * e.gram
-    step = np.eye(e.alpha) - 2.0 * pk
-    for _ in range(j):
-        pk = pk @ step
-    value = float(np.trace(pk).real)
-    _check_probabilities(np.array([0.5 * (1.0 + value)]))
-    return TraceEstimate(value, 0.0, e.alpha ** (j + 1), MODE_EXACT_ENUMERATION)
+    return _rho_g_chain(e, range(j, j + 1))[0]
 
 
 def estimate_power_trace_enumerate(e: EnsembleSpec, m: int) -> TraceEstimate:
@@ -341,10 +351,9 @@ def estimate_power_trace_enumerate(e: EnsembleSpec, m: int) -> TraceEstimate:
 
         sum_k (C(m,k)/2^m) (-1)^k a_k,    a_k = Tr{rho G^k},
 
-    over all alpha^(k+1) component words for each k.  Equals the oracle
-    value; std_error is 0.
+    over all alpha^(k+1) component words for each k, the a_k taken along
+    one chain of m products.  Equals the oracle value; std_error is 0.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    a = [estimate_rho_g_power_enumerate(e, k) for k in range(m + 1)]
-    return evaluate_series(binomial_weights(m), a)
+    return evaluate_series(binomial_weights(m), _rho_g_chain(e, range(m + 1)))

@@ -112,7 +112,8 @@ def binomial_weights(m: int) -> SeriesWeights:
     """Signed binomial weights c_k = (-1)^k C(m,k)/2^m for Tr{rho^m}."""
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
-    coeffs = tuple((-1.0) ** k * math.comb(m, k) / 2.0**m for k in range(m + 1))
+    # An integer true division rounds once and overflows no float.
+    coeffs = tuple((-1.0) ** k * (math.comb(m, k) / 2**m) for k in range(m + 1))
     return SeriesWeights(coeffs)
 
 

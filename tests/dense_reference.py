@@ -7,8 +7,9 @@ component states; these helpers build rho itself from
 cross-checks of the per-qubit kets.
 ``per_word_enumerate_block`` and ``per_word_g_power_deficit`` are the
 per-word references that the closed-form enumerations of ``ht`` and ``gst``
-must match, and ``ht_trial_sigma`` is the exact per-trial standard deviation
-of HT Monte Carlo in exact-prob mode.
+must match, ``ht_trial_sigma`` is the exact per-trial standard deviation
+of HT Monte Carlo in exact-prob mode, and ``gst_word_moments`` the exact
+per-draw moments of exact GST Monte Carlo.
 """
 
 from __future__ import annotations
@@ -149,3 +150,25 @@ def ht_trial_sigma(e: EnsembleSpec, j: int) -> float:
         second.append(complex(probs @ moment[diag, diag]))
     mean_sq = 0.5 * second[0].real + 0.5 * second[1].real
     return math.sqrt(max(mean_sq - exact_rho_g_power_trace(e, j) ** 2, 0.0))
+
+
+def gst_word_moments(e: EnsembleSpec, k: int) -> tuple[float, float, float]:
+    """Mean, standard deviation and fourth central moment of one exact GST
+    Monte Carlo draw of Tr{G^k}: the word value Tr{W_q} = Re Tr{G_q1...G_qk}
+    with q drawn with weight P_q, by brute force over all alpha^k words on
+    dense 2^n reflections.  Without truncation every word's GST value is its
+    own trace, so these are the moments GST's draws have."""
+    if e.n > DENSE_MAX_QUBITS:
+        raise ValueError(f"dense reference is limited to n <= {DENSE_MAX_QUBITS}, got n={e.n}")
+    eye = np.eye(e.dim)
+    g = [eye - 2.0 * np.outer(psi, psi.conj()) for psi in e.state_matrix]
+    weights, values = [], []
+    for q in itertools.product(range(e.alpha), repeat=k):
+        w = eye
+        for idx in q:
+            w = w @ g[idx]
+        weights.append(float(np.prod(e.probs[list(q)])))
+        values.append(float(np.trace(w).real))
+    p, v = np.array(weights), np.array(values)
+    mean = float(p @ v)
+    return mean, math.sqrt(float(p @ (v - mean) ** 2)), float(p @ (v - mean) ** 4)

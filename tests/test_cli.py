@@ -67,6 +67,13 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def wide_config(alpha):
+    """``alpha`` equally likely components on five qubits, at distinct angles."""
+    return base_config(n_qubits=5, components=[
+        {"prob": 1.0 / alpha, "angles": [[0.01 + 0.9 * i / alpha, 0.37 * i, 0.0]]}
+        for i in range(alpha)])
+
+
 class TestConfigLoading:
     def test_bundled_table1(self):
         cfg = load_config("table1.config")
@@ -139,7 +146,8 @@ class TestConfigLoading:
             pytest.param(lambda c: c["params"].update(ht_sigma=10**400), "params.ht_sigma",
                          id="huge-int-params.ht_sigma"),
             (lambda c: c["params"].update(gst_sigma=-1e-4), "params.gst_sigma"),
-            (lambda c: c["params"].update(enumeration_cap=-5), "params.enumeration_cap"),
+            # The GST enumeration cap is a constant: a once-valid cap is unknown.
+            (lambda c: c["params"].update(enumeration_cap=10**8), "params.enumeration_cap"),
             (lambda c: c["params"].update(trials=0), "params.trials"),
             (lambda c: c["params"].update(shots=0), "params.shots"),
             (lambda c: c["params"].update(gst_shots=0), "params.gst_shots"),
@@ -512,38 +520,57 @@ class TestExitCodes:
         assert record["error"] == "schema-violation"
         assert record["field"] == "components[0].prob"
 
-    def test_resource_limit_exit_3(self, tmp_path):
-        cfg = base_config()
-        cfg["params"]["enumeration_cap"] = 10
-        path = write_config(tmp_path, cfg)
-        r = run_cli("gst", "--g-power", "2", "--strategy", "enumerate", "--config", path)
+    def test_resource_limit_exit_3(self):
+        # 64 keys of 10^8 steps each; the word count 4^(10^8) has too many
+        # digits to print, and once made this run exit 2.
+        r = run_cli("gst", "--g-power", "100000000", "--strategy", "enumerate")
         assert r.returncode == 3
         record = json.loads(r.stderr)
         assert record["error"] == "resource-limit"
-        assert (record["requested"], record["cap"]) == (16, 10)
+        assert (record["requested"], record["cap"]) == (64 * 10**8, gst.ENUMERATION_CAP)
 
     @pytest.mark.parametrize("argv, oracle_argv", [
         ("ht --power 12", "oracle --power 12"),
-        ("ht --power 2-4 --config {cap10}", "oracle --power 2-4"),
+        ("ht --power 2-4 --config {wide}", "oracle --power 2-4 --config {wide}"),
         ("entropy --estimator ht --order 2-13", "entropy --estimator oracle --order 2-13"),
-        ("entropy --estimator ht --order 2-4 --config {cap10}",
-         "entropy --estimator oracle --order 2-4"),
+        ("entropy --estimator ht --order 2-4 --config {wide}",
+         "entropy --estimator oracle --order 2-4 --config {wide}"),
     ])
     def test_ht_enumeration_has_no_cap(self, tmp_path, capsys, argv, oracle_argv):
         # HT enumeration is j alpha x alpha products at any power j, and no
-        # word count stops it: these runs once exited 3, at 22,369,620 words
-        # over the default cap or at the config's cap of 10.
-        cfg = base_config()
-        cfg["params"]["enumeration_cap"] = 10
-        path = write_config(tmp_path, cfg)
+        # count stops it: the first and third runs once exited 3, at
+        # 22,369,620 words over the cap, and on the 30 components of {wide}
+        # GST's cap refuses the key walks of the fourth run's orders.
+        path = write_config(tmp_path, wide_config(30))
         rows = []
         for command in (argv, oracle_argv):
-            assert cli.main(command.replace("{cap10}", path).split()) == 0
+            assert cli.main(command.replace("{wide}", path).split()) == 0
             rows.append(table(capsys.readouterr().out))
         for row, want in zip(*rows, strict=True):
             assert row["mode"] == "exact-enumeration"
             assert float(row["estimate"]) == pytest.approx(float(want["estimate"]),
                                                            rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("argv, oracle_argv, rel, abs_", [
+        ("gst --g-power 12", "oracle --g-power 12", 1e-14, 0.0),
+        ("gst --power 12", "oracle --power 12", 1e-14, 0.0),
+        ("entropy --estimator gst --order 2-12", "entropy --estimator oracle --order 2-12",
+         1e-14, 0.0),
+        # Tr{rho^1031} is 9.9e-111; the binomial series cancels to 1e-21.
+        ("ht --power 1030", "oracle --power 1030", 0.0, 1e-12),
+    ])
+    def test_enumeration_past_the_old_word_caps(self, capsys, argv, oracle_argv, rel, abs_):
+        # The GST runs walk at most 64 keys per power, though they once
+        # exited 3 at 4^12 = 16,777,216 words over a cap of 10^7; binomial
+        # weights past order 1024 once overflowed a float's 2.0**m.
+        rows = []
+        for command in (argv, oracle_argv):
+            assert cli.main(command.split()) == 0
+            rows.append(table(capsys.readouterr().out))
+        for row, want in zip(*rows, strict=True):
+            assert row["mode"] == "exact-enumeration"
+            assert float(row["estimate"]) == pytest.approx(float(want["estimate"]),
+                                                           rel=rel, abs=abs_)
 
     @pytest.mark.parametrize("estimator, module, name", [
         ("gst", gst, "estimate_g_power_trace"),
@@ -551,9 +578,10 @@ class TestExitCodes:
     def test_entropy_over_cap_exits_before_any_estimate(
         self, tmp_path, capsys, monkeypatch, estimator, module, name
     ):
-        # --order 2-4 needs Tr{G^k} for k <= 5 (alpha^k words); with
-        # alpha = 4 the first over the cap of 100 needs 4^4 = 256 words, and
-        # that is the record.
+        # --order 2-4 needs Tr{G^k} for k <= 5.  With alpha = 20 the walk of
+        # k = 5 takes 5 * 1,984,000 key-steps, within the cap, but the run's
+        # k = 0..5 take 10,436,620 together, and the cap bounds the run.
+        assert gst.check_enumeration_budget(20, [range(5, 6)]) is None
         calls = []
 
         def spy(*args, **kwargs):
@@ -561,26 +589,30 @@ class TestExitCodes:
             raise AssertionError("an estimator ran before the cap check")
 
         monkeypatch.setattr(module, name, spy)
-        cfg = base_config()
-        cfg["params"]["enumeration_cap"] = 100
         argv = ["entropy", "--estimator", estimator, "--order", "2-4",
-                "--config", write_config(tmp_path, cfg)]
+                "--config", write_config(tmp_path, wide_config(20))]
         assert cli.main(argv) == 3
         assert calls == []
         record = json.loads(capsys.readouterr().err)
-        assert (record["error"], record["requested"], record["cap"]) == ("resource-limit", 256, 100)
+        assert (record["error"], record["requested"], record["cap"]) == (
+            "resource-limit", 10_436_620, gst.ENUMERATION_CAP)
 
-    @pytest.mark.parametrize("command, requested, cap, message", [
-        ("gst --power 12", 4**12, 10_000_000, "enumerating Tr{G^12} needs 16777216 words, "
-         "over the cap of 10000000"),
-        ("gst --g-power 1-8 --cap 20000", 4**8, 20_000, "enumerating Tr{G^8} needs 65536 "
-         "words, over the cap of 20000"),
+    @pytest.mark.parametrize("command, requested", [
+        # 64 keys of 10^8 key-steps; its 4^(10^8) words once made it exit 2.
+        ("gst --g-power 100000000", 6_400_000_000),
+        # Sum_k k * (64 keys at k >= 4): 4 + 2*16 + 3*40 + 64 * (4 + ... + 10^8).
+        ("gst --power 100000000", 320_000_003_199_999_772),
+        # No row takes over 64 * 560 = 35,840 key-steps; together they take
+        # 156 + 64 * (4 + ... + 560).
+        ("gst --g-power 1-560", 10_052_892),
+        # 6 * (30 + 30*29 + ... + 30!/24!) key-steps.
+        ("gst --g-power 6 --config {wide}", 2_671_810_200),
     ])
     def test_over_cap_row_exits_before_any_estimate(
-        self, capsys, monkeypatch, command, requested, cap, message
+        self, tmp_path, capsys, monkeypatch, command, requested
     ):
-        # Each row's checks run in row order before the first row's estimate,
-        # and the record is the first over-cap call's.
+        # The key-steps of every row's walks are summed before the first
+        # row's estimate, and the record carries their sum.
         calls = []
 
         def spy(*args, **kwargs):
@@ -589,17 +621,50 @@ class TestExitCodes:
 
         for name in ("estimate_power_trace", "estimate_g_power_trace"):
             monkeypatch.setattr(gst, name, spy)
-        assert cli.main(command.split()) == 3
+        path = write_config(tmp_path, wide_config(30))
+        assert cli.main(command.replace("{wide}", path).split()) == 3
         assert calls == []
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err) == {"error": "resource-limit", "message": message,
-                                            "requested": requested, "cap": cap}
+        cap = gst.ENUMERATION_CAP
+        assert json.loads(captured.err) == {
+            "error": "resource-limit", "requested": requested, "cap": cap,
+            "message": f"GST enumeration needs {requested} key-steps, over the cap of {cap}"}
+
+    def test_walk_over_the_coefficient_cap_exits_3(self, capsys, monkeypatch):
+        # 6.4 * 10^6 key-steps, within the cap, but a path of the walk holds
+        # 100,001 * (4 + 3 * 4 + 2 * 9 + 16) coefficients.
+        def spy(*args, **kwargs):
+            raise AssertionError("an estimator ran before the cap check")
+
+        for name in ("estimate_power_trace", "estimate_g_power_trace"):
+            monkeypatch.setattr(gst, name, spy)
+        assert cli.main(["gst", "--g-power", "100000"]) == 3
+        cap, requested = gst.ENUMERATION_VALUES_CAP, 5_000_050
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "resource-limit", "requested": requested, "cap": cap,
+            "message": f"GST enumeration needs {requested} coefficients at once, "
+                       f"over the cap of {cap}"}
+
+    def test_sweep_cap_bounds_all_its_rows(self, tmp_path, capsys, monkeypatch):
+        # Each row's Tr{rho^400} walks 5,132,572 key-steps, within the cap;
+        # the two rows together are over it, and neither runs.
+        def spy(*args, **kwargs):
+            raise AssertionError("a row ran before the cap check")
+
+        monkeypatch.setattr(gst, "estimate_power_trace", spy)
+        cfg = base_config(sweep={"command": "gst", "power": 400, "parameter": "epsilon_trunc",
+                                 "values": [1e-8, 2e-4]})
+        cfg["params"]["strategy"] = "enumerate"
+        assert cli.main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert (record["requested"], record["cap"]) == (2 * 5_132_572, gst.ENUMERATION_CAP)
 
     def test_config_error_precedes_the_cap_check(self, capsys):
         # The first row's estimator call would reject shots mode under
-        # enumeration before counting words, and so does the cap pre-check.
-        assert cli.main(["gst", "--power", "12", "--strategy", "enumerate", "--mode", "shots"]) == 2
+        # enumeration before counting key-steps, and so does the cap pre-check.
+        assert cli.main(["gst", "--power", "100000000", "--strategy", "enumerate",
+                         "--mode", "shots"]) == 2
         record = json.loads(capsys.readouterr().err)
         assert (record["error"], record["field"]) == ("schema-violation", "params.mode")
 
@@ -643,10 +708,8 @@ class TestExitCodes:
         ("gst --g-power -1", "--g-power", "g-power must be >= 0, got -1"),
         ("oracle --g-power -1", "--g-power", "g-power must be >= 0, got -1"),
         ("entropy --order 0", "--order", "order must be >= 1, got 0"),
-        ("entropy --order 2 --cap -5", "--cap", "must be >= 1, got -5"),
         ("ht --power 2 --strategy mc --trials 0", "--trials", "must be >= 1, got 0"),
         ("ht --power 2 --strategy mc --mode shots --shots 0", "--shots", "must be >= 1, got 0"),
-        ("gst --g-power 2 --cap 0", "--cap", "must be >= 1, got 0"),
         ("gst --g-power 2 --trials 0", "--trials", "must be >= 1, got 0"),
         ("gst --g-power 2 --strategy mc --mode shots --shots 0", "--shots",
          "must be >= 1, got 0"),
@@ -688,6 +751,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "schema-violation", "field": field,
                                             "message": f"{field}: {message}"}
+
+    @pytest.mark.parametrize("command", ["entropy --order 2 --cap 5", "gst --g-power 2 --cap 5"])
+    def test_cap_is_no_flag(self, capsys, command):
+        # The GST enumeration cap is a constant, so no flag sets it.
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(command.split())
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["--power", "2", "--mode", "shots", "--trials", "500", "--seed", "7"],
@@ -805,7 +876,6 @@ FLAG_VALUES = {
     # The basis angle moves noisy values only: exact mode reads no tomography.
     "theta_basis": (0.45, {"strategy": "mc", "mode": "gaussian", "trials": 100,
                            "epsilon_trunc": 0.2}),
-    "enumeration_cap": (10, {}),
     "mode": ("shots", {"strategy": "mc", "trials": 100, "epsilon_trunc": 0.2}),
     "strategy": ("mc", {"trials": 100}),
     "ht_sigma": (0.01, {"strategy": "mc", "trials": 100}),
@@ -827,8 +897,7 @@ def flag_cases():
     """(key, argv) for every params row and every subcommand that carries its
     flag; entropy runs once per estimator that reads the key."""
     ht_only = {"ht_sigma"}
-    gst_only = {"enumeration_cap", "epsilon_trunc", "theta_basis", "gst_sigma",
-                "allow_pseudoinverse"}
+    gst_only = {"epsilon_trunc", "theta_basis", "gst_sigma", "allow_pseudoinverse"}
     for key, row in cli._PARAMS.items():
         for command in row.commands:
             if command != "entropy":

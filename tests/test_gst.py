@@ -46,7 +46,7 @@ from qtrace.rng import rng_stream
 from qtrace.series import binomial_weights, evaluate_series, mc_estimate
 
 from .conftest import angle_spec, cli_env, random_ensemble, reference_spec, small_ensembles
-from .dense_reference import per_word_g_power_deficit
+from .dense_reference import gst_word_moments, per_word_g_power_deficit
 
 
 def pure_spec(n=3) -> EnsembleSpec:
@@ -684,9 +684,14 @@ class TestEstimateGPowerTrace:
             oracle = float(np.sum((1.0 - 2.0 * e.span_eigenvalues) ** 2)) - e.alpha
             assert estimate_g_power_trace(e, 2).value == pytest.approx(oracle, rel=0, abs=1e-13)
 
-    def test_enumeration_budget(self, ref3):
-        with pytest.raises(ResourceLimitError):
-            estimate_g_power_trace(ref3, 4, budget=100)
+    def test_enumeration_budget(self, ref3, monkeypatch):
+        # The 64 keys of k >= 4 take k key-steps each: k = 4 fills a cap of
+        # 256 and k = 5 exceeds it.  The Monte Carlo budget plays no part.
+        monkeypatch.setattr(gst, "ENUMERATION_CAP", 256)
+        assert estimate_g_power_trace(ref3, 4, budget=1).samples == 4**4
+        with pytest.raises(ResourceLimitError) as err:
+            estimate_g_power_trace(ref3, 5, budget=10**9)
+        assert (err.value.requested, err.value.cap) == (320, 256)
 
     def test_mc_converges(self, ref3):
         est = estimate_g_power_trace(ref3, 2, strategy="mc", budget=600, rng=3)
@@ -792,6 +797,30 @@ class TestEstimateGPowerTrace:
                 assert abs(total) < 1e-9
 
 
+class TestWordSigma:
+    """Exact GST Monte Carlo's per-draw spread against ``gst_word_moments``."""
+
+    def test_table1_moments(self):
+        e = cli.load_config("table1").spec
+        mean, sigma, m4 = gst_word_moments(e, 4)
+        assert mean == pytest.approx(exact_g_power_trace(e, 4), rel=1e-14)
+        assert (sigma, m4 / sigma**4) == pytest.approx((1.264829, 2.074875), abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_std_error_matches_sigma(self, capsys, seed):
+        # The sample standard deviation s = std_error * sqrt(T) of T draws
+        # has variance (mu_4 - sigma^4) / (4 sigma^2 T) to first order, 0.37%
+        # of sigma at T = 20,000 with table1's kurtosis of 2.07.
+        trials = 20_000
+        _, sigma, m4 = gst_word_moments(cli.load_config("table1").spec, 4)
+        sd = math.sqrt((m4 - sigma**4) / (4.0 * sigma**2 * trials))
+        argv = ["gst", "--g-power", "4", "--strategy", "mc", "--trials", str(trials),
+                "--seed", str(seed), "--format", "json"]
+        assert cli.main(argv) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert abs(row["std_error"] * math.sqrt(trials) - sigma) < 5.0 * sd, row
+
+
 class TestEstimatePowerTrace:
     def test_pure_state(self):
         e = pure_spec()
@@ -812,14 +841,16 @@ class TestEstimatePowerTrace:
         assert est.value == pytest.approx(exact_power_trace(e, 3), abs=1e-7)
 
     def test_enumeration_checks_every_k_before_the_first_estimate(self, ref3, monkeypatch):
-        # k = 3 needs 64 words and k = 4 needs 256, the first over the cap.
+        # No k of 0..6 takes over 6 * 64 = 384 key-steps, but together they
+        # take 1*4 + 2*16 + 3*40 + (4 + 5 + 6)*64 = 1,116, over the cap.
         def spy(*args, **kwargs):
             raise AssertionError("Tr{G^k} was estimated before the cap check")
 
+        monkeypatch.setattr(gst, "ENUMERATION_CAP", 1000)
         monkeypatch.setattr(gst, "estimate_g_power_trace", spy)
         with pytest.raises(ResourceLimitError) as err:
-            estimate_power_trace(ref3, 6, budget=100)
-        assert (err.value.requested, err.value.cap) == (256, 100)
+            estimate_power_trace(ref3, 6)
+        assert (err.value.requested, err.value.cap) == (1116, 1000)
 
     def test_gaussian_noise_stays_near_truth(self, ref3):
         est = estimate_power_trace(
@@ -1065,6 +1096,77 @@ class TestKeyWalk:
         est = estimate_g_power_trace(e, k, epsilon=epsilon)
         assert est.value == pytest.approx(want, rel=0, abs=1e-12)
         assert (est.std_error, est.samples) == (0.0, e.alpha**k)
+
+    @settings(max_examples=50, deadline=None)
+    @given(walk_cases())
+    def test_cap_charges_the_walks_key_steps(self, case):
+        # The walk admits each key of 1..k letters once, as a child of its
+        # prefix key; the cap charges k key-steps for each.
+        e, k = case
+        keys = []
+        admit = gst._admit
+
+        def spy(spec, b, indices, epsilon):
+            keys.extend(indices)
+            return admit(spec, b, indices, epsilon)
+
+        with mock.patch.object(gst, "_admit", spy):
+            try:
+                estimate_g_power_trace(e, k)
+            except DegenerateAugmentationError:
+                reject()
+        assert len(keys) == sum(math.perm(e.alpha, i) for i in range(1, min(k, e.alpha) + 1))
+        with mock.patch.object(gst, "ENUMERATION_CAP", k * len(keys)):
+            gst.check_enumeration_budget(e.alpha, [range(k, k + 1)])
+        if keys:
+            with mock.patch.object(gst, "ENUMERATION_CAP", k * len(keys) - 1), \
+                    pytest.raises(ResourceLimitError) as err:
+                gst.check_enumeration_budget(e.alpha, [range(k, k + 1)])
+            assert err.value.requested == k * len(keys)
+
+    @settings(max_examples=50, deadline=None)
+    @given(walk_cases())
+    def test_cap_charges_the_walks_coefficients(self, case):
+        # A key of i < k letters holds its children's (k + 1) (i + 1)^2
+        # coefficients while they are walked, so a path holds one block per
+        # depth; the cap charges the largest block of each depth.
+        e, k = case
+        blocks = {}
+        zeros = np.zeros
+
+        def spy(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and len(shape) == 4:
+                blocks[shape[2]] = max(blocks.get(shape[2], 0), math.prod(shape))
+            return zeros(shape, *args, **kwargs)
+
+        with mock.patch.object(gst.np, "zeros", spy):
+            try:
+                estimate_g_power_trace(e, k)
+            except DegenerateAugmentationError:
+                reject()
+        held = sum(blocks.values())
+        with mock.patch.object(gst, "ENUMERATION_VALUES_CAP", held):
+            gst.check_enumeration_budget(e.alpha, [range(k, k + 1)])
+        if held:
+            with mock.patch.object(gst, "ENUMERATION_VALUES_CAP", held - 1), \
+                    pytest.raises(ResourceLimitError) as err:
+                gst.check_enumeration_budget(e.alpha, [range(k, k + 1)])
+            assert err.value.requested == held
+
+    @pytest.mark.parametrize("alpha, k", [(1, 10_000), (4, 500)])
+    def test_walk_memory_follows_its_coefficients(self, ref3, alpha, k):
+        # The charged coefficients, 16 bytes each, bound the walk's peak
+        # allocations to within a factor of 3: one component adds three
+        # float arrays of k + 1 entries to its one complex block.
+        e = ref3 if alpha == 4 else pure_spec()
+        held = (k + 1) * sum((e.alpha - i) * (i + 1) ** 2 for i in range(min(k, e.alpha)))
+        tracemalloc.start()
+        try:
+            estimate_g_power_trace(e, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 16 * held < peak < 3 * 16 * held
 
     def test_walk_builds_each_frame_once(self, ref3, monkeypatch):
         # One frame per pair of letter set and retained set: at epsilon =

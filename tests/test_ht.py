@@ -33,6 +33,8 @@ from qtrace.series import (
     MODE_MC_EXACT_PROB,
     MODE_MC_SHOTS,
     TraceEstimate,
+    binomial_weights,
+    evaluate_series,
 )
 
 from .conftest import angle_spec, random_ensemble, reference_spec, small_ensembles
@@ -516,6 +518,14 @@ class TestClosedFormEnumeration:
         est = estimate_rho_g_power_enumerate(e, j)
         assert est.value == pytest.approx(exact_rho_g_power_trace(e, j), rel=0, abs=1e-13)
         assert (est.std_error, est.samples) == (0.0, e.alpha ** (j + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_ensembles(), st.integers(0, 12))
+    def test_power_trace_is_the_series_of_the_a_j(self, e, m):
+        # One chain of m products gives every a_k, k <= m, with the bits of
+        # a product chain of its own per k.
+        a = [estimate_rho_g_power_enumerate(e, k) for k in range(m + 1)]
+        assert estimate_power_trace_enumerate(e, m) == evaluate_series(binomial_weights(m), a)
 
     @settings(max_examples=100, deadline=None)
     @given(small_ensembles(), st.integers(0, 4))

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from qtrace import cli
+
 from .conftest import cli_env
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -46,3 +48,17 @@ def test_library_snippet_runs(capsys):
     exec(compile(snippet, "README.md", "exec"), {})
     exact, tomo, mc = capsys.readouterr().out.split(maxsplit=2)
     assert float(tomo) == pytest.approx(float(exact), abs=1e-8)
+
+
+def test_params_table_lists_each_key_with_its_flag():
+    # One row per ``cli._PARAMS`` key, in its first cell, with the flag that
+    # sets it first in the second; ``gst_shots`` has no flag of its own and
+    # is set by ``--shots`` where GST runs.
+    start = README.index("| key | flag | subcommands |")
+    lines = README[start:].split("\n\n", 1)[0].splitlines()[2:]
+    cells = [re.split(r"(?<!\\)\|", line)[1:3] for line in lines]
+    table = {re.search(r"`([^`]*)`", key)[1]: re.search(r"`([^`]*)`", flag)[1]
+             for key, flag in cells}
+    assert len(table) == len(lines)
+    assert table == {key: row.flag or cli._PARAMS["shots"].flag
+                     for key, row in cli._PARAMS.items()}

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ class TestBinomialWeights:
     def test_unsigned_sum_is_one(self):
         for m in range(8):
             assert sum(abs(c) for c in binomial_weights(m).coefficients) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("m", [1023, 1024, 1030, 4470])
+    def test_orders_past_a_float_power_of_two(self, m):
+        # 2.0**m overflows from m = 1024; each weight is C(m, k) / 2**m
+        # rounded once, as it was below.
+        coeffs = binomial_weights(m).coefficients
+        assert coeffs[m // 2] == (-1) ** (m // 2) * float(Fraction(math.comb(m, m // 2), 2**m))
+        assert math.fsum(abs(c) for c in coeffs) == pytest.approx(1.0, rel=1e-14)
 
     def test_reference_m4(self, ref3):
         est = evaluate_series(binomial_weights(4), oracle_g_estimates(ref3, 4))
