@@ -30,7 +30,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from importlib import resources
 from typing import Any, Callable, Sequence
@@ -46,21 +46,6 @@ from .errors import (
 )
 from .qcore import MAX_QUBITS
 from .rng import rng_stream
-
-COLUMNS = (
-    "quantity",
-    "order",
-    "estimate",
-    "std_error",
-    "exact_value",
-    "rel_error",
-    "mode",
-    "shots",
-    "trials",
-    "seed",
-    "wall_ms",
-)
-
 
 @dataclass(frozen=True)
 class _Param:
@@ -118,6 +103,9 @@ _BUDGET: dict[str, _Param] = {
 
 _BUNDLED = {"table1": "table1.json"}
 
+#: Orders that one ``--power``, ``--g-power`` or ``--order`` spec may name.
+MAX_ORDERS = 100_000
+
 #: The ``--golden`` rows for the bundled model: (label, estimator, quantity,
 #: order, reference, tolerance, how the reference reads).  With no tolerance
 #: the value must round to the reference at 3 places.  The published Tr{G^m}
@@ -154,6 +142,9 @@ class ResultRow:
     trials: int | None
     seed: int
     wall_ms: int | None
+
+
+COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -428,8 +419,9 @@ def _timed(enabled: bool, fn: Callable[..., Any], *args: Any) -> tuple[Any, int 
 
 
 def _parse_orders(text: str, flag: str, minimum: int) -> list[int]:
-    """'2', '2,4', and '2-4' (inclusive) forms, each order >= ``minimum``."""
-    out: list[int] = []
+    """'2', '2,4', and '2-4' (inclusive) forms, each order >= ``minimum``,
+    at most MAX_ORDERS in all, counted before any part is expanded."""
+    parts: list[range] = []
     for part in text.split(","):
         part = part.strip()
         try:
@@ -438,15 +430,19 @@ def _parse_orders(text: str, flag: str, minimum: int) -> list[int]:
                 lo, hi = int(lo_s), int(hi_s)
                 if hi < lo:
                     raise ValueError
-                out.extend(range(lo, hi + 1))
             else:
-                out.append(int(part))
+                lo = hi = int(part)
         except ValueError:
             raise ConfigError(flag, f"cannot parse order spec {text!r}") from None
-    for order in out:
-        if order < minimum:
-            raise ConfigError(flag, f"{flag[2:]} must be >= {minimum}, got {order}")
-    return out
+        parts.append(range(lo, hi + 1))
+    for r in parts:
+        if r.start < minimum:
+            raise ConfigError(flag, f"{flag[2:]} must be >= {minimum}, got {r.start}")
+    count = sum(r.stop - r.start for r in parts)
+    if count > MAX_ORDERS:
+        raise ConfigError(flag, f"order spec {text!r} names {count} orders, "
+                                f"over the limit of {MAX_ORDERS}")
+    return [order for r in parts for order in r]
 
 
 def _exact(spec: ensemble.EnsembleSpec, quantity: str, order: int | None) -> float:
@@ -514,7 +510,7 @@ def _estimate(
     the ``StageCache`` that all the run's GST calls share.  Estimators are
     looked up on their modules at each call."""
     if estimator == "oracle":
-        return series.TraceEstimate(_exact(spec, quantity, order), 0.0, 1, series.MODE_ORACLE)
+        return series.TraceEstimate(_exact(spec, quantity, order), 0.0, series.MODE_ORACLE)
     enumerate_, trials = params["strategy"] == "enumerate", params["trials"]
     if estimator == "gst":
         settings = (params["strategy"], trials, params["epsilon_trunc"],
@@ -568,7 +564,7 @@ def _rows(
             exact = _exact(spec, quantity, order)
             rel_error = _rel_error(value, exact)
             if params["mode"] == "shots":
-                shots = est.samples * params["shots"] if estimator == "ht" else params["gst_shots"]
+                shots = params["trials"] * params["shots"] if estimator == "ht" else params["gst_shots"]
             if params["strategy"] == "mc":
                 trials = params["trials"]
         rows.append(ResultRow(quantity, order, value, est.std_error, exact, rel_error,

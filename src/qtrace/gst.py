@@ -62,21 +62,23 @@ key is first met: stage 1 and the frame in exact mode; stage 1, |phi> and
 the augmented preps of stages 2 and 5 in the noisy modes.  A
 ``StageCache`` keeps them per key and kind of mode (alpha!/(alpha-i)! keys
 of i distinct indices, 64 at alpha = 4 for any k >= 4, against alpha^k
-words) up to KEY_CACHE_BYTES of arrays; ``estimate_power_trace`` shares
-one cache across its powers k.  A noisy word's own work is one application
-of W to the augmented preps, the noise of its two read-outs (p, g, p', g'
-in that order, so the stream does not depend on the cache) and two solves.
+words) up to KEY_CACHE_BYTES of arrays; a Monte Carlo
+``estimate_power_trace`` shares one cache across its powers k.  A noisy
+word's own work is one application of W to the augmented preps, the noise
+of its two read-outs (p, g, p', g' in that order, so the stream does not
+depend on the cache) and two solves.
 
 Exact enumeration visits no word: a word's deficit is linear in W, and its
 key (its distinct indices in first-occurrence order) fixes its frame and d,
 so ``_enumerate_chunk`` sums over the words of each key in a depth-first walk
 of the sum_i alpha!/(alpha-i)! keys of 1 <= i <= k letters, each word getting
-its own key's value.  Monte Carlo gives a drawn word that value too: exact
-mode runs ``combination_trace`` once per distinct word of an estimate and
-memoizes the value by the word, and the noisy modes run it per draw, with
-the draw's noise.  So under truncation enumeration and Monte Carlo estimate
-the same sum.  Sample counts count words, the enumeration caps key-steps
-and the coefficients a walk holds.
+its own key's value.  One walk to k sums the words of every length t <= k,
+so a Tr{rho^m} takes all its powers from one walk to k = m.  Monte Carlo
+gives a drawn word that value too: exact mode runs ``combination_trace``
+once per distinct word of an estimate and memoizes the value by the word,
+and the noisy modes run it per draw, with the draw's noise.  So under truncation enumeration and Monte Carlo estimate
+the same sum.  The enumeration caps count key-steps and the coefficients
+a walk holds.
 """
 
 from __future__ import annotations
@@ -274,24 +276,16 @@ def apply_word(e: EnsembleSpec, indices: Sequence[int], block: np.ndarray) -> np
 
 
 def measure_matrices(
-    e: EnsembleSpec,
-    indices: Sequence[int],
-    ob: OperatorBasis,
-    mode: MeasureMode = EXACT,
-    rng: np.random.Generator | None = None,
+    e: EnsembleSpec, indices: Sequence[int], ob: OperatorBasis
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(p, g): p_rs = |<chi_r|W|chi_s>|^2 and g_rs = |<chi_r|chi_s>|^2 over
-    the prep kets, via rank-1 reflection application.
-
-    Exact mode checks that p stays in [0, 1]; the noisy modes read p and g
-    out as ``_read_out`` does.
-    """
+    """The exact (p, g): p_rs = |<chi_r|W|chi_s>|^2 and g_rs =
+    |<chi_r|chi_s>|^2 over the prep kets, via rank-1 reflection application,
+    with p checked to stay in [0, 1].  ``_read_out`` adds the noisy modes'
+    noise."""
     s = ob.prep_matrix
     p = np.abs(s.conj() @ apply_word(e, indices, s).T) ** 2
-    if mode.is_exact:
-        _check_unit_range("p", p)
-        return p, ob.gram
-    return _read_out(p, ob.gram, mode, rng)
+    _check_unit_range("p", p)
+    return p, ob.gram
 
 
 def _read_out(
@@ -499,22 +493,26 @@ def combination_trace(
 
 
 def _enumerate_chunk(
-    e: EnsembleSpec, k: int, epsilon: float, cache: StageCache, lo: int, hi: int
-) -> float:
-    """Exact-mode sum of P_q (Tr{W_q} - 2^n) over the length-k words q whose
-    first letter is lo..hi-1, by a depth-first walk over their keys.
+    e: EnsembleSpec, ts: range, epsilon: float, cache: StageCache, lo: int, hi: int
+) -> list[float]:
+    """Exact-mode sums of P_q (Tr{W_q} - 2^n) over the length-t words q whose
+    first letter is lo..hi-1, one for each t of ``ts``, by one depth-first
+    walk over their keys to k = max(ts).
 
     Each word of a key with states V (columns) is W = I + V C V^dagger; the
     key carries C(t) = sum P_q C_q and P(t) = sum P_q over its length-t
     words.  Appending x, its j-th letter, turns C into C - 2 (e_j + C K e_j)
     e_j^T, K = V^dagger V; a new x makes the child key + (x), whose C(t + 1)
     gains p_x C(t) bordered by the column -2 p_x (C(t) K_(key,x), P(t)).  A
-    key adds Re Tr(C(k) V^dagger F F^dagger V), F its frame, and a child's
-    subspace is its parent's after one ``_admit``.
+    key of i letters adds Re Tr(C(t) V^dagger F F^dagger V), F its frame, to
+    the sum of each t >= i, and its children's sums in walk order, so each
+    sum adds as a walk to k = t alone would.  A child's subspace is its
+    parent's after one ``_admit``.
     """
     gram, probs, states = e.gram, e.probs, e.span_states
+    k, s = ts[-1], ts.start
 
-    def walk(key, b, kept, c, p) -> float:
+    def walk(key, b, kept, c, p) -> list[float]:
         i, idx = len(key), list(key)
         if i < k:
             pk = probs[idx]
@@ -524,7 +522,9 @@ def _enumerate_chunk(
                 c[t + 1] += c[t] @ step - 2.0 * p[t] * diag
                 p[t + 1] += sigma * p[t]
         overlaps = cache._frame(e, key, kept).conj() @ states[idx].T
-        total = np.vdot(overlaps, overlaps @ c[k]).real
+        total = [0.0] * len(ts)
+        for t in range(max(i, s), k + 1):
+            total[t - s] = np.vdot(overlaps, overlaps @ c[t]).real
         if i == k:
             return total
         letters = [x for x in (range(e.alpha) if key else range(lo, hi)) if x not in key]
@@ -535,8 +535,11 @@ def _enumerate_chunk(
         cc[:, i + 1:, i, i] = -2.0 * p[i:k]
         cc *= px[:, None, None, None]
         cp = np.outer(px, np.concatenate((np.zeros(i + 1), p[i:k])))
+        reach = range(max(i + 1 - s, 0), len(ts))  # the sums that children add to
         for j, (x, child) in enumerate(zip(letters, _admit(e, b, letters, epsilon))):
-            total += walk((*key, x), child, (*kept, x) if child.d > b.d else kept, cc[j], cp[j])
+            sums = walk((*key, x), child, (*kept, x) if child.d > b.d else kept, cc[j], cp[j])
+            for r in reach:
+                total[r] += sums[r]
         return total
 
     c, p = np.zeros((k + 1, 0, 0), dtype=np.complex128), np.concatenate(([1.0], np.zeros(k)))
@@ -582,13 +585,6 @@ def _mc_chunk(
     return len(values), total, math.fsum((v - mean) ** 2 for v in values)
 
 
-def _check_enumerate_mode(mode: MeasureMode) -> None:
-    """Enumeration weighs every word exactly; noisy entries would make its
-    zero standard error a false claim."""
-    if not mode.is_exact:
-        raise ValueError(f"enumerate strategy requires exact mode, got {mode.kind!r}")
-
-
 def check_enumeration_budget(alpha: int, powers: Iterable[range]) -> None:
     """Raise ResourceLimitError if the key walks of Tr{G^k}, k over the
     ranges ``powers``, take over ENUMERATION_CAP key-steps in all: k steps
@@ -596,7 +592,11 @@ def check_enumeration_budget(alpha: int, powers: Iterable[range]) -> None:
     The keys of i letters cost a range's sum of k >= i, in closed form.  Or
     if the walk of the largest k holds over ENUMERATION_VALUES_CAP complex
     coefficients at once, ``_enumerate_chunk``'s (alpha - i)(k + 1)(i + 1)^2
-    at each depth i < min(k, alpha) of its path."""
+    at each depth i < min(k, alpha) of its path.
+
+    A Tr{rho^m} walks once, to k = m, but is charged as the walks of
+    k = 0..m: that charge, about m^2 / 2 steps a key, also bounds the row's
+    exact binomial weights, m + 1 quotients of integers of up to m bits."""
     steps, k = 0, 0
     for r in powers:
         k = max(k, r.stop - 1)
@@ -610,6 +610,18 @@ def check_enumeration_budget(alpha: int, powers: Iterable[range]) -> None:
             raise ResourceLimitError(
                 f"GST enumeration needs {requested} {what}, over the cap of {cap}",
                 requested=requested, cap=cap)
+
+
+def _enumerate(e: EnsembleSpec, ts: range, epsilon: float, mode: MeasureMode,
+               cache: StageCache) -> list[TraceEstimate]:
+    """The deficits Tr{G^t} - 2^n, t in ``ts``, from one key walk per chunk
+    of first letters; exact mode only, checked before the cap, since noisy
+    entries would make enumeration's zero standard error a false claim."""
+    if not mode.is_exact:
+        raise ValueError(f"enumerate strategy requires exact mode, got {mode.kind!r}")
+    check_enumeration_budget(e.alpha, [ts])
+    parts = run_chunked(partial(_enumerate_chunk, e, ts, epsilon, cache), e.alpha, _WORD_CHUNK)
+    return [TraceEstimate(float(sum(v)), 0.0, MODE_EXACT_ENUMERATION) for v in zip(*parts)]
 
 
 def estimate_g_power_trace(
@@ -641,11 +653,7 @@ def estimate_g_power_trace(
         cache = StageCache()
 
     if strategy == "enumerate":
-        _check_enumerate_mode(mode)
-        check_enumeration_budget(e.alpha, [range(k, k + 1)])
-        worker = partial(_enumerate_chunk, e, k, epsilon, cache)
-        parts = run_chunked(worker, e.alpha if k else 0, _WORD_CHUNK)
-        return TraceEstimate(float(sum(parts)), 0.0, e.alpha**k, MODE_EXACT_ENUMERATION)
+        return _enumerate(e, range(k, k + 1), epsilon, mode, cache)[0]
 
     if budget < 1:
         raise ValueError(f"mc strategy needs budget >= 1, got {budget}")
@@ -671,26 +679,22 @@ def estimate_power_trace(
     """Tr{rho^m} from the binomial combination of the Tr{G^k} - 2^n
     deficits, k = 0..m, whose weights sum to 0 for m >= 1.
 
-    Each k runs on its own RNG substream, keeping the per-k estimates
-    independent as the series error propagation assumes; one ``StageCache``
-    serves every k, whose subspace keys are among those of k + 1.  As in
-    ``estimate_g_power_trace``, ``cache`` may be shared with other estimates
-    of this (e, epsilon, theta); by default the estimate has its own.
-    Enumeration checks the cap over k = 0..m before the first estimate.
+    Enumeration takes every k from one key walk to k = m.  Monte Carlo runs
+    each k on its own RNG substream, keeping the per-k estimates independent
+    as the series error propagation assumes.  One ``StageCache`` serves
+    every k, whose subspace keys are among those of k + 1; as in
+    ``estimate_g_power_trace``, it may be shared with other estimates of
+    this (e, epsilon, theta).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if strategy == "enumerate":
-        _check_enumerate_mode(mode)
-        check_enumeration_budget(e.alpha, [range(m + 1)])
     master_seed = as_master_seed(rng)
     if cache is None:
         cache = StageCache()
-    estimates = [
-        estimate_g_power_trace(
-            e, k, strategy, budget, epsilon, theta, mode, master_seed,
-            allow_pseudoinverse, stream_key=(k,), cache=cache,
-        )
-        for k in range(m + 1)
-    ]
+    if strategy == "enumerate":
+        estimates = _enumerate(e, range(m + 1), epsilon, mode, cache)
+    else:
+        estimates = [estimate_g_power_trace(e, k, strategy, budget, epsilon, theta, mode,
+                                            master_seed, allow_pseudoinverse, (k,), cache)
+                     for k in range(m + 1)]
     return evaluate_series(binomial_weights(m), estimates)

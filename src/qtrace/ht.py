@@ -329,7 +329,7 @@ def _rho_g_chain(e: EnsembleSpec, ks: range) -> list[TraceEstimate]:
         if k in ks:
             value = float(np.trace(pk).real)
             _check_probabilities(np.array([0.5 * (1.0 + value)]))
-            estimates.append(TraceEstimate(value, 0.0, e.alpha ** (k + 1), MODE_EXACT_ENUMERATION))
+            estimates.append(TraceEstimate(value, 0.0, MODE_EXACT_ENUMERATION))
     return estimates
 
 
@@ -339,8 +339,7 @@ def estimate_rho_g_power_enumerate(e: EnsembleSpec, j: int) -> TraceEstimate:
     outcome is linear in every layer's reflection, whose average is I - 2 PK
     on span coefficients (P = diag(probs), K the Gram), so
     a_j = Re Tr(PK (I - 2 PK)^j).  The mean outcome probability (1 + a_j)/2
-    is checked like a circuit's P(0).  ``samples`` counts the words, though
-    none is visited; std_error is 0."""
+    is checked like a circuit's P(0).  std_error is 0."""
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     return _rho_g_chain(e, range(j, j + 1))[0]

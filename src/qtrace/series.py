@@ -40,12 +40,11 @@ _EXACT_MODES = (MODE_EXACT_ENUMERATION, MODE_ORACLE)
 
 @dataclass(frozen=True)
 class TraceEstimate:
-    """A Tr{...} estimate: value, standard error, sample count, and the
-    sampling mode that produced it."""
+    """A Tr{...} estimate: value, standard error, and the sampling mode that
+    produced it."""
 
     value: float
     std_error: float
-    samples: int
     mode: str
 
     def __post_init__(self) -> None:
@@ -55,8 +54,6 @@ class TraceEstimate:
             raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
         if self.mode in _EXACT_MODES and self.std_error != 0.0:
             raise ValueError(f"{self.mode} estimates must carry std_error 0")
-        if self.samples < 0:
-            raise ValueError(f"samples must be >= 0, got {self.samples}")
 
 
 def combined_mode(modes: Sequence[str]) -> str:
@@ -86,7 +83,7 @@ def mc_estimate(parts: Sequence[tuple[int, float, float]], mode: str) -> TraceEs
         m2 += chunk_m2 + delta * delta * count * n / (count + n)
         count, total = count + n, total + s
     stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
-    return TraceEstimate(total / count, stderr, count, mode)
+    return TraceEstimate(total / count, stderr, mode)
 
 
 @dataclass(frozen=True)
@@ -150,13 +147,8 @@ def evaluate_series(
     variance = sum(
         (c * gk[k].std_error) ** 2 for k, c in enumerate(w.coefficients)
     )
-    used = gk[: w.max_power + 1]
-    return TraceEstimate(
-        value,
-        math.sqrt(variance),
-        sum(est.samples for est in used),
-        combined_mode([est.mode for est in used]),
-    )
+    modes = [est.mode for est in gk[: w.max_power + 1]]
+    return TraceEstimate(value, math.sqrt(variance), combined_mode(modes))
 
 
 def evaluate_telescoped(
@@ -178,7 +170,7 @@ def evaluate_telescoped(
         )
     c = w.coefficients
     if k_max == 0:
-        return TraceEstimate(dim * math.fsum(c), 0.0, 0, combined_mode([]))
+        return TraceEstimate(dim * math.fsum(c), 0.0, combined_mode([]))
     b = [-2.0 * sum(c[j + 1:]) for j in range(k_max)]
     est = evaluate_series(SeriesWeights(tuple(b)), rho_g)
     return replace(est, value=dim * math.fsum(c) + est.value)

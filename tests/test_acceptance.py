@@ -85,7 +85,7 @@ def test_criterion_03_entropy_series(spec3):
     """
     exact = exact_entropy_trace(spec3)
     gk = [
-        TraceEstimate(exact_g_power_trace(spec3, k), 0.0, 1, MODE_ORACLE)
+        TraceEstimate(exact_g_power_trace(spec3, k), 0.0, MODE_ORACLE)
         for k in range(10)
     ]
     rel = {

@@ -330,7 +330,7 @@ class TestSubcommands:
 
         spec = load_config("table1").spec
         rho_g = [direct(spec, j) for j in range(9)]
-        gk = [TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, MODE_ORACLE)
+        gk = [TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, MODE_ORACLE)
               for k in range(10)]
         for row, order in zip(rows, range(2, 9), strict=True):
             w = entropy_weights(order)
@@ -362,7 +362,7 @@ class TestSubcommands:
         # The Monte Carlo estimate targets the truncated series, not the
         # exact entropy; |z| <= 2 should hold for about 95% of seeds.
         spec = load_config("table1").spec
-        gk = [TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, 1, MODE_ORACLE)
+        gk = [TraceEstimate(ensemble.exact_g_power_trace(spec, k), 0.0, MODE_ORACLE)
               for k in range(10)]
         target = evaluate_series(entropy_weights(8), gk).value
         z = []
@@ -419,6 +419,9 @@ class TestSubcommands:
          ["gst", "--mode", "shots", "--shots", "100000"], ("100000", "50")),
         ("gst_sigma", 1e-4, {"strategy": "mc", "trials": 100, "epsilon_trunc": 1e-3},
          ["gst", "--mode", "gaussian", "--gst-sigma", "0.0001"], ("", "100")),
+        # HT's shots column counts every shot: 5 per trial.
+        ("shots", 1000, {"shots": 5},
+         ["ht", "--strategy", "mc", "--mode", "shots", "--trials", "1000"], ("5000", "1000")),
     ])
     def test_sweep_row_matches_direct_command(self, tmp_path, capsys, parameter, value, params,
                                               flags, shots_trials):
@@ -752,6 +755,22 @@ class TestExitCodes:
         assert json.loads(captured.err) == {"error": "schema-violation", "field": field,
                                             "message": f"{field}: {message}"}
 
+    def test_order_spec_is_counted_before_it_is_expanded(self):
+        assert cli._parse_orders("1-100000", "--power", 1) == list(range(1, 100_001))
+        for spec in ("1-100001", "1-50000,50001-100001"):
+            with pytest.raises(cli.ConfigError, match="over the limit of 100000") as err:
+                cli._parse_orders(spec, "--power", 1)
+            assert err.value.field == "--power"
+
+    def test_too_many_orders_exit_2(self, capsys):
+        assert cli.main(["oracle", "--power", "1-100001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "schema-violation", "field": "--power",
+            "message": "--power: order spec '1-100001' names 100001 orders, "
+                       "over the limit of 100000"}
+
     @pytest.mark.parametrize("command", ["entropy --order 2 --cap 5", "gst --g-power 2 --cap 5"])
     def test_cap_is_no_flag(self, capsys, command):
         # The GST enumeration cap is a constant, so no flag sets it.
@@ -992,7 +1011,8 @@ class TestSpanOnly:
 #: SHA-256 of the stdout of fixed commands, one test per command.  A change
 #: that moves any RNG draw of the HT chunk layout, the shot path or the sigma
 #: path, the float order of HT or GST enumeration (with and without
-#: truncation, and at a non-default basis angle), the word whose value an
+#: truncation, and at a non-default basis angle; a truncated Tr{rho^m} takes
+#: all its powers from one walk), the word whose value an
 #: exact GST Monte Carlo draw takes (its own, once per distinct word), the
 #: GST Monte Carlo chunk streams, or the float order of the per-chunk M2 and
 #: its merge (``series.mc_estimate``) changes these bytes.  Each GST Monte
@@ -1026,6 +1046,8 @@ BYTE_PINS = {
         "4e49965068766a1fa64e548a72bcc23f063cdd9a5988c8726e9fe2febe3bf92e",
     "gst --g-power 2-4 --epsilon 1e-3":
         "ae2ebd095cdbbd81aadabc2b7274da560ba0606e5b7d8d84fba8607285d7efde",
+    "gst --power 2-12 --epsilon 1e-3":
+        "04772b1050b44912167877f24f381c09f721d9f766c9e9c1d94a0ed7b52fb582",
     "gst --g-power 2-3 --strategy mc --trials 1100 --seed 13":
         "e6257685b08c9fb0cb2882ace68af262fbd29adf51f950d6991f6bf5026fb85c",
     "gst --g-power 2-3 --strategy mc --mode shots --trials 600 --seed 13 --pinv":

@@ -119,7 +119,7 @@ def dense_prep_matrix(e, kets, theta):
 
 
 def dense_measure(e, q, preps, mode, rng):
-    """p and g over the prep kets, with the noise of measure_matrices."""
+    """p and g over the prep kets, with the noise of ``gst._read_out``."""
     t = preps
     for idx in reversed(q):
         t = reflect_amplitudes(e.state_matrix[idx], math.pi, t)
@@ -197,6 +197,11 @@ def dense_word(out, e, q, epsilon, theta, mode, seed):
     out["value"] = re_tr_w - len(kets)
 
 
+def read_out(pg, mode, rng):
+    """The exact (p, g) as a measurement in ``mode`` reads them."""
+    return pg if mode.is_exact else gst._read_out(*pg, mode, rng)
+
+
 def span_word(out, e, q, epsilon, theta, mode, seed):
     """The same stages through the package, on span_states rows; the value
     comes from combination_trace on a generator with the same seed."""
@@ -204,11 +209,11 @@ def span_word(out, e, q, epsilon, theta, mode, seed):
     b = build_subspace(e, q, epsilon)
     out["d"], out["discarded"] = b.d, [stat for _, stat in b.discarded]
     ob = operator_basis_for_states(b.retained, theta)
-    out["p"], out["g"] = measure_matrices(e, q, ob, mode, rng)
+    out["p"], out["g"] = read_out(measure_matrices(e, q, ob), mode, rng)
     ptm_trace(out["p"], out["g"])
     phi = augmentation_state(e, q, b)
     ob = operator_basis_for_states((*b.retained, phi), theta)
-    out["p_aug"], out["g_aug"] = measure_matrices(e, q, ob, mode, rng)
+    out["p_aug"], out["g_aug"] = read_out(measure_matrices(e, q, ob), mode, rng)
     ptm_trace(out["p_aug"], out["g_aug"])
     ct = combination_trace(e, q, epsilon, theta, mode, np.random.default_rng(seed))
     assert ct.d == b.d
@@ -259,7 +264,8 @@ class TestSampleCombination:
     def test_weight_is_probability_product(self, ref3):
         # The words of first letter 3 at k = 2 are (3, 0) .. (3, 3), of
         # weights 0.4 * 0.1 .. 0.4 * 0.4.
-        part = gst._enumerate_chunk(ref3, 2, gst.DEFAULT_EPSILON, gst.StageCache(), 3, 4)
+        (part,) = gst._enumerate_chunk(ref3, range(2, 3), gst.DEFAULT_EPSILON, gst.StageCache(),
+                                       3, 4)
         want = sum(0.4 * p * combination_trace(ref3, (3, x)).value
                    for x, p in enumerate([0.1, 0.2, 0.3, 0.4]))
         assert part == pytest.approx(want, rel=0, abs=1e-15)
@@ -386,15 +392,15 @@ class TestMeasureMatrices:
         b = build_subspace(ref3, q, 1e-10)
         ob = operator_basis_for_states(b.retained, math.pi / 2)
         with pytest.raises(ValueError, match="rng"):
-            measure_matrices(ref3, q, ob, MeasureMode("shots", shots=100))
+            gst._read_out(*measure_matrices(ref3, q, ob), MeasureMode("shots", shots=100), None)
 
     def test_shots_mode_is_binomial_draw(self, ref3):
         q = word(ref3, 0, 1)
         b = build_subspace(ref3, q, 1e-10)
         ob = operator_basis_for_states(b.retained, math.pi / 2)
         exact, _ = measure_matrices(ref3, q, ob)
-        noisy, _ = measure_matrices(ref3, q, ob, MeasureMode("shots", shots=200),
-                                    np.random.default_rng(3))
+        noisy, _ = gst._read_out(*measure_matrices(ref3, q, ob), MeasureMode("shots", shots=200),
+                                 np.random.default_rng(3))
         assert np.all(noisy * 200 == np.round(noisy * 200))
         assert np.max(np.abs(noisy - exact)) < 0.2
 
@@ -402,8 +408,8 @@ class TestMeasureMatrices:
         q = word(ref3, 0, 1)
         b = build_subspace(ref3, q, 1e-10)
         ob = operator_basis_for_states(b.retained, math.pi / 2)
-        _, noisy = measure_matrices(ref3, q, ob, MeasureMode("gaussian", sigma=0.1),
-                                    np.random.default_rng(4))
+        _, noisy = gst._read_out(*measure_matrices(ref3, q, ob),
+                                 MeasureMode("gaussian", sigma=0.1), np.random.default_rng(4))
         _, exact = measure_matrices(ref3, q, ob)
         delta = noisy - exact
         assert np.max(np.abs(delta)) > 0
@@ -421,12 +427,13 @@ class TestMeasureMatrices:
     def test_exact_p_above_one_breaks_the_identity(self, ref3, monkeypatch):
         q = word(ref3, 0, 1)
         ob = operator_basis_for_states(build_subspace(ref3, q, 1e-10).retained, math.pi / 2)
+        p, g = measure_matrices(ref3, q, ob)
         monkeypatch.setattr(gst, "apply_word", lambda e, indices, block: 1.1 * block)
         with pytest.raises(IdentityViolationError, match="exact-mode p") as err:
             measure_matrices(ref3, q, ob)
         assert err.value.statistic > 1.0
         # Noisy p is a measurement, not an identity: it is not checked.
-        measure_matrices(ref3, q, ob, MeasureMode("gaussian", sigma=0.0), np.random.default_rng(0))
+        gst._read_out(1.1**2 * p, g, MeasureMode("gaussian", sigma=0.0), np.random.default_rng(0))
 
 
 class TestPtmTrace:
@@ -688,7 +695,7 @@ class TestEstimateGPowerTrace:
         # The 64 keys of k >= 4 take k key-steps each: k = 4 fills a cap of
         # 256 and k = 5 exceeds it.  The Monte Carlo budget plays no part.
         monkeypatch.setattr(gst, "ENUMERATION_CAP", 256)
-        assert estimate_g_power_trace(ref3, 4, budget=1).samples == 4**4
+        estimate_g_power_trace(ref3, 4, budget=1)
         with pytest.raises(ResourceLimitError) as err:
             estimate_g_power_trace(ref3, 5, budget=10**9)
         assert (err.value.requested, err.value.cap) == (320, 256)
@@ -719,7 +726,6 @@ class TestEstimateGPowerTrace:
         for mode in (EXACT, MeasureMode("gaussian", sigma=1e-3)):
             est = estimate_g_power_trace(ref3, 2, strategy="mc", budget=budget, rng=9,
                                          mode=mode, allow_pseudoinverse=True)
-            assert est.samples == budget
             assert_matches_reference(est, chunk_stream_estimate(ref3, 2, budget, 9, mode))
 
     def test_mc_at_word_widths_zero_and_one(self, ref3):
@@ -737,7 +743,7 @@ class TestEstimateGPowerTrace:
             parts = [(len(c), sum(c), math.fsum((v - sum(c) / len(c)) ** 2 for v in c))
                      for c in chunks]
             merged = mc_estimate(parts, est.mode)
-            assert (est.value, est.samples) == (merged.value, 70)
+            assert est.value == merged.value
             assert est.value == pytest.approx(value, rel=0, abs=1e-15)
             assert est.std_error == pytest.approx(merged.std_error, rel=1e-12)
             x = [Fraction(v) for c in chunks for v in c]
@@ -761,10 +767,10 @@ class TestEstimateGPowerTrace:
         ranges = chunk_ranges(e.alpha, gst._WORD_CHUNK)
         assert len(ranges) == 2 and ranges[-1][1] - ranges[-1][0] < gst._WORD_CHUNK
         cache = gst.StageCache()
-        parts = [gst._enumerate_chunk(e, 2, gst.DEFAULT_EPSILON, cache, lo, hi)
+        parts = [gst._enumerate_chunk(e, range(2, 3), gst.DEFAULT_EPSILON, cache, lo, hi)
                  for lo, hi in ranges]
         est = estimate_g_power_trace(e, 2)
-        assert (est.value, est.std_error, est.samples) == (sum(parts), 0.0, 40**2)
+        assert (est.value, est.std_error) == (sum(part for part, in parts), 0.0)
 
     @pytest.mark.parametrize("estimate", [estimate_g_power_trace, estimate_power_trace])
     @pytest.mark.parametrize("mode", [MeasureMode("shots", shots=100),
@@ -842,15 +848,43 @@ class TestEstimatePowerTrace:
 
     def test_enumeration_checks_every_k_before_the_first_estimate(self, ref3, monkeypatch):
         # No k of 0..6 takes over 6 * 64 = 384 key-steps, but together they
-        # take 1*4 + 2*16 + 3*40 + (4 + 5 + 6)*64 = 1,116, over the cap.
+        # take 1*4 + 2*16 + 3*40 + (4 + 5 + 6)*64 = 1,116, over the cap,
+        # though the one walk to k = 6 takes only 384.
         def spy(*args, **kwargs):
-            raise AssertionError("Tr{G^k} was estimated before the cap check")
+            raise AssertionError("keys were walked before the cap check")
 
         monkeypatch.setattr(gst, "ENUMERATION_CAP", 1000)
-        monkeypatch.setattr(gst, "estimate_g_power_trace", spy)
+        monkeypatch.setattr(gst, "_enumerate_chunk", spy)
         with pytest.raises(ResourceLimitError) as err:
             estimate_power_trace(ref3, 6)
         assert (err.value.requested, err.value.cap) == (1116, 1000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.just(reference_spec()), small_ensembles()), st.integers(1, 8),
+           st.sampled_from([gst.DEFAULT_EPSILON, 1e-3, 0.05]))
+    def test_one_walk_is_the_series_of_the_per_k_walks(self, e, m, epsilon):
+        # Every deficit of the one walk to k = m adds as the walk to k alone
+        # does, so the series keeps its bits, truncated or not.
+        try:
+            want = evaluate_series(binomial_weights(m), [
+                estimate_g_power_trace(e, k, epsilon=epsilon) for k in range(m + 1)])
+        except DegenerateAugmentationError:
+            with pytest.raises(DegenerateAugmentationError):
+                estimate_power_trace(e, m, epsilon=epsilon)
+            return
+        assert estimate_power_trace(e, m, epsilon=epsilon).value == want.value
+
+    @pytest.mark.parametrize("alpha, m, chunks", [(4, 8, 1), (40, 2, 2)])
+    def test_power_trace_walks_once_per_chunk(self, ref3, monkeypatch, alpha, m, chunks):
+        # One walk to k = m per chunk of 32 first letters, where a walk per
+        # k called the chunk m times at alpha = 4 (k = 0 walked nothing).
+        e = ref3 if alpha == 4 else random_ensemble(np.random.default_rng(5), 6, alpha)
+        calls = []
+        chunk = gst._enumerate_chunk
+        monkeypatch.setattr(gst, "_enumerate_chunk",
+                            lambda *args: calls.append(args[1]) or chunk(*args))
+        estimate_power_trace(e, m)
+        assert calls == [range(m + 1)] * chunks
 
     def test_gaussian_noise_stays_near_truth(self, ref3):
         est = estimate_power_trace(
@@ -1095,7 +1129,7 @@ class TestKeyWalk:
             return
         est = estimate_g_power_trace(e, k, epsilon=epsilon)
         assert est.value == pytest.approx(want, rel=0, abs=1e-12)
-        assert (est.std_error, est.samples) == (0.0, e.alpha**k)
+        assert est.std_error == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(walk_cases())

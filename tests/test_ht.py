@@ -243,10 +243,6 @@ class TestEstimateMc:
             ratios.append(big.std_error / small.std_error)
         assert 0.4 < sum(ratios) / len(ratios) < 0.6
 
-    def test_shots_count_one_sample_per_trial(self, ref3):
-        est = estimate_power_trace_mc(ref3, 1, trials=1000, mode=MeasureMode("shots", shots=7), rng=3)
-        assert est.samples == 1000
-
     @pytest.mark.parametrize("shots", [10, 100])
     def test_shot_std_error_is_the_spread_over_seeds(self, ref3, shots):
         # The shots of one circuit share its P(0), so the circuit, not the
@@ -267,7 +263,7 @@ class TestEstimateMc:
         mean, stderr = two_pass_estimate(
             [chunk_samples(ref3, 2, ONE_SHOT, 11, lo, hi)[0] for lo, hi in ranges])
         est = estimate_power_trace_mc(ref3, 2, trials=trials, rng=11)
-        assert (est.value, est.samples, est.mode) == (mean, trials, MODE_MC_SHOTS)
+        assert (est.value, est.mode) == (mean, MODE_MC_SHOTS)
         assert est.std_error == pytest.approx(stderr, rel=1e-12)
 
     def test_generator_and_seed_both_accepted(self, ref3):
@@ -337,7 +333,7 @@ class TestRhoGPowerMc:
 
     def test_j0_is_unit_trace(self, ref3):
         est = estimate_rho_g_power_mc(ref3, 0, trials=5000, mode=MeasureMode("shots", shots=3), rng=1)
-        assert (est.value, est.std_error, est.samples) == (1.0, 0.0, 5000)
+        assert (est.value, est.std_error) == (1.0, 0.0)
         assert est.mode == MODE_MC_SHOTS
 
     @pytest.mark.parametrize("mode", [
@@ -356,7 +352,7 @@ class TestRhoGPowerMc:
             [chunk_samples(ref3, 2, EXACT, 5, lo, hi, coin_flips=False)[0]
              for lo, hi in ranges])
         est = estimate_rho_g_power_mc(ref3, 2, trials=20_000, rng=5, mode=EXACT)
-        assert (est.value, est.samples, est.mode) == (mean, 20_000, MODE_MC_EXACT_PROB)
+        assert (est.value, est.mode) == (mean, MODE_MC_EXACT_PROB)
         assert est.std_error == pytest.approx(stderr, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs, match", [
@@ -371,15 +367,15 @@ class TestRhoGPowerMc:
 class TestTraceEstimateInvariants:
     def test_exact_modes_require_zero_stderr(self):
         with pytest.raises(ValueError, match="std_error 0"):
-            TraceEstimate(1.0, 0.1, 10, "exact-enumeration")
+            TraceEstimate(1.0, 0.1, "exact-enumeration")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown estimate mode"):
-            TraceEstimate(1.0, 0.0, 1, "psychic")
+            TraceEstimate(1.0, 0.0, "psychic")
 
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            TraceEstimate(1.0, -0.1, 1, "mc-shots")
+            TraceEstimate(1.0, -0.1, "mc-shots")
 
 
 def dense_probabilities(e, comps, flags):
@@ -492,10 +488,6 @@ class TestSpanKernelMatchesStatevectors:
             got = estimate_power_trace_enumerate(e, m).value
             assert got == pytest.approx(dense_enumerate(e, m), abs=1e-10)
 
-    def test_enumeration_samples_count_words(self, ref3):
-        est = estimate_power_trace_enumerate(ref3, 3)
-        assert est.samples == 4 + 16 + 64 + 256
-
     def test_out_of_range_probability_raises(self):
         # A Gram with K_11 = 3 gives P(0) = (1 + 3)/2 = 2 on the empty word
         # from initial component 1, and enumeration's mean probability
@@ -517,7 +509,7 @@ class TestClosedFormEnumeration:
     def test_matches_the_oracle(self, e, j):
         est = estimate_rho_g_power_enumerate(e, j)
         assert est.value == pytest.approx(exact_rho_g_power_trace(e, j), rel=0, abs=1e-13)
-        assert (est.std_error, est.samples) == (0.0, e.alpha ** (j + 1))
+        assert est.std_error == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(small_ensembles(), st.integers(0, 12))
@@ -702,7 +694,6 @@ class TestScale:
             tracemalloc.stop()
         assert "state_matrix" not in e.__dict__ and "states" not in e.__dict__
         assert peak < 64 * 2**20
-        assert est.samples == 100_000
         lam = e.span_eigenvalues
         assert abs(est.value - float(np.sum(lam**4))) < 5 * est.std_error + 0.01
 
@@ -715,9 +706,8 @@ class TestScale:
         for estimate in (estimate_power_trace_mc, estimate_rho_g_power_mc):
             tracemalloc.start()
             try:
-                est = estimate(e, 2, 10_000, EXACT, 5)
+                estimate(e, 2, 10_000, EXACT, 5)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2**20
-            assert est.samples == 10_000

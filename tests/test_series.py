@@ -24,14 +24,14 @@ from .conftest import random_ensemble
 
 def oracle_g_estimates(spec, k_max):
     return [
-        TraceEstimate(exact_g_power_trace(spec, k), 0.0, 1, MODE_ORACLE)
+        TraceEstimate(exact_g_power_trace(spec, k), 0.0, MODE_ORACLE)
         for k in range(k_max + 1)
     ]
 
 
 def oracle_rho_g_estimates(spec, j_max):
     return [
-        TraceEstimate(exact_rho_g_power_trace(spec, j), 0.0, 1, MODE_ORACLE)
+        TraceEstimate(exact_rho_g_power_trace(spec, j), 0.0, MODE_ORACLE)
         for j in range(j_max + 1)
     ]
 
@@ -129,15 +129,14 @@ class TestEvaluateSeries:
 
     def test_stderr_combines_in_quadrature(self):
         gk = [
-            TraceEstimate(8.0, 0.0, 1, "exact-enumeration"),
-            TraceEstimate(6.0, 0.1, 100, "mc-shots"),
-            TraceEstimate(6.6, 0.2, 100, "mc-shots"),
+            TraceEstimate(8.0, 0.0, "exact-enumeration"),
+            TraceEstimate(6.0, 0.1, "mc-shots"),
+            TraceEstimate(6.6, 0.2, "mc-shots"),
         ]
         est = evaluate_series(binomial_weights(2), gk)
         expected = math.sqrt((0.5 * 0.1) ** 2 + (0.25 * 0.2) ** 2)
         assert est.std_error == pytest.approx(expected, abs=1e-15)
         assert est.mode == "mc-shots"
-        assert est.samples == 201
 
     def test_extra_orders_ignored(self, ref3):
         gk = oracle_g_estimates(ref3, 8)
@@ -181,20 +180,19 @@ class TestEvaluateTelescoped:
         # Tr{rho^2} = 1/4 (Tr I - 2 Tr G + Tr G^2), so b_0 = -2 (c_1 + c_2) = 1/2
         # and b_1 = -2 c_2 = -1/2.
         rho_g = [
-            TraceEstimate(1.0, 0.1, 100, "mc-shots"),
-            TraceEstimate(0.3, 0.2, 100, "mc-exact-prob"),
-            TraceEstimate(5.0, 9.0, 100, "mc-shots"),  # unused: j < max power only
+            TraceEstimate(1.0, 0.1, "mc-shots"),
+            TraceEstimate(0.3, 0.2, "mc-exact-prob"),
+            TraceEstimate(5.0, 9.0, "mc-shots"),  # unused: j < max power only
         ]
         est = evaluate_telescoped(binomial_weights(2), 8, rho_g)
         assert est.value == pytest.approx(0.5 * 1.0 - 0.5 * 0.3, abs=1e-15)
         assert est.std_error == pytest.approx(math.hypot(0.5 * 0.1, 0.5 * 0.2), abs=1e-15)
         assert est.mode == "mc-shots"
-        assert est.samples == 200
 
     def test_one_coefficient_series_is_the_dimension(self):
-        # Tr{rho^0} = Tr{I} needs no a_j: the value is dim, from no samples.
+        # Tr{rho^0} = Tr{I} needs no a_j: the value is dim, from no estimate.
         est = evaluate_telescoped(binomial_weights(0), 8, [])
-        assert est == TraceEstimate(8.0, 0.0, 0, MODE_ORACLE)
+        assert est == TraceEstimate(8.0, 0.0, MODE_ORACLE)
 
     def test_missing_powers_rejected(self, ref3):
         with pytest.raises(ValueError, match="up to j=2"):
