@@ -70,7 +70,7 @@ _ESTIMATORS = ("ht", "gst", "entropy")
 _PARAMS: dict[str, _Param] = {
     "seed": _Param(0, "--seed", ("oracle", *_ESTIMATORS, "sweep", "bounds"), least=0,
                    help="master seed"),
-    "trials": _Param(gst.DEFAULT_TRIALS, "--trials", _ESTIMATORS, least=1,
+    "trials": _Param(gst.DEFAULT_TRIALS, "--trials", _ESTIMATORS, least=2,
                      help="sampled circuits (ht) or words (gst) in mc strategy"),
     "shots": _Param(1, "--shots", _ESTIMATORS, least=1,
                     help="shots per sampled circuit; per matrix entry where gst runs"),
@@ -250,6 +250,7 @@ def parse_config(raw: Any) -> RunConfig:
 
     comps = raw.get("components")
     _expect(isinstance(comps, list) and comps, "components", "must be a non-empty list")
+    ensemble.check_component_count(len(comps))
     probs, kets = [], []
     for i, comp in enumerate(comps):
         field = f"components[{i}]"

@@ -36,7 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import MAX_QUBITS
+from .errors import ResourceLimitError
+from .qcore import MAX_COMPONENTS, MAX_QUBITS
 
 #: Qubit cap of the dense cross-check ``exact_combination_trace``: one
 #: 2**12 x 2**12 complex matrix is 256 MiB.
@@ -72,6 +73,13 @@ _COUNTED_DRAW_MAX_ALPHA = 128
 _GRAM_BLOCK_ROWS = 16
 
 
+def check_component_count(alpha: int) -> None:
+    """Raise ResourceLimitError above MAX_COMPONENTS components."""
+    if alpha > MAX_COMPONENTS:
+        raise ResourceLimitError(f"{alpha} components, over the cap of {MAX_COMPONENTS}",
+                                 requested=alpha, cap=MAX_COMPONENTS)
+
+
 def rotation_ket(theta: float, phi: float) -> tuple[complex, complex]:
     """u|0> = (cos(theta/2), e^{i*phi} sin(theta/2)), the first column of the
     rotation gate U(theta, phi, lam); lam phases only its second column, so it
@@ -87,7 +95,8 @@ class EnsembleSpec:
     Probabilities are validated (sum within PROB_SUM_TOL of 1) and then
     renormalized exactly once here; downstream code assumes exact
     normalization.  The kets must be finite unit vectors (KET_NORM_TOL),
-    with 1 <= n <= MAX_QUBITS.  Both arrays are stored as read-only copies.
+    with 1 <= n <= MAX_QUBITS; over MAX_COMPONENTS components raise
+    ResourceLimitError.  Both arrays are stored as read-only copies.
     """
 
     n: int
@@ -98,6 +107,7 @@ class EnsembleSpec:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probs must be a non-empty 1-D array")
+        check_component_count(probs.size)
         # Written so that NaN fails too: every comparison with NaN is false.
         if not np.all((probs > 0.0) & (probs <= 1.0)):
             raise ValueError("component probabilities must lie in (0, 1]")

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 
 class ResourceLimitError(RuntimeError):
-    """A GST enumeration would walk or hold more than its fixed caps allow."""
+    """A run would exceed a fixed cap: an ensemble's components, or the
+    key-steps or coefficients of a GST enumeration."""
 
     def __init__(self, message: str, *, requested: int, cap: int) -> None:
         super().__init__(message)

@@ -655,8 +655,8 @@ def estimate_g_power_trace(
     if strategy == "enumerate":
         return _enumerate(e, range(k, k + 1), epsilon, mode, cache)[0]
 
-    if budget < 1:
-        raise ValueError(f"mc strategy needs budget >= 1, got {budget}")
+    if budget < 2:
+        raise ValueError(f"mc strategy needs budget >= 2, got {budget}")
     # In exact mode one memo serves every chunk of this estimate.
     memo = {} if mode.is_exact else None
     worker = partial(_mc_chunk, e, k, epsilon, theta, mode, master_seed, stream_key,

@@ -6,11 +6,11 @@ distribution folds analytically into
     P(0) = (1 + Re <psi|W|psi>) / 2,        P(1) = 1 - P(0),
 
 where |psi> is the sampled initial component state and W is the sampled word
-of reflections.  A sampled circuit inserts each of m candidate layers with
-probability 1/2 and draws every component index with its ensemble
-probability; the signed outcome (-1)^k * (+1 | -1) is then an unbiased
-estimator of Tr{rho^{m+1}} because the binomial layer-count weights match the
-expansion of rho^m = ((I - G)/2)^m.
+of reflections.  A sampled circuit of j layers draws its initial component
+and each layer's component with their ensemble probabilities, so
+E[G_q] = G and 2 P(0) - 1 is an unbiased sample of a_j = Tr{rho G^j} in
+[-1, 1].  Tr{rho^{m+1}} is the binomial series sum_j (C(m,j)/2^m) (-1)^j a_j
+of rho^m = ((I - G)/2)^m, as in enumeration and in GST.
 
 For a single sampled word the quantity <psi|W|psi> may be complex; the
 physical measurement sees its real part, and the imaginary parts cancel in
@@ -21,50 +21,45 @@ the state.
 
 Circuits are simulated in batches, in the span of the alpha component
 states: a batch is drawn as an array of component indices (initial state and
-one per candidate layer) and an array of layer flags, a state
-sum_j c_j |psi_j> is held as its alpha coefficients c, the Gram
-K = EnsembleSpec.gram supplies every overlap, and the reflection
+one per layer), a state sum_j c_j |psi_j> is held as its alpha coefficients
+c, the Gram K = EnsembleSpec.gram supplies every overlap, and the reflection
 G_a = I - 2|psi_a><psi_a| becomes c_a -= 2 (K c)_a, O(alpha) and
 independent of n; no 2**n vector is formed.  The trials of a chunk that
-share a prefix (initial component and the letters of the layers so far,
-"no layer" included) share one coefficient row, reflected once per level.
-Sharing stops at the first level whose key table would exceed
-_KEY_TABLE_PER_ROW entries per trial; from there each trial has its own
-row, a row block at a time.  On the bundled alpha = 4 model the first five
-levels of a full chunk are shared; at alpha = 400 none is.  P(0) is the same
-to the bit as with one row per trial throughout.
+share a prefix (initial component and the letters of the layers so far)
+share one coefficient row, reflected once per level.  Sharing stops at the
+first level whose key table would exceed _KEY_TABLE_PER_ROW entries per
+trial; from there each trial has its own row, a row block at a time.  On the
+bundled alpha = 4 model the first five levels of a full chunk are shared; at
+alpha = 400 none is.  P(0) is the same to the bit as with one row per trial
+throughout.
 
 Four estimators; the Monte Carlo ones take a ``noise_bounds.MeasureMode``,
 the noise model GST also takes:
 
-* ``estimate_power_trace_enumerate`` — exact expectation over all words and
-  layer patterns: the binomial series sum_k (C(m,k)/2^m) (-1)^k a_k of
-  ``series.evaluate_series`` over the exact a_k below (no randomness,
-  std_error 0).
-* ``estimate_power_trace_mc`` — Monte Carlo over circuits.  Exact mode takes
-  each circuit's exact signed probability, gaussian mode perturbs that
-  probability by N(0, sigma^2), and shots mode (the default, one shot)
-  draws ``mode.shots`` binomial measurements per circuit, whose signed
-  mean is the circuit's one sample.
-* ``estimate_rho_g_power_mc`` — the same circuit with all j layers inserted
-  and no coin flips or sign, in any measure mode.  Each layer reflects about a
-  component drawn with its ensemble probability, so E[G_q] = G and each
-  trial is an unbiased sample of a_j = Tr{rho G^j} in [-1, 1].  Since
+* ``estimate_rho_g_power_mc`` — a_j from sampled circuits of j layers, in
+  any measure mode (by default one shot per circuit).  Since
   G^{k+1} = G^k - 2 rho G^k, Tr{G^k} = 2**n - 2 sum_{j<k} a_j, so one call
   per j serves every Tr{G^k}, with coefficients that stay bounded where the
   binomial expansion of G^k in powers of rho grows like 3^k.
+* ``estimate_power_trace_mc`` — the binomial series of m + 1 such estimates,
+  stratum j on its own stream and on a share of the trials in proportion
+  to C(m,j)/2^m (proportional stratified sampling, Cochran, *Sampling
+  Techniques*, 3rd ed., 1977, ch. 5), at least 2 each.
 * ``estimate_rho_g_power_enumerate`` — exact a_j, the expectation of that
   circuit over all alpha^(j+1) component words (std_error 0).  No word is
   visited: the expectation is linear in each layer's reflection, so it is
   Re Tr(PK (I - 2 PK)^j) on span coefficients, j alpha x alpha products.
+* ``estimate_power_trace_enumerate`` — the binomial series of the exact a_j
+  of ``series.evaluate_series`` (no randomness, std_error 0).
 
 Monte Carlo trials run in fixed-size chunks, one RNG substream per (master
-seed, chunk start); ``mc_estimate`` merges each chunk's (count, sum, M2) in
-chunk order, so results are bit-identical for a fixed seed.
+seed, stream key, chunk start); ``mc_estimate`` merges each chunk's (count,
+sum, M2) in chunk order, so results are bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -96,10 +91,10 @@ _ROW_BLOCK_ENTRIES = 1 << 15
 #: Prefix sharing in the Monte Carlo kernel: a level is shared only while its
 #: key table, (distinct prefixes) x (letters), has at most this many entries
 #: per trial.  With this bound an 8,192-trial chunk ran faster than one row
-#: per trial on every cell of alpha in {4, 16, 64, 400}, m in {2, 12}, with
-#: and without coin flips; a bound of 4 moved no cell beyond run-to-run spread.
-#: Without coin flips at alpha 80 to 90, where level 0 is shared though over
-#: half its prefixes are distinct, the chunk ran 2-14% slower than unshared.
+#: per trial on every cell of alpha in {4, 16, 64, 400}, m in {2, 12}; a
+#: bound of 4 moved no cell beyond run-to-run spread.  At alpha 80 to 90,
+#: where level 0 is shared though over half its prefixes are distinct, the
+#: chunk ran 2-14% slower than unshared.
 _KEY_TABLE_PER_ROW = 1
 
 #: Trials per chunk.  Fixed: the chunk layout is the RNG stream layout, so
@@ -120,10 +115,9 @@ def _check_probabilities(p: np.ndarray) -> None:
         )
 
 
-def _reflect(gram: np.ndarray, c: np.ndarray, axes: np.ndarray,
-             on: np.ndarray | None = None) -> None:
-    """Reflect row on[i] of c (row i if ``on`` is None) about psi_{axes[i]},
-    in place: c_a -= 2 (K c)_a with a = axes[i].
+def _reflect(gram: np.ndarray, c: np.ndarray, axes: np.ndarray) -> None:
+    """Reflect row i of c about psi_{axes[i]}, in place: c_a -= 2 (K c)_a
+    with a = axes[i].
 
     Rows go in blocks of _ROW_BLOCK_ENTRIES coefficients, so the gathered
     operands stay in cache; each row's einsum and subtraction are those of
@@ -133,13 +127,8 @@ def _reflect(gram: np.ndarray, c: np.ndarray, axes: np.ndarray,
     step = max(1, _ROW_BLOCK_ENTRIES // alpha)
     for lo in range(0, len(axes), step):
         ax = axes[lo:lo + step]
-        if on is None:
-            rows, x = np.arange(lo, lo + len(ax)), c[lo:lo + step]
-        else:
-            rows = on[lo:lo + step]
-            x = np.take(c, rows, axis=0)
-        inner = np.einsum("ij,ij->i", np.take(gram, ax, axis=0), x)
-        flat[rows * alpha + ax] -= 2.0 * inner
+        inner = np.einsum("ij,ij->i", np.take(gram, ax, axis=0), c[lo:lo + step])
+        flat[np.arange(lo, lo + len(ax)) * alpha + ax] -= 2.0 * inner
 
 
 def _overlaps(gram: np.ndarray, init: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -152,47 +141,38 @@ def _overlaps(gram: np.ndarray, init: np.ndarray, c: np.ndarray) -> np.ndarray:
     return re
 
 
-def _outcome_probabilities(
-    e: EnsembleSpec, comps: np.ndarray, flags: np.ndarray | None = None
-) -> np.ndarray:
+def _outcome_probabilities(e: EnsembleSpec, comps: np.ndarray) -> np.ndarray:
     """Exact P(0) of each sampled circuit, checked and clipped into [0, 1].
 
-    Row r starts in psi_{comps[r, 0]} and passes the candidate layers in
-    circuit order; layer t reflects about psi_{comps[r, t + 1]} where
-    flags[r, t] is set, or in every row when ``flags`` is None.  States are
-    held as span coefficients.
+    Row r starts in psi_{comps[r, 0]} and passes the layers in circuit
+    order; layer t reflects about psi_{comps[r, t + 1]}.  States are held as
+    span coefficients.
 
     Rows that agree on a prefix (the initial component and the letters of
-    the layers so far, "no layer" being a letter of its own) hold the same
-    coefficients.  So the layers are walked level by level with one
-    coefficient row per distinct prefix, each reflected once.  A level's
-    prefix ids come from dense (parent id, letter) keys.  Sharing stops once
-    the key table would exceed _KEY_TABLE_PER_ROW entries per trial; the
-    rest runs one row per trial, in row blocks.  Every row meets the same
-    einsum and subtraction on the same operands as one row per trial
-    throughout would, so each P(0) is the same to the bit.
+    the layers so far) hold the same coefficients.  So the layers are walked
+    level by level with one coefficient row per distinct prefix, each
+    reflected once.  A level's prefix ids come from dense (parent id,
+    letter) keys.  Sharing stops once the key table would exceed
+    _KEY_TABLE_PER_ROW entries per trial; the rest runs one row per trial,
+    in row blocks.  Every row meets the same einsum and subtraction on the
+    same operands as one row per trial throughout would, so each P(0) is the
+    same to the bit.
     """
     gram, alpha = e.gram, e.alpha
     b, layers = comps.shape[0], comps.shape[1] - 1
-    letters = alpha if flags is None else alpha + 1
     # Level 0: prefix i is the initial component i, held as the unit row e_i.
     ids, init, c, t = comps[:, 0], np.arange(alpha), np.eye(alpha, dtype=np.complex128), 0
-    while t < layers and len(init) * letters <= _KEY_TABLE_PER_ROW * b:
-        letter = comps[:, t + 1] if flags is None else np.where(flags[:, t], comps[:, t + 1], alpha)
-        key = ids * letters + letter
-        seen = np.zeros(len(init) * letters, dtype=bool)
+    while t < layers and len(init) * alpha <= _KEY_TABLE_PER_ROW * b:
+        key = ids * alpha + comps[:, t + 1]
+        seen = np.zeros(len(init) * alpha, dtype=bool)
         seen[key] = True
         keys = np.flatnonzero(seen)
         new_id = np.empty(len(seen), dtype=np.intp)
         new_id[keys] = np.arange(len(keys))
         ids = new_id[key]
-        parent, axes = np.divmod(keys, letters)
+        parent, axes = np.divmod(keys, alpha)
         c, init = np.take(c, parent, axis=0), init[parent]
-        if flags is None:
-            _reflect(gram, c, axes)
-        else:
-            on = np.flatnonzero(axes < alpha)
-            _reflect(gram, c, axes[on], on)
+        _reflect(gram, c, axes)
         t += 1
 
     if t == layers:
@@ -205,11 +185,7 @@ def _outcome_probabilities(
             sl = slice(lo, lo + step)
             block = np.take(c, ids[sl], axis=0)
             for s in range(t, layers):
-                if flags is None:
-                    _reflect(gram, block, comps[sl, s + 1])
-                else:
-                    on = np.flatnonzero(flags[sl, s])
-                    _reflect(gram, block, comps[lo + on, s + 1], on)
+                _reflect(gram, block, comps[sl, s + 1])
             re[sl] = _overlaps(gram, comps[sl, 0], block)
 
     p0 = 0.5 * (1.0 + re)
@@ -217,64 +193,69 @@ def _outcome_probabilities(
     return np.clip(p0, 0.0, 1.0)
 
 
-def _mc_chunk(
-    e: EnsembleSpec,
-    m: int,
-    mode: MeasureMode,
-    master_seed: int,
-    lo: int,
-    hi: int,
-    coin_flips: bool = True,
-) -> tuple[int, float, float, int]:
-    """(count, sum, M2, clamp_events) over trials [lo, hi).
-
-    With ``coin_flips`` each of the m layers is inserted with probability
-    1/2 and the outcome carries the sign (-1)^(inserted layers); without,
-    every layer is inserted, no flag is drawn and no sign applies.
-    """
-    rng = rng_stream(master_seed, lo)
+def _mc_chunk(e: EnsembleSpec, m: int, mode: MeasureMode, master_seed: int,
+              stream_key: tuple[int, ...], lo: int, hi: int) -> tuple[int, float, float, int]:
+    """(count, sum, M2, clamp_events) over trials [lo, hi) of m layers each,
+    drawn from ``rng_stream(master_seed, *stream_key, lo)``."""
+    rng = rng_stream(master_seed, *stream_key, lo)
     b = hi - lo
-    comps = e.component_indices(rng.random((b, m + 1)))
-    flags, sign = None, 1.0
-    if coin_flips:
-        flags = rng.random((b, m)) < 0.5
-        sign = 1.0 - 2.0 * (flags.sum(axis=1) % 2)
-    p0 = _outcome_probabilities(e, comps, flags)
+    p0 = _outcome_probabilities(e, e.component_indices(rng.random((b, m + 1))))
 
     clamps = 0
     if mode.kind == "gaussian":
         p0, clamps = noise_bounds.perturb_probabilities(p0, mode.sigma, rng)
 
     if mode.kind == "shots":
-        x = sign * (2.0 * rng.binomial(mode.shots, p0) - mode.shots) / mode.shots
+        x = (2.0 * rng.binomial(mode.shots, p0) - mode.shots) / mode.shots
     else:
-        x = sign * (2.0 * p0 - 1.0)
+        x = 2.0 * p0 - 1.0
     total = float(x.sum())
     return b, total, float(np.square(x - total / b).sum()), clamps
 
 
-def _estimate_mc(
-    e: EnsembleSpec,
-    layers: int,
-    trials: int,
-    mode: MeasureMode,
-    rng: "int | np.random.Generator",
-    coin_flips: bool,
-) -> TraceEstimate:
-    """Run ``_mc_chunk`` over fixed TRIAL_CHUNK chunks and merge them with
-    ``mc_estimate``."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    worker = partial(_mc_chunk, e, layers, mode, as_master_seed(rng), coin_flips=coin_flips)
-    parts = run_chunked(worker, trials, TRIAL_CHUNK)
-    clamps = sum(p[3] for p in parts)
+def _estimate_mc(e: EnsembleSpec, strata: list[tuple[int, int, tuple[int, ...]]],
+                 mode: MeasureMode, rng: "int | np.random.Generator") -> list[TraceEstimate]:
+    """One estimate per (layers, trials, stream key) stratum: ``_mc_chunk``
+    over fixed TRIAL_CHUNK chunks, merged with ``mc_estimate``.  Each needs
+    2 trials, so that its std_error is a measured one."""
+    least = min(trials for _, trials, _ in strata)
+    if least < 2:
+        raise ValueError(f"trials must be >= 2, got {least}")
+    master_seed = as_master_seed(rng)
+    estimates, clamps = [], 0
+    for layers, trials, key in strata:
+        parts = run_chunked(partial(_mc_chunk, e, layers, mode, master_seed, key),
+                            trials, TRIAL_CHUNK)
+        clamps += sum(p[3] for p in parts)
+        estimates.append(mc_estimate([p[:3] for p in parts], mc_mode(mode.kind)))
     if clamps:
         # Imported only where a clamp is logged: importing ``logging`` costs
         # every run start-up time and memory.
         import logging
 
-        logging.getLogger(__name__).debug("ht noise clamped %d of %d probabilities", clamps, trials)
-    return mc_estimate([p[:3] for p in parts], mc_mode(mode.kind))
+        logging.getLogger(__name__).debug("ht noise clamped %d of %d probabilities", clamps,
+                                          sum(trials for _, trials, _ in strata))
+    return estimates
+
+
+def stratum_trials(m: int, trials: int) -> list[int]:
+    """Trials of each layer count j = 0..m: ``trials`` split in proportion
+    to C(m, j) by largest remainders, ties to the smaller j, after the
+    strata whose share is under 2, smallest first, are given 2 each."""
+    if trials < 2 * (m + 1):
+        raise ValueError(f"trials must be >= 2 (m + 1) = {2 * (m + 1)} at m = {m}, got {trials}")
+    weights = [math.comb(m, j) for j in range(m + 1)]
+    counts, total, left = [2] * (m + 1), sum(weights), trials
+    free = sorted(range(m + 1), key=weights.__getitem__)
+    while weights[free[0]] * left < 2 * total:
+        total, left = total - weights[free[0]], left - 2
+        free = free[1:]
+    rests = {}
+    for j in free:
+        counts[j], rests[j] = divmod(weights[j] * left, total)
+    for j in sorted(free, key=lambda j: (-rests[j], j))[:left - sum(counts[j] for j in free)]:
+        counts[j] += 1
+    return counts
 
 
 def estimate_power_trace_mc(
@@ -284,18 +265,16 @@ def estimate_power_trace_mc(
     mode: MeasureMode = _ONE_SHOT,
     rng: "int | np.random.Generator" = 0,
 ) -> TraceEstimate:
-    """Monte Carlo estimate of Tr{rho^{m+1}} from ``trials`` sampled circuits.
-
-    Shots mode draws ``mode.shots`` binomial measurements per circuit; exact
-    mode uses each circuit's exact signed probability (one sample per trial,
-    no shot noise), and gaussian mode perturbs that probability by
-    N(0, sigma^2), clamped into [0, 1].  Each trial is one sample, in shots
-    mode the signed mean of its shots, which share the circuit's P(0); the
-    standard error is the samples' standard deviation over sqrt(trials).
+    """Monte Carlo estimate of Tr{rho^{m+1}} from ``trials`` sampled circuits
+    in all: the binomial series sum_j (C(m,j)/2^m) (-1)^j a_j of m + 1
+    ``estimate_rho_g_power_mc`` strata, stratum j on the ``stratum_trials``
+    share of the trials and on streams (master, j, chunk start).  At least
+    2 (m + 1) trials; measure modes as in ``estimate_rho_g_power_mc``.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    return _estimate_mc(e, m, trials, mode, rng, coin_flips=True)
+    strata = [(j, t, (j,)) for j, t in enumerate(stratum_trials(m, trials))]
+    return evaluate_series(binomial_weights(m), _estimate_mc(e, strata, mode, rng))
 
 
 def estimate_rho_g_power_mc(
@@ -305,16 +284,19 @@ def estimate_rho_g_power_mc(
     mode: MeasureMode = _ONE_SHOT,
     rng: "int | np.random.Generator" = 0,
 ) -> TraceEstimate:
-    """Monte Carlo estimate of a_j = Tr{rho G^j} from ``trials`` circuits
-    with all j layers inserted.
+    """Monte Carlo estimate of a_j = Tr{rho G^j} from ``trials`` circuits of
+    j layers, at least 2, on streams (master, chunk start).
 
-    Each trial contributes 2 P(0) - 1 (or its shot-mode equivalent) with no
-    sign; arguments, chunking, noise and standard error are those of
-    ``estimate_power_trace_mc``.  j = 0 gives Tr{rho} = 1.
+    Exact mode takes each circuit's exact 2 P(0) - 1, gaussian mode perturbs
+    P(0) by N(0, sigma^2), clamped into [0, 1], and shots mode draws
+    ``mode.shots`` binomial measurements per circuit.  Each trial is one
+    sample, in shots mode the mean of its shots, which share the circuit's
+    P(0); the standard error is the samples' standard deviation over
+    sqrt(trials).  j = 0 gives Tr{rho} = 1.
     """
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    return _estimate_mc(e, j, trials, mode, rng, coin_flips=False)
+    return _estimate_mc(e, [(j, trials, ())], mode, rng)[0]
 
 
 def _rho_g_chain(e: EnsembleSpec, ks: range) -> list[TraceEstimate]:

@@ -14,8 +14,9 @@ Hadamard-test paths work on the alpha x alpha Gram of the component states
 ``reflect_amplitudes`` to the D <= alpha + 1 coordinates of
 ``EnsembleSpec.span_states``.
 
-``MAX_QUBITS`` is a constant, not a setting: the config schema and
-``EnsembleSpec`` check n against the same value.
+``MAX_QUBITS`` and ``MAX_COMPONENTS`` are constants, not settings: the
+config schema and ``EnsembleSpec`` check n and alpha against the same
+values.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ import numpy as np
 #: No estimator cost depends on n; the cap stays until a measured bound
 #: replaces it.
 MAX_QUBITS = 20
+
+#: The component cap of the config schema and of ``EnsembleSpec``, a
+#: constant.  The oracle's eigh and GST's subspaces grow like alpha^3, and
+#: ``gst.check_enumeration_budget``'s counts grow like alpha!: at this cap
+#: they have under 2,700 digits, inside the 4,300 an int prints.
+MAX_COMPONENTS = 1024
 
 
 def reflect_amplitudes(

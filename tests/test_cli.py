@@ -20,7 +20,8 @@ from qtrace.cli import (
     render_csv,
     render_json,
 )
-from qtrace.errors import IdentityViolationError, IllConditionedGramError
+from qtrace.errors import IdentityViolationError, IllConditionedGramError, ResourceLimitError
+from qtrace.qcore import MAX_COMPONENTS
 from qtrace.series import (
     MODE_ORACLE,
     TraceEstimate,
@@ -203,10 +204,15 @@ class TestRendering:
         assert parsed["rows"][0]["std_error"] == rows[0].std_error
         assert parsed["rows"][0]["rel_error"] is None
 
-    def test_subnormal_exact_value_leaves_rel_error_empty(self):
-        # Tr{rho^3000} of table1 is subnormal, so |estimate - exact| / exact
-        # overflows to inf, which JSON cannot carry.
-        args = ("ht", "--power", "3000", "--strategy", "mc", "--trials", "10", "--seed", "1")
+    def test_subnormal_exact_value_leaves_rel_error_empty(self, tmp_path):
+        # On the 32 basis states of five qubits, equally likely, Tr{rho^210}
+        # = 2^-1045 is subnormal, so |estimate - exact| / exact overflows to
+        # inf, which JSON cannot carry.
+        path = write_config(tmp_path, base_config(n_qubits=5, components=[
+            {"prob": 1 / 32, "angles": [[(i >> q) & 1, 0, 0] for q in range(5)]}
+            for i in range(32)]))
+        args = ("ht", "--power", "210", "--strategy", "mc", "--trials", "420", "--seed", "1",
+                "--config", path)
         as_json, as_csv = run_cli(*args, "--format", "json"), run_cli(*args)
         assert (as_json.returncode, as_csv.returncode) == (0, 0)
         row = strict_json(as_json.stdout)["rows"][0]
@@ -532,6 +538,44 @@ class TestExitCodes:
         assert record["error"] == "resource-limit"
         assert (record["requested"], record["cap"]) == (64 * 10**8, gst.ENUMERATION_CAP)
 
+    def test_component_cap_exits_3_before_any_ket(self, tmp_path, capsys, monkeypatch):
+        kets = []
+        monkeypatch.setattr(ensemble, "rotation_ket", lambda *a: kets.append(a))
+        comps = [{"prob": 1 / (MAX_COMPONENTS + 1), "angles": [[0.5, 0.0, 0.0]]}]
+        path = write_config(tmp_path, base_config(components=comps * (MAX_COMPONENTS + 1)))
+        assert cli.main(["oracle", "--power", "2", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, kets) == ("", [])
+        assert json.loads(captured.err) == {
+            "error": "resource-limit", "message": "1025 components, over the cap of 1024",
+            "requested": 1025, "cap": MAX_COMPONENTS}
+
+    def test_enumeration_record_at_the_component_cap_renders(self):
+        # Under 2,700 digits: Python prints no int of over 4,300.
+        with pytest.raises(ResourceLimitError) as err:
+            gst.check_enumeration_budget(MAX_COMPONENTS, [range(10**8, 10**8 + 1)])
+        exc = err.value
+        record = json.loads(cli._error_record("resource-limit", exc, requested=exc.requested,
+                                              cap=exc.cap))
+        assert record["requested"] == exc.requested and len(str(exc.requested)) < 2700
+
+    @pytest.mark.parametrize("argv", [
+        "gst --g-power 2 --strategy mc --trials 1",
+        "entropy --order 1 --estimator ht --strategy mc --trials 1",
+    ])
+    def test_one_sample_monte_carlo_exits_2(self, capsys, argv):
+        # One sample has no spread to measure: its std_error would read 0.
+        assert cli.main(argv.split()) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "schema-violation", "field": "--trials",
+            "message": "--trials: must be >= 2, got 1"}
+
+    def test_ht_mc_needs_two_trials_a_layer_count(self, capsys):
+        assert cli.main(["ht", "--power", "5", "--strategy", "mc", "--trials", "9"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "invalid-argument", "message": "trials must be >= 2 (m + 1) = 10 at m = 4, got 9"}
+        assert cli.main(["ht", "--power", "5", "--strategy", "mc", "--trials", "10"]) == 0
+
     @pytest.mark.parametrize("argv, oracle_argv", [
         ("ht --power 12", "oracle --power 12"),
         ("ht --power 2-4 --config {wide}", "oracle --power 2-4 --config {wide}"),
@@ -711,9 +755,9 @@ class TestExitCodes:
         ("gst --g-power -1", "--g-power", "g-power must be >= 0, got -1"),
         ("oracle --g-power -1", "--g-power", "g-power must be >= 0, got -1"),
         ("entropy --order 0", "--order", "order must be >= 1, got 0"),
-        ("ht --power 2 --strategy mc --trials 0", "--trials", "must be >= 1, got 0"),
+        ("ht --power 2 --strategy mc --trials 0", "--trials", "must be >= 2, got 0"),
         ("ht --power 2 --strategy mc --mode shots --shots 0", "--shots", "must be >= 1, got 0"),
-        ("gst --g-power 2 --trials 0", "--trials", "must be >= 1, got 0"),
+        ("gst --g-power 2 --trials 0", "--trials", "must be >= 2, got 0"),
         ("gst --g-power 2 --strategy mc --mode shots --shots 0", "--shots",
          "must be >= 1, got 0"),
         ("entropy --order 2 --estimator gst --strategy mc --mode shots --shots 0", "--shots",
@@ -1009,8 +1053,8 @@ class TestSpanOnly:
 
 
 #: SHA-256 of the stdout of fixed commands, one test per command.  A change
-#: that moves any RNG draw of the HT chunk layout, the shot path or the sigma
-#: path, the float order of HT or GST enumeration (with and without
+#: that moves any RNG draw of the HT chunk layout, of HT's split of trials
+#: by layer count, the shot path or the sigma path, the float order of HT or GST enumeration (with and without
 #: truncation, and at a non-default basis angle; a truncated Tr{rho^m} takes
 #: all its powers from one walk), the word whose value an
 #: exact GST Monte Carlo draw takes (its own, once per distinct word), the
@@ -1027,13 +1071,13 @@ class TestSpanOnly:
 #: commands.
 BYTE_PINS = {
     "ht --power 2-4 --strategy mc --mode shots --trials 30000 --seed 7":
-        "a5dd1411aed4937e75ba729bc3482f7de030af648b5c255926bd84e873c9490e",
+        "bac230d8c1e1e0511399f5bd8e7157cde62b4f4d82b55eedde12e87a2a80bce1",
     "ht --power 2-4 --strategy mc --mode exact --ht-sigma 0.01 --trials 30000 --seed 7":
-        "25a4677326ec78c61fcfafe0ede986dd48f4e52cb83763219fbe1c567a17ffdc",
+        "1818e82ebc1a56e2cf64f5a06b7691e9b670284e336e0abfbac82ba98994c017",
     "ht --power 2-6":
         "401e90304e413569a461d2737c22f01fd46dd7d125323ce714ab59e16e0767d2",
     "ht --power 2 --strategy mc --mode shots --trials 30000 --seed 7 --format json":
-        "3d15d7519882513c44e1fd2b5cdd5979c0c051147df7b7c7996bdf936862d9c2",
+        "19772eb6aea3a41f67e412164457f30bdc6cb4c95c25e7087d5255e960807055",
     "gst --power 2 --strategy mc --trials 120 --epsilon 1e-3 --seed 7 --format json":
         "cab59fe7183b86b741c25974f49dbe6dd1454856cf0824766b6162bc95ebe368",
     "gst --g-power 1-3 --strategy mc --mode shots --trials 200 --seed 7 --pinv":
@@ -1079,11 +1123,11 @@ BYTE_PINS = {
     "--trials 20000 --seed 11":
         "34ff153e086fcfee7496946c9f64f5c691685d91aed93a69d28187ce5be940dc",
     "ht --power 2-5 --strategy mc --mode shots --shots 5 --trials 20000 --seed 11":
-        "f0e3754d2ceda1faae2faf959277da858cbaf4fca15385204c5e95d0860896d0",
+        "4ff7bf6f64d4541cd08400337588f4157eca831073cd2ebba43c8266a4887555",
     "oracle --power 2-4 --g-power 0-3 --entropy":
         "6e9e69add728e8170d238aeb8016d2000bf6e6c8be46d613d790961d36776eae",
     "sweep --config {sweep}":
-        "72a8ef16929db99395daea2994128980b9520bdf1868d731625eb55b68cdf68d",
+        "95f86695a28da1b89be487d28806158ac7b0475ab795ab08a5e942fc2e309bdb",
     "bounds --d 3 --eps1 1e-3 --epsilon 0.1":
         "4e85115fbed27233730a5ce84f39ce897477995a350fdf5ee18adc603354ad64",
 }

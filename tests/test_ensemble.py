@@ -19,7 +19,8 @@ from qtrace import (
     exact_rho_g_power_trace,
 )
 from qtrace.ensemble import KET_NORM_TOL
-from qtrace.qcore import MAX_QUBITS
+from qtrace.errors import ResourceLimitError
+from qtrace.qcore import MAX_COMPONENTS, MAX_QUBITS
 
 from .conftest import angle_spec, random_ensemble, reference_spec, small_ensembles
 from .dense_reference import (
@@ -86,6 +87,14 @@ class TestKetArray:
         for n in (0, MAX_QUBITS + 1):
             with pytest.raises(ValueError, match="MAX_QUBITS"):
                 EnsembleSpec(n, np.array([1.0]), np.tile([1.0, 0.0], (1, n, 1)))
+
+    def test_component_cap(self):
+        alpha = MAX_COMPONENTS + 1
+        kets = np.tile([1.0, 0.0], (alpha, 1, 1))
+        assert EnsembleSpec(1, np.full(alpha - 1, 1 / (alpha - 1)), kets[1:]).alpha == alpha - 1
+        with pytest.raises(ResourceLimitError) as err:
+            EnsembleSpec(1, np.full(alpha, 1 / alpha), kets)
+        assert (err.value.requested, err.value.cap) == (alpha, MAX_COMPONENTS)
 
     def test_factor_count_must_match(self):
         # n = 2 with one or three per-qubit kets, kets of three amplitudes,

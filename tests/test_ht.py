@@ -53,50 +53,41 @@ def two_component_spec() -> EnsembleSpec:
 
 
 def exact_p0(e, initial, word):
-    """P(0) of one circuit from psi_initial with every layer of ``word``
-    inserted, earliest first."""
-    comps = np.array([[initial, *word]])
-    flags = np.ones((1, len(word)), dtype=bool)
-    return float(ht._outcome_probabilities(e, comps, flags)[0])
+    """P(0) of one circuit from psi_initial with the layers of ``word``,
+    earliest first."""
+    return float(ht._outcome_probabilities(e, np.array([[initial, *word]]))[0])
 
 
-def drawn_circuits(monkeypatch, e, m, trials, seed=0):
-    """The component and flag arrays that estimate_power_trace_mc draws."""
+def drawn_circuits(monkeypatch, estimate, e, m, trials, seed=0):
+    """The component arrays that ``estimate`` draws, one per chunk."""
     seen = []
     outcome_probabilities = ht._outcome_probabilities
 
-    def spy(e, comps, flags):
-        seen.append((comps, flags))
-        return outcome_probabilities(e, comps, flags)
+    def spy(e, comps):
+        seen.append(comps)
+        return outcome_probabilities(e, comps)
 
     monkeypatch.setattr(ht, "_outcome_probabilities", spy)
-    estimate_power_trace_mc(e, m, trials=trials, rng=seed, mode=EXACT)
-    return np.concatenate([c for c, _ in seen]), np.concatenate([f for _, f in seen])
+    estimate(e, m, trials, EXACT, seed)
+    return seen
 
 
-def chunk_samples(e, m, mode, master_seed, lo, hi,
-                  coin_flips=True, probabilities=ht._outcome_probabilities):
-    """Every outcome of the HT Monte Carlo trials [lo, hi), redrawn from the
-    chunk's stream in the kernel's order (components, flags, noise,
+def chunk_samples(e, m, mode, master_seed, stream_key, lo, hi,
+                  probabilities=ht._outcome_probabilities):
+    """Every outcome of the HT Monte Carlo trials [lo, hi) of m layers,
+    redrawn from the chunk's stream in the kernel's order (components, noise,
     binomial), and the clamp count.  A shots-mode trial with n0 zeros out of
-    s is one sample, the signed mean of its shots, sign * (2 n0 - s) / s."""
-    rng = rng_stream(master_seed, lo)
-    b = hi - lo
-    comps = e.component_indices(rng.random((b, m + 1)))
-    if coin_flips:
-        flags = rng.random((b, m)) < 0.5
-        sign = 1.0 - 2.0 * (flags.sum(axis=1) % 2)
-    else:
-        flags, sign = np.ones((b, m), dtype=bool), np.ones(b)
-    p0 = probabilities(e, comps, flags)
+    s is one sample, the mean of its shots, (2 n0 - s) / s."""
+    rng = rng_stream(master_seed, *stream_key, lo)
+    p0 = probabilities(e, e.component_indices(rng.random((hi - lo, m + 1))))
 
     clamps = 0
     if mode.kind == "gaussian":
         p0, clamps = noise_bounds.perturb_probabilities(p0, mode.sigma, rng)
     if mode.kind != "shots":
-        return sign * (2.0 * p0 - 1.0), clamps
+        return 2.0 * p0 - 1.0, clamps
     n0 = rng.binomial(mode.shots, p0)
-    return sign * (2.0 * n0 - mode.shots) / mode.shots, clamps
+    return (2.0 * n0 - mode.shots) / mode.shots, clamps
 
 
 def two_pass_estimate(chunks):
@@ -112,19 +103,22 @@ def two_pass_estimate(chunks):
 
 class TestSampleCircuit:
     def test_m_zero_has_no_layers(self, ref3, monkeypatch):
-        comps, flags = drawn_circuits(monkeypatch, ref3, 0, 100)
-        assert comps.shape == (100, 1) and flags.shape == (100, 0)
+        [comps] = drawn_circuits(monkeypatch, estimate_power_trace_mc, ref3, 0, 100)
+        assert comps.shape == (100, 1)
 
     def test_single_component_always_index_zero(self, monkeypatch):
-        comps, _ = drawn_circuits(monkeypatch, pure_spec(), 3, 20, seed=2)
-        assert comps.shape == (20, 4) and np.all(comps == 0)
+        drawn = drawn_circuits(monkeypatch, estimate_power_trace_mc, pure_spec(), 3, 20, seed=2)
+        assert [c.shape[1] for c in drawn] == [1, 2, 3, 4]
+        assert sum(len(c) for c in drawn) == 20 and all(np.all(c == 0) for c in drawn)
 
-    def test_mean_layer_count_binomial(self, ref3, monkeypatch):
-        n_samples = 100_000
-        _, flags = drawn_circuits(monkeypatch, ref3, 4, n_samples, seed=3)
-        mean = flags.sum(axis=1).mean()
-        sigma = math.sqrt(4 * 0.25 / n_samples)
-        assert abs(mean - 2.0) < 3 * sigma
+    def test_stratum_j_draws_its_trials_with_j_layers(self, ref3, monkeypatch):
+        # Stratum 2 takes 20,000 trials: two full chunks and a partial third.
+        drawn = drawn_circuits(monkeypatch, estimate_power_trace_mc, ref3, 4, 54_000, seed=3)
+        counts = ht.stratum_trials(4, 54_000)
+        assert counts == [3375, 13500, 20250, 13500, 3375]
+        want = [(len(rows), j + 1) for j, t in enumerate(counts) for rows in
+                np.array_split(np.empty(t), range(ht.TRIAL_CHUNK, t, ht.TRIAL_CHUNK))]
+        assert [c.shape for c in drawn] == want
 
 
 class TestExactP0:
@@ -158,31 +152,34 @@ class TestExactP0:
         rng = np.random.default_rng(12)
         spec = random_ensemble(rng, 2, 4)
         comps = spec.component_indices(rng.random((200, 6)))
-        flags = rng.random((200, 5)) < 0.5
-        p0 = ht._outcome_probabilities(spec, comps, flags)
+        p0 = ht._outcome_probabilities(spec, comps)
         assert np.all((0.0 <= p0) & (p0 <= 1.0))
 
 
 class TestSingleShot:
-    """Shots of _mc_chunk: each is the signed unit (-1)^k * (+1 | -1), and a
-    circuit's sample is the mean of its shots."""
+    """Shots of _mc_chunk: each is +1 or -1, and a circuit's sample is the
+    mean of its shots."""
 
     def test_no_layers_always_plus_one(self, ref3):
-        count, total, _, _ = ht._mc_chunk(ref3, 0, MeasureMode("shots", shots=20), 0, 0, 10)
+        count, total, _, _ = ht._mc_chunk(ref3, 0, MeasureMode("shots", shots=20), 0, (), 0, 10)
         assert total == count == 10
 
     def test_eigenstate_layer_always_plus_one(self):
-        # With one layer, P(1) = 1 and the (-1)^k sign flips the -1 outcome
-        # back to +1; without it, P(0) = 1.
-        count, total, _, _ = ht._mc_chunk(pure_spec(), 1, MeasureMode("shots", shots=20), 1, 0, 10)
-        assert total == count == 10
+        # With one layer, P(1) = 1, so a_1 = -1 and Tr{rho^2} = (a_0 - a_1)/2
+        # is +1 on every shot.
+        shots = MeasureMode("shots", shots=20)
+        count, total, _, _ = ht._mc_chunk(pure_spec(), 1, shots, 1, (1,), 0, 10)
+        assert total == -count == -10
+        est = estimate_power_trace_mc(pure_spec(), 1, 20, shots, rng=1)
+        assert (est.value, est.std_error) == (1.0, 0.0)
 
     def test_bernoulli_mean(self, ref3):
-        # The one circuit drawn at seed 0 has k = 1 layer, at seed 5 k = 2.
+        # One circuit of two layers per seed.
         shots = 100_000
         for seed in (0, 5):
-            expected = ht._mc_chunk(ref3, 2, EXACT, seed, 0, 1)[1]
-            n, total, _, _ = ht._mc_chunk(ref3, 2, MeasureMode("shots", shots=shots), seed, 0, 1)
+            expected = ht._mc_chunk(ref3, 2, EXACT, seed, (), 0, 1)[1]
+            n, total, _, _ = ht._mc_chunk(ref3, 2, MeasureMode("shots", shots=shots), seed, (),
+                                          0, 1)
             sigma = math.sqrt((1 - expected**2) / shots)
             assert n == 1 and abs(total - expected) < 3 * sigma
 
@@ -257,14 +254,19 @@ class TestEstimateMc:
         assert 0.8 < reported / spread < 1.25
 
     def test_estimate_is_the_chunk_order_reduction(self, ref3):
-        trials = 40_000  # four full chunks and a partial fifth
-        ranges = chunk_ranges(trials, ht.TRIAL_CHUNK)
-        assert len(ranges) >= 3 and ranges[-1][1] - ranges[-1][0] < ht.TRIAL_CHUNK
-        mean, stderr = two_pass_estimate(
-            [chunk_samples(ref3, 2, ONE_SHOT, 11, lo, hi)[0] for lo, hi in ranges])
-        est = estimate_power_trace_mc(ref3, 2, trials=trials, rng=11)
-        assert (est.value, est.mode) == (mean, MODE_MC_SHOTS)
-        assert est.std_error == pytest.approx(stderr, rel=1e-12)
+        # Stratum 1 takes 35,000 trials: four full chunks and a partial fifth.
+        counts = ht.stratum_trials(2, 70_000)
+        assert counts == [17_500, 35_000, 17_500]
+        strata = []
+        for j, trials in enumerate(counts):
+            mean, stderr = two_pass_estimate(
+                [chunk_samples(ref3, j, ONE_SHOT, 11, (j,), lo, hi)[0]
+                 for lo, hi in chunk_ranges(trials, ht.TRIAL_CHUNK)])
+            strata.append(TraceEstimate(mean, stderr, MODE_MC_SHOTS))
+        want = evaluate_series(binomial_weights(2), strata)
+        est = estimate_power_trace_mc(ref3, 2, trials=70_000, rng=11)
+        assert (est.value, est.mode) == (want.value, MODE_MC_SHOTS)
+        assert est.std_error == pytest.approx(want.std_error, rel=1e-12)
 
     def test_generator_and_seed_both_accepted(self, ref3):
         est = estimate_power_trace_mc(ref3, 1, trials=100, rng=np.random.default_rng(0))
@@ -285,28 +287,19 @@ class TestEstimateMc:
 
 
 class TestRhoGPowerMc:
-    """The direct circuit: every layer inserted, no coin flips, no sign."""
+    """The direct circuit: j layers, one stratum, on streams (master, lo)."""
 
     def test_draws_no_flags_and_inserts_every_layer(self, ref3, monkeypatch):
-        seen = []
-        outcome_probabilities = ht._outcome_probabilities
-
-        def spy(e, comps, flags):
-            seen.append((comps, flags))
-            return outcome_probabilities(e, comps, flags)
-
-        monkeypatch.setattr(ht, "_outcome_probabilities", spy)
-        estimate_rho_g_power_mc(ref3, 3, trials=100, rng=0, mode=EXACT)
-        ((comps, flags),) = seen
-        assert comps.shape == (100, 4) and flags is None
-        # The components come from the same uniforms as the coin-flip circuit's.
-        comps_mc, _ = drawn_circuits(monkeypatch, ref3, 3, 100)
-        assert np.array_equal(comps, comps_mc)
+        [comps] = drawn_circuits(monkeypatch, estimate_rho_g_power_mc, ref3, 3, 100)
+        assert comps.shape == (100, 4)
+        # Only components are drawn, from the chunk's stream (seed 0, lo 0).
+        want = ref3.component_indices(rng_stream(0, 0).random((100, 4)))
+        assert np.array_equal(comps, want)
 
     def test_no_flags_means_every_layer(self, ref3):
         comps = np.random.default_rng(2).integers(0, ref3.alpha, (500, 6))
-        every = ht._outcome_probabilities(ref3, comps, np.ones((500, 5), dtype=bool))
-        assert np.array_equal(ht._outcome_probabilities(ref3, comps), every)
+        every = dense_probabilities(ref3, comps)
+        assert np.max(np.abs(ht._outcome_probabilities(ref3, comps) - every)) < 1e-12
 
     def test_circuit_enumeration_equals_oracle(self):
         # sum over initial component and every word of (prod p)(2 P(0) - 1).
@@ -349,15 +342,14 @@ class TestRhoGPowerMc:
     def test_estimate_is_the_chunk_order_reduction(self, ref3):
         ranges = chunk_ranges(20_000, ht.TRIAL_CHUNK)
         mean, stderr = two_pass_estimate(
-            [chunk_samples(ref3, 2, EXACT, 5, lo, hi, coin_flips=False)[0]
-             for lo, hi in ranges])
+            [chunk_samples(ref3, 2, EXACT, 5, (), lo, hi)[0] for lo, hi in ranges])
         est = estimate_rho_g_power_mc(ref3, 2, trials=20_000, rng=5, mode=EXACT)
         assert (est.value, est.mode) == (mean, MODE_MC_EXACT_PROB)
         assert est.std_error == pytest.approx(stderr, rel=1e-12)
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"j": -1}, "j must be >= 0"),
-        ({"trials": 0}, "trials must be >= 1"),
+        ({"trials": 1}, "trials must be >= 2"),
     ])
     def test_arguments_checked(self, ref3, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -378,18 +370,15 @@ class TestTraceEstimateInvariants:
             TraceEstimate(1.0, -0.1, "mc-shots")
 
 
-def dense_probabilities(e, comps, flags):
+def dense_probabilities(e, comps):
     """Statevector reference for ht._outcome_probabilities: the same circuits
     applied to 2**n-amplitude vectors."""
     psi = e.state_matrix
     v = psi[comps[:, 0]].copy()
-    for t in range(flags.shape[1]):
-        on = flags[:, t]
-        if not np.any(on):
-            continue
-        axes = psi[comps[on, t + 1]]
-        inner = np.einsum("ij,ij->i", axes.conj(), v[on])
-        v[on] -= 2.0 * inner[:, None] * axes
+    for t in range(comps.shape[1] - 1):
+        axes = psi[comps[:, t + 1]]
+        inner = np.einsum("ij,ij->i", axes.conj(), v)
+        v -= 2.0 * inner[:, None] * axes
 
     re = np.einsum("ij,ij->i", psi[comps[:, 0]].conj(), v).real
     p0 = 0.5 * (1.0 + re)
@@ -451,9 +440,8 @@ class TestSpanKernelMatchesStatevectors:
         rng = rng_stream(seed, lo)
         for m in (0, 1, 4, 7):
             comps = e.component_indices(rng.random((hi - lo, m + 1)))
-            flags = rng.random((hi - lo, m)) < 0.5
-            got = ht._outcome_probabilities(e, comps, flags)
-            assert np.max(np.abs(got - dense_probabilities(e, comps, flags))) < 1e-12
+            got = ht._outcome_probabilities(e, comps)
+            assert np.max(np.abs(got - dense_probabilities(e, comps))) < 1e-12
 
     @pytest.mark.parametrize("name", sorted(SPAN_SPECS))
     @pytest.mark.parametrize("mode", [pytest.param(EXACT, id="0.0"),
@@ -462,7 +450,7 @@ class TestSpanKernelMatchesStatevectors:
     def test_mc_chunk_exact_prob(self, name, mode, seed, lo, hi):
         e = SPAN_SPECS[name]
         for m in (0, 1, 4):
-            args = (e, m, mode, seed, lo, hi)
+            args = (e, m, mode, seed, (m,), lo, hi)
             assert_same_sums(ht._mc_chunk(*args), dense_mc_chunk(*args))
 
     @pytest.mark.parametrize("name", sorted(SPAN_SPECS))
@@ -475,7 +463,7 @@ class TestSpanKernelMatchesStatevectors:
         # reproduce the draws and sums exactly.
         e = SPAN_SPECS[name]
         for m in (0, 1, 4):
-            args = (e, m, MeasureMode("shots", shots=3), seed, lo, hi)
+            args = (e, m, MeasureMode("shots", shots=3), seed, (m,), lo, hi)
             assert_same_sums(
                 ht._mc_chunk(*args),
                 dense_mc_chunk(*args, probabilities=ht._outcome_probabilities),
@@ -569,20 +557,112 @@ class TestTrialSigma:
             self.assert_in_chi2_band(e, j)
 
 
-def per_row_outcome_probabilities(e, comps, flags=None):
+def strata_variance(e, m, trials):
+    """The exact exact-prob variance of ``estimate_power_trace_mc``, sum_j
+    c_j^2 sigma_j^2 / T_j, and its Satterthwaite degrees of freedom."""
+    counts = ht.stratum_trials(m, trials)
+    parts = [(c * ht_trial_sigma(e, j)) ** 2 / t
+             for j, (c, t) in enumerate(zip(binomial_weights(m).coefficients, counts))]
+    variance = sum(parts)
+    return variance, variance**2 / sum(v * v / (t - 1) for v, t in zip(parts, counts))
+
+
+#: Two ensembles built as ``small_ensembles`` builds them: one plain, and
+#: one whose last component repeats the first (a rank-deficient Gram).
+SMALL_PLAIN = random_ensemble(np.random.default_rng(22), 2, 3)
+SMALL_CASES = {
+    "n3-a4": random_ensemble(np.random.default_rng(21), 3, 4),
+    "n2-a3-repeated": EnsembleSpec(2, SMALL_PLAIN.probs,
+                                   np.concatenate([SMALL_PLAIN.kets[:-1], SMALL_PLAIN.kets[:1]])),
+}
+
+
+class TestStrata:
+    """``estimate_power_trace_mc`` as m + 1 strata of fixed layer counts."""
+
+    @pytest.mark.parametrize("m, trials", [(0, 2), (0, 5), (1, 30_001), (3, 30_000), (4, 10),
+                                           (4, 11), (13, 20_000), (40, 1000), (209, 420),
+                                           (1000, 2002)])
+    def test_allocation(self, m, trials):
+        counts = ht.stratum_trials(m, trials)
+        assert len(counts) == m + 1 and sum(counts) == trials and min(counts) >= 2
+        # The fewest strata, smallest C(m, j) first, hold 2 each such that
+        # every other share of what is left is at least 2; each other
+        # stratum lies within 1 of its share.
+        weights = [math.comb(m, j) for j in range(m + 1)]
+        order = sorted(range(m + 1), key=weights.__getitem__)
+        for held in range(m + 1):
+            left, total = trials - 2 * held, sum(weights[j] for j in order[held:])
+            if all(weights[j] * left >= 2 * total for j in order[held:]):
+                break
+        assert all(counts[j] == 2 for j in order[:held])
+        for j in order[held:]:
+            assert abs(counts[j] - weights[j] * left / total) < 1
+
+    def test_ties_go_to_the_smaller_layer_count(self):
+        assert ht.stratum_trials(1, 30_001) == [15_001, 15_000]
+        assert ht.stratum_trials(3, 30_000) == [3750, 11_250, 11_250, 3750]
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_fewer_than_two_trials_a_stratum_raise(self, ref3, m):
+        with pytest.raises(ValueError, match=rf"trials must be >= 2 \(m \+ 1\) = {2 * m + 2} "):
+            estimate_power_trace_mc(ref3, m, 2 * m + 1, EXACT, 0)
+        estimate_power_trace_mc(ref3, m, 2 * m + 2, EXACT, 0)
+
+    @staticmethod
+    def assert_in_chi2_band(e, m, trials=20_000, seed=3):
+        # As ``TestTrialSigma``: std_error^2 / variance ~ chi^2_nu / nu, nu
+        # the Satterthwaite degrees of freedom of the m + 1 strata.
+        est = estimate_power_trace_mc(e, m, trials, EXACT, seed)
+        variance, dof = strata_variance(e, m, trials)
+        band = [(1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3 for z in (-5.0, 5.0)]
+        ratio = est.std_error**2 / variance
+        assert band[0] < ratio < band[1], (m, ratio, band)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_table1_std_error_in_chi2_band(self, ref3, m):
+        self.assert_in_chi2_band(ref3, m)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_CASES))
+    def test_small_ensemble_std_error_in_chi2_band(self, name):
+        for m in (1, 3, 6):
+            self.assert_in_chi2_band(SMALL_CASES[name], m)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_within_5_sigma_of_the_oracle(self, ref3, seed):
+        for m in (1, 3):
+            est = estimate_power_trace_mc(ref3, m, 20_000, EXACT, seed)
+            sigma = math.sqrt(strata_variance(ref3, m, 20_000)[0])
+            assert abs(est.value - exact_power_trace(ref3, m + 1)) < 5 * sigma
+
+    def test_table1_variance_below_the_coin_flip_circuit(self, ref3):
+        # The coin-flip circuit's per-trial variance is sum_j w_j (sigma_j^2
+        # + a_j^2) - Tr{rho^{m+1}}^2, w_j = C(m, j)/2^m; proportional strata
+        # leave sum_j w_j sigma_j^2.  Ratios 0.60, 0.75, 0.83 and 0.95 at
+        # Tr{rho^2}, Tr{rho^3}, Tr{rho^4} and Tr{rho^8}.
+        ratios = []
+        for m in (1, 2, 3, 7):
+            w = [math.comb(m, j) / 2**m for j in range(m + 1)]
+            sigma2 = [ht_trial_sigma(ref3, j) ** 2 for j in range(m + 1)]
+            a = [exact_rho_g_power_trace(ref3, j) for j in range(m + 1)]
+            coin = sum(wj * (s + aj * aj) for wj, s, aj in zip(w, sigma2, a))
+            coin -= exact_power_trace(ref3, m + 1) ** 2
+            ratios.append(sum(wj * s for wj, s in zip(w, sigma2)) / coin)
+        assert ratios == pytest.approx([0.60, 0.75, 0.83, 0.95], abs=0.005)
+
+
+def per_row_outcome_probabilities(e, comps):
     """``ht._outcome_probabilities`` with one coefficient row per trial and no
-    prefix shared: every layer reflects every row it reaches, all rows at
-    once.  The prefix-sharing kernel must match it bit for bit."""
+    prefix shared: every layer reflects every row, all rows at once.  The
+    prefix-sharing kernel must match it bit for bit."""
     gram = e.gram
     b = comps.shape[0]
     rows = np.arange(b)
     c = np.zeros((b, e.alpha), dtype=np.complex128)
     c[rows, comps[:, 0]] = 1.0
     for t in range(comps.shape[1] - 1):
-        on = rows if flags is None else np.flatnonzero(flags[:, t])
-        axes = comps[on, t + 1]
-        inner = np.einsum("ij,ij->i", gram[axes], c if flags is None else c[on])
-        c[on, axes] -= 2.0 * inner
+        axes = comps[:, t + 1]
+        c[rows, axes] -= 2.0 * np.einsum("ij,ij->i", gram[axes], c)
 
     p0 = 0.5 * (1.0 + np.einsum("ij,ij->i", gram[comps[:, 0]], c).real)
     ht._check_probabilities(p0)
@@ -602,15 +682,13 @@ KERNEL_SETTINGS = [
 
 @st.composite
 def mc_kernel_cases(draw):
-    """(spec, comps, flags, settings): a drawn chunk of b trials with m
-    candidate layers, flags None in all-layers mode."""
+    """(spec, comps, settings): a drawn chunk of b trials with m layers."""
     e = draw(small_ensembles())
     b = draw(st.sampled_from([1, 2, 3616, 8192]))
     m = draw(st.integers(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     comps = e.component_indices(rng.random((b, m + 1)))
-    flags = rng.random((b, m)) < 0.5 if draw(st.booleans()) else None
-    return e, comps, flags, draw(st.sampled_from(KERNEL_SETTINGS))
+    return e, comps, draw(st.sampled_from(KERNEL_SETTINGS))
 
 
 class TestPrefixSharingMonteCarlo:
@@ -620,29 +698,28 @@ class TestPrefixSharingMonteCarlo:
     @settings(max_examples=200, deadline=None)
     @given(mc_kernel_cases())
     def test_kernel_matches_per_row_kernel(self, case):
-        e, comps, flags, kernel_settings = case
-        want = per_row_outcome_probabilities(e, comps, flags)
+        e, comps, kernel_settings = case
+        want = per_row_outcome_probabilities(e, comps)
         with pytest.MonkeyPatch.context() as mp:
             for name, value in kernel_settings.items():
                 mp.setattr(ht, name, value)
-            got = ht._outcome_probabilities(e, comps, flags)
+            got = ht._outcome_probabilities(e, comps)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("alpha", [16, 64])
-    @pytest.mark.parametrize("coin_flips", [True, False], ids=["coin", "all"])
-    def test_wide_ensembles(self, alpha, coin_flips):
+    @pytest.mark.parametrize("layers", ["all"])
+    def test_wide_ensembles(self, alpha, layers):
         # Few shared levels, then row blocks of 2048 and 512 trials.
         e = random_ensemble(np.random.default_rng(alpha), 20, alpha)
         for m in (2, 12):
             rng = np.random.default_rng(m)
             comps = e.component_indices(rng.random((8192, m + 1)))
-            flags = rng.random((8192, m)) < 0.5 if coin_flips else None
-            got = ht._outcome_probabilities(e, comps, flags)
-            assert got.tobytes() == per_row_outcome_probabilities(e, comps, flags).tobytes()
+            got = ht._outcome_probabilities(e, comps)
+            assert got.tobytes() == per_row_outcome_probabilities(e, comps).tobytes()
 
     @pytest.mark.parametrize("m", [0, 3])
-    @pytest.mark.parametrize("coin_flips", [True, False], ids=["coin", "all"])
-    def test_first_bad_probability_in_row_order(self, m, coin_flips):
+    @pytest.mark.parametrize("layers", ["all"])
+    def test_first_bad_probability_in_row_order(self, m, layers):
         # A diagonal Gram with K_ii > 1 puts P(0) outside [0, 1] on every
         # row that starts in such a component; the shared rows are held in
         # prefix order, yet the record names the first bad row's value.
@@ -650,11 +727,10 @@ class TestPrefixSharingMonteCarlo:
         e.__dict__["gram"] = np.diag([1.0, 3.0, 1.0, 5.0]).astype(complex)
         rng = np.random.default_rng(m)
         comps = e.component_indices(rng.random((8192, m + 1)))
-        flags = rng.random((8192, m)) < 0.5 if coin_flips else None
         with pytest.raises(IdentityViolationError) as want:
-            per_row_outcome_probabilities(e, comps, flags)
+            per_row_outcome_probabilities(e, comps)
         with pytest.raises(IdentityViolationError) as got:
-            ht._outcome_probabilities(e, comps, flags)
+            ht._outcome_probabilities(e, comps)
         assert str(got.value) == str(want.value)
         assert got.value.statistic == want.value.statistic
 
@@ -664,11 +740,11 @@ class TestPrefixSharingMonteCarlo:
         seen = []
         kernel = ht._outcome_probabilities
 
-        def spy(e, comps, flags=None):
+        def spy(e, comps):
             with pytest.raises(IdentityViolationError) as want:
-                per_row_outcome_probabilities(e, comps, flags)
+                per_row_outcome_probabilities(e, comps)
             seen.append(want.value)
-            return kernel(e, comps, flags)
+            return kernel(e, comps)
 
         monkeypatch.setattr(ht, "_outcome_probabilities", spy)
         argv = ["ht", "--power", "4", "--strategy", "mc", "--mode", "exact", "--trials", "5000"]
